@@ -1,6 +1,7 @@
 //! Cross-crate property test of the canonical artifact codec: over
 //! randomly generated specifications, `from_canonical ∘ to_canonical`
-//! is the identity for every staged-pipeline artifact, and a pipeline
+//! is the identity for every staged-pipeline artifact and for the
+//! finished comparison the engine persists per job, and a pipeline
 //! stage fed a *decoded* artifact produces byte-identical results to one
 //! fed the freshly computed original. That byte-identity is the
 //! invariant the engine's disk-backed stage cache rests on: a stage
@@ -8,9 +9,9 @@
 
 use bittrans_benchmarks::{random_spec, RandomSpecOptions};
 use bittrans_core::{
-    stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
-    stage_schedule_fragments, stage_time, Chaining, CompareOptions, Datapath, Fragmented,
-    Implementation, Schedule,
+    compare, stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
+    stage_schedule_fragments, stage_time, Chaining, CompareOptions, Comparison, Datapath,
+    Fragmented, Implementation, Schedule,
 };
 use bittrans_ir::Spec;
 use proptest::prelude::*;
@@ -86,6 +87,28 @@ proptest! {
                     a.is_ok(),
                     b.is_ok()
                 ),
+            }
+        }
+
+        // The finished comparison (the engine's `job` artifact): decoded
+        // value equal field-for-field with bit-exact floats, encoded text
+        // a fixpoint.
+        let options = CompareOptions { verify_vectors: 0, ..CompareOptions::default() };
+        if let Ok(cmp) = compare(&spec, latency, &options) {
+            let ctext = cmp.to_canonical();
+            let cdec = Comparison::from_canonical(&ctext).expect("canonical comparison parses");
+            prop_assert_eq!(cdec.to_canonical(), ctext);
+            for (a, b) in [(&cdec.original, &cmp.original), (&cdec.optimized, &cmp.optimized)] {
+                prop_assert_eq!(&a.name, &b.name);
+                prop_assert_eq!((a.latency, a.cycle_delta), (b.latency, b.cycle_delta));
+                prop_assert_eq!(a.cycle_ns.to_bits(), b.cycle_ns.to_bits());
+                prop_assert_eq!(a.execution_ns.to_bits(), b.execution_ns.to_bits());
+                let bits = |imp: &Implementation| {
+                    [imp.area.fu, imp.area.registers, imp.area.routing, imp.area.controller]
+                        .map(f64::to_bits)
+                };
+                prop_assert_eq!(bits(a), bits(b));
+                prop_assert_eq!((a.op_count, a.stored_bits), (b.op_count, b.stored_bits));
             }
         }
     }

@@ -19,9 +19,11 @@
 //!   of its canonicalized specification text, latency and options
 //!   ([`key`]); results live in an in-memory [`cache`] shared by all
 //!   batches run on one engine, with hit/miss counters surfaced through
-//!   [`EngineStats`], and optionally spill to an indexed directory
-//!   ([`Engine::with_cache_dir`]) that later processes read lazily and
-//!   prune by size or age ([`Engine::prune_cache`]);
+//!   [`EngineStats`], and optionally spill to a cache directory
+//!   ([`Engine::with_cache_dir`]) — one content-addressed store of job
+//!   results and pipeline-stage artifacts, where the filesystem is the
+//!   index — that later processes read per key and prune by size or age
+//!   ([`Engine::prune_cache`]);
 //! * **design-space exploration** — a [`Study`] spans a typed axis grid
 //!   (specs × latencies × adder architectures × balancing × verification)
 //!   and returns a [`StudyReport`] of labelled cells, replacing every
@@ -94,10 +96,9 @@ pub use study::Study;
 
 use bittrans_core::{compare, SweepPoint};
 use bittrans_ir::Spec;
-use persist::DirIndex;
 use stagecache::{StageCache, StageTally};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of an [`Engine`].
@@ -120,7 +121,7 @@ impl Default for EngineOptions {
 enum HitTier {
     /// Resident in the in-memory cache.
     Memory,
-    /// Lazily loaded (and promoted) from the cache directory.
+    /// Loaded (and promoted) from the cache directory's `job` file.
     Disk,
 }
 
@@ -131,46 +132,43 @@ enum HitTier {
 pub struct Engine {
     options: EngineOptions,
     cache: ResultCache,
-    disk: Option<Mutex<DirIndex>>,
     /// Incremental sub-job memo: pipeline stages keyed by their inputs,
-    /// shared by every batch and serve request ([`stagecache`]).
+    /// shared by every batch and serve request, plus the cache
+    /// directory's on-disk store when one is attached ([`stagecache`]).
     stages: StageCache,
 }
 
 impl Engine {
     /// An engine with the given options and an empty cache.
     pub fn new(options: EngineOptions) -> Self {
-        Engine { options, cache: ResultCache::new(), disk: None, stages: StageCache::default() }
+        Engine { options, cache: ResultCache::new(), stages: StageCache::default() }
     }
 
-    /// Attaches a persistent cache directory: one JSON file per [`JobKey`],
-    /// written by any earlier process, indexed by an `index.json` manifest.
-    /// Opening reads (or rebuilds) the index only — entry bodies are parsed
-    /// lazily, on first lookup — and every comparison this engine computes
-    /// from here on is spilled back with an atomic rename. A repeated CLI
-    /// or CI invocation over the same inputs is therefore served entirely
-    /// from disk and reports a 100 % hit rate, without having paid an
-    /// upfront parse of the whole directory.
+    /// Attaches a persistent cache directory. Its one store, the
+    /// `stages/` subdirectory, holds one file per finished job (a `job`
+    /// stage) and one per pipeline-stage artifact, each written by any
+    /// earlier process through the canonical codec. Opening reads
+    /// nothing: a job's file is read on first lookup of its key, and every
+    /// comparison this engine computes from here on is spilled back with
+    /// an atomic rename. A repeated CLI or CI invocation over the same
+    /// inputs is therefore served entirely from disk and reports a 100 %
+    /// hit rate, without an upfront scan of the directory.
     ///
-    /// A corrupt entry is invisible: its job recomputes (a miss) and the
-    /// respill repairs the file. A stale or damaged `index.json` is rebuilt
-    /// from the directory contents. A failed spill leaves the entry in
-    /// memory only — the cache is an optimization, never a correctness
-    /// dependency. Only successful comparisons are persisted; pipeline
-    /// errors are recomputed. Persistence is inert when
+    /// A corrupt file is deleted on load: its job (or stage) recomputes,
+    /// a miss, and the respill repairs the file. A failed spill leaves
+    /// the result in memory only — the cache is an optimization, never a
+    /// correctness dependency. Only successful comparisons are persisted;
+    /// pipeline errors are recomputed. Persistence is inert when
     /// [`EngineOptions::cache`] is false.
     ///
     /// # Errors
     ///
-    /// I/O errors creating or scanning the directory.
+    /// I/O errors creating the directory.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         if self.options.cache {
-            self.disk = Some(Mutex::new(DirIndex::open(&dir)?));
-            // Verify-stage tokens live in a subdirectory the job-entry
-            // scan ignores (it only considers top-level `*.json` files).
-            self.stages.attach_disk(dir.join(persist::STAGE_SUBDIR));
+            self.stages.attach_disk(&dir);
         }
         Ok(self)
     }
@@ -181,64 +179,38 @@ impl Engine {
     /// reject shard requests on a store-less server, whose work could
     /// never reach the dispatching coordinator.
     pub fn has_cache_dir(&self) -> bool {
-        self.disk.is_some()
+        self.stages.store().is_some()
     }
 
-    /// Serves `key` from the in-memory cache or, failing that, lazily from
-    /// the attached cache directory (promoting the entry into memory).
-    /// Corrupt disk entries are dropped from the index so the caller
-    /// recomputes and respills them. The returned provenance says which
+    /// Serves `key` from the in-memory cache or, failing that, from its
+    /// `job` file in the attached store (promoting the result into
+    /// memory). A corrupt file is deleted by the load, so the caller
+    /// recomputes and respills it. The returned provenance says which
     /// tier answered — the trace collector attributes every hit with it.
     fn lookup(&self, key: &JobKey) -> Option<HitTier> {
         if self.cache.peek(key).is_some() {
             return Some(HitTier::Memory);
         }
-        let mut disk = self.disk.as_ref()?.lock().expect("cache index lock");
-        match disk.load(*key) {
-            Some(comparison) => {
-                self.cache.insert(*key, Arc::new(Ok(comparison)));
-                Some(HitTier::Disk)
-            }
-            None => {
-                disk.forget(*key);
-                None
-            }
-        }
-    }
-
-    /// Results resident in memory plus on-disk entries not yet promoted.
-    fn resident_entries(&self) -> usize {
-        let in_memory = self.cache.len();
-        match &self.disk {
-            None => in_memory,
-            Some(disk) => {
-                let disk = disk.lock().expect("cache index lock");
-                in_memory + disk.keys().filter(|key| self.cache.peek(key).is_none()).count()
-            }
-        }
+        let comparison = self.stages.store()?.load_job(*key)?;
+        self.cache.insert(*key, Arc::new(Ok(comparison)));
+        Some(HitTier::Disk)
     }
 
     /// Admits one computed result: inserts it into the in-memory cache and
-    /// spills it to the attached directory (best-effort, same policy as
-    /// [`Engine::run`]'s batch spill). The scheduled `serve` path computes
-    /// jobs outside `Engine::run` and admits them one by one as they
-    /// finish, so concurrent requests see each other's results as early as
-    /// possible. A no-op with caching disabled.
+    /// spills a success to the attached store (best-effort: a failed
+    /// write costs a recomputation in some later process, never this
+    /// result). [`Engine::run`] admits its batch through here; the
+    /// scheduled `serve` path computes jobs outside `Engine::run` and
+    /// admits them one by one as they finish, so concurrent requests see
+    /// each other's results as early as possible. A no-op with caching
+    /// disabled.
     pub(crate) fn admit(&self, key: JobKey, result: &Arc<JobResult>) {
         if !self.options.cache {
             return;
         }
         self.cache.insert(key, Arc::clone(result));
-        if let (Some(disk), Ok(comparison)) = (&self.disk, result.as_ref()) {
-            let _ = disk.lock().expect("cache index lock").save(key, comparison);
-        }
-    }
-
-    /// Flushes the cache directory's index manifest if admissions dirtied
-    /// it — the end-of-batch counterpart of [`Engine::admit`].
-    pub(crate) fn flush_disk(&self) {
-        if let Some(disk) = &self.disk {
-            disk.lock().expect("cache index lock").write_if_dirty();
+        if let (Some(store), Ok(comparison)) = (self.stages.store(), result.as_ref()) {
+            store.spill_job(key, comparison);
         }
     }
 
@@ -251,28 +223,27 @@ impl Engine {
         }
     }
 
-    /// Runs one eviction sweep over the attached cache directory: entries
-    /// older than [`PrunePolicy::max_age`] go first, then oldest-first
-    /// until the directory fits in [`PrunePolicy::max_bytes`]. Entries
-    /// whose result is resident in this engine's in-memory cache are
-    /// pinned — a live run never loses the files backing it. The
-    /// `index.json` manifest is rewritten to match.
+    /// Runs one eviction sweep over the attached cache directory's store:
+    /// files older than [`PrunePolicy::max_age`] go first, then
+    /// oldest-first until the store fits in [`PrunePolicy::max_bytes`].
+    /// Files whose job result is resident in this engine's in-memory
+    /// cache, or whose stage artifact is resident in its stage memo, are
+    /// pinned — a live run never loses the files backing it.
     ///
     /// # Errors
     ///
     /// If no cache directory is attached ([`Engine::with_cache_dir`]), or
-    /// deleting an entry fails.
+    /// deleting a file fails.
     pub fn prune_cache(&self, policy: PrunePolicy) -> std::io::Result<PruneReport> {
-        let disk = self.disk.as_ref().ok_or_else(|| {
+        let store = self.stages.store().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no cache directory attached")
         })?;
-        let mut disk = disk.lock().expect("cache index lock");
-        let pinned = self.cache.keys().into_iter().collect();
-        let pinned_stages = self.stages.resident_keys();
+        let mut pinned = self.stages.resident_keys();
+        pinned.extend(self.cache.keys());
         let now = std::time::SystemTime::now()
             .duration_since(std::time::SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
-        persist::prune(&mut disk, &policy, &pinned, &pinned_stages, now)
+        persist::prune(&store.files(), &policy, &pinned, now)
     }
 
     /// Computes one comparison: through the memoized stage path
@@ -372,15 +343,7 @@ impl Engine {
         );
         if self.options.cache {
             for (key, result) in &computed {
-                self.cache.insert(*key, Arc::clone(result));
-                // Best-effort spill: a failed write costs a recomputation
-                // in some later process, never this batch's result.
-                if let (Some(disk), Ok(comparison)) = (&self.disk, result.as_ref()) {
-                    let _ = disk.lock().expect("cache index lock").save(*key, comparison);
-                }
-            }
-            if let Some(disk) = &self.disk {
-                disk.lock().expect("cache index lock").write_if_dirty();
+                self.admit(*key, result);
             }
             self.cache.record(hits, misses);
         }
@@ -412,7 +375,7 @@ impl Engine {
             jobs: jobs.len() as u64,
             cache_hits: hits,
             cache_misses: misses,
-            cache_entries: self.resident_entries(),
+            cache_entries: self.cache.len(),
             workers,
             elapsed: started.elapsed(),
             stage_hits: tally.hits(),
@@ -452,7 +415,7 @@ impl Engine {
             jobs: self.cache.hits() + self.cache.misses(),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            cache_entries: self.resident_entries(),
+            cache_entries: self.cache.len(),
             workers: self.worker_count(),
             elapsed: std::time::Duration::ZERO,
             stage_hits: self.stages.hits(),

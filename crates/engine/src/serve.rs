@@ -1,6 +1,6 @@
 //! A long-running [`Study`] service over one warm [`Engine`]: newline-
 //! delimited JSON over TCP, so many clients share a single in-memory
-//! cache (backed by the indexed cache directory) instead of each paying a
+//! cache (backed by the cache directory's store) instead of each paying a
 //! cold start.
 //!
 //! # Protocol
@@ -861,7 +861,6 @@ fn run_scheduled(
         }
     }
 
-    state.engine.flush_disk();
     state.engine.record_lifetime(hits, misses);
     let stats = EngineStats {
         jobs: total as u64,

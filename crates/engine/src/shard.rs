@@ -68,9 +68,9 @@
 //! processes by construction.
 
 use crate::key::JobKey;
-use crate::persist::DirIndex;
 use crate::proto;
 use crate::report::StudyReport;
+use crate::stagecache::StageStore;
 use crate::stats::{EndpointStats, EngineStats};
 use crate::study::{self, Study};
 use crate::trace;
@@ -739,26 +739,14 @@ pub fn run_sharded(
     });
 
     std::fs::create_dir_all(cache_dir)?;
-    let before = DirIndex::open(cache_dir)?;
-    let preloaded_total = before.len();
-    // A key only counts as preloaded if its entry actually parses — a
+    let store = StageStore::of(cache_dir);
+    // A key only counts as preloaded if its job file actually decodes — a
     // corrupt body is exactly what a single-process run would discover at
     // lookup time and recompute as a miss, and the report (hits,
-    // from_cache flags) must not diverge from that. `stale` corrects the
-    // final entry count: the corrupt file is both in `preloaded_total`
-    // and recomputed as a miss, so it would otherwise be counted twice.
-    let mut preloaded: HashSet<JobKey> = HashSet::new();
-    let mut stale = 0usize;
-    for &key in &sorted_keys {
-        if before.contains(&key) {
-            if before.load(key).is_some() {
-                preloaded.insert(key);
-            } else {
-                stale += 1;
-            }
-        }
-    }
-    drop(before);
+    // from_cache flags) must not diverge from that. The load deletes such
+    // a file, so its shard recomputes and respills it.
+    let preloaded: HashSet<JobKey> =
+        sorted_keys.iter().copied().filter(|&key| store.load_job(key).is_some()).collect();
 
     // Dispatch the shards through the configured transport. A shard that
     // cannot be dispatched at all is treated exactly like one that
@@ -774,19 +762,16 @@ pub fn run_sharded(
     let Dispatch { shard_stats, mut endpoints, failed } = dispatch;
 
     // Re-read the shared store and detect gaps before the final batch: a
-    // key from a failed shard's range with no entry on disk is work the
-    // dead worker never finished.
-    let after = DirIndex::open(cache_dir)?;
-    let on_disk: HashSet<JobKey> = after.keys().collect();
-    drop(after);
+    // key from a failed shard's range with no loadable job file is work
+    // the dead worker never finished.
     let failed_keys: HashSet<JobKey> = failed
         .iter()
         .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
         .collect();
     let retried: Vec<JobKey> = sorted_keys
         .iter()
-        .filter(|key| failed_keys.contains(key) && !on_disk.contains(key))
         .copied()
+        .filter(|key| failed_keys.contains(key) && store.load_job(*key).is_none())
         .collect();
 
     // One local batch over the distinct jobs assembles everything: keys in
@@ -832,7 +817,9 @@ pub fn run_sharded(
         jobs: distinct_count,
         cache_hits: hits,
         cache_misses: distinct_count - hits,
-        cache_entries: preloaded_total - stale + (distinct_count - hits) as usize,
+        // What a fresh single-process `Study::run` holds after the grid:
+        // every distinct job's result, resident in memory.
+        cache_entries: grid.distinct.len(),
         workers: merged.workers,
         elapsed: started.elapsed(),
         // Stage work happened inside the shard processes (and the

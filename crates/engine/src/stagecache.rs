@@ -53,21 +53,23 @@
 //! a long-lived serve process stops growing without limit (an evicted
 //! stage costs at worst one disk load or recompute later).
 //!
-//! The disk tier under `<cache-dir>/stages/` persists **every** stage,
-//! as `<key>.stage` files: a one-line `bittrans-stage 2 <stage> ok`
-//! envelope followed by the artifact's canonical text (the
-//! `to_canonical` / `from_canonical` codec each artifact type carries in
-//! its home crate — `Display` remains the human-oriented, *non*-parseable
-//! dump). A fresh process over a warm directory therefore recomputes
-//! zero stages for an unchanged grid. Files are written via the same
-//! hidden-temp-file + atomic-rename idiom as the job store; a file whose
-//! envelope or body fails to decode — including one written by a *newer*
-//! schema — is deleted and recomputed, never misparsed, and the
-//! recompute's respill repairs it. The filesystem itself is the index
-//! (no manifest to rebuild); the `stages/` subdirectory is invisible to
-//! the job store's directory scan, which only considers top-level
-//! `*.json` files, and is swept by `cache prune` alongside the job
-//! entries (resident stages are pinned). Legacy schema-1 verify tokens
+//! The disk tier ([`StageStore`]) under `<cache-dir>/stages/` is the
+//! cache directory's **only** on-disk store. It persists every stage, and
+//! every finished job as one more stage kind, `job`, as `<key>.stage`
+//! files: a one-line `bittrans-stage 2 <stage> ok` envelope followed by
+//! the artifact's canonical text (the `to_canonical` / `from_canonical`
+//! codec each artifact type carries in its home crate — `Display` remains
+//! the human-oriented, *non*-parseable dump; a `job` body is the
+//! canonical [`Comparison`]). A fresh process over a warm directory
+//! therefore answers an unchanged grid from `job` files, and with those
+//! deleted still recomputes zero stages. Files are written to a hidden
+//! temp file and atomically renamed into place; a file whose envelope or
+//! body fails to decode — including one written by a *newer* schema, or
+//! one whose envelope names another stage — is deleted and recomputed,
+//! never misparsed, and the recompute's respill repairs it. The
+//! filesystem itself is the index (no manifest to rebuild, nothing listed
+//! at open); `cache prune` sweeps the directory oldest-first (resident
+//! jobs and stages are pinned). Legacy schema-1 verify tokens
 //! (`<key>.json`, from builds predating the codec) are simply ignored
 //! until pruned.
 //!
@@ -85,9 +87,10 @@ use bittrans_core::{
 };
 use bittrans_ir::Spec;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::SystemTime;
 
 /// Default bound on resident in-memory stage slots. At roughly a few
 /// kilobytes per artifact this caps the memo in the tens of megabytes;
@@ -97,6 +100,143 @@ pub(crate) const STAGE_MEMO_CAPACITY: usize = 4096;
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
 /// old files decode-fail (delete → recompute → respill), never misparse.
 const STAGE_FILE_SCHEMA: u32 = 2;
+
+/// The store's subdirectory of a cache directory.
+const STAGE_SUBDIR: &str = "stages";
+
+/// The stage name of a finished job's file (body: canonical
+/// [`Comparison`]).
+const JOB_STAGE: &str = "job";
+
+/// One cache directory's on-disk store: `<cache-dir>/stages/<key>.stage`
+/// files, each a `bittrans-stage 2 <stage> ok` envelope line plus the
+/// artifact's canonical text. Every layout decision — subdirectory, file
+/// and temp naming, envelope — lives here; callers deal in keys.
+#[derive(Clone, Debug)]
+pub(crate) struct StageStore {
+    dir: PathBuf,
+}
+
+/// One file of a [`StageStore`], as listed for an eviction sweep (names
+/// and metadata only; bodies are never parsed).
+#[derive(Debug)]
+pub(crate) struct StoreFile {
+    /// Where the file lives.
+    pub path: PathBuf,
+    /// The key parsed from the file stem; `None` for foreign files, which
+    /// can never be pinned and age out like anything else.
+    pub key: Option<JobKey>,
+    /// File size in bytes.
+    pub bytes: u64,
+    /// Modification time, seconds since the Unix epoch (0 if unknown).
+    pub mtime: u64,
+}
+
+impl StageStore {
+    /// The store of cache directory `cache_dir`. Nothing is read or
+    /// created here: the subdirectory appears on first spill.
+    pub(crate) fn of(cache_dir: &Path) -> StageStore {
+        StageStore { dir: cache_dir.join(STAGE_SUBDIR) }
+    }
+
+    /// The store's directory (tests plant files in it).
+    #[cfg(test)]
+    pub(crate) fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    fn path(&self, key: JobKey) -> PathBuf {
+        self.dir.join(format!("{key}.stage"))
+    }
+
+    /// The first line of every file holding a `stage` artifact.
+    fn envelope(stage: &str) -> String {
+        format!("bittrans-stage {STAGE_FILE_SCHEMA} {stage} ok")
+    }
+
+    /// Reads `key`'s file and decodes it as a `stage` artifact. A file
+    /// that exists but fails to decode — wrong schema (older *or* newer),
+    /// an envelope naming another stage, a corrupt body — is deleted so
+    /// the recompute's respill repairs it.
+    fn load<T>(
+        &self,
+        key: JobKey,
+        stage: &str,
+        decode: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.path(key);
+        let text = std::fs::read_to_string(&path).ok()?;
+        let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
+        let value = if envelope == Self::envelope(stage) { decode(body) } else { None };
+        if value.is_none() {
+            let _ = std::fs::remove_file(&path);
+        }
+        value
+    }
+
+    /// Best-effort spill: hidden temp file in the same directory, then
+    /// atomic rename, so a reader never sees a torn file. A failed write
+    /// costs a recompute in some later process, never the caller's
+    /// result, and leaves no temp file behind.
+    fn spill(&self, key: JobKey, stage: &str, body: &str) {
+        if std::fs::create_dir_all(&self.dir).is_err() {
+            return;
+        }
+        // The temp name carries pid + a process-wide counter: two threads
+        // (or two engines sharing one store in one process) spilling the
+        // same key must never interleave writes into one temp file.
+        static SPILL: AtomicU64 = AtomicU64::new(0);
+        let serial = SPILL.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!(".{key}.{}-{serial}.tmp", std::process::id()));
+        let text = format!("{}\n{body}", Self::envelope(stage));
+        if std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, self.path(key))).is_err()
+        {
+            let _ = std::fs::remove_file(&tmp);
+        }
+    }
+
+    /// Loads a finished job's comparison; `None` when absent or corrupt
+    /// (a corrupt file is deleted).
+    pub(crate) fn load_job(&self, key: JobKey) -> Option<Comparison> {
+        self.load(key, JOB_STAGE, |body| Comparison::from_canonical(body).ok())
+    }
+
+    /// Spills a finished job's comparison (best effort, see
+    /// [`StageStore::spill`]). Only successes are ever persisted.
+    pub(crate) fn spill_job(&self, key: JobKey, comparison: &Comparison) {
+        self.spill(key, JOB_STAGE, &comparison.to_canonical());
+    }
+
+    /// Every regular, non-hidden file of the store — `job` and stage
+    /// artifacts and legacy `<key>.json` verify tokens alike, so stale
+    /// generations age out instead of accreting — oldest first, with name
+    /// order breaking mtime ties so sweeps are deterministic. Hidden
+    /// (dot-prefixed) names are in-flight spill temp files and are left
+    /// out. A store never spilled to lists empty.
+    pub(crate) fn files(&self) -> Vec<StoreFile> {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
+        let mut files = Vec::new();
+        for entry in entries.flatten() {
+            let path = entry.path();
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+            if name.starts_with('.') || path.is_dir() {
+                continue;
+            }
+            let meta = std::fs::metadata(&path).ok();
+            files.push(StoreFile {
+                key: path.file_stem().and_then(|s| s.to_str()).and_then(JobKey::from_hex),
+                bytes: meta.as_ref().map_or(0, std::fs::Metadata::len),
+                mtime: meta
+                    .and_then(|m| m.modified().ok())
+                    .and_then(|t| t.duration_since(SystemTime::UNIX_EPOCH).ok())
+                    .map_or(0, |d| d.as_secs()),
+                path,
+            });
+        }
+        files.sort_by(|a, b| (a.mtime, &a.path).cmp(&(b.mtime, &b.path)));
+        files
+    }
+}
 
 /// One memoized stage output (or the error that producing it raised).
 #[derive(Clone, Debug)]
@@ -286,17 +426,22 @@ impl Memo {
 #[derive(Debug, Default)]
 pub struct StageCache {
     memo: Mutex<Memo>,
-    /// `<cache-dir>/stages`, when a cache directory is attached.
-    disk_dir: Option<PathBuf>,
+    /// The cache directory's store, when one is attached.
+    store: Option<StageStore>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl StageCache {
-    /// Attaches the stage artifact directory (`<cache-dir>/stages`). The
-    /// directory is created lazily, on first spill.
-    pub(crate) fn attach_disk(&mut self, dir: PathBuf) {
-        self.disk_dir = Some(dir);
+    /// Attaches the store of cache directory `cache_dir`. Its
+    /// subdirectory is created lazily, on first spill.
+    pub(crate) fn attach_disk(&mut self, cache_dir: &Path) {
+        self.store = Some(StageStore::of(cache_dir));
+    }
+
+    /// The attached store, if any.
+    pub(crate) fn store(&self) -> Option<&StageStore> {
+        self.store.as_ref()
     }
 
     /// Caps the resident slot count (tests exercise small bounds; the
@@ -377,41 +522,18 @@ impl StageCache {
         result
     }
 
-    /// Loads the artifact for `key` from the disk tier. A file that
-    /// exists but whose envelope or body fails to decode — wrong schema
-    /// (older *or* newer), wrong stage, corrupt canonical text — is
-    /// deleted so the recompute's respill repairs it.
+    /// Loads the artifact for `key` from the disk tier (decode-or-delete,
+    /// see [`StageStore::load`]).
     fn load_artifact(&self, key: JobKey, stage: &str, kind: StageKind) -> Option<StageValue> {
-        let dir = self.disk_dir.as_ref()?;
-        let path = dir.join(format!("{key}.stage"));
-        let text = std::fs::read_to_string(&path).ok()?;
-        let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
-        let expected = format!("bittrans-stage {STAGE_FILE_SCHEMA} {stage} ok");
-        let value = if envelope == expected { kind.decode(body) } else { None };
-        if value.is_none() {
-            let _ = std::fs::remove_file(&path);
-        }
-        value
+        self.store.as_ref()?.load(key, stage, |body| kind.decode(body))
     }
 
-    /// Best-effort spill of a successful stage artifact: hidden temp
-    /// file in the same directory, then atomic rename, so a reader never
-    /// sees a torn file. A failed write costs a recompute in some later
-    /// process, never this result. Errors are not spilled — they are
-    /// cheap to reproduce and a schema-visible failure marker would risk
-    /// pinning a transient environment problem.
+    /// Best-effort spill of a successful stage artifact. Errors are not
+    /// spilled — they are cheap to reproduce and a schema-visible failure
+    /// marker would risk pinning a transient environment problem.
     fn spill_artifact(&self, key: JobKey, stage: &str, value: &StageValue) {
-        let Some(dir) = &self.disk_dir else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let body =
-            format!("bittrans-stage {STAGE_FILE_SCHEMA} {stage} ok\n{}", value.to_canonical());
-        let tmp = dir.join(format!(".{key}.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, body).is_ok()
-            && std::fs::rename(&tmp, dir.join(format!("{key}.stage"))).is_err()
-        {
-            let _ = std::fs::remove_file(&tmp);
+        if let Some(store) = &self.store {
+            store.spill(key, stage, &value.to_canonical());
         }
     }
 
@@ -688,10 +810,10 @@ mod tests {
         let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
 
         let mut warm = StageCache::default();
-        warm.attach_disk(dir.clone());
+        warm.attach_disk(&dir);
         let tally = StageTally::default();
         let first = warm.compare_staged(&spec, 3, &options, &tally).unwrap();
-        let files: Vec<_> = std::fs::read_dir(&dir)
+        let files: Vec<_> = std::fs::read_dir(dir.join(STAGE_SUBDIR))
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
@@ -702,7 +824,7 @@ mod tests {
         // every artifact instead of recomputing: zero misses, and the
         // assembled comparison is byte-identical.
         let mut fresh = StageCache::default();
-        fresh.attach_disk(dir.clone());
+        fresh.attach_disk(&dir);
         let fresh_tally = StageTally::default();
         let second = fresh.compare_staged(&spec, 3, &options, &fresh_tally).unwrap();
         assert_eq!(fresh_tally.misses(), 0, "warm directory recomputes zero stages");
@@ -723,9 +845,10 @@ mod tests {
         let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
 
         let mut seed = StageCache::default();
-        seed.attach_disk(dir.clone());
+        seed.attach_disk(&dir);
         seed.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
-        let paths: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        let paths: Vec<_> =
+            std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap().map(|e| e.unwrap().path()).collect();
         assert_eq!(paths.len(), 9);
 
         // Each corruption is invalid for *every* stage: empty, future
@@ -737,7 +860,7 @@ mod tests {
                 std::fs::write(path, corruption).unwrap();
             }
             let mut fresh = StageCache::default();
-            fresh.attach_disk(dir.clone());
+            fresh.attach_disk(&dir);
             let tally = StageTally::default();
             fresh.compare_staged(&spec, 3, &options, &tally).unwrap();
             assert_eq!(tally.hits(), 0, "corruption {corruption:?} must not hit");
@@ -760,18 +883,18 @@ mod tests {
         let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
 
         let mut seed = StageCache::default();
-        seed.attach_disk(dir.clone());
+        seed.attach_disk(&dir);
         seed.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
 
         // Keep each file's own (valid) envelope but garble the body.
-        for entry in std::fs::read_dir(&dir).unwrap() {
+        for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
             let path = entry.unwrap().path();
             let text = std::fs::read_to_string(&path).unwrap();
             let envelope = text.lines().next().unwrap().to_string();
             std::fs::write(&path, format!("{envelope}\ngarbage body\n")).unwrap();
         }
         let mut fresh = StageCache::default();
-        fresh.attach_disk(dir.clone());
+        fresh.attach_disk(&dir);
         let tally = StageTally::default();
         let result = fresh.compare_staged(&spec, 3, &options, &tally).unwrap();
         // The verify file's body should have been empty, so a garbled
@@ -781,6 +904,118 @@ mod tests {
             serde_json::to_string(&result).unwrap(),
             serde_json::to_string(&compare(&spec, 3, &options).unwrap()).unwrap()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A cache dir holding one finished job (λ = 3 of [`three_adds`]) and
+    /// its nine stage files, plus the job's key.
+    fn seeded_job_dir(tag: &str) -> (PathBuf, JobKey) {
+        let dir = tempdir(tag);
+        let job = crate::Job::with_options(
+            three_adds(),
+            3,
+            CompareOptions { verify_vectors: 64, ..CompareOptions::default() },
+        );
+        let engine = crate::Engine::default().with_cache_dir(&dir).unwrap();
+        assert_eq!(engine.run(vec![job.clone()]).stats.cache_misses, 1);
+        (dir, job.key())
+    }
+
+    /// Runs the seeded job on a fresh engine over `dir`: its statistics.
+    fn rerun(dir: &Path) -> crate::EngineStats {
+        let job = crate::Job::with_options(
+            three_adds(),
+            3,
+            CompareOptions { verify_vectors: 64, ..CompareOptions::default() },
+        );
+        let engine = crate::Engine::default().with_cache_dir(dir).unwrap();
+        let report = engine.run(vec![job.clone()]);
+        let expected = compare(&job.spec, 3, &job.options).unwrap();
+        assert_eq!(
+            serde_json::to_string(report.outcomes[0].result.as_ref().as_ref().unwrap()).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
+        report.stats
+    }
+
+    #[test]
+    fn garbled_job_body_under_a_valid_envelope_is_deleted_and_recomputed() {
+        let (dir, key) = seeded_job_dir("job-garbled");
+        let job_file = StageStore::of(&dir).path(key);
+        std::fs::write(&job_file, "bittrans-stage 2 job ok\ngarbage body\n").unwrap();
+        assert!(StageStore::of(&dir).load_job(key).is_none(), "a garbled job is never served");
+        assert!(!job_file.exists(), "the garbled file is deleted on load");
+
+        std::fs::write(&job_file, "bittrans-stage 2 job ok\ngarbage body\n").unwrap();
+        let stats = rerun(&dir);
+        assert_eq!(stats.cache_misses, 1, "the garbled job recomputes");
+        assert_eq!(stats.stage_misses, 0, "its stages are still on disk");
+        assert!(StageStore::of(&dir).load_job(key).is_some(), "the respill repaired it");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_envelope_naming_another_stage_is_deleted_and_recomputed() {
+        let (dir, key) = seeded_job_dir("job-wrong-stage");
+        let store = StageStore::of(&dir);
+        // Swap envelopes: the job file claims to be a timing artifact and
+        // every stage file claims to be a job — each body otherwise intact.
+        let job_file = store.path(key);
+        for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (_, body) = text.split_once('\n').unwrap();
+            let stage = if path == job_file { "time_base" } else { "job" };
+            std::fs::write(&path, format!("bittrans-stage 2 {stage} ok\n{body}")).unwrap();
+        }
+        assert!(store.load_job(key).is_none(), "a mislabelled job is never served");
+        assert!(!job_file.exists());
+
+        let stats = rerun(&dir);
+        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(stats.stage_hits, 0, "no mislabelled stage file may hit");
+        assert_eq!(stats.stage_misses, 9);
+        assert!(store.load_job(key).is_some(), "the respill repaired the job file");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_spills_of_one_key_never_tear_a_read() {
+        let dir = tempdir("spill-race");
+        let comparison =
+            compare(&three_adds(), 3, &CompareOptions { verify_vectors: 0, ..Default::default() })
+                .unwrap();
+        let key = JobKey::of_bytes(b"shared");
+        StageStore::of(&dir).spill_job(key, &comparison);
+        let writers_done = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    // Each writer is its own engine's stage cache.
+                    let mut cache = StageCache::default();
+                    cache.attach_disk(&dir);
+                    start.wait();
+                    for _ in 0..400 {
+                        cache.store().unwrap().spill_job(key, &comparison);
+                    }
+                    writers_done.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            scope.spawn(|| {
+                let store = StageStore::of(&dir);
+                start.wait();
+                while writers_done.load(Ordering::Relaxed) < 2 {
+                    let loaded = store.load_job(key).expect("every load decodes");
+                    assert_eq!(loaded.to_canonical(), comparison.to_canonical());
+                }
+            });
+        });
+        let names: Vec<String> = std::fs::read_dir(dir.join(STAGE_SUBDIR))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, vec![format!("{key}.stage")], "no temp file left behind");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,8 +16,8 @@ use std::time::Duration;
 /// `cache_hits + cache_misses == jobs` always holds for a batch:
 ///
 /// * a job whose [`crate::JobKey`] is already resident — from an earlier
-///   batch on this engine, or preloaded from a persistent cache directory
-///   ([`crate::Engine::with_cache_dir`]) — is a **hit**;
+///   batch on this engine, or loaded from its `job` file in a persistent
+///   cache directory ([`crate::Engine::with_cache_dir`]) — is a **hit**;
 /// * an in-batch duplicate (a later job with the same key as an earlier
 ///   one in the same batch) is a **hit**: it does no pipeline work and
 ///   shares the first occurrence's result;
@@ -36,7 +36,10 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Jobs that required running the pipeline.
     pub cache_misses: u64,
-    /// Results resident in the cache after the batch.
+    /// Results resident in the engine's in-memory cache after the batch
+    /// (lifetime snapshots: now). A fresh engine that runs one grid holds
+    /// exactly the grid's distinct jobs, whatever else its cache
+    /// directory stores — files on disk are never counted.
     pub cache_entries: usize,
     /// Worker threads used.
     pub workers: usize,

@@ -97,11 +97,13 @@ fn differential_agrees_even_when_workers_die() {
 }
 
 /// Fuzzer-found regression (replay seed 32 of `fuzz --seed 31 --count 8`
-/// against a serve fleet): `cache_entries` counts the *whole* result
-/// store, so two identical runs of one grid — one on a fresh store, one
-/// on a store shared with earlier studies — could never byte-compare
-/// even though every cell and hit/miss count agreed. `report normalize`
-/// now blanks it like the other run-shape fields.
+/// against a serve fleet): `cache_entries` once counted the *whole*
+/// result store, so two identical runs of one grid — one on a fresh
+/// store, one on a store shared with earlier studies — could never
+/// byte-compare even though every cell and hit/miss count agreed. It now
+/// counts the results resident in memory, so a foreign store cannot leak
+/// into it; `report normalize` still blanks it like the other run-shape
+/// fields.
 #[test]
 fn normalized_reports_ignore_foreign_store_entries() {
     use bittrans_engine::{Engine, Study};
@@ -118,7 +120,10 @@ fn normalized_reports_ignore_foreign_store_entries() {
     let study = Study::single(spec(91)).latencies([3, 4]).balance_both();
     let a = study.run(&Engine::default().with_cache_dir(&fresh).unwrap());
     let b = study.run(&Engine::default().with_cache_dir(&shared).unwrap());
-    assert_ne!(a.stats.cache_entries, b.stats.cache_entries, "stores differ by construction");
+    assert_eq!(
+        a.stats.cache_entries, b.stats.cache_entries,
+        "a foreign store must not leak into cache_entries"
+    );
     assert_eq!(
         normalize_run_shape(&a.to_json()),
         normalize_run_shape(&b.to_json()),

@@ -43,7 +43,7 @@
 //! store the whole fleet shares — composes with `--shards K` (default:
 //! one shard per endpoint), and bounds every exchange by `--timeout`.
 //! `cache prune` sweeps a cache directory down to a size/age budget,
-//! oldest entries first. The hidden `shard-worker <manifest>` subcommand
+//! oldest files first. The hidden `shard-worker <manifest>` subcommand
 //! is the re-invocation target of the sharding coordinator; the
 //! `BITTRANS_SHARD_FAULT=INDEX:AFTER` environment variable makes that
 //! worker abort after `AFTER` jobs (the fault-injection hook used by the
