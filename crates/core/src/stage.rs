@@ -15,7 +15,7 @@
 //! hot path is unchanged for every caller that never traces.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 type Observer = Box<dyn Fn(&'static str, Duration) + Send + Sync>;
@@ -23,11 +23,19 @@ type Observer = Box<dyn Fn(&'static str, Duration) + Send + Sync>;
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static OBSERVER: Mutex<Option<Observer>> = Mutex::new(None);
 
+/// Locks the observer slot. A panicking observer poisons the lock while
+/// `observe` holds it, but the slot itself is always valid, so recover the
+/// guard: otherwise every later observation would be dropped and
+/// [`set_observer`]/[`clear_observer`] would panic.
+fn slot() -> MutexGuard<'static, Option<Observer>> {
+    OBSERVER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Registers the process-global stage observer, replacing any previous
 /// one. The observer runs on whichever thread executes the stage, after
 /// the stage completes; it must not call back into the pipeline.
 pub fn set_observer(observer: impl Fn(&'static str, Duration) + Send + Sync + 'static) {
-    *OBSERVER.lock().expect("stage observer lock") = Some(Box::new(observer));
+    *slot() = Some(Box::new(observer));
     ACTIVE.store(true, Ordering::SeqCst);
 }
 
@@ -42,7 +50,7 @@ pub fn set_observer(observer: impl Fn(&'static str, Duration) + Send + Sync + 's
 /// lock makes the flag and the slot change atomically with respect to
 /// observers and leaves nothing to reason about).
 pub fn clear_observer() {
-    let mut guard = OBSERVER.lock().expect("stage observer lock");
+    let mut guard = slot();
     ACTIVE.store(false, Ordering::SeqCst);
     *guard = None;
 }
@@ -56,10 +64,8 @@ pub(crate) fn observe<R>(name: &'static str, stage: impl FnOnce() -> R) -> R {
     let started = Instant::now();
     let result = stage();
     let elapsed = started.elapsed();
-    if let Ok(guard) = OBSERVER.lock() {
-        if let Some(observer) = guard.as_ref() {
-            observer(name, elapsed);
-        }
+    if let Some(observer) = slot().as_ref() {
+        observer(name, elapsed);
     }
     result
 }
@@ -99,6 +105,37 @@ mod tests {
         observe("unit", || ());
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(*seen.lock().unwrap(), vec!["unit"]);
+    }
+
+    #[test]
+    fn a_panicking_observer_does_not_disable_observation() {
+        let _serial = OBSERVER_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_observer(|name, _dur| {
+            if name == "explode" {
+                panic!("observer boom");
+            }
+        });
+        // The panic unwinds out of `observe` while it holds the slot lock,
+        // poisoning it.
+        let caught = std::panic::catch_unwind(|| observe("explode", || ()));
+        assert!(caught.is_err(), "the observer's panic propagates to the stage's caller");
+        assert!(OBSERVER.is_poisoned());
+
+        // Clearing and re-registering still work...
+        clear_observer();
+        let seen = Arc::new(AtomicUsize::new(0));
+        {
+            let seen = Arc::clone(&seen);
+            set_observer(move |name, _dur| {
+                if name == "after" {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        // ...and the new observer sees the next stage.
+        observe("after", || ());
+        clear_observer();
+        assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! Seven timed metric groups, each exercising a different layer:
 //!
 //! * **throughput** — jobs/second of one cold batch at 1, 2 and 4
-//!   workers, on a fresh engine each time ([`crate::executor`] scaling);
+//!   workers, on a fresh engine each time (the engine pool's scaling,
+//!   [`crate::sched`]);
 //! * **cache** — the same batch cold then warm on one engine, so the
 //!   speedup is the price of the pipeline relative to a content-addressed
 //!   hit ([`crate::cache`]);
@@ -285,7 +286,7 @@ fn measured<T>(
 pub struct TraceCheck {
     /// `job` events with `provenance: "computed"` in the trace.
     pub traced_computed: u64,
-    /// `job` events with a hit provenance (memory / disk / duplicate).
+    /// `job` events with a hit provenance ([`trace::HIT_PROVENANCES`]).
     pub traced_hits: u64,
     /// Misses the two batches' [`EngineStats`](crate::stats::EngineStats) reported.
     pub stats_misses: u64,
@@ -913,7 +914,7 @@ fn measure_trace_check(jobs: &[Job]) -> TraceCheck {
         }
         match value.get("provenance").and_then(Value::as_str) {
             Some("computed") => traced_computed += 1,
-            Some("memory" | "disk" | "duplicate") => traced_hits += 1,
+            Some(hit) if trace::HIT_PROVENANCES.contains(&hit) => traced_hits += 1,
             _ => {}
         }
     }

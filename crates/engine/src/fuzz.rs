@@ -544,18 +544,23 @@ pub fn run_case(seed: u64, options: &FuzzOptions) -> CaseOutcome {
     let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let spec = random_spec(seed, &shape.options(options.mul_prob));
         let study = case_study(spec.clone());
-        let staged = Engine::new(EngineOptions { workers: options.workers, cache: true });
-        let staged = match &options.differential {
-            // Mirror the sharded run's disk-backed starting state so the
-            // reports can be compared byte-for-byte: both sides cold.
-            Some(diff) => {
-                let dir = diff.cache_dir.join(format!("ref-{seed}"));
-                let engine = staged.with_cache_dir(&dir)?;
-                let report = study.run(&engine);
-                let _ = std::fs::remove_dir_all(&dir);
-                report
+        // The engine drops with this block, so its idle pool threads are
+        // gone before the checks below start engines of their own.
+        let staged = {
+            let engine = Engine::new(EngineOptions { workers: options.workers, cache: true });
+            match &options.differential {
+                // Mirror the sharded run's disk-backed starting state so
+                // the reports can be compared byte-for-byte: both sides
+                // cold.
+                Some(diff) => {
+                    let dir = diff.cache_dir.join(format!("ref-{seed}"));
+                    let engine = engine.with_cache_dir(&dir)?;
+                    let report = study.run(&engine);
+                    let _ = std::fs::remove_dir_all(&dir);
+                    report
+                }
+                None => study.run(&engine),
             }
-            None => study.run(&staged),
         };
         let mut violations = Vec::new();
         let mut checks = Vec::new();

@@ -12,9 +12,11 @@
 //! adds the three missing layers:
 //!
 //! * **parallelism** — a [`Job`] is a `spec × latency × options` triple;
-//!   [`Engine::run`] fans a batch of jobs out across a pool of worker
-//!   threads ([`executor`]) and returns results in submission order, so
-//!   batch output is deterministic regardless of worker count;
+//!   [`Engine::run`] fans a batch of jobs out across the engine's one
+//!   fair worker pool ([`sched`]) — the same pool and the same execution
+//!   routine the [`serve`] front end uses — and returns results in
+//!   submission order, so batch output is deterministic regardless of
+//!   worker count;
 //! * **content-addressed caching** — every job is keyed by a stable hash
 //!   of its canonicalized specification text, latency and options
 //!   ([`key`]); results live in an in-memory [`cache`] shared by all
@@ -69,7 +71,6 @@
 
 pub mod bench;
 pub mod cache;
-pub mod executor;
 pub mod fuzz;
 pub mod job;
 pub mod key;
@@ -96,9 +97,13 @@ pub use study::Study;
 
 use bittrans_core::{compare, SweepPoint};
 use bittrans_ir::Spec;
+use sched::Scheduler;
 use stagecache::{StageCache, StageTally};
+use std::any::Any;
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Configuration of an [`Engine`].
@@ -116,32 +121,112 @@ impl Default for EngineOptions {
     }
 }
 
-/// Which cache tier answered a [`Engine::lookup`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HitTier {
-    /// Resident in the in-memory cache.
-    Memory,
-    /// Loaded (and promoted) from the cache directory's `job` file.
-    Disk,
-}
-
-/// The batch-optimization engine: a worker pool plus a content-addressed
-/// result cache shared by every batch run through it, optionally spilled
-/// to disk ([`Engine::with_cache_dir`]) so separate processes share it too.
+/// The batch-optimization engine: one fair worker pool plus a
+/// content-addressed result cache shared by every batch and `serve`
+/// request run through it, optionally spilled to disk
+/// ([`Engine::with_cache_dir`]) so separate processes share it too.
+///
+/// Every job reaches the pipeline through one routine, `run_with`:
+/// [`Engine::run`], [`Study::run`] and the `serve` front end all call it.
+/// The pool is a [`sched::Scheduler`] of [`Engine::worker_count`]
+/// threads, started on the first job that must compute, so an engine
+/// that only ever serves cache hits never spawns a thread. Concurrent
+/// callers share it fairly (one fairness unit per call) and share
+/// in-flight jobs: a key another call is computing right now is joined,
+/// not recomputed, and counts as a hit.
 #[derive(Debug, Default)]
 pub struct Engine {
+    shared: Arc<Shared>,
+    pool: OnceLock<Scheduler>,
+}
+
+/// Everything the pool's tasks touch. Scheduler tasks are `'static`, so
+/// they hold this through an `Arc` rather than borrowing the engine.
+#[derive(Debug, Default)]
+struct Shared {
     options: EngineOptions,
     cache: ResultCache,
     /// Incremental sub-job memo: pipeline stages keyed by their inputs,
     /// shared by every batch and serve request, plus the cache
     /// directory's on-disk store when one is attached ([`stagecache`]).
     stages: StageCache,
+    /// Jobs currently computing, by key: the first call to want a key
+    /// registers it here; later calls subscribe instead of recomputing.
+    /// The computing task admits its result to the cache **before**
+    /// removing the entry, so a call that misses the cache while holding
+    /// this lock always finds a live registration to join.
+    in_flight: Mutex<HashMap<JobKey, Vec<Subscriber>>>,
+}
+
+/// One call's subscription to a job another call is computing: the
+/// subscriber's slot index and the sender of its collection channel.
+#[derive(Debug)]
+struct Subscriber {
+    slot: usize,
+    tx: mpsc::Sender<(usize, Resolution)>,
+}
+
+/// How a computing task resolved one slot: the shared result, or `Err`
+/// when the job panicked — carrying the original payload to the owning
+/// call, `None` to subscribers (which fail with a panic of their own).
+type Resolution = Result<Arc<JobResult>, Option<Box<dyn Any + Send>>>;
+
+impl Shared {
+    /// Serves `key` from the in-memory cache or, failing that, from its
+    /// `job` file in the attached store (promoting the result into
+    /// memory), together with the tier that answered — the `job` trace
+    /// event's provenance. A corrupt file is deleted by the load, so the
+    /// caller recomputes and respills it.
+    fn lookup(&self, key: &JobKey) -> Option<(Arc<JobResult>, &'static str)> {
+        if let Some(result) = self.cache.peek(key) {
+            return Some((result, "memory"));
+        }
+        let result = Arc::new(Ok(self.stages.store()?.load_job(*key)?));
+        self.cache.insert(*key, Arc::clone(&result));
+        Some((result, "disk"))
+    }
+
+    /// Admits one computed result: inserts it into the in-memory cache and
+    /// spills a success to the attached store (best-effort: a failed
+    /// write costs a recomputation in some later process, never this
+    /// result). Runs on the worker as each job finishes, so concurrent
+    /// callers see each other's results as early as possible. A no-op
+    /// with caching disabled.
+    fn admit(&self, key: JobKey, result: &Arc<JobResult>) {
+        if !self.options.cache {
+            return;
+        }
+        self.cache.insert(key, Arc::clone(result));
+        if let (Some(store), Ok(comparison)) = (self.stages.store(), result.as_ref()) {
+            store.spill_job(key, comparison);
+        }
+    }
+
+    /// Computes one comparison: through the memoized stage path
+    /// ([`stagecache::StageCache::compare_staged`]) when caching is
+    /// enabled — recording stage hits/misses into `tally` — or the
+    /// monolithic pipeline when it is not. Both paths compose the same
+    /// `bittrans-core` stage functions in the same order, so their
+    /// results are bit-identical.
+    fn compute(&self, job: &Job, tally: &StageTally) -> JobResult {
+        if self.options.cache {
+            self.stages.compare_staged(&job.spec, job.latency, &job.options, tally)
+        } else {
+            compare(&job.spec, job.latency, &job.options)
+        }
+    }
+
+    fn lock_in_flight(&self) -> MutexGuard<'_, HashMap<JobKey, Vec<Subscriber>>> {
+        // The table is a plain registry, valid at every step; recover a
+        // poisoned guard rather than letting one panic wedge the engine.
+        self.in_flight.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl Engine {
     /// An engine with the given options and an empty cache.
     pub fn new(options: EngineOptions) -> Self {
-        Engine { options, cache: ResultCache::new(), stages: StageCache::default() }
+        Engine { shared: Arc::new(Shared { options, ..Shared::default() }), pool: OnceLock::new() }
     }
 
     /// Attaches a persistent cache directory. Its one store, the
@@ -167,8 +252,11 @@ impl Engine {
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        if self.options.cache {
-            self.stages.attach_disk(&dir);
+        // Tasks release their handle on the shared state before reporting
+        // back, so between calls the engine owns it alone.
+        let shared = Arc::get_mut(&mut self.shared).expect("no task outlives its run");
+        if shared.options.cache {
+            shared.stages.attach_disk(&dir);
         }
         Ok(self)
     }
@@ -179,48 +267,7 @@ impl Engine {
     /// reject shard requests on a store-less server, whose work could
     /// never reach the dispatching coordinator.
     pub fn has_cache_dir(&self) -> bool {
-        self.stages.store().is_some()
-    }
-
-    /// Serves `key` from the in-memory cache or, failing that, from its
-    /// `job` file in the attached store (promoting the result into
-    /// memory). A corrupt file is deleted by the load, so the caller
-    /// recomputes and respills it. The returned provenance says which
-    /// tier answered — the trace collector attributes every hit with it.
-    fn lookup(&self, key: &JobKey) -> Option<HitTier> {
-        if self.cache.peek(key).is_some() {
-            return Some(HitTier::Memory);
-        }
-        let comparison = self.stages.store()?.load_job(*key)?;
-        self.cache.insert(*key, Arc::new(Ok(comparison)));
-        Some(HitTier::Disk)
-    }
-
-    /// Admits one computed result: inserts it into the in-memory cache and
-    /// spills a success to the attached store (best-effort: a failed
-    /// write costs a recomputation in some later process, never this
-    /// result). [`Engine::run`] admits its batch through here; the
-    /// scheduled `serve` path computes jobs outside `Engine::run` and
-    /// admits them one by one as they finish, so concurrent requests see
-    /// each other's results as early as possible. A no-op with caching
-    /// disabled.
-    pub(crate) fn admit(&self, key: JobKey, result: &Arc<JobResult>) {
-        if !self.options.cache {
-            return;
-        }
-        self.cache.insert(key, Arc::clone(result));
-        if let (Some(store), Ok(comparison)) = (self.stages.store(), result.as_ref()) {
-            store.spill_job(key, comparison);
-        }
-    }
-
-    /// Folds one request's hit/miss classification into the engine's
-    /// lifetime counters (inert with caching disabled), mirroring what
-    /// [`Engine::run`] records for a batch.
-    pub(crate) fn record_lifetime(&self, hits: u64, misses: u64) {
-        if self.options.cache {
-            self.cache.record(hits, misses);
-        }
+        self.shared.stages.store().is_some()
     }
 
     /// Runs one eviction sweep over the attached cache directory's store:
@@ -235,152 +282,271 @@ impl Engine {
     /// If no cache directory is attached ([`Engine::with_cache_dir`]), or
     /// deleting a file fails.
     pub fn prune_cache(&self, policy: PrunePolicy) -> std::io::Result<PruneReport> {
-        let store = self.stages.store().ok_or_else(|| {
+        let stages = &self.shared.stages;
+        let store = stages.store().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no cache directory attached")
         })?;
-        let mut pinned = self.stages.resident_keys();
-        pinned.extend(self.cache.keys());
+        let mut pinned = stages.resident_keys();
+        pinned.extend(self.shared.cache.keys());
         let now = std::time::SystemTime::now()
             .duration_since(std::time::SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
         persist::prune(&store.files(), &policy, &pinned, now)
     }
 
-    /// Computes one comparison: through the memoized stage path
-    /// ([`stagecache::StageCache::compare_staged`]) when caching is
-    /// enabled — recording stage hits/misses into `tally` — or the
-    /// monolithic pipeline when it is not. Both paths compose the same
-    /// `bittrans-core` stage functions in the same order, so their
-    /// results are bit-identical.
-    pub(crate) fn compute(&self, job: &Job, tally: &StageTally) -> JobResult {
-        if self.options.cache {
-            self.stages.compare_staged(&job.spec, job.latency, &job.options, tally)
-        } else {
-            compare(&job.spec, job.latency, &job.options)
-        }
-    }
-
-    /// The number of worker threads a batch will use.
+    /// The number of worker threads in the engine's pool.
     pub fn worker_count(&self) -> usize {
-        self.options
+        self.shared
+            .options
             .workers
             .filter(|&w| w > 0)
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 
-    /// Runs a batch of jobs and returns one [`JobOutcome`] per job, in
-    /// submission order (independent of worker count and scheduling).
-    ///
-    /// Jobs whose [`JobKey`] is already cached are served from the cache.
-    /// Duplicate keys within the batch are computed once: the first
-    /// occurrence counts as a miss, the rest as hits (their outcomes carry
-    /// `from_cache = true` — they did no pipeline work). Everything else
-    /// fans out across [`Engine::worker_count`] threads.
-    pub fn run(&self, jobs: Vec<Job>) -> BatchReport {
-        let _batch = trace::span_attrs("engine.run", |a| {
-            a.num("jobs", jobs.len() as u64);
-        });
-        let started = Instant::now();
-        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
+    /// The pool's gauges (the `serve` front end's `{"stats": true}`
+    /// payload); all zero but `workers` while the pool is not started.
+    pub(crate) fn sched_stats(&self) -> SchedStats {
+        self.pool.get().map_or_else(
+            || SchedStats { workers: self.worker_count(), ..SchedStats::default() },
+            Scheduler::stats,
+        )
+    }
 
-        // Classify each job: cached, duplicate-of-earlier, or to-compute.
-        // `fresh[i]` marks the one job per key that actually runs. Each
-        // classification is one `job` trace event whose provenance
-        // (memory / disk / duplicate, plus `computed` in the pool below)
-        // reconciles exactly with the hit/miss counters.
+    /// Resolves `jobs` (with their precomputed `keys`) through the one
+    /// execution path every front end shares, calling `on_resolved` once
+    /// per distinct key with its result and whether it was a hit —
+    /// resident hits first, in slot order, then computed and joined keys
+    /// as they finish.
+    ///
+    /// Every key is classified under the in-flight registry lock as a
+    /// memory or disk hit, an in-call duplicate, a join of another call's
+    /// in-flight computation (all hits) or a miss, and each
+    /// classification is one `job` trace event whose provenance
+    /// reconciles with the returned counters. The misses go to the pool as
+    /// one fairness unit; each runs in an `exec.task` span under the
+    /// caller's span, emits a `computed` event, and is admitted (cached
+    /// and spilled) before it is deregistered and its subscribers woken.
+    ///
+    /// The returned [`EngineStats`] count hits and misses, `workers`
+    /// clamped to the computed-job count, this call's stage tally, and
+    /// `cache_entries` = the distinct keys resolved.
+    ///
+    /// Never call this from one of the engine's own pool threads: the
+    /// call blocks on tasks that would need that thread.
+    ///
+    /// # Panics
+    ///
+    /// If a job panics, once every job this call computes has finished:
+    /// with the job's original payload, or — when the panicking job was
+    /// another call's that this one joined — with a panic of its own.
+    /// The pool survives and the engine stays usable.
+    pub(crate) fn run_with(
+        &self,
+        jobs: &[Job],
+        keys: &[JobKey],
+        mut on_resolved: impl FnMut(&JobKey, &Arc<JobResult>, bool),
+    ) -> EngineStats {
+        debug_assert_eq!(jobs.len(), keys.len());
+        let started = Instant::now();
+        let shared = &self.shared;
+        let (tx, rx) = mpsc::channel::<(usize, Resolution)>();
         let mut hits = 0u64;
-        let mut to_compute: Vec<(usize, JobKey)> = Vec::new();
-        let mut fresh = vec![false; jobs.len()];
-        let mut scheduled: std::collections::HashSet<JobKey> = std::collections::HashSet::new();
-        for (i, key) in keys.iter().enumerate() {
-            let tier = if self.options.cache { self.lookup(key) } else { None };
-            if let Some(tier) = tier {
+        let mut immediate: Vec<(JobKey, Arc<JobResult>)> = Vec::new();
+        let mut to_compute: Vec<usize> = Vec::new();
+        let mut joined = vec![false; jobs.len()];
+        let mut seen: HashSet<JobKey> = HashSet::with_capacity(jobs.len());
+        {
+            // One registry lock hold for the whole classification, so each
+            // key is observed atomically: resident, in flight, or absent —
+            // never the gap between a task's admission and its
+            // deregistration (admission happens first; see `in_flight`).
+            let mut in_flight = shared.lock_in_flight();
+            for (slot, key) in keys.iter().enumerate() {
+                let first = seen.insert(*key);
+                let provenance = if let Some((result, tier)) =
+                    shared.options.cache.then(|| shared.lookup(key)).flatten()
+                {
+                    if first {
+                        immediate.push((*key, result));
+                    }
+                    tier
+                } else if !first {
+                    // Shares the first occurrence's computation or join.
+                    "duplicate"
+                } else if let Some(subscribers) = in_flight.get_mut(key) {
+                    subscribers.push(Subscriber { slot, tx: tx.clone() });
+                    joined[slot] = true;
+                    "in-flight"
+                } else {
+                    in_flight.insert(*key, Vec::new());
+                    to_compute.push(slot);
+                    continue;
+                };
                 hits += 1;
                 trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str(
-                        "provenance",
-                        match tier {
-                            HitTier::Memory => "memory",
-                            HitTier::Disk => "disk",
-                        },
-                    );
-                });
-            } else if scheduled.insert(*key) {
-                fresh[i] = true;
-                to_compute.push((i, *key));
-            } else {
-                // Duplicate of a job already scheduled in this batch: its
-                // outcome shares the first occurrence's computation, so it
-                // counts as a hit.
-                hits += 1;
-                trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str("provenance", "duplicate");
+                    a.str("key", &key.to_string()).str("provenance", provenance);
                 });
             }
         }
         let misses = to_compute.len() as u64;
-
-        // Fan the uncached jobs out across the worker pool. Workers
-        // share the engine's stage memo, so jobs that differ only in
-        // latency (or only in options) share their common stage prefix
-        // even within one cold batch — the `OnceLock` slots make the
-        // first worker to need a stage compute it while the rest block
-        // and reuse it.
+        let mut owed_computed = to_compute.len();
+        let mut owed_joined = joined.iter().filter(|&&j| j).count();
         let workers = self.worker_count().min(to_compute.len().max(1));
-        let tally = StageTally::default();
-        let computed: Vec<(JobKey, Arc<JobResult>)> = executor::map_ordered(
-            to_compute.iter().map(|&(i, key)| (key, &jobs[i])).collect(),
-            workers,
-            |(key, job): (JobKey, &Job)| {
-                let result = Arc::new(self.compute(job, &tally));
-                trace::event("job", |a| {
-                    a.str("key", &key.to_string())
-                        .str("provenance", "computed")
-                        .flag("ok", result.is_ok());
-                });
-                (key, result)
-            },
-        );
-        if self.options.cache {
-            for (key, result) in &computed {
-                self.admit(*key, result);
-            }
-            self.cache.record(hits, misses);
+        // This call's stage counters: stage work another call's task did
+        // on our behalf lands in *its* tally, so each stage resolution is
+        // tallied exactly once.
+        let tally = Arc::new(StageTally::default());
+
+        // Deliver the resident hits (outside the registry lock — the
+        // callback may write to a socket).
+        for (key, result) in &immediate {
+            on_resolved(key, result, true);
         }
 
-        // Assemble outcomes in submission order. Every key is now either
-        // in the cache or (with caching disabled) in the computed list.
-        let computed: std::collections::HashMap<JobKey, Arc<JobResult>> =
-            computed.into_iter().collect();
-        let outcomes: Vec<JobOutcome> = jobs
-            .iter()
-            .zip(&keys)
-            .enumerate()
-            .map(|(i, (job, key))| {
-                let result = match computed.get(key) {
-                    Some(result) => Arc::clone(result),
-                    None => self.cache.peek(key).expect("batch result neither computed nor cached"),
-                };
-                JobOutcome {
-                    name: job.spec.name().to_string(),
-                    latency: job.latency,
-                    key: *key,
-                    from_cache: !fresh[i],
-                    result,
-                }
-            })
-            .collect();
+        if !to_compute.is_empty() {
+            let parent = trace::current_span_id();
+            let enqueued = Instant::now();
+            let tasks: Vec<sched::Task> = to_compute
+                .iter()
+                .map(|&slot| {
+                    let (job, key) = (jobs[slot].clone(), keys[slot]);
+                    let shared = Arc::clone(shared);
+                    let tally = Arc::clone(&tally);
+                    let tx = tx.clone();
+                    Box::new(move || {
+                        let outcome = {
+                            let _span = trace::span_under(parent, "exec.task", |a| {
+                                a.num("slot", slot as u64).num(
+                                    "queue_ns",
+                                    u64::try_from(enqueued.elapsed().as_nanos())
+                                        .unwrap_or(u64::MAX),
+                                );
+                            });
+                            catch_unwind(AssertUnwindSafe(|| {
+                                let result = Arc::new(shared.compute(&job, &tally));
+                                trace::event("job", |a| {
+                                    a.str("key", &key.to_string())
+                                        .str("provenance", "computed")
+                                        .flag("ok", result.is_ok());
+                                });
+                                shared.admit(key, &result);
+                                result
+                            }))
+                        };
+                        let subscribers = shared.lock_in_flight().remove(&key).unwrap_or_default();
+                        // Release the shared state before reporting, so a
+                        // caller that has collected every result holds
+                        // the engine alone again (`with_cache_dir`).
+                        drop(shared);
+                        for subscriber in subscribers {
+                            let resolution = outcome.as_ref().map(Arc::clone).map_err(|_| None);
+                            let _ = subscriber.tx.send((subscriber.slot, resolution));
+                        }
+                        let panicked = outcome.is_err();
+                        let _ = tx.send((slot, outcome.map_err(Some)));
+                        if panicked {
+                            // The payload went to the caller; unwind with a
+                            // stand-in so the pool still counts the panic,
+                            // without running the panic hook a second time.
+                            resume_unwind(Box::new("job panicked; payload forwarded"));
+                        }
+                    }) as sched::Task
+                })
+                .collect();
+            self.pool.get_or_init(|| Scheduler::new(self.worker_count())).submit(tasks);
+        }
+        drop(tx);
 
-        let stats = EngineStats {
+        // Collect exactly the owed results on this thread. After a panic,
+        // stop waiting for joined keys but still drain this call's own
+        // tasks, so none of them outlives the call.
+        let mut payload: Option<Box<dyn Any + Send>> = None;
+        let mut joined_panic: Option<JobKey> = None;
+        while owed_computed > 0 || (owed_joined > 0 && payload.is_none() && joined_panic.is_none())
+        {
+            let (slot, resolution) = rx.recv().expect("every owed slot has a live sender");
+            let key = keys[slot];
+            if joined[slot] {
+                owed_joined -= 1;
+            } else {
+                owed_computed -= 1;
+            }
+            match resolution {
+                Ok(result) => on_resolved(&key, &result, joined[slot]),
+                Err(Some(original)) => {
+                    payload.get_or_insert(original);
+                }
+                Err(None) => {
+                    joined_panic.get_or_insert(key);
+                }
+            }
+        }
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
+        if let Some(key) = joined_panic {
+            panic!("job {key} panicked in the concurrent run computing it");
+        }
+
+        if shared.options.cache {
+            shared.cache.record(hits, misses);
+        }
+        EngineStats {
             jobs: jobs.len() as u64,
             cache_hits: hits,
             cache_misses: misses,
-            cache_entries: self.cache.len(),
+            cache_entries: seen.len(),
             workers,
             elapsed: started.elapsed(),
             stage_hits: tally.hits(),
             stage_misses: tally.misses(),
-        };
+        }
+    }
+
+    /// Runs a batch of jobs and returns one [`JobOutcome`] per job, in
+    /// submission order (independent of worker count and scheduling).
+    ///
+    /// Jobs whose [`JobKey`] is already cached — or is being computed
+    /// right now by a concurrent call on this engine — are hits.
+    /// Duplicate keys within the batch are computed once: the first
+    /// occurrence counts as a miss, the rest as hits (their outcomes carry
+    /// `from_cache = true` — they did no pipeline work). Everything else
+    /// runs on the engine's pool, each result cached and spilled as its
+    /// job finishes.
+    ///
+    /// # Panics
+    ///
+    /// If a job panics: with its original payload, after the batch's
+    /// other jobs have finished.
+    pub fn run(&self, jobs: Vec<Job>) -> BatchReport {
+        let _batch = trace::span_attrs("engine.run", |a| {
+            a.num("jobs", jobs.len() as u64);
+        });
+        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
+        let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> =
+            HashMap::with_capacity(jobs.len());
+        let mut stats = self.run_with(&jobs, &keys, |key, result, hit| {
+            resolved.insert(*key, (Arc::clone(result), hit));
+        });
+        stats.cache_entries = self.shared.cache.len();
+
+        let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(jobs.len());
+        let outcomes: Vec<JobOutcome> = jobs
+            .iter()
+            .zip(keys)
+            .map(|(job, key)| {
+                let (result, hit) = &resolved[&key];
+                let first = first_seen.insert(key);
+                JobOutcome {
+                    name: job.spec.name().to_string(),
+                    latency: job.latency,
+                    key,
+                    from_cache: *hit || !first,
+                    result: Arc::clone(result),
+                }
+            })
+            .collect();
+
         trace::event("engine.batch", |a| {
             a.num("jobs", stats.jobs)
                 .num("cache_hits", stats.cache_hits)
@@ -411,15 +577,16 @@ impl Engine {
 
     /// Cumulative statistics across every batch run on this engine.
     pub fn stats(&self) -> EngineStats {
+        let Shared { cache, stages, .. } = &*self.shared;
         EngineStats {
-            jobs: self.cache.hits() + self.cache.misses(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_entries: self.cache.len(),
+            jobs: cache.hits() + cache.misses(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_entries: cache.len(),
             workers: self.worker_count(),
             elapsed: std::time::Duration::ZERO,
-            stage_hits: self.stages.hits(),
-            stage_misses: self.stages.misses(),
+            stage_hits: stages.hits(),
+            stage_misses: stages.misses(),
         }
     }
 }

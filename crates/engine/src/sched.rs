@@ -1,33 +1,31 @@
-//! The shared fair scheduler behind the multi-tenant `serve` front end: a
-//! **persistent** worker pool fed by a per-request round-robin queue.
+//! The engine's one worker pool: a **persistent** set of threads fed by
+//! a per-request round-robin queue, shared by batch runs
+//! ([`crate::Engine::run`], [`crate::Study::run`]) and the multi-tenant
+//! `serve` front end alike.
 //!
-//! [`crate::executor::map_ordered`] spins a pool up for one batch and
-//! tears it down when the batch completes — the right shape for a CLI
-//! invocation, where one batch owns the machine. A long-running service
-//! answers many requests at once, and a scoped one-shot pool per request
-//! would either serialize them (the old global run lock) or oversubscribe
-//! every core by the number of concurrent clients. This module hosts the
-//! generalization: one pool of [`Scheduler::width`] threads for the whole
-//! process, with work submitted as *requests* (one [`Scheduler::submit`]
-//! call, many boxed task closures) and interleaved **fairly** — workers
-//! take one task from the request at the head of the queue, then rotate
-//! that request to the back, so a 2-cell study admitted behind a
-//! 10,000-cell one waits for at most a handful of task grants, never for
-//! the whole grid.
+//! Work is submitted as *requests* — one [`Scheduler::submit`] call,
+//! many boxed task closures; every engine call submits its uncached jobs
+//! as one — and interleaved **fairly**: workers take one task from the
+//! request at the head of the queue, then rotate that request to the
+//! back, so a 2-cell study admitted behind a 10,000-cell one waits for at
+//! most a handful of task grants, never for the whole grid. A pool of
+//! [`Scheduler::width`] threads serves every concurrent caller, so
+//! concurrent requests neither serialize nor oversubscribe the cores.
 //!
-//! Determinism is preserved the same way the one-shot pool preserves it:
-//! the scheduler owns *when* a task runs, never *where its result goes* —
-//! submitters tag tasks with their own slot indices and reassemble
-//! results in submission order, so a request's output is independent of
-//! pool width and interleaving.
+//! Determinism is preserved because the scheduler owns *when* a task
+//! runs, never *where its result goes*: submitters tag tasks with their
+//! own slot indices and reassemble results in submission order, so a
+//! request's output is independent of pool width and interleaving.
 //!
 //! A panicking task is caught ([`std::panic::catch_unwind`]) so the
 //! worker thread — which outlives any one request — survives; the count
-//! is surfaced in [`SchedStats::panicked_tasks`] and the submitting
-//! request observes its closed result channel. Every queue transition
-//! emits a trace event (`sched.enqueue` / `sched.dispatch` /
-//! `sched.complete`), and [`Scheduler::stats`] snapshots the gauges the
-//! serve front end reports under `{"stats": true}`.
+//! is surfaced in [`SchedStats::panicked_tasks`]. (The engine's tasks
+//! catch a job's panic themselves, forward the payload to the caller and
+//! unwind with a stand-in, so job panics are counted here too.) Every
+//! queue transition emits a trace event (`sched.enqueue` /
+//! `sched.dispatch` / `sched.complete`), and [`Scheduler::stats`]
+//! snapshots the gauges the serve front end reports under
+//! `{"stats": true}`.
 
 use crate::stats::SchedStats;
 use crate::trace;
@@ -93,7 +91,7 @@ fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The persistent fair worker pool. Create once per process
+/// The persistent fair worker pool. Create once per engine
 /// ([`Scheduler::new`]), submit each request's tasks with
 /// [`Scheduler::submit`], and drop to stop (workers finish their current
 /// task; queued tasks of still-pending requests are abandoned, so drop
@@ -201,8 +199,8 @@ impl Drop for Scheduler {
         let me = std::thread::current().id();
         for worker in self.workers.drain(..) {
             // A task closure can be the last owner of the structure that
-            // holds this scheduler (serve's tasks capture the server
-            // state), in which case Drop runs *on a worker thread*.
+            // holds this scheduler (a task capturing an `Arc` of its
+            // owner), in which case Drop runs *on a worker thread*.
             // Joining that thread would self-deadlock (EDEADLK), so the
             // current thread's handle is detached instead: shutdown is
             // already set, and the worker exits on its own right after
@@ -429,9 +427,9 @@ mod tests {
                 let _ = self.0.send(std::thread::panicking());
             }
         }
-        /// Mirrors serve's server state: tasks capture an `Arc` of the
-        /// structure that owns the scheduler, so a worker can end up the
-        /// last owner and run the scheduler's destructor itself.
+        /// Tasks capture an `Arc` of the structure that owns the
+        /// scheduler, so a worker can end up the last owner and run the
+        /// scheduler's destructor itself.
         struct Owner {
             sched: Scheduler,
             _signal: Signal,

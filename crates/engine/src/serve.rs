@@ -26,11 +26,12 @@
 //! server executes only that range of the study's key-sorted distinct
 //! jobs ([`crate::shard::shard_slice`]) and answers
 //! `{"ok":true,"shard_index":…,"shard_count":…,"service":{…},"stats":{…}}`
-//! — the batch's [`EngineStats`] instead of a report, mirroring the
-//! stats line a local `shard-worker` process prints on stdout. The
-//! results travel through the server's `--cache-dir` (which must be the
-//! store the dispatching coordinator reads), so shard requests are
-//! rejected on a server started without one.
+//! — the batch's [`EngineStats`](crate::EngineStats) instead of a
+//! report, mirroring the stats line a local `shard-worker` process
+//! prints on stdout. The results travel through the server's
+//! `--cache-dir` (which must be the store the dispatching coordinator
+//! reads), so shard requests are rejected on a server started without
+//! one.
 //!
 //! A successful response is `{"ok":true,"service":{...},"report":{...}}`
 //! with the **report field last**: its value is byte-for-byte the
@@ -62,22 +63,26 @@
 //!
 //! # Execution model
 //!
-//! Requests from all connections share one [`Scheduler`]: a persistent
-//! worker pool — as wide as the engine's worker count — fed by a fair
-//! per-request round-robin queue ([`crate::sched`]). Each study expands
-//! its grid, registers its distinct uncached jobs and enqueues them as
-//! one scheduling unit; workers grant every active request one task per
-//! pass, so a 2-cell study admitted behind a 10,000-cell one finishes
-//! after a handful of grants instead of waiting for the whole backlog
-//! (the old global run lock serialized entire studies). Determinism
-//! survives the interleaving because results slot back by index and
-//! reports assemble from keyed cells: each response is a function of the
-//! request and the cache state it observed, never of scheduling order.
+//! Each study or shard request runs on a per-request runner thread that
+//! hands its distinct jobs to the shared [`Engine`] through the same
+//! execution routine as [`Engine::run`] and [`Study::run`]. The engine
+//! owns one persistent worker pool — as wide as its worker count — fed
+//! by a fair per-request round-robin queue ([`crate::sched`]): every
+//! request's uncached jobs are one scheduling unit, and workers grant
+//! every active request one task per pass, so a 2-cell study admitted
+//! behind a 10,000-cell one finishes after a handful of grants instead of
+//! waiting for the whole backlog. Determinism survives the interleaving
+//! because reports assemble from keyed cells: each response is a function
+//! of the request and the cache state it observed, never of scheduling
+//! order.
 //!
 //! Concurrent requests wanting the **same** job never compute it twice:
-//! the first to classify a key registers it in a shared in-flight table,
-//! and later requests subscribe to that computation (counted as a cache
-//! hit — they do no pipeline work, exactly like a resident entry).
+//! the engine's in-flight registry lets the first request to classify a
+//! key compute it, and later requests subscribe to that computation
+//! (counted as a cache hit — they do no pipeline work, exactly like a
+//! resident entry). A panicking job fails its request and every
+//! subscriber with `internal error: request execution panicked`; the
+//! pool and the service survive.
 //!
 //! Connections are **pipelined**: a client may send further requests
 //! before reading responses, up to [`ServeOptions::max_inflight`]
@@ -99,19 +104,18 @@
 
 use crate::key::JobKey;
 use crate::report::{StudyCell, StudyReport};
-use crate::sched::Scheduler;
 use crate::shard::{self, ShardedStudy};
-use crate::stats::{EngineStats, ServiceStats};
+use crate::stats::ServiceStats;
 use crate::study::Study;
-use crate::{trace, Engine, EngineOptions, HitTier, Job, JobResult};
+use crate::{trace, Engine, EngineOptions, Job, JobResult};
 use serde_json::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default cap on one request line. A study body is source text plus axis
@@ -179,24 +183,11 @@ pub struct Server {
     state: Arc<ServerState>,
 }
 
-/// One request's subscription to a job another request is computing: the
-/// subscriber's slot index and the sender of its collection channel.
-struct Waiter {
-    slot: usize,
-    tx: mpsc::Sender<(usize, Arc<JobResult>)>,
-}
-
 /// Everything handler threads share.
 struct ServerState {
+    /// The one warm engine, with its worker pool and in-flight registry;
+    /// see the module docs.
     engine: Engine,
-    /// The shared fair worker pool; see the module docs.
-    sched: Scheduler,
-    /// Jobs currently computing, by key: the first request to want a key
-    /// registers it here; later requests subscribe instead of recomputing.
-    /// The computing task admits its result to the cache **before**
-    /// removing the entry, so a request that misses the cache while
-    /// holding this lock always finds a live registration to join.
-    in_flight: Mutex<HashMap<JobKey, Vec<Waiter>>>,
     shutdown: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
@@ -223,12 +214,6 @@ impl ServerState {
             engine: self.engine.stats(),
         }
     }
-
-    fn lock_in_flight(&self) -> std::sync::MutexGuard<'_, HashMap<JobKey, Vec<Waiter>>> {
-        // The table is a plain registry, valid at every step; recover a
-        // poisoned guard rather than letting one panic wedge the service.
-        self.in_flight.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl Server {
@@ -246,11 +231,8 @@ impl Server {
         };
         let listener = TcpListener::bind(options.addr.as_str())?;
         let local_addr = listener.local_addr()?;
-        let sched = Scheduler::new(engine.worker_count());
         let state = Arc::new(ServerState {
             engine,
-            sched,
-            in_flight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -320,7 +302,7 @@ enum Classified {
     /// Pure introspection: answer the lifetime counters inline.
     Stats,
     /// A validated study (`coords` set for a shard request), to execute
-    /// on the shared scheduler.
+    /// on the engine's pool.
     Run { study: Study, coords: Option<(usize, usize)>, stream: bool },
 }
 
@@ -677,10 +659,10 @@ fn shard_coords(value: &Value) -> Result<Option<(usize, usize)>, String> {
 }
 
 /// The `{"stats":true}` introspection reply: lifetime service counters,
-/// scheduler gauges, per-class answer counts.
+/// the engine pool's gauges, per-class answer counts.
 fn stats_reply(state: &ServerState) -> String {
     let service = serde_json::to_string(&state.service_stats()).expect("service stats serialize");
-    let sched = serde_json::to_string(&state.sched.stats()).expect("sched stats serialize");
+    let sched = serde_json::to_string(&state.engine.sched_stats()).expect("sched stats serialize");
     format!(
         "{{\"ok\":true,\"stats\":true,\"service\":{service},\"sched\":{sched},\
          \"classes\":{{\"study\":{},\"shard\":{},\"stats\":{}}}}}",
@@ -688,191 +670,6 @@ fn stats_reply(state: &ServerState) -> String {
         state.class_shard.load(Ordering::SeqCst),
         state.class_stats.load(Ordering::SeqCst),
     )
-}
-
-/// What a scheduled execution resolved: every distinct key's shared
-/// result plus whether it was a hit (resident, or joined another
-/// request's in-flight computation), and the request-scoped statistics.
-struct ScheduledRun {
-    resolved: HashMap<JobKey, (Arc<JobResult>, bool)>,
-    stats: EngineStats,
-}
-
-/// Executes one request's distinct jobs through the shared scheduler.
-///
-/// Classification happens under the in-flight registry lock: each key is
-/// either resident (hit), computing on behalf of another request
-/// (subscribe — a hit), or registered and enqueued here (miss). The
-/// per-request statistics mirror [`Engine::run`]'s exactly — same
-/// hit/miss semantics, `workers` clamped to the computed-job count,
-/// `cache_entries` the request's distinct-key count (what a fresh
-/// single-process engine would hold after the same grid) — which is what
-/// keeps served reports byte-identical to `Study::run` references.
-///
-/// `on_resolved` fires once per distinct key, hits first (in slot
-/// order), computed and subscribed keys in completion order — the
-/// streaming hook.
-///
-/// # Panics
-///
-/// If a scheduled job's worker caught a panic (the result can never
-/// arrive). This request's dangling registrations are cleaned up first
-/// so sibling requests fail fast instead of hanging; the per-connection
-/// runner catches the panic and answers with a protocol error.
-fn run_scheduled(
-    state: &Arc<ServerState>,
-    jobs: &[Job],
-    mut on_resolved: impl FnMut(&JobKey, &Arc<JobResult>, bool),
-) -> ScheduledRun {
-    let started = Instant::now();
-    let total = jobs.len();
-    let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
-    let (tx, rx) = mpsc::channel::<(usize, Arc<JobResult>)>();
-    let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> = HashMap::with_capacity(total);
-    let mut hits: u64 = 0;
-    let mut to_compute: Vec<(usize, JobKey)> = Vec::new();
-    let mut immediate: Vec<(JobKey, Arc<JobResult>)> = Vec::new();
-    let mut slot_is_hit = vec![false; total];
-    let mut pending: usize = 0;
-    {
-        // Classify every key under one registry lock hold, so a request
-        // observes each key atomically: resident, in-flight, or absent —
-        // never the gap between a sibling's admission and its
-        // deregistration (admission happens first; see `in_flight`).
-        let mut in_flight = state.lock_in_flight();
-        let mut seen: HashSet<JobKey> = HashSet::with_capacity(total);
-        for (slot, key) in keys.iter().enumerate() {
-            if !seen.insert(*key) {
-                // An in-request duplicate (callers pass deduplicated
-                // lists, but the invariant is cheap to keep local): it
-                // shares the first slot's result and counts as a hit,
-                // exactly like Engine::run's in-batch duplicates.
-                hits += 1;
-                slot_is_hit[slot] = true;
-                continue;
-            }
-            if let Some(tier) = state.engine.lookup(key) {
-                hits += 1;
-                slot_is_hit[slot] = true;
-                trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str(
-                        "provenance",
-                        match tier {
-                            HitTier::Memory => "memory",
-                            HitTier::Disk => "disk",
-                        },
-                    );
-                });
-                let result = state.engine.cache.peek(key).expect("looked-up key is resident");
-                immediate.push((*key, result));
-            } else if let Some(waiters) = in_flight.get_mut(key) {
-                // Another request is computing this key right now:
-                // subscribe to that computation instead of repeating it.
-                hits += 1;
-                slot_is_hit[slot] = true;
-                trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str("provenance", "in-flight");
-                });
-                waiters.push(Waiter { slot, tx: tx.clone() });
-                pending += 1;
-            } else {
-                in_flight.insert(*key, Vec::new());
-                to_compute.push((slot, *key));
-            }
-        }
-    }
-    let misses = to_compute.len() as u64;
-    let workers = state.engine.worker_count().min(to_compute.len().max(1));
-    pending += to_compute.len();
-    let owned = to_compute.clone();
-    // Per-request stage counters, shared into the task closures; stage
-    // work a sibling request's tasks did on our behalf lands in *their*
-    // tally — each stage resolution is tallied exactly once.
-    let stage_tally = Arc::new(crate::stagecache::StageTally::default());
-
-    // Deliver the immediate hits (outside the registry lock — the
-    // callback may write to a socket).
-    for (key, result) in immediate {
-        resolved.insert(key, (Arc::clone(&result), true));
-        on_resolved(&key, &result, true);
-    }
-
-    // Enqueue the misses as one fairness unit on the shared pool.
-    let parent = trace::current_span_id();
-    let tasks: Vec<crate::sched::Task> = to_compute
-        .into_iter()
-        .map(|(slot, key)| {
-            let job = jobs[slot].clone();
-            let state = Arc::clone(state);
-            let tx = tx.clone();
-            let stage_tally = Arc::clone(&stage_tally);
-            Box::new(move || {
-                let _span = trace::span_under(parent, "serve.job", |a| {
-                    a.num("slot", slot as u64);
-                });
-                let result = Arc::new(state.engine.compute(&job, &stage_tally));
-                trace::event("job", |a| {
-                    a.str("key", &key.to_string())
-                        .str("provenance", "computed")
-                        .flag("ok", result.is_ok());
-                });
-                // Admit before deregistering, so no classifier can fall
-                // into the gap between the two (see `in_flight`).
-                state.engine.admit(key, &result);
-                let waiters = state.lock_in_flight().remove(&key).unwrap_or_default();
-                let _ = tx.send((slot, Arc::clone(&result)));
-                for waiter in waiters {
-                    let _ = waiter.tx.send((waiter.slot, Arc::clone(&result)));
-                }
-            }) as crate::sched::Task
-        })
-        .collect();
-    drop(tx);
-    state.sched.submit(tasks);
-
-    // Collect exactly the owed results; completion order is scheduling
-    // order, but slots key everything back deterministically.
-    while pending > 0 {
-        match rx.recv() {
-            Ok((slot, result)) => {
-                pending -= 1;
-                let key = keys[slot];
-                let hit = slot_is_hit[slot];
-                resolved.insert(key, (Arc::clone(&result), hit));
-                on_resolved(&key, &result, hit);
-            }
-            Err(_) => {
-                // Every sender is gone with results still owed: a
-                // scheduled job panicked (its worker caught it, so the
-                // send never happened). Drop this request's dangling
-                // registrations — which drops its subscribers' senders,
-                // so they fail fast the same way instead of hanging —
-                // then surface the failure.
-                {
-                    let mut in_flight = state.lock_in_flight();
-                    for (_, key) in &owned {
-                        if !resolved.contains_key(key) {
-                            in_flight.remove(key);
-                        }
-                    }
-                }
-                panic!("a scheduled job died before reporting its result");
-            }
-        }
-    }
-
-    state.engine.record_lifetime(hits, misses);
-    let stats = EngineStats {
-        jobs: total as u64,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_entries: total,
-        workers,
-        elapsed: started.elapsed(),
-        stage_hits: stage_tally.hits(),
-        stage_misses: stage_tally.misses(),
-    };
-    ScheduledRun { resolved, stats }
 }
 
 /// Builds the [`StudyCell`] for one grid cell from its resolved result.
@@ -889,10 +686,15 @@ fn make_cell(job: &Job, key: JobKey, result: &Arc<JobResult>, from_cache: bool) 
     }
 }
 
-/// Runs one study request on the scheduler and writes its response (and,
+/// Runs one study request on the engine and writes its response (and,
 /// when streaming, a cell frame per grid cell as results resolve).
+///
+/// The report's statistics are the engine's per-call counts with
+/// `cache_entries` = the request's distinct keys (what a fresh
+/// single-process engine would hold after the same grid) — which is what
+/// keeps served reports byte-identical to `Study::run` references.
 fn run_study_request(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     study: &Study,
     stream: bool,
     req: u64,
@@ -911,7 +713,11 @@ fn run_study_request(
         }
     }
     let mut frames_ok = true;
-    let run = run_scheduled(state, &grid.distinct, |key, result, hit| {
+    let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> =
+        HashMap::with_capacity(grid.distinct.len());
+    let distinct_keys: Vec<JobKey> = grid.distinct.iter().map(Job::key).collect();
+    let stats = state.engine.run_with(&grid.distinct, &distinct_keys, |key, result, hit| {
+        resolved.insert(*key, (Arc::clone(result), hit));
         if !stream || !frames_ok {
             return;
         }
@@ -927,12 +733,11 @@ fn run_study_request(
             }
         }
     });
-    let resolved = run.resolved;
     let cells = crate::study::assemble(grid.cells, grid.keys, |key| {
         let (result, hit) = &resolved[&key];
         (Arc::clone(result), *hit)
     });
-    let report = StudyReport { cells, stats: run.stats };
+    let report = StudyReport { cells, stats };
     state.requests.fetch_add(1, Ordering::SeqCst);
     state.class_study.fetch_add(1, Ordering::SeqCst);
     trace::stderr_log("serve", "report", |a| {
@@ -958,10 +763,10 @@ fn run_study_request(
     }
 }
 
-/// Runs one shard request's job range on the scheduler and writes the
+/// Runs one shard request's job range on the engine and writes the
 /// batch-statistics reply; every success spills into the shared store.
 fn run_shard_request(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     study: &Study,
     index: usize,
     count: usize,
@@ -970,8 +775,8 @@ fn run_shard_request(
     writer: &Mutex<TcpStream>,
 ) {
     let jobs = shard::shard_slice(study, index, count);
-    let run = run_scheduled(state, &jobs, |_, _, _| {});
-    let stats = run.stats;
+    let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
+    let stats = state.engine.run_with(&jobs, &keys, |_, _, _| {});
     state.requests.fetch_add(1, Ordering::SeqCst);
     state.class_shard.fetch_add(1, Ordering::SeqCst);
     trace::stderr_log("serve", "shard", |a| {

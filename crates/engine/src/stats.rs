@@ -21,6 +21,9 @@ use std::time::Duration;
 /// * an in-batch duplicate (a later job with the same key as an earlier
 ///   one in the same batch) is a **hit**: it does no pipeline work and
 ///   shares the first occurrence's result;
+/// * a job another call on the same engine (a concurrent batch or serve
+///   request) is computing right now is a **hit**: the batch joins that
+///   computation instead of repeating it;
 /// * the first occurrence of each distinct uncached key is a **miss**.
 ///
 /// With caching disabled ([`crate::EngineOptions::cache`] = false), batch
@@ -31,8 +34,9 @@ use std::time::Duration;
 pub struct EngineStats {
     /// Jobs submitted.
     pub jobs: u64,
-    /// Jobs served without pipeline work: resident cache entries plus
-    /// in-batch duplicates (see the type-level semantics).
+    /// Jobs served without pipeline work: resident cache entries,
+    /// in-batch duplicates and joined in-flight jobs (see the type-level
+    /// semantics).
     pub cache_hits: u64,
     /// Jobs that required running the pipeline.
     pub cache_misses: u64,
@@ -190,12 +194,12 @@ impl fmt::Display for EndpointStats {
     }
 }
 
-/// A snapshot of the fair scheduler's gauges ([`crate::sched::Scheduler::stats`]):
+/// A snapshot of the engine pool's gauges ([`crate::sched::Scheduler::stats`]):
 /// how deep the shared queue is, how many requests are interleaving right
 /// now, and the lifetime dispatch counters. Served by the `serve` front
 /// end's `{"stats": true}` introspection so an operator can see queueing
 /// pressure without attaching a tracer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SchedStats {
     /// Worker threads in the shared pool.
     pub workers: usize,

@@ -9,7 +9,7 @@
 //! becomes one line of JSON:
 //!
 //! ```json
-//! {"seq":12,"ts_ns":80211,"kind":"span","name":"exec.task","id":5,"parent":2,"dur_ns":73000,"index":3}
+//! {"seq":12,"ts_ns":80211,"kind":"span","name":"exec.task","id":5,"parent":2,"dur_ns":73000,"slot":3,"queue_ns":1200}
 //! {"seq":13,"ts_ns":81090,"kind":"event","name":"job","parent":2,"key":"8c…","provenance":"computed"}
 //! ```
 //!
@@ -23,9 +23,9 @@
 //! * everything after the fixed fields is call-site attributes.
 //!
 //! Spans parent through a thread-local stack; [`current_span_id`] plus
-//! [`span_under`] carry the chain across thread boundaries (the executor
-//! captures the batch span before spawning workers). A span line is
-//! emitted exactly once, when its guard drops.
+//! [`span_under`] carry the chain across thread boundaries (the engine
+//! captures the caller's span before handing jobs to its pool). A span
+//! line is emitted exactly once, when its guard drops.
 //!
 //! [`flush`] rewrites the sink file from the full buffer via the same
 //! hidden-temp-file + atomic-rename idiom as the persistent cache
@@ -46,6 +46,13 @@ use std::time::{Duration, Instant};
 /// Number of independently locked line buffers; threads are spread over
 /// them by thread-id hash so emission rarely contends.
 const STRIPES: usize = 8;
+
+/// The `provenance` values of a `job` event that count as cache hits:
+/// resident in memory, loaded from the store, an in-call duplicate, or a
+/// join of another call's in-flight computation. The only other value,
+/// `computed`, is one cache miss — so a trace's `job` events reconcile
+/// exactly with the run's hit/miss counters.
+pub const HIT_PROVENANCES: [&str; 4] = ["memory", "disk", "duplicate", "in-flight"];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);

@@ -6,8 +6,11 @@
 //! * a file sink holds valid one-object-per-line JSON with strictly
 //!   increasing `seq` and monotone `ts_ns`;
 //! * per-job provenance events (`memory` / `disk` / `duplicate` /
-//!   `computed`) reconcile exactly with [`EngineStats`] hit/miss counters
-//!   across a cold run, a warm in-memory run and a fresh-process disk run.
+//!   `in-flight` / `computed`) reconcile exactly with [`EngineStats`]
+//!   hit/miss counters across a cold run, a warm in-memory run and a
+//!   fresh-process disk run, across two concurrent batches sharing one
+//!   engine, and on a served study, whose `exec.task` spans parent under
+//!   its `serve.request` span.
 //!
 //! The collector is process-global, so every test serializes on one lock
 //! (mirroring the unit tests inside `trace.rs` — cargo runs separate test
@@ -16,11 +19,15 @@
 //! [`EngineStats`]: bittrans_engine::EngineStats
 
 use bittrans_core::CompareOptions;
-use bittrans_engine::{trace, Engine, EngineOptions, Job};
+use bittrans_engine::{trace, BatchReport, Engine, EngineOptions, Job, ServeOptions, Server};
 use bittrans_ir::Spec;
 use std::collections::{HashMap, HashSet};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -31,12 +38,15 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 /// A three-add chain at `width` bits — same shape as the paper's running
 /// example, distinct content key per width.
 fn chain(width: u32) -> Spec {
-    Spec::parse(&format!(
+    Spec::parse(&chain_source(width)).expect("chain spec parses")
+}
+
+fn chain_source(width: u32) -> String {
+    format!(
         "spec t{width} {{ input A: u{width}; input B: u{width}; input D: u{width}; \
          input F: u{width}; C: u{width} = A + B; E: u{width} = C + D; \
          G: u{width} = E + F; output G; }}"
-    ))
-    .expect("chain spec parses")
+    )
 }
 
 fn job(width: u32, latency: u32) -> Job {
@@ -176,10 +186,81 @@ fn provenance_counts(lines: &[String]) -> HashMap<String, u64> {
     for v in parse_lines(lines) {
         if str_of(&v, "kind") == Some("event") && str_of(&v, "name") == Some("job") {
             let provenance = str_of(&v, "provenance").expect("job event has provenance");
+            assert!(
+                provenance == "computed" || trace::HIT_PROVENANCES.contains(&provenance),
+                "unknown job provenance {provenance}"
+            );
             *counts.entry(provenance.to_string()).or_insert(0) += 1;
         }
     }
     counts
+}
+
+/// The `job` events that count as cache hits.
+fn hit_count(counts: &HashMap<String, u64>) -> u64 {
+    trace::HIT_PROVENANCES.iter().map(|p| counts.get(*p).copied().unwrap_or(0)).sum()
+}
+
+/// A batch's outcomes in submission order, results included.
+fn render(report: &BatchReport) -> String {
+    report.outcomes.iter().map(|o| format!("{} λ={} {:?}\n", o.name, o.latency, o.result)).collect()
+}
+
+/// Two threads run the same cold grid on one engine. Every job stalls in
+/// its first stage until both batches have classified their keys, so the
+/// second batch provably joins each of the first batch's in-flight jobs:
+/// the two batches compute each job once between them, every hit is an
+/// `in-flight` provenance, and both outcome lists equal a single-thread
+/// reference.
+#[test]
+fn concurrent_batches_share_in_flight_jobs() {
+    let _guard = locked();
+    trace::uninstall();
+    let jobs: Vec<Job> = (0..3).flat_map(|i| (2..=3).map(move |l| job(20 + i, l))).collect();
+    let reference =
+        render(&Engine::new(EngineOptions { workers: Some(1), cache: true }).run(jobs.clone()));
+
+    trace::install_memory();
+    let open = Arc::new(AtomicBool::new(false));
+    {
+        let open = Arc::clone(&open);
+        bittrans_core::stage::set_observer(move |_, _| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !open.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+    }
+    let engine = Engine::new(EngineOptions { workers: Some(2), cache: true });
+    let ((first, second), lines) = std::thread::scope(|scope| {
+        let first = scope.spawn(|| engine.run(jobs.clone()));
+        let second = scope.spawn(|| engine.run(jobs.clone()));
+        // The batch classifying second emits one hit event per job while
+        // no job can finish; then let the stages run. (On a timeout the
+        // gate opens anyway and the counts below report the failure.)
+        let mut lines = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while hit_count(&provenance_counts(&lines)) < jobs.len() as u64 && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+            lines.extend(trace::drain());
+        }
+        open.store(true, Ordering::SeqCst);
+        let reports = (first.join().unwrap(), second.join().unwrap());
+        lines.extend(trace::drain());
+        (reports, lines)
+    });
+    trace::uninstall();
+
+    let counts = provenance_counts(&lines);
+    let misses = first.stats.cache_misses + second.stats.cache_misses;
+    let hits = first.stats.cache_hits + second.stats.cache_hits;
+    assert_eq!(misses, jobs.len() as u64, "each job computes once between the batches");
+    assert_eq!(counts.get("computed").copied().unwrap_or(0), misses);
+    assert_eq!(counts.get("in-flight").copied().unwrap_or(0), hits, "{counts:?}");
+    assert_eq!(hit_count(&counts), hits, "{counts:?}");
+    assert_eq!(render(&first), reference);
+    assert_eq!(render(&second), reference);
 }
 
 #[test]
@@ -223,10 +304,7 @@ fn job_provenance_reconciles_with_engine_stats_across_all_tiers() {
     assert_eq!(disk.stats.jobs, disk.stats.cache_hits);
     // First occurrence of each key reads the disk entry; repeats within
     // the batch hit the promoted in-memory copy.
-    let tiered = counts.get("disk").copied().unwrap_or(0)
-        + counts.get("memory").copied().unwrap_or(0)
-        + counts.get("duplicate").copied().unwrap_or(0);
-    assert_eq!(tiered, disk.stats.cache_hits);
+    assert_eq!(hit_count(&counts), disk.stats.cache_hits);
     assert!(counts.get("disk").copied().unwrap_or(0) >= 5, "distinct keys must read from disk");
     assert_eq!(counts.get("computed"), None);
 
@@ -280,4 +358,84 @@ fn stage_provenance_reconciles_with_engine_stats() {
     assert_eq!(warm.stats.cache_hits, 4);
     assert_eq!(warm.stats.stage_hits + warm.stats.stage_misses, 0);
     assert!(counts.is_empty(), "a warm batch resolves no stages: {counts:?}");
+}
+
+/// A numeric field of a JSON reply, by path.
+fn number(json: &str, path: &[&str]) -> u64 {
+    let value = serde_json::from_str(json).expect("reply is JSON");
+    let field = path.iter().try_fold(&value, |v, key| v.get(key));
+    field.and_then(serde_json::Value::as_u64).unwrap_or_else(|| panic!("no {path:?} in {json}"))
+}
+
+/// A served study runs through the same execution path as a batch: every
+/// computed job is one `exec.task` span under the request's
+/// `serve.request` span, and each request's `job` provenances reconcile
+/// with the statistics in its response — cold, then warm.
+#[test]
+fn served_study_tasks_parent_under_the_request_and_reconcile_with_its_stats() {
+    let _guard = locked();
+    trace::uninstall();
+    let server = Server::bind(&ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        workers: Some(2),
+        ..ServeOptions::default()
+    })
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+    trace::install_memory();
+
+    let source = serde_json::to_string(&chain_source(24)).unwrap();
+    let request = format!("{{\"sources\": [{source}], \"latencies\": [2, 3, 4, 2]}}");
+    let roundtrip = |request: &str| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).expect("reply");
+        line
+    };
+    let replies = [roundtrip(&request), roundtrip(&request)];
+    assert!(roundtrip("{\"shutdown\": true}").contains("\"shutdown\":true"));
+    handle.join().expect("server thread");
+    // Every span has closed once the server has shut down.
+    let parsed = parse_lines(&trace::drain());
+    trace::uninstall();
+
+    let spans_named = |name: &str| -> Vec<&serde_json::Value> {
+        parsed
+            .iter()
+            .filter(|v| str_of(v, "kind") == Some("span") && str_of(v, "name") == Some(name))
+            .collect()
+    };
+    let requests: Vec<u64> =
+        spans_named("serve.request").iter().map(|v| num_of(v, "id").unwrap()).collect();
+    assert_eq!(requests.len(), 2, "one serve.request span per study");
+    let tasks: HashMap<u64, u64> = spans_named("exec.task")
+        .iter()
+        .map(|v| (num_of(v, "id").unwrap(), num_of(v, "parent").unwrap()))
+        .collect();
+    assert!(tasks.values().all(|parent| requests.contains(parent)), "{tasks:?}");
+
+    for (request, reply) in requests.iter().zip(&replies) {
+        let (mut hits, mut computed) = (0, 0);
+        for v in &parsed {
+            if str_of(v, "kind") != Some("event") || str_of(v, "name") != Some("job") {
+                continue;
+            }
+            let parent = num_of(v, "parent").unwrap();
+            match str_of(v, "provenance").unwrap() {
+                "computed" if tasks.get(&parent) == Some(request) => computed += 1,
+                hit if parent == *request && trace::HIT_PROVENANCES.contains(&hit) => hits += 1,
+                _ => {}
+            }
+        }
+        let task_count = tasks.values().filter(|parent| *parent == request).count() as u64;
+        assert_eq!(computed, number(reply, &["report", "stats", "cache_misses"]), "{reply}");
+        assert_eq!(task_count, computed, "one exec.task per computed job");
+        assert_eq!(hits, number(reply, &["report", "stats", "cache_hits"]), "{reply}");
+    }
+    // Cold, then fully warm: the duplicate latency was deduplicated by the
+    // grid, so each request resolves three distinct jobs.
+    assert_eq!(number(&replies[0], &["report", "stats", "cache_misses"]), 3);
+    assert_eq!(number(&replies[1], &["report", "stats", "cache_hits"]), 3);
 }
