@@ -157,15 +157,17 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// How to cross-check the distributed path: the sharded (or remote) run's
-/// store, shard count, and transport.
+/// How to cross-check the shard path: the sharded run's store, shard
+/// count, and transport — a `serve` fleet started per case on this
+/// machine, or a running remote one.
 #[derive(Clone, Debug)]
 pub struct Differential {
     /// The result store. A [`Transport::Local`] run uses a fresh
-    /// `case-<seed>` subdirectory per case so both sides start cold; a
+    /// `case-<seed>` subdirectory per case, which its per-case `serve`
+    /// fleet is started over, so both sides start cold; a
     /// [`Transport::Remote`] run uses this directory as-is because the
-    /// serve fleet persists into its own configured store — point it at
-    /// the fleet's shared directory, fresh for the fuzzed seeds.
+    /// running serve fleet persists into its own configured store — point
+    /// it at the fleet's shared directory, fresh for the fuzzed seeds.
     pub cache_dir: PathBuf,
     /// Shards to cut each case's job list into.
     pub shards: usize,

@@ -32,10 +32,11 @@
 //!   hand-rolled sweep loop in the benches, examples and CLI;
 //! * **sharded multi-process execution** — [`shard::run_sharded`]
 //!   partitions a study's deduplicated job list by [`JobKey`] range across
-//!   workers that share one cache directory — local worker processes or a
-//!   fleet of remote `serve` endpoints, a per-run [`shard::Transport`]
-//!   choice — then merges their statistics and reassembles the exact
-//!   single-process [`StudyReport`];
+//!   `serve` endpoints that share one cache directory — a fleet started
+//!   on this machine for the run or a running remote one, a per-run
+//!   [`shard::Transport`] choice over one shard protocol — then merges
+//!   their statistics and reassembles the exact single-process
+//!   [`StudyReport`];
 //! * **a long-running service** — [`serve::Server`] answers
 //!   newline-delimited JSON study requests over TCP from one warm engine,
 //!   so many clients share a single in-memory cache (backed by the cache

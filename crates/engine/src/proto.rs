@@ -1,6 +1,7 @@
 //! The `serve` wire codec shared by every client of the study service:
-//! the CLI `client` subcommand, the remote shard coordinator
-//! ([`crate::shard`]'s `Remote` transport), and the integration suites.
+//! the CLI `client` subcommand, the shard coordinator ([`crate::shard`],
+//! whichever transport supplied its endpoints), and the integration
+//! suites.
 //!
 //! The protocol itself lives in [`crate::serve`]: one JSON request per
 //! line, one response line per request. This module owns the *client
@@ -286,15 +287,6 @@ pub fn stats_from_value(value: &Value) -> Option<EngineStats> {
     })
 }
 
-/// Parses the one-line [`EngineStats`] JSON a shard worker prints on
-/// stdout (the last non-empty line; noise above it is ignored). `None`
-/// for anything else — the coordinator then treats the shard as failed
-/// and re-derives its work from the store.
-pub fn stats_line(stdout: &str) -> Option<EngineStats> {
-    let line = stdout.lines().rev().find(|line| !line.trim().is_empty())?;
-    stats_from_value(&serde_json::from_str(line.trim()).ok()?)
-}
-
 /// Validates one `host:port` endpoint spelling without resolving it: a
 /// non-empty host and a nonzero 16-bit port. (Port 0 means "pick one" to
 /// a *listener*; as a dial target nothing can be listening there.)
@@ -321,7 +313,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_line_roundtrips() {
+    fn stats_values_roundtrip() {
         let stats = EngineStats {
             jobs: 7,
             cache_hits: 2,
@@ -332,8 +324,8 @@ mod tests {
             stage_hits: 11,
             stage_misses: 13,
         };
-        let line = serde_json::to_string(&stats).unwrap();
-        let back = stats_line(&format!("noise above is ignored\n{line}\n")).unwrap();
+        let parse = |text: &str| stats_from_value(&serde_json::from_str(text).unwrap());
+        let back = parse(&serde_json::to_string(&stats).unwrap()).unwrap();
         assert_eq!(back.jobs, 7);
         assert_eq!(back.cache_hits, 2);
         assert_eq!(back.cache_misses, 5);
@@ -342,12 +334,10 @@ mod tests {
         assert!((back.elapsed.as_secs_f64() - 0.012).abs() < 1e-9);
         assert_eq!(back.stage_hits, 11);
         assert_eq!(back.stage_misses, 13);
-        assert!(stats_line("").is_none());
-        assert!(stats_line("not json").is_none());
-        assert!(stats_line("{\"jobs\": 1}").is_none(), "missing counters are a failed parse");
+        assert!(parse("{\"jobs\": 1}").is_none(), "missing counters are a failed parse");
         // Pre-stage-cache replies lack the stage counters; that is old
         // age, not damage.
-        let legacy = stats_line(
+        let legacy = parse(
             "{\"jobs\":1,\"cache_hits\":0,\"cache_misses\":1,\"hit_rate_pct\":0.0,\
              \"cache_entries\":1,\"workers\":1,\"elapsed_ms\":2.0}",
         )

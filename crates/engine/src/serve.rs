@@ -6,8 +6,8 @@
 //! # Protocol
 //!
 //! One request per line, connections may carry any number of requests. A
-//! request is a **study body** — the same shape the shard [`Manifest`]
-//! embeds, read back by [`ShardedStudy::from_value`]:
+//! request is a **study body** — a serialized [`ShardedStudy`], read back
+//! by [`ShardedStudy::from_value`]:
 //!
 //! ```text
 //! {"sources": ["spec ex { ... }"], "latencies": [3, 4],
@@ -27,8 +27,9 @@
 //! jobs ([`crate::shard::shard_slice`]) and answers
 //! `{"ok":true,"shard_index":…,"shard_count":…,"service":{…},"stats":{…}}`
 //! — the batch's [`EngineStats`](crate::EngineStats) instead of a
-//! report, mirroring the stats line a local `shard-worker` process
-//! prints on stdout. The results travel through the server's
+//! report. Sharded runs dispatch every shard this way, to a remote fleet
+//! or to `serve` children started on the coordinator's machine
+//! ([`crate::shard::Transport`]). The results travel through the server's
 //! `--cache-dir` (which must be the store the dispatching coordinator
 //! reads), so shard requests are rejected on a server started without
 //! one.
@@ -135,6 +136,19 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 8;
 /// cap keeps hostile coordinates from costing the service anything —
 /// the request is one error response, like every other rejection.
 pub const MAX_SHARD_COUNT: usize = 1 << 16;
+
+const BANNER_PREFIX: &str = "listening on ";
+
+/// The line `bittrans serve` prints on stdout once bound, announcing the
+/// resolved address (port 0 picks a free one) for [`parse_banner`].
+pub fn banner(addr: SocketAddr) -> String {
+    format!("{BANNER_PREFIX}{addr}")
+}
+
+/// The address a [`banner`] line announces; `None` for any other line.
+pub fn parse_banner(line: &str) -> Option<&str> {
+    line.trim().strip_prefix(BANNER_PREFIX).filter(|addr| !addr.is_empty())
+}
 
 /// How long a handler blocks on an idle connection before re-checking the
 /// shutdown flag, so graceful shutdown never waits on a silent client.

@@ -1,35 +1,23 @@
 //! Sharded multi-process execution: partition a [`Study`]'s deduplicated
-//! job list by [`JobKey`] range across workers that share one persistent
-//! cache directory, then reassemble the exact single-process
-//! [`StudyReport`].
+//! job list by [`JobKey`] range across `bittrans serve` endpoints that
+//! share one persistent cache directory, then reassemble the exact
+//! single-process [`StudyReport`].
 //!
-//! # Transports
+//! # One protocol, two ways to obtain endpoints
 //!
-//! *Where* a shard runs is a [`Transport`] decision, made per run:
+//! Every shard travels as a **shard request** to a `serve` endpoint
+//! ([`crate::serve`]). A [`Transport`] only decides where the endpoints
+//! come from:
 //!
-//! * [`Transport::Local`] re-invokes the `bittrans` binary as one
-//!   `shard-worker` process per shard on this machine (the original
-//!   protocol below);
-//! * [`Transport::Remote`] dispatches each shard as a **shard request**
-//!   to one of a fleet of `bittrans serve` endpoints
-//!   ([`crate::serve`]) — the study body plus
-//!   `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
-//!   newline-delimited JSON protocol, endpoints assigned round-robin
-//!   ([`assign_round_robin`]), every read under a deadline
-//!   ([`crate::proto`]). A failed or unreachable endpoint's shard is
-//!   retried on the next endpoint (each endpoint at most once per
-//!   shard); a shard that exhausts the fleet is marked failed and its
-//!   missing keys are recomputed in-process, exactly like a crashed
-//!   local worker.
+//! * [`Transport::Remote`] names a fleet of running `bittrans serve`
+//!   processes, normally on other machines;
+//! * [`Transport::Local`] starts the fleet for one run: one
+//!   `serve --addr 127.0.0.1:0` child of the given binary per shard, over
+//!   the coordinator's store, shut down when the dispatch ends. A child
+//!   that fails to start is simply not part of the fleet.
 //!
-//! Both transports feed the same merge: per-shard [`EngineStats`] (a
-//! local worker's stdout line, a remote response's `stats` field) are
-//! absorbed identically, and the final report never depends on a worker
-//! having survived. The one remote-only requirement is the **shared
-//! store**: every endpoint must have been started with a `--cache-dir`
-//! on the same filesystem the coordinator reads (NFS or equivalent for
-//! real multi-machine grids), because the store — not the response — is
-//! the result channel.
+//! From there both run the same dispatch, retry, merge and gap-fill, so a
+//! grid runs identically on this machine or on a fleet.
 //!
 //! # Protocol
 //!
@@ -38,28 +26,32 @@
 //! 1. expands the study grid, deduplicates it by key, **sorts the distinct
 //!    jobs by [`JobKey`]** and splits the sorted list into K contiguous
 //!    ranges ([`partition`] — total and disjoint by construction);
-//! 2. writes one JSON [`Manifest`] per shard (the full study description
-//!    plus `shard_index`/`shard_count`) under `<cache-dir>/.shards/` and
-//!    spawns K worker processes — re-invocations of the `bittrans` binary
-//!    with the hidden `shard-worker` subcommand — all pointed at the same
-//!    `--cache-dir`;
-//! 3. each worker re-derives the identical sorted job list from its
-//!    manifest, takes its range, runs it through a normal [`Engine`] (so
-//!    every success is spilled into the shared directory), and prints its
-//!    [`EngineStats`] as one JSON line on stdout;
-//! 4. the coordinator waits for every worker, merges the per-shard stats
-//!    ([`EngineStats::merged`]), and re-reads the cache directory. Any
-//!    distinct key missing from the store — a gap left by a crashed or
-//!    killed worker, or an infeasible coordinate whose error is never
-//!    persisted — is computed in-process by the coordinator's own engine.
-//!    The assembled [`StudyReport`] is therefore **bit-identical** to what
-//!    a single-process [`Study::run`] over the same grid and cache state
-//!    produces, faults or no faults.
+//! 2. sends each shard as a shard request — the study body plus
+//!    `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
+//!    newline-delimited JSON protocol — to an endpoint assigned
+//!    round-robin ([`assign_round_robin`]), every read under a deadline
+//!    ([`crate::proto`]);
+//! 3. the endpoint re-derives the identical sorted job list, runs its
+//!    range ([`shard_slice`]) through its engine (so every success is
+//!    spilled into the shared directory), and answers with the batch's
+//!    [`EngineStats`]. A failed or unreachable endpoint's shard is retried
+//!    on the next endpoint, each endpoint at most once per shard; a shard
+//!    that exhausts the fleet is marked failed;
+//! 4. the coordinator merges the per-shard stats ([`EngineStats::merged`])
+//!    and re-reads the cache directory. Any distinct key missing from the
+//!    store — a gap left by a failed shard, or an infeasible coordinate
+//!    whose error is never persisted — is computed in-process by the
+//!    coordinator's own engine. The assembled [`StudyReport`] is therefore
+//!    **bit-identical** to what a single-process [`Study::run`] over the
+//!    same grid and cache state produces, faults or no faults.
 //!
-//! The cache directory is the only result channel: workers never talk to
+//! The **shared store** is the only result channel, so every endpoint
+//! must use a `--cache-dir` on the filesystem the coordinator reads (NFS
+//! or equivalent for real multi-machine grids). Endpoints never talk to
 //! each other, ranges are disjoint so racing writers never collide on a
-//! key, and a worker dying mid-shard costs only the recomputation of its
-//! unfinished range.
+//! key, and an endpoint dying mid-shard costs only the recomputation of
+//! its unfinished range. A reply is trusted for its statistics only, so
+//! an endpoint that answers without computing cannot change the report.
 //!
 //! Because a study's `Spec` values cannot be re-serialized into parseable
 //! DSL (the IR's `Display` is a dump format), a sharded study starts from
@@ -70,11 +62,12 @@
 use crate::key::JobKey;
 use crate::proto;
 use crate::report::StudyReport;
+use crate::serve;
 use crate::stagecache::StageStore;
 use crate::stats::{EndpointStats, EngineStats};
 use crate::study::{self, Study};
 use crate::trace;
-use crate::{Engine, EngineOptions, Job};
+use crate::{Engine, Job};
 use bittrans_core::CompareOptions;
 use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
@@ -84,7 +77,7 @@ use serde::{Serialize, Serializer};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -95,9 +88,9 @@ use std::time::{Duration, Instant};
 /// not errors — the coordinator absorbs those — only unusable inputs are.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Creating the cache directory, writing manifests, or similar I/O.
+    /// Creating or opening the cache directory.
     Io(io::Error),
-    /// A manifest or spec source failed to parse.
+    /// A study body or spec source failed to parse.
     Invalid(String),
 }
 
@@ -167,8 +160,8 @@ pub fn parse_endpoints(list: &str) -> Result<Vec<String>, ShardError> {
 }
 
 /// A [`Study`] described by its **source text** instead of parsed specs,
-/// so it can cross a process boundary in a manifest. [`ShardedStudy::study`]
-/// parses it back; coordinator and workers both do, so their grids — and
+/// so it can cross a process boundary in a request. [`ShardedStudy::study`]
+/// parses it back; coordinator and endpoints both do, so their grids — and
 /// therefore their content keys — agree exactly.
 #[derive(Clone, Debug)]
 pub struct ShardedStudy {
@@ -196,18 +189,18 @@ impl ShardedStudy {
         ["sources", "latencies", "adder_archs", "balance", "verify_vectors", "base"];
 
     /// Reads a study body back from a parsed JSON object — the reverse of
-    /// this type's `Serialize` impl. Shared by the [`Manifest`] reader
-    /// (whose flat layout carries the same field names) and the `serve`
-    /// request parser, so a study serialized by any front end deserializes
-    /// identically everywhere.
+    /// this type's `Serialize` impl. The `serve` request parser reads study
+    /// and shard requests through it, so a study serialized by any front
+    /// end deserializes identically everywhere.
     ///
     /// Ignores fields outside [`ShardedStudy::FIELDS`]; callers that must
     /// reject unknown fields check the key set first. Only `sources` is
     /// required: an absent `latencies` collapses to the [`Study`] default
     /// (λ = 3) and an absent `base` to [`CompareOptions::default`] —
-    /// machine writers (the [`Manifest`]) always spell both out, and
-    /// because every reader applies the same defaults, a hand-written
-    /// request and its expanded form produce identical grids and keys.
+    /// machine writers (the coordinator's shard requests) always spell
+    /// both out, and because every reader applies the same defaults, a
+    /// hand-written request and its expanded form produce identical grids
+    /// and keys.
     ///
     /// # Errors
     ///
@@ -305,53 +298,24 @@ impl ShardedStudy {
         }
         Ok(study)
     }
+
+    /// The one-line shard request for the `shard_index`-th of
+    /// `shard_count` ranges, exactly as the coordinator sends it: the
+    /// study body with the shard coordinates spliced in front. The `serve`
+    /// request parser reads the body back with
+    /// [`ShardedStudy::from_value`] exactly as it reads a whole-study
+    /// request, so the two request shapes cannot drift apart.
+    pub fn shard_request(&self, shard_index: usize, shard_count: usize) -> String {
+        let body = serde_json::to_string(self).expect("study body serializes");
+        format!("{{\"shard_index\":{shard_index},\"shard_count\":{shard_count},{}", &body[1..])
+    }
 }
 
 /// The two wire fields a **shard request** carries on top of the study
 /// body: a `serve` endpoint receiving them executes only that range of
 /// the study's key-sorted distinct jobs ([`shard_slice`]) and answers
-/// with the batch's [`EngineStats`] instead of a report — the remote
-/// counterpart of a local worker's stdout stats line.
+/// with the batch's [`EngineStats`] instead of a report.
 pub const SHARD_COORD_FIELDS: [&str; 2] = ["shard_index", "shard_count"];
-
-/// The wire form of one remote shard dispatch: the flat study body plus
-/// the shard coordinates. The `serve` request parser reads the study
-/// back with [`ShardedStudy::from_value`] exactly as it reads a
-/// whole-study request, so the two request shapes cannot drift apart.
-struct ShardRequest<'a> {
-    study: &'a ShardedStudy,
-    shard_index: usize,
-    shard_count: usize,
-}
-
-impl Serialize for ShardRequest<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("ShardRequest", 8)?;
-        st.serialize_field("shard_index", &self.shard_index)?;
-        st.serialize_field("shard_count", &self.shard_count)?;
-        serialize_study_fields(&mut st, self.study)?;
-        st.end()
-    }
-}
-
-/// Version of the manifest layout; workers reject anything else.
-pub const MANIFEST_SCHEMA: u64 = 1;
-
-/// Everything one worker process needs: the full study, its shard
-/// coordinates, and the shared cache directory.
-#[derive(Clone, Debug)]
-pub struct Manifest {
-    /// The study, by source text.
-    pub study: ShardedStudy,
-    /// This worker's shard (0-based).
-    pub shard_index: usize,
-    /// Total shards the sorted job list is split into.
-    pub shard_count: usize,
-    /// Worker threads inside this shard (`None`: all cores).
-    pub threads: Option<usize>,
-    /// The shared result store.
-    pub cache_dir: PathBuf,
-}
 
 fn parse_adder_code(code: &str) -> Result<AdderArch, ShardError> {
     AdderArch::from_code(code).ok_or_else(|| invalid(format!("unknown adder code `{code}`")))
@@ -361,9 +325,9 @@ fn parse_adder_code(code: &str) -> Result<AdderArch, ShardError> {
 /// with the canonical-codec magic — the versioned [`Spec::to_canonical`]
 /// encoding. Generated specs (the fuzzer's `random_spec` output) have no
 /// DSL source, so coordinators ship them as canonical text and every
-/// worker process or `serve` endpoint reconstructs the identical spec
-/// here; `from_canonical(to_canonical(s)) == s`, so content keys agree
-/// across processes.
+/// `serve` endpoint reconstructs the identical spec here;
+/// `from_canonical(to_canonical(s)) == s`, so content keys agree across
+/// processes.
 pub fn parse_source(src: &str) -> Result<Spec, ShardError> {
     if src.trim_start().starts_with(bittrans_ir::canonical::MAGIC) {
         Spec::from_canonical(src).map_err(|e| invalid(e.to_string()))
@@ -372,43 +336,19 @@ pub fn parse_source(src: &str) -> Result<Spec, ShardError> {
     }
 }
 
-impl Serialize for Manifest {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Manifest", 11)?;
-        st.serialize_field("schema", &MANIFEST_SCHEMA)?;
-        st.serialize_field("shard_index", &self.shard_index)?;
-        st.serialize_field("shard_count", &self.shard_count)?;
-        st.serialize_field("threads", &self.threads)?;
-        st.serialize_field("cache_dir", &self.cache_dir.to_string_lossy().into_owned())?;
-        serialize_study_fields(&mut st, &self.study)?;
-        st.end()
-    }
-}
-
-/// Writes the six study-body fields into an in-progress JSON object —
-/// shared by the standalone [`ShardedStudy`] serialization (the `serve`
-/// request body) and the flat [`Manifest`] layout, so both spell the wire
-/// schema identically.
-fn serialize_study_fields<S: SerializeStruct>(
-    st: &mut S,
-    study: &ShardedStudy,
-) -> Result<(), S::Error> {
-    st.serialize_field("sources", &study.sources)?;
-    st.serialize_field("latencies", &study.latencies)?;
-    let archs: Option<Vec<String>> = study
-        .adder_archs
-        .as_ref()
-        .map(|archs| archs.iter().map(|a| a.code().to_string()).collect());
-    st.serialize_field("adder_archs", &archs)?;
-    st.serialize_field("balance", &study.balance)?;
-    st.serialize_field("verify_vectors", &study.verify_vectors)?;
-    st.serialize_field("base", &BaseOptions(&study.base))
-}
-
 impl Serialize for ShardedStudy {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut st = serializer.serialize_struct("ShardedStudy", 6)?;
-        serialize_study_fields(&mut st, self)?;
+        st.serialize_field("sources", &self.sources)?;
+        st.serialize_field("latencies", &self.latencies)?;
+        let archs: Option<Vec<String>> = self
+            .adder_archs
+            .as_ref()
+            .map(|archs| archs.iter().map(|a| a.code().to_string()).collect());
+        st.serialize_field("adder_archs", &archs)?;
+        st.serialize_field("balance", &self.balance)?;
+        st.serialize_field("verify_vectors", &self.verify_vectors)?;
+        st.serialize_field("base", &BaseOptions(&self.base))?;
         st.end()
     }
 }
@@ -445,80 +385,11 @@ fn optional<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
     }
 }
 
-impl Manifest {
-    /// The manifest as one line of JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("manifest serializes")
-    }
-
-    /// Parses a manifest produced by [`Manifest::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Invalid`] on malformed JSON, a missing field, or a
-    /// schema this build does not understand.
-    pub fn from_json(text: &str) -> Result<Self, ShardError> {
-        let value = serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
-        let schema = field(&value, "schema")?.as_u64();
-        if schema != Some(MANIFEST_SCHEMA) {
-            return Err(invalid(format!("unsupported manifest schema {schema:?}")));
-        }
-        // `from_value` defaults absent `latencies`/`base` for hand-written
-        // serve requests; a machine-written manifest always spells them
-        // out, so absence here is corruption or coordinator/worker version
-        // skew and silently running a default grid would persist results
-        // under the wrong study. Require them.
-        field(&value, "latencies")?;
-        field(&value, "base")?;
-        let study = ShardedStudy::from_value(&value)?;
-        let shard_index = as_usize(&value, "shard_index")?;
-        let shard_count = as_usize(&value, "shard_count")?;
-        if shard_count == 0 || shard_index >= shard_count {
-            return Err(invalid(format!("shard {shard_index} of {shard_count} is out of range")));
-        }
-        let threads = optional(&value, "threads")
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| invalid("manifest `threads` is not an unsigned integer"))
-            })
-            .transpose()?;
-        let cache_dir = PathBuf::from(
-            field(&value, "cache_dir")?
-                .as_str()
-                .ok_or_else(|| invalid("manifest `cache_dir` is not a string"))?,
-        );
-        Ok(Manifest { study, shard_index, shard_count, threads, cache_dir })
-    }
-
-    /// Reads a manifest file.
-    ///
-    /// # Errors
-    ///
-    /// I/O reading the file, or anything [`Manifest::from_json`] rejects.
-    pub fn read(path: &Path) -> Result<Self, ShardError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text)
-    }
-
-    /// This shard's slice of the study: the grid deduplicated, sorted by
-    /// key, and cut to the `shard_index`-th of `shard_count` ranges. Every
-    /// worker (and the coordinator) computes the same partition from the
-    /// same pure inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Invalid`] when a source does not parse.
-    pub fn jobs(&self) -> Result<Vec<Job>, ShardError> {
-        Ok(shard_slice(&self.study.study()?, self.shard_index, self.shard_count))
-    }
-}
-
 /// The `index`-th of `count` ranges of a study's key-sorted distinct job
-/// list — the slice one worker executes, whether that worker is a local
-/// `shard-worker` process (via [`Manifest::jobs`]) or a `serve` endpoint
-/// answering a shard request. An out-of-range `index` yields an empty
-/// slice; `count` of zero is treated as one.
+/// list — the slice a `serve` endpoint executes for a shard request.
+/// Every endpoint (and the coordinator) computes the same partition from
+/// the same pure inputs. An out-of-range `index` yields an empty slice;
+/// `count` of zero is treated as one.
 ///
 /// The cut is the same integer arithmetic [`partition`] performs,
 /// computed directly for the one requested range: a `serve` endpoint
@@ -562,82 +433,28 @@ fn sorted_distinct(study: &Study) -> Vec<Job> {
     jobs
 }
 
-/// A test-only fault injected into [`run_worker`]: process the shard one
-/// job at a time and stop — as if the process were killed — after
-/// `abort_after` jobs. Triggered by the CLI from the
-/// `BITTRANS_SHARD_FAULT` environment variable.
-#[derive(Clone, Copy, Debug)]
-pub struct Fault {
-    /// Jobs to complete (and spill) before dying.
-    pub abort_after: usize,
-}
-
-/// What a worker did: its engine statistics, how many jobs it finished,
-/// and whether an injected fault stopped it early.
-#[derive(Clone, Debug)]
-pub struct WorkerRun {
-    /// Statistics of the work actually performed.
-    pub stats: EngineStats,
-    /// Jobs completed (equals the shard size when not aborted).
-    pub completed: usize,
-    /// Whether an injected [`Fault`] stopped the shard early. The caller
-    /// is expected to exit abnormally so the coordinator sees a dead
-    /// worker.
-    pub aborted: bool,
-}
-
-/// Runs one shard: re-derives the job range from the manifest and pushes
-/// it through an [`Engine`] attached to the shared cache directory, so
-/// every successful comparison lands in the store. With a [`Fault`], jobs
-/// run one at a time (each spilled as it completes) and the run stops
-/// early — the harness hook for killing a worker mid-shard.
-///
-/// # Errors
-///
-/// [`ShardError`] on unusable manifests or an unusable cache directory —
-/// never on pipeline errors, which are per-job results like everywhere
-/// else.
-pub fn run_worker(manifest: &Manifest, fault: Option<Fault>) -> Result<WorkerRun, ShardError> {
-    let jobs = manifest.jobs()?;
-    let total = jobs.len();
-    let engine = Engine::new(EngineOptions { workers: manifest.threads, cache: true })
-        .with_cache_dir(&manifest.cache_dir)?;
-    let Some(fault) = fault else {
-        let batch = engine.run(jobs);
-        return Ok(WorkerRun { stats: batch.stats, completed: total, aborted: false });
-    };
-    let mut stats = EngineStats::zero();
-    let mut completed = 0;
-    for job in jobs {
-        if completed == fault.abort_after {
-            return Ok(WorkerRun { stats, completed, aborted: true });
-        }
-        stats.absorb(&engine.run(vec![job]).stats);
-        completed += 1;
-    }
-    Ok(WorkerRun { stats, completed, aborted: false })
-}
-
-/// Where shard work is dispatched: local worker processes or a fleet of
-/// remote `serve` endpoints. See the [module docs](self) for how the two
-/// transports share one merge and one recovery contract.
+/// Where the `serve` endpoints of a sharded run come from: started on
+/// this machine for the run, or a running remote fleet. See the
+/// [module docs](self): both dispatch, merge and recover identically.
 #[derive(Clone, Debug)]
 pub enum Transport {
-    /// Re-invoke the `bittrans` binary as one `shard-worker` process per
-    /// shard on this machine.
+    /// Start one `serve` child of the `bittrans` binary per shard on a
+    /// free loopback port, and shut the fleet down when the run ends.
     Local(LocalTransport),
-    /// Send each shard as a shard request to one of a fleet of
+    /// Send each shard as a shard request to one of a fleet of running
     /// `bittrans serve` endpoints sharing the coordinator's store.
     Remote(RemoteTransport),
 }
 
-/// The local process-spawn transport.
+/// The local transport: a `serve` fleet started for one run.
 #[derive(Clone, Debug)]
 pub struct LocalTransport {
-    /// The binary to re-invoke with `shard-worker <manifest>` — normally
-    /// `std::env::current_exe()` of the `bittrans` CLI.
+    /// The binary to start as `serve --addr 127.0.0.1:0 --cache-dir
+    /// <store>`, once per shard — normally `std::env::current_exe()` of
+    /// the `bittrans` CLI.
     pub worker_binary: PathBuf,
-    /// Worker threads per shard (`None`: all cores in every worker).
+    /// Worker threads per child, passed as `serve --jobs` (`None`: all
+    /// cores in every child).
     pub threads_per_worker: Option<usize>,
 }
 
@@ -652,11 +469,11 @@ pub struct RemoteTransport {
     pub endpoints: Vec<String>,
     /// Connect deadline and per-read deadline of every exchange. A
     /// stalled endpoint costs one timeout, never a hung coordinator —
-    /// but size it generously: endpoints serialize studies over one
-    /// engine, so when `shards` exceeds the fleet size a shard's
-    /// response waits behind the endpoint's earlier shards, and the
-    /// deadline must cover that queue wait **plus** the shard's own
-    /// compute (roughly shards-per-endpoint × per-shard time).
+    /// but size it generously: an endpoint's requests share its one fair
+    /// worker pool, so when `shards` exceeds the fleet size a shard's
+    /// response shares the endpoint's throughput with its sibling shards,
+    /// and the deadline must cover the whole share (roughly
+    /// shards-per-endpoint × per-shard time).
     pub timeout: Duration,
 }
 
@@ -681,35 +498,35 @@ pub struct ShardRun {
     /// the pools that ran, `elapsed` is coordinator wall clock.
     pub report: StudyReport,
     /// Per-shard statistics merged ([`EngineStats::merged`]) with the
-    /// coordinator's retry work. Jobs a dead worker finished but never
+    /// coordinator's retry work. Jobs a dead endpoint finished but never
     /// reported are absent — compare with `report.stats` to spot lost
     /// accounting.
     pub merged: EngineStats,
-    /// Each worker's own statistics (`None` for a shard that died or
-    /// produced no parseable stats line).
+    /// Each shard's statistics as its endpoint reported them (`None` for
+    /// a shard no endpoint completed).
     pub shard_stats: Vec<Option<EngineStats>>,
-    /// Who did the work: one entry per dispatch target that completed at
-    /// least one shard (a `host:port` endpoint, the `local` process
-    /// pool), plus a `coordinator` entry when gap-fill recomputation ran
-    /// — so the merged totals stay attributable per machine.
+    /// Who did the work: one entry per `host:port` endpoint that completed
+    /// at least one shard (for a local fleet, its `127.0.0.1:<port>`
+    /// children), plus a `coordinator` entry when gap-fill recomputation
+    /// ran — so the merged totals stay attributable per machine.
     pub endpoints: Vec<EndpointStats>,
-    /// Shards that exited abnormally or reported nothing.
+    /// Shards no endpoint completed.
     pub failed: Vec<usize>,
     /// Keys from failed shards' ranges that were absent from the store
-    /// after the workers finished and were recomputed in-process.
+    /// after the dispatch and were recomputed in-process.
     pub retried: Vec<JobKey>,
 }
 
-/// Runs `study` across `options.shards` worker processes sharing
-/// `cache_dir` as the result store, and reassembles the single-process
-/// report. See the [module docs](self) for the full protocol; the short
-/// version: partition → spawn → wait → merge stats → re-read the store →
-/// recompute whatever is missing (crashed-worker gaps and never-persisted
-/// pipeline errors) in-process.
+/// Runs `study` as `options.shards` shard requests to `serve` endpoints
+/// sharing `cache_dir` as the result store, and reassembles the
+/// single-process report. See the [module docs](self) for the full
+/// protocol; the short version: partition → dispatch → merge stats →
+/// re-read the store → recompute whatever is missing (failed-shard gaps
+/// and never-persisted pipeline errors) in-process.
 ///
-/// A crashed, killed or lying worker never fails the run — its range is
-/// detected as missing and retried locally — so the result is exactly as
-/// durable as a single-process run.
+/// A crashed, killed or lying endpoint never fails the run — whatever it
+/// left out of the store is recomputed locally — so the result is exactly
+/// as durable as a single-process run.
 ///
 /// # Errors
 ///
@@ -748,22 +565,18 @@ pub fn run_sharded(
     let preloaded: HashSet<JobKey> =
         sorted_keys.iter().copied().filter(|&key| store.load_job(key).is_some()).collect();
 
-    // Dispatch the shards through the configured transport. A shard that
+    // Dispatch the shards to the transport's endpoints. A shard that
     // cannot be dispatched at all is treated exactly like one that
     // crashed: its range is detected as missing and recomputed below.
-    let dispatch = if shards == 0 {
-        Dispatch::empty(0)
-    } else {
-        match &options.transport {
-            Transport::Local(local) => dispatch_local(sharded, shards, cache_dir, local)?,
-            Transport::Remote(remote) => dispatch_remote(sharded, shards, remote),
-        }
+    let dispatch = match &options.transport {
+        Transport::Local(local) => dispatch_local(sharded, shards, cache_dir, local),
+        Transport::Remote(remote) => dispatch_remote(sharded, shards, remote),
     };
     let Dispatch { shard_stats, mut endpoints, failed } = dispatch;
 
     // Re-read the shared store and detect gaps before the final batch: a
     // key from a failed shard's range with no loadable job file is work
-    // the dead worker never finished.
+    // no endpoint finished.
     let failed_keys: HashSet<JobKey> = failed
         .iter()
         .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
@@ -822,8 +635,8 @@ pub fn run_sharded(
         cache_entries: grid.distinct.len(),
         workers: merged.workers,
         elapsed: started.elapsed(),
-        // Stage work happened inside the shard processes (and the
-        // gap-fill batch); the merged endpoint stats carry it.
+        // Stage work happened inside the endpoints (and the gap-fill
+        // batch); the merged endpoint stats carry it.
         stage_hits: merged.stage_hits,
         stage_misses: merged.stage_misses,
     };
@@ -853,97 +666,122 @@ impl Dispatch {
     }
 }
 
-/// Local dispatch: write one manifest per shard and spawn one
-/// `shard-worker` re-invocation per shard, all pointed at the shared
-/// store; a worker's one-line stdout stats are its report.
-///
-/// # Errors
-///
-/// Creating the scratch directory or writing a manifest. Spawn failures
-/// are per-shard faults, not errors.
+/// How long one exchange with a local `serve` child may take. A crashed
+/// child closes its socket, so its failure shows as an immediate EOF,
+/// not as a wait: this deadline only bounds a child that hangs. A healthy
+/// child answers only once its whole shard has computed, which on a
+/// large grid takes far longer than [`proto::DEFAULT_TIMEOUT`], and
+/// abandoning it would just recompute the same range in the coordinator.
+const LOCAL_DEADLINE: Duration = Duration::from_secs(24 * 60 * 60);
+
+/// How long a local child may take to exit after acknowledging shutdown
+/// before it is killed. Every shard exchange has ended by then, so a
+/// healthy child exits within one idle poll.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
+
+/// Local dispatch: start one `serve` child per shard on a free loopback
+/// port over the shared store, dispatch to that fleet exactly as to a
+/// remote one, then shut it down.
 fn dispatch_local(
     sharded: &ShardedStudy,
     shards: usize,
     cache_dir: &Path,
     transport: &LocalTransport,
-) -> Result<Dispatch, ShardError> {
-    let scratch = cache_dir.join(".shards").join(format!("run-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch)?;
-    let mut children: Vec<(usize, io::Result<Child>)> = Vec::new();
-    for index in 0..shards {
-        let manifest = Manifest {
-            study: sharded.clone(),
-            shard_index: index,
-            shard_count: shards,
-            threads: transport.threads_per_worker,
-            cache_dir: cache_dir.to_path_buf(),
-        };
-        let path = scratch.join(format!("shard-{index}.json"));
-        std::fs::write(&path, manifest.to_json())?;
-        trace::event("shard.dispatch", |a| {
-            a.num("shard", index as u64).num("attempt", 0).str("endpoint", "local");
-        });
-        let child = Command::new(&transport.worker_binary)
-            .arg("shard-worker")
-            .arg(&path)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn();
-        children.push((index, child));
+) -> Dispatch {
+    let fleet = LocalFleet::start(transport, cache_dir, shards);
+    let remote = RemoteTransport { endpoints: fleet.endpoints(), timeout: LOCAL_DEADLINE };
+    let dispatch = dispatch_remote(sharded, shards, &remote);
+    fleet.shutdown();
+    dispatch
+}
+
+/// The `serve` children of one local run, each with the address it
+/// announced (`None`: it exited or printed no banner). Dropping the
+/// fleet kills and reaps every child, so an early return or a panic
+/// never leaks a process.
+struct LocalFleet {
+    children: Vec<(Child, Option<String>)>,
+}
+
+impl LocalFleet {
+    /// Spawns `count` children, then reads each one's banner; spawning
+    /// them all first lets them start up concurrently.
+    fn start(transport: &LocalTransport, cache_dir: &Path, count: usize) -> LocalFleet {
+        let mut fleet = LocalFleet { children: Vec::with_capacity(count) };
+        for _ in 0..count {
+            let mut command = Command::new(&transport.worker_binary);
+            command
+                .args(["serve", "--addr", "127.0.0.1:0", "--cache-dir"])
+                .arg(cache_dir)
+                // Serve's per-request logs would flood the coordinator's
+                // stderr, and every failure already surfaces as the
+                // dispatcher's own diagnostic.
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                // K children rewriting the coordinator's trace file would
+                // leave whichever flushed last.
+                .env_remove("BITTRANS_TRACE");
+            if let Some(threads) = transport.threads_per_worker {
+                command.arg("--jobs").arg(threads.to_string());
+            }
+            match command.spawn() {
+                Ok(child) => fleet.children.push((child, None)),
+                Err(e) => trace::diag(&format!(
+                    "local shard fleet: starting {}: {e}",
+                    transport.worker_binary.display()
+                )),
+            }
+        }
+        for (child, endpoint) in &mut fleet.children {
+            *endpoint = child.stdout.take().and_then(|stdout| {
+                let mut line = String::new();
+                BufReader::new(stdout).read_line(&mut line).ok()?;
+                serve::parse_banner(&line).map(str::to_string)
+            });
+            if endpoint.is_none() {
+                trace::diag(&format!(
+                    "local shard fleet: serve child {} exited or printed no banner",
+                    child.id()
+                ));
+            }
+        }
+        fleet
     }
 
-    let mut dispatch = Dispatch::empty(shards);
-    for (index, child) in children {
-        let output = child.and_then(Child::wait_with_output);
-        match output {
-            Ok(out) if out.status.success() => {
-                match proto::stats_line(&String::from_utf8_lossy(&out.stdout)) {
-                    Some(stats) => {
-                        trace::event("shard.served", |a| {
-                            a.num("shard", index as u64)
-                                .str("endpoint", "local")
-                                .num("jobs", stats.jobs);
-                        });
-                        dispatch.shard_stats[index] = Some(stats);
-                    }
-                    None => {
-                        trace::event("shard.fallback", |a| {
-                            a.num("shard", index as u64)
-                                .str("endpoint", "local")
-                                .str("error", "no stats line");
-                        });
-                        dispatch.failed.push(index);
-                    }
-                }
-            }
-            _ => {
-                trace::event("shard.fallback", |a| {
-                    a.num("shard", index as u64)
-                        .str("endpoint", "local")
-                        .str("error", "worker exited abnormally");
-                });
-                dispatch.failed.push(index);
+    /// The announced endpoints, in spawn order.
+    fn endpoints(&self) -> Vec<String> {
+        self.children.iter().filter_map(|(_, endpoint)| endpoint.clone()).collect()
+    }
+
+    /// Asks every announced child to shut down and gives them
+    /// [`SHUTDOWN_GRACE`] to exit; the drop then kills whatever is left
+    /// and reaps every child.
+    fn shutdown(mut self) {
+        for endpoint in self.endpoints() {
+            let _ = proto::LineClient::connect(&endpoint, SHUTDOWN_GRACE)
+                .and_then(|mut client| client.request("{\"shutdown\":true}"));
+        }
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        for (child, _) in self.children.iter_mut().filter(|(_, endpoint)| endpoint.is_some()) {
+            while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let completed: Vec<usize> =
-        (0..shards).filter(|&index| dispatch.shard_stats[index].is_some()).collect();
-    if !completed.is_empty() {
-        dispatch.endpoints.push(EndpointStats {
-            endpoint: "local".to_string(),
-            stats: EngineStats::merged(
-                completed.iter().filter_map(|&index| dispatch.shard_stats[index].as_ref()),
-            ),
-            shards: completed,
-        });
-    }
-    Ok(dispatch)
 }
 
-/// Remote dispatch: one thread per shard walks the endpoint ring from
+impl Drop for LocalFleet {
+    fn drop(&mut self) {
+        for (child, _) in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Dispatch to a `serve` fleet, remote or started by [`dispatch_local`]:
+/// one thread per shard walks the endpoint ring from
 /// the shard's round-robin home, trying each endpoint at most once,
 /// until a shard request succeeds or the fleet is exhausted. Every
 /// failure is logged to stderr and absorbed — the coordinator's gap-fill
@@ -1048,8 +886,7 @@ fn request_shard(
     shard_count: usize,
     timeout: Duration,
 ) -> Result<EngineStats, String> {
-    let request = ShardRequest { study, shard_index, shard_count };
-    let line = serde_json::to_string(&request).expect("shard request serializes");
+    let line = study.shard_request(shard_index, shard_count);
     let mut client =
         proto::LineClient::connect(endpoint, timeout).map_err(|e| format!("connect: {e}"))?;
     let reply = client.request(&line).map_err(|e| e.to_string())?;
@@ -1114,27 +951,5 @@ mod tests {
         for bad in ["", " , ", "a:1,", "nohost", "h:0", "h:notaport", "a:1,,b:2"] {
             assert!(parse_endpoints(bad).is_err(), "`{bad}` should not parse");
         }
-    }
-
-    #[test]
-    fn shard_requests_serialize_with_coords_and_study_body() {
-        let study = ShardedStudy {
-            sources: vec!["spec s { input a: u4; output o = a; }".to_string()],
-            latencies: vec![2, 3],
-            adder_archs: None,
-            balance: None,
-            verify_vectors: None,
-            base: CompareOptions::default(),
-        };
-        let line =
-            serde_json::to_string(&ShardRequest { study: &study, shard_index: 1, shard_count: 3 })
-                .unwrap();
-        assert!(line.contains("\"shard_index\":1"), "{line}");
-        assert!(line.contains("\"shard_count\":3"), "{line}");
-        // The study body reads back through the same parser serve uses.
-        let value = serde_json::from_str(&line).unwrap();
-        let back = ShardedStudy::from_value(&value).unwrap();
-        assert_eq!(back.sources, study.sources);
-        assert_eq!(back.latencies, study.latencies);
     }
 }

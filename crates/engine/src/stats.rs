@@ -154,15 +154,15 @@ impl fmt::Display for EngineStats {
 /// Attribution of one dispatch target's share of a multi-process run:
 /// which shards it served and the merged [`EngineStats`] of that work.
 /// A sharded run ([`crate::shard::run_sharded`]) reports one of these per
-/// endpoint that did work — the `serve` endpoints of a `Remote`
-/// transport, the `local` worker-process pool of a `Local` one, and the
-/// `coordinator` itself when gap-fill recomputation ran — so the merged
+/// endpoint that did work — the `serve` endpoints, remote or started
+/// locally for the run, and the `coordinator` itself when gap-fill
+/// recomputation ran — so the merged
 /// totals stay auditable: every job in the sum can be pointed at the
 /// machine that ran it.
 #[derive(Clone, Debug)]
 pub struct EndpointStats {
-    /// Who did the work: a `host:port` endpoint, `local` for worker
-    /// processes, or `coordinator` for in-process gap-fill.
+    /// Who did the work: a `host:port` endpoint, or `coordinator` for
+    /// in-process gap-fill.
     pub endpoint: String,
     /// The shard indices this endpoint completed.
     pub shards: Vec<usize>,

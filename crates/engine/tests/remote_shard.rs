@@ -8,8 +8,9 @@
 //! state — modulo the wall-clock `elapsed_ms` and the pool-shape
 //! `workers` count — and that identity must survive every injected
 //! network fault: an endpoint dead on arrival, a connection dropped
-//! mid-response, a garbage reply, and an endpoint that accepts and then
-//! stalls past the read deadline. Each scenario must end in a correct
+//! mid-response, a garbage reply, an endpoint that accepts and then
+//! stalls past the read deadline, and one that lies — answering success
+//! without computing anything. Each scenario must end in a correct
 //! report via retry or in-process gap-fill — never a hang or a panic —
 //! and each synchronizes on connection state or bounded timeouts, never
 //! on sleeps.
@@ -18,12 +19,13 @@ mod support;
 
 use bittrans_core::CompareOptions;
 use bittrans_engine::shard::{
-    assign_round_robin, partition, run_sharded, RemoteTransport, ShardOptions, ShardedStudy,
-    Transport,
+    assign_round_robin, partition, run_sharded, shard_slice, RemoteTransport, ShardOptions,
+    ShardedStudy, Transport,
 };
-use bittrans_engine::{proto, Engine, StudyReport};
+use bittrans_engine::{proto, Engine, Job, JobKey, StudyReport};
 use bittrans_rtl::AdderArch;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -81,13 +83,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn remote(endpoints: Vec<String>, shards: usize, timeout: Duration) -> ShardOptions {
     ShardOptions { shards, transport: Transport::Remote(RemoteTransport { endpoints, timeout }) }
-}
-
-/// A raw shard request line: the study body plus the shard coordinates,
-/// spelled exactly as the coordinator spells them.
-fn shard_request(sharded: &ShardedStudy, index: usize, count: usize) -> String {
-    let body = serde_json::to_string(sharded).unwrap();
-    format!("{{\"shard_index\":{index},\"shard_count\":{count},{}", &body[1..])
 }
 
 proptest! {
@@ -277,6 +272,56 @@ fn exhausted_fleet_falls_back_to_in_process_gap_fill() {
     assert_eq!(run.endpoints[0].stats.jobs, distinct_jobs(&sharded) as u64);
 }
 
+/// Fault (e): an endpoint that lies — a well-formed `ok` reply with
+/// plausible stats for every shard, but nothing computed. The store, not
+/// the reply, is the result channel: the coordinator finds every key
+/// missing, computes it, and the report stays byte-identical.
+#[test]
+fn lying_endpoint_cannot_change_the_report() {
+    let sharded = study();
+    let dir = temp_dir("liar");
+    let endpoints = vec![fault_endpoint(Fault::Lying)];
+    let run = run_sharded(&sharded, &dir, &remote(endpoints, 2, TIMEOUT)).unwrap();
+
+    assert!(run.failed.is_empty(), "the lie is a well-formed success");
+    assert_eq!(normalized(&run.report), normalized(&cold_reference(&sharded)));
+    let distinct = distinct_jobs(&sharded) as u64;
+    assert_eq!(run.report.stats.cache_hits, 0);
+    assert_eq!(run.report.stats.cache_misses, distinct);
+    assert!(run.report.cells.iter().all(|cell| !cell.from_cache));
+}
+
+/// A partial store plus a fleet that drops every response: part of shard
+/// 0's range is already stored, every shard exhausts the fleet, and the
+/// coordinator recomputes exactly the absent keys. The report — the
+/// `from_cache` flags included — equals a single-process run over an
+/// identical partial store.
+#[test]
+fn exhausted_fleet_over_a_partial_store_recomputes_exactly_the_gaps() {
+    let sharded = study();
+    let parsed = sharded.study().unwrap();
+    let prefilled: Vec<Job> = shard_slice(&parsed, 0, 2)[..2].to_vec();
+    let (dir_a, dir_b) = (temp_dir("partial_a"), temp_dir("partial_b"));
+    for dir in [&dir_a, &dir_b] {
+        let batch = Engine::default().with_cache_dir(dir).unwrap().run(prefilled.clone());
+        assert!(batch.outcomes.iter().all(|outcome| outcome.result.is_ok()));
+    }
+    let endpoints = vec![fault_endpoint(Fault::DropMidResponse)];
+    let run = run_sharded(&sharded, &dir_a, &remote(endpoints, 2, TIMEOUT)).unwrap();
+
+    assert_eq!(run.failed, vec![0, 1]);
+    let stored: HashSet<JobKey> = prefilled.iter().map(Job::key).collect();
+    let mut absent: Vec<JobKey> =
+        parsed.distinct_jobs().iter().map(Job::key).filter(|key| !stored.contains(key)).collect();
+    absent.sort();
+    assert_eq!(run.retried, absent, "retried is exactly the absent keys");
+    let reference = parsed.run(&Engine::default().with_cache_dir(&dir_b).unwrap());
+    assert_eq!(normalized(&run.report), normalized(&reference));
+    for cell in &run.report.cells {
+        assert_eq!(cell.from_cache, stored.contains(&cell.key), "{}", cell.key);
+    }
+}
+
 /// The latent-timeout regression (the `client` path once read responses
 /// with no deadline): a listener that accepts and never writes must cost
 /// the shared codec one bounded `TimedOut` error, not a hang.
@@ -345,7 +390,7 @@ fn shard_requests_validate_coords_and_need_a_store() {
     let index_only = format!("{{\"shard_index\":0,{}", &body[1..]);
     let reply = client.request(&index_only).unwrap();
     assert!(reply.contains("must be given together"), "{reply}");
-    let reply = client.request(&shard_request(&sharded, 5, 2)).unwrap();
+    let reply = client.request(&sharded.shard_request(5, 2)).unwrap();
     assert!(reply.contains("out of range"), "{reply}");
     let ill_typed = format!("{{\"shard_index\":\"x\",\"shard_count\":2,{}", &body[1..]);
     let reply = client.request(&ill_typed).unwrap();
@@ -353,7 +398,7 @@ fn shard_requests_validate_coords_and_need_a_store() {
     // An absurd shard_count must cost one error response, never the
     // service (it once reached partition(), which materializes one
     // range per shard — an allocation a hostile request controlled).
-    let reply = client.request(&shard_request(&sharded, 0, 1 << 40)).unwrap();
+    let reply = client.request(&sharded.shard_request(0, 1 << 40)).unwrap();
     assert!(reply.contains("exceeds"), "{reply}");
     drop(client);
     let stats = fleet.shutdown();
@@ -365,7 +410,7 @@ fn shard_requests_validate_coords_and_need_a_store() {
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     let mut client = proto::LineClient::connect(&addr, TIMEOUT).unwrap();
-    let reply = client.request(&shard_request(&sharded, 0, 2)).unwrap();
+    let reply = client.request(&sharded.shard_request(0, 2)).unwrap();
     assert!(reply.contains("--cache-dir"), "{reply}");
     let reply = client.request("{\"shutdown\": true}").unwrap();
     assert!(reply.contains("\"shutdown\":true"), "{reply}");
@@ -386,7 +431,7 @@ fn shard_request_runs_the_range_and_fills_the_store() {
 
     let mut client = proto::LineClient::connect(&fleet.endpoints[0], TIMEOUT).unwrap();
     for (index, &size) in expected.iter().enumerate() {
-        let reply = client.request(&shard_request(&sharded, index, 2)).unwrap();
+        let reply = client.request(&sharded.shard_request(index, 2)).unwrap();
         assert!(reply.starts_with("{\"ok\":true,"), "{reply}");
         assert!(reply.contains(&format!("\"shard_index\":{index}")), "{reply}");
         let value = serde_json::from_str(&reply).unwrap();

@@ -3,24 +3,22 @@
 //! * **partitioning is total and disjoint** — property tests over random
 //!   job lists and shard counts: every key lands in exactly one shard and
 //!   the union of the shards is the input;
-//! * **manifests roundtrip** — a worker rebuilt from `Manifest::to_json`
-//!   derives the identical job slice;
-//! * **the coordinator survives dead and lying workers** — with a worker
-//!   binary that exits nonzero (`false`), exits zero without doing any
-//!   work (`true`), or left only a partial shard behind (an in-process
-//!   [`run_worker`] with an injected fault), the assembled report is
-//!   bit-identical to the single-process run.
+//! * **shard requests roundtrip** — a request serialized by the
+//!   coordinator re-derives the identical job slice on the serve side;
+//! * **the coordinator survives a local fleet that never starts** — with
+//!   a worker binary that exits nonzero (`false`) or exits zero without a
+//!   banner (`true`), over a cold, warm or corrupt store, the assembled
+//!   report is bit-identical to the single-process run.
 
 use bittrans_core::CompareOptions;
 use bittrans_engine::shard::{
-    partition, run_sharded, run_worker, Fault, LocalTransport, Manifest, ShardOptions,
-    ShardedStudy, Transport,
+    partition, run_sharded, shard_slice, LocalTransport, ShardOptions, ShardedStudy, Transport,
 };
-use bittrans_engine::{Engine, JobKey, StudyReport};
+use bittrans_engine::{Engine, EngineOptions, JobKey, StudyReport};
 use bittrans_rtl::AdderArch;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A tiny deterministic generator (xorshift64*) so perturbations are
 /// reproducible from the proptest-drawn seed alone.
@@ -82,13 +80,18 @@ fn random_study(seed: u64) -> ShardedStudy {
     }
 }
 
-fn manifest(study: &ShardedStudy, index: usize, count: usize, dir: &std::path::Path) -> Manifest {
-    Manifest {
-        study: study.clone(),
-        shard_index: index,
-        shard_count: count,
-        threads: Some(1),
-        cache_dir: dir.to_path_buf(),
+/// The keys of one shard's slice, in slice order.
+fn slice_keys(study: &ShardedStudy, index: usize, count: usize) -> Vec<JobKey> {
+    shard_slice(&study.study().unwrap(), index, count).iter().map(|j| j.key()).collect()
+}
+
+/// Runs shards `indices` of `count` in-process over `dir`, filling the
+/// store exactly as the shard requests of a healthy fleet would.
+fn fill_store(study: &ShardedStudy, indices: std::ops::Range<usize>, count: usize, dir: &Path) {
+    let engine =
+        Engine::new(EngineOptions { workers: Some(1), cache: true }).with_cache_dir(dir).unwrap();
+    for index in indices {
+        engine.run(shard_slice(&study.study().unwrap(), index, count));
     }
 }
 
@@ -139,14 +142,13 @@ proptest! {
     #[test]
     fn prop_shards_cover_every_key_exactly_once(seed in 0u64..500, shards in 1usize..9) {
         let study = random_study(seed);
-        let dir = PathBuf::from("/nonexistent-unused");
         let all = sorted_keys(&study);
         let mut seen: Vec<JobKey> = Vec::new();
         let mut per_shard: Vec<HashSet<JobKey>> = Vec::new();
         for index in 0..shards {
-            let jobs = manifest(&study, index, shards, &dir).jobs().unwrap();
-            let keys: HashSet<JobKey> = jobs.iter().map(|j| j.key()).collect();
-            prop_assert_eq!(keys.len(), jobs.len(), "a shard never repeats a key");
+            let slice = slice_keys(&study, index, shards);
+            let keys: HashSet<JobKey> = slice.iter().copied().collect();
+            prop_assert_eq!(keys.len(), slice.len(), "a shard never repeats a key");
             seen.extend(keys.iter().copied());
             per_shard.push(keys);
         }
@@ -161,52 +163,25 @@ proptest! {
         prop_assert_eq!(seen, all);
     }
 
-    /// A manifest shipped through JSON re-derives the identical job slice.
+    /// A shard request read back the way `serve` reads it — study body
+    /// through `ShardedStudy::from_value`, coordinates off the object —
+    /// re-derives the identical job slice.
     #[test]
-    fn prop_manifest_roundtrips_through_json(seed in 0u64..300, shards in 1usize..5) {
+    fn prop_shard_requests_rederive_the_slice(seed in 0u64..300, shards in 1usize..5) {
         let study = random_study(seed);
-        let dir = PathBuf::from("/tmp/anywhere");
         for index in 0..shards {
-            let original = manifest(&study, index, shards, &dir);
-            let back = Manifest::from_json(&original.to_json()).unwrap();
-            prop_assert_eq!(back.shard_index, index);
-            prop_assert_eq!(back.shard_count, shards);
-            prop_assert_eq!(back.threads, Some(1));
-            prop_assert_eq!(&back.cache_dir, &dir);
+            let value: serde_json::Value =
+                serde_json::from_str(&study.shard_request(index, shards)).unwrap();
+            let coord = |key: &str| value.get(key).and_then(|v| v.as_u64()).unwrap() as usize;
+            prop_assert_eq!((coord("shard_index"), coord("shard_count")), (index, shards));
+            let back = ShardedStudy::from_value(&value).unwrap();
             prop_assert_eq!(
-                back.study.base.timing.delta_ns.to_bits(),
+                back.base.timing.delta_ns.to_bits(),
                 study.base.timing.delta_ns.to_bits()
             );
-            let a: Vec<JobKey> = original.jobs().unwrap().iter().map(|j| j.key()).collect();
-            let b: Vec<JobKey> = back.jobs().unwrap().iter().map(|j| j.key()).collect();
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(slice_keys(&back, index, shards), slice_keys(&study, index, shards));
         }
     }
-}
-
-#[test]
-fn manifest_rejects_garbage() {
-    assert!(Manifest::from_json("not json").is_err());
-    assert!(Manifest::from_json("{}").is_err());
-    assert!(Manifest::from_json("{\"schema\": 999}").is_err());
-    // The serve request reader defaults absent `latencies`/`base`, but a
-    // manifest missing either is version skew or corruption — running a
-    // default grid instead would persist results under the wrong study.
-    let complete = manifest(&random_study(7), 0, 2, &PathBuf::from("/tmp/x")).to_json();
-    for required in ["\"latencies\":", "\"base\":"] {
-        let start = complete.find(required).unwrap();
-        let renamed = format!(
-            "{}\"dropped_{}",
-            &complete[..start],
-            &complete[start + 1..] // rename the field: value stays valid JSON
-        );
-        assert!(Manifest::from_json(&renamed).is_err(), "manifest without {required} was accepted");
-    }
-    // Out-of-range shard coordinates are caught at parse time.
-    let study = random_study(1);
-    let mut good = manifest(&study, 0, 2, &PathBuf::from("/tmp/x"));
-    good.shard_index = 5;
-    assert!(Manifest::from_json(&good.to_json()).is_err());
 }
 
 fn reference_report(study: &ShardedStudy) -> StudyReport {
@@ -224,11 +199,12 @@ fn options(worker_binary: &str, shards: usize) -> ShardOptions {
 }
 
 #[test]
-fn coordinator_recovers_when_every_worker_dies() {
+fn fleet_that_fails_to_start_is_recomputed_in_process() {
     let study = random_study(42);
     let dir = temp_dir("all_dead");
-    // `false` exits 1 immediately: every shard fails, nothing reaches the
-    // store, and the coordinator must retry the full job list in-process.
+    // `false` exits 1 before printing a banner: the fleet has no
+    // endpoints, every shard fails, nothing reaches the store, and the
+    // coordinator must retry the full job list in-process.
     let run = run_sharded(&study, &dir, &options("false", 3)).unwrap();
     let distinct = study.study().unwrap().distinct_jobs().len();
     assert_eq!(run.failed.len(), run.shard_stats.len());
@@ -244,13 +220,14 @@ fn coordinator_recovers_when_every_worker_dies() {
 }
 
 #[test]
-fn coordinator_recovers_from_a_lying_worker() {
+fn fleet_that_exits_without_a_banner_is_recomputed_in_process() {
     let study = random_study(43);
-    let dir = temp_dir("liar");
-    // `true` exits 0 without writing results or printing stats: the shard
-    // is treated as failed and its range recomputed.
+    let dir = temp_dir("no_banner");
+    // `true` exits 0 without printing a banner: a clean exit is no more
+    // an endpoint than a crash, so every shard is recomputed.
     let run = run_sharded(&study, &dir, &options("true", 2)).unwrap();
-    assert!(!run.failed.is_empty());
+    assert_eq!(run.failed, vec![0, 1]);
+    assert_eq!(run.retried.len(), study.study().unwrap().distinct_jobs().len());
     assert_eq!(cells_json(&run.report), cells_json(&reference_report(&study)));
 }
 
@@ -259,14 +236,11 @@ fn workers_fill_the_store_and_the_coordinator_reassembles_it() {
     let study = random_study(44);
     let dir = temp_dir("warm");
     // Run every shard in-process first — the store ends up fully
-    // populated, exactly as if real worker processes had run.
-    for index in 0..2 {
-        let run = run_worker(&manifest(&study, index, 2, &dir), None).unwrap();
-        assert!(!run.aborted);
-    }
-    // The coordinator's workers all "fail" (`true` does nothing), but the
-    // store already holds every comparison: nothing is retried, and every
-    // cell reports from_cache.
+    // populated, exactly as if a healthy fleet had run.
+    fill_store(&study, 0..2, 2, &dir);
+    // The coordinator's fleet never starts (`true` prints no banner), but
+    // the store already holds every comparison: nothing is retried, and
+    // every cell reports from_cache.
     let run = run_sharded(&study, &dir, &options("true", 2)).unwrap();
     assert!(run.retried.is_empty());
     assert!(run.report.cells.iter().all(|c| c.from_cache));
@@ -278,33 +252,12 @@ fn workers_fill_the_store_and_the_coordinator_reassembles_it() {
 }
 
 #[test]
-fn injected_fault_leaves_a_partial_shard_the_coordinator_completes() {
-    let study = random_study(45);
-    let distinct = study.study().unwrap().distinct_jobs().len();
-    assert!(distinct >= 2, "study too small to abort mid-shard");
-    // Two identical partial stores: shard 0 of 1 dies after one job.
-    let (dir_a, dir_b) = (temp_dir("fault_a"), temp_dir("fault_b"));
-    for dir in [&dir_a, &dir_b] {
-        let run = run_worker(&manifest(&study, 0, 1, dir), Some(Fault { abort_after: 1 })).unwrap();
-        assert!(run.aborted);
-        assert_eq!(run.completed, 1);
-    }
-    // Coordinator over the partial store: the missing tail is recomputed
-    // and the report matches a single-process run over the same state.
-    let run = run_sharded(&study, &dir_a, &options("true", 1)).unwrap();
-    let warm = Engine::default().with_cache_dir(&dir_b).unwrap();
-    let reference = study.study().unwrap().run(&warm);
-    assert_eq!(cells_json(&run.report), cells_json(&reference));
-    assert_eq!(run.report.stats.jobs, distinct as u64);
-}
-
-#[test]
 fn corrupt_preloaded_entry_does_not_break_bit_identity() {
     let study = random_study(47);
     // Two identical warm stores...
     let (dir_a, dir_b) = (temp_dir("corrupt_a"), temp_dir("corrupt_b"));
     for dir in [&dir_a, &dir_b] {
-        run_worker(&manifest(&study, 0, 1, dir), None).unwrap();
+        fill_store(&study, 0..1, 1, dir);
     }
     // ...each with the same job file overwritten with garbage of the
     // same length.
@@ -326,14 +279,4 @@ fn corrupt_preloaded_entry_does_not_break_bit_identity() {
     let victim_cell =
         run.report.cells.iter().find(|cell| cell.key == victim_key).expect("victim in grid");
     assert!(!victim_cell.from_cache, "a corrupt entry is not a cache hit");
-}
-
-#[test]
-fn fault_with_a_high_threshold_never_fires() {
-    let study = random_study(46);
-    let dir = temp_dir("no_fault");
-    let run =
-        run_worker(&manifest(&study, 0, 1, &dir), Some(Fault { abort_after: usize::MAX })).unwrap();
-    assert!(!run.aborted);
-    assert_eq!(run.stats.cache_hits + run.stats.cache_misses, run.stats.jobs);
 }

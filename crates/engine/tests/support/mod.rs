@@ -1,6 +1,6 @@
 //! In-process server harness for the network suites: a fleet of real
 //! [`Server`]s on port-0 loopback listeners sharing one cache directory,
-//! plus fault endpoints that refuse, drop, garble or stall — each a
+//! plus fault endpoints that refuse, drop, garble, stall or lie — each a
 //! deterministic stand-in for one way a network dispatch dies. No sleeps
 //! anywhere: every scenario synchronizes on connection state (accept,
 //! EOF) or on the client's own bounded timeout.
@@ -75,6 +75,10 @@ pub enum Fault {
     /// client gives up and closes it (EOF), so the scenario needs no
     /// sleeps to stay deterministic.
     Stall,
+    /// Answer a well-formed `ok` shard reply, echoing the request's
+    /// coordinates with plausible stats, without computing anything: a
+    /// reply the coordinator cannot tell from a real one.
+    Lying,
 }
 
 /// Starts a listener that serves `fault` to every connection it ever
@@ -103,6 +107,25 @@ pub fn fault_endpoint(fault: Fault) -> String {
                     Fault::Stall => {
                         let mut sink = [0u8; 64];
                         while matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
+                    }
+                    Fault::Lying => {
+                        let coords = serde_json::from_str(&request)
+                            .ok()
+                            .and_then(|value| {
+                                let coord = |key| value.get(key)?.as_u64();
+                                Some((coord("shard_index")?, coord("shard_count")?))
+                            })
+                            .unwrap_or((0, 1));
+                        let reply = format!(
+                            "{{\"ok\":true,\"shard_index\":{},\"shard_count\":{},\
+                             \"service\":{{\"requests\":1}},\"stats\":{{\"jobs\":4,\
+                             \"cache_hits\":0,\"cache_misses\":4,\"hit_rate_pct\":0.0,\
+                             \"cache_entries\":4,\"workers\":1,\"elapsed_ms\":12.5,\
+                             \"stage_hits\":0,\"stage_misses\":36}}}}\n",
+                            coords.0, coords.1
+                        );
+                        let _ = stream.write_all(reply.as_bytes());
+                        let _ = stream.flush();
                     }
                 }
             });

@@ -79,7 +79,7 @@ impl AdderArch {
     }
 
     /// The stable short code (`rca` | `cla` | `csel`) used by the CLI
-    /// flags, VHDL entity names and on-disk shard manifests — the single
+    /// flags, VHDL entity names and shard requests — the single
     /// source of truth for the textual form of this enum.
     pub fn code(self) -> &'static str {
         match self {

@@ -32,22 +32,19 @@
 //! persists results on disk, so a repeated invocation over the same inputs
 //! is served entirely from cache.
 //!
-//! `explore --shards K` runs the grid across K worker processes sharing
-//! the cache directory (an automatically cleaned temporary one when
-//! `--cache-dir` is not given); the printed report is bit-identical to the
-//! single-process run, and `--jobs` then caps total threads across all
-//! workers. `explore --workers host:port,host:port` dispatches the shards
-//! to running `bittrans serve` endpoints instead (round-robin, retrying a
-//! failed endpoint's shard on the next one, recomputing in-process
-//! whatever the fleet never delivered); it requires `--cache-dir` — the
-//! store the whole fleet shares — composes with `--shards K` (default:
-//! one shard per endpoint), and bounds every exchange by `--timeout`.
-//! `cache prune` sweeps a cache directory down to a size/age budget,
-//! oldest files first. The hidden `shard-worker <manifest>` subcommand
-//! is the re-invocation target of the sharding coordinator; the
-//! `BITTRANS_SHARD_FAULT=INDEX:AFTER` environment variable makes that
-//! worker abort after `AFTER` jobs (the fault-injection hook used by the
-//! test harness).
+//! `explore --shards K` runs the grid across K `bittrans serve` children
+//! of this binary, started on free loopback ports over the cache directory
+//! (an automatically cleaned temporary one when `--cache-dir` is not
+//! given) and shut down afterwards; the printed report is bit-identical to
+//! the single-process run, and `--jobs` then caps total threads across all
+//! children. `explore --workers host:port,host:port` dispatches the shards
+//! to running `bittrans serve` endpoints instead; both send the same shard
+//! requests (round-robin, retrying a failed endpoint's shard on the next
+//! one, recomputing in-process whatever the fleet never delivered).
+//! `--workers` requires `--cache-dir` — the store the whole fleet shares —
+//! composes with `--shards K` (default: one shard per endpoint), and
+//! bounds every exchange by `--timeout`. `cache prune` sweeps a cache
+//! directory down to a size/age budget, oldest files first.
 //!
 //! Every subcommand can write a structured execution trace — one JSON
 //! line per span or event, see `bittrans_engine::trace` — to a file given
@@ -444,6 +441,7 @@ fn finish_explore(report: &StudyReport, json: bool) -> Result<(), String> {
 }
 
 fn run_explore(args: &Args, options: &CompareOptions) -> Result<(), String> {
+    warn_timeout_without_workers(args);
     if args.shards.is_some() || args.workers.is_some() {
         return run_explore_sharded(args, options);
     }
@@ -460,10 +458,8 @@ fn run_explore(args: &Args, options: &CompareOptions) -> Result<(), String> {
     finish_explore(&report, args.json)
 }
 
-/// `explore --shards K`: the same grid, run by K worker processes sharing
-/// one cache directory, reassembled into the identical report.
 /// The explore-shaped grid as transportable source text — what a shard
-/// manifest embeds and what `client` sends as a serve request. One
+/// request embeds and what `client` sends as a serve request. One
 /// builder for both, so the two front ends cannot drift apart.
 fn sharded_study(args: &Args, options: &CompareOptions) -> Result<shard::ShardedStudy, String> {
     let sources = collect_spec_paths(&args.files)?
@@ -480,6 +476,20 @@ fn sharded_study(args: &Args, options: &CompareOptions) -> Result<shard::Sharded
     })
 }
 
+/// `--timeout` bounds remote exchanges only: a local `serve` child runs
+/// until its shard finishes, so say so instead of dropping the flag.
+fn warn_timeout_without_workers(args: &Args) {
+    if args.timeout.is_some() && args.workers.is_none() {
+        eprintln!(
+            "warning: --timeout has no effect without --workers; local shard workers \
+             run until their shard finishes"
+        );
+    }
+}
+
+/// `explore --shards K` / `--workers`: the same grid, dispatched as shard
+/// requests to `serve` endpoints sharing one cache directory, reassembled
+/// into the identical report.
 fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), String> {
     let study = sharded_study(args, options)?;
     let (transport, shards) = match &args.workers {
@@ -536,10 +546,8 @@ fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), Stri
             None => eprintln!("shard {index}/{}: failed", run.shard_stats.len()),
         }
     }
-    if args.workers.is_some() {
-        for endpoint in &run.endpoints {
-            eprintln!("{endpoint}");
-        }
+    for endpoint in &run.endpoints {
+        eprintln!("{endpoint}");
     }
     if !run.retried.is_empty() {
         eprintln!(
@@ -549,38 +557,6 @@ fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), Stri
         );
     }
     finish_explore(&run.report, args.json)
-}
-
-/// The hidden coordinator re-invocation target: run one shard's manifest,
-/// print the worker's `EngineStats` as one JSON line. The
-/// `BITTRANS_SHARD_FAULT=INDEX:AFTER` environment variable aborts shard
-/// INDEX after AFTER jobs — the fault-injection hook the test harness uses
-/// to model a worker killed mid-shard.
-fn run_shard_worker(args: &Args) -> Result<(), String> {
-    let manifest = shard::Manifest::read(Path::new(&args.files[0])).map_err(|e| e.to_string())?;
-    let fault = match std::env::var("BITTRANS_SHARD_FAULT") {
-        Err(_) => None,
-        Ok(spec) => {
-            let (index, after) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("bad BITTRANS_SHARD_FAULT `{spec}` (want INDEX:AFTER)"))?;
-            let index: usize =
-                index.parse().map_err(|e| format!("bad BITTRANS_SHARD_FAULT index: {e}"))?;
-            let after: usize =
-                after.parse().map_err(|e| format!("bad BITTRANS_SHARD_FAULT count: {e}"))?;
-            (index == manifest.shard_index).then_some(shard::Fault { abort_after: after })
-        }
-    };
-    let run = shard::run_worker(&manifest, fault).map_err(|e| e.to_string())?;
-    if run.aborted {
-        eprintln!(
-            "shard {}: injected fault after {} job(s), aborting",
-            manifest.shard_index, run.completed
-        );
-        std::process::exit(134);
-    }
-    println!("{}", serde_json::to_string(&run.stats).map_err(|e| e.to_string())?);
-    Ok(())
 }
 
 /// `serve`: the long-lived study service — one warm engine, newline-
@@ -600,9 +576,10 @@ fn run_serve(args: &Args) -> Result<(), String> {
         max_inflight: serve::DEFAULT_MAX_INFLIGHT,
     };
     let server = serve::Server::bind(&options).map_err(|e| format!("serve {addr}: {e}"))?;
-    // Announce the resolved address (scripts bind port 0 and need the
-    // real port); flush because stdout is block-buffered under a pipe.
-    println!("listening on {}", server.local_addr());
+    // Announce the resolved address (scripts and local shard runs bind
+    // port 0 and need the real port); flush because stdout is
+    // block-buffered under a pipe.
+    println!("{}", serve::banner(server.local_addr()));
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let stats = server.run().map_err(|e| e.to_string())?;
     eprintln!("serve: {stats}");
@@ -747,9 +724,10 @@ fn run_bench(args: &Args) -> Result<(), String> {
 fn run_fuzz(args: &Args) -> Result<(), String> {
     let count = args.count.unwrap_or(100);
     let seed = args.seed.unwrap_or(0);
-    // The differential (sharded/remote) cross-check engages exactly like
-    // explore's transport selection: --workers for a serve fleet,
-    // --shards for local worker processes.
+    // The differential (sharded) cross-check engages exactly like
+    // explore's transport selection: --workers for a running serve fleet,
+    // --shards for one started locally per case.
+    warn_timeout_without_workers(args);
     let (differential, ephemeral_dir) = match (&args.workers, args.shards) {
         (Some(list), _) => {
             let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
@@ -893,13 +871,10 @@ fn run_cache(args: &Args) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    // Install the trace collector before any work runs. `shard-worker`
-    // skips the environment path: every worker of one coordinator inherits
-    // the same BITTRANS_TRACE value, and concurrent whole-file rewrites of
-    // one trace file would leave whichever worker flushed last.
+    // Install the trace collector before any work runs.
     if let Some(path) = &args.trace_out {
         trace::install_file(path);
-    } else if args.command != "shard-worker" {
+    } else {
         trace::install_from_env();
     }
     let result = run_command(&args);
@@ -915,7 +890,6 @@ fn run_command(args: &Args) -> Result<(), String> {
     match args.command.as_str() {
         "batch" => return run_batch(args, &options),
         "explore" => return run_explore(args, &options),
-        "shard-worker" => return run_shard_worker(args),
         "cache" => return run_cache(args),
         "serve" => return run_serve(args),
         "client" => return run_client(args, &options),

@@ -94,7 +94,7 @@ fn fuzz_json_is_deterministic_across_processes() {
     assert_eq!(normalized(&first, "proc_a"), normalized(&second, "proc_b"));
 }
 
-/// Splitting the differential across more worker processes must not
+/// Splitting the differential across more shards must not
 /// change a single byte of the report: shard count is a deployment
 /// choice, not an input.
 #[test]

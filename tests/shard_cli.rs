@@ -1,14 +1,17 @@
-//! End-to-end tests of `explore --shards K` against the compiled binary:
-//! the sharded run's `--json` output must be byte-identical to the
-//! single-process run on the same grid (after dropping the `elapsed_ms`
-//! line, which differs even between two identical single-process runs),
-//! the merged `EngineStats` totals must account for every deduplicated job
-//! exactly once, and a worker killed mid-shard (the
-//! `BITTRANS_SHARD_FAULT` hook) must not change a byte of the report.
+//! End-to-end tests of `explore --shards K` against the compiled binary,
+//! which starts a local fleet of `bittrans serve` children: the sharded
+//! run's `--json` output must be byte-identical to the single-process run
+//! on the same grid (modulo the run-shape fields, which differ even
+//! between two identical single-process runs), the merged `EngineStats`
+//! totals must account for every deduplicated job exactly once, and the
+//! children must leave the coordinator's trace file alone.
 //!
 //! The remote-transport half drives `explore --workers` against spawned
 //! `bittrans serve` processes: the same byte-identity contract over TCP,
-//! plus flag validation and the unreachable-fleet fallback.
+//! plus flag validation and the unreachable-fleet fallback. Failure paths
+//! of the one shard transport (dead, dropping, lying and stalled
+//! endpoints) are covered hermetically in the engine crate's
+//! `remote_shard.rs` suite.
 
 mod support;
 
@@ -82,11 +85,53 @@ fn sharded_json_is_byte_identical_to_single_process() {
     assert_eq!(stat(&sharded, "jobs"), 12);
     assert_eq!(stat(&sharded, "cache_hits") + stat(&sharded, "cache_misses"), 12);
     assert_eq!(stat(&sharded, "cache_misses"), stat(&single, "cache_misses"));
-    // All four workers reported in.
+    // All four shards reported in, each from a loopback serve child.
     for shard in 0..4 {
         assert!(stderr.contains(&format!("shard {shard}/4:")), "{stderr}");
     }
+    assert!(stderr.contains("endpoint 127.0.0.1:"), "{stderr}");
     assert!(!stderr.contains("failed"), "{stderr}");
+}
+
+#[test]
+fn sharded_trace_holds_only_the_coordinator() {
+    let dir = temp_dir("trace");
+    let trace_dir = temp_dir("trace_file");
+    std::fs::create_dir_all(&trace_dir).unwrap();
+    let trace = trace_dir.join("trace.jsonl");
+    let trace_path = trace.to_string_lossy().into_owned();
+    run_grid(&dir, &["--shards", "2"], &[("BITTRANS_TRACE", &trace_path)]);
+
+    // The serve children run with BITTRANS_TRACE removed: had they
+    // inherited it, the last process to flush would own the file.
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let (mut runs, mut served) = (0, 0);
+    for line in text.lines() {
+        let value = serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let field = |key| value.get(key).and_then(serde_json::Value::as_str).unwrap_or("");
+        match (field("kind"), field("name")) {
+            ("span", "shard.run") => runs += 1,
+            ("event", "shard.served") => served += 1,
+            (_, name) => assert!(!name.starts_with("serve."), "child event in trace: {line}"),
+        }
+    }
+    assert_eq!(runs, 1, "{text}");
+    assert_eq!(served, 2, "{text}");
+}
+
+#[test]
+fn timeout_without_workers_is_reported_not_dropped() {
+    let spec = repo("specs/saturating_mac.spec");
+    let spec = spec.to_str().unwrap();
+    let warning = "--timeout has no effect without --workers";
+    let (ok, _, stderr) =
+        run_env(&["explore", spec, "--latency", "3", "--shards", "2", "--timeout", "5"], &[]);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains(warning), "{stderr}");
+    let (ok, _, stderr) =
+        run_env(&["fuzz", "--count", "1", "--shards", "2", "--timeout", "5"], &[]);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains(warning), "{stderr}");
 }
 
 #[test]
@@ -109,40 +154,8 @@ fn sharded_rerun_is_served_from_the_shared_store() {
 }
 
 #[test]
-fn killed_worker_is_detected_and_its_range_retried() {
-    let (dir_a, dir_b) = (temp_dir("fault_a"), temp_dir("fault_b"));
-    let (single, _) = run_grid(&dir_a, &[], &[]);
-    // Shard 1 of 4 dies after one of its three jobs.
-    let (sharded, stderr) =
-        run_grid(&dir_b, &["--shards", "4"], &[("BITTRANS_SHARD_FAULT", "1:1")]);
-
-    // The coordinator saw the abort, reported the gap, and retried it.
-    assert!(stderr.contains("injected fault after 1 job(s)"), "{stderr}");
-    assert!(stderr.contains("shard 1/4: failed"), "{stderr}");
-    assert!(stderr.contains("retried 2 missing job(s) in-process"), "{stderr}");
-
-    // The report is still bit-exact (workers legitimately differs: the
-    // dead shard's pool is not in the sum).
-    assert_eq!(strip_run_shape(&single), strip_run_shape(&sharded));
-    assert_eq!(stat(&sharded, "jobs"), 12);
-    assert_eq!(stat(&sharded, "cache_misses"), 12);
-}
-
-#[test]
-fn worker_dead_on_arrival_loses_no_results() {
-    let (dir_a, dir_b) = (temp_dir("doa_a"), temp_dir("doa_b"));
-    let (single, _) = run_grid(&dir_a, &[], &[]);
-    // Shard 2 aborts before completing anything: its whole range is a gap.
-    let (sharded, stderr) =
-        run_grid(&dir_b, &["--shards", "4"], &[("BITTRANS_SHARD_FAULT", "2:0")]);
-    assert!(stderr.contains("shard 2/4: failed"), "{stderr}");
-    assert!(stderr.contains("retried 3 missing job(s)"), "{stderr}");
-    assert_eq!(strip_run_shape(&single), strip_run_shape(&sharded));
-}
-
-#[test]
 fn single_shard_and_ephemeral_cache_dir_work() {
-    // --shards 1 still goes through the worker protocol; without
+    // --shards 1 still goes through a one-child serve fleet; without
     // --cache-dir the coordinator shards into a temporary store and cleans
     // it up.
     let spec = repo("specs/saturating_mac.spec");
@@ -239,15 +252,4 @@ fn workers_flag_is_validated() {
     );
     assert!(!ok);
     assert!(stderr.contains("--timeout must be at least 1"), "{stderr}");
-}
-
-#[test]
-fn shard_worker_rejects_a_bad_manifest() {
-    let dir = temp_dir("badmanifest");
-    std::fs::create_dir_all(&dir).unwrap();
-    let manifest = dir.join("manifest.json");
-    std::fs::write(&manifest, "{\"schema\": 42}").unwrap();
-    let (ok, _, stderr) = run_env(&["shard-worker", manifest.to_str().unwrap()], &[]);
-    assert!(!ok);
-    assert!(stderr.contains("schema"), "{stderr}");
 }

@@ -75,9 +75,7 @@ impl ServerProc {
         let stdout = child.stdout.take().expect("piped stdout");
         let mut line = String::new();
         BufReader::new(stdout).read_line(&mut line).expect("serve announces its address");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
+        let addr = bittrans::engine::serve::parse_banner(&line)
             .unwrap_or_else(|| panic!("unexpected serve banner: {line}"))
             .to_string();
         ServerProc { child, addr }
