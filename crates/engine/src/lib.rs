@@ -29,7 +29,10 @@
 //! * **design-space exploration** — a [`Study`] spans a typed axis grid
 //!   (specs × latencies × adder architectures × balancing × verification)
 //!   and returns a [`StudyReport`] of labelled cells, replacing every
-//!   hand-rolled sweep loop in the benches, examples and CLI;
+//!   hand-rolled sweep loop in the benches, examples and CLI — a Fig. 4
+//!   latency sweep is the one-axis case, `Study::single(spec)
+//!   .latencies(range).run(&engine)` read back through
+//!   [`StudyReport::sweep_points`];
 //! * **sharded multi-process execution** — [`shard::run_sharded`]
 //!   partitions a study's deduplicated job list by [`JobKey`] range across
 //!   `serve` endpoints that share one cache directory — a fleet started
@@ -70,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod fuzz;
 pub mod job;
@@ -84,7 +86,6 @@ pub mod shard;
 pub mod stagecache;
 pub mod stats;
 pub mod study;
-pub mod sweep;
 pub mod trace;
 
 pub use cache::ResultCache;
@@ -96,8 +97,7 @@ pub use serve::{ServeOptions, Server, DEFAULT_MAX_INFLIGHT};
 pub use stats::{BatchReport, EndpointStats, EngineStats, SchedStats, ServiceStats};
 pub use study::Study;
 
-use bittrans_core::{compare, SweepPoint};
-use bittrans_ir::Spec;
+use bittrans_core::compare;
 use sched::Scheduler;
 use stagecache::{StageCache, StageTally};
 use std::any::Any;
@@ -559,23 +559,6 @@ impl Engine {
         BatchReport { outcomes, stats }
     }
 
-    /// Regenerates the Fig. 4 experiment — cycle length of both flows
-    /// across a latency range — with the latencies spread over the worker
-    /// pool instead of `bittrans_core::latency_sweep`'s serial loop.
-    ///
-    /// A thin wrapper over a single-axis [`Study`]: latencies where either
-    /// flow is infeasible are skipped, and points come back in input order,
-    /// exactly like the serial version. Sweeps over overlapping ranges (or
-    /// re-runs) hit the cache.
-    pub fn sweep(
-        &self,
-        spec: &Spec,
-        latencies: impl IntoIterator<Item = u32>,
-        options: &bittrans_core::CompareOptions,
-    ) -> Vec<SweepPoint> {
-        sweep::sweep(self, spec, latencies, options)
-    }
-
     /// Cumulative statistics across every batch run on this engine.
     pub fn stats(&self) -> EngineStats {
         let Shared { cache, stages, .. } = &*self.shared;
@@ -595,6 +578,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bittrans_ir::Spec;
 
     fn three_adds() -> Spec {
         Spec::parse(

@@ -775,18 +775,19 @@ mod tests {
         let tally = StageTally::default();
         let rca = CompareOptions::default();
         cache.compare_staged(&spec, 3, &rca, &tally).unwrap();
+        assert_eq!((tally.hits(), tally.misses()), (0, 9), "a cold point computes all 9 stages");
 
-        let csel = CompareOptions {
-            adder_arch: bittrans_rtl::AdderArch::CarrySelect,
-            ..CompareOptions::default()
-        };
-        let (h0, m0) = (tally.hits(), tally.misses());
-        cache.compare_staged(&spec, 3, &csel, &tally).unwrap();
-        // Shared: extract, fragment, verify, and both schedules (the
-        // adder only enters at allocation). Recomputed: both alloc and
-        // both time stages.
-        assert_eq!(tally.hits() - h0, 5, "extract+fragment+verify+2×sched shared");
-        assert_eq!(tally.misses() - m0, 4, "2×alloc + 2×time recomputed");
+        for arch in [bittrans_rtl::AdderArch::CarryLookahead, bittrans_rtl::AdderArch::CarrySelect]
+        {
+            let options = CompareOptions { adder_arch: arch, ..CompareOptions::default() };
+            let (h0, m0) = (tally.hits(), tally.misses());
+            cache.compare_staged(&spec, 3, &options, &tally).unwrap();
+            // Shared: extract, fragment, verify, and both schedules (the
+            // adder only enters at allocation). Recomputed: both alloc and
+            // both time stages.
+            assert_eq!(tally.hits() - h0, 5, "{arch:?}: extract+fragment+verify+2×sched shared");
+            assert_eq!(tally.misses() - m0, 4, "{arch:?}: 2×alloc + 2×time recomputed");
+        }
     }
 
     #[test]

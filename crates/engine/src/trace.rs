@@ -80,8 +80,8 @@ struct Stamp {
 enum Sink {
     /// No collector installed.
     Off,
-    /// Lines stay in the buffer until [`drain`] (tests, the bench
-    /// harness's trace cross-check).
+    /// Lines stay in the buffer until [`drain`] (the tests that reconcile
+    /// trace events with engine statistics).
     Memory,
     /// [`flush`] rewrites this file atomically from the full buffer.
     File(PathBuf),

@@ -5,7 +5,7 @@
 
 use bittrans_benchmarks as bm;
 use bittrans_core::{compare, CompareOptions};
-use bittrans_engine::{Engine, EngineOptions, Job};
+use bittrans_engine::{Engine, EngineOptions, Job, Study};
 
 #[test]
 fn engine_matches_direct_compare_on_every_benchmark() {
@@ -51,7 +51,11 @@ fn engine_sweep_matches_serial_sweep_on_benchmarks() {
     for b in bm::table2_benchmarks() {
         let serial = bittrans_core::latency_sweep(&b.spec, 3..=8, &options).expect("serial sweep");
         let engine = Engine::new(EngineOptions { workers: Some(4), ..Default::default() });
-        let parallel = engine.sweep(&b.spec, 3..=8, &options);
+        let parallel = Study::single(b.spec.clone())
+            .latencies(3..=8)
+            .base_options(options)
+            .run(&engine)
+            .sweep_points();
         assert_eq!(serial.len(), parallel.len(), "{}", b.name);
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.latency, p.latency, "{}", b.name);

@@ -45,6 +45,26 @@ fn single_axis_study_matches_serial_latency_sweep() {
     }
 }
 
+/// Overlapping latency sweeps on one engine pay only for the latencies
+/// the earlier sweep did not cover.
+#[test]
+fn overlapping_sweeps_reuse_cached_points() {
+    let spec = three_adds();
+    let options = CompareOptions::default();
+    let engine = Engine::default();
+    let sweep = |latencies| {
+        Study::single(spec.clone()).latencies(latencies).base_options(options).run(&engine)
+    };
+    sweep(3..=6);
+    let before = engine.stats();
+    let points = sweep(4..=8).sweep_points();
+    let after = engine.stats();
+    assert_eq!(points.iter().map(|p| p.latency).collect::<Vec<_>>(), [4, 5, 6, 7, 8]);
+    // λ = 4, 5, 6 came from the cache; only 7 and 8 were new work.
+    assert_eq!(after.cache_hits - before.cache_hits, 3);
+    assert_eq!(after.cache_misses - before.cache_misses, 2);
+}
+
 /// Every cell of a multi-axis grid agrees with a direct `compare` call at
 /// the cell's coordinates.
 #[test]

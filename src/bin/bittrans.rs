@@ -3,8 +3,6 @@
 //! ```text
 //! bittrans optimize  <file.spec> --latency N [--adder rca|cla|csel] [--emit-vhdl DIR] [--netlist]
 //! bittrans compare   <file.spec> --latency N
-//! bittrans sweep     <file.spec> --from N --to M [--jobs K] [--cache-dir DIR] [--json]
-//! bittrans batch     <dir-or-files...> --latency N [--jobs K] [--cache-dir DIR] [--json]
 //! bittrans explore   <dir-or-files...> --latency N|A..B [--adders rca,cla,csel]
 //!                    [--balance on|off|both] [--verify N] [--jobs K]
 //!                    [--shards K] [--workers host:port,...] [--timeout SECS]
@@ -16,19 +14,20 @@
 //!                    [--timeout SECS] [--stream] [--json]
 //! bittrans client    --addr HOST:PORT --shutdown
 //! bittrans client    --addr HOST:PORT --stats
-//! bittrans bench     [--quick] [--json]
 //! bittrans report    normalize <report.json|->
 //! bittrans fragments <file.spec> --latency N
 //! bittrans check     <file.spec>
 //! ```
 //!
 //! `<file.spec>` contains a specification in the textual DSL (see
-//! `bittrans::ir::parse`); pass `-` to read from stdin. `batch` and
-//! `explore` accept any mix of `.spec` files and directories (scanned for
-//! `*.spec`). `explore` expands the design-space grid — specs × latencies ×
-//! adder architectures × balancing — into a `Study`, runs it on a worker
-//! pool (`--jobs`, default: all cores) and prints the labelled cell table
-//! (or, with `--json`, the full machine-readable report). `--cache-dir`
+//! `bittrans::ir::parse`); pass `-` to read from stdin. `explore` accepts
+//! any mix of `.spec` files and directories (scanned for `*.spec`) and
+//! expands the design-space grid — specs × latencies × adder architectures
+//! × balancing — into a `Study`, runs it on a worker pool (`--jobs`,
+//! default: all cores) and prints the labelled cell table (or, with
+//! `--json`, the full machine-readable report). One latency over a
+//! directory is a batch run; a latency range over one spec is a latency
+//! sweep, with each cell's `orig (ns)`/`opt (ns)` columns. `--cache-dir`
 //! persists results on disk, so a repeated invocation over the same inputs
 //! is served entirely from cache.
 //!
@@ -49,15 +48,11 @@
 //! Every subcommand can write a structured execution trace — one JSON
 //! line per span or event, see `bittrans_engine::trace` — to a file given
 //! by `--trace-out FILE` or the `BITTRANS_TRACE` environment variable.
-//! `bench` runs the performance-trajectory harness
-//! (`bittrans_engine::bench`): engine throughput, cache speedup, serve
-//! round-trip percentiles and shard scaling as one JSON document
-//! (`--json`, the committed `BENCH_<n>.json` format) or a short text
-//! summary; `--quick` shrinks the grid to CI scale. `report normalize`
-//! rewrites a study-report JSON document with the run-shape fields
-//! (`elapsed_ms`, `workers`) blanked, so reports from runs with different
-//! worker counts can be byte-compared. `client --stats` asks a running
-//! server for its `{"stats":true}` introspection line.
+//! `report normalize` rewrites a study-report JSON document with the
+//! run-shape fields (`elapsed_ms`, `workers`) blanked, so reports from
+//! runs with different worker counts can be byte-compared. `client
+//! --stats` asks a running server for its `{"stats":true}` introspection
+//! line.
 //!
 //! `serve` runs the long-lived study service: one warm engine answering
 //! newline-delimited JSON study requests over TCP (see
@@ -70,11 +65,11 @@
 //! frame (printed to stderr as it lands) ahead of the identical final
 //! report. `client --shutdown` asks the server to drain and exit.
 
-use bittrans::core::report::{render_sweep, render_table1};
+use bittrans::core::report::render_table1;
 use bittrans::engine::proto;
 use bittrans::engine::serve;
 use bittrans::engine::shard;
-use bittrans::engine::{bench, fuzz, trace};
+use bittrans::engine::{fuzz, trace};
 use bittrans::prelude::*;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -95,8 +90,6 @@ struct Args {
     command: String,
     files: Vec<String>,
     latencies: Vec<u32>,
-    from: u32,
-    to: u32,
     jobs: Option<usize>,
     adder: AdderArch,
     adders: Option<Vec<AdderArch>>,
@@ -113,7 +106,6 @@ struct Args {
     stats: bool,
     stream: bool,
     json: bool,
-    quick: bool,
     trace_out: Option<String>,
     emit_vhdl: Option<String>,
     netlist: bool,
@@ -134,17 +126,32 @@ impl Args {
     }
 }
 
+/// Every subcommand, in the order `usage()` lists them.
+const COMMANDS: [&str; 10] = [
+    "optimize",
+    "compare",
+    "explore",
+    "cache",
+    "serve",
+    "client",
+    "fuzz",
+    "report",
+    "fragments",
+    "check",
+];
+
 fn usage() -> String {
-    "usage: bittrans <optimize|compare|sweep|batch|explore|cache|serve|client|bench|fuzz|report|\
-     fragments|check> \
-     <file.spec|dir|-> ... [--latency N|A..B] [--from N] [--to M] [--jobs K] \
-     [--adder rca|cla|csel] [--adders rca,cla,csel] [--balance on|off|both] \
-     [--verify N] [--shards K] [--workers host:port,...] [--timeout SECS] \
-     [--cache-dir DIR] [--max-bytes N] [--max-age SECS] \
-     [--addr HOST:PORT] [--shutdown] [--stats] [--stream] [--quick] [--trace-out FILE] \
-     [--json] [--emit-vhdl DIR] [--netlist] \
-     [--count N] [--seed S] [--mul-prob P] [--replay SEED]"
-        .to_string()
+    format!(
+        "usage: bittrans <{}> \
+         <file.spec|dir|-> ... [--latency N|A..B] [--jobs K] \
+         [--adder rca|cla|csel] [--adders rca,cla,csel] [--balance on|off|both] \
+         [--verify N] [--shards K] [--workers host:port,...] [--timeout SECS] \
+         [--cache-dir DIR] [--max-bytes N] [--max-age SECS] \
+         [--addr HOST:PORT] [--shutdown] [--stats] [--stream] [--trace-out FILE] \
+         [--json] [--emit-vhdl DIR] [--netlist] \
+         [--count N] [--seed S] [--mul-prob P] [--replay SEED]",
+        COMMANDS.join("|")
+    )
 }
 
 fn parse_adder(name: &str) -> Result<AdderArch, String> {
@@ -186,12 +193,13 @@ fn parse_latencies(text: &str) -> Result<Vec<u32>, String> {
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or_else(usage)?;
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command `{command}`\n{}", usage()));
+    }
     let mut args = Args {
         command,
         files: Vec::new(),
         latencies: vec![3],
-        from: 2,
-        to: 10,
         jobs: None,
         adder: AdderArch::RippleCarry,
         adders: None,
@@ -208,7 +216,6 @@ fn parse_args() -> Result<Args, String> {
         stats: false,
         stream: false,
         json: false,
-        quick: false,
         trace_out: None,
         emit_vhdl: None,
         netlist: false,
@@ -222,10 +229,6 @@ fn parse_args() -> Result<Args, String> {
             |name: &str| argv.next().ok_or_else(|| format!("{name} needs a value\n{}", usage()));
         match flag.as_str() {
             "--latency" => args.latencies = parse_latencies(&value("--latency")?)?,
-            "--from" => {
-                args.from = value("--from")?.parse().map_err(|e| format!("bad --from: {e}"))?
-            }
-            "--to" => args.to = value("--to")?.parse().map_err(|e| format!("bad --to: {e}"))?,
             "--jobs" => {
                 let k: usize = value("--jobs")?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
                 if k == 0 {
@@ -287,7 +290,6 @@ fn parse_args() -> Result<Args, String> {
             "--shutdown" => args.shutdown = true,
             "--stats" => args.stats = true,
             "--stream" => args.stream = true,
-            "--quick" => args.quick = true,
             "--count" => {
                 let n: usize =
                     value("--count")?.parse().map_err(|e| format!("bad --count: {e}"))?;
@@ -322,10 +324,9 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     // `serve` addresses a socket, not files; `client --shutdown` and
-    // `client --stats` send bodyless control requests; `bench` builds its
-    // own workload. Everything else needs an operand.
+    // `client --stats` send bodyless control requests; `fuzz` generates
+    // its own specs. Everything else needs an operand.
     let fileless = args.command == "serve"
-        || args.command == "bench"
         || args.command == "fuzz"
         || (args.command == "client" && (args.shutdown || args.stats));
     if args.files.is_empty() && !fileless {
@@ -348,8 +349,8 @@ fn read_spec(path: &str) -> Result<Spec, String> {
     Spec::parse(&read_source(path)?).map_err(|e| e.to_string())
 }
 
-/// Expands the `batch` operands: files stay as-is, directories contribute
-/// every contained `*.spec` in name order.
+/// Expands the `explore`/`client` operands: files stay as-is, directories
+/// contribute every contained `*.spec` in name order.
 fn collect_spec_paths(operands: &[String]) -> Result<Vec<String>, String> {
     let mut paths = Vec::new();
     for operand in operands {
@@ -380,48 +381,9 @@ fn collect_spec_paths(operands: &[String]) -> Result<Vec<String>, String> {
     Ok(paths)
 }
 
-/// Builds the worker-pool engine, attaching the persistent cache directory
-/// when `--cache-dir` was given.
-fn make_engine(args: &Args) -> Result<Engine, String> {
-    let engine = Engine::new(EngineOptions { workers: args.jobs, ..Default::default() });
-    match &args.cache_dir {
-        Some(dir) => engine.with_cache_dir(dir).map_err(|e| format!("cache dir {dir}: {e}")),
-        None => Ok(engine),
-    }
-}
-
 /// Reads every operand into a spec list (deduplicated directory scan).
 fn read_specs(operands: &[String]) -> Result<Vec<Spec>, String> {
     collect_spec_paths(operands)?.iter().map(|path| read_spec(path)).collect()
-}
-
-fn run_batch(args: &Args, options: &CompareOptions) -> Result<(), String> {
-    let study = Study::over(read_specs(&args.files)?)
-        .latencies([args.single_latency()?])
-        .base_options(*options);
-    let report = study.run(&make_engine(args)?);
-
-    if args.json {
-        println!("{}", report.to_json_pretty());
-    } else {
-        print!("{}", report.render_text());
-        println!("\nengine: {}", report.stats);
-    }
-    let failures = report.failures().count();
-    if failures > 0 {
-        return Err(format!("{failures} of {} jobs failed", report.cells.len()));
-    }
-    Ok(())
-}
-
-/// Validates `--verify`/`--adder` into the base options every explore cell
-/// inherits.
-fn explore_base(args: &Args, options: &CompareOptions) -> Result<CompareOptions, String> {
-    let mut base = CompareOptions::builder().adder_arch(options.adder_arch);
-    if let Some(verify) = args.verify {
-        base = base.verify_vectors(verify);
-    }
-    base.build().map_err(|e| e.to_string())
 }
 
 /// Prints a study report (text table or `--json`) and applies explore's
@@ -447,14 +409,19 @@ fn run_explore(args: &Args, options: &CompareOptions) -> Result<(), String> {
     }
     let mut study = Study::over(read_specs(&args.files)?)
         .latencies(args.latencies.iter().copied())
-        .base_options(explore_base(args, options)?);
+        .base_options(*options);
     if let Some(adders) = &args.adders {
         study = study.adder_archs(adders.iter().copied());
     }
     if let Some(balance) = &args.balance {
         study = study.balance(balance.iter().copied());
     }
-    let report = study.run(&make_engine(args)?);
+    let engine = Engine::new(EngineOptions { workers: args.jobs, ..Default::default() });
+    let engine = match &args.cache_dir {
+        Some(dir) => engine.with_cache_dir(dir).map_err(|e| format!("cache dir {dir}: {e}"))?,
+        None => engine,
+    };
+    let report = study.run(&engine);
     finish_explore(&report, args.json)
 }
 
@@ -472,7 +439,7 @@ fn sharded_study(args: &Args, options: &CompareOptions) -> Result<shard::Sharded
         adder_archs: args.adders.clone(),
         balance: args.balance.clone(),
         verify_vectors: None,
-        base: explore_base(args, options)?,
+        base: *options,
     })
 }
 
@@ -698,26 +665,6 @@ fn run_client(args: &Args, options: &CompareOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench`: the performance-trajectory harness — engine throughput, cache
-/// speedup, serve round-trip percentiles, shard scaling and the
-/// trace/stats cross-check, as one JSON document or a text summary.
-fn run_bench(args: &Args) -> Result<(), String> {
-    if !args.files.is_empty() {
-        return Err("bench takes no operands (it builds its own workload)".to_string());
-    }
-    let report = bench::run(&bench::BenchOptions { quick: args.quick })
-        .map_err(|e| format!("bench: {e}"))?;
-    if args.json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.summary());
-    }
-    if !report.trace_check.consistent() {
-        return Err("bench: trace events disagree with engine statistics".to_string());
-    }
-    Ok(())
-}
-
 /// `fuzz`: fleet-scale differential fuzzing — seeded random specs through
 /// the full study grid, cross-configuration invariants asserted per case,
 /// optionally cross-checked against the sharded/remote transport.
@@ -842,9 +789,14 @@ fn run_report(args: &Args) -> Result<(), String> {
 
 /// `cache prune`: one size/age eviction sweep over a cache directory.
 fn run_cache(args: &Args) -> Result<(), String> {
-    match args.files[0].as_str() {
-        "prune" => {}
-        other => return Err(format!("unknown cache action `{other}` (expected `prune`)")),
+    match args.files.as_slice() {
+        [action] if action == "prune" => {}
+        [other] => return Err(format!("unknown cache action `{other}` (expected `prune`)")),
+        _ => {
+            return Err("usage: bittrans cache prune --cache-dir DIR [--max-bytes N] \
+                        [--max-age SECS] [--json]"
+                .to_string())
+        }
     }
     let Some(dir) = &args.cache_dir else {
         return Err("cache prune needs --cache-dir".into());
@@ -885,25 +837,26 @@ fn run() -> Result<(), String> {
 }
 
 fn run_command(args: &Args) -> Result<(), String> {
-    let options =
-        CompareOptions::builder().adder_arch(args.adder).build().map_err(|e| e.to_string())?;
+    let mut options = CompareOptions::builder().adder_arch(args.adder);
+    if let Some(vectors) = args.verify {
+        options = options.verify_vectors(vectors);
+    }
+    let options = options.build().map_err(|e| e.to_string())?;
     match args.command.as_str() {
-        "batch" => return run_batch(args, &options),
         "explore" => return run_explore(args, &options),
         "cache" => return run_cache(args),
         "serve" => return run_serve(args),
         "client" => return run_client(args, &options),
-        "bench" => return run_bench(args),
         "fuzz" => return run_fuzz(args),
         "report" => return run_report(args),
-        command if args.json && command != "sweep" => {
+        command if args.json => {
             return Err(format!("--json is not supported by `{command}`"));
         }
         _ => {}
     }
     if args.files.len() > 1 {
         return Err(format!(
-            "`{}` takes exactly one spec file ({} given); use `batch` or `explore` for many",
+            "`{}` takes exactly one spec file ({} given); use `explore` for many",
             args.command,
             args.files.len()
         ));
@@ -985,23 +938,6 @@ fn run_command(args: &Args) -> Result<(), String> {
             );
             Ok(())
         }
-        "sweep" => {
-            if args.from > args.to {
-                return Err("--from must not exceed --to".into());
-            }
-            let report = Study::single(spec.clone())
-                .latencies(args.from..=args.to)
-                .base_options(options)
-                .run(&make_engine(args)?);
-            let points = report.sweep_points();
-            if args.json {
-                let json = serde_json::to_string_pretty(&points).map_err(|e| e.to_string())?;
-                println!("{json}");
-            } else {
-                println!("{}", render_sweep(&format!("{} sweep", spec.name()), &points));
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => unreachable!("parse_args admits only COMMANDS, not `{other}`"),
     }
 }

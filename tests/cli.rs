@@ -80,12 +80,20 @@ fn fragments_lists_mobilities() {
     assert!(stdout.contains("schedule:"), "{stdout}");
 }
 
+/// A latency sweep is `explore` over a latency range: one row per
+/// latency, with both flows' cycle lengths.
 #[test]
 fn sweep_prints_series() {
     let spec = repo("specs/saturating_mac.spec");
-    let (ok, stdout, _) = run(&["sweep", spec.to_str().unwrap(), "--from", "2", "--to", "5"]);
-    assert!(ok);
-    assert!(stdout.lines().count() >= 5, "{stdout}");
+    let (ok, stdout, stderr) = run(&["explore", spec.to_str().unwrap(), "--latency", "2..5"]);
+    assert!(ok, "stderr: {stderr}");
+    let header = stdout.lines().next().unwrap_or_default();
+    assert!(header.contains("orig (ns)") && header.contains("opt (ns)"), "{stdout}");
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with("saturating_mac")).collect();
+    assert_eq!(rows.len(), 4, "{stdout}");
+    for (row, latency) in rows.iter().zip(2..=5) {
+        assert_eq!(row.split_whitespace().nth(1), Some(latency.to_string().as_str()), "{row}");
+    }
 }
 
 #[test]
@@ -200,18 +208,20 @@ fn cache_prune_sweeps_a_directory_and_reports_what_it_kept() {
     let (ok, _, stderr) = run(&["cache", "flush", "--cache-dir", dir.to_str().unwrap()]);
     assert!(!ok);
     assert!(stderr.contains("unknown cache action"), "{stderr}");
+    // A stray operand is a usage error, not silently dropped.
+    let (ok, _, stderr) = run(&["cache", "prune", "junk", "--cache-dir", dir.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("usage: bittrans cache prune"), "{stderr}");
 }
 
 #[test]
-fn json_flag_works_on_batch_and_sweep_but_not_elsewhere() {
+fn json_flag_works_on_explore_but_not_elsewhere() {
     let spec = repo("specs/saturating_mac.spec");
-    let (ok, stdout, stderr) = run(&["batch", spec.to_str().unwrap(), "--latency", "4", "--json"]);
+    let (ok, stdout, stderr) =
+        run(&["explore", spec.to_str().unwrap(), "--latency", "2..4", "--json"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("\"cells\""), "{stdout}");
-    let (ok, stdout, _) =
-        run(&["sweep", spec.to_str().unwrap(), "--from", "2", "--to", "4", "--json"]);
-    assert!(ok);
-    assert!(stdout.contains("\"optimized_ns\""), "{stdout}");
+    assert!(stdout.contains("\"optimized\""), "{stdout}");
     let (ok, _, stderr) = run(&["optimize", spec.to_str().unwrap(), "--latency", "4", "--json"]);
     assert!(!ok);
     assert!(stderr.contains("--json is not supported"), "{stderr}");
@@ -250,10 +260,11 @@ fn explore_rejects_bad_axes() {
 #[test]
 fn zero_jobs_and_zero_shards_are_rejected() {
     let spec = repo("specs/ewf_section.spec");
-    for command in ["explore", "sweep", "batch"] {
-        let (ok, _, stderr) = run(&[command, spec.to_str().unwrap(), "--jobs", "0"]);
-        assert!(!ok, "{command} accepted --jobs 0");
-        assert!(stderr.contains("--jobs must be at least 1"), "{command}: {stderr}");
+    let specs = repo("specs");
+    for operand in [&spec, &specs] {
+        let (ok, _, stderr) = run(&["explore", operand.to_str().unwrap(), "--jobs", "0"]);
+        assert!(!ok, "explore {} accepted --jobs 0", operand.display());
+        assert!(stderr.contains("--jobs must be at least 1"), "{stderr}");
     }
     let (ok, _, stderr) = run(&["explore", spec.to_str().unwrap(), "--shards", "0"]);
     assert!(!ok);
@@ -265,15 +276,44 @@ fn inverted_ranges_are_errors_not_empty_sweeps() {
     let spec = repo("specs/ewf_section.spec");
     // `--latency 9..3` must never expand to an empty grid — on any
     // command that takes the range syntax.
-    for command in ["explore", "batch"] {
+    for command in ["explore", "client"] {
         let (ok, stdout, stderr) = run(&[command, spec.to_str().unwrap(), "--latency", "9..3"]);
         assert!(!ok, "{command} accepted an inverted latency range: {stdout}");
         assert!(stderr.contains("empty range"), "{command}: {stderr}");
     }
-    // sweep's separate --from/--to spelling has the same guard.
-    let (ok, _, stderr) = run(&["sweep", spec.to_str().unwrap(), "--from", "9", "--to", "3"]);
+}
+
+/// `sweep`, `batch` and `bench` are gone (`explore` covers the first two,
+/// perfbench the third), and so are their private flags.
+#[test]
+fn retired_commands_and_flags_are_rejected() {
+    let spec = repo("specs/ewf_section.spec");
+    for command in ["sweep", "batch", "bench"] {
+        let (ok, _, stderr) = run(&[command, spec.to_str().unwrap()]);
+        assert!(!ok, "{command} still runs");
+        assert!(stderr.contains(&format!("unknown command `{command}`")), "{stderr}");
+    }
+    let (ok, _, stderr) = run(&["bench"]);
     assert!(!ok);
-    assert!(stderr.contains("--from must not exceed --to"), "{stderr}");
+    assert!(stderr.contains("unknown command `bench`"), "{stderr}");
+    for flag in ["--from", "--to", "--quick"] {
+        let (ok, _, stderr) = run(&["explore", spec.to_str().unwrap(), flag, "3"]);
+        assert!(!ok, "{flag} still accepted");
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{stderr}");
+    }
+}
+
+/// `--verify` is validated by every command that takes it, not only by
+/// the grid commands (`explore`, `client`).
+#[test]
+fn verify_flag_is_validated_by_single_spec_commands() {
+    let spec = repo("specs/saturating_mac.spec");
+    for command in ["compare", "optimize", "fragments"] {
+        let (ok, stdout, stderr) =
+            run(&[command, spec.to_str().unwrap(), "--latency", "4", "--verify", "1000001"]);
+        assert!(!ok, "{command} ignored --verify: {stdout}");
+        assert!(stderr.contains("exceeds the maximum"), "{command}: {stderr}");
+    }
 }
 
 #[test]
