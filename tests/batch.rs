@@ -67,3 +67,14 @@ fn cli_batch_runs_a_directory_in_parallel() {
         assert!(row.contains(&expect), "row `{row}` missing optimized cycle {expect}");
     }
 }
+
+#[test]
+fn cli_batch_rejects_zero_jobs() {
+    let out = Command::new(bin())
+        .args(["explore", repo("specs").to_str().unwrap(), "--jobs", "0"])
+        .output()
+        .expect("bittrans binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--jobs must be at least 1"), "{stderr}");
+}

@@ -260,12 +260,9 @@ fn explore_rejects_bad_axes() {
 #[test]
 fn zero_jobs_and_zero_shards_are_rejected() {
     let spec = repo("specs/ewf_section.spec");
-    let specs = repo("specs");
-    for operand in [&spec, &specs] {
-        let (ok, _, stderr) = run(&["explore", operand.to_str().unwrap(), "--jobs", "0"]);
-        assert!(!ok, "explore {} accepted --jobs 0", operand.display());
-        assert!(stderr.contains("--jobs must be at least 1"), "{stderr}");
-    }
+    let (ok, _, stderr) = run(&["explore", spec.to_str().unwrap(), "--jobs", "0"]);
+    assert!(!ok, "explore accepted --jobs 0");
+    assert!(stderr.contains("--jobs must be at least 1"), "{stderr}");
     let (ok, _, stderr) = run(&["explore", spec.to_str().unwrap(), "--shards", "0"]);
     assert!(!ok);
     assert!(stderr.contains("--shards must be at least 1"), "{stderr}");
