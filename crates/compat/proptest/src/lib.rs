@@ -234,7 +234,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

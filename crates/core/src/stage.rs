@@ -6,11 +6,11 @@
 //! [`baseline`](crate::baseline) — kernel extraction, fragmentation,
 //! verification, scheduling, allocation, timing — so stage-level caching
 //! work has a measured baseline. This module is the seam: the pipeline
-//! wraps each stage in [`observe`], and an embedder may register one
+//! wraps each stage in `observe`, and an embedder may register one
 //! process-global observer that receives `(stage name, duration)` after
 //! each stage completes.
 //!
-//! With no observer registered, [`observe`] is one relaxed atomic load
+//! With no observer registered, `observe` is one relaxed atomic load
 //! plus a direct call — no clock read, no allocation — so the pipeline's
 //! hot path is unchanged for every caller that never traces.
 
@@ -39,9 +39,9 @@ pub fn set_observer(observer: impl Fn(&'static str, Duration) + Send + Sync + 's
     ACTIVE.store(true, Ordering::SeqCst);
 }
 
-/// Unregisters the stage observer; [`observe`] reverts to a direct call.
+/// Unregisters the stage observer; `observe` reverts to a direct call.
 ///
-/// Once this returns, the old observer will never run again: [`observe`]
+/// Once this returns, the old observer will never run again: `observe`
 /// only invokes the observer while holding the `OBSERVER` lock, so any
 /// in-flight invocation must finish before this function can acquire the
 /// lock and clear the slot. The flag is flipped *inside* the critical

@@ -27,7 +27,7 @@
 //! Every case is reproducible from its seed alone: the generator shape is
 //! derived from the seed ([`Shape::of`]), so `bittrans fuzz --replay SEED`
 //! re-runs exactly one case. Progress and violations ride the
-//! [`trace`](crate::trace) collector as `fuzz.*` spans and events.
+//! [`trace`] collector as `fuzz.*` spans and events.
 
 use crate::report::{normalize_run_shape, StudyCell, StudyReport};
 use crate::shard::{self, ShardOptions, ShardedStudy, Transport};

@@ -19,12 +19,13 @@
 //!   worker count;
 //! * **content-addressed caching** — every job is keyed by a stable hash
 //!   of its canonicalized specification text, latency and options
-//!   ([`key`]); results live in an in-memory [`cache`] shared by all
-//!   batches run on one engine, with hit/miss counters surfaced through
-//!   [`EngineStats`], and optionally spill to a cache directory
-//!   ([`Engine::with_cache_dir`]) — one content-addressed store of job
-//!   results and pipeline-stage artifacts, where the filesystem is the
-//!   index — that later processes read per key and prune by size or age
+//!   ([`key`]); results live in one bounded in-memory memo ([`stagecache`])
+//!   shared by all batches run on one engine, as the `job` kind beside the
+//!   pipeline-stage artifacts a cache miss decomposes into, with hit/miss
+//!   counters surfaced through [`EngineStats`]. Both kinds optionally
+//!   spill to a cache directory ([`Engine::with_cache_dir`]) — one
+//!   content-addressed store, where the filesystem is the index — that
+//!   later processes read per key and prune by size or age
 //!   ([`Engine::prune_cache`]);
 //! * **design-space exploration** — a [`Study`] spans a typed axis grid
 //!   (specs × latencies × adder architectures × balancing × verification)
@@ -42,7 +43,7 @@
 //!   [`StudyReport`];
 //! * **a long-running service** — [`serve::Server`] answers
 //!   newline-delimited JSON study requests over TCP from one warm engine,
-//!   so many clients share a single in-memory cache (backed by the cache
+//!   so many clients share a single in-memory memo (backed by the cache
 //!   directory) instead of each paying a cold start.
 //!
 //! ```
@@ -73,7 +74,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod fuzz;
 pub mod job;
 pub mod key;
@@ -88,7 +88,6 @@ pub mod stats;
 pub mod study;
 pub mod trace;
 
-pub use cache::ResultCache;
 pub use job::{Job, JobOutcome, JobResult};
 pub use key::JobKey;
 pub use persist::{PrunePolicy, PruneReport};
@@ -122,9 +121,9 @@ impl Default for EngineOptions {
     }
 }
 
-/// The batch-optimization engine: one fair worker pool plus a
-/// content-addressed result cache shared by every batch and `serve`
-/// request run through it, optionally spilled to disk
+/// The batch-optimization engine: one fair worker pool plus one
+/// content-addressed memo of job results and stage artifacts, shared by
+/// every batch and `serve` request run through it, optionally spilled to disk
 /// ([`Engine::with_cache_dir`]) so separate processes share it too.
 ///
 /// Every job reaches the pipeline through one routine, `run_with`:
@@ -146,17 +145,19 @@ pub struct Engine {
 #[derive(Debug, Default)]
 struct Shared {
     options: EngineOptions,
-    cache: ResultCache,
-    /// Incremental sub-job memo: pipeline stages keyed by their inputs,
-    /// shared by every batch and serve request, plus the cache
+    /// The one memo: finished jobs and pipeline stages keyed by their
+    /// inputs, shared by every batch and serve request, plus the cache
     /// directory's on-disk store when one is attached ([`stagecache`]).
     stages: StageCache,
     /// Jobs currently computing, by key: the first call to want a key
     /// registers it here; later calls subscribe instead of recomputing.
-    /// The computing task admits its result to the cache **before**
-    /// removing the entry, so a call that misses the cache while holding
+    /// The computing task admits its result to the memo **before**
+    /// removing the entry, so a call that misses the memo while holding
     /// this lock always finds a live registration to join.
     in_flight: Mutex<HashMap<JobKey, Vec<Subscriber>>>,
+    /// Lifetime counters: every `run_with` call with caching on adds its
+    /// stats once, at its end ([`Engine::stats`]).
+    lifetime: Mutex<EngineStats>,
 }
 
 /// One call's subscription to a job another call is computing: the
@@ -173,36 +174,6 @@ struct Subscriber {
 type Resolution = Result<Arc<JobResult>, Option<Box<dyn Any + Send>>>;
 
 impl Shared {
-    /// Serves `key` from the in-memory cache or, failing that, from its
-    /// `job` file in the attached store (promoting the result into
-    /// memory), together with the tier that answered — the `job` trace
-    /// event's provenance. A corrupt file is deleted by the load, so the
-    /// caller recomputes and respills it.
-    fn lookup(&self, key: &JobKey) -> Option<(Arc<JobResult>, &'static str)> {
-        if let Some(result) = self.cache.peek(key) {
-            return Some((result, "memory"));
-        }
-        let result = Arc::new(Ok(self.stages.store()?.load_job(*key)?));
-        self.cache.insert(*key, Arc::clone(&result));
-        Some((result, "disk"))
-    }
-
-    /// Admits one computed result: inserts it into the in-memory cache and
-    /// spills a success to the attached store (best-effort: a failed
-    /// write costs a recomputation in some later process, never this
-    /// result). Runs on the worker as each job finishes, so concurrent
-    /// callers see each other's results as early as possible. A no-op
-    /// with caching disabled.
-    fn admit(&self, key: JobKey, result: &Arc<JobResult>) {
-        if !self.options.cache {
-            return;
-        }
-        self.cache.insert(key, Arc::clone(result));
-        if let (Some(store), Ok(comparison)) = (self.stages.store(), result.as_ref()) {
-            store.spill_job(key, comparison);
-        }
-    }
-
     /// Computes one comparison: through the memoized stage path
     /// ([`stagecache::StageCache::compare_staged`]) when caching is
     /// enabled — recording stage hits/misses into `tally` — or the
@@ -274,8 +245,7 @@ impl Engine {
     /// Runs one eviction sweep over the attached cache directory's store:
     /// files older than [`PrunePolicy::max_age`] go first, then
     /// oldest-first until the store fits in [`PrunePolicy::max_bytes`].
-    /// Files whose job result is resident in this engine's in-memory
-    /// cache, or whose stage artifact is resident in its stage memo, are
+    /// Files whose job or stage is resident in this engine's memo are
     /// pinned — a live run never loses the files backing it.
     ///
     /// # Errors
@@ -287,8 +257,7 @@ impl Engine {
         let store = stages.store().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no cache directory attached")
         })?;
-        let mut pinned = stages.resident_keys();
-        pinned.extend(self.shared.cache.keys());
+        let pinned = stages.resident_keys();
         let now = std::time::SystemTime::now()
             .duration_since(std::time::SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
@@ -330,7 +299,8 @@ impl Engine {
     ///
     /// The returned [`EngineStats`] count hits and misses, `workers`
     /// clamped to the computed-job count, this call's stage tally, and
-    /// `cache_entries` = the distinct keys resolved.
+    /// `cache_entries` = the distinct keys resolved. With caching on, they
+    /// are also added once to the engine's lifetime counters.
     ///
     /// Never call this from one of the engine's own pool threads: the
     /// call blocks on tasks that would need that thread.
@@ -365,7 +335,7 @@ impl Engine {
             for (slot, key) in keys.iter().enumerate() {
                 let first = seen.insert(*key);
                 let provenance = if let Some((result, tier)) =
-                    shared.options.cache.then(|| shared.lookup(key)).flatten()
+                    shared.options.cache.then(|| shared.stages.lookup_job(*key)).flatten()
                 {
                     if first {
                         immediate.push((*key, result));
@@ -430,7 +400,12 @@ impl Engine {
                                         .str("provenance", "computed")
                                         .flag("ok", result.is_ok());
                                 });
-                                shared.admit(key, &result);
+                                // Admission, on the worker as each job
+                                // finishes, so concurrent callers see it
+                                // as early as possible.
+                                if shared.options.cache {
+                                    shared.stages.admit_job(key, &result);
+                                }
                                 result
                             }))
                         };
@@ -489,10 +464,7 @@ impl Engine {
             panic!("job {key} panicked in the concurrent run computing it");
         }
 
-        if shared.options.cache {
-            shared.cache.record(hits, misses);
-        }
-        EngineStats {
+        let stats = EngineStats {
             jobs: jobs.len() as u64,
             cache_hits: hits,
             cache_misses: misses,
@@ -501,7 +473,11 @@ impl Engine {
             elapsed: started.elapsed(),
             stage_hits: tally.hits(),
             stage_misses: tally.misses(),
+        };
+        if shared.options.cache {
+            shared.lifetime.lock().unwrap_or_else(PoisonError::into_inner).absorb(&stats);
         }
+        stats
     }
 
     /// Runs a batch of jobs and returns one [`JobOutcome`] per job, in
@@ -526,10 +502,9 @@ impl Engine {
         let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
         let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> =
             HashMap::with_capacity(jobs.len());
-        let mut stats = self.run_with(&jobs, &keys, |key, result, hit| {
+        let stats = self.run_with(&jobs, &keys, |key, result, hit| {
             resolved.insert(*key, (Arc::clone(result), hit));
         });
-        stats.cache_entries = self.shared.cache.len();
 
         let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(jobs.len());
         let outcomes: Vec<JobOutcome> = jobs
@@ -559,18 +534,16 @@ impl Engine {
         BatchReport { outcomes, stats }
     }
 
-    /// Cumulative statistics across every batch run on this engine.
+    /// Cumulative statistics across every batch run on this engine:
+    /// the sums of every call's jobs, hits, misses and stage counters,
+    /// with `cache_entries` = the job results resident in the memo now.
     pub fn stats(&self) -> EngineStats {
-        let Shared { cache, stages, .. } = &*self.shared;
+        let lifetime = self.shared.lifetime.lock().unwrap_or_else(PoisonError::into_inner);
         EngineStats {
-            jobs: cache.hits() + cache.misses(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            cache_entries: cache.len(),
+            cache_entries: self.shared.stages.job_entries(),
             workers: self.worker_count(),
             elapsed: std::time::Duration::ZERO,
-            stage_hits: stages.hits(),
-            stage_misses: stages.misses(),
+            ..lifetime.clone()
         }
     }
 }
@@ -652,6 +625,29 @@ mod tests {
         assert_eq!(second.stats.stage_hits + second.stats.stage_misses, 0);
         assert_eq!(engine.stats().jobs, 0);
         assert_eq!(engine.stats().stage_misses, 0);
+    }
+
+    #[test]
+    fn job_results_obey_the_memo_bound() {
+        let dir = std::env::temp_dir().join(format!("bittrans-job-bound-{}", std::process::id()));
+        let jobs: Vec<Job> = (2..=7).map(|l| Job::new(three_adds(), l)).collect();
+        let direct = compare(&jobs[0].spec, 2, &jobs[0].options).unwrap();
+        let expected = serde_json::to_string(&direct).unwrap();
+        // One worker, so λ = 2 is admitted first and evicted first.
+        let options = EngineOptions { workers: Some(1), cache: true };
+        let stored = Engine::new(options).with_cache_dir(&dir).unwrap();
+        for (engine, evicted) in [(stored, (1, 0)), (Engine::new(options), (0, 1))] {
+            engine.shared.stages.set_memo_capacity(4);
+            engine.run(jobs.clone());
+            assert!(engine.stats().cache_entries <= 4, "{:?}", engine.stats());
+            // The evicted job is a disk hit with a store, a miss without.
+            let again = engine.run(vec![jobs[0].clone()]);
+            assert_eq!((again.stats.cache_hits, again.stats.cache_misses), evicted);
+            assert_eq!(again.stats.stage_hits + again.stats.stage_misses, evicted.1 * 9);
+            let got = again.outcomes[0].result.as_ref().as_ref().unwrap();
+            assert_eq!(serde_json::to_string(got).unwrap(), expected);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A long-running [`Study`] service over one warm [`Engine`]: newline-
-//! delimited JSON over TCP, so many clients share a single in-memory
-//! cache (backed by the cache directory's store) instead of each paying a
-//! cold start.
+//! delimited JSON over TCP, so many clients share the engine's one
+//! in-memory memo of job results and stage artifacts (bounded, and backed
+//! by the cache directory's store) instead of each paying a cold start.
 //!
 //! # Protocol
 //!
@@ -168,8 +168,8 @@ pub struct ServeOptions {
     pub addr: String,
     /// Worker threads of the shared engine (`None`: all cores).
     pub workers: Option<usize>,
-    /// Persistent cache directory backing the warm in-memory cache
-    /// (`None`: memory only, the cache dies with the process).
+    /// Persistent cache directory backing the engine's warm in-memory memo
+    /// (`None`: memory only, the memo dies with the process).
     pub cache_dir: Option<PathBuf>,
     /// Reject request lines longer than this many bytes.
     pub max_request_bytes: usize,
@@ -703,10 +703,10 @@ fn make_cell(job: &Job, key: JobKey, result: &Arc<JobResult>, from_cache: bool) 
 /// Runs one study request on the engine and writes its response (and,
 /// when streaming, a cell frame per grid cell as results resolve).
 ///
-/// The report's statistics are the engine's per-call counts with
-/// `cache_entries` = the request's distinct keys (what a fresh
-/// single-process engine would hold after the same grid) — which is what
-/// keeps served reports byte-identical to `Study::run` references.
+/// The report's statistics are the engine's per-call counts, with
+/// `cache_entries` = the request's distinct keys — the same definition
+/// `Study::run` uses, which keeps served reports byte-identical to its
+/// references.
 fn run_study_request(
     state: &ServerState,
     study: &Study,

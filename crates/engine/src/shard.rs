@@ -605,7 +605,7 @@ pub fn run_sharded(
             jobs: retried.len() as u64,
             cache_hits: 0,
             cache_misses: retried.len() as u64,
-            cache_entries: batch.stats.cache_entries,
+            cache_entries: retried.len(),
             workers: batch.stats.workers,
             elapsed: batch.stats.elapsed,
             stage_hits: batch.stats.stage_hits,
@@ -630,8 +630,8 @@ pub fn run_sharded(
         jobs: distinct_count,
         cache_hits: hits,
         cache_misses: distinct_count - hits,
-        // What a fresh single-process `Study::run` holds after the grid:
-        // every distinct job's result, resident in memory.
+        // What a single-process `Study::run` reports: the grid's
+        // distinct keys.
         cache_entries: grid.distinct.len(),
         workers: merged.workers,
         elapsed: started.elapsed(),

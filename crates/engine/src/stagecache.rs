@@ -1,12 +1,12 @@
-//! Incremental stage-level caching: memoized pipeline stages keyed by
-//! their exact inputs.
+//! The engine's one content-addressed memo: finished jobs and the
+//! pipeline stages they decompose into, each keyed by its exact inputs.
 //!
-//! The job cache ([`crate::cache`]) works at whole-job granularity
-//! (`spec × latency × options`), so a latency sweep over one spec
-//! re-runs kernel extraction at every point and a one-operation spec
-//! edit is a 100 % cold start. This module decomposes a cache-miss job
-//! into the stage functions `bittrans-core` exposes
-//! ([`bittrans_core::stage_extract`] and friends) and memoizes each
+//! A finished job (`spec × latency × options`, keyed by [`crate::key`])
+//! is the memo's `job` kind. Job granularity alone would make a latency
+//! sweep over one spec re-run kernel extraction at every point, and a
+//! one-operation spec edit a 100 % cold start, so this module also
+//! decomposes a cache-miss job into the stage functions `bittrans-core`
+//! exposes ([`bittrans_core::stage_extract`] and friends) and memoizes each
 //! stage under a content key derived from *that stage's inputs alone*:
 //!
 //! ```text
@@ -23,7 +23,7 @@
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
 //! "artifact" is the canonical spec text itself, computed once per
-//! [`StageCache::compare_staged`] call and embedded in every downstream
+//! `StageCache::compare_staged` call and embedded in every downstream
 //! key (it is not separately cached — producing the key would cost as
 //! much as producing the artifact).
 //!
@@ -47,13 +47,15 @@
 //! on one initializer instead of computing it twice, so hit/miss counts
 //! are deterministic for a given job set. Errors are cached too —
 //! stages are pure functions of their keys, so a failure is as
-//! reproducible as a success (this mirrors the job cache, which also
-//! serves errors from memory). The memo is bounded: at most
-//! [`STAGE_MEMO_CAPACITY`] slots are resident, evicted oldest-first, so
-//! a long-lived serve process stops growing without limit (an evicted
-//! stage costs at worst one disk load or recompute later).
+//! reproducible as a success (a failed job is memoized the same way).
+//! Finished jobs take slots of the same memo, admitted whole as each job
+//! finishes; a hit hands out the resident `Arc<JobResult>`. The memo is
+//! bounded: at most `STAGE_MEMO_CAPACITY` slots, jobs and stages alike,
+//! are resident, evicted oldest-first, so a long-lived serve process
+//! stops growing without limit. An evicted entry is reloaded from the
+//! store when one is attached, and recomputed otherwise.
 //!
-//! The disk tier ([`StageStore`]) under `<cache-dir>/stages/` is the
+//! The disk tier (`StageStore`) under `<cache-dir>/stages/` is the
 //! cache directory's **only** on-disk store. It persists every stage, and
 //! every finished job as one more stage kind, `job`, as `<key>.stage`
 //! files: a one-line `bittrans-stage 2 <stage> ok` envelope followed by
@@ -68,16 +70,18 @@
 //! one whose envelope names another stage — is deleted and recomputed,
 //! never misparsed, and the recompute's respill repairs it. The
 //! filesystem itself is the index (no manifest to rebuild, nothing listed
-//! at open); `cache prune` sweeps the directory oldest-first (resident
-//! jobs and stages are pinned). Legacy schema-1 verify tokens
+//! at open); `cache prune` sweeps the directory oldest-first (every key
+//! resident in the memo is pinned). Legacy schema-1 verify tokens
 //! (`<key>.json`, from builds predating the codec) are simply ignored
 //! until pruned.
 //!
 //! Every resolution emits one `stage` trace event whose `provenance`
 //! (`memory` / `disk` / `computed`) reconciles exactly with the
 //! [`StageTally`] counters surfaced as `stage_hits` / `stage_misses` in
-//! [`crate::EngineStats`].
+//! [`crate::EngineStats`]. Job lookups emit no `stage` event and touch no
+//! tally: the engine reports them as `job` events.
 
+use crate::job::JobResult;
 use crate::key::JobKey;
 use crate::trace;
 use bittrans_core::{
@@ -92,9 +96,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
-/// Default bound on resident in-memory stage slots. At roughly a few
-/// kilobytes per artifact this caps the memo in the tens of megabytes;
-/// a serve process that outgrows it falls back to the disk tier.
+/// Bound on resident memo slots, finished jobs and stage artifacts alike.
+/// It counts slots, not bytes. An evicted entry falls back to the store
+/// when one is attached, and to recomputation otherwise.
 pub(crate) const STAGE_MEMO_CAPACITY: usize = 4096;
 
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
@@ -253,6 +257,8 @@ enum StageValue {
     Datapath(Arc<Datapath>),
     /// `time_base` / `time_frag`: the measured implementation.
     Timed(Arc<Implementation>),
+    /// `job`: a finished job, handed out as is on every hit.
+    Job(Arc<JobResult>),
 }
 
 impl StageValue {
@@ -300,6 +306,7 @@ impl StageValue {
             StageValue::Schedule(v) => v.to_canonical(),
             StageValue::Datapath(v) => v.to_canonical(),
             StageValue::Timed(v) => v.to_canonical(),
+            StageValue::Job(_) => unreachable!("jobs spill through `StageStore::spill_job`"),
         }
     }
 }
@@ -419,17 +426,15 @@ impl Memo {
     }
 }
 
-/// The engine's stage memo: bounded in-memory `OnceLock` slots for stage
-/// artifacts, an optional disk tier persisting every stage through the
-/// canonical codec, and lifetime counters. One per [`crate::Engine`],
-/// shared by every batch and serve request run through it.
+/// The engine's one memo: bounded in-memory `OnceLock` slots for finished
+/// jobs and stage artifacts, plus an optional disk tier persisting both
+/// through the canonical codec. One per [`crate::Engine`], shared by
+/// every batch and serve request run through it.
 #[derive(Debug, Default)]
 pub struct StageCache {
     memo: Mutex<Memo>,
     /// The cache directory's store, when one is attached.
     store: Option<StageStore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl StageCache {
@@ -447,7 +452,7 @@ impl StageCache {
     /// Caps the resident slot count (tests exercise small bounds; the
     /// default is [`STAGE_MEMO_CAPACITY`]).
     #[cfg(test)]
-    fn set_memo_capacity(&self, capacity: usize) {
+    pub(crate) fn set_memo_capacity(&self, capacity: usize) {
         self.memo.lock().expect("stage cache lock").capacity = capacity;
     }
 
@@ -458,14 +463,43 @@ impl StageCache {
         self.memo.lock().expect("stage cache lock").map.keys().copied().collect()
     }
 
-    /// Lifetime stage hits across every batch.
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// Finished jobs resident in the memo.
+    pub(crate) fn job_entries(&self) -> usize {
+        let memo = self.memo.lock().expect("stage cache lock");
+        memo.map.values().filter(|slot| matches!(slot.get(), Some(Ok(StageValue::Job(_))))).count()
     }
 
-    /// Lifetime stage misses across every batch.
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// Serves a finished job from the memo or, failing that, from its
+    /// `job` file in the attached store (promoting the result into the
+    /// memo), together with the tier that answered — the `job` trace
+    /// event's provenance. A corrupt file is deleted by the load, so the
+    /// caller recomputes and respills it.
+    pub(crate) fn lookup_job(&self, key: JobKey) -> Option<(Arc<JobResult>, &'static str)> {
+        let memo = self.memo.lock().expect("stage cache lock");
+        if let Some(Ok(StageValue::Job(result))) = memo.map.get(&key).and_then(|s| s.get()) {
+            return Some((Arc::clone(result), "memory"));
+        }
+        drop(memo);
+        let result = Arc::new(Ok(self.store.as_ref()?.load_job(key)?));
+        self.remember_job(key, &result);
+        Some((result, "disk"))
+    }
+
+    /// Admits one computed job: into the memo, plus a best-effort spill of
+    /// a success to the attached store (a failed write costs a
+    /// recomputation in some later process, never this result).
+    pub(crate) fn admit_job(&self, key: JobKey, result: &Arc<JobResult>) {
+        self.remember_job(key, result);
+        if let (Some(store), Ok(comparison)) = (&self.store, result.as_ref()) {
+            store.spill_job(key, comparison);
+        }
+    }
+
+    fn remember_job(&self, key: JobKey, result: &Arc<JobResult>) {
+        let slot = self.memo.lock().expect("stage cache lock").slot(key);
+        // Already set only when another caller admitted the same key
+        // first; keys are content hashes, so its value is equal.
+        let _ = slot.set(Ok(StageValue::Job(Arc::clone(result))));
     }
 
     /// Resolves one stage: serves the memoized artifact, or probes the
@@ -496,16 +530,8 @@ impl StageCache {
                 value
             })
             .clone();
-        match provenance {
-            Provenance::Computed => {
-                tally.misses.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Provenance::Memory | Provenance::Disk => {
-                tally.hits.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter = if provenance == Provenance::Computed { &tally.misses } else { &tally.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         trace::event("stage", |a| {
             a.str("stage", stage)
                 .str("key", &key.to_string())

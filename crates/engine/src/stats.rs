@@ -15,9 +15,10 @@ use std::time::Duration;
 /// Every submitted job is classified as exactly one hit or one miss, so
 /// `cache_hits + cache_misses == jobs` always holds for a batch:
 ///
-/// * a job whose [`crate::JobKey`] is already resident — from an earlier
-///   batch on this engine, or loaded from its `job` file in a persistent
-///   cache directory ([`crate::Engine::with_cache_dir`]) — is a **hit**;
+/// * a job whose [`crate::JobKey`] is already resident in the engine's
+///   memo (from an earlier batch on this engine), or loads from its `job`
+///   file in a persistent cache directory
+///   ([`crate::Engine::with_cache_dir`]), is a **hit**;
 /// * an in-batch duplicate (a later job with the same key as an earlier
 ///   one in the same batch) is a **hit**: it does no pipeline work and
 ///   shares the first occurrence's result;
@@ -29,8 +30,8 @@ use std::time::Duration;
 /// With caching disabled ([`crate::EngineOptions::cache`] = false), batch
 /// stats keep the same per-batch classification (in-batch duplicates still
 /// count as hits) but nothing is recorded into the engine's lifetime
-/// counters.
-#[derive(Clone, Debug)]
+/// counters, which sum every call made with caching on.
+#[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Jobs submitted.
     pub jobs: u64,
@@ -40,10 +41,11 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Jobs that required running the pipeline.
     pub cache_misses: u64,
-    /// Results resident in the engine's in-memory cache after the batch
-    /// (lifetime snapshots: now). A fresh engine that runs one grid holds
-    /// exactly the grid's distinct jobs, whatever else its cache
-    /// directory stores — files on disk are never counted.
+    /// The distinct job keys the batch resolved: a grid reports exactly
+    /// its distinct jobs, whatever else the engine's memo or cache
+    /// directory holds. In a lifetime snapshot ([`crate::Engine::stats`])
+    /// it is the job results resident in the memo now, which the memo's
+    /// slot bound caps.
     pub cache_entries: usize,
     /// Worker threads used.
     pub workers: usize,
@@ -72,29 +74,19 @@ impl EngineStats {
 
     /// The all-zero counters — the identity of [`EngineStats::absorb`].
     pub fn zero() -> Self {
-        EngineStats {
-            jobs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_entries: 0,
-            workers: 0,
-            elapsed: Duration::ZERO,
-            stage_hits: 0,
-            stage_misses: 0,
-        }
+        EngineStats::default()
     }
 
     /// Folds another batch's counters into this one, as when merging the
     /// per-shard statistics of a multi-process run: `jobs`, `cache_hits`,
-    /// `cache_misses` and `workers` add (the job sets are disjoint and the
-    /// pools ran side by side); `cache_entries` takes the maximum (each
-    /// process sees the same shared store, so summing would double-count);
-    /// `elapsed` takes the maximum (the batches overlapped in time).
+    /// `cache_misses`, `cache_entries` and `workers` add (the job sets are
+    /// disjoint and the pools ran side by side); `elapsed` takes the
+    /// maximum (the batches overlapped in time).
     pub fn absorb(&mut self, other: &EngineStats) {
         self.jobs += other.jobs;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_entries = self.cache_entries.max(other.cache_entries);
+        self.cache_entries += other.cache_entries;
         self.workers += other.workers;
         self.elapsed = self.elapsed.max(other.elapsed);
         self.stage_hits += other.stage_hits;
@@ -381,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_disjoint_work_and_maxes_shared_state() {
+    fn merge_sums_disjoint_work_and_maxes_elapsed() {
         let a = EngineStats {
             jobs: 4,
             cache_hits: 1,
@@ -407,7 +399,8 @@ mod tests {
         assert_eq!(merged.cache_hits, 1);
         assert_eq!(merged.cache_misses, 8);
         assert_eq!(merged.cache_hits + merged.cache_misses, merged.jobs);
-        assert_eq!(merged.cache_entries, 10);
+        // Each shard counts its own distinct keys.
+        assert_eq!(merged.cache_entries, 20);
         assert_eq!(merged.workers, 5);
         assert_eq!(merged.elapsed, Duration::from_millis(8));
         // Stage work sums like job work: the shards ran disjoint stages.

@@ -7,7 +7,7 @@
 //! store by size/age without touching what a live run pins.
 
 use bittrans_core::CompareOptions;
-use bittrans_engine::{Engine, EngineOptions, Job, PrunePolicy, Study};
+use bittrans_engine::{Engine, EngineOptions, EngineStats, Job, PrunePolicy, Study};
 use bittrans_ir::Spec;
 use std::path::{Path, PathBuf};
 
@@ -90,7 +90,7 @@ fn warm_cache_dir_serves_a_fresh_engine_entirely_from_disk() {
     assert_eq!(second.stats.cache_hits, 4);
     assert_eq!(second.stats.cache_misses, 0);
     assert_eq!(second.stats.hit_rate(), 100.0);
-    assert_eq!(second.stats.cache_entries, 4, "the grid's results, resident in memory");
+    assert_eq!(second.stats.cache_entries, 4, "the grid's distinct keys");
     for (a, b) in first.cells.iter().zip(&second.cells) {
         assert!(b.from_cache);
         let (ca, cb) = (a.comparison().unwrap(), b.comparison().unwrap());
@@ -186,7 +186,7 @@ fn prune_never_touches_files_pinned_by_a_live_run() {
     populate(&dir, 2..=5);
 
     // A live engine that computed everything it wrote pins all of it:
-    // its jobs are in its result cache, its stages in its stage memo.
+    // its jobs and its stages are resident in its memo.
     let cold_dir = temp_dir("pinned_cold");
     let cold = Engine::default().with_cache_dir(&cold_dir).unwrap();
     Study::single(three_adds()).latencies(2..=5).verify_vectors([0]).run(&cold);
@@ -194,7 +194,7 @@ fn prune_never_touches_files_pinned_by_a_live_run() {
     let report = cold.prune_cache(PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
     assert_eq!((report.removed, report.pinned, report.kept), (0, written, written));
 
-    // A live engine whose in-memory cache holds two of the four results
+    // A live engine whose memo holds two of the four results
     // (loaded from their job files; no stage was consulted).
     let live = Engine::default().with_cache_dir(&dir).unwrap();
     live.run(vec![populated_job(2), populated_job(3)]);
@@ -269,4 +269,38 @@ fn disabled_cache_never_touches_the_directory() {
         .unwrap();
     engine.run(vec![Job::new(three_adds(), 3)]);
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+}
+
+/// `Engine::stats` is one accumulator: its jobs, hits, misses and stage
+/// counters are the sums of every call's own, over cold, warm,
+/// duplicate-key and store-backed batches and `Study` runs on one engine.
+#[test]
+fn lifetime_counters_are_the_sums_of_every_call() {
+    let dir = temp_dir("lifetime");
+    populate(&dir, 2..=3);
+    let engine = Engine::default().with_cache_dir(&dir).unwrap();
+    let calls = [
+        // Store-backed: both jobs load from their files.
+        engine.run(vec![populated_job(2), populated_job(3)]).stats,
+        // Cold, then warm.
+        engine.run(vec![populated_job(4), populated_job(5)]).stats,
+        engine.run(vec![populated_job(4), populated_job(5)]).stats,
+        // One key twice: a miss and a duplicate hit.
+        engine.run(vec![populated_job(6), populated_job(6)]).stats,
+        Study::single(three_adds()).latencies(3..=5).verify_vectors([0]).run(&engine).stats,
+        Study::single(three_adds()).latencies(7..=8).run(&engine).stats,
+    ];
+    assert_eq!(calls[0].cache_hits, 2, "served from the store");
+    assert_eq!(calls[2].cache_hits, 2, "served from the memo");
+    assert_eq!((calls[3].cache_hits, calls[3].cache_misses), (1, 1));
+    let total = EngineStats::merged(&calls);
+    assert!(total.stage_hits > 0 && total.stage_misses > 0, "{total:?}");
+    let lifetime = engine.stats();
+    let counters =
+        |s: &EngineStats| (s.jobs, s.cache_hits, s.cache_misses, s.stage_hits, s.stage_misses);
+    assert_eq!(counters(&lifetime), counters(&total));
+    // The snapshot's entries are the job results resident in the memo:
+    // λ = 2..=6 without verification, 7 and 8 with it.
+    assert_eq!(lifetime.cache_entries, 7);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -144,6 +144,9 @@ fn healthy_fleet_report_is_byte_identical_to_single_process() {
     assert_eq!(run.report.stats.cache_hits, 0);
     assert_eq!(run.report.stats.cache_misses, distinct);
     assert_eq!(run.merged.jobs, distinct);
+    // Shard job sets are disjoint, so each shard's own keys sum to the
+    // grid's distinct keys.
+    assert_eq!(run.merged.cache_entries as u64, distinct);
 
     // Per-endpoint attribution covers every shard exactly once, and the
     // round-robin homes held (no retries were needed).
@@ -153,6 +156,8 @@ fn healthy_fleet_report_is_byte_identical_to_single_process() {
     assert_eq!(served, vec![0, 1, 2]);
     for endpoint in &run.endpoints {
         assert!(fleet.endpoints.contains(&endpoint.endpoint), "{}", endpoint.endpoint);
+        // An endpoint serving several shards counts every shard's keys.
+        assert_eq!(endpoint.stats.cache_entries as u64, endpoint.stats.jobs, "{endpoint}");
     }
 
     let stats = fleet.shutdown();
