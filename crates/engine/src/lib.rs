@@ -636,10 +636,15 @@ mod tests {
         // One worker, so λ = 2 is admitted first and evicted first.
         let options = EngineOptions { workers: Some(1), cache: true };
         let stored = Engine::new(options).with_cache_dir(&dir).unwrap();
+        let budget = 8 << 10;
         for (engine, evicted) in [(stored, (1, 0)), (Engine::new(options), (0, 1))] {
-            engine.shared.stages.set_memo_capacity(4);
-            engine.run(jobs.clone());
-            assert!(engine.stats().cache_entries <= 4, "{:?}", engine.stats());
+            engine.shared.stages.set_memo_capacity(budget);
+            for job in &jobs {
+                engine.run(vec![job.clone()]);
+                let charged = engine.shared.stages.memo_bytes();
+                assert!(charged <= budget, "{charged} > {budget} bytes");
+            }
+            assert!(engine.stats().cache_entries > 0, "recent jobs stay resident");
             // The evicted job is a disk hit with a store, a miss without.
             let again = engine.run(vec![jobs[0].clone()]);
             assert_eq!((again.stats.cache_hits, again.stats.cache_misses), evicted);

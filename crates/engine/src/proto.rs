@@ -11,6 +11,13 @@
 //! back from — never as a hung caller. (Before this module existed the
 //! `client` subcommand read responses with no deadline, so a server that
 //! accepted and then went silent hung it forever.)
+//!
+//! Every client socket sets `TCP_NODELAY`, and every request line goes
+//! out as one write, body and newline together. A line split over two
+//! writes on a Nagle socket holds its newline back until the server's
+//! delayed ACK of the body, which cost each exchange tens of
+//! milliseconds on loopback. The server side follows the same rule
+//! ([`crate::serve`]).
 
 use crate::stats::EngineStats;
 use crate::trace;
@@ -89,31 +96,31 @@ impl LineClient {
     }
 
     /// Wraps an already-connected stream (the test-harness path),
-    /// installing `timeout` as its exchange deadline.
+    /// installing `timeout` as its exchange deadline and disabling
+    /// Nagle's algorithm (see the module docs).
     ///
     /// # Errors
     ///
-    /// Socket configuration (setting the deadlines, cloning the handle).
+    /// Socket configuration (nodelay, the deadlines, cloning the handle).
     pub fn over(stream: TcpStream, timeout: Duration) -> io::Result<LineClient> {
+        stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(timeout))?;
         let writer = stream.try_clone()?;
         Ok(LineClient { writer, reader: BufReader::new(stream), timeout })
     }
 
-    /// Sends one request line (the newline delimiter is appended).
+    /// Sends one request line, its newline delimiter appended, in one
+    /// write.
     ///
     /// # Errors
     ///
     /// Transport errors, including a write blocked past the deadline.
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        let outcome = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush());
+        let framed = [line.as_bytes(), b"\n"].concat();
+        let outcome = self.writer.write_all(&framed);
         if let Err(e) = &outcome {
             trace::event("proto.write_error", |a| {
-                a.num("bytes", line.len() as u64 + 1).str("error", &e.to_string());
+                a.num("bytes", framed.len() as u64).str("error", &e.to_string());
             });
         }
         outcome

@@ -50,10 +50,18 @@
 //! reproducible as a success (a failed job is memoized the same way).
 //! Finished jobs take slots of the same memo, admitted whole as each job
 //! finishes; a hit hands out the resident `Arc<JobResult>`. The memo is
-//! bounded: at most `STAGE_MEMO_CAPACITY` slots, jobs and stages alike,
-//! are resident, evicted oldest-first, so a long-lived serve process
-//! stops growing without limit. An evicted entry is reloaded from the
-//! store when one is attached, and recomputed otherwise.
+//! bounded by estimated bytes, jobs and stages alike: when a value lands
+//! in its slot, the entry is charged its canonical body length plus a
+//! fixed per-entry overhead, and entries are evicted oldest-first while
+//! the charged total exceeds `STAGE_MEMO_BYTES` (4 MiB), so a long-lived
+//! serve process stops growing without limit. The length comes from the
+//! text the entry was spilled as or loaded from, so nothing is encoded
+//! twice; only a memo without a store encodes once, to size the entry. A
+//! slot whose value is still being computed is never evicted — that is
+//! what keeps every stage computed exactly once per key. An entry larger
+//! than the whole budget still reaches its caller but is not kept. An
+//! evicted entry is reloaded from the store when one is attached, and
+//! recomputed otherwise.
 //!
 //! The disk tier (`StageStore`) under `<cache-dir>/stages/` is the
 //! cache directory's **only** on-disk store. It persists every stage, and
@@ -96,10 +104,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
-/// Bound on resident memo slots, finished jobs and stage artifacts alike.
-/// It counts slots, not bytes. An evicted entry falls back to the store
-/// when one is attached, and to recomputation otherwise.
-pub(crate) const STAGE_MEMO_CAPACITY: usize = 4096;
+/// Bound on the memo's charged bytes, finished jobs and stage artifacts
+/// alike: each resident value costs its canonical body length plus
+/// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid
+/// (1,307 artifacts, 3.49 MB of canonical text) without evicting. An
+/// evicted entry falls back to the store when one is attached, and to
+/// recomputation otherwise.
+pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
+
+/// The fixed charge of one resident entry on top of its canonical body:
+/// its map and order slots, the `OnceLock` and the `Arc` headers. It also
+/// gives the bodiless `verify` artifact and cached errors a nonzero cost.
+const MEMO_ENTRY_OVERHEAD: usize = 256;
 
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
 /// old files decode-fail (delete → recompute → respill), never misparse.
@@ -158,16 +174,17 @@ impl StageStore {
         format!("bittrans-stage {STAGE_FILE_SCHEMA} {stage} ok")
     }
 
-    /// Reads `key`'s file and decodes it as a `stage` artifact. A file
-    /// that exists but fails to decode — wrong schema (older *or* newer),
-    /// an envelope naming another stage, a corrupt body — is deleted so
-    /// the recompute's respill repairs it.
+    /// Reads `key`'s file and decodes it as a `stage` artifact, returning
+    /// it with its body length (the memo's charge). A file that exists but
+    /// fails to decode — wrong schema (older *or* newer), an envelope
+    /// naming another stage, a corrupt body — is deleted so the
+    /// recompute's respill repairs it.
     fn load<T>(
         &self,
         key: JobKey,
         stage: &str,
         decode: impl FnOnce(&str) -> Option<T>,
-    ) -> Option<T> {
+    ) -> Option<(T, usize)> {
         let path = self.path(key);
         let text = std::fs::read_to_string(&path).ok()?;
         let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
@@ -175,7 +192,7 @@ impl StageStore {
         if value.is_none() {
             let _ = std::fs::remove_file(&path);
         }
-        value
+        value.map(|value| (value, body.len()))
     }
 
     /// Best-effort spill: hidden temp file in the same directory, then
@@ -199,16 +216,10 @@ impl StageStore {
         }
     }
 
-    /// Loads a finished job's comparison; `None` when absent or corrupt
-    /// (a corrupt file is deleted).
-    pub(crate) fn load_job(&self, key: JobKey) -> Option<Comparison> {
+    /// Loads a finished job's comparison and its body length; `None` when
+    /// absent or corrupt (a corrupt file is deleted).
+    pub(crate) fn load_job(&self, key: JobKey) -> Option<(Comparison, usize)> {
         self.load(key, JOB_STAGE, |body| Comparison::from_canonical(body).ok())
-    }
-
-    /// Spills a finished job's comparison (best effort, see
-    /// [`StageStore::spill`]). Only successes are ever persisted.
-    pub(crate) fn spill_job(&self, key: JobKey, comparison: &Comparison) {
-        self.spill(key, JOB_STAGE, &comparison.to_canonical());
     }
 
     /// Every regular, non-hidden file of the store — `job` and stage
@@ -306,7 +317,7 @@ impl StageValue {
             StageValue::Schedule(v) => v.to_canonical(),
             StageValue::Datapath(v) => v.to_canonical(),
             StageValue::Timed(v) => v.to_canonical(),
-            StageValue::Job(_) => unreachable!("jobs spill through `StageStore::spill_job`"),
+            StageValue::Job(_) => unreachable!("jobs spill through `StageCache::admit_job`"),
         }
     }
 }
@@ -389,46 +400,76 @@ impl StageTally {
     }
 }
 
-/// The bounded slot memo: insertion-ordered, evicted oldest-first once
-/// `capacity` is reached. Eviction only drops the memo's reference —
-/// in-flight resolutions hold their own `Arc` and complete normally; a
-/// later request for an evicted key re-resolves through disk or compute.
+/// One memo entry: its slot and what it is charged against the budget
+/// (0 until its value lands).
+#[derive(Debug)]
+struct Resident {
+    slot: Slot,
+    bytes: usize,
+}
+
+/// The byte-bounded slot memo: insertion-ordered, evicted oldest-first
+/// while the charged total exceeds `budget`. An unset slot — a value
+/// still being computed — is never evicted, so every resolver of its key
+/// joins the one computation. Eviction only drops the memo's reference:
+/// callers holding the slot's `Arc` keep their value, and a later request
+/// for an evicted key re-resolves through disk or compute.
 #[derive(Debug)]
 struct Memo {
-    map: HashMap<JobKey, Slot>,
+    map: HashMap<JobKey, Resident>,
     order: VecDeque<JobKey>,
-    capacity: usize,
+    charged: usize,
+    budget: usize,
 }
 
 impl Default for Memo {
     fn default() -> Self {
-        Memo { map: HashMap::new(), order: VecDeque::new(), capacity: STAGE_MEMO_CAPACITY }
+        Memo { map: HashMap::new(), order: VecDeque::new(), charged: 0, budget: STAGE_MEMO_BYTES }
     }
 }
 
 impl Memo {
+    /// `key`'s slot, inserted empty (and uncharged) if absent.
     fn slot(&mut self, key: JobKey) -> Slot {
-        if let Some(slot) = self.map.get(&key) {
-            return Arc::clone(slot);
-        }
-        while self.map.len() >= self.capacity.max(1) {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                }
-                None => break,
-            }
+        if let Some(resident) = self.map.get(&key) {
+            return Arc::clone(&resident.slot);
         }
         let slot = Slot::default();
-        self.map.insert(key, Arc::clone(&slot));
+        self.map.insert(key, Resident { slot: Arc::clone(&slot), bytes: 0 });
         self.order.push_back(key);
         slot
     }
+
+    /// Charges `key`'s entry for the value that just landed in `slot` (a
+    /// canonical body of `body` bytes), then evicts down to the budget.
+    /// A no-op when the entry was evicted or replaced meanwhile.
+    fn charge(&mut self, key: JobKey, slot: &Slot, body: usize) {
+        let Some(resident) = self.map.get_mut(&key) else { return };
+        if !Arc::ptr_eq(&resident.slot, slot) {
+            return;
+        }
+        resident.bytes = body + MEMO_ENTRY_OVERHEAD;
+        self.charged += resident.bytes;
+        let mut in_flight = Vec::new();
+        while self.charged > self.budget {
+            let Some(oldest) = self.order.pop_front() else { break };
+            let resident = &self.map[&oldest];
+            if resident.slot.get().is_none() {
+                in_flight.push(oldest);
+                continue;
+            }
+            self.charged -= resident.bytes;
+            self.map.remove(&oldest);
+        }
+        for key in in_flight.into_iter().rev() {
+            self.order.push_front(key);
+        }
+    }
 }
 
-/// The engine's one memo: bounded in-memory `OnceLock` slots for finished
-/// jobs and stage artifacts, plus an optional disk tier persisting both
-/// through the canonical codec. One per [`crate::Engine`], shared by
+/// The engine's one memo: byte-bounded in-memory `OnceLock` slots for
+/// finished jobs and stage artifacts, plus an optional disk tier
+/// persisting both through the canonical codec. One per [`crate::Engine`], shared by
 /// every batch and serve request run through it.
 #[derive(Debug, Default)]
 pub struct StageCache {
@@ -449,11 +490,17 @@ impl StageCache {
         self.store.as_ref()
     }
 
-    /// Caps the resident slot count (tests exercise small bounds; the
-    /// default is [`STAGE_MEMO_CAPACITY`]).
+    /// Caps the memo's charged bytes (tests exercise small bounds; the
+    /// default is [`STAGE_MEMO_BYTES`]).
     #[cfg(test)]
-    pub(crate) fn set_memo_capacity(&self, capacity: usize) {
-        self.memo.lock().expect("stage cache lock").capacity = capacity;
+    pub(crate) fn set_memo_capacity(&self, bytes: usize) {
+        self.memo.lock().expect("stage cache lock").budget = bytes;
+    }
+
+    /// The memo's charged bytes now.
+    #[cfg(test)]
+    pub(crate) fn memo_bytes(&self) -> usize {
+        self.memo.lock().expect("stage cache lock").charged
     }
 
     /// Keys currently resident in the memo — `cache prune` pins these so
@@ -466,7 +513,7 @@ impl StageCache {
     /// Finished jobs resident in the memo.
     pub(crate) fn job_entries(&self) -> usize {
         let memo = self.memo.lock().expect("stage cache lock");
-        memo.map.values().filter(|slot| matches!(slot.get(), Some(Ok(StageValue::Job(_))))).count()
+        memo.map.values().filter(|r| matches!(r.slot.get(), Some(Ok(StageValue::Job(_))))).count()
     }
 
     /// Serves a finished job from the memo or, failing that, from its
@@ -476,36 +523,44 @@ impl StageCache {
     /// caller recomputes and respills it.
     pub(crate) fn lookup_job(&self, key: JobKey) -> Option<(Arc<JobResult>, &'static str)> {
         let memo = self.memo.lock().expect("stage cache lock");
-        if let Some(Ok(StageValue::Job(result))) = memo.map.get(&key).and_then(|s| s.get()) {
+        if let Some(Ok(StageValue::Job(result))) = memo.map.get(&key).and_then(|r| r.slot.get()) {
             return Some((Arc::clone(result), "memory"));
         }
         drop(memo);
-        let result = Arc::new(Ok(self.store.as_ref()?.load_job(key)?));
-        self.remember_job(key, &result);
+        let (comparison, body) = self.store.as_ref()?.load_job(key)?;
+        let result = Arc::new(Ok(comparison));
+        self.remember_job(key, &result, body);
         Some((result, "disk"))
     }
 
     /// Admits one computed job: into the memo, plus a best-effort spill of
     /// a success to the attached store (a failed write costs a
-    /// recomputation in some later process, never this result).
+    /// recomputation in some later process, never this result). One
+    /// encoding serves both the memo's charge and the spill.
     pub(crate) fn admit_job(&self, key: JobKey, result: &Arc<JobResult>) {
-        self.remember_job(key, result);
-        if let (Some(store), Ok(comparison)) = (&self.store, result.as_ref()) {
-            store.spill_job(key, comparison);
+        let body = result.as_ref().as_ref().ok().map(Comparison::to_canonical);
+        self.remember_job(key, result, body.as_ref().map_or(0, String::len));
+        if let (Some(store), Some(body)) = (&self.store, &body) {
+            store.spill(key, JOB_STAGE, body);
         }
     }
 
-    fn remember_job(&self, key: JobKey, result: &Arc<JobResult>) {
-        let slot = self.memo.lock().expect("stage cache lock").slot(key);
+    fn remember_job(&self, key: JobKey, result: &Arc<JobResult>, body: usize) {
+        let mut memo = self.memo.lock().expect("stage cache lock");
+        let slot = memo.slot(key);
         // Already set only when another caller admitted the same key
-        // first; keys are content hashes, so its value is equal.
-        let _ = slot.set(Ok(StageValue::Job(Arc::clone(result))));
+        // first (and charged it); keys are content hashes, so its value
+        // is equal.
+        if slot.set(Ok(StageValue::Job(Arc::clone(result)))).is_ok() {
+            memo.charge(key, &slot, body);
+        }
     }
 
     /// Resolves one stage: serves the memoized artifact, or probes the
     /// disk tier, or runs `compute` — exactly once per key, even under
     /// concurrency, because every caller funnels through the slot's
-    /// `OnceLock`.
+    /// `OnceLock` and an unset slot is never evicted. The caller that
+    /// fills the slot charges it.
     fn resolve(
         &self,
         key: JobKey,
@@ -516,20 +571,25 @@ impl StageCache {
     ) -> Result<StageValue, PipelineError> {
         let slot: Slot = self.memo.lock().expect("stage cache lock").slot(key);
         let mut provenance = Provenance::Memory;
+        let mut body = 0;
         let result = slot
             .get_or_init(|| {
-                if let Some(value) = self.load_artifact(key, stage, kind) {
+                if let Some((value, bytes)) = self.load_artifact(key, stage, kind) {
                     provenance = Provenance::Disk;
+                    body = bytes;
                     return Ok(value);
                 }
                 provenance = Provenance::Computed;
                 let value = compute();
                 if let Ok(value) = &value {
-                    self.spill_artifact(key, stage, value);
+                    body = self.spill_artifact(key, stage, value);
                 }
                 value
             })
             .clone();
+        if provenance != Provenance::Memory {
+            self.memo.lock().expect("stage cache lock").charge(key, &slot, body);
+        }
         let counter = if provenance == Provenance::Computed { &tally.misses } else { &tally.hits };
         counter.fetch_add(1, Ordering::Relaxed);
         trace::event("stage", |a| {
@@ -548,19 +608,28 @@ impl StageCache {
         result
     }
 
-    /// Loads the artifact for `key` from the disk tier (decode-or-delete,
-    /// see [`StageStore::load`]).
-    fn load_artifact(&self, key: JobKey, stage: &str, kind: StageKind) -> Option<StageValue> {
+    /// Loads the artifact for `key` from the disk tier, with its body
+    /// length (decode-or-delete, see [`StageStore::load`]).
+    fn load_artifact(
+        &self,
+        key: JobKey,
+        stage: &str,
+        kind: StageKind,
+    ) -> Option<(StageValue, usize)> {
         self.store.as_ref()?.load(key, stage, |body| kind.decode(body))
     }
 
-    /// Best-effort spill of a successful stage artifact. Errors are not
-    /// spilled — they are cheap to reproduce and a schema-visible failure
-    /// marker would risk pinning a transient environment problem.
-    fn spill_artifact(&self, key: JobKey, stage: &str, value: &StageValue) {
+    /// Best-effort spill of a successful stage artifact, returning its
+    /// canonical body length — encoded once, for the memo's charge even
+    /// without a store. Errors are not spilled — they are cheap to
+    /// reproduce and a schema-visible failure marker would risk pinning a
+    /// transient environment problem.
+    fn spill_artifact(&self, key: JobKey, stage: &str, value: &StageValue) -> usize {
+        let body = value.to_canonical();
         if let Some(store) = &self.store {
-            store.spill(key, stage, &value.to_canonical());
+            store.spill(key, stage, &body);
         }
+        body.len()
     }
 
     /// Runs one comparison through the memoized stages. Composes the
@@ -1013,7 +1082,8 @@ mod tests {
             compare(&three_adds(), 3, &CompareOptions { verify_vectors: 0, ..Default::default() })
                 .unwrap();
         let key = JobKey::of_bytes(b"shared");
-        StageStore::of(&dir).spill_job(key, &comparison);
+        let body = comparison.to_canonical();
+        StageStore::of(&dir).spill(key, JOB_STAGE, &body);
         let writers_done = AtomicU64::new(0);
         let start = std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
@@ -1024,7 +1094,7 @@ mod tests {
                     cache.attach_disk(&dir);
                     start.wait();
                     for _ in 0..400 {
-                        cache.store().unwrap().spill_job(key, &comparison);
+                        cache.store().unwrap().spill(key, JOB_STAGE, &body);
                     }
                     writers_done.fetch_add(1, Ordering::Relaxed);
                 });
@@ -1033,8 +1103,8 @@ mod tests {
                 let store = StageStore::of(&dir);
                 start.wait();
                 while writers_done.load(Ordering::Relaxed) < 2 {
-                    let loaded = store.load_job(key).expect("every load decodes");
-                    assert_eq!(loaded.to_canonical(), comparison.to_canonical());
+                    let (loaded, len) = store.load_job(key).expect("every load decodes");
+                    assert_eq!((loaded.to_canonical(), len), (body.clone(), body.len()));
                 }
             });
         });
@@ -1050,22 +1120,93 @@ mod tests {
     fn memo_is_bounded_by_the_eviction_policy() {
         let spec = three_adds();
         let options = CompareOptions::default();
+        let expected =
+            |latency| serde_json::to_string(&compare(&spec, latency, &options).unwrap()).unwrap();
+        // Room for a few artifacts: one latency point already overflows it.
+        let budget = 8 * MEMO_ENTRY_OVERHEAD;
         let cache = StageCache::default();
-        cache.set_memo_capacity(4);
+        cache.set_memo_capacity(budget);
         let tally = StageTally::default();
-        cache.compare_staged(&spec, 3, &options, &tally).unwrap();
-        assert!(
-            cache.resident_keys().len() <= 4,
-            "memo exceeded its bound: {} slots",
-            cache.resident_keys().len()
-        );
-        // Results stay correct under eviction; the evicted prefix simply
-        // recomputes.
-        let again = cache.compare_staged(&spec, 3, &options, &tally).unwrap();
-        assert_eq!(
-            serde_json::to_string(&again).unwrap(),
-            serde_json::to_string(&compare(&spec, 3, &options).unwrap()).unwrap()
-        );
+        for latency in [2, 3, 4, 5] {
+            let got = cache.compare_staged(&spec, latency, &options, &tally).unwrap();
+            assert!(cache.memo_bytes() <= budget, "{} > {budget} bytes", cache.memo_bytes());
+            assert_eq!(serde_json::to_string(&got).unwrap(), expected(latency));
+        }
+        assert!(!cache.resident_keys().is_empty(), "entries under the budget stay resident");
+        // Results stay byte-identical under eviction; the evicted prefix
+        // simply recomputes.
+        let misses = tally.misses();
+        let again = cache.compare_staged(&spec, 2, &options, &tally).unwrap();
+        assert!(tally.misses() > misses, "λ = 2 was evicted, so part of it recomputes");
+        assert_eq!(serde_json::to_string(&again).unwrap(), expected(2));
+
+        // Every entry outgrows a budget below the per-entry overhead: each
+        // still reaches its caller, and none is kept.
+        let tiny = StageCache::default();
+        tiny.set_memo_capacity(MEMO_ENTRY_OVERHEAD - 1);
+        let got = tiny.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
+        assert_eq!(serde_json::to_string(&got).unwrap(), expected(3));
+        assert!(tiny.resident_keys().is_empty());
+        assert_eq!(tiny.memo_bytes(), 0);
+    }
+
+    #[test]
+    fn eviction_never_drops_an_in_flight_slot() {
+        let cache = StageCache::default();
+        cache.set_memo_capacity(4 * MEMO_ENTRY_OVERHEAD);
+        let tally = StageTally::default();
+        let key = JobKey::of_bytes(b"in-flight");
+        let computes = AtomicU64::new(0);
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let resolve_key = |wait: Option<std::sync::mpsc::Receiver<()>>| {
+            cache.resolve(key, "verify", StageKind::Verified, &tally, || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                if let Some(gate) = wait {
+                    gate.recv().unwrap();
+                }
+                Ok(StageValue::Verified)
+            })
+        };
+        // The slot's holders: the memo itself plus every caller inside
+        // `resolve` for it.
+        let holders = || {
+            let memo = cache.memo.lock().unwrap();
+            memo.map.get(&key).map_or(0, |r| Arc::strong_count(&r.slot))
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| resolve_key(Some(gate)));
+            while computes.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            // Far more landed entries than the budget holds, while A's
+            // slot is still unset.
+            for i in 0u32..16 {
+                cache
+                    .resolve(
+                        JobKey::of_bytes(&i.to_le_bytes()),
+                        "verify",
+                        StageKind::Verified,
+                        &tally,
+                        || Ok(StageValue::Verified),
+                    )
+                    .unwrap();
+            }
+            assert!(cache.memo_bytes() <= 4 * MEMO_ENTRY_OVERHEAD);
+            let b = scope.spawn(|| resolve_key(None));
+            // B joins A's slot (a third holder) — or, had the slot been
+            // evicted, computes on a fresh one.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while holders() < 3
+                && computes.load(Ordering::SeqCst) < 2
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            a.join().unwrap().unwrap();
+            b.join().unwrap().unwrap();
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "the in-flight stage computed twice");
     }
 
     fn tempdir(tag: &str) -> PathBuf {

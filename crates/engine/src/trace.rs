@@ -296,6 +296,17 @@ impl Span {
     pub fn id(&self) -> u64 {
         self.id
     }
+
+    /// Appends attributes known only once the span's work is done; the
+    /// closure runs only when the span is live (collector enabled).
+    pub fn record(&mut self, f: impl FnOnce(&mut Attrs)) {
+        if self.started.is_none() {
+            return;
+        }
+        let mut attrs = Attrs { buf: std::mem::take(&mut self.attrs) };
+        f(&mut attrs);
+        self.attrs = attrs.buf;
+    }
 }
 
 impl Drop for Span {

@@ -561,3 +561,26 @@ fn client_disconnecting_mid_run_leaves_the_engine_serving() {
     assert!(stats.requests >= 1, "{stats}");
     assert_eq!(stats.errors, 0);
 }
+
+/// A warm study costs the engine well under a millisecond, so 50 of them
+/// in sequence on one connection finish far inside a second. A line
+/// written as two segments on a Nagle socket waits for the peer's delayed
+/// ACK before its newline goes out; that stalled each exchange ~88 ms.
+#[test]
+fn sequential_warm_requests_on_one_connection_do_not_stall() {
+    let (addr, handle) = start_server(1 << 20);
+    let mut client =
+        proto::LineClient::connect(&addr.to_string(), Duration::from_secs(30)).expect("connect");
+    let request = study_request();
+    let cold = client.request(&request).expect("cold request");
+    assert!(cold.starts_with("{\"ok\":true,"), "{cold}");
+    let started = Instant::now();
+    for _ in 0..50 {
+        let reply = client.request(&request).expect("warm request");
+        assert!(reply.starts_with("{\"ok\":true,"), "{reply}");
+    }
+    let elapsed = started.elapsed();
+    drop(client);
+    shutdown(addr, handle);
+    assert!(elapsed < Duration::from_secs(1), "50 warm requests took {elapsed:?}");
+}

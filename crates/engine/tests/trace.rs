@@ -10,7 +10,8 @@
 //!   hit/miss counters across a cold run, a warm in-memory run and a
 //!   fresh-process disk run, across two concurrent batches sharing one
 //!   engine, and on a served study, whose `exec.task` spans parent under
-//!   its `serve.request` span.
+//!   its `serve.request` span, which carries the request's `read_ns` and
+//!   `write_ns`.
 //!
 //! The collector is process-global, so every test serializes on one lock
 //! (mirroring the unit tests inside `trace.rs` — cargo runs separate test
@@ -410,6 +411,13 @@ fn served_study_tasks_parent_under_the_request_and_reconcile_with_its_stats() {
     let requests: Vec<u64> =
         spans_named("serve.request").iter().map(|v| num_of(v, "id").unwrap()).collect();
     assert_eq!(requests.len(), 2, "one serve.request span per study");
+    // Each request span times its own socket phases: the request line's
+    // read (first byte to newline) and its response write.
+    for span in spans_named("serve.request") {
+        assert!(num_of(span, "read_ns").is_some(), "no read_ns: {span:?}");
+        let write_ns = num_of(span, "write_ns").unwrap_or_else(|| panic!("no write_ns: {span:?}"));
+        assert!(write_ns > 0 && write_ns <= num_of(span, "dur_ns").unwrap(), "{span:?}");
+    }
     let tasks: HashMap<u64, u64> = spans_named("exec.task")
         .iter()
         .map(|v| (num_of(v, "id").unwrap(), num_of(v, "parent").unwrap()))
