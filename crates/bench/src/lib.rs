@@ -1,9 +1,9 @@
 //! # bittrans-bench
 //!
 //! The experiment harness: one runner per table and figure of the paper,
-//! shared by the Criterion benches (`benches/`) and the `gen_tables`
-//! binary, which prints every table/figure and writes machine-readable
-//! JSON next to it.
+//! driven by the `gen_tables` binary, which prints every table/figure and
+//! writes machine-readable JSON next to it. (Timing lives in the repo
+//! benchmark, `perfbench/`.)
 //!
 //! | paper artefact | runner |
 //! |---|---|

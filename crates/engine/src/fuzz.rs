@@ -254,60 +254,45 @@ impl FuzzReport {
     /// function of `(seed, count, options)`; `bittrans report normalize`
     /// blanks `elapsed_ms` for byte comparisons.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"bittrans-fuzz-v1\",\n");
-        out.push_str(&format!("  \"seed\": {},\n  \"count\": {},\n", self.seed, self.count));
-        match self.mul_prob {
-            Some(p) => out.push_str(&format!("  \"mul_prob\": {p},\n")),
-            None => out.push_str("  \"mul_prob\": null,\n"),
+        fn counts<'a>(pairs: impl Iterator<Item = (&'a str, usize)>) -> String {
+            pairs.map(|(name, n)| format!("\"{name}\": {n}")).collect::<Vec<_>>().join(", ")
         }
-        out.push_str(&format!("  \"differential\": {},\n", self.differential));
-        out.push_str("  \"shapes\": {");
-        for (i, (name, n)) in self.shapes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {n}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"cells\": {},\n  \"feasible\": {},\n",
-            self.cells, self.feasible
-        ));
-        out.push_str("  \"checks\": {");
-        for (i, (inv, n)) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {n}", inv.name()));
-        }
-        out.push_str("},\n  \"violations\": {");
-        for (i, (inv, n)) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {n}", inv.name()));
-        }
-        out.push_str(&format!(", \"total\": {}}},\n", self.total_violations()));
-        out.push_str("  \"failing_seeds\": [");
-        for (i, s) in self.failing_seeds.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&s.to_string());
-        }
-        out.push_str("],\n  \"details\": [\n");
-        for (i, v) in self.details.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"seed\": {}, \"invariant\": \"{}\", \"detail\": {}}}{}\n",
-                v.seed,
-                v.invariant.name(),
-                json_escape(&v.detail),
-                if i + 1 == self.details.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!("  ],\n  \"elapsed_ms\": {}\n}}\n", self.elapsed_ms));
-        out
+        let named =
+            |pairs: &[(Invariant, usize)]| counts(pairs.iter().map(|(i, n)| (i.name(), *n)));
+        let seeds: Vec<String> = self.failing_seeds.iter().map(u64::to_string).collect();
+        let details: String = self
+            .details
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                format!(
+                    "    {{\"seed\": {}, \"invariant\": \"{}\", \"detail\": {}}}{}\n",
+                    v.seed,
+                    v.invariant.name(),
+                    serde_json::to_string(&v.detail).expect("a string serializes"),
+                    if i + 1 == self.details.len() { "" } else { "," }
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"bittrans-fuzz-v1\",\n  \"seed\": {},\n  \"count\": {},\n  \
+             \"mul_prob\": {},\n  \"differential\": {},\n  \"shapes\": {{{}}},\n  \
+             \"cells\": {},\n  \"feasible\": {},\n  \"checks\": {{{}}},\n  \
+             \"violations\": {{{}, \"total\": {}}},\n  \"failing_seeds\": [{}],\n  \
+             \"details\": [\n{details}  ],\n  \"elapsed_ms\": {}\n}}\n",
+            self.seed,
+            self.count,
+            self.mul_prob.map_or_else(|| "null".to_string(), |p| p.to_string()),
+            self.differential,
+            counts(self.shapes.iter().copied()),
+            self.cells,
+            self.feasible,
+            named(&self.checks),
+            named(&self.violations),
+            self.total_violations(),
+            seeds.join(", "),
+            self.elapsed_ms
+        )
     }
 
     /// A short human-readable summary.
@@ -338,25 +323,6 @@ impl FuzzReport {
         }
         out
     }
-}
-
-/// JSON string literal with the escapes the document needs.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The study grid every case runs: the fixed latency/adder/balance axes

@@ -98,12 +98,11 @@ pub use study::Study;
 
 use bittrans_core::compare;
 use sched::Scheduler;
-use stagecache::{StageCache, StageTally};
-use std::any::Any;
+use stagecache::{Claim, Slot, StageCache, StageTally};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Configuration of an [`Engine`].
@@ -131,8 +130,9 @@ impl Default for EngineOptions {
 /// The pool is a [`sched::Scheduler`] of [`Engine::worker_count`]
 /// threads, started on the first job that must compute, so an engine
 /// that only ever serves cache hits never spawns a thread. Concurrent
-/// callers share it fairly (one fairness unit per call) and share
-/// in-flight jobs: a key another call is computing right now is joined,
+/// callers share it fairly (one fairness unit per call) and, with caching
+/// on, share in-flight jobs: a job's memo slot is its in-flight
+/// registration, so a key another call is computing right now is joined,
 /// not recomputed, and counts as a hit.
 #[derive(Debug, Default)]
 pub struct Engine {
@@ -148,30 +148,13 @@ struct Shared {
     /// The one memo: finished jobs and pipeline stages keyed by their
     /// inputs, shared by every batch and serve request, plus the cache
     /// directory's on-disk store when one is attached ([`stagecache`]).
+    /// A job's slot, claimed unset, is also its in-flight registration:
+    /// other calls wanting the key wait on it instead of recomputing.
     stages: StageCache,
-    /// Jobs currently computing, by key: the first call to want a key
-    /// registers it here; later calls subscribe instead of recomputing.
-    /// The computing task admits its result to the memo **before**
-    /// removing the entry, so a call that misses the memo while holding
-    /// this lock always finds a live registration to join.
-    in_flight: Mutex<HashMap<JobKey, Vec<Subscriber>>>,
     /// Lifetime counters: every `run_with` call with caching on adds its
     /// stats once, at its end ([`Engine::stats`]).
     lifetime: Mutex<EngineStats>,
 }
-
-/// One call's subscription to a job another call is computing: the
-/// subscriber's slot index and the sender of its collection channel.
-#[derive(Debug)]
-struct Subscriber {
-    slot: usize,
-    tx: mpsc::Sender<(usize, Resolution)>,
-}
-
-/// How a computing task resolved one slot: the shared result, or `Err`
-/// when the job panicked — carrying the original payload to the owning
-/// call, `None` to subscribers (which fail with a panic of their own).
-type Resolution = Result<Arc<JobResult>, Option<Box<dyn Any + Send>>>;
 
 impl Shared {
     /// Computes one comparison: through the memoized stage path
@@ -186,12 +169,6 @@ impl Shared {
         } else {
             compare(&job.spec, job.latency, &job.options)
         }
-    }
-
-    fn lock_in_flight(&self) -> MutexGuard<'_, HashMap<JobKey, Vec<Subscriber>>> {
-        // The table is a plain registry, valid at every step; recover a
-        // poisoned guard rather than letting one panic wedge the engine.
-        self.in_flight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -285,17 +262,24 @@ impl Engine {
     /// Resolves `jobs` (with their precomputed `keys`) through the one
     /// execution path every front end shares, calling `on_resolved` once
     /// per distinct key with its result and whether it was a hit —
-    /// resident hits first, in slot order, then computed and joined keys
-    /// as they finish.
+    /// landed hits first, in slot order, then this call's computed keys
+    /// as they finish, then the keys it joined.
     ///
-    /// Every key is classified under the in-flight registry lock as a
-    /// memory or disk hit, an in-call duplicate, a join of another call's
-    /// in-flight computation (all hits) or a miss, and each
-    /// classification is one `job` trace event whose provenance
-    /// reconciles with the returned counters. The misses go to the pool as
-    /// one fairness unit; each runs in an `exec.task` span under the
-    /// caller's span, emits a `computed` event, and is admitted (cached
-    /// and spilled) before it is deregistered and its subscribers woken.
+    /// One hold of the memo lock claims every distinct key
+    /// ([`stagecache::Claim`]): a landed slot is a `memory` hit, another
+    /// call's unset slot is joined (`in-flight`, a hit), and an absent key
+    /// gets a slot this call owns. Outside the lock, an owned key whose job
+    /// file decodes lands from the store (a `disk` hit); the rest are
+    /// misses. A repeat of a key is a `memory` hit when its first
+    /// occurrence landed and a `duplicate` otherwise. Each hit is one `job`
+    /// trace event whose provenance reconciles with the returned counters. The owned keys go
+    /// to the pool as one fairness unit before any callback runs, so
+    /// every owned slot is landed or abandoned whatever the callback does;
+    /// each runs in an `exec.task` span under the caller's span, emits a
+    /// `computed` event and lands its result (cached and spilled). A
+    /// joined slot is waited on from this thread once this call's own
+    /// tasks are done, so joining costs no pool task. Without caching
+    /// nothing is claimed: every distinct key is computed.
     ///
     /// The returned [`EngineStats`] count hits and misses, `workers`
     /// clamped to the computed-job count, this call's stage tally, and
@@ -310,7 +294,8 @@ impl Engine {
     /// If a job panics, once every job this call computes has finished:
     /// with the job's original payload, or — when the panicking job was
     /// another call's that this one joined — with a panic of its own.
-    /// The pool survives and the engine stays usable.
+    /// The panicked job's key leaves the memo, so a later call recomputes
+    /// it; the pool survives and the engine stays usable.
     pub(crate) fn run_with(
         &self,
         jobs: &[Job],
@@ -320,74 +305,75 @@ impl Engine {
         debug_assert_eq!(jobs.len(), keys.len());
         let started = Instant::now();
         let shared = &self.shared;
-        let (tx, rx) = mpsc::channel::<(usize, Resolution)>();
+        // One hold of the memo lock claims each distinct key; `claims`
+        // keeps each claim with the index of the key's first job.
+        let mut claim_of: HashMap<JobKey, usize> = HashMap::with_capacity(jobs.len());
+        let mut claims: Vec<(usize, Claim)> = Vec::new();
+        let mut memo = shared.options.cache.then(|| shared.stages.claim_jobs());
+        for (index, key) in keys.iter().enumerate() {
+            claim_of.entry(*key).or_insert_with(|| {
+                let claim =
+                    memo.as_mut().map_or_else(|| Claim::Own(Slot::default()), |m| m.claim(*key));
+                claims.push((index, claim));
+                claims.len() - 1
+            });
+        }
+        drop(memo);
         let mut hits = 0u64;
-        let mut immediate: Vec<(JobKey, Arc<JobResult>)> = Vec::new();
-        let mut to_compute: Vec<usize> = Vec::new();
-        let mut joined = vec![false; jobs.len()];
-        let mut seen: HashSet<JobKey> = HashSet::with_capacity(jobs.len());
-        {
-            // One registry lock hold for the whole classification, so each
-            // key is observed atomically: resident, in flight, or absent —
-            // never the gap between a task's admission and its
-            // deregistration (admission happens first; see `in_flight`).
-            let mut in_flight = shared.lock_in_flight();
-            for (slot, key) in keys.iter().enumerate() {
-                let first = seen.insert(*key);
-                let provenance = if let Some((result, tier)) =
-                    shared.options.cache.then(|| shared.stages.lookup_job(*key)).flatten()
-                {
-                    if first {
-                        immediate.push((*key, result));
-                    }
-                    tier
-                } else if !first {
-                    // Shares the first occurrence's computation or join.
-                    "duplicate"
-                } else if let Some(subscribers) = in_flight.get_mut(key) {
-                    subscribers.push(Subscriber { slot, tx: tx.clone() });
-                    joined[slot] = true;
-                    "in-flight"
-                } else {
-                    in_flight.insert(*key, Vec::new());
-                    to_compute.push(slot);
-                    continue;
-                };
-                hits += 1;
-                trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str("provenance", provenance);
-                });
+        for (index, key) in keys.iter().enumerate() {
+            let (first, claim) = &mut claims[claim_of[key]];
+            let repeat = *first != index;
+            // Outside the memo lock, which file reads would hold up.
+            let loaded = match claim {
+                Claim::Own(slot) if !repeat => shared.stages.land_from_store(*key, slot),
+                _ => None,
+            };
+            if let Some(result) = loaded {
+                *claim = Claim::Landed(result, "disk");
+            }
+            let provenance = match claim {
+                Claim::Landed(_, tier) if !repeat => *tier,
+                Claim::Landed(..) => "memory",
+                // Shares the first occurrence's computation or join.
+                _ if repeat => "duplicate",
+                Claim::Join(_) => "in-flight",
+                Claim::Own(_) => continue,
+            };
+            hits += 1;
+            trace::event("job", |a| {
+                a.str("key", &key.to_string()).str("provenance", provenance);
+            });
+        }
+        let (mut landed, mut joined, mut owned) = (Vec::new(), Vec::new(), Vec::new());
+        for (index, claim) in claims {
+            match claim {
+                Claim::Landed(result, _) => landed.push((keys[index], result)),
+                Claim::Join(slot) => joined.push((keys[index], slot)),
+                Claim::Own(slot) => owned.push((index, slot)),
             }
         }
-        let misses = to_compute.len() as u64;
-        let mut owed_computed = to_compute.len();
-        let mut owed_joined = joined.iter().filter(|&&j| j).count();
-        let workers = self.worker_count().min(to_compute.len().max(1));
+        let misses = owned.len() as u64;
+        let workers = self.worker_count().min(owned.len().max(1));
         // This call's stage counters: stage work another call's task did
         // on our behalf lands in *its* tally, so each stage resolution is
         // tallied exactly once.
         let tally = Arc::new(StageTally::default());
 
-        // Deliver the resident hits (outside the registry lock — the
-        // callback may write to a socket).
-        for (key, result) in &immediate {
-            on_resolved(key, result, true);
-        }
-
-        if !to_compute.is_empty() {
+        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<Arc<JobResult>>)>();
+        if !owned.is_empty() {
             let parent = trace::current_span_id();
             let enqueued = Instant::now();
-            let tasks: Vec<sched::Task> = to_compute
-                .iter()
-                .map(|&slot| {
-                    let (job, key) = (jobs[slot].clone(), keys[slot]);
+            let tasks: Vec<sched::Task> = owned
+                .into_iter()
+                .map(|(index, slot)| {
+                    let (job, key) = (jobs[index].clone(), keys[index]);
                     let shared = Arc::clone(shared);
                     let tally = Arc::clone(&tally);
                     let tx = tx.clone();
                     Box::new(move || {
                         let outcome = {
                             let _span = trace::span_under(parent, "exec.task", |a| {
-                                a.num("slot", slot as u64).num(
+                                a.num("slot", index as u64).num(
                                     "queue_ns",
                                     u64::try_from(enqueued.elapsed().as_nanos())
                                         .unwrap_or(u64::MAX),
@@ -400,26 +386,24 @@ impl Engine {
                                         .str("provenance", "computed")
                                         .flag("ok", result.is_ok());
                                 });
-                                // Admission, on the worker as each job
-                                // finishes, so concurrent callers see it
-                                // as early as possible.
+                                // Landing, on the worker as each job
+                                // finishes, so callers waiting on the slot
+                                // wake as early as possible.
                                 if shared.options.cache {
-                                    shared.stages.admit_job(key, &result);
+                                    shared.stages.land(key, &slot, &result);
                                 }
                                 result
                             }))
                         };
-                        let subscribers = shared.lock_in_flight().remove(&key).unwrap_or_default();
+                        if outcome.is_err() {
+                            shared.stages.abandon(key, &slot);
+                        }
                         // Release the shared state before reporting, so a
                         // caller that has collected every result holds
                         // the engine alone again (`with_cache_dir`).
                         drop(shared);
-                        for subscriber in subscribers {
-                            let resolution = outcome.as_ref().map(Arc::clone).map_err(|_| None);
-                            let _ = subscriber.tx.send((subscriber.slot, resolution));
-                        }
                         let panicked = outcome.is_err();
-                        let _ = tx.send((slot, outcome.map_err(Some)));
+                        let _ = tx.send((index, outcome));
                         if panicked {
                             // The payload went to the caller; unwind with a
                             // stand-in so the pool still counts the panic,
@@ -433,42 +417,38 @@ impl Engine {
         }
         drop(tx);
 
-        // Collect exactly the owed results on this thread. After a panic,
-        // stop waiting for joined keys but still drain this call's own
-        // tasks, so none of them outlives the call.
-        let mut payload: Option<Box<dyn Any + Send>> = None;
-        let mut joined_panic: Option<JobKey> = None;
-        while owed_computed > 0 || (owed_joined > 0 && payload.is_none() && joined_panic.is_none())
-        {
-            let (slot, resolution) = rx.recv().expect("every owed slot has a live sender");
-            let key = keys[slot];
-            if joined[slot] {
-                owed_joined -= 1;
-            } else {
-                owed_computed -= 1;
-            }
-            match resolution {
-                Ok(result) => on_resolved(&key, &result, joined[slot]),
-                Err(Some(original)) => {
+        // Deliver the landed hits (outside the memo lock — the callback
+        // may write to a socket).
+        for (key, result) in &landed {
+            on_resolved(key, result, true);
+        }
+        // Collect this call's own results until every task has reported,
+        // so none of them outlives the call; a panic's original payload
+        // is re-raised only then.
+        let mut payload = None;
+        for (index, outcome) in rx {
+            match outcome {
+                Ok(result) => on_resolved(&keys[index], &result, false),
+                Err(original) => {
                     payload.get_or_insert(original);
-                }
-                Err(None) => {
-                    joined_panic.get_or_insert(key);
                 }
             }
         }
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-        if let Some(key) = joined_panic {
-            panic!("job {key} panicked in the concurrent run computing it");
+        for (key, slot) in &joined {
+            let Some(result) = stagecache::wait_job(slot) else {
+                panic!("job {key} panicked in the concurrent run computing it");
+            };
+            on_resolved(key, &result, true);
         }
 
         let stats = EngineStats {
             jobs: jobs.len() as u64,
             cache_hits: hits,
             cache_misses: misses,
-            cache_entries: seen.len(),
+            cache_entries: claim_of.len(),
             workers,
             elapsed: started.elapsed(),
             stage_hits: tally.hits(),

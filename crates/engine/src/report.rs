@@ -2,7 +2,7 @@
 //! aligned text table or machine-readable JSON, plus the batch statistics
 //! of the run that produced them.
 
-use crate::job::JobResult;
+use crate::job::{Job, JobResult};
 use crate::key::JobKey;
 use crate::stats::EngineStats;
 use crate::study::cell_comparison;
@@ -37,6 +37,21 @@ pub struct StudyCell {
 }
 
 impl StudyCell {
+    /// The cell of grid coordinate `job` (content key `key`) resolved to
+    /// `result`.
+    pub(crate) fn of(job: &Job, key: JobKey, result: Arc<JobResult>, from_cache: bool) -> Self {
+        StudyCell {
+            spec: job.spec.name().to_string(),
+            latency: job.latency,
+            adder_arch: job.options.adder_arch,
+            balance: job.options.balance,
+            verify_vectors: job.options.verify_vectors,
+            key,
+            from_cache,
+            result,
+        }
+    }
+
     /// The comparison, when the cell's pipeline run succeeded.
     pub fn comparison(&self) -> Option<&Comparison> {
         cell_comparison(self)

@@ -58,9 +58,10 @@
 //! `"ok"`, so a reader classifies each line by prefix
 //! ([`crate::proto::is_frame`]); the final line's bytes are identical to
 //! the batch response for the same request over the same cache state, so
-//! streaming costs nothing in comparability. Cache hits stream first (in
-//! grid order); computed cells follow in completion order. `stream` is
-//! rejected on shard requests (their reply carries no cells).
+//! streaming costs nothing in comparability. Resident and stored hits
+//! stream first (in grid order); computed cells follow in completion
+//! order, then the cells joined from another request's in-flight jobs.
+//! `stream` is rejected on shard requests (their reply carries no cells).
 //!
 //! # Execution model
 //!
@@ -78,12 +79,13 @@
 //! order.
 //!
 //! Concurrent requests wanting the **same** job never compute it twice:
-//! the engine's in-flight registry lets the first request to classify a
-//! key compute it, and later requests subscribe to that computation
-//! (counted as a cache hit — they do no pipeline work, exactly like a
-//! resident entry). A panicking job fails its request and every
-//! subscriber with `internal error: request execution panicked`; the
-//! pool and the service survive.
+//! the first request to claim the key in the engine's memo computes it,
+//! and later requests wait on that job's slot (counted as a cache hit —
+//! they do no pipeline work, exactly like a resident entry). A request
+//! streams the frames of the cells it joined after its own computed
+//! cells. A panicking job fails its request and every request waiting on
+//! it with `internal error: request execution panicked`; the pool and
+//! the service survive, and a later request recomputes the job.
 //!
 //! Connections are **pipelined**: a client may send further requests
 //! before reading responses, up to [`ServeOptions::max_inflight`]
@@ -209,8 +211,8 @@ pub struct Server {
 
 /// Everything handler threads share.
 struct ServerState {
-    /// The one warm engine, with its worker pool and in-flight registry;
-    /// see the module docs.
+    /// The one warm engine, with its worker pool and memo; see the module
+    /// docs.
     engine: Engine,
     shutdown: AtomicBool,
     requests: AtomicU64,
@@ -742,20 +744,6 @@ fn stats_reply(state: &ServerState) -> String {
     )
 }
 
-/// Builds the [`StudyCell`] for one grid cell from its resolved result.
-fn make_cell(job: &Job, key: JobKey, result: &Arc<JobResult>, from_cache: bool) -> StudyCell {
-    StudyCell {
-        spec: job.spec.name().to_string(),
-        latency: job.latency,
-        adder_arch: job.options.adder_arch,
-        balance: job.options.balance,
-        verify_vectors: job.options.verify_vectors,
-        key,
-        from_cache,
-        result: Arc::clone(result),
-    }
-}
-
 /// Runs one study request on the engine and writes its response (and,
 /// when streaming, a cell frame per grid cell as results resolve).
 /// Returns the nanoseconds spent writing them.
@@ -794,7 +782,8 @@ fn run_study_request(
             return;
         }
         for (occurrence, &index) in cells_of_key.get(key).into_iter().flatten().enumerate() {
-            let cell = make_cell(&grid.cells[index], *key, result, hit || occurrence > 0);
+            let cell =
+                StudyCell::of(&grid.cells[index], *key, Arc::clone(result), hit || occurrence > 0);
             let cell = serde_json::to_string(&cell).expect("study cell serializes");
             let frame = format!("{{\"cell\":{cell},\"index\":{index}}}");
             if write_line(writer, &frame, &mut write_ns).is_err() {

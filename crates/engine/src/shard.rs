@@ -574,30 +574,31 @@ pub fn run_sharded(
     };
     let Dispatch { shard_stats, mut endpoints, failed } = dispatch;
 
-    // Re-read the shared store and detect gaps before the final batch: a
-    // key from a failed shard's range with no loadable job file is work
-    // no endpoint finished.
-    let failed_keys: HashSet<JobKey> = failed
-        .iter()
-        .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
-        .collect();
-    let retried: Vec<JobKey> = sorted_keys
-        .iter()
-        .copied()
-        .filter(|key| failed_keys.contains(key) && store.load_job(*key).is_none())
-        .collect();
-
     // One local batch over the distinct jobs assembles everything: keys in
     // the store load lazily as hits; gaps and infeasible coordinates (whose
     // errors are never persisted) compute here, exactly as a single-process
     // run would have computed them.
+    let engine = Engine::default().with_cache_dir(cache_dir)?;
+    let batch = engine.run(grid.distinct.clone());
+
+    // The gaps: keys from a failed shard's range that the batch had to
+    // compute — work no endpoint finished — in sorted-key order.
+    let failed_keys: HashSet<JobKey> = failed
+        .iter()
+        .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
+        .collect();
+    let mut retried: Vec<JobKey> = batch
+        .outcomes
+        .iter()
+        .filter(|outcome| !outcome.from_cache && failed_keys.contains(&outcome.key))
+        .map(|outcome| outcome.key)
+        .collect();
+    retried.sort_unstable();
     if !retried.is_empty() {
         trace::event("shard.recompute", |a| {
             a.num("keys", retried.len() as u64).num("failed_shards", failed.len() as u64);
         });
     }
-    let engine = Engine::default().with_cache_dir(cache_dir)?;
-    let batch = engine.run(grid.distinct.clone());
 
     let mut merged = EngineStats::merged(shard_stats.iter().flatten());
     if !retried.is_empty() {

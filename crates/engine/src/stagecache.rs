@@ -42,26 +42,35 @@
 //!
 //! # Storage
 //!
-//! Stage outputs live in memory as [`Arc`]-shared artifacts behind
-//! [`OnceLock`] slots: concurrent workers that need the same stage block
-//! on one initializer instead of computing it twice, so hit/miss counts
-//! are deterministic for a given job set. Errors are cached too —
-//! stages are pure functions of their keys, so a failure is as
-//! reproducible as a success (a failed job is memoized the same way).
-//! Finished jobs take slots of the same memo, admitted whole as each job
-//! finishes; a hit hands out the resident `Arc<JobResult>`. The memo is
-//! bounded by estimated bytes, jobs and stages alike: when a value lands
-//! in its slot, the entry is charged its canonical body length plus a
-//! fixed per-entry overhead, and entries are evicted oldest-first while
-//! the charged total exceeds `STAGE_MEMO_BYTES` (4 MiB), so a long-lived
-//! serve process stops growing without limit. The length comes from the
-//! text the entry was spilled as or loaded from, so nothing is encoded
-//! twice; only a memo without a store encodes once, to size the entry. A
-//! slot whose value is still being computed is never evicted — that is
-//! what keeps every stage computed exactly once per key. An entry larger
-//! than the whole budget still reaches its caller but is not kept. An
-//! evicted entry is reloaded from the store when one is attached, and
-//! recomputed otherwise.
+//! Every memo kind — the stage artifact types, `verify`'s `()` and a
+//! finished job's [`Comparison`], each an `Artifact` with its canonical
+//! codec — resolves through one slot lifecycle: claim the key's
+//! [`OnceLock`] slot, then load the value from the store or compute it,
+//! then land it (spilling a success) and charge it. Concurrent callers
+//! that need the same key wait on the one slot instead of computing it
+//! twice, so hit/miss counts are deterministic for a given job set.
+//! Errors are cached too — stages are pure functions of their keys, so a
+//! failure is as reproducible as a success.
+//!
+//! A stage is loaded or computed inside its slot's initializer. A job's
+//! slot is claimed unset, under the memo lock, by the engine call that
+//! will compute it, so that slot is the job's in-flight registration:
+//! another call wanting the key joins by waiting on it. A job that
+//! panics drops its key and then lands an `Abandoned` marker, which wakes
+//! and fails its waiters; a later call recomputes it.
+//!
+//! The memo is bounded by estimated bytes, jobs and stages alike: when a
+//! value lands in its slot, the entry is charged its canonical body
+//! length plus a fixed per-entry overhead, and entries are evicted
+//! oldest-first while the charged total exceeds `STAGE_MEMO_BYTES`
+//! (4 MiB), so a long-lived serve process stops growing without limit.
+//! The length comes from the text the entry was spilled as or loaded
+//! from, so nothing is encoded twice; only a memo without a store encodes
+//! once, to size the entry. A slot whose value is still being computed is
+//! never evicted — that is what keeps every key computed exactly once. An
+//! entry larger than the whole budget still reaches its caller but is not
+//! kept. An evicted entry is reloaded from the store when one is attached,
+//! and recomputed otherwise.
 //!
 //! The disk tier (`StageStore`) under `<cache-dir>/stages/` is the
 //! cache directory's **only** on-disk store. It persists every stage, and
@@ -86,7 +95,7 @@
 //! Every resolution emits one `stage` trace event whose `provenance`
 //! (`memory` / `disk` / `computed`) reconciles exactly with the
 //! [`StageTally`] counters surfaced as `stage_hits` / `stage_misses` in
-//! [`crate::EngineStats`]. Job lookups emit no `stage` event and touch no
+//! [`crate::EngineStats`]. Job claims emit no `stage` event and touch no
 //! tally: the engine reports them as `job` events.
 
 use crate::job::JobResult;
@@ -98,10 +107,11 @@ use bittrans_core::{
     Datapath, Fragmented, Implementation, PipelineError, Schedule,
 };
 use bittrans_ir::Spec;
+use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::SystemTime;
 
 /// Bound on the memo's charged bytes, finished jobs and stage artifacts
@@ -179,16 +189,11 @@ impl StageStore {
     /// fails to decode — wrong schema (older *or* newer), an envelope
     /// naming another stage, a corrupt body — is deleted so the
     /// recompute's respill repairs it.
-    fn load<T>(
-        &self,
-        key: JobKey,
-        stage: &str,
-        decode: impl FnOnce(&str) -> Option<T>,
-    ) -> Option<(T, usize)> {
+    fn load<T: Artifact>(&self, key: JobKey, stage: &str) -> Option<(T, usize)> {
         let path = self.path(key);
         let text = std::fs::read_to_string(&path).ok()?;
         let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
-        let value = if envelope == Self::envelope(stage) { decode(body) } else { None };
+        let value = if envelope == Self::envelope(stage) { T::decode(body) } else { None };
         if value.is_none() {
             let _ = std::fs::remove_file(&path);
         }
@@ -219,7 +224,7 @@ impl StageStore {
     /// Loads a finished job's comparison and its body length; `None` when
     /// absent or corrupt (a corrupt file is deleted).
     pub(crate) fn load_job(&self, key: JobKey) -> Option<(Comparison, usize)> {
-        self.load(key, JOB_STAGE, |body| Comparison::from_canonical(body).ok())
+        self.load(key, JOB_STAGE)
     }
 
     /// Every regular, non-hidden file of the store — `job` and stage
@@ -253,132 +258,51 @@ impl StageStore {
     }
 }
 
-/// One memoized stage output (or the error that producing it raised).
-#[derive(Clone, Debug)]
-enum StageValue {
-    /// `extract`: the additive-form kernel.
-    Kernel(Arc<Spec>),
-    /// `fragment`: the fragmented kernel with metadata.
-    Fragmented(Arc<Fragmented>),
-    /// `verify`: the fact that equivalence checking passed.
-    Verified,
-    /// `sched_base` / `sched_frag`: a schedule.
-    Schedule(Arc<Schedule>),
-    /// `alloc_base` / `alloc_frag`: an allocated datapath.
-    Datapath(Arc<Datapath>),
-    /// `time_base` / `time_frag`: the measured implementation.
-    Timed(Arc<Implementation>),
-    /// `job`: a finished job, handed out as is on every hit.
-    Job(Arc<JobResult>),
+/// A memo artifact: a stage's output type, or a finished job's
+/// [`Comparison`], with the canonical codec of its `<key>.stage` body.
+trait Artifact: Sized + Send + Sync + 'static {
+    /// The canonical text spilled as the file body.
+    fn encode(&self) -> String;
+    /// Decodes a file body; `None` marks the file corrupt (delete →
+    /// recompute → respill).
+    fn decode(body: &str) -> Option<Self>;
 }
 
-impl StageValue {
-    // The `unreachable!`s below guard against two different stages
-    // sharing a key; keys are prefix-tagged with the stage name, so a
-    // mismatch means a 128-bit hash collision across tags.
-    fn into_kernel(self) -> Arc<Spec> {
-        match self {
-            StageValue::Kernel(v) => v,
-            _ => unreachable!("stage key resolved to a non-kernel artifact"),
+/// Each artifact type's `to_canonical` / `from_canonical` codec.
+macro_rules! canonical_artifacts {
+    ($($artifact:ty),*) => {$(
+        impl Artifact for $artifact {
+            fn encode(&self) -> String {
+                self.to_canonical()
+            }
+            fn decode(body: &str) -> Option<Self> {
+                Self::from_canonical(body).ok()
+            }
         }
-    }
-    fn into_fragmented(self) -> Arc<Fragmented> {
-        match self {
-            StageValue::Fragmented(v) => v,
-            _ => unreachable!("stage key resolved to a non-fragment artifact"),
-        }
-    }
-    fn into_schedule(self) -> Arc<Schedule> {
-        match self {
-            StageValue::Schedule(v) => v,
-            _ => unreachable!("stage key resolved to a non-schedule artifact"),
-        }
-    }
-    fn into_datapath(self) -> Arc<Datapath> {
-        match self {
-            StageValue::Datapath(v) => v,
-            _ => unreachable!("stage key resolved to a non-datapath artifact"),
-        }
-    }
-    fn into_timed(self) -> Arc<Implementation> {
-        match self {
-            StageValue::Timed(v) => v,
-            _ => unreachable!("stage key resolved to a non-implementation artifact"),
-        }
-    }
+    )*};
+}
 
-    /// The canonical text spilled as the `<key>.stage` body (empty for
-    /// `Verified`, whose artifact is the fact that it passed).
-    fn to_canonical(&self) -> String {
-        match self {
-            StageValue::Kernel(v) => v.to_canonical(),
-            StageValue::Fragmented(v) => v.to_canonical(),
-            StageValue::Verified => String::new(),
-            StageValue::Schedule(v) => v.to_canonical(),
-            StageValue::Datapath(v) => v.to_canonical(),
-            StageValue::Timed(v) => v.to_canonical(),
-            StageValue::Job(_) => unreachable!("jobs spill through `StageCache::admit_job`"),
-        }
+canonical_artifacts!(Spec, Fragmented, Schedule, Datapath, Implementation, Comparison);
+
+/// `verify`'s artifact is the fact that equivalence checking passed: an
+/// empty body.
+impl Artifact for () {
+    fn encode(&self) -> String {
+        String::new()
+    }
+    fn decode(body: &str) -> Option<Self> {
+        body.is_empty().then_some(())
     }
 }
 
-/// The artifact shape a stage resolves to — what the disk tier must
-/// decode a `<key>.stage` body back into.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StageKind {
-    /// Body is a canonical `Spec`.
-    Kernel,
-    /// Body is a canonical `Fragmented`.
-    Fragmented,
-    /// Body is empty.
-    Verified,
-    /// Body is a canonical `Schedule`.
-    Schedule,
-    /// Body is a canonical `Datapath`.
-    Datapath,
-    /// Body is a canonical `Implementation`.
-    Timed,
-}
+/// One memo slot. What lands in it is a stage's `Result<Arc<T>,
+/// PipelineError>` for its [`Artifact`] type `T`, a finished job's
+/// [`JobResult`], or [`Abandoned`] when a job's computation panicked.
+pub(crate) type Slot = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
-impl StageKind {
-    /// Decodes a `<key>.stage` body into the artifact; `None` marks the
-    /// file corrupt (delete → recompute → respill).
-    fn decode(self, body: &str) -> Option<StageValue> {
-        match self {
-            StageKind::Kernel => {
-                Spec::from_canonical(body).ok().map(|v| StageValue::Kernel(Arc::new(v)))
-            }
-            StageKind::Fragmented => {
-                Fragmented::from_canonical(body).ok().map(|v| StageValue::Fragmented(Arc::new(v)))
-            }
-            StageKind::Verified => body.is_empty().then_some(StageValue::Verified),
-            StageKind::Schedule => {
-                Schedule::from_canonical(body).ok().map(|v| StageValue::Schedule(Arc::new(v)))
-            }
-            StageKind::Datapath => {
-                Datapath::from_canonical(body).ok().map(|v| StageValue::Datapath(Arc::new(v)))
-            }
-            StageKind::Timed => {
-                Implementation::from_canonical(body).ok().map(|v| StageValue::Timed(Arc::new(v)))
-            }
-        }
-    }
-}
-
-type Slot = Arc<OnceLock<Result<StageValue, PipelineError>>>;
-
-/// Where a stage resolution was answered from; mirrors the `provenance`
-/// attribute of the emitted `stage` trace event.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Provenance {
-    /// Another caller already materialized the slot (or is doing so now;
-    /// `OnceLock` blocks us until it lands).
-    Memory,
-    /// Loaded from a `<cache-dir>/stages/` artifact file.
-    Disk,
-    /// Ran the stage function.
-    Computed,
-}
+/// What the slot of a panicked job lands, waking the callers waiting on
+/// it. Its key is dropped first, so a later call recomputes the job.
+struct Abandoned;
 
 /// Per-batch (or per-request) stage hit/miss counters, `Arc`-shared into
 /// worker closures and folded into that batch's [`crate::EngineStats`].
@@ -465,6 +389,57 @@ impl Memo {
             self.order.push_front(key);
         }
     }
+
+    /// Drops `key`'s entry if it still holds `slot`.
+    fn forget(&mut self, key: JobKey, slot: &Slot) {
+        if self.map.get(&key).is_some_and(|resident| Arc::ptr_eq(&resident.slot, slot)) {
+            self.charged -= self.map.remove(&key).map_or(0, |resident| resident.bytes);
+            self.order.retain(|&k| k != key);
+        }
+    }
+}
+
+/// How [`JobClaims::claim`] found a job key.
+pub(crate) enum Claim {
+    /// Landed: resident in the memo (`"memory"`), or loaded from the
+    /// store into an owned slot ([`StageCache::land_from_store`],
+    /// `"disk"`).
+    Landed(Arc<JobResult>, &'static str),
+    /// Another call's unset slot: [`wait_job`] on it.
+    Join(Slot),
+    /// Inserted by this claim: load or compute the job, then land it —
+    /// or [`StageCache::abandon`] it if the computation panics.
+    Own(Slot),
+}
+
+/// One hold of the memo lock, claiming job keys.
+pub(crate) struct JobClaims<'a>(MutexGuard<'a, Memo>);
+
+impl JobClaims<'_> {
+    /// Claims `key`: a landed slot is a hit, an unset one is another
+    /// caller's to land, and an absent key gets an unset slot this caller
+    /// owns.
+    pub(crate) fn claim(&mut self, key: JobKey) -> Claim {
+        match self.0.map.get(&key) {
+            // An abandoned key leaves the memo before its marker lands,
+            // and keys are tagged by kind, so a landed job slot holds a
+            // job result (anything else is a 128-bit hash collision).
+            Some(resident) => match resident.slot.get() {
+                Some(value) => Claim::Landed(
+                    Arc::clone(value).downcast().unwrap_or_else(|_| unreachable!("{key}: no job")),
+                    "memory",
+                ),
+                None => Claim::Join(Arc::clone(&resident.slot)),
+            },
+            None => Claim::Own(self.0.slot(key)),
+        }
+    }
+}
+
+/// Blocks until a claimed job's slot lands: its result, or `None` when
+/// the job panicked.
+pub(crate) fn wait_job(slot: &Slot) -> Option<Arc<JobResult>> {
+    Arc::clone(slot.wait()).downcast().ok()
 }
 
 /// The engine's one memo: byte-bounded in-memory `OnceLock` slots for
@@ -490,142 +465,128 @@ impl StageCache {
         self.store.as_ref()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("stage cache lock")
+    }
+
     /// Caps the memo's charged bytes (tests exercise small bounds; the
     /// default is [`STAGE_MEMO_BYTES`]).
     #[cfg(test)]
     pub(crate) fn set_memo_capacity(&self, bytes: usize) {
-        self.memo.lock().expect("stage cache lock").budget = bytes;
+        self.lock().budget = bytes;
     }
 
     /// The memo's charged bytes now.
     #[cfg(test)]
     pub(crate) fn memo_bytes(&self) -> usize {
-        self.memo.lock().expect("stage cache lock").charged
+        self.lock().charged
     }
 
     /// Keys currently resident in the memo — `cache prune` pins these so
     /// an artifact the process is actively sharing is never evicted from
     /// disk out from under a concurrent reader's repair path.
     pub(crate) fn resident_keys(&self) -> HashSet<JobKey> {
-        self.memo.lock().expect("stage cache lock").map.keys().copied().collect()
+        self.lock().map.keys().copied().collect()
     }
 
     /// Finished jobs resident in the memo.
     pub(crate) fn job_entries(&self) -> usize {
-        let memo = self.memo.lock().expect("stage cache lock");
-        memo.map.values().filter(|r| matches!(r.slot.get(), Some(Ok(StageValue::Job(_))))).count()
+        let memo = self.lock();
+        memo.map.values().filter(|r| r.slot.get().is_some_and(|v| v.is::<JobResult>())).count()
     }
 
-    /// Serves a finished job from the memo or, failing that, from its
-    /// `job` file in the attached store (promoting the result into the
-    /// memo), together with the tier that answered — the `job` trace
-    /// event's provenance. A corrupt file is deleted by the load, so the
-    /// caller recomputes and respills it.
-    pub(crate) fn lookup_job(&self, key: JobKey) -> Option<(Arc<JobResult>, &'static str)> {
-        let memo = self.memo.lock().expect("stage cache lock");
-        if let Some(Ok(StageValue::Job(result))) = memo.map.get(&key).and_then(|r| r.slot.get()) {
-            return Some((Arc::clone(result), "memory"));
-        }
-        drop(memo);
+    /// Claims job keys under one hold of the memo lock ([`JobClaims`]).
+    pub(crate) fn claim_jobs(&self) -> JobClaims<'_> {
+        JobClaims(self.lock())
+    }
+
+    /// Lands a computed job in the slot its caller owns: spills a success
+    /// to the attached store (one encoding serves the spill and the
+    /// memo's charge), then sets the slot and charges it.
+    pub(crate) fn land(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>) {
+        let body =
+            result.as_ref().as_ref().map_or(0, |comparison| self.spill(key, JOB_STAGE, comparison));
+        self.settle(key, slot, result, body);
+    }
+
+    /// Lands an owned job slot from the job's file in the attached store,
+    /// when one decodes: the loaded result, or `None` when the job must be
+    /// computed. Runs outside the memo lock, which file reads would hold
+    /// up.
+    pub(crate) fn land_from_store(&self, key: JobKey, slot: &Slot) -> Option<Arc<JobResult>> {
         let (comparison, body) = self.store.as_ref()?.load_job(key)?;
         let result = Arc::new(Ok(comparison));
-        self.remember_job(key, &result, body);
-        Some((result, "disk"))
+        self.settle(key, slot, &result, body);
+        Some(result)
     }
 
-    /// Admits one computed job: into the memo, plus a best-effort spill of
-    /// a success to the attached store (a failed write costs a
-    /// recomputation in some later process, never this result). One
-    /// encoding serves both the memo's charge and the spill.
-    pub(crate) fn admit_job(&self, key: JobKey, result: &Arc<JobResult>) {
-        let body = result.as_ref().as_ref().ok().map(Comparison::to_canonical);
-        self.remember_job(key, result, body.as_ref().map_or(0, String::len));
-        if let (Some(store), Some(body)) = (&self.store, &body) {
-            store.spill(key, JOB_STAGE, body);
+    /// Sets a job slot — waking every caller waiting on it — and charges
+    /// it a canonical body of `body` bytes.
+    fn settle(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>, body: usize) {
+        if slot.set(Arc::clone(result) as Arc<dyn Any + Send + Sync>).is_ok() {
+            self.lock().charge(key, slot, body);
         }
     }
 
-    fn remember_job(&self, key: JobKey, result: &Arc<JobResult>, body: usize) {
-        let mut memo = self.memo.lock().expect("stage cache lock");
-        let slot = memo.slot(key);
-        // Already set only when another caller admitted the same key
-        // first (and charged it); keys are content hashes, so its value
-        // is equal.
-        if slot.set(Ok(StageValue::Job(Arc::clone(result)))).is_ok() {
-            memo.charge(key, &slot, body);
-        }
+    /// Gives up the slot of a job whose computation panicked: drops its
+    /// key, so a later call recomputes the job, then lands [`Abandoned`],
+    /// so every caller waiting on it wakes and fails.
+    pub(crate) fn abandon(&self, key: JobKey, slot: &Slot) {
+        self.lock().forget(key, slot);
+        let _ = slot.set(Arc::new(Abandoned));
     }
 
-    /// Resolves one stage: serves the memoized artifact, or probes the
-    /// disk tier, or runs `compute` — exactly once per key, even under
+    /// Resolves one stage: serves the memoized artifact, or loads it from
+    /// the disk tier, or runs `compute` — exactly once per key, even under
     /// concurrency, because every caller funnels through the slot's
     /// `OnceLock` and an unset slot is never evicted. The caller that
     /// fills the slot charges it.
-    fn resolve(
+    fn resolve<T: Artifact>(
         &self,
         key: JobKey,
         stage: &'static str,
-        kind: StageKind,
         tally: &StageTally,
-        compute: impl FnOnce() -> Result<StageValue, PipelineError>,
-    ) -> Result<StageValue, PipelineError> {
-        let slot: Slot = self.memo.lock().expect("stage cache lock").slot(key);
-        let mut provenance = Provenance::Memory;
+        compute: impl FnOnce() -> Result<T, PipelineError>,
+    ) -> Result<Arc<T>, PipelineError> {
+        let slot = self.lock().slot(key);
+        let mut provenance = "memory";
         let mut body = 0;
-        let result = slot
-            .get_or_init(|| {
-                if let Some((value, bytes)) = self.load_artifact(key, stage, kind) {
-                    provenance = Provenance::Disk;
-                    body = bytes;
-                    return Ok(value);
+        let value = slot.get_or_init(|| {
+            provenance = "computed";
+            let result = match self.store.as_ref().and_then(|store| store.load(key, stage)) {
+                Some((artifact, bytes)) => {
+                    (provenance, body) = ("disk", bytes);
+                    Ok(artifact)
                 }
-                provenance = Provenance::Computed;
-                let value = compute();
-                if let Ok(value) = &value {
-                    body = self.spill_artifact(key, stage, value);
-                }
-                value
-            })
-            .clone();
-        if provenance != Provenance::Memory {
-            self.memo.lock().expect("stage cache lock").charge(key, &slot, body);
+                None => compute().inspect(|artifact| body = self.spill(key, stage, artifact)),
+            };
+            Arc::new(result.map(Arc::new))
+        });
+        let result = value
+            .downcast_ref::<Result<Arc<T>, PipelineError>>()
+            .cloned()
+            .unwrap_or_else(|| unreachable!("stage key {key} holds another artifact type"));
+        if provenance != "memory" {
+            self.lock().charge(key, &slot, body);
         }
-        let counter = if provenance == Provenance::Computed { &tally.misses } else { &tally.hits };
+        let counter = if provenance == "computed" { &tally.misses } else { &tally.hits };
         counter.fetch_add(1, Ordering::Relaxed);
         trace::event("stage", |a| {
             a.str("stage", stage)
                 .str("key", &key.to_string())
-                .str(
-                    "provenance",
-                    match provenance {
-                        Provenance::Memory => "memory",
-                        Provenance::Disk => "disk",
-                        Provenance::Computed => "computed",
-                    },
-                )
+                .str("provenance", provenance)
                 .flag("ok", result.is_ok());
         });
         result
     }
 
-    /// Loads the artifact for `key` from the disk tier, with its body
-    /// length (decode-or-delete, see [`StageStore::load`]).
-    fn load_artifact(
-        &self,
-        key: JobKey,
-        stage: &str,
-        kind: StageKind,
-    ) -> Option<(StageValue, usize)> {
-        self.store.as_ref()?.load(key, stage, |body| kind.decode(body))
-    }
-
-    /// Best-effort spill of a successful stage artifact, returning its
-    /// canonical body length — encoded once, for the memo's charge even
-    /// without a store. Errors are not spilled — they are cheap to
-    /// reproduce and a schema-visible failure marker would risk pinning a
-    /// transient environment problem.
-    fn spill_artifact(&self, key: JobKey, stage: &str, value: &StageValue) -> usize {
-        let body = value.to_canonical();
+    /// Best-effort spill of a successful artifact, returning its canonical
+    /// body length — encoded once, for the memo's charge even without a
+    /// store. Errors are not spilled — they are cheap to reproduce and a
+    /// schema-visible failure marker would risk pinning a transient
+    /// environment problem.
+    fn spill<T: Artifact>(&self, key: JobKey, stage: &str, artifact: &T) -> usize {
+        let body = artifact.encode();
         if let Some(store) = &self.store {
             store.spill(key, stage, &body);
         }
@@ -659,81 +620,39 @@ impl StageCache {
         let lat = latency.to_string();
 
         // Baseline flow (conventional schedule of the original spec).
-        let base_sched = self
-            .resolve(
-                stage_key(&["sched_base", &spec_text, &lat, chaining, &balance.to_string()]),
-                "sched_base",
-                StageKind::Schedule,
-                tally,
-                || {
-                    stage_schedule_conventional(
-                        spec,
-                        latency,
-                        Chaining::ComponentSum,
-                        options.balance,
-                    )
-                    .map(|s| StageValue::Schedule(Arc::new(s)))
-                },
-            )?
-            .into_schedule();
+        let base_sched = self.resolve(
+            stage_key(&["sched_base", &spec_text, &lat, chaining, &balance.to_string()]),
+            "sched_base",
+            tally,
+            || stage_schedule_conventional(spec, latency, Chaining::ComponentSum, options.balance),
+        )?;
         let base_alloc_material =
             ["alloc_base", &spec_text, &lat, chaining, &balance.to_string(), adder].join("\x1f");
-        let base_dp = self
-            .resolve(
-                JobKey::of_bytes(base_alloc_material.as_bytes()),
-                "alloc_base",
-                StageKind::Datapath,
-                tally,
-                || {
-                    Ok(StageValue::Datapath(Arc::new(stage_allocate(
-                        spec,
-                        &base_sched,
-                        options.adder_arch,
-                    ))))
-                },
-            )?
-            .into_datapath();
-        let original = self
-            .resolve(
-                stage_key(&["time_base", &base_alloc_material, &timing_bits]),
-                "time_base",
-                StageKind::Timed,
-                tally,
-                || {
-                    Ok(StageValue::Timed(Arc::new(stage_time(
-                        spec.name(),
-                        spec,
-                        &base_sched,
-                        &base_dp,
-                        &options.timing,
-                    ))))
-                },
-            )?
-            .into_timed();
+        let base_dp = self.resolve(
+            JobKey::of_bytes(base_alloc_material.as_bytes()),
+            "alloc_base",
+            tally,
+            || Ok(stage_allocate(spec, &base_sched, options.adder_arch)),
+        )?;
+        let original = self.resolve(
+            stage_key(&["time_base", &base_alloc_material, &timing_bits]),
+            "time_base",
+            tally,
+            || Ok(stage_time(spec.name(), spec, &base_sched, &base_dp, &options.timing)),
+        )?;
 
         // Optimized flow. `extract` is the latency-invariant prefix: one
         // per spec, shared by every point of a sweep. Everything after
         // it keys on the *kernel's* content, so specs that extract to
         // the same kernel share the whole suffix.
-        let kernel = self
-            .resolve(
-                stage_key(&["extract", &spec_text]),
-                "extract",
-                StageKind::Kernel,
-                tally,
-                || stage_extract(spec).map(|k| StageValue::Kernel(Arc::new(k))),
-            )?
-            .into_kernel();
+        let kernel = self.resolve(stage_key(&["extract", &spec_text]), "extract", tally, || {
+            stage_extract(spec)
+        })?;
         let kernel_text = kernel.to_string();
-        let fragmented = self
-            .resolve(
-                stage_key(&["fragment", &kernel_text, &lat]),
-                "fragment",
-                StageKind::Fragmented,
-                tally,
-                || stage_fragment(&kernel, latency).map(|f| StageValue::Fragmented(Arc::new(f))),
-            )?
-            .into_fragmented();
+        let fragmented =
+            self.resolve(stage_key(&["fragment", &kernel_text, &lat]), "fragment", tally, || {
+                stage_fragment(&kernel, latency)
+            })?;
         if options.verify_vectors > 0 {
             // Keyed on the *fragmented* spec's content: two latencies
             // that fragment identically share one verification.
@@ -741,63 +660,41 @@ impl StageCache {
             self.resolve(
                 stage_key(&["verify", &spec_text, &frag_text, &options.verify_vectors.to_string()]),
                 "verify",
-                StageKind::Verified,
                 tally,
-                || {
-                    stage_verify(spec, &fragmented.spec, options.verify_vectors)
-                        .map(|()| StageValue::Verified)
-                },
+                || stage_verify(spec, &fragmented.spec, options.verify_vectors),
             )?;
         }
-        let frag_sched = self
-            .resolve(
-                stage_key(&["sched_frag", &kernel_text, &lat, &balance.to_string()]),
-                "sched_frag",
-                StageKind::Schedule,
-                tally,
-                || {
-                    stage_schedule_fragments(&fragmented, options.balance)
-                        .map(|s| StageValue::Schedule(Arc::new(s)))
-                },
-            )?
-            .into_schedule();
+        let frag_sched = self.resolve(
+            stage_key(&["sched_frag", &kernel_text, &lat, &balance.to_string()]),
+            "sched_frag",
+            tally,
+            || stage_schedule_fragments(&fragmented, options.balance),
+        )?;
         let frag_alloc_material =
             ["alloc_frag", &kernel_text, &lat, &balance.to_string(), adder].join("\x1f");
-        let frag_dp = self
-            .resolve(
-                JobKey::of_bytes(frag_alloc_material.as_bytes()),
-                "alloc_frag",
-                StageKind::Datapath,
-                tally,
-                || {
-                    Ok(StageValue::Datapath(Arc::new(stage_allocate(
-                        &fragmented.spec,
-                        &frag_sched,
-                        options.adder_arch,
-                    ))))
-                },
-            )?
-            .into_datapath();
-        let optimized = self
-            .resolve(
-                // `Implementation.name` is the original spec's name, so
-                // the timing key must carry it: two specs sharing a
-                // kernel share everything up to here, but not the label.
-                stage_key(&["time_frag", spec.name(), &frag_alloc_material, &timing_bits]),
-                "time_frag",
-                StageKind::Timed,
-                tally,
-                || {
-                    Ok(StageValue::Timed(Arc::new(stage_time(
-                        spec.name(),
-                        &fragmented.spec,
-                        &frag_sched,
-                        &frag_dp,
-                        &options.timing,
-                    ))))
-                },
-            )?
-            .into_timed();
+        let frag_dp = self.resolve(
+            JobKey::of_bytes(frag_alloc_material.as_bytes()),
+            "alloc_frag",
+            tally,
+            || Ok(stage_allocate(&fragmented.spec, &frag_sched, options.adder_arch)),
+        )?;
+        let optimized = self.resolve(
+            // `Implementation.name` is the original spec's name, so the
+            // timing key must carry it: two specs sharing a kernel share
+            // everything up to here, but not the label.
+            stage_key(&["time_frag", spec.name(), &frag_alloc_material, &timing_bits]),
+            "time_frag",
+            tally,
+            || {
+                Ok(stage_time(
+                    spec.name(),
+                    &fragmented.spec,
+                    &frag_sched,
+                    &frag_dp,
+                    &options.timing,
+                ))
+            },
+        )?;
 
         Ok(Comparison { original: (*original).clone(), optimized: (*optimized).clone() })
     }
@@ -1159,12 +1056,12 @@ mod tests {
         let computes = AtomicU64::new(0);
         let (release, gate) = std::sync::mpsc::channel::<()>();
         let resolve_key = |wait: Option<std::sync::mpsc::Receiver<()>>| {
-            cache.resolve(key, "verify", StageKind::Verified, &tally, || {
+            cache.resolve::<()>(key, "verify", &tally, || {
                 computes.fetch_add(1, Ordering::SeqCst);
                 if let Some(gate) = wait {
                     gate.recv().unwrap();
                 }
-                Ok(StageValue::Verified)
+                Ok(())
             })
         };
         // The slot's holders: the memo itself plus every caller inside
@@ -1182,13 +1079,7 @@ mod tests {
             // slot is still unset.
             for i in 0u32..16 {
                 cache
-                    .resolve(
-                        JobKey::of_bytes(&i.to_le_bytes()),
-                        "verify",
-                        StageKind::Verified,
-                        &tally,
-                        || Ok(StageValue::Verified),
-                    )
+                    .resolve::<()>(JobKey::of_bytes(&i.to_le_bytes()), "verify", &tally, || Ok(()))
                     .unwrap();
             }
             assert!(cache.memo_bytes() <= 4 * MEMO_ENTRY_OVERHEAD);
@@ -1207,6 +1098,72 @@ mod tests {
             b.join().unwrap().unwrap();
         });
         assert_eq!(computes.load(Ordering::SeqCst), 1, "the in-flight stage computed twice");
+    }
+
+    #[test]
+    fn a_joined_job_costs_no_pool_task() {
+        let spec = three_adds();
+        let job = crate::Job::new(spec.clone(), 3);
+        let engine = crate::Engine::new(crate::EngineOptions { workers: Some(1), cache: true });
+        let stages = &engine.shared.stages;
+        // The gate: this test holds the job's first stage, `sched_base`,
+        // mid-compute, so the job stays in flight until the gate opens.
+        let balance = u8::from(job.options.balance).to_string();
+        let first_stage = stage_key(&[
+            "sched_base",
+            &spec.to_string(),
+            "3",
+            Chaining::ComponentSum.code(),
+            &balance,
+        ]);
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let entered = AtomicU64::new(0);
+        // The job slot's holders: the memo, the first call's task, and
+        // the second call once it has joined.
+        let holders = || {
+            let memo = stages.memo.lock().unwrap();
+            memo.map.get(&job.key()).map_or(0, |r| Arc::strong_count(&r.slot))
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let (first, second, joined) = std::thread::scope(|scope| {
+            let held = scope.spawn(|| {
+                stages.resolve(first_stage, "sched_base", &StageTally::default(), || {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    gate.lock().unwrap().recv().unwrap();
+                    stage_schedule_conventional(
+                        &spec,
+                        3,
+                        Chaining::ComponentSum,
+                        job.options.balance,
+                    )
+                })
+            });
+            while entered.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let first = scope.spawn(|| engine.run(vec![job.clone()]));
+            // The one worker takes the first call's task, which then
+            // waits on the gate.
+            while engine.sched_stats().dispatched_tasks == 0 {
+                std::thread::yield_now();
+            }
+            let second = scope.spawn(|| engine.run(vec![job.clone()]));
+            while holders() < 3 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let joined = holders() >= 3;
+            open.send(()).unwrap();
+            held.join().unwrap().unwrap();
+            (first.join().unwrap(), second.join().unwrap(), joined)
+        });
+        assert!(joined, "the second call never joined the in-flight job");
+        assert_eq!(engine.sched_stats().dispatched_tasks, 1, "the join cost a pool task");
+        assert_eq!((second.stats.cache_hits, second.stats.cache_misses), (1, 0));
+        assert_eq!(first.stats.cache_misses, 1);
+        assert_eq!(first.stats.stage_hits, 1, "the first stage was the gated one");
+        let shared = Arc::ptr_eq(&first.outcomes[0].result, &second.outcomes[0].result);
+        assert!(shared, "the join hands out the computed result");
     }
 
     fn tempdir(tag: &str) -> PathBuf {

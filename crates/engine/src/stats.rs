@@ -27,10 +27,10 @@ use std::time::Duration;
 ///   computation instead of repeating it;
 /// * the first occurrence of each distinct uncached key is a **miss**.
 ///
-/// With caching disabled ([`crate::EngineOptions::cache`] = false), batch
-/// stats keep the same per-batch classification (in-batch duplicates still
-/// count as hits) but nothing is recorded into the engine's lifetime
-/// counters, which sum every call made with caching on.
+/// With caching disabled ([`crate::EngineOptions::cache`] = false), no call
+/// joins another's in-flight job, in-batch duplicates still count as hits,
+/// and nothing is recorded into the engine's lifetime counters, which sum
+/// every call made with caching on.
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Jobs submitted.
@@ -45,7 +45,7 @@ pub struct EngineStats {
     /// its distinct jobs, whatever else the engine's memo or cache
     /// directory holds. In a lifetime snapshot ([`crate::Engine::stats`])
     /// it is the job results resident in the memo now, which the memo's
-    /// slot bound caps.
+    /// byte bound caps.
     pub cache_entries: usize,
     /// Worker threads used.
     pub workers: usize,

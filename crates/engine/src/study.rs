@@ -302,16 +302,7 @@ pub(crate) fn assemble(
         .map(|(job, key)| {
             let (result, cached) = resolve(key);
             let duplicate = !first_seen.insert(key);
-            StudyCell {
-                spec: job.spec.name().to_string(),
-                latency: job.latency,
-                adder_arch: job.options.adder_arch,
-                balance: job.options.balance,
-                verify_vectors: job.options.verify_vectors,
-                key,
-                from_cache: cached || duplicate,
-                result,
-            }
+            StudyCell::of(&job, key, result, cached || duplicate)
         })
         .collect()
 }

@@ -454,35 +454,47 @@ fn warn_timeout_without_workers(args: &Args) {
     }
 }
 
-/// `explore --shards K` / `--workers`: the same grid, dispatched as shard
-/// requests to `serve` endpoints sharing one cache directory, reassembled
-/// into the identical report.
-fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), String> {
-    let study = sharded_study(args, options)?;
-    let (transport, shards) = match &args.workers {
-        Some(list) => {
-            // Remote dispatch to a `serve` fleet. The coordinator reads
-            // results back from the store the fleet writes, so a shared
-            // --cache-dir is not optional — an ephemeral local one would
-            // silently degrade every run to in-process recomputation.
+/// The result store of a sharded run: `--cache-dir`, or a temporary
+/// directory that is removed when this is dropped.
+struct ShardStore {
+    dir: PathBuf,
+    ephemeral: bool,
+}
+
+impl Drop for ShardStore {
+    fn drop(&mut self) {
+        if self.ephemeral {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+}
+
+/// The transport selection `explore` and `fuzz` share: `--workers` for a
+/// running `serve` fleet (which needs `--cache-dir`), or `--shards K` for
+/// a fleet of K children of this binary started for the run, with
+/// `--jobs` split across them. `None` when neither flag is given.
+fn shard_transport(
+    args: &Args,
+    command: &str,
+) -> Result<Option<(shard::Transport, usize, ShardStore)>, String> {
+    let (transport, shards) = match (&args.workers, args.shards) {
+        (Some(list), _) => {
+            // The coordinator reads results back from the store the fleet
+            // writes, so a shared --cache-dir is not optional — an
+            // ephemeral local one would silently degrade every run to
+            // in-process recomputation.
             let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
             if args.cache_dir.is_none() {
-                return Err("explore --workers needs --cache-dir: the coordinator and the \
-                            serve fleet must share one result store"
-                    .into());
-            }
-            if args.jobs.is_some() {
-                eprintln!(
-                    "warning: --jobs has no effect with --workers; each endpoint's pool \
-                     width is set by its own `serve --jobs`"
-                );
+                return Err(format!(
+                    "{command} --workers needs --cache-dir: the coordinator and the \
+                     serve fleet must share one result store"
+                ));
             }
             let shards = args.shards.unwrap_or(endpoints.len());
             let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
             (shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout }), shards)
         }
-        None => {
-            let shards = args.shards.unwrap_or(1);
+        (None, Some(shards)) => {
             let worker_binary =
                 std::env::current_exe().map_err(|e| format!("resolving worker binary: {e}"))?;
             let transport = shard::Transport::Local(shard::LocalTransport {
@@ -493,19 +505,34 @@ fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), Stri
             });
             (transport, shards)
         }
+        (None, None) => return Ok(None),
     };
-    // The cache directory is the shared result store; without an explicit
-    // one, shard into a temporary directory and clean it up afterwards.
-    let (cache_dir, ephemeral) = match &args.cache_dir {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => {
-            (std::env::temp_dir().join(format!("bittrans_shards_{}", std::process::id())), true)
-        }
+    let store = match &args.cache_dir {
+        Some(dir) => ShardStore { dir: PathBuf::from(dir), ephemeral: false },
+        None => ShardStore {
+            dir: std::env::temp_dir().join(format!("bittrans_{command}_{}", std::process::id())),
+            ephemeral: true,
+        },
     };
-    let run = shard::run_sharded(&study, &cache_dir, &shard::ShardOptions { shards, transport });
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&cache_dir);
+    Ok(Some((transport, shards, store)))
+}
+
+/// `explore --shards K` / `--workers`: the same grid, dispatched as shard
+/// requests to `serve` endpoints sharing one cache directory, reassembled
+/// into the identical report.
+fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), String> {
+    let study = sharded_study(args, options)?;
+    let Some((transport, shards, store)) = shard_transport(args, "explore")? else {
+        unreachable!("explore shards only with --shards or --workers")
+    };
+    if args.workers.is_some() && args.jobs.is_some() {
+        eprintln!(
+            "warning: --jobs has no effect with --workers; each endpoint's pool \
+             width is set by its own `serve --jobs`"
+        );
     }
+    let run = shard::run_sharded(&study, &store.dir, &shard::ShardOptions { shards, transport });
+    drop(store);
     let run = run.map_err(|e| e.to_string())?;
     for (index, stats) in run.shard_stats.iter().enumerate() {
         match stats {
@@ -675,45 +702,12 @@ fn run_fuzz(args: &Args) -> Result<(), String> {
     // explore's transport selection: --workers for a running serve fleet,
     // --shards for one started locally per case.
     warn_timeout_without_workers(args);
-    let (differential, ephemeral_dir) = match (&args.workers, args.shards) {
-        (Some(list), _) => {
-            let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
-            let Some(dir) = &args.cache_dir else {
-                return Err("fuzz --workers needs --cache-dir: the coordinator and the \
-                            serve fleet must share one result store"
-                    .into());
-            };
-            let shards = args.shards.unwrap_or(endpoints.len());
-            let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
-            let diff = fuzz::Differential {
-                cache_dir: PathBuf::from(dir),
-                shards,
-                transport: shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout }),
-            };
-            (Some(diff), None)
+    let (differential, _store) = match shard_transport(args, "fuzz")? {
+        Some((transport, shards, store)) => {
+            let cache_dir = store.dir.clone();
+            (Some(fuzz::Differential { cache_dir, shards, transport }), Some(store))
         }
-        (None, Some(shards)) => {
-            let worker_binary =
-                std::env::current_exe().map_err(|e| format!("resolving worker binary: {e}"))?;
-            let (cache_dir, ephemeral) = match &args.cache_dir {
-                Some(dir) => (PathBuf::from(dir), None),
-                None => {
-                    let dir =
-                        std::env::temp_dir().join(format!("bittrans_fuzz_{}", std::process::id()));
-                    (dir.clone(), Some(dir))
-                }
-            };
-            let diff = fuzz::Differential {
-                cache_dir,
-                shards,
-                transport: shard::Transport::Local(shard::LocalTransport {
-                    worker_binary,
-                    threads_per_worker: args.jobs.map(|jobs| (jobs / shards.max(1)).max(1)),
-                }),
-            };
-            (Some(diff), ephemeral)
-        }
-        (None, None) => (None, None),
+        None => (None, None),
     };
     let options = fuzz::FuzzOptions {
         count,
@@ -722,7 +716,7 @@ fn run_fuzz(args: &Args) -> Result<(), String> {
         workers: args.jobs,
         differential,
     };
-    let result = match args.replay {
+    match args.replay {
         Some(target) => {
             // A replay seed must come from the run being reproduced:
             // outside [seed, seed+count) it was never generated.
@@ -767,11 +761,7 @@ fn run_fuzz(args: &Args) -> Result<(), String> {
                 ))
             }
         }
-    };
-    if let Some(dir) = ephemeral_dir {
-        let _ = std::fs::remove_dir_all(&dir);
     }
-    result
 }
 
 /// `report normalize`: rewrite a study-report JSON document with the
