@@ -1,14 +1,14 @@
 //! The unit of work: one specification at one latency under one
-//! configuration, plus the outcome type a batch hands back.
+//! configuration.
 //!
-//! Jobs are what both front ends bottom out in: [`crate::Engine::run`]
+//! Jobs are what every front end bottoms out in: [`crate::Engine::run`]
 //! takes them directly, and a [`crate::Study`] grid expands each axis
-//! coordinate into one job before deduplicating by [`JobKey`].
+//! coordinate into one job before deduplicating by [`JobKey`]. Either way
+//! each job comes back as one labelled [`crate::StudyCell`].
 
 use crate::key::JobKey;
 use bittrans_core::{CompareOptions, Comparison, PipelineError};
 use bittrans_ir::Spec;
-use std::sync::Arc;
 
 /// What one job produces: the baseline-vs-optimized [`Comparison`], or the
 /// pipeline error that stopped it (e.g. an infeasible latency).
@@ -46,22 +46,6 @@ impl Job {
     pub fn key(&self) -> JobKey {
         JobKey::of(&self.spec, self.latency, &self.options)
     }
-}
-
-/// The result of one job within a batch, in submission order.
-#[derive(Clone, Debug)]
-pub struct JobOutcome {
-    /// Specification name (for reporting).
-    pub name: String,
-    /// The latency the job ran at.
-    pub latency: u32,
-    /// The job's content-addressed key.
-    pub key: JobKey,
-    /// Whether this outcome did no fresh pipeline work: the result came
-    /// from the cache, or from an identical job earlier in the same batch.
-    pub from_cache: bool,
-    /// The comparison, shared with the cache.
-    pub result: Arc<JobResult>,
 }
 
 #[cfg(test)]

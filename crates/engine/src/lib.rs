@@ -59,7 +59,7 @@
 //! let jobs: Vec<Job> = (2..=5).map(|lat| Job::new(spec.clone(), lat)).collect();
 //!
 //! let first = engine.run(jobs.clone());
-//! assert_eq!(first.outcomes.len(), 4);
+//! assert_eq!(first.cells.len(), 4);
 //! assert_eq!(first.stats.cache_hits, 0);
 //!
 //! // The same batch again: served entirely from the content-addressed
@@ -88,12 +88,12 @@ pub mod stats;
 pub mod study;
 pub mod trace;
 
-pub use job::{Job, JobOutcome, JobResult};
+pub use job::{Job, JobResult};
 pub use key::JobKey;
 pub use persist::{PrunePolicy, PruneReport};
 pub use report::{StudyCell, StudyReport};
 pub use serve::{ServeOptions, Server, DEFAULT_MAX_INFLIGHT};
-pub use stats::{BatchReport, EndpointStats, EngineStats, SchedStats, ServiceStats};
+pub use stats::{EndpointStats, EngineStats, SchedStats, ServiceStats};
 pub use study::Study;
 
 use bittrans_core::compare;
@@ -125,8 +125,10 @@ impl Default for EngineOptions {
 /// every batch and `serve` request run through it, optionally spilled to disk
 /// ([`Engine::with_cache_dir`]) so separate processes share it too.
 ///
-/// Every job reaches the pipeline through one routine, `run_with`:
-/// [`Engine::run`], [`Study::run`] and the `serve` front end all call it.
+/// Every grid reaches the pipeline through one routine, `run_grid`, which
+/// resolves its distinct jobs and labels its cells: [`Engine::run`],
+/// [`Study::run`], the `serve` front end and a sharded run's coordinator
+/// all call it.
 /// The pool is a [`sched::Scheduler`] of [`Engine::worker_count`]
 /// threads, started on the first job that must compute, so an engine
 /// that only ever serves cache hits never spawns a thread. Concurrent
@@ -151,7 +153,7 @@ struct Shared {
     /// A job's slot, claimed unset, is also its in-flight registration:
     /// other calls wanting the key wait on it instead of recomputing.
     stages: StageCache,
-    /// Lifetime counters: every `run_with` call with caching on adds its
+    /// Lifetime counters: every `run_grid` call with caching on adds its
     /// stats once, at its end ([`Engine::stats`]).
     lifetime: Mutex<EngineStats>,
 }
@@ -259,11 +261,14 @@ impl Engine {
         )
     }
 
-    /// Resolves `jobs` (with their precomputed `keys`) through the one
-    /// execution path every front end shares, calling `on_resolved` once
-    /// per distinct key with its result and whether it was a hit —
-    /// landed hits first, in slot order, then this call's computed keys
-    /// as they finish, then the keys it joined.
+    /// Resolves a grid through the one execution path every front end
+    /// shares, and labels every one of `cells` (with their precomputed
+    /// `cell_keys`), in order. `jobs` (with their `keys`) is what runs: the
+    /// grid's distinct jobs, or — for [`Engine::run`] — the cells
+    /// themselves, repeats included. `on_resolved` is called once per
+    /// distinct key with its result and whether it was a hit — landed hits
+    /// first, in slot order, then this call's computed keys as they
+    /// finish, then the keys it joined.
     ///
     /// One hold of the memo lock claims every distinct key
     /// ([`stagecache::Claim`]): a landed slot is a `memory` hit, another
@@ -281,10 +286,12 @@ impl Engine {
     /// tasks are done, so joining costs no pool task. Without caching
     /// nothing is claimed: every distinct key is computed.
     ///
-    /// The returned [`EngineStats`] count hits and misses, `workers`
-    /// clamped to the computed-job count, this call's stage tally, and
-    /// `cache_entries` = the distinct keys resolved. With caching on, they
-    /// are also added once to the engine's lifetime counters.
+    /// A cell is `from_cache` when its key was a hit or an earlier cell
+    /// has the same key. The report's [`EngineStats`] count hits and
+    /// misses over `jobs`, `workers` clamped to the computed-job count,
+    /// this call's stage tally, and `cache_entries` = the distinct keys
+    /// resolved. With caching on, they are also added once to the
+    /// engine's lifetime counters.
     ///
     /// Never call this from one of the engine's own pool threads: the
     /// call blocks on tasks that would need that thread.
@@ -296,12 +303,15 @@ impl Engine {
     /// another call's that this one joined — with a panic of its own.
     /// The panicked job's key leaves the memo, so a later call recomputes
     /// it; the pool survives and the engine stays usable.
-    pub(crate) fn run_with(
+    pub(crate) fn run_grid(
         &self,
+        cells: &[Job],
+        cell_keys: &[JobKey],
         jobs: &[Job],
         keys: &[JobKey],
         mut on_resolved: impl FnMut(&JobKey, &Arc<JobResult>, bool),
-    ) -> EngineStats {
+    ) -> StudyReport {
+        debug_assert_eq!(cells.len(), cell_keys.len());
         debug_assert_eq!(jobs.len(), keys.len());
         let started = Instant::now();
         let shared = &self.shared;
@@ -417,10 +427,16 @@ impl Engine {
         }
         drop(tx);
 
+        let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> =
+            HashMap::with_capacity(claim_of.len());
+        let mut resolve = |key: &JobKey, result: Arc<JobResult>, hit: bool| {
+            on_resolved(key, &result, hit);
+            resolved.insert(*key, (result, hit));
+        };
         // Deliver the landed hits (outside the memo lock — the callback
         // may write to a socket).
-        for (key, result) in &landed {
-            on_resolved(key, result, true);
+        for (key, result) in landed {
+            resolve(&key, result, true);
         }
         // Collect this call's own results until every task has reported,
         // so none of them outlives the call; a panic's original payload
@@ -428,7 +444,7 @@ impl Engine {
         let mut payload = None;
         for (index, outcome) in rx {
             match outcome {
-                Ok(result) => on_resolved(&keys[index], &result, false),
+                Ok(result) => resolve(&keys[index], result, false),
                 Err(original) => {
                     payload.get_or_insert(original);
                 }
@@ -441,7 +457,7 @@ impl Engine {
             let Some(result) = stagecache::wait_job(slot) else {
                 panic!("job {key} panicked in the concurrent run computing it");
             };
-            on_resolved(key, &result, true);
+            resolve(key, result, true);
         }
 
         let stats = EngineStats {
@@ -457,52 +473,33 @@ impl Engine {
         if shared.options.cache {
             shared.lifetime.lock().unwrap_or_else(PoisonError::into_inner).absorb(&stats);
         }
-        stats
+        let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(cells.len());
+        let cells = cells
+            .iter()
+            .zip(cell_keys)
+            .map(|(job, &key)| {
+                let (result, hit) = &resolved[&key];
+                StudyCell::of(job, key, Arc::clone(result), *hit || !first_seen.insert(key))
+            })
+            .collect();
+        StudyReport { cells, stats }
     }
 
-    /// Runs a batch of jobs and returns one [`JobOutcome`] per job, in
-    /// submission order (independent of worker count and scheduling).
-    ///
-    /// Jobs whose [`JobKey`] is already cached — or is being computed
-    /// right now by a concurrent call on this engine — are hits.
-    /// Duplicate keys within the batch are computed once: the first
-    /// occurrence counts as a miss, the rest as hits (their outcomes carry
-    /// `from_cache = true` — they did no pipeline work). Everything else
-    /// runs on the engine's pool, each result cached and spilled as its
-    /// job finishes.
-    ///
-    /// # Panics
-    ///
-    /// If a job panics: with its original payload, after the batch's
-    /// other jobs have finished.
-    pub fn run(&self, jobs: Vec<Job>) -> BatchReport {
+    /// [`Engine::run_grid`] inside an `engine.run` span, closed by an
+    /// `engine.batch` event carrying the batch's counters: the batch front
+    /// ends ([`Engine::run`], [`Study::run`] and a sharded run's gap-fill).
+    pub(crate) fn run_batch(
+        &self,
+        cells: &[Job],
+        cell_keys: &[JobKey],
+        jobs: &[Job],
+        keys: &[JobKey],
+    ) -> StudyReport {
         let _batch = trace::span_attrs("engine.run", |a| {
             a.num("jobs", jobs.len() as u64);
         });
-        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
-        let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> =
-            HashMap::with_capacity(jobs.len());
-        let stats = self.run_with(&jobs, &keys, |key, result, hit| {
-            resolved.insert(*key, (Arc::clone(result), hit));
-        });
-
-        let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(jobs.len());
-        let outcomes: Vec<JobOutcome> = jobs
-            .iter()
-            .zip(keys)
-            .map(|(job, key)| {
-                let (result, hit) = &resolved[&key];
-                let first = first_seen.insert(key);
-                JobOutcome {
-                    name: job.spec.name().to_string(),
-                    latency: job.latency,
-                    key,
-                    from_cache: *hit || !first,
-                    result: Arc::clone(result),
-                }
-            })
-            .collect();
-
+        let report = self.run_grid(cells, cell_keys, jobs, keys, |_, _, _| {});
+        let stats = &report.stats;
         trace::event("engine.batch", |a| {
             a.num("jobs", stats.jobs)
                 .num("cache_hits", stats.cache_hits)
@@ -511,7 +508,27 @@ impl Engine {
                 .num("stage_hits", stats.stage_hits)
                 .num("stage_misses", stats.stage_misses);
         });
-        BatchReport { outcomes, stats }
+        report
+    }
+
+    /// Runs a batch of jobs and returns one [`StudyCell`] per job, in
+    /// submission order (independent of worker count and scheduling).
+    ///
+    /// Jobs whose [`JobKey`] is already cached — or is being computed
+    /// right now by a concurrent call on this engine — are hits.
+    /// Duplicate keys within the batch are computed once: the first
+    /// occurrence counts as a miss, the rest as hits (their cells carry
+    /// `from_cache = true` — they did no pipeline work). Everything else
+    /// runs on the engine's pool, each result cached and spilled as its
+    /// job finishes.
+    ///
+    /// # Panics
+    ///
+    /// If a job panics: with its original payload, after the batch's
+    /// other jobs have finished.
+    pub fn run(&self, jobs: Vec<Job>) -> StudyReport {
+        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
+        self.run_batch(&jobs, &keys, &jobs, &keys)
     }
 
     /// Cumulative statistics across every batch run on this engine:
@@ -547,7 +564,7 @@ mod tests {
         let engine = Engine::default();
         let report = engine.run(vec![Job::new(spec.clone(), 3)]);
         let direct = compare(&spec, 3, &Default::default()).unwrap();
-        let got = report.outcomes[0].result.as_ref().as_ref().unwrap();
+        let got = report.cells[0].result.as_ref().as_ref().unwrap();
         assert_eq!(got.optimized.cycle_delta, direct.optimized.cycle_delta);
         assert_eq!(got.original.cycle_delta, direct.original.cycle_delta);
     }
@@ -563,7 +580,7 @@ mod tests {
         let second = engine.run(jobs);
         assert_eq!(second.stats.cache_hits, 3);
         assert_eq!(second.stats.hit_rate(), 100.0);
-        assert!(second.outcomes.iter().all(|o| o.from_cache));
+        assert!(second.cells.iter().all(|o| o.from_cache));
     }
 
     #[test]
@@ -571,16 +588,16 @@ mod tests {
         let spec = three_adds();
         let engine = Engine::default();
         let report = engine.run(vec![Job::new(spec.clone(), 3), Job::new(spec, 3)]);
-        assert_eq!(report.outcomes.len(), 2);
+        assert_eq!(report.cells.len(), 2);
         assert_eq!(report.stats.cache_entries, 1);
         // One computation, one dedup: the duplicate counts as a hit and is
         // marked from_cache.
         assert_eq!(report.stats.cache_misses, 1);
         assert_eq!(report.stats.cache_hits, 1);
-        assert!(!report.outcomes[0].from_cache);
-        assert!(report.outcomes[1].from_cache);
-        // Both outcomes share one computed result.
-        assert!(Arc::ptr_eq(&report.outcomes[0].result, &report.outcomes[1].result));
+        assert!(!report.cells[0].from_cache);
+        assert!(report.cells[1].from_cache);
+        // Both cells share one computed result.
+        assert!(Arc::ptr_eq(&report.cells[0].result, &report.cells[1].result));
     }
 
     #[test]
@@ -588,8 +605,8 @@ mod tests {
         let spec = three_adds();
         let engine = Engine::default();
         let report = engine.run(vec![Job::new(spec.clone(), 0), Job::new(spec, 3)]);
-        assert!(report.outcomes[0].result.is_err());
-        assert!(report.outcomes[1].result.is_ok());
+        assert!(report.cells[0].result.is_err());
+        assert!(report.cells[1].result.is_ok());
     }
 
     #[test]
@@ -629,7 +646,7 @@ mod tests {
             let again = engine.run(vec![jobs[0].clone()]);
             assert_eq!((again.stats.cache_hits, again.stats.cache_misses), evicted);
             assert_eq!(again.stats.stage_hits + again.stats.stage_misses, evicted.1 * 9);
-            let got = again.outcomes[0].result.as_ref().as_ref().unwrap();
+            let got = again.cells[0].result.as_ref().as_ref().unwrap();
             assert_eq!(serde_json::to_string(got).unwrap(), expected);
         }
         std::fs::remove_dir_all(&dir).unwrap();

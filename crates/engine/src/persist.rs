@@ -27,7 +27,7 @@ pub struct PrunePolicy {
 
 /// What an eviction sweep did, counted in store files (finished jobs and
 /// stage artifacts alike).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub struct PruneReport {
     /// Files in the store before the sweep.
     pub scanned: usize,
@@ -42,20 +42,6 @@ pub struct PruneReport {
     /// Files that were over budget but skipped because a live engine
     /// holds their job result or stage artifact in memory.
     pub pinned: usize,
-}
-
-impl serde::Serialize for PruneReport {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("PruneReport", 6)?;
-        st.serialize_field("scanned", &self.scanned)?;
-        st.serialize_field("removed", &self.removed)?;
-        st.serialize_field("freed_bytes", &self.freed_bytes)?;
-        st.serialize_field("kept", &self.kept)?;
-        st.serialize_field("kept_bytes", &self.kept_bytes)?;
-        st.serialize_field("pinned", &self.pinned)?;
-        st.end()
-    }
 }
 
 impl fmt::Display for PruneReport {

@@ -278,7 +278,8 @@ pub fn report_slice(line: &str) -> Option<&str> {
 
 /// Reads an [`EngineStats`] object back from its parsed JSON form — the
 /// shape the `Serialize` impl writes. `None` on any missing or ill-typed
-/// counter, so callers treat a damaged reply as a failed exchange.
+/// counter, or an `elapsed_ms` no [`Duration`] holds, so callers treat a
+/// damaged reply as a failed exchange.
 pub fn stats_from_value(value: &Value) -> Option<EngineStats> {
     Some(EngineStats {
         jobs: value.get("jobs")?.as_u64()?,
@@ -286,7 +287,8 @@ pub fn stats_from_value(value: &Value) -> Option<EngineStats> {
         cache_misses: value.get("cache_misses")?.as_u64()?,
         cache_entries: usize::try_from(value.get("cache_entries")?.as_u64()?).ok()?,
         workers: usize::try_from(value.get("workers")?.as_u64()?).ok()?,
-        elapsed: Duration::from_secs_f64(value.get("elapsed_ms")?.as_f64()?.max(0.0) / 1e3),
+        elapsed: Duration::try_from_secs_f64(value.get("elapsed_ms")?.as_f64()?.max(0.0) / 1e3)
+            .ok()?,
         // Lenient: replies from engines predating stage caching simply
         // carry zero stage work, they are not damaged.
         stage_hits: value.get("stage_hits").and_then(Value::as_u64).unwrap_or(0),
@@ -351,6 +353,15 @@ mod tests {
         .unwrap();
         assert_eq!(legacy.stage_hits, 0);
         assert_eq!(legacy.stage_misses, 0);
+        // A hostile reply's elapsed time overflows `Duration` (the JSON
+        // shim parses `1e400` as infinity): a failed parse, not a panic.
+        for elapsed in ["1e300", "1e400"] {
+            let hostile = format!(
+                "{{\"jobs\":1,\"cache_hits\":0,\"cache_misses\":1,\"cache_entries\":1,\
+                 \"workers\":1,\"elapsed_ms\":{elapsed}}}"
+            );
+            assert!(parse(&hostile).is_none(), "elapsed_ms {elapsed}");
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use crate::job::{Job, JobResult};
 use crate::key::JobKey;
 use crate::stats::EngineStats;
-use crate::study::cell_comparison;
 use bittrans_core::{Comparison, SweepPoint};
 use bittrans_rtl::AdderArch;
 use serde::ser::SerializeStruct;
@@ -54,7 +53,7 @@ impl StudyCell {
 
     /// The comparison, when the cell's pipeline run succeeded.
     pub fn comparison(&self) -> Option<&Comparison> {
-        cell_comparison(self)
+        self.result.as_ref().as_ref().ok()
     }
 
     /// The pipeline error, when the coordinate was infeasible.
@@ -87,8 +86,9 @@ impl Serialize for StudyCell {
     }
 }
 
-/// Everything a [`crate::Study::run`] produces: per-cell comparisons with
-/// their axis coordinates, and the [`EngineStats`] of the batch.
+/// Everything a [`crate::Study::run`] or [`crate::Engine::run`] produces:
+/// per-cell comparisons with their axis coordinates, and the
+/// [`EngineStats`] of the batch.
 #[derive(Clone, Debug)]
 pub struct StudyReport {
     /// One cell per grid coordinate, in grid order.
@@ -235,12 +235,14 @@ pub fn strip_elapsed_ms(json: &str) -> String {
 /// [`StudyReport::normalized`], for call sites that only have serialized
 /// output in hand (CLI stdout, CI smoke diffs, raw response lines).
 ///
-/// `cache_entries` joined the list after differential fuzzing (replay
-/// seed 32 of `fuzz --seed 31`) showed it counts the *whole store* —
-/// when several studies share one result directory, two otherwise
-/// identical runs of the same grid report different resident-entry
-/// totals even though every cell and every hit/miss count agrees. The
-/// store's population is a deployment fact, not a result.
+/// `cache_entries` joined the list when it still counted the whole
+/// store, so two otherwise identical runs sharing one result directory
+/// disagreed on it (differential fuzzing, replay seed 32 of `fuzz --seed
+/// 31`). A report's `cache_entries` is now the batch's distinct keys, a
+/// function of the grid; it stays blanked because the lifetime counters
+/// a response line also carries (`service.engine`) count the job results
+/// resident in the memo now — what else the process ran, under the
+/// memo's byte bound — which is a deployment fact, not a result.
 pub fn normalize_run_shape(json: &str) -> String {
     ["elapsed_ms", "workers", "stage_hits", "stage_misses", "cache_entries"]
         .iter()

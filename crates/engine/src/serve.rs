@@ -36,12 +36,12 @@
 //!
 //! A successful response is `{"ok":true,"service":{...},"report":{...}}`
 //! with the **report field last**: its value is byte-for-byte the
-//! [`StudyReport`] JSON that a single-process [`Study::run`] serializes,
-//! so clients can slice it out of the line without re-serializing. The
-//! `service` field carries process-lifetime [`ServiceStats`]. A rejected
-//! request gets `{"ok":false,"error":"..."}` and — except after an
-//! oversized body, whose line framing is unrecoverable — the connection
-//! stays usable.
+//! [`StudyReport`](crate::StudyReport) JSON that a single-process
+//! [`Study::run`] serializes, so clients can slice it out of the line
+//! without re-serializing. The `service` field carries process-lifetime
+//! [`ServiceStats`]. A rejected request gets `{"ok":false,"error":"..."}`
+//! and — except after an oversized body, whose line framing is
+//! unrecoverable — the connection stays usable.
 //!
 //! ## Streaming
 //!
@@ -66,8 +66,12 @@
 //! # Execution model
 //!
 //! Each study or shard request runs on a per-request runner thread that
-//! hands its distinct jobs to the shared [`Engine`] through the same
-//! execution routine as [`Engine::run`] and [`Study::run`]. The engine
+//! hands its grid to the shared [`Engine`] through the one routine that
+//! resolves and labels keyed cells for [`Engine::run`] and [`Study::run`]
+//! too (`Engine::run_grid`, without their `engine.run` batch span, so a
+//! request's `exec.task` spans sit directly under `serve.request`). A
+//! shard request takes its keys along with its slice of jobs, so no job
+//! is hashed twice. The engine
 //! owns one persistent worker pool — as wide as its worker count — fed
 //! by a fair per-request round-robin queue ([`crate::sched`]): every
 //! request's uncached jobs are one scheduling unit, and workers grant
@@ -116,11 +120,11 @@
 //! entry, and the next server warms straight back up from the directory.
 
 use crate::key::JobKey;
-use crate::report::{StudyCell, StudyReport};
+use crate::report::StudyCell;
 use crate::shard::{self, ShardedStudy};
 use crate::stats::ServiceStats;
 use crate::study::Study;
-use crate::{trace, Engine, EngineOptions, Job, JobResult};
+use crate::{trace, Engine, EngineOptions};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -748,9 +752,8 @@ fn stats_reply(state: &ServerState) -> String {
 /// when streaming, a cell frame per grid cell as results resolve).
 /// Returns the nanoseconds spent writing them.
 ///
-/// The report's statistics are the engine's per-call counts, with
-/// `cache_entries` = the request's distinct keys — the same definition
-/// `Study::run` uses, which keeps served reports byte-identical to its
+/// The request resolves its grid through [`Engine::run_grid`], as
+/// [`Study::run`] does, so served reports are byte-identical to its
 /// references.
 fn run_study_request(
     state: &ServerState,
@@ -760,11 +763,11 @@ fn run_study_request(
     peer: &str,
     writer: &Mutex<TcpStream>,
 ) -> u64 {
-    let grid = study.dedup();
+    let grid = study.grid();
     // Grid cells per key, in grid order: the streaming path fans each
     // resolved key back out to every cell it covers, first occurrence
     // carrying the hit flag and the rest marked as in-grid duplicates —
-    // the same marking `assemble` gives the final report.
+    // the same marking the final report's cells get.
     let mut cells_of_key: HashMap<JobKey, Vec<usize>> = HashMap::new();
     if stream {
         for (index, key) in grid.keys.iter().enumerate() {
@@ -773,32 +776,34 @@ fn run_study_request(
     }
     let mut frames_ok = true;
     let mut write_ns = 0;
-    let mut resolved: HashMap<JobKey, (Arc<JobResult>, bool)> =
-        HashMap::with_capacity(grid.distinct.len());
-    let distinct_keys: Vec<JobKey> = grid.distinct.iter().map(Job::key).collect();
-    let stats = state.engine.run_with(&grid.distinct, &distinct_keys, |key, result, hit| {
-        resolved.insert(*key, (Arc::clone(result), hit));
-        if !stream || !frames_ok {
-            return;
-        }
-        for (occurrence, &index) in cells_of_key.get(key).into_iter().flatten().enumerate() {
-            let cell =
-                StudyCell::of(&grid.cells[index], *key, Arc::clone(result), hit || occurrence > 0);
-            let cell = serde_json::to_string(&cell).expect("study cell serializes");
-            let frame = format!("{{\"cell\":{cell},\"index\":{index}}}");
-            if write_line(writer, &frame, &mut write_ns).is_err() {
-                // The client stopped reading; stop framing but finish the
-                // computation — it warms the cache for everyone else.
-                frames_ok = false;
-                break;
+    let report = state.engine.run_grid(
+        &grid.cells,
+        &grid.keys,
+        &grid.distinct,
+        &grid.distinct_keys,
+        |key, result, hit| {
+            if !stream || !frames_ok {
+                return;
             }
-        }
-    });
-    let cells = crate::study::assemble(grid.cells, grid.keys, |key| {
-        let (result, hit) = &resolved[&key];
-        (Arc::clone(result), *hit)
-    });
-    let report = StudyReport { cells, stats };
+            for (occurrence, &index) in cells_of_key.get(key).into_iter().flatten().enumerate() {
+                let cell = StudyCell::of(
+                    &grid.cells[index],
+                    *key,
+                    Arc::clone(result),
+                    hit || occurrence > 0,
+                );
+                let cell = serde_json::to_string(&cell).expect("study cell serializes");
+                let frame = format!("{{\"cell\":{cell},\"index\":{index}}}");
+                if write_line(writer, &frame, &mut write_ns).is_err() {
+                    // The client stopped reading; stop framing but finish
+                    // the computation — it warms the cache for everyone
+                    // else.
+                    frames_ok = false;
+                    break;
+                }
+            }
+        },
+    );
     state.requests.fetch_add(1, Ordering::SeqCst);
     state.class_study.fetch_add(1, Ordering::SeqCst);
     trace::stderr_log("serve", "report", |a| {
@@ -837,9 +842,8 @@ fn run_shard_request(
     peer: &str,
     writer: &Mutex<TcpStream>,
 ) -> u64 {
-    let jobs = shard::shard_slice(study, index, count);
-    let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
-    let stats = state.engine.run_with(&jobs, &keys, |_, _, _| {});
+    let (jobs, keys) = shard::keyed_shard_slice(study, index, count);
+    let stats = state.engine.run_grid(&jobs, &keys, &jobs, &keys, |_, _, _| {}).stats;
     state.requests.fetch_add(1, Ordering::SeqCst);
     state.class_shard.fetch_add(1, Ordering::SeqCst);
     trace::stderr_log("serve", "shard", |a| {

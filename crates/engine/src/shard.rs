@@ -65,7 +65,7 @@ use crate::report::StudyReport;
 use crate::serve;
 use crate::stagecache::StageStore;
 use crate::stats::{EndpointStats, EngineStats};
-use crate::study::{self, Study};
+use crate::study::Study;
 use crate::trace;
 use crate::{Engine, Job};
 use bittrans_core::CompareOptions;
@@ -75,7 +75,7 @@ use bittrans_timing::TimingModel;
 use serde::ser::SerializeStruct;
 use serde::{Serialize, Serializer};
 use serde_json::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, BufRead, BufReader};
 use std::ops::Range;
@@ -401,14 +401,28 @@ fn optional<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
 ///
 /// On axis values the options builder rejects; see [`Study::jobs`].
 pub fn shard_slice(study: &Study, index: usize, count: usize) -> Vec<Job> {
-    let sorted = sorted_distinct(study);
+    keyed_shard_slice(study, index, count).0
+}
+
+/// [`shard_slice`] with each job's content key, from the one keying pass
+/// over the study grid — the keys the serving engine then runs under.
+pub(crate) fn keyed_shard_slice(
+    study: &Study,
+    index: usize,
+    count: usize,
+) -> (Vec<Job>, Vec<JobKey>) {
+    let grid = study.grid();
+    // The canonical order every process derives before partitioning.
+    let mut sorted: Vec<(Job, JobKey)> =
+        grid.distinct.into_iter().zip(grid.distinct_keys).collect();
+    sorted.sort_unstable_by_key(|&(_, key)| key);
     let (index, count, len) = (index as u128, count.max(1) as u128, sorted.len() as u128);
     if index >= count {
-        return Vec::new();
+        return (Vec::new(), Vec::new());
     }
     let start = (index * len / count) as usize;
     let end = ((index + 1) * len / count) as usize;
-    sorted[start..end].to_vec()
+    sorted.drain(start..end).unzip()
 }
 
 fn string_list(value: &Value, key: &str) -> Result<Vec<String>, ShardError> {
@@ -422,15 +436,6 @@ fn string_list(value: &Value, key: &str) -> Result<Vec<String>, ShardError> {
                 .ok_or_else(|| invalid(format!("`{key}` holds a non-string")))
         })
         .collect()
-}
-
-/// The distinct jobs of a study, sorted by content key — the canonical
-/// order every process derives independently before partitioning. Keys are
-/// content hashes of the full canonicalized spec, so each is computed once.
-fn sorted_distinct(study: &Study) -> Vec<Job> {
-    let mut jobs = study.distinct_jobs();
-    jobs.sort_by_cached_key(Job::key);
-    jobs
 }
 
 /// Where the `serve` endpoints of a sharded run come from: started on
@@ -542,15 +547,12 @@ pub fn run_sharded(
 ) -> Result<ShardRun, ShardError> {
     let started = Instant::now();
     let study = sharded.study()?;
-    let grid = study.dedup();
-    // Hash each distinct job's key once; every later pass reuses the list.
-    let mut keyed: Vec<(JobKey, Job)> =
-        grid.distinct.iter().map(|job| (job.key(), job.clone())).collect();
-    keyed.sort_by_key(|&(key, _)| key);
-    let sorted_keys: Vec<JobKey> = keyed.iter().map(|&(key, _)| key).collect();
-    let shards = if keyed.is_empty() { 0 } else { options.shards.clamp(1, keyed.len()) };
-    let ranges = partition(keyed.len(), shards);
-    drop(keyed);
+    let grid = study.grid();
+    let mut sorted_keys = grid.distinct_keys.clone();
+    sorted_keys.sort_unstable();
+    let shards =
+        if sorted_keys.is_empty() { 0 } else { options.shards.clamp(1, sorted_keys.len()) };
+    let ranges = partition(sorted_keys.len(), shards);
     let _run = trace::span_attrs("shard.run", |a| {
         a.num("shards", shards as u64).num("distinct", sorted_keys.len() as u64);
     });
@@ -574,24 +576,26 @@ pub fn run_sharded(
     };
     let Dispatch { shard_stats, mut endpoints, failed } = dispatch;
 
-    // One local batch over the distinct jobs assembles everything: keys in
-    // the store load lazily as hits; gaps and infeasible coordinates (whose
+    // One local batch over the grid assembles everything: keys in the
+    // store load lazily as hits; gaps and infeasible coordinates (whose
     // errors are never persisted) compute here, exactly as a single-process
     // run would have computed them.
     let engine = Engine::default().with_cache_dir(cache_dir)?;
-    let batch = engine.run(grid.distinct.clone());
+    let mut report = engine.run_batch(&grid.cells, &grid.keys, &grid.distinct, &grid.distinct_keys);
+    let batch = report.stats.clone();
 
     // The gaps: keys from a failed shard's range that the batch had to
-    // compute — work no endpoint finished — in sorted-key order.
+    // compute — work no endpoint finished — in sorted-key order. Only a
+    // key's first cell can be a computed one.
     let failed_keys: HashSet<JobKey> = failed
         .iter()
         .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
         .collect();
-    let mut retried: Vec<JobKey> = batch
-        .outcomes
+    let mut retried: Vec<JobKey> = report
+        .cells
         .iter()
-        .filter(|outcome| !outcome.from_cache && failed_keys.contains(&outcome.key))
-        .map(|outcome| outcome.key)
+        .filter(|cell| !cell.from_cache && failed_keys.contains(&cell.key))
+        .map(|cell| cell.key)
         .collect();
     retried.sort_unstable();
     if !retried.is_empty() {
@@ -607,10 +611,10 @@ pub fn run_sharded(
             cache_hits: 0,
             cache_misses: retried.len() as u64,
             cache_entries: retried.len(),
-            workers: batch.stats.workers,
-            elapsed: batch.stats.elapsed,
-            stage_hits: batch.stats.stage_hits,
-            stage_misses: batch.stats.stage_misses,
+            workers: batch.workers,
+            elapsed: batch.elapsed,
+            stage_hits: batch.stage_hits,
+            stage_misses: batch.stage_misses,
         };
         merged.absorb(&recompute);
         endpoints.push(EndpointStats {
@@ -620,20 +624,21 @@ pub fn run_sharded(
         });
     }
 
+    // A cell is from the cache when its key was in the store before the
+    // dispatch (what a single-process run would have hit) or an earlier
+    // cell has the same key.
+    let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(report.cells.len());
+    for cell in &mut report.cells {
+        cell.from_cache = preloaded.contains(&cell.key) || !first_seen.insert(cell.key);
+    }
     let hits = preloaded.len() as u64;
-    let distinct_count = grid.distinct.len() as u64;
-    let index_of: HashMap<JobKey, usize> = grid.index_of;
-    let cells = study::assemble(grid.cells, grid.keys, |key| {
-        let outcome = &batch.outcomes[index_of[&key]];
-        (Arc::clone(&outcome.result), preloaded.contains(&key))
-    });
-    let stats = EngineStats {
-        jobs: distinct_count,
+    report.stats = EngineStats {
+        jobs: batch.jobs,
         cache_hits: hits,
-        cache_misses: distinct_count - hits,
+        cache_misses: batch.jobs - hits,
         // What a single-process `Study::run` reports: the grid's
         // distinct keys.
-        cache_entries: grid.distinct.len(),
+        cache_entries: batch.cache_entries,
         workers: merged.workers,
         elapsed: started.elapsed(),
         // Stage work happened inside the endpoints (and the gap-fill
@@ -641,14 +646,7 @@ pub fn run_sharded(
         stage_hits: merged.stage_hits,
         stage_misses: merged.stage_misses,
     };
-    Ok(ShardRun {
-        report: StudyReport { cells, stats },
-        merged,
-        shard_stats,
-        endpoints,
-        failed,
-        retried,
-    })
+    Ok(ShardRun { report, merged, shard_stats, endpoints, failed, retried })
 }
 
 /// What one transport dispatch produced, whoever ran it.

@@ -925,7 +925,7 @@ mod tests {
         let report = engine.run(vec![job.clone()]);
         let expected = compare(&job.spec, 3, &job.options).unwrap();
         assert_eq!(
-            serde_json::to_string(report.outcomes[0].result.as_ref().as_ref().unwrap()).unwrap(),
+            serde_json::to_string(report.cells[0].result.as_ref().as_ref().unwrap()).unwrap(),
             serde_json::to_string(&expected).unwrap()
         );
         report.stats
@@ -1162,7 +1162,7 @@ mod tests {
         assert_eq!((second.stats.cache_hits, second.stats.cache_misses), (1, 0));
         assert_eq!(first.stats.cache_misses, 1);
         assert_eq!(first.stats.stage_hits, 1, "the first stage was the gated one");
-        let shared = Arc::ptr_eq(&first.outcomes[0].result, &second.outcomes[0].result);
+        let shared = Arc::ptr_eq(&first.cells[0].result, &second.cells[0].result);
         assert!(shared, "the join hands out the computed result");
     }
 

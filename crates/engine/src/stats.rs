@@ -1,14 +1,13 @@
 //! Batch and engine statistics: how much work ran, how much the cache
 //! absorbed, and how wide the pool was.
 
-use crate::job::JobOutcome;
 use serde::ser::SerializeStruct;
 use serde::{Serialize, Serializer};
 use std::fmt;
 use std::time::Duration;
 
-/// Counters for one batch (in [`BatchReport`]) or for an engine's lifetime
-/// (from [`crate::Engine::stats`]).
+/// Counters for one batch (in a [`crate::StudyReport`]) or for an
+/// engine's lifetime (from [`crate::Engine::stats`]).
 ///
 /// # Hit/miss semantics
 ///
@@ -151,7 +150,7 @@ impl fmt::Display for EngineStats {
 /// recomputation ran — so the merged
 /// totals stay auditable: every job in the sum can be pointed at the
 /// machine that ran it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize)]
 pub struct EndpointStats {
     /// Who did the work: a `host:port` endpoint, or `coordinator` for
     /// in-process gap-fill.
@@ -161,16 +160,6 @@ pub struct EndpointStats {
     /// The merged statistics of those shards
     /// ([`EngineStats::merged`] semantics).
     pub stats: EngineStats,
-}
-
-impl Serialize for EndpointStats {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("EndpointStats", 3)?;
-        st.serialize_field("endpoint", &self.endpoint)?;
-        st.serialize_field("shards", &self.shards)?;
-        st.serialize_field("stats", &self.stats)?;
-        st.end()
-    }
 }
 
 impl fmt::Display for EndpointStats {
@@ -305,27 +294,6 @@ impl fmt::Display for ServiceStats {
             self.uptime.as_secs_f64(),
             self.engine,
         )
-    }
-}
-
-/// Everything one [`crate::Engine::run`] call produces.
-#[derive(Clone, Debug)]
-pub struct BatchReport {
-    /// One outcome per submitted job, in submission order.
-    pub outcomes: Vec<JobOutcome>,
-    /// The batch's statistics.
-    pub stats: EngineStats,
-}
-
-impl BatchReport {
-    /// Outcomes whose pipeline run succeeded.
-    pub fn successes(&self) -> impl Iterator<Item = &JobOutcome> {
-        self.outcomes.iter().filter(|o| o.result.is_ok())
-    }
-
-    /// Outcomes whose pipeline run failed (e.g. infeasible latency).
-    pub fn failures(&self) -> impl Iterator<Item = &JobOutcome> {
-        self.outcomes.iter().filter(|o| o.result.is_err())
     }
 }
 

@@ -37,12 +37,12 @@
 //! computed result, so a grid is never larger than its distinct content.
 
 use crate::key::JobKey;
-use crate::report::{StudyCell, StudyReport};
+use crate::report::StudyReport;
 use crate::{Engine, Job};
-use bittrans_core::{CompareOptions, Comparison};
+use bittrans_core::CompareOptions;
 use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// A declarative design-space-exploration grid over the comparison
 /// pipeline. Build with [`Study::over`] / [`Study::single`], add axes with
@@ -220,21 +220,15 @@ impl Study {
     ///
     /// Cells are returned in grid order. Infeasible coordinates (e.g. a
     /// latency the fragmenter rejects) surface as per-cell errors, exactly
-    /// like [`Engine::run`] outcomes — a partly infeasible grid is not a
+    /// like [`Engine::run`] cells — a partly infeasible grid is not a
     /// failed study.
     ///
     /// # Panics
     ///
     /// On axis values the options builder rejects; see [`Study::jobs`].
     pub fn run(&self, engine: &Engine) -> StudyReport {
-        let grid = self.dedup();
-        let batch = engine.run(grid.distinct);
-        let index_of = grid.index_of;
-        let cells = assemble(grid.cells, grid.keys, |key| {
-            let outcome = &batch.outcomes[index_of[&key]];
-            (std::sync::Arc::clone(&outcome.result), outcome.from_cache)
-        });
-        StudyReport { cells, stats: batch.stats }
+        let grid = self.grid();
+        engine.run_batch(&grid.cells, &grid.keys, &grid.distinct, &grid.distinct_keys)
     }
 
     /// The grid's distinct jobs, in first-occurrence grid order — what a
@@ -245,72 +239,37 @@ impl Study {
     ///
     /// On axis values the options builder rejects; see [`Study::jobs`].
     pub fn distinct_jobs(&self) -> Vec<Job> {
-        self.dedup().distinct
+        self.grid().distinct
     }
 
-    /// Expands and deduplicates the grid in one pass.
-    pub(crate) fn dedup(&self) -> DedupedGrid {
+    /// Expands the grid and keys every cell once. Submitting only the
+    /// distinct jobs keeps grid-shape duplicates out of the batch's hit
+    /// statistics; the engine would compute them once anyway.
+    pub(crate) fn grid(&self) -> Grid {
         let cells = self.jobs();
-        // Deduplicate by content key; the engine would compute duplicates
-        // only once anyway, but submitting them would inflate the batch's
-        // hit statistics with grid-shape artifacts.
-        let mut distinct: Vec<Job> = Vec::with_capacity(cells.len());
-        let mut index_of: HashMap<JobKey, usize> = HashMap::with_capacity(cells.len());
-        let keys: Vec<JobKey> = cells
+        let keys: Vec<JobKey> = cells.iter().map(Job::key).collect();
+        let mut seen: HashSet<JobKey> = HashSet::with_capacity(cells.len());
+        let (distinct, distinct_keys) = cells
             .iter()
-            .map(|job| {
-                let key = job.key();
-                index_of.entry(key).or_insert_with(|| {
-                    distinct.push(job.clone());
-                    distinct.len() - 1
-                });
-                key
-            })
-            .collect();
-        DedupedGrid { cells, keys, distinct, index_of }
+            .zip(&keys)
+            .filter(|&(_, &key)| seen.insert(key))
+            .map(|(job, &key)| (job.clone(), key))
+            .unzip();
+        Grid { cells, keys, distinct, distinct_keys }
     }
 }
 
-/// A study grid after [`Study::dedup`]: every cell with its key, plus the
-/// distinct jobs (first-occurrence grid order) and the key → distinct-index
-/// map.
-pub(crate) struct DedupedGrid {
+/// A study grid keyed once ([`Study::grid`]): every cell with its content
+/// key, and the distinct jobs with theirs, in first-occurrence grid order.
+pub(crate) struct Grid {
     /// One job per grid cell, in grid order (with duplicates).
     pub cells: Vec<Job>,
     /// `cells[i]`'s content key.
     pub keys: Vec<JobKey>,
     /// The distinct jobs, in first-occurrence order.
     pub distinct: Vec<Job>,
-    /// Key → index into `distinct`.
-    pub index_of: HashMap<JobKey, usize>,
-}
-
-/// Labels every grid cell with its axis coordinates and result. `resolve`
-/// maps a key to its shared result plus whether it was resident before the
-/// run started; in-grid duplicates are additionally marked `from_cache`
-/// (only the first cell of a key did pipeline work).
-pub(crate) fn assemble(
-    cells: Vec<Job>,
-    keys: Vec<JobKey>,
-    mut resolve: impl FnMut(JobKey) -> (std::sync::Arc<crate::job::JobResult>, bool),
-) -> Vec<StudyCell> {
-    let mut first_seen: std::collections::HashSet<JobKey> =
-        std::collections::HashSet::with_capacity(cells.len());
-    cells
-        .into_iter()
-        .zip(keys)
-        .map(|(job, key)| {
-            let (result, cached) = resolve(key);
-            let duplicate = !first_seen.insert(key);
-            StudyCell::of(&job, key, result, cached || duplicate)
-        })
-        .collect()
-}
-
-/// Convenience for report post-processing: the comparison of a successful
-/// cell result.
-pub(crate) fn cell_comparison(cell: &StudyCell) -> Option<&Comparison> {
-    cell.result.as_ref().as_ref().ok()
+    /// `distinct[i]`'s content key.
+    pub distinct_keys: Vec<JobKey>,
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@ fn suite_jobs() -> Vec<Job> {
 }
 
 /// Renders a batch's outcomes to a canonical byte string.
-fn render(report: &bittrans_engine::BatchReport) -> String {
-    report.outcomes.iter().map(|o| format!("{} λ={} {:?}\n", o.name, o.latency, o.result)).collect()
+fn render(report: &bittrans_engine::StudyReport) -> String {
+    report.cells.iter().map(|o| format!("{} λ={} {:?}\n", o.spec, o.latency, o.result)).collect()
 }
 
 #[test]
@@ -34,7 +34,7 @@ fn repeated_batch_is_byte_identical_and_fully_cached() {
     assert_eq!(second.stats.cache_hits, total, "second run must be pure cache traffic");
     assert_eq!(second.stats.cache_misses, 0);
     assert_eq!(second.stats.hit_rate(), 100.0);
-    assert!(second.outcomes.iter().all(|o| o.from_cache));
+    assert!(second.cells.iter().all(|o| o.from_cache));
 
     assert_eq!(render(&first), render(&second), "cached results must be byte-identical");
 }

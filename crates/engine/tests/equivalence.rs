@@ -25,9 +25,9 @@ fn engine_matches_direct_compare_on_every_benchmark() {
 
     let engine = Engine::new(EngineOptions { workers: Some(4), ..Default::default() });
     let report = engine.run(jobs.clone());
-    assert_eq!(report.outcomes.len(), jobs.len());
+    assert_eq!(report.cells.len(), jobs.len());
 
-    for (job, outcome) in jobs.iter().zip(&report.outcomes) {
+    for (job, outcome) in jobs.iter().zip(&report.cells) {
         let direct = compare(&job.spec, job.latency, &options)
             .unwrap_or_else(|e| panic!("{} λ={}: {e}", job.spec.name(), job.latency));
         let batched = outcome.result.as_ref().as_ref().unwrap_or_else(|e| {

@@ -15,7 +15,7 @@
 //! binary and every test serializes on one lock.
 
 use bittrans_engine::{
-    trace, BatchReport, Engine, EngineOptions, Job, ServeOptions, Server, Study,
+    trace, Engine, EngineOptions, Job, ServeOptions, Server, Study, StudyReport,
 };
 use bittrans_ir::Spec;
 use std::io::{BufRead, BufReader, Write};
@@ -51,8 +51,8 @@ fn engine(workers: usize, cache: bool) -> Engine {
 }
 
 /// A batch's outcomes in submission order, results included.
-fn render(report: &BatchReport) -> String {
-    report.outcomes.iter().map(|o| format!("{} λ={} {:?}\n", o.name, o.latency, o.result)).collect()
+fn render(report: &StudyReport) -> String {
+    report.cells.iter().map(|o| format!("{} λ={} {:?}\n", o.spec, o.latency, o.result)).collect()
 }
 
 /// Installs an observer that panics on the first `verify` stage it sees
@@ -113,7 +113,7 @@ fn every_job_runs_exactly_once_in_submission_order_at_any_worker_count() {
     // Without a cache the pipeline is monolithic — no stage memo shares
     // work between jobs — so one job is a fixed number of verifies.
     let probe = engine(1, false).run(vec![Job::new(chain(9), 3)]);
-    assert!(probe.outcomes[0].result.is_ok());
+    assert!(probe.cells[0].result.is_ok());
     let per_job = verifies.swap(0, Ordering::SeqCst);
     assert!(per_job > 0);
 

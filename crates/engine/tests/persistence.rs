@@ -7,7 +7,7 @@
 //! store by size/age without touching what a live run pins.
 
 use bittrans_core::CompareOptions;
-use bittrans_engine::{Engine, EngineOptions, EngineStats, Job, PrunePolicy, Study};
+use bittrans_engine::{Engine, EngineOptions, EngineStats, Job, PrunePolicy, PruneReport, Study};
 use bittrans_ir::Spec;
 use std::path::{Path, PathBuf};
 
@@ -117,8 +117,8 @@ fn errors_are_not_persisted_but_successes_are() {
     let spec = three_adds();
     let engine = Engine::default().with_cache_dir(&dir).unwrap();
     let report = engine.run(vec![Job::new(spec.clone(), 0), Job::new(spec, 3)]);
-    assert!(report.outcomes[0].result.is_err());
-    assert!(report.outcomes[1].result.is_ok());
+    assert!(report.cells[0].result.is_err());
+    assert!(report.cells[1].result.is_ok());
     // Only the feasible job reached the directory.
     assert_eq!(job_files(&dir).len(), 1);
 
@@ -147,7 +147,7 @@ fn corrupt_job_files_are_recomputed_and_repaired() {
     let report = engine.run(jobs);
     // The damaged file is never served: recomputed as a miss...
     assert_eq!(report.stats.cache_misses, 1);
-    assert!(report.outcomes[0].result.is_ok());
+    assert!(report.cells[0].result.is_ok());
     // ...and the spill has overwritten it with a valid job file again.
     let text = std::fs::read_to_string(&entry).unwrap();
     assert!(text.starts_with(JOB_ENVELOPE), "{text}");
@@ -233,6 +233,24 @@ fn prune_with_no_live_run_can_empty_the_directory() {
     // The default policy is a no-op.
     let report = engine.prune_cache(PrunePolicy::default()).unwrap();
     assert_eq!(report.removed, 0);
+}
+
+/// `cache prune --json` prints the declared fields in declaration order.
+#[test]
+fn prune_report_json_is_pinned() {
+    let report = PruneReport {
+        scanned: 6,
+        removed: 2,
+        freed_bytes: 300,
+        kept: 4,
+        kept_bytes: 500,
+        pinned: 1,
+    };
+    assert_eq!(
+        serde_json::to_string(&report).unwrap(),
+        "{\"scanned\":6,\"removed\":2,\"freed_bytes\":300,\"kept\":4,\"kept_bytes\":500,\
+         \"pinned\":1}"
+    );
 }
 
 #[test]

@@ -22,7 +22,7 @@ use bittrans_engine::shard::{
     assign_round_robin, partition, run_sharded, shard_slice, RemoteTransport, ShardOptions,
     ShardedStudy, Transport,
 };
-use bittrans_engine::{proto, Engine, Job, JobKey, StudyReport};
+use bittrans_engine::{proto, EndpointStats, Engine, EngineStats, Job, JobKey, StudyReport};
 use bittrans_rtl::AdderArch;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -309,7 +309,7 @@ fn exhausted_fleet_over_a_partial_store_recomputes_exactly_the_gaps() {
     let (dir_a, dir_b) = (temp_dir("partial_a"), temp_dir("partial_b"));
     for dir in [&dir_a, &dir_b] {
         let batch = Engine::default().with_cache_dir(dir).unwrap().run(prefilled.clone());
-        assert!(batch.outcomes.iter().all(|outcome| outcome.result.is_ok()));
+        assert!(batch.cells.iter().all(|outcome| outcome.result.is_ok()));
     }
     let endpoints = vec![fault_endpoint(Fault::DropMidResponse)];
     let run = run_sharded(&sharded, &dir_a, &remote(endpoints, 2, TIMEOUT)).unwrap();
@@ -452,4 +452,30 @@ fn shard_request_runs_the_range_and_fills_the_store() {
     let report = sharded.study().unwrap().run(&warm);
     assert_eq!(report.stats.cache_hits, distinct as u64);
     assert_eq!(report.stats.cache_misses, 0);
+}
+
+/// An endpoint's attribution serializes its declared fields in
+/// declaration order, its statistics nested as `EngineStats` writes them.
+#[test]
+fn endpoint_stats_json_is_pinned() {
+    let endpoint = EndpointStats {
+        endpoint: "127.0.0.1:4850".to_string(),
+        shards: vec![0, 2],
+        stats: EngineStats {
+            jobs: 4,
+            cache_hits: 1,
+            cache_misses: 3,
+            cache_entries: 4,
+            workers: 2,
+            elapsed: std::time::Duration::from_micros(1500),
+            stage_hits: 5,
+            stage_misses: 7,
+        },
+    };
+    assert_eq!(
+        serde_json::to_string(&endpoint).unwrap(),
+        "{\"endpoint\":\"127.0.0.1:4850\",\"shards\":[0,2],\"stats\":{\"jobs\":4,\
+         \"cache_hits\":1,\"cache_misses\":3,\"hit_rate_pct\":25.0,\"cache_entries\":4,\
+         \"workers\":2,\"stage_hits\":5,\"stage_misses\":7,\"elapsed_ms\":1.5}}"
+    );
 }

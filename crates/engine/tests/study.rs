@@ -3,7 +3,7 @@
 //! identical coordinates, and serialize into the documented JSON shape.
 
 use bittrans_core::{compare, latency_sweep, CompareOptions};
-use bittrans_engine::{Engine, EngineOptions, Study};
+use bittrans_engine::{Engine, EngineOptions, Study, StudyCell};
 use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
 
@@ -42,6 +42,34 @@ fn single_axis_study_matches_serial_latency_sweep() {
             assert_eq!(s.original_ns.to_bits(), p.original_ns.to_bits());
             assert_eq!(s.optimized_ns.to_bits(), p.optimized_ns.to_bits());
         }
+    }
+}
+
+/// Every front end labels its cells through one routine: on fresh
+/// engines, a study and a plain batch of the study's expanded jobs
+/// serialize the same cells, each carrying its own job's coordinates.
+#[test]
+fn study_and_batch_of_its_jobs_label_the_same_cells() {
+    let study = Study::single(three_adds())
+        .latencies([3, 4, 3])
+        .adder_archs([AdderArch::RippleCarry, AdderArch::CarryLookahead])
+        .balance_both();
+    let jobs = study.jobs();
+    let grid = study.run(&Engine::default());
+    let batch = Engine::default().run(jobs.clone());
+    let json = |cells: &Vec<StudyCell>| serde_json::to_string(cells).unwrap();
+    assert_eq!(json(&grid.cells), json(&batch.cells));
+    for report in [&grid, &batch] {
+        assert_eq!(report.cells.len(), jobs.len());
+        for (cell, job) in report.cells.iter().zip(&jobs) {
+            assert_eq!(cell.latency, job.latency);
+            assert_eq!(cell.adder_arch, job.options.adder_arch);
+            assert_eq!(cell.balance, job.options.balance);
+            assert_eq!(cell.verify_vectors, job.options.verify_vectors);
+        }
+        // The repeated λ = 3 row did no pipeline work.
+        assert!(report.cells[..8].iter().all(|c| !c.from_cache));
+        assert!(report.cells[8..].iter().all(|c| c.from_cache));
     }
 }
 

@@ -20,7 +20,7 @@
 //! [`EngineStats`]: bittrans_engine::EngineStats
 
 use bittrans_core::CompareOptions;
-use bittrans_engine::{trace, BatchReport, Engine, EngineOptions, Job, ServeOptions, Server};
+use bittrans_engine::{trace, Engine, EngineOptions, Job, ServeOptions, Server, StudyReport};
 use bittrans_ir::Spec;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -203,8 +203,8 @@ fn hit_count(counts: &HashMap<String, u64>) -> u64 {
 }
 
 /// A batch's outcomes in submission order, results included.
-fn render(report: &BatchReport) -> String {
-    report.outcomes.iter().map(|o| format!("{} λ={} {:?}\n", o.name, o.latency, o.result)).collect()
+fn render(report: &StudyReport) -> String {
+    report.cells.iter().map(|o| format!("{} λ={} {:?}\n", o.spec, o.latency, o.result)).collect()
 }
 
 /// Two threads run the same cold grid on one engine. Every job stalls in

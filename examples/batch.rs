@@ -37,11 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<12}{:>4}{:>14}{:>14}{:>10}{:>10}",
         "bench", "λ", "orig (ns)", "opt (ns)", "saved", "area Δ"
     );
-    for outcome in &report.outcomes {
+    for outcome in &report.cells {
         let cmp = outcome.result.as_ref().as_ref().map_err(|e| e.to_string())?;
         println!(
             "{:<12}{:>4}{:>14.2}{:>14.2}{:>9.1}%{:>9.1}%",
-            outcome.name,
+            outcome.spec,
             outcome.latency,
             cmp.original.cycle_ns,
             cmp.optimized.cycle_ns,

@@ -76,8 +76,8 @@ pub mod prelude {
         Comparison, Implementation, OptionsError,
     };
     pub use bittrans_engine::{
-        BatchReport, Engine, EngineOptions, EngineStats, Job, JobOutcome, PrunePolicy, PruneReport,
-        Study, StudyCell, StudyReport,
+        Engine, EngineOptions, EngineStats, Job, PrunePolicy, PruneReport, Study, StudyCell,
+        StudyReport,
     };
     pub use bittrans_frag::{fragment, FragmentInfo, FragmentOptions, Fragmented};
     pub use bittrans_ir::prelude::*;

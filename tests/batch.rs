@@ -30,7 +30,7 @@ fn facade_engine_batches_and_caches() {
     let jobs: Vec<Job> = (2..=5).map(|latency| Job::new(spec.clone(), latency)).collect();
 
     let first = engine.run(jobs.clone());
-    for (job, outcome) in jobs.iter().zip(&first.outcomes) {
+    for (job, outcome) in jobs.iter().zip(&first.cells) {
         let direct = compare(&spec, job.latency, &CompareOptions::default()).unwrap();
         let batched = outcome.result.as_ref().as_ref().unwrap();
         assert_eq!(batched.optimized.cycle_ns, direct.optimized.cycle_ns);
