@@ -161,8 +161,7 @@ pub fn allocate(spec: &Spec, schedule: &Schedule, options: &AllocOptions) -> Dat
 /// (concat, shifts by constants, slices) are free.
 fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component> {
     use std::collections::{BTreeMap, BTreeSet};
-    let mut memo: regs::ResolveMemo =
-        spec.values().iter().map(|v| vec![None; v.width() as usize]).collect();
+    let live = regs::live_bits(spec);
     struct Block {
         components: Vec<Component>,
         cycles: BTreeSet<u32>,
@@ -173,7 +172,7 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
             continue;
         }
         let origin = op.origin().unwrap_or(op.id());
-        let comps = glue_components_of(spec, op, &mut memo);
+        let comps = glue_components_of(spec, op, &live);
         if comps.is_empty() {
             continue;
         }
@@ -208,102 +207,70 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
     units.into_values().flatten().flat_map(|(_, comps)| comps).collect()
 }
 
-/// The number of output bits of a glue op that actually depend on live
-/// data (everything else is structural zero padding and costs no gates).
-fn live_width(spec: &Spec, op: &Operation, memo: &mut regs::ResolveMemo) -> u32 {
-    (0..op.width()).filter(|&i| !regs::resolve_base(spec, op.result(), i, memo).is_empty()).count()
-        as u32
-}
-
-/// Positions where *both* operands of a two-input gate carry live data.
-fn live_pair_width(spec: &Spec, op: &Operation, memo: &mut regs::ResolveMemo) -> u32 {
-    let live_at = |spec: &Spec, operand: &Operand, i: u32, memo: &mut regs::ResolveMemo| -> bool {
-        match operand {
-            Operand::Const(_) => false,
-            Operand::Value { value, range } => {
-                let (lo, w) = match range {
-                    Some(r) => (r.lo(), r.width()),
-                    None => (0, spec.value(*value).width()),
-                };
-                i < w && !regs::resolve_base(spec, *value, lo + i, memo).is_empty()
-            }
-        }
-    };
-    (0..op.width())
-        .filter(|&i| {
-            live_at(spec, &op.operands()[0], i, memo) && live_at(spec, &op.operands()[1], i, memo)
-        })
-        .count() as u32
-}
-
-/// Live input bits of an operation (for reduction-style glue).
-fn live_input_bits(spec: &Spec, op: &Operation, memo: &mut regs::ResolveMemo) -> u32 {
-    let mut n = 0;
-    for operand in op.operands() {
-        if let Operand::Value { value, range } = operand {
+/// Whether bit `i` of `operand`, unextended, carries live data (see
+/// [`regs::live_bits`]).
+fn live_at(spec: &Spec, live: &[Vec<bool>], operand: &Operand, i: u32) -> bool {
+    match operand {
+        Operand::Const(_) => false,
+        Operand::Value { value, range } => {
             let (lo, w) = match range {
                 Some(r) => (r.lo(), r.width()),
                 None => (0, spec.value(*value).width()),
             };
-            for j in 0..w {
-                if !regs::resolve_base(spec, *value, lo + j, memo).is_empty() {
-                    n += 1;
-                }
-            }
+            i < w && live[value.index()][(lo + i) as usize]
         }
     }
-    n
 }
 
-/// The priced glue components one operation contributes (empty for wiring).
-fn glue_components_of(spec: &Spec, op: &Operation, memo: &mut regs::ResolveMemo) -> Vec<Component> {
-    let mut out = Vec::new();
-    match op.kind() {
-        OpKind::Not | OpKind::Mux => {
-            let w = live_width(spec, op, memo);
-            if w == 0 {
-                return out;
-            }
-            match op.kind() {
-                OpKind::Not => out.push(Component::Gate { kind: GateKind::Not, width: w }),
-                OpKind::Mux => out.push(Component::Mux { inputs: 2, width: w }),
-                _ => unreachable!(),
-            }
-        }
-        OpKind::And | OpKind::Or | OpKind::Xor => {
-            // A two-input gate position only costs gates when *both* inputs
-            // carry live data; with one constant input it folds to a wire
-            // or inverter-level cost we ignore.
-            let w = live_pair_width(spec, op, memo);
-            if w == 0 {
-                return out;
-            }
-            match op.kind() {
-                OpKind::And | OpKind::Or => {
-                    out.push(Component::Gate { kind: GateKind::AndOr, width: w })
-                }
-                OpKind::Xor => out.push(Component::Gate { kind: GateKind::Xor, width: w }),
-                _ => unreachable!(),
-            }
-        }
+/// The number of output bits of a glue op that actually depend on live
+/// data (everything else is structural zero padding and costs no gates).
+fn live_width(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
+    let result = Operand::value(op.result());
+    (0..op.width()).filter(|&i| live_at(spec, live, &result, i)).count() as u32
+}
+
+/// Positions where *both* operands of a two-input gate carry live data.
+fn live_pair_width(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
+    let [a, b] = [&op.operands()[0], &op.operands()[1]];
+    (0..op.width()).filter(|&i| live_at(spec, live, a, i) && live_at(spec, live, b, i)).count()
+        as u32
+}
+
+/// Live input bits of an operation (for reduction-style glue).
+fn live_input_bits(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
+    op.operands()
+        .iter()
+        .map(|o| (0..spec.operand_width(o)).filter(|&j| live_at(spec, live, o, j)).count() as u32)
+        .sum()
+}
+
+/// The priced glue components one operation contributes: none for wiring,
+/// and none of zero width (no live bits).
+fn glue_components_of(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> Vec<Component> {
+    let gate = |kind, width| Component::Gate { kind, width };
+    let components = match op.kind() {
+        OpKind::Not => vec![gate(GateKind::Not, live_width(spec, op, live))],
+        OpKind::Mux => vec![Component::Mux { inputs: 2, width: live_width(spec, op, live) }],
+        // A two-input gate position only costs gates when *both* inputs
+        // carry live data; with one constant input it folds to a wire or
+        // inverter-level cost we ignore.
+        OpKind::And | OpKind::Or => vec![gate(GateKind::AndOr, live_pair_width(spec, op, live))],
+        OpKind::Xor => vec![gate(GateKind::Xor, live_pair_width(spec, op, live))],
         OpKind::RedOr | OpKind::RedAnd => {
-            let in_w = live_input_bits(spec, op, memo);
-            if in_w > 1 {
-                out.push(Component::Gate { kind: GateKind::AndOr, width: in_w - 1 });
-            }
+            vec![gate(GateKind::AndOr, live_input_bits(spec, op, live).saturating_sub(1))]
         }
         OpKind::Eq | OpKind::Ne => {
-            let in_w = live_input_bits(spec, op, memo) / 2;
-            if in_w > 0 {
-                out.push(Component::Gate { kind: GateKind::Xor, width: in_w });
-            }
-            if in_w > 1 {
-                out.push(Component::Gate { kind: GateKind::AndOr, width: in_w - 1 });
-            }
+            let pairs = live_input_bits(spec, op, live) / 2;
+            vec![gate(GateKind::Xor, pairs), gate(GateKind::AndOr, pairs.saturating_sub(1))]
         }
-        _ => {}
-    }
-    out
+        _ => Vec::new(),
+    };
+    components
+        .into_iter()
+        .filter(|c| {
+            !matches!(c, Component::Gate { width: 0, .. } | Component::Mux { width: 0, .. })
+        })
+        .collect()
 }
 
 #[cfg(test)]

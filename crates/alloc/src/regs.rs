@@ -8,15 +8,15 @@
 //! edge — "just C5 and E4 plus the 3 carry outs must be stored" (§2).
 //!
 //! Transparent glue (wiring, inverters, muxes) is traced through: storing
-//! happens at the *producing* additive operation, not at the wires.
+//! happens at the *producing* additive operation, not at the wires. Gate
+//! glue read in a later cycle than it computes is the one exception: it is
+//! registered itself (see [`allocate_registers`]).
 
 use crate::fu::class_of;
 use bittrans_ir::prelude::*;
 use bittrans_rtl::Component;
 use bittrans_sched::Schedule;
-
-/// Per-value, per-bit memo of base-bit resolutions (see [`resolve_base`]).
-pub(crate) type ResolveMemo = Vec<Vec<Option<Vec<(ValueId, u32)>>>>;
+use bittrans_timing::bitref::glue_sources;
 
 /// A contiguous run of stored bits of one value sharing a lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,145 +61,25 @@ pub(crate) fn is_wiring(kind: OpKind) -> bool {
     matches!(kind, OpKind::Concat | OpKind::Shl(_) | OpKind::Shr(_) | OpKind::Not)
 }
 
-/// Resolves bit `i` of `value` through transparent glue down to base bits
-/// (input-port bits or base-producer result bits).
-pub(crate) fn resolve_base(
-    spec: &Spec,
-    value: ValueId,
-    i: u32,
-    memo: &mut ResolveMemo,
-) -> Vec<(ValueId, u32)> {
-    if let Some(cached) = &memo[value.index()][i as usize] {
-        return cached.clone();
-    }
-    let result = match spec.value(value).defining_op() {
-        None => vec![(value, i)], // input port
-        Some(op_id) => {
-            let op = spec.op(op_id);
-            if is_base_producer(op.kind()) {
-                vec![(value, i)]
-            } else {
-                let mut out = Vec::new();
-                for (operand, bit) in glue_bit_inputs(spec, op, i) {
-                    if let Operand::Value { value: v, range } = operand {
-                        let base = range.map_or(0, |r| r.lo());
-                        out.extend(resolve_base(spec, v, base + bit, memo));
-                    }
-                }
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
+/// Per value, per bit: whether the bit carries live data. Input-port and
+/// base-producer bits are live; a glue bit is live when a bit it reads is
+/// (constants and zero padding are not). One forward pass over the ops.
+pub(crate) fn live_bits(spec: &Spec) -> Vec<Vec<bool>> {
+    let mut live: Vec<Vec<bool>> =
+        spec.values().iter().map(|v| vec![v.is_input(); v.width() as usize]).collect();
+    for op in spec.ops() {
+        let z = op.result().index();
+        if is_base_producer(op.kind()) {
+            live[z].fill(true);
+            continue;
         }
-    };
-    memo[value.index()][i as usize] = Some(result.clone());
-    result
-}
-
-/// The operand bits a transparent glue operation's output bit `i` depends
-/// on, as `(operand, bit-within-operand)` pairs.
-pub(crate) fn glue_bit_inputs(spec: &Spec, op: &Operation, i: u32) -> Vec<(Operand, u32)> {
-    let in_bit = |operand: &Operand, j: u32| -> Option<(Operand, u32)> {
-        let w = spec.operand_width(operand);
-        if j < w {
-            Some((operand.clone(), j))
-        } else if op.signedness().is_signed() && w > 0 {
-            Some((operand.clone(), w - 1))
-        } else {
-            None
-        }
-    };
-    match op.kind() {
-        OpKind::Not => in_bit(&op.operands()[0], i).into_iter().collect(),
-        OpKind::And | OpKind::Or | OpKind::Xor => {
-            op.operands().iter().filter_map(|o| in_bit(o, i)).collect()
-        }
-        OpKind::Mux => {
-            let mut v: Vec<_> = in_bit(&op.operands()[0], 0).into_iter().collect();
-            v.extend(in_bit(&op.operands()[1], i));
-            v.extend(in_bit(&op.operands()[2], i));
-            v
-        }
-        OpKind::Shl(k) => {
-            if i >= k {
-                in_bit(&op.operands()[0], i - k).into_iter().collect()
-            } else {
-                Vec::new()
-            }
-        }
-        OpKind::Shr(k) => in_bit(&op.operands()[0], i + k).into_iter().collect(),
-        OpKind::Concat => {
-            let mut base = 0;
-            for operand in op.operands() {
-                let ow = spec.operand_width(operand);
-                if i < base + ow {
-                    return in_bit(operand, i - base).into_iter().collect();
-                }
-                base += ow;
-            }
-            Vec::new()
-        }
-        other => unreachable!("{other} is a base producer"),
-    }
-}
-
-/// Records that bit `bit` of `value` is consumed in cycle `k_use`: base
-/// producer bits get their lifetime extended; glue computed in the same
-/// cycle is traced through transparently; glue computed in an earlier
-/// cycle is registered at the boundary and its own inputs are only charged
-/// in the glue's cycle.
-fn record_use(
-    spec: &Spec,
-    schedule: &Schedule,
-    value: ValueId,
-    bit: u32,
-    k_use: u32,
-    last_use: &mut [Vec<u32>],
-    visited: &mut std::collections::HashSet<(u32, u32, u32)>,
-) {
-    let Some(def_op) = spec.value(value).defining_op() else {
-        return; // input port: excluded from storage
-    };
-    let op = spec.op(def_op);
-    if is_base_producer(op.kind()) {
-        let slot = &mut last_use[value.index()][bit as usize];
-        *slot = (*slot).max(k_use);
-        return;
-    }
-    if is_wiring(op.kind()) {
-        if visited.insert((value.index() as u32, bit, k_use)) {
-            for (operand, j) in glue_bit_inputs(spec, op, bit) {
-                if let Operand::Value { value: v, range } = operand {
-                    let base = range.map_or(0, |r| r.lo());
-                    record_use(spec, schedule, v, base + j, k_use, last_use, visited);
-                }
-            }
-        }
-        return;
-    }
-    let gk = schedule.cycle_of(def_op).unwrap_or(1);
-    if gk < k_use {
-        // Boundary crossing: the gate-glue bit itself is registered.
-        let slot = &mut last_use[value.index()][bit as usize];
-        *slot = (*slot).max(k_use);
-        // Its inputs are only needed when the glue computes (cycle gk).
-        if visited.insert((value.index() as u32, bit, gk)) {
-            for (operand, j) in glue_bit_inputs(spec, op, bit) {
-                if let Operand::Value { value: v, range } = operand {
-                    let base = range.map_or(0, |r| r.lo());
-                    record_use(spec, schedule, v, base + j, gk, last_use, visited);
-                }
-            }
-        }
-    } else if visited.insert((value.index() as u32, bit, k_use)) {
-        // Same-cycle wiring: transparent.
-        for (operand, j) in glue_bit_inputs(spec, op, bit) {
-            if let Operand::Value { value: v, range } = operand {
-                let base = range.map_or(0, |r| r.lo());
-                record_use(spec, schedule, v, base + j, k_use, last_use, visited);
-            }
+        for i in 0..op.width() {
+            let mut any = false;
+            glue_sources(spec, op, i, |value, bit| any |= live[value.index()][bit as usize]);
+            live[z][i as usize] = any;
         }
     }
+    live
 }
 
 /// Computes the physical registers for `spec` under `schedule`.
@@ -210,29 +90,48 @@ fn record_use(
 /// vectors are stored rather than recomputed, which frees the array for
 /// other operations — the storage-vs-recompute choice real datapaths make).
 ///
+/// One backward sweep over the ops keeps `need`, the last cycle each bit
+/// is read in. Only that maximum matters: a base-producer bit is stored
+/// until its last read, and a gate-glue bit computed in cycle `gk` is
+/// stored exactly when its last read is after `gk`. A gate-glue bit read
+/// in cycles `k` needs its own sources at `min(k, gk)` (in its own cycle
+/// when it is registered, at the read otherwise), and the latest of those
+/// is `min(max k, gk)`. Wiring passes `max k` through unchanged.
+///
 /// I/O-port bits are excluded (the paper does not count port-holding
 /// registers). Bit groups with disjoint lifetimes share registers
 /// (left-edge).
 pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInstance> {
-    let mut last_use: Vec<Vec<u32>> =
+    let mut need: Vec<Vec<u32>> =
         spec.values().iter().map(|v| vec![0; v.width() as usize]).collect();
-    // Guards repeated same-cycle traversals of glue bits.
-    let mut visited: std::collections::HashSet<(u32, u32, u32)> = std::collections::HashSet::new();
-    for op in spec.ops() {
-        if !is_base_producer(op.kind()) {
-            continue; // transparent glue consumes nothing by itself
-        }
+    for op in spec.ops().iter().rev() {
         let k = schedule.cycle_of(op.id()).unwrap_or(1);
-        for operand in op.operands() {
-            if let Operand::Value { value, range } = operand {
-                let (lo, w) = match range {
-                    Some(r) => (r.lo(), r.width()),
-                    None => (0, spec.value(*value).width()),
-                };
-                for j in 0..w {
-                    record_use(spec, schedule, *value, lo + j, k, &mut last_use, &mut visited);
+        if is_base_producer(op.kind()) {
+            for operand in op.operands() {
+                if let Operand::Value { value, range } = operand {
+                    let (lo, w) = match range {
+                        Some(r) => (r.lo(), r.width()),
+                        None => (0, spec.value(*value).width()),
+                    };
+                    for slot in &mut need[value.index()][lo as usize..(lo + w) as usize] {
+                        *slot = (*slot).max(k);
+                    }
                 }
             }
+            continue;
+        }
+        // Transparent glue: every consumer comes later, so `need` of its
+        // result is final here.
+        for i in 0..op.width() {
+            let last = need[op.result().index()][i as usize];
+            if last == 0 {
+                continue; // never read
+            }
+            let n = if is_wiring(op.kind()) { last } else { last.min(k) };
+            glue_sources(spec, op, i, |value, bit| {
+                let slot = &mut need[value.index()][bit as usize];
+                *slot = (*slot).max(n);
+            });
         }
     }
     // Build per-value stored-bit groups (base producers and
@@ -242,10 +141,13 @@ pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInsta
         let Some(def_op) = value.defining_op() else {
             continue; // input ports: excluded
         };
+        if is_wiring(spec.op(def_op).kind()) {
+            continue; // wiring is traced through, never stored
+        }
         let def = schedule.cycle_of(def_op).unwrap_or(1);
         let mut current: Option<BitGroup> = None;
         for i in 0..value.width() {
-            let lu = last_use[value.id().index()][i as usize];
+            let lu = need[value.id().index()][i as usize];
             if lu > def {
                 match &mut current {
                     Some(g) if g.last_use == lu && g.range.end() == i => {
@@ -374,6 +276,35 @@ mod tests {
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].width, 8);
         assert_eq!(regs[0].groups[0].value, spec.ops()[0].result());
+    }
+
+    #[test]
+    fn gate_glue_read_in_a_later_cycle_is_registered() {
+        // Register-after-the-array: `g` is gate glue computed in cycle 1.
+        // The add in cycle 3 reads it across two cycle edges, so `g`
+        // itself is stored; its producer `x` is only needed in cycle 1.
+        let spec = Spec::parse(
+            "spec s { input a: u8; input b: u8; input c: u8;
+              x: u8 = a + b;
+              g: u8 = x & b;
+              y: u8 = g + c;
+              z: u8 = g + a;
+              output y; output z; }",
+        )
+        .unwrap();
+        let ops = spec.ops();
+        let cycles = [1, 1, 1, 3];
+        let assignment = ops.iter().zip(cycles).map(|(op, k)| (op.id(), k)).collect();
+        let sched = Schedule::new(3, 16, assignment);
+        let regs = allocate_registers(&spec, &sched);
+        let g = ops[1].result();
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(
+            regs[0].groups,
+            vec![BitGroup { value: g, range: BitRange::new(0, 8), def: 1, last_use: 3 }]
+        );
+        let x = ops[0].result();
+        assert!(regs.iter().flat_map(|r| &r.groups).all(|grp| grp.value != x), "x is stored");
     }
 
     #[test]

@@ -109,6 +109,13 @@ impl CompareOptions {
 /// by orders of magnitude, which is always a mistyped flag.
 pub const MAX_VERIFY_VECTORS: usize = 1_000_000;
 
+/// Upper bound on a latency λ taken from outside input: CLI flags, study
+/// axes, serve and shard requests. Scheduling time grows linearly in λ
+/// (a single cell at λ = 10⁶ takes seconds), and no design in the paper's
+/// range comes near thousands of cycles, so a larger value is always a
+/// mistyped flag or a hostile request.
+pub const MAX_LATENCY: u32 = 4096;
+
 /// Builder for [`CompareOptions`] with range validation. Created by
 /// [`CompareOptions::builder`].
 #[derive(Clone, Copy, Debug)]
@@ -164,7 +171,8 @@ impl CompareOptionsBuilder {
     }
 }
 
-/// A [`CompareOptionsBuilder::build`] rejection.
+/// A [`CompareOptionsBuilder::build`] rejection, or a study latency beyond
+/// [`MAX_LATENCY`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptionsError {
     /// `timing.delta_ns` was not finite and positive.
@@ -173,6 +181,8 @@ pub enum OptionsError {
     BadOverhead(f64),
     /// `verify_vectors` exceeded [`MAX_VERIFY_VECTORS`].
     TooManyVectors(usize),
+    /// A latency exceeded [`MAX_LATENCY`].
+    LatencyTooLarge(u32),
 }
 
 impl fmt::Display for OptionsError {
@@ -186,6 +196,9 @@ impl fmt::Display for OptionsError {
             }
             OptionsError::TooManyVectors(n) => {
                 write!(f, "verify_vectors {n} exceeds the maximum of {MAX_VERIFY_VECTORS}")
+            }
+            OptionsError::LatencyTooLarge(n) => {
+                write!(f, "latency {n} exceeds the maximum of {MAX_LATENCY}")
             }
         }
     }

@@ -152,9 +152,10 @@ impl Study {
         jobs
     }
 
-    /// Checks every axis value against the options builder's ranges
-    /// without panicking: the first rejected value's [`OptionsError`]
-    /// comes back as `Err`.
+    /// Checks every axis value against the options builder's ranges, and
+    /// every latency against [`bittrans_core::MAX_LATENCY`], without
+    /// panicking: the first rejected value's [`OptionsError`] comes back
+    /// as `Err`.
     ///
     /// [`Study::run`] and [`Study::jobs`] enforce the same invariant by
     /// panicking (programmer error in code-built grids); front ends that
@@ -174,6 +175,9 @@ impl Study {
                 .build()
                 .map(|_| ())
         };
+        if let Some(&latency) = self.latencies.iter().find(|&&l| l > bittrans_core::MAX_LATENCY) {
+            return Err(bittrans_core::OptionsError::LatencyTooLarge(latency));
+        }
         check(self.base)?;
         for &verify_vectors in self.verify_vectors.iter().flatten() {
             check(CompareOptions { verify_vectors, ..self.base })?;
@@ -315,6 +319,16 @@ mod tests {
     #[should_panic(expected = "invalid study axis value")]
     fn out_of_range_axis_values_panic() {
         Study::single(three_adds()).verify_vectors([bittrans_core::MAX_VERIFY_VECTORS + 1]).jobs();
+    }
+
+    #[test]
+    fn check_rejects_latency_beyond_the_maximum() {
+        let max = bittrans_core::MAX_LATENCY;
+        assert_eq!(Study::single(three_adds()).latencies([2, max]).check(), Ok(()));
+        assert_eq!(
+            Study::single(three_adds()).latencies([2, u32::MAX]).check(),
+            Err(bittrans_core::OptionsError::LatencyTooLarge(u32::MAX))
+        );
     }
 
     #[test]

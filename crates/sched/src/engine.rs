@@ -5,13 +5,14 @@
 //! δ time it settles*. Chaining is bit-level: a consumer in the same cycle
 //! sees the producer's real settle times (the ripple overlap of Fig. 1 e),
 //! while a consumer in a later cycle reads registered bits available at its
-//! cycle start. Glue is transparent wiring and is resolved on the fly.
+//! cycle start. Glue is transparent wiring: committing a glue op records
+//! each output bit as the latest of the bits it reads
+//! ([`bittrans_timing::bitref::glue_sources`]).
 
 use crate::SchedError;
 use bittrans_ir::prelude::*;
-use bittrans_timing::bitref::{add_profile, operand_bit, BitRef};
+use bittrans_timing::bitref::{add_profile, glue_sources, operand_bit, BitRef};
 use bittrans_timing::{op_delay_delta, Delta};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// How operations chained within one cycle accumulate delay.
@@ -29,7 +30,8 @@ pub enum ChainModel {
 
 /// Production record of one bit: the cycle it is produced in (0 = constant
 /// or primary input, available always) and its absolute settle time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Records order by cycle, then time: the later of two is the max.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BitProd {
     /// Producing cycle; 0 means available from the start of any cycle.
     pub cycle: u32,
@@ -48,12 +50,10 @@ pub struct Placer<'s> {
     pub latency: u32,
     /// Delay accumulation rule for in-cycle chaining.
     pub chain: ChainModel,
-    /// Bit production records for placed (non-glue) results and inputs;
-    /// `None` rows belong to glue results, resolved lazily.
+    /// Bit production records of inputs and committed results, glue
+    /// included; `None` until the value's op is committed. Users commit
+    /// in topological order, so every bit an op reads already has a row.
     states: Vec<Option<Vec<BitProd>>>,
-    /// Memo for lazily resolved glue bits (safe: the spec is topological,
-    /// so a glue bit is only queried after its producers are committed).
-    glue_memo: RefCell<Vec<Vec<Option<BitProd>>>>,
     /// Cycle assignment of placed operations.
     pub assignment: BTreeMap<OpId, u32>,
     /// Number of non-glue operations placed per cycle (for balancing).
@@ -74,15 +74,12 @@ impl<'s> Placer<'s> {
             let w = spec.value(input).width() as usize;
             states[input.index()] = Some(vec![CONST_BIT; w]);
         }
-        let glue_memo =
-            RefCell::new(spec.values().iter().map(|v| vec![None; v.width() as usize]).collect());
         Placer {
             spec,
             cycle,
             latency,
             chain,
             states,
-            glue_memo,
             assignment: BTreeMap::new(),
             usage: BTreeMap::new(),
         }
@@ -106,82 +103,10 @@ impl<'s> Placer<'s> {
         }
     }
 
-    /// Resolves bit `i` of `value` (recursing through glue) to its
-    /// production record.
+    /// The production record of bit `i` of a committed `value`.
     fn prod_of(&self, value: ValueId, i: u32) -> BitProd {
-        if let Some(row) = &self.states[value.index()] {
-            return row[i as usize];
-        }
-        if let Some(hit) = self.glue_memo.borrow()[value.index()][i as usize] {
-            return hit;
-        }
-        let op = self
-            .spec
-            .value(value)
-            .defining_op()
-            .expect("unplaced non-input value has a defining op");
-        let op = self.spec.op(op);
-        debug_assert!(op.kind().is_glue() || matches!(op.kind(), OpKind::Eq | OpKind::Ne));
-        let p = self.glue_bit(op, i);
-        self.glue_memo.borrow_mut()[value.index()][i as usize] = Some(p);
-        p
-    }
-
-    /// Production record of one output bit of a glue operation: the
-    /// (cycle, time)-max over the bits it wires together.
-    fn glue_bit(&self, op: &Operation, i: u32) -> BitProd {
-        let signed = op.signedness().is_signed();
-        let of = |operand: &Operand, j: u32| -> BitProd {
-            match operand_bit(self.spec, operand, j, signed) {
-                BitRef::Const => CONST_BIT,
-                BitRef::Value { value, bit } => self.prod_of(value, bit),
-            }
-        };
-        let max2 =
-            |a: BitProd, b: BitProd| if (b.cycle, b.time) > (a.cycle, a.time) { b } else { a };
-        match op.kind() {
-            OpKind::Not => of(&op.operands()[0], i),
-            OpKind::And | OpKind::Or | OpKind::Xor => {
-                max2(of(&op.operands()[0], i), of(&op.operands()[1], i))
-            }
-            OpKind::Mux => {
-                let s = of(&op.operands()[0], 0);
-                max2(s, max2(of(&op.operands()[1], i), of(&op.operands()[2], i)))
-            }
-            OpKind::Shl(k) => {
-                if i >= k {
-                    of(&op.operands()[0], i - k)
-                } else {
-                    CONST_BIT
-                }
-            }
-            OpKind::Shr(k) => of(&op.operands()[0], i + k),
-            OpKind::Concat => {
-                let mut base = 0;
-                for operand in op.operands() {
-                    let ow = self.spec.operand_width(operand);
-                    if i < base + ow {
-                        return of(operand, i - base);
-                    }
-                    base += ow;
-                }
-                CONST_BIT
-            }
-            OpKind::RedOr | OpKind::RedAnd | OpKind::Eq | OpKind::Ne => {
-                if i > 0 {
-                    return CONST_BIT; // zero-extension bits
-                }
-                let mut m = CONST_BIT;
-                for operand in op.operands() {
-                    let ow = self.spec.operand_width(operand);
-                    for j in 0..ow {
-                        m = max2(m, of(operand, j));
-                    }
-                }
-                m
-            }
-            other => unreachable!("{other} is not glue"),
-        }
+        self.states[value.index()].as_ref().expect("value read before its op was committed")
+            [i as usize]
     }
 
     /// Effective time of bit `j` of `operand` inside cycle `k`; `None`
@@ -200,9 +125,10 @@ impl<'s> Placer<'s> {
         debug_assert!(!op.kind().is_glue());
         let w = op.width();
         let end = self.cycle_start(k) + self.cycle;
-        if self.chain == ChainModel::ComponentSum {
-            // Conventional chaining: the whole component starts after its
-            // latest input bit and takes its full characterised delay.
+        if self.chain == ChainModel::ComponentSum || op.kind() == OpKind::Mul {
+            // Conventional chaining, and a multiplier under either model:
+            // the whole component starts after its latest input bit and
+            // takes its full characterised delay.
             let mut start = self.cycle_start(k);
             for operand in op.operands() {
                 let ow = self.spec.operand_width(operand);
@@ -244,17 +170,6 @@ impl<'s> Placer<'s> {
                 }
                 vec![chain; w as usize]
             }
-            OpKind::Mul => {
-                let total = op_delay_delta(self.spec, op);
-                let mut start = self.cycle_start(k);
-                for operand in op.operands() {
-                    let ow = self.spec.operand_width(operand);
-                    for j in 0..ow {
-                        start = start.max(self.operand_eff(op, operand, j, k)?);
-                    }
-                }
-                vec![start + total; w as usize]
-            }
             other => unreachable!("{other} handled as glue"),
         };
         if out.iter().any(|&t| t > end) {
@@ -275,20 +190,9 @@ impl<'s> Placer<'s> {
         };
         let mut out = Vec::with_capacity(w as usize);
         for i in 0..w {
-            let [a_live, b_live] = profile.live[i as usize];
-            let carry_in = profile.carry_live[i as usize];
             let ta = self.operand_eff(op, &op.operands()[0], i, k)?;
             let tb = self.operand_eff(op, &op.operands()[1], i, k)?;
-            let t = match (a_live, b_live, carry_in) {
-                (true, true, true) => ta.max(tb).max(t_carry) + 1,
-                (true, true, false) => ta.max(tb) + 1,
-                (true, false, true) => ta.max(t_carry) + 1,
-                (false, true, true) => tb.max(t_carry) + 1,
-                (true, false, false) => ta,
-                (false, true, false) => tb,
-                (false, false, true) => t_carry,
-                (false, false, false) => base,
-            };
+            let t = profile.settle(i, ta, tb, t_carry, base);
             out.push(t);
             t_carry = if profile.carry_live[i as usize + 1] { t } else { base };
         }
@@ -304,10 +208,21 @@ impl<'s> Placer<'s> {
         *self.usage.entry(k).or_insert(0) += 1;
     }
 
-    /// Records a glue operation: assigned (for bookkeeping) to the latest
-    /// cycle among the bits it wires, at least 1.
+    /// Commits a glue (or `Eq`/`Ne`) operation: each output bit is the
+    /// (cycle, time)-latest of the bits it reads, and the op is assigned
+    /// (for bookkeeping) to the latest of those cycles, at least 1.
     pub fn commit_glue(&mut self, op: &Operation) {
-        let k = (0..op.width()).map(|i| self.glue_bit(op, i).cycle).max().unwrap_or(0).max(1);
+        let row: Vec<BitProd> = (0..op.width())
+            .map(|i| {
+                let mut latest = CONST_BIT;
+                glue_sources(self.spec, op, i, |value, bit| {
+                    latest = latest.max(self.prod_of(value, bit));
+                });
+                latest
+            })
+            .collect();
+        let k = row.iter().map(|p| p.cycle).max().unwrap_or(0).max(1);
+        self.states[op.result().index()] = Some(row);
         self.assignment.insert(op.id(), k.min(self.latency.max(1)));
     }
 

@@ -1,6 +1,6 @@
 //! Forward (ASAP) per-bit arrival times under the ripple model.
 
-use crate::bitref::{operand_bit, BitRef};
+use crate::bitref::{glue_sources, operand_bit, BitRef};
 use crate::Delta;
 use bittrans_ir::prelude::*;
 
@@ -104,20 +104,9 @@ fn eval_op_arrival(spec: &Spec, op: &Operation, times: &mut BitTimes) {
                 0
             };
             for i in 0..w {
-                let [a_live, b_live] = profile.live[i as usize];
-                let carry_in = profile.carry_live[i as usize];
                 let ta = in_time(spec, times, &op.operands()[0], i, signed);
                 let tb = in_time(spec, times, &op.operands()[1], i, signed);
-                let t = match (a_live, b_live, carry_in) {
-                    (true, true, true) => ta.max(tb).max(t_carry) + 1,
-                    (true, true, false) => ta.max(tb) + 1,
-                    (true, false, true) => ta.max(t_carry) + 1,
-                    (false, true, true) => tb.max(t_carry) + 1,
-                    (true, false, false) => ta,      // wire
-                    (false, true, false) => tb,      // wire
-                    (false, false, true) => t_carry, // pure carry bit
-                    (false, false, false) => 0,      // constant zero
-                };
+                let t = profile.settle(i, ta, tb, t_carry, 0);
                 times.set(z, i, t);
                 t_carry = if profile.carry_live[i as usize + 1] { t } else { 0 };
             }
@@ -137,113 +126,53 @@ fn eval_op_arrival(spec: &Spec, op: &Operation, times: &mut BitTimes) {
             }
         }
         // Ordered comparisons: a full-width subtract chain, one-bit result.
-        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge => {
+        // Max/Min: the same chain, then a 0δ mux gated by its result.
+        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Max | OpKind::Min => {
             let w_in = op.operands().iter().map(|o| spec.operand_width(o)).max().unwrap_or(1);
-            let mut chain = 0;
-            for i in 0..w_in {
-                let mut t = chain;
-                for operand in op.operands() {
-                    t = t.max(in_time(spec, times, operand, i, signed));
-                }
-                chain = t + 1;
-            }
-            times.set(z, 0, chain);
-            for i in 1..w {
-                times.set(z, i, 0); // zero-extension bits are constants
-            }
-        }
-        // Max/Min: compare chain, then a 0δ mux gated by the chain result.
-        OpKind::Max | OpKind::Min => {
-            let w_in = op.operands().iter().map(|o| spec.operand_width(o)).max().unwrap_or(1);
-            let mut chain = 0;
-            for i in 0..w_in {
-                let mut t = chain;
-                for operand in op.operands() {
-                    t = t.max(in_time(spec, times, operand, i, signed));
-                }
-                chain = t + 1;
-            }
+            let latest_in = |times: &BitTimes, chain: Delta, i: u32| {
+                op.operands().iter().fold(chain, |t, o| t.max(in_time(spec, times, o, i, signed)))
+            };
+            let chain = (0..w_in).fold(0, |chain, i| latest_in(times, chain, i) + 1);
+            let select = matches!(op.kind(), OpKind::Max | OpKind::Min);
             for i in 0..w {
-                let mut t = chain;
-                for operand in op.operands() {
-                    t = t.max(in_time(spec, times, operand, i, signed));
-                }
+                // Comparison bits above 0 are zero-extension constants.
+                let t = if select {
+                    latest_in(times, chain, i)
+                } else if i == 0 {
+                    chain
+                } else {
+                    0
+                };
                 times.set(z, i, t);
             }
         }
         // Conservative multiplication: array-multiplier worst case
         // (consistent with the shift-add decomposition's ripple path).
         OpKind::Mul => {
-            let mut ws: Vec<Delta> = op.operands().iter().map(|o| spec.operand_width(o)).collect();
-            ws.sort_unstable();
-            let total: Delta = match ws.as_slice() {
-                [a, b] => b + 2 * a,
-                _ => w,
-            };
+            let total = crate::op_delay_delta(spec, op);
             let start = max_input_time(spec, times, op);
             for i in 0..w {
                 times.set(z, i, start + total);
             }
         }
-        // Equality: XOR/reduction tree — non-additive, 0δ like glue.
-        OpKind::Eq | OpKind::Ne | OpKind::RedOr | OpKind::RedAnd => {
-            let t = max_input_time(spec, times, op);
-            times.set(z, 0, t);
-            for i in 1..w {
-                times.set(z, i, 0);
-            }
-        }
-        // Bitwise glue: 0δ, per-bit dependence.
-        OpKind::Not => {
+        // Glue, equality and reductions: 0δ, each bit as late as the
+        // latest bit it reads.
+        OpKind::Eq
+        | OpKind::Ne
+        | OpKind::RedOr
+        | OpKind::RedAnd
+        | OpKind::Not
+        | OpKind::And
+        | OpKind::Or
+        | OpKind::Xor
+        | OpKind::Mux
+        | OpKind::Shl(_)
+        | OpKind::Shr(_)
+        | OpKind::Concat => {
             for i in 0..w {
-                times.set(z, i, in_time(spec, times, &op.operands()[0], i, signed));
-            }
-        }
-        OpKind::And | OpKind::Or | OpKind::Xor => {
-            for i in 0..w {
-                let t = in_time(spec, times, &op.operands()[0], i, signed).max(in_time(
-                    spec,
-                    times,
-                    &op.operands()[1],
-                    i,
-                    signed,
-                ));
+                let mut t = 0;
+                glue_sources(spec, op, i, |value, bit| t = t.max(times.bit(value, bit)));
                 times.set(z, i, t);
-            }
-        }
-        OpKind::Mux => {
-            let sel = in_time(spec, times, &op.operands()[0], 0, false);
-            for i in 0..w {
-                let t = sel.max(in_time(spec, times, &op.operands()[1], i, signed)).max(in_time(
-                    spec,
-                    times,
-                    &op.operands()[2],
-                    i,
-                    signed,
-                ));
-                times.set(z, i, t);
-            }
-        }
-        OpKind::Shl(k) => {
-            for i in 0..w {
-                let t =
-                    if i >= k { in_time(spec, times, &op.operands()[0], i - k, signed) } else { 0 };
-                times.set(z, i, t);
-            }
-        }
-        OpKind::Shr(k) => {
-            for i in 0..w {
-                times.set(z, i, in_time(spec, times, &op.operands()[0], i + k, signed));
-            }
-        }
-        OpKind::Concat => {
-            let mut base = 0;
-            for operand in op.operands() {
-                let ow = spec.operand_width(operand);
-                for i in 0..ow {
-                    times.set(z, base + i, in_time(spec, times, operand, i, false));
-                }
-                base += ow;
             }
         }
     }

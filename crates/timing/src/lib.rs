@@ -22,6 +22,11 @@
 //! * [`path::path_walk_time`] — the paper's §3.2 linear path algorithm,
 //!   implemented verbatim;
 //! * [`path::critical_path`] — DFG-wide critical path in δ;
+//! * [`bitref::glue_sources`] — the one wiring table of glue: which value
+//!   bits each output bit of a glue, `Eq`/`Ne` or reduction op reads
+//!   (every bit-level pass, here and downstream, reads it);
+//! * [`bitref::AddProfile::settle`] — the refined ripple rule of one sum
+//!   bit, shared by arrival times, the placer and standalone op delays;
 //! * [`model`] — cycle estimation `⌈critical_path / λ⌉` and the calibrated
 //!   ns conversion used to report table values.
 //!

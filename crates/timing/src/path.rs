@@ -76,16 +76,10 @@ pub fn op_delay_delta(spec: &Spec, op: &Operation) -> Delta {
             let profile = crate::bitref::add_profile(spec, op);
             let mut t_carry = 0;
             let mut worst = 0;
-            for i in 0..op.width() as usize {
-                let [a_live, b_live] = profile.live[i];
-                let carry_in = profile.carry_live[i];
-                let t = match (a_live, b_live, carry_in) {
-                    (true, true, true) | (true, false, true) | (false, true, true) => t_carry + 1,
-                    (true, true, false) => 1,
-                    (true, false, false) | (false, true, false) | (false, false, _) => t_carry,
-                };
+            for i in 0..op.width() {
+                let t = profile.settle(i, 0, 0, t_carry, 0);
                 worst = worst.max(t);
-                t_carry = if profile.carry_live[i + 1] { t } else { 0 };
+                t_carry = if profile.carry_live[i as usize + 1] { t } else { 0 };
             }
             worst
         }

@@ -1,7 +1,7 @@
 //! Backward (ALAP) per-bit required times under the ripple model.
 
 use crate::arrival::BitTimes;
-use crate::bitref::{operand_bit, BitRef};
+use crate::bitref::{glue_sources, operand_bit, BitRef};
 use crate::Delta;
 use bittrans_ir::prelude::*;
 
@@ -106,37 +106,25 @@ fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes) {
                 }
             }
         }
-        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge => {
+        // A comparison's chain result is due with its bit 0; a max/min's
+        // selects a mux, so it is due with the earliest result bit.
+        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Max | OpKind::Min => {
             let w_in = op.operands().iter().map(|o| spec.operand_width(o)).max().unwrap_or(1);
-            let result_req = req.bit(z, 0);
+            let select = matches!(op.kind(), OpKind::Max | OpKind::Min);
+            let cmp_req = if select { min_out(req, op) } else { req.bit(z, 0) };
             for i in 0..w_in {
-                // Input bit i is followed by (w_in - i) chain steps.
-                let deadline = result_req.saturating_sub(w_in - i);
-                for operand in op.operands() {
-                    push(req, spec, operand, i, signed, deadline);
-                }
-            }
-        }
-        OpKind::Max | OpKind::Min => {
-            let w_in = op.operands().iter().map(|o| spec.operand_width(o)).max().unwrap_or(1);
-            let cmp_req = min_out(req, op);
-            for i in 0..w_in {
+                // Input bit i is followed by (w_in - i) chain steps; through
+                // a max/min mux it also feeds result bit i directly.
                 let via_chain = cmp_req.saturating_sub(w_in - i);
-                let via_mux = if i < w { req.bit(z, i) } else { cmp_req };
-                let deadline = via_chain.min(via_mux);
+                let deadline =
+                    if select && i < w { via_chain.min(req.bit(z, i)) } else { via_chain };
                 for operand in op.operands() {
                     push(req, spec, operand, i, signed, deadline);
                 }
             }
         }
         OpKind::Mul => {
-            let mut ws: Vec<Delta> = op.operands().iter().map(|o| spec.operand_width(o)).collect();
-            ws.sort_unstable();
-            let total_delay: Delta = match ws.as_slice() {
-                [a, b] => b + 2 * a,
-                _ => w,
-            };
-            let deadline = min_out(req, op).saturating_sub(total_delay);
+            let deadline = min_out(req, op).saturating_sub(crate::op_delay_delta(spec, op));
             for operand in op.operands() {
                 let ow = spec.operand_width(operand);
                 for i in 0..ow {
@@ -144,58 +132,24 @@ fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes) {
                 }
             }
         }
-        OpKind::Eq | OpKind::Ne | OpKind::RedOr | OpKind::RedAnd => {
-            let deadline = req.bit(z, 0);
-            for operand in op.operands() {
-                let ow = spec.operand_width(operand);
-                for i in 0..ow {
-                    push(req, spec, operand, i, false, deadline);
-                }
-            }
-        }
-        OpKind::Not => {
+        // Glue, equality and reductions: 0δ, so every bit a result bit
+        // reads is due when that bit is (a mux select by its earliest
+        // result bit).
+        OpKind::Eq
+        | OpKind::Ne
+        | OpKind::RedOr
+        | OpKind::RedAnd
+        | OpKind::Not
+        | OpKind::And
+        | OpKind::Or
+        | OpKind::Xor
+        | OpKind::Mux
+        | OpKind::Shl(_)
+        | OpKind::Shr(_)
+        | OpKind::Concat => {
             for i in 0..w {
                 let deadline = req.bit(z, i);
-                push(req, spec, &op.operands()[0], i, signed, deadline);
-            }
-        }
-        OpKind::And | OpKind::Or | OpKind::Xor => {
-            for i in 0..w {
-                let deadline = req.bit(z, i);
-                push(req, spec, &op.operands()[0], i, signed, deadline);
-                push(req, spec, &op.operands()[1], i, signed, deadline);
-            }
-        }
-        OpKind::Mux => {
-            let branch_min = min_out(req, op);
-            push(req, spec, &op.operands()[0], 0, false, branch_min);
-            for i in 0..w {
-                let deadline = req.bit(z, i);
-                push(req, spec, &op.operands()[1], i, signed, deadline);
-                push(req, spec, &op.operands()[2], i, signed, deadline);
-            }
-        }
-        OpKind::Shl(k) => {
-            for i in k..w {
-                let deadline = req.bit(z, i);
-                push(req, spec, &op.operands()[0], i - k, signed, deadline);
-            }
-        }
-        OpKind::Shr(k) => {
-            for i in 0..w {
-                let deadline = req.bit(z, i);
-                push(req, spec, &op.operands()[0], i + k, signed, deadline);
-            }
-        }
-        OpKind::Concat => {
-            let mut base = 0;
-            for operand in op.operands() {
-                let ow = spec.operand_width(operand);
-                for i in 0..ow {
-                    let deadline = req.bit(z, base + i);
-                    push(req, spec, operand, i, false, deadline);
-                }
-                base += ow;
+                glue_sources(spec, op, i, |value, bit| req.tighten(value, bit, deadline));
             }
         }
     }

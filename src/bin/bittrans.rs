@@ -66,6 +66,7 @@
 //! report. `client --shutdown` asks the server to drain and exit.
 
 use bittrans::core::report::render_table1;
+use bittrans::core::MAX_LATENCY;
 use bittrans::engine::proto;
 use bittrans::engine::serve;
 use bittrans::engine::shard;
@@ -166,27 +167,25 @@ fn parse_adder(name: &str) -> Result<AdderArch, String> {
     }
 }
 
-/// Largest `--latency A..B` span: one grid axis beyond this is always a
-/// mistyped flag, and expanding it would allocate before any work starts.
-const MAX_LATENCY_SPAN: u32 = 4096;
-
 /// Parses `--latency`: either one value (`4`) or an inclusive range
-/// (`2..8`).
+/// (`2..8`), neither beyond [`MAX_LATENCY`].
 fn parse_latencies(text: &str) -> Result<Vec<u32>, String> {
+    let bounded = |latency: u32| {
+        if latency > MAX_LATENCY {
+            Err(format!("bad --latency `{text}`: {latency} exceeds the maximum of {MAX_LATENCY}"))
+        } else {
+            Ok(latency)
+        }
+    };
     if let Some((from, to)) = text.split_once("..") {
         let from: u32 = from.parse().map_err(|e| format!("bad --latency `{text}`: {e}"))?;
         let to: u32 = to.parse().map_err(|e| format!("bad --latency `{text}`: {e}"))?;
         if from > to {
             return Err(format!("bad --latency `{text}`: empty range"));
         }
-        if to - from >= MAX_LATENCY_SPAN {
-            return Err(format!(
-                "bad --latency `{text}`: spans more than {MAX_LATENCY_SPAN} values"
-            ));
-        }
-        Ok((from..=to).collect())
+        Ok((from..=bounded(to)?).collect())
     } else {
-        Ok(vec![text.parse().map_err(|e| format!("bad --latency: {e}"))?])
+        Ok(vec![bounded(text.parse().map_err(|e| format!("bad --latency: {e}"))?)?])
     }
 }
 

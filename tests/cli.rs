@@ -252,6 +252,12 @@ fn explore_rejects_bad_axes() {
     let (ok, _, stderr) = run(&["compare", spec.to_str().unwrap(), "--latency", "2..4"]);
     assert!(!ok);
     assert!(stderr.contains("single --latency"), "{stderr}");
+    // A latency beyond `MAX_LATENCY`, alone or as a range end.
+    for (command, latency) in [("compare", "4097"), ("explore", "4090..4097")] {
+        let (ok, _, stderr) = run(&[command, spec.to_str().unwrap(), "--latency", latency]);
+        assert!(!ok, "{command} accepted --latency {latency}");
+        assert!(stderr.contains("4097 exceeds the maximum of 4096"), "{command}: {stderr}");
+    }
 }
 
 /// Regression tests for the degenerate-count guards: a zero worker pool

@@ -72,14 +72,30 @@ fn raw_protocol_rejections_leave_the_server_serving() {
     let cache = temp_dir("faults");
     let server = ServerProc::start(&cache, 2);
 
-    // Speak the protocol directly, like a hand-rolled netcat client.
+    // Speak the protocol directly, like a hand-rolled netcat client. A
+    // read timeout turns a request the server keeps working on into a
+    // failure rather than a hang.
     let mut stream = TcpStream::connect(&server.addr).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     for (request, expect) in [
         ("{ garbage", "\"ok\":false"),
         (
             "{\"sources\": [\"spec x { input a: u4; output o = a; }\"], \"latency\": [3]}",
             "unknown field `latency`",
+        ),
+        // Scheduling time grows with λ: one `u32::MAX` cell would pin a
+        // worker for hours, so study and shard requests are refused up
+        // front, and the same connection keeps answering.
+        (
+            "{\"sources\": [\"spec x { input a: u4; output o = a; }\"], \
+             \"latencies\": [4294967295]}",
+            "latency 4294967295 exceeds the maximum of 4096",
+        ),
+        (
+            "{\"sources\": [\"spec x { input a: u4; output o = a; }\"], \
+             \"latencies\": [3, 4097], \"shard_index\": 0, \"shard_count\": 1}",
+            "latency 4097 exceeds the maximum of 4096",
         ),
         ("{\"sources\": [\"not a spec\"]}", "\"ok\":false"),
     ] {
