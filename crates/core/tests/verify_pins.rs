@@ -1,0 +1,111 @@
+//! Identity pins for the equivalence check behind `stage_verify`: the
+//! random vectors it draws, the order it draws them in, and the exact
+//! counterexample and error text a planted mutant produces. However the
+//! check is executed, these must not move.
+
+use bittrans_core::stage_verify;
+use bittrans_ir::prelude::*;
+use bittrans_sim::equivalence::{check_equivalence, Inequivalence};
+use bittrans_sim::vectors::random_vectors;
+use bittrans_sim::InputVector;
+
+fn vector(bindings: &[(&str, u64, usize)]) -> InputVector {
+    bindings.iter().map(|&(name, v, w)| (name.to_string(), Bits::from_u64(v, w))).collect()
+}
+
+#[test]
+fn ewf_section_vectors_are_pinned() {
+    let ewf = Spec::parse(include_str!("../../../specs/ewf_section.spec")).unwrap();
+    let pinned = [
+        vector(&[("x", 0x9f0e, 16), ("s1", 0xde4b, 16), ("s2", 0x7c3c, 16), ("k", 0x6a07, 16)]),
+        vector(&[("x", 0x2f1d, 16), ("s1", 0xffff, 16), ("s2", 0x431b, 16), ("k", 0x1f5c, 16)]),
+        vector(&[("x", 0x096c, 16), ("s1", 0x20fa, 16), ("s2", 0xdade, 16), ("k", 0x0001, 16)]),
+    ];
+    assert_eq!(random_vectors(&ewf, 0x2005, 3), pinned);
+    // A longer stream starts with the same draws.
+    assert_eq!(random_vectors(&ewf, 0x2005, 1000)[..3], pinned);
+}
+
+/// `left` passes its inputs through; `right` flips bit 0 of `o` on exactly
+/// one vector, so the first counterexample names that vector.
+fn pass_through_and_trap(width: u32, trap: &InputVector) -> (Spec, Spec) {
+    let mut l = SpecBuilder::new("pass");
+    let a = l.input("a", width);
+    l.input("b", 3);
+    l.output("o", a);
+    let mut r = SpecBuilder::new("trap");
+    let a = r.input("a", width);
+    let b = r.input("b", 3);
+    let u = Signedness::Unsigned;
+    let ka = Operand::Const(trap.get("a").unwrap().clone());
+    let kb = Operand::Const(trap.get("b").unwrap().clone());
+    let ea = r.op(OpKind::Eq, vec![a.into(), ka], 1, u, None).unwrap();
+    let eb = r.op(OpKind::Eq, vec![b.into(), kb], 1, u, None).unwrap();
+    let hit = r.op(OpKind::And, vec![ea.into(), eb.into()], 1, u, None).unwrap();
+    let o = r.op(OpKind::Xor, vec![a.into(), hit.into()], width, u, None).unwrap();
+    r.output("o", o);
+    (l.finish().unwrap(), r.finish().unwrap())
+}
+
+#[test]
+fn the_checked_stream_is_the_random_vector_stream() {
+    // For every word width and one width past it, the check's last vector
+    // is the last of `random_vectors`: trap it and find it reported.
+    const COUNT: usize = 6;
+    for width in (1..=64).chain([65]) {
+        let (left, _) = pass_through_and_trap(width, &vector(&[("a", 0, 1), ("b", 0, 3)]));
+        let last = random_vectors(&left, 0x2005 + u64::from(width), COUNT).pop().unwrap();
+        let (left, right) = pass_through_and_trap(width, &last);
+        let err = check_equivalence(&left, &right, 0x2005 + u64::from(width), COUNT).unwrap_err();
+        let Inequivalence::Counterexample { inputs, output, left: lo, right: ro } = err else {
+            panic!("width {width}: expected a counterexample, got {err}");
+        };
+        assert_eq!(inputs, last, "width {width}");
+        assert_eq!(output, "o");
+        assert_eq!(&lo, last.get("a").unwrap());
+        let mut flipped = lo.clone();
+        flipped.set(0, !lo.get(0));
+        assert_eq!(ro, flipped, "width {width}");
+    }
+}
+
+const BEH1: &str = "spec beh1 { input A: u16; input B: u16; input D: u16; input F: u16;
+    C: u16 = A + B; E: u16 = C + D; G: u16 = E + F; output G; }";
+
+/// The paper's Fig. 2 `beh2` with `C1`'s carry-in `C0[6]` dropped.
+const BEH2_NO_C1_CARRY: &str = "spec beh2 { input A: u16; input B: u16; input D: u16; input F: u16;
+    C0: u7  = A[5:0] + B[5:0];
+    E0: u6  = C0[4:0] + D[4:0];
+    G0: u5  = E0[3:0] + F[3:0];
+    C1: u7  = A[11:6] + B[11:6];
+    E1: u7  = concat(C0[5], C1[4:0]) + D[10:5] + E0[5];
+    G1: u7  = concat(E0[4], E1[4:0]) + F[9:4] + G0[4];
+    C2: u4  = A[15:12] + B[15:12] + C1[6];
+    E2: u5  = concat(C1[5], C2) + D[15:11] + E1[6];
+    G2: u6  = concat(E1[5], E2) + F[15:10] + G1[6];
+    output G = concat(G0[3:0], G1[5:0], G2); }";
+
+#[test]
+fn dropped_carry_mutant_counterexample_is_pinned() {
+    let beh1 = Spec::parse(BEH1).unwrap();
+    let mutant = Spec::parse(BEH2_NO_C1_CARRY).unwrap();
+    let err = check_equivalence(&beh1, &mutant, 0x2005, 1000).unwrap_err();
+    assert_eq!(
+        err,
+        Inequivalence::Counterexample {
+            inputs: vector(&[
+                ("A", 0xffff, 16),
+                ("B", 0xffff, 16),
+                ("D", 0xffff, 16),
+                ("F", 0xffff, 16)
+            ]),
+            output: "G".into(),
+            left: Bits::from_u64(0b1111_1111_1111_1100, 16),
+            right: Bits::from_u64(0b1111_1111_1011_1100, 16),
+        }
+    );
+    assert_eq!(
+        stage_verify(&beh1, &mutant, 1000).unwrap_err().to_string(),
+        "verification: output `G` differs: 16'b1111111111111100 vs 16'b1111111110111100"
+    );
+}

@@ -5,10 +5,24 @@
 //! module decides equivalence by co-simulation on shared input vectors —
 //! the same role RTL-vs-behaviour simulation played for the paper's
 //! authors.
+//!
+//! Both sides are compiled once to `u64` tapes, and each vector runs on
+//! those: the ports are checked and the outputs paired before the first
+//! vector. [`check_equivalence`] draws its vectors straight into the
+//! tapes' input slots, one at a time, so its memory does not grow with the
+//! vector count. A side with a value or constant wider than 64 bits has no
+//! tape, and then [`evaluate`] runs every vector. From the first vector
+//! the tapes disagree on, or cannot load, [`evaluate`] takes over, so an
+//! [`Inequivalence`] is always the interpreter's verdict: the same first
+//! failing vector, output, bits and text.
 
-use crate::vectors::random_vectors;
+use crate::tape::{mask, Src, Tape};
+use crate::vectors::{random_inputs, random_word};
 use crate::{evaluate, InputVector, SimError};
 use bittrans_ir::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Why two specifications were judged non-equivalent.
@@ -60,7 +74,8 @@ impl From<SimError> for Inequivalence {
 /// (zero-extended to the wider of the two declared widths), so a transformed
 /// spec may carry extra result bits (e.g. preserved carry-outs) as long as
 /// the meaningful bits agree. Extra outputs present on only one side are
-/// ignored, except that every output of `left` must exist on `right`.
+/// ignored, except that every output of `left` must exist on `right`; that
+/// and the input ports are checked before any vector is simulated.
 ///
 /// # Errors
 ///
@@ -71,13 +86,80 @@ pub fn check_equivalence_on(
     vectors: &[InputVector],
 ) -> Result<(), Inequivalence> {
     check_ports(left, right)?;
+    if let Some(mut tapes) = Cosim::compile(left, right) {
+        for (k, iv) in vectors.iter().enumerate() {
+            if !(tapes.left.load(iv) && tapes.right.load(iv) && tapes.agree()) {
+                return interpret(left, right, &vectors[k..]);
+            }
+        }
+        return Ok(());
+    }
+    interpret(left, right, vectors)
+}
+
+/// Checks equivalence on `count` seeded random vectors (plus the all-zeros
+/// and all-ones vectors, always included).
+///
+/// The vectors are those of [`random_vectors`](crate::vectors::random_vectors)
+/// for `left`, after the two extremes, drawn one at a time: memory stays
+/// proportional to the ports, not to `count`.
+///
+/// # Errors
+///
+/// Returns the first [`Inequivalence`] found; the counterexample embeds the
+/// failing inputs for reproduction.
+pub fn check_equivalence(
+    left: &Spec,
+    right: &Spec,
+    seed: u64,
+    count: usize,
+) -> Result<(), Inequivalence> {
+    check_ports(left, right)?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = count + 2;
+    // The draws bind `left`'s inputs only. An input that only `right` has
+    // is left to the interpreter, which reports it unbound.
+    let streams = right.inputs().len() == left.inputs().len();
+    if let Some(mut tapes) = Cosim::compile(left, right).filter(|_| streams) {
+        for k in 0..total {
+            tapes.draw(k, &mut rng);
+            if !tapes.agree() {
+                let failing = tapes.left.input_vector();
+                let rest = (k + 1..total).map(|k| vector(left, k, &mut rng));
+                return interpret(left, right, std::iter::once(failing).chain(rest));
+            }
+        }
+        return Ok(());
+    }
+    interpret(left, right, (0..total).map(|k| vector(left, k, &mut rng)))
+}
+
+/// Vector `k` of [`check_equivalence`]'s stream: all zeros, all ones, then
+/// one [`random_inputs`] draw each.
+fn vector(spec: &Spec, k: usize, rng: &mut StdRng) -> InputVector {
+    if k >= 2 {
+        return random_inputs(spec, rng);
+    }
+    let mut iv = InputVector::new();
+    for &input in spec.inputs() {
+        let w = spec.value(input).width() as usize;
+        iv.set(spec.input_name(input), if k == 1 { Bits::ones(w) } else { Bits::zero(w) });
+    }
+    iv
+}
+
+/// The interpreter's check, over `vectors` in order.
+fn interpret<V: Borrow<InputVector>>(
+    left: &Spec,
+    right: &Spec,
+    vectors: impl IntoIterator<Item = V>,
+) -> Result<(), Inequivalence> {
     for iv in vectors {
+        let iv = iv.borrow();
         let le = evaluate(left, iv)?;
         let re = evaluate(right, iv)?;
         for (name, lbits) in le.outputs() {
-            let rbits = re.output(name).ok_or_else(|| Inequivalence::PortMismatch {
-                detail: format!("output `{name}` missing from `{}`", right.name()),
-            })?;
+            let rbits = re.output(name).expect("check_ports matched every port of `left`");
             let w = lbits.width().max(rbits.width());
             if lbits.zext(w) != rbits.zext(w) {
                 return Err(Inequivalence::Counterexample {
@@ -92,31 +174,56 @@ pub fn check_equivalence_on(
     Ok(())
 }
 
-/// Checks equivalence on `count` seeded random vectors (plus the all-zeros
-/// and all-ones vectors, always included).
-///
-/// # Errors
-///
-/// Returns the first [`Inequivalence`] found; the counterexample embeds the
-/// failing inputs for reproduction.
-pub fn check_equivalence(
-    left: &Spec,
-    right: &Spec,
-    seed: u64,
-    count: usize,
-) -> Result<(), Inequivalence> {
-    let mut vectors = vec![extreme_vector(left, false), extreme_vector(left, true)];
-    vectors.extend(random_vectors(left, seed, count));
-    check_equivalence_on(left, right, &vectors)
+/// Both sides compiled to tapes, with each output of `left` paired with
+/// its namesake on `right` and each input with the slot it feeds there.
+struct Cosim {
+    left: Tape,
+    right: Tape,
+    outputs: Vec<(Src, Src)>,
+    /// Per input of `left`: its slot, its width and its slot on `right`.
+    inputs: Vec<(u32, u32, u32)>,
 }
 
-fn extreme_vector(spec: &Spec, ones: bool) -> InputVector {
-    let mut iv = InputVector::new();
-    for &input in spec.inputs() {
-        let w = spec.value(input).width() as usize;
-        iv.set(spec.input_name(input), if ones { Bits::ones(w) } else { Bits::zero(w) });
+impl Cosim {
+    /// `None` if either side does not compile. Call it only after
+    /// [`check_ports`] passed.
+    fn compile(left: &Spec, right: &Spec) -> Option<Cosim> {
+        const PORTS: &str = "check_ports matched every port of `left`";
+        let (l, r) = (Tape::compile(left)?, Tape::compile(right)?);
+        let outputs = left
+            .outputs()
+            .iter()
+            .map(|p| (l.output(p.name()).expect(PORTS), r.output(p.name()).expect(PORTS)))
+            .collect();
+        let inputs = l
+            .inputs()
+            .iter()
+            .map(|p| (p.slot, p.width, right.input_by_name(&p.name).expect(PORTS).index() as u32))
+            .collect();
+        Some(Cosim { left: l, right: r, outputs, inputs })
     }
-    iv
+
+    /// Writes vector `k` of [`check_equivalence`]'s stream into both
+    /// sides' input slots.
+    fn draw(&mut self, k: usize, rng: &mut StdRng) {
+        for &(slot, width, right_slot) in &self.inputs {
+            let word = match k {
+                0 => 0,
+                1 => mask(width),
+                _ => random_word(width, rng),
+            };
+            self.left.set(slot, word);
+            self.right.set(right_slot, word);
+        }
+    }
+
+    /// Runs both sides on the loaded inputs; `true` if every paired output
+    /// agrees.
+    fn agree(&mut self) -> bool {
+        self.left.run();
+        self.right.run();
+        self.outputs.iter().all(|&(l, r)| self.left.read(l) == self.right.read(r))
+    }
 }
 
 fn check_ports(left: &Spec, right: &Spec) -> Result<(), Inequivalence> {
@@ -138,7 +245,19 @@ fn check_ports(left: &Spec, right: &Spec) -> Result<(), Inequivalence> {
             }
         }
     }
-    Ok(())
+    // The first in name order, as a per-vector check would meet them.
+    let missing = left
+        .outputs()
+        .iter()
+        .map(|p| p.name())
+        .filter(|&name| !right.outputs().iter().any(|p| p.name() == name))
+        .min();
+    match missing {
+        Some(name) => Err(Inequivalence::PortMismatch {
+            detail: format!("output `{name}` missing from `{}`", right.name()),
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -218,5 +337,58 @@ mod tests {
         let b = Spec::parse("spec b { input x: u4; output o = x; }").unwrap();
         let err = check_equivalence(&a, &b, 3, 5).unwrap_err();
         assert!(err.to_string().contains("`p` missing"));
+    }
+
+    #[test]
+    fn missing_output_is_reported_before_any_vector() {
+        let a = Spec::parse("spec a { input x: u4; output o = x; output p = x; }").unwrap();
+        let b = Spec::parse("spec b { input x: u4; output o = x + 1; }").unwrap();
+        let missing =
+            Inequivalence::PortMismatch { detail: "output `p` missing from `b`".to_string() };
+        assert_eq!(check_equivalence_on(&a, &b, &[]).unwrap_err(), missing);
+        // Ahead of a simulation error and of a differing output too.
+        assert_eq!(check_equivalence_on(&a, &b, &[InputVector::new()]).unwrap_err(), missing);
+        assert_eq!(check_equivalence(&a, &b, 3, 5).unwrap_err(), missing);
+    }
+
+    #[test]
+    fn explicit_vectors_report_the_first_bad_binding_or_difference() {
+        let good = Spec::parse("spec a { input x: u8; output o = x + 1; }").unwrap();
+        let bad = Spec::parse("spec b { input x: u8; o: u8 = x + 1 + x[7]; output o; }").unwrap();
+        let at = |v: u64, w: usize| {
+            let mut iv = InputVector::new();
+            iv.set("x", Bits::from_u64(v, w));
+            iv
+        };
+        check_equivalence_on(&good, &bad, &[at(1, 8), at(127, 8)]).unwrap();
+        let err = check_equivalence_on(&good, &bad, &[at(1, 8), at(200, 8), at(3, 4)]).unwrap_err();
+        assert_eq!(
+            err,
+            Inequivalence::Counterexample {
+                inputs: at(200, 8),
+                output: "o".into(),
+                left: Bits::from_u64(201, 9),
+                right: Bits::from_u64(202, 8),
+            }
+        );
+        let err = check_equivalence_on(&good, &bad, &[at(1, 8), at(3, 4), at(200, 8)]).unwrap_err();
+        assert_eq!(
+            err,
+            Inequivalence::SimFailed(SimError::WidthMismatch {
+                name: "x".into(),
+                expected: 8,
+                got: 4
+            })
+        );
+        let err = check_equivalence_on(&good, &bad, &[InputVector::new()]).unwrap_err();
+        assert_eq!(err, Inequivalence::SimFailed(SimError::MissingInput { name: "x".into() }));
+    }
+
+    #[test]
+    fn an_input_only_on_the_right_is_a_simulation_error() {
+        let a = Spec::parse("spec a { input x: u8; output o = x; }").unwrap();
+        let b = Spec::parse("spec b { input x: u8; input y: u1; output o = x ^ y; }").unwrap();
+        let err = check_equivalence(&a, &b, 3, 5).unwrap_err();
+        assert_eq!(err, Inequivalence::SimFailed(SimError::MissingInput { name: "y".into() }));
     }
 }

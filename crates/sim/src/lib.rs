@@ -10,6 +10,15 @@
 //! same outputs as its source*, and [`equivalence`] is how that invariant is
 //! checked.
 //!
+//! [`evaluate`] is the oracle: a direct interpreter over [`Bits`]. The
+//! equivalence checker does not call it per vector. It compiles each spec
+//! once to a private tape with one masked `u64` slot per value and runs
+//! both sides on that. A spec with a value or constant wider than 64 bits
+//! does not compile, and the checker interprets it instead. On a vector
+//! where the two tapes disagree, the interpreter re-runs that vector and
+//! everything after it, so every reported counterexample comes from
+//! [`evaluate`] itself.
+//!
 //! ```
 //! use bittrans_ir::prelude::*;
 //! use bittrans_sim::{evaluate, InputVector};
@@ -31,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod equivalence;
+mod tape;
 pub mod vectors;
 
 use bittrans_ir::prelude::*;

@@ -35,33 +35,42 @@ pub fn random_vectors(spec: &Spec, seed: u64, count: usize) -> Vec<InputVector> 
 
 /// One random `width`-bit value, corner-biased.
 pub fn random_bits(width: usize, rng: &mut StdRng) -> Bits {
+    let mut bits = Bits::zero(width);
+    draw(width, rng, |i| bits.set(i, true));
+    bits
+}
+
+/// [`random_bits`] as a word, for widths up to 64: the same draws from
+/// `rng`, and the same value.
+pub(crate) fn random_word(width: u32, rng: &mut StdRng) -> u64 {
+    let mut word = 0;
+    draw(width as usize, rng, |i| word |= 1 << i);
+    word
+}
+
+/// The one definition of a random value's draws: calls `one(i)` for each
+/// set bit `i` of a corner-biased `width`-bit value.
+fn draw(width: usize, rng: &mut StdRng, mut one: impl FnMut(usize)) {
     if width == 0 {
-        return Bits::zero(0);
+        return;
     }
     if rng.gen_ratio(1, 4) {
-        match rng.gen_range(0..5u8) {
-            0 => Bits::zero(width),
-            1 => Bits::from_u64(1, width),
-            2 => Bits::ones(width),
-            3 => {
-                // sign boundary 2^(w-1)
-                let mut b = Bits::zero(width);
-                b.set(width - 1, true);
-                b
-            }
-            _ => {
-                // 2^(w-1) - 1
-                let mut b = Bits::ones(width);
-                b.set(width - 1, false);
-                b
-            }
-        }
+        let ones = match rng.gen_range(0..5u8) {
+            0 => 0..0,
+            1 => 0..1,
+            2 => 0..width,
+            // sign boundary 2^(w-1)
+            3 => width - 1..width,
+            // 2^(w-1) - 1
+            _ => 0..width - 1,
+        };
+        ones.for_each(one);
     } else {
-        let mut b = Bits::zero(width);
         for i in 0..width {
-            b.set(i, rng.gen());
+            if rng.gen() {
+                one(i);
+            }
         }
-        b
     }
 }
 
@@ -99,6 +108,22 @@ mod tests {
             saw_ones |= b == Bits::ones(8);
         }
         assert!(saw_zero && saw_ones, "corner bias not effective");
+    }
+
+    #[test]
+    fn words_are_the_same_draws_as_bits() {
+        for width in 0..=64 {
+            let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            for _ in 0..50 {
+                let word = random_word(width, &mut b);
+                assert_eq!(
+                    random_bits(width as usize, &mut a),
+                    Bits::from_u64(word, width as usize)
+                );
+            }
+            // Both consumed the same draws.
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "width {width}");
+        }
     }
 
     #[test]
