@@ -211,7 +211,7 @@ impl Datapath {
         if f.len() != 1 {
             return Err(cur.err("malformed fus line"));
         }
-        let count: usize = cur.num(f[0], "fu count")?;
+        let count = cur.count(f[0], "fu count", cur.lines_left())?;
         let mut fus = Vec::with_capacity(count);
         for _ in 0..count {
             let f = cur.tagged("fu")?;
@@ -225,7 +225,7 @@ impl Datapath {
             };
             let width: u32 = cur.num(f[1], "fu width")?;
             let width_b: u32 = cur.num(f[2], "fu width_b")?;
-            let n_bound: usize = cur.num(f[3], "bound count")?;
+            let n_bound = cur.count(f[3], "bound count", f.len() - 4)?;
             if f.len() < 4 + n_bound + 1 {
                 return Err(cur.err("fu line shorter than its bound list"));
             }
@@ -239,7 +239,7 @@ impl Datapath {
                     cur.num::<u32>(cycle, "bound cycle")?,
                 ));
             }
-            let n_origins: usize = cur.num(f[4 + n_bound], "origin count")?;
+            let n_origins = cur.count(f[4 + n_bound], "origin count", f.len() - 5 - n_bound)?;
             if f.len() != 5 + n_bound + n_origins {
                 return Err(cur.err("fu line length disagrees with its counts"));
             }
@@ -258,7 +258,7 @@ impl Datapath {
         if f.len() != 1 {
             return Err(cur.err("malformed registers line"));
         }
-        let count: usize = cur.num(f[0], "register count")?;
+        let count = cur.count(f[0], "register count", cur.lines_left())?;
         let mut registers = Vec::with_capacity(count);
         for _ in 0..count {
             let f = cur.tagged("r")?;
@@ -266,7 +266,7 @@ impl Datapath {
                 return Err(cur.err("malformed register line"));
             }
             let width: u32 = cur.num(f[0], "register width")?;
-            let n_groups: usize = cur.num(f[1], "group count")?;
+            let n_groups = cur.count(f[1], "group count", f.len() - 2)?;
             if f.len() != 2 + n_groups {
                 return Err(cur.err("register line length disagrees with its group count"));
             }
@@ -293,7 +293,7 @@ impl Datapath {
         if f.len() != 1 {
             return Err(cur.err("malformed muxes line"));
         }
-        let count: usize = cur.num(f[0], "mux count")?;
+        let count = cur.count(f[0], "mux count", cur.lines_left())?;
         let mut muxes = Vec::with_capacity(count);
         for _ in 0..count {
             let f = cur.tagged("m")?;
@@ -307,7 +307,7 @@ impl Datapath {
         if f.len() != 1 {
             return Err(cur.err("malformed glue line"));
         }
-        let count: usize = cur.num(f[0], "glue count")?;
+        let count = cur.count(f[0], "glue count", cur.lines_left())?;
         let mut glue = Vec::with_capacity(count);
         for _ in 0..count {
             let f = cur.tagged("g")?;
@@ -380,6 +380,27 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         for n in 0..lines.len() {
             assert!(Datapath::from_canonical(&lines[..n].join("\n")).is_err(), "{n} lines");
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_document_are_rejected() {
+        let text = sample(AdderArch::RippleCarry).to_canonical();
+        let line = |tag: &str| {
+            text.lines()
+                .find(|l| l.starts_with(tag))
+                .unwrap_or_else(|| panic!("no {tag}"))
+                .to_owned()
+        };
+        // A list count, and a `fu` line's bound count: `fu <class> <w> <wb> <n> ...`.
+        let fu = line("fu ");
+        let mut fields: Vec<&str> = fu.split(' ').collect();
+        fields[4] = "18446744073709551615";
+        for (from, to) in
+            [(line("fus "), "fus 4294967295".to_owned()), (fu.clone(), fields.join(" "))]
+        {
+            let err = Datapath::from_canonical(&text.replace(&from, &to)).unwrap_err();
+            assert!(err.msg.contains("exceeds"), "{to}: {err}");
         }
     }
 

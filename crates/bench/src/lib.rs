@@ -23,7 +23,6 @@ use bittrans_benchmarks as bm;
 use bittrans_core::report::{render_bench_table, render_sweep, render_table1, BenchRow};
 use bittrans_core::{baseline, blc, optimize, CompareOptions, Implementation, SweepPoint};
 use bittrans_engine::{Engine, Study, StudyReport};
-use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
 use serde::Serialize;
 
@@ -279,11 +278,6 @@ pub fn extended_table() -> (String, Vec<BenchRow>) {
     let rows = bench_rows(bm::extended_benchmarks());
     let text = render_bench_table("Extended benchmarks (beyond the paper)", &rows);
     (text, rows)
-}
-
-/// Convenience: parse-or-panic for bench inputs.
-pub fn spec_of(src: &str) -> Spec {
-    Spec::parse(src).expect("bench spec parses")
 }
 
 #[cfg(test)]

@@ -171,8 +171,9 @@ impl CompareOptionsBuilder {
     }
 }
 
-/// A [`CompareOptionsBuilder::build`] rejection, or a study latency beyond
-/// [`MAX_LATENCY`].
+/// A [`CompareOptionsBuilder::build`] rejection, a study latency beyond
+/// [`MAX_LATENCY`], or a study spec value wider than
+/// [`bittrans_ir::MAX_WIDTH`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptionsError {
     /// `timing.delta_ns` was not finite and positive.
@@ -183,6 +184,8 @@ pub enum OptionsError {
     TooManyVectors(usize),
     /// A latency exceeded [`MAX_LATENCY`].
     LatencyTooLarge(u32),
+    /// A study spec holds a value wider than [`bittrans_ir::MAX_WIDTH`].
+    WidthTooLarge(u32),
 }
 
 impl fmt::Display for OptionsError {
@@ -199,6 +202,9 @@ impl fmt::Display for OptionsError {
             }
             OptionsError::LatencyTooLarge(n) => {
                 write!(f, "latency {n} exceeds the maximum of {MAX_LATENCY}")
+            }
+            OptionsError::WidthTooLarge(n) => {
+                write!(f, "value width {n} exceeds the maximum of {}", bittrans_ir::MAX_WIDTH)
             }
         }
     }

@@ -113,11 +113,3 @@ proptest! {
         }
     }
 }
-
-#[test]
-fn chaining_round_trips_through_its_codec() {
-    for mode in [Chaining::Disabled, Chaining::ComponentSum, Chaining::BitLevel] {
-        let text = mode.to_canonical();
-        assert_eq!(Chaining::from_canonical(&text).expect("chaining parses"), mode);
-    }
-}

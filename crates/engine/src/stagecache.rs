@@ -18,8 +18,11 @@
 //! sched_base   "sched_base", spec text, λ, chaining, balance
 //! sched_frag   "sched_frag", kernel text, λ, balance
 //! alloc_*      producing-schedule material + adder architecture
-//! time_*       producing-allocation material + timing-model bits
 //! ```
+//!
+//! Timing is not a stage: `bittrans_core::stage_time` is arithmetic over
+//! the schedule and datapath the call has just resolved, cheaper to redo
+//! than to key, memoize and spill, so it runs inline on every call.
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
 //! "artifact" is the canonical spec text itself, computed once per
@@ -35,9 +38,9 @@
 //!
 //! * a latency sweep over one spec shares the latency-invariant prefix
 //!   (one `extract`) across all points;
-//! * an options axis (adder architecture, timing model) shares
-//!   `extract`, `fragment` and `verify` — the expensive stages — and
-//!   recomputes only allocation and timing;
+//! * an adder-architecture axis shares `extract`, `fragment`, `verify`
+//!   and both schedules, and recomputes only allocation; a timing-model
+//!   axis shares every stage;
 //! * a spec edit recomputes only its downstream suffix.
 //!
 //! # Storage
@@ -104,7 +107,7 @@ use crate::trace;
 use bittrans_core::{
     stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
     stage_schedule_fragments, stage_time, stage_verify, Chaining, CompareOptions, Comparison,
-    Datapath, Fragmented, Implementation, PipelineError, Schedule,
+    Datapath, Fragmented, PipelineError, Schedule,
 };
 use bittrans_ir::Spec;
 use std::any::Any;
@@ -117,7 +120,7 @@ use std::time::SystemTime;
 /// Bound on the memo's charged bytes, finished jobs and stage artifacts
 /// alike: each resident value costs its canonical body length plus
 /// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid
-/// (1,307 artifacts, 3.49 MB of canonical text) without evicting. An
+/// (875 artifacts, 3.34 MB of canonical text) without evicting. An
 /// evicted entry falls back to the store when one is attached, and to
 /// recomputation otherwise.
 pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
@@ -282,7 +285,7 @@ macro_rules! canonical_artifacts {
     )*};
 }
 
-canonical_artifacts!(Spec, Fragmented, Schedule, Datapath, Implementation, Comparison);
+canonical_artifacts!(Spec, Fragmented, Schedule, Datapath, Comparison);
 
 /// `verify`'s artifact is the fact that equivalence checking passed: an
 /// empty body.
@@ -612,11 +615,6 @@ impl StageCache {
         let balance = u8::from(options.balance);
         let adder = options.adder_arch.code();
         let chaining = Chaining::ComponentSum.code();
-        let timing_bits = format!(
-            "{:016x};{:016x}",
-            options.timing.delta_ns.to_bits(),
-            options.timing.overhead_ns.to_bits()
-        );
         let lat = latency.to_string();
 
         // Baseline flow (conventional schedule of the original spec).
@@ -626,20 +624,15 @@ impl StageCache {
             tally,
             || stage_schedule_conventional(spec, latency, Chaining::ComponentSum, options.balance),
         )?;
-        let base_alloc_material =
-            ["alloc_base", &spec_text, &lat, chaining, &balance.to_string(), adder].join("\x1f");
         let base_dp = self.resolve(
-            JobKey::of_bytes(base_alloc_material.as_bytes()),
+            stage_key(&["alloc_base", &spec_text, &lat, chaining, &balance.to_string(), adder]),
             "alloc_base",
             tally,
             || Ok(stage_allocate(spec, &base_sched, options.adder_arch)),
         )?;
-        let original = self.resolve(
-            stage_key(&["time_base", &base_alloc_material, &timing_bits]),
-            "time_base",
-            tally,
-            || Ok(stage_time(spec.name(), spec, &base_sched, &base_dp, &options.timing)),
-        )?;
+        // Timing is arithmetic over the schedule and datapath just
+        // resolved: cheaper to redo than to key, memoize and spill.
+        let original = stage_time(spec.name(), spec, &base_sched, &base_dp, &options.timing);
 
         // Optimized flow. `extract` is the latency-invariant prefix: one
         // per spec, shared by every point of a sweep. Everything after
@@ -670,33 +663,16 @@ impl StageCache {
             tally,
             || stage_schedule_fragments(&fragmented, options.balance),
         )?;
-        let frag_alloc_material =
-            ["alloc_frag", &kernel_text, &lat, &balance.to_string(), adder].join("\x1f");
         let frag_dp = self.resolve(
-            JobKey::of_bytes(frag_alloc_material.as_bytes()),
+            stage_key(&["alloc_frag", &kernel_text, &lat, &balance.to_string(), adder]),
             "alloc_frag",
             tally,
             || Ok(stage_allocate(&fragmented.spec, &frag_sched, options.adder_arch)),
         )?;
-        let optimized = self.resolve(
-            // `Implementation.name` is the original spec's name, so the
-            // timing key must carry it: two specs sharing a kernel share
-            // everything up to here, but not the label.
-            stage_key(&["time_frag", spec.name(), &frag_alloc_material, &timing_bits]),
-            "time_frag",
-            tally,
-            || {
-                Ok(stage_time(
-                    spec.name(),
-                    &fragmented.spec,
-                    &frag_sched,
-                    &frag_dp,
-                    &options.timing,
-                ))
-            },
-        )?;
+        let optimized =
+            stage_time(spec.name(), &fragmented.spec, &frag_sched, &frag_dp, &options.timing);
 
-        Ok(Comparison { original: (*original).clone(), optimized: (*optimized).clone() })
+        Ok(Comparison { original, optimized })
     }
 }
 
@@ -767,7 +743,7 @@ mod tests {
         let tally = StageTally::default();
         let rca = CompareOptions::default();
         cache.compare_staged(&spec, 3, &rca, &tally).unwrap();
-        assert_eq!((tally.hits(), tally.misses()), (0, 9), "a cold point computes all 9 stages");
+        assert_eq!((tally.hits(), tally.misses()), (0, 7), "a cold point computes all 7 stages");
 
         for arch in [bittrans_rtl::AdderArch::CarryLookahead, bittrans_rtl::AdderArch::CarrySelect]
         {
@@ -775,10 +751,10 @@ mod tests {
             let (h0, m0) = (tally.hits(), tally.misses());
             cache.compare_staged(&spec, 3, &options, &tally).unwrap();
             // Shared: extract, fragment, verify, and both schedules (the
-            // adder only enters at allocation). Recomputed: both alloc and
-            // both time stages.
+            // adder only enters at allocation). Recomputed: both alloc
+            // stages.
             assert_eq!(tally.hits() - h0, 5, "{arch:?}: extract+fragment+verify+2×sched shared");
-            assert_eq!(tally.misses() - m0, 4, "{arch:?}: 2×alloc + 2×time recomputed");
+            assert_eq!(tally.misses() - m0, 2, "{arch:?}: 2×alloc recomputed");
         }
     }
 
@@ -810,7 +786,7 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(files.len(), 9, "all nine stages spilled: {files:?}");
+        assert_eq!(files.len(), 7, "all seven stages spilled: {files:?}");
         assert!(files.iter().all(|f| f.ends_with(".stage")), "{files:?}");
 
         // A fresh cache (fresh process) over the same directory loads
@@ -821,7 +797,7 @@ mod tests {
         let fresh_tally = StageTally::default();
         let second = fresh.compare_staged(&spec, 3, &options, &fresh_tally).unwrap();
         assert_eq!(fresh_tally.misses(), 0, "warm directory recomputes zero stages");
-        assert_eq!(fresh_tally.hits(), 9, "all nine stages served from disk");
+        assert_eq!(fresh_tally.hits(), 7, "all seven stages served from disk");
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
@@ -842,7 +818,7 @@ mod tests {
         seed.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
         let paths: Vec<_> =
             std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap().map(|e| e.unwrap().path()).collect();
-        assert_eq!(paths.len(), 9);
+        assert_eq!(paths.len(), 7);
 
         // Each corruption is invalid for *every* stage: empty, future
         // schema, junk, and a truncated envelope.
@@ -901,7 +877,7 @@ mod tests {
     }
 
     /// A cache dir holding one finished job (λ = 3 of [`three_adds`]) and
-    /// its nine stage files, plus the job's key.
+    /// its seven stage files, plus the job's key.
     fn seeded_job_dir(tag: &str) -> (PathBuf, JobKey) {
         let dir = tempdir(tag);
         let job = crate::Job::with_options(
@@ -951,14 +927,14 @@ mod tests {
     fn an_envelope_naming_another_stage_is_deleted_and_recomputed() {
         let (dir, key) = seeded_job_dir("job-wrong-stage");
         let store = StageStore::of(&dir);
-        // Swap envelopes: the job file claims to be a timing artifact and
+        // Swap envelopes: the job file claims to be an allocation and
         // every stage file claims to be a job — each body otherwise intact.
         let job_file = store.path(key);
         for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
             let path = entry.unwrap().path();
             let text = std::fs::read_to_string(&path).unwrap();
             let (_, body) = text.split_once('\n').unwrap();
-            let stage = if path == job_file { "time_base" } else { "job" };
+            let stage = if path == job_file { "alloc_base" } else { "job" };
             std::fs::write(&path, format!("bittrans-stage 2 {stage} ok\n{body}")).unwrap();
         }
         assert!(store.load_job(key).is_none(), "a mislabelled job is never served");
@@ -967,8 +943,50 @@ mod tests {
         let stats = rerun(&dir);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.stage_hits, 0, "no mislabelled stage file may hit");
-        assert_eq!(stats.stage_misses, 9);
+        assert_eq!(stats.stage_misses, 7);
         assert!(store.load_job(key).is_some(), "the respill repaired the job file");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_store_holds_seven_stage_kinds_and_leaves_old_time_files_to_prune() {
+        let (dir, key) = seeded_job_dir("store-layout");
+        let store = StageStore::of(&dir);
+        let kind = |path: &Path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            text.lines().next().unwrap().split(' ').nth(2).unwrap().to_string()
+        };
+        let mut kinds: Vec<String> = store.files().iter().map(|f| kind(&f.path)).collect();
+        kinds.sort();
+        let expected = [
+            "alloc_base",
+            "alloc_frag",
+            "extract",
+            "fragment",
+            "job",
+            "sched_base",
+            "sched_frag",
+            "verify",
+        ];
+        assert_eq!(kinds, expected, "a cold job writes one file per kind");
+
+        // A timing file an older build spilled: no run reads or deletes it.
+        let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
+        let original = compare(&three_adds(), 3, &options).unwrap().original;
+        let planted = store.path(JobKey::of_bytes(b"time_base of an older build"));
+        let text = format!("bittrans-stage 2 time_base ok\n{}", original.to_canonical());
+        std::fs::write(&planted, &text).unwrap();
+        std::fs::remove_file(store.path(key)).unwrap();
+        let stats = rerun(&dir);
+        assert_eq!((stats.stage_hits, stats.stage_misses), (7, 0), "every stage from disk");
+        assert_eq!(std::fs::read_to_string(&planted).unwrap(), text, "the old file is untouched");
+
+        // `cache prune` counts it like any other file, and removes it.
+        let engine = crate::Engine::default().with_cache_dir(&dir).unwrap();
+        let report =
+            engine.prune_cache(crate::PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
+        assert_eq!((report.scanned, report.removed, report.kept), (9, 9, 0));
+        assert!(!planted.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -152,10 +152,10 @@ impl Study {
         jobs
     }
 
-    /// Checks every axis value against the options builder's ranges, and
-    /// every latency against [`bittrans_core::MAX_LATENCY`], without
-    /// panicking: the first rejected value's [`OptionsError`] comes back
-    /// as `Err`.
+    /// Checks every axis value against the options builder's ranges, every
+    /// latency against [`bittrans_core::MAX_LATENCY`] and every spec's
+    /// widest value against [`bittrans_ir::MAX_WIDTH`], without panicking:
+    /// the first rejected value's [`OptionsError`] comes back as `Err`.
     ///
     /// [`Study::run`] and [`Study::jobs`] enforce the same invariant by
     /// panicking (programmer error in code-built grids); front ends that
@@ -177,6 +177,10 @@ impl Study {
         };
         if let Some(&latency) = self.latencies.iter().find(|&&l| l > bittrans_core::MAX_LATENCY) {
             return Err(bittrans_core::OptionsError::LatencyTooLarge(latency));
+        }
+        let widest = self.specs.iter().flat_map(|spec| spec.values()).map(|v| v.width()).max();
+        if let Some(width) = widest.filter(|&w| w > bittrans_ir::MAX_WIDTH) {
+            return Err(bittrans_core::OptionsError::WidthTooLarge(width));
         }
         check(self.base)?;
         for &verify_vectors in self.verify_vectors.iter().flatten() {
@@ -329,6 +333,19 @@ mod tests {
             Study::single(three_adds()).latencies([2, u32::MAX]).check(),
             Err(bittrans_core::OptionsError::LatencyTooLarge(u32::MAX))
         );
+    }
+
+    #[test]
+    fn check_rejects_a_value_beyond_the_maximum_width() {
+        let wide = |width| {
+            let mut builder = bittrans_ir::SpecBuilder::new("wide");
+            let a = builder.input("a", width);
+            builder.output("o", a);
+            Study::over([three_adds(), builder.finish().unwrap()])
+        };
+        let max = bittrans_ir::MAX_WIDTH;
+        assert_eq!(wide(max).check(), Ok(()));
+        assert_eq!(wide(max + 1).check(), Err(bittrans_core::OptionsError::WidthTooLarge(max + 1)));
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Fragmented {
         if f.len() != 1 {
             return Err(cur.err("malformed fragments line"));
         }
-        let count: usize = cur.num(f[0], "fragment count")?;
+        let count = cur.count(f[0], "fragment count", cur.lines_left())?;
         let mut fragments = BTreeMap::new();
         let mut previous: Option<u32> = None;
         for _ in 0..count {
@@ -131,7 +131,7 @@ impl Fragmented {
         if f.len() != 1 {
             return Err(cur.err("malformed per_source line"));
         }
-        let count: usize = cur.num(f[0], "per_source count")?;
+        let count = cur.count(f[0], "per_source count", cur.lines_left())?;
         let mut per_source = BTreeMap::new();
         let mut previous: Option<u32> = None;
         for _ in 0..count {
@@ -144,7 +144,7 @@ impl Fragmented {
                 return Err(cur.err(format!("per_source entries out of order at o{source}")));
             }
             previous = Some(source);
-            let k: usize = cur.num(f[1], "per_source fragment count")?;
+            let k = cur.count(f[1], "per_source fragment count", f.len() - 2)?;
             if f.len() != 2 + k {
                 return Err(cur.err(format!(
                     "per_source entry declares {k} fragments but carries {}",

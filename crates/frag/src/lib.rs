@@ -174,13 +174,6 @@ pub struct Fragmented {
     pub per_source: BTreeMap<OpId, Vec<OpId>>,
 }
 
-impl Fragmented {
-    /// Number of fragments a source addition was split into (1 = unsplit).
-    pub fn fragment_count(&self, source: OpId) -> usize {
-        self.per_source.get(&source).map_or(0, Vec::len)
-    }
-}
-
 /// Per-bit ASAP/ALAP cycles (1-based) for every value of an additive spec,
 /// plus the underlying δ times. This is the data behind the paper's
 /// Fig. 3 c)–e) pictures.

@@ -60,19 +60,6 @@ impl Bits {
         b
     }
 
-    /// Creates a vector holding the low `width` bits of `value`.
-    pub fn from_u128(value: u128, width: usize) -> Self {
-        let mut b = Bits::zero(width);
-        if !b.words.is_empty() {
-            b.words[0] = value as u64;
-        }
-        if b.words.len() > 1 {
-            b.words[1] = (value >> 64) as u64;
-        }
-        b.mask_top();
-        b
-    }
-
     /// Creates a vector from the two's-complement encoding of `value`.
     ///
     /// The value wraps modulo 2^width, so e.g. `from_i64(-1, 4)` is `0b1111`.
@@ -89,15 +76,6 @@ impl Bits {
             }
         }
         b.mask_top();
-        b
-    }
-
-    /// Creates a vector from individual bits, least-significant first.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut b = Bits::zero(bits.len());
-        for (i, &bit) in bits.iter().enumerate() {
-            b.set(i, bit);
-        }
         b
     }
 

@@ -153,11 +153,6 @@ impl<'a> Cursor<'a> {
         Cursor { lines: text.lines().collect(), pos: 0 }
     }
 
-    /// The 1-based number of the most recently consumed line.
-    pub fn line_no(&self) -> usize {
-        self.pos
-    }
-
     /// A [`CodecError`] at the current line.
     pub fn err(&self, msg: impl Into<String>) -> CodecError {
         CodecError { line: self.pos, msg: msg.into() }
@@ -176,22 +171,6 @@ impl<'a> Cursor<'a> {
             .ok_or(CodecError { line: self.pos, msg: "unexpected end of document".into() })?;
         self.pos += 1;
         Ok(line)
-    }
-
-    /// Consumes `n` raw lines and returns them joined with `\n` — used to
-    /// splice an embedded sub-document (e.g. the spec inside a
-    /// `Fragmented`) out of its container.
-    ///
-    /// # Errors
-    ///
-    /// When fewer than `n` lines remain.
-    pub fn take_block(&mut self, n: usize) -> Result<String, CodecError> {
-        if self.pos + n > self.lines.len() {
-            return Err(self.err(format!("embedded block of {n} lines exceeds document")));
-        }
-        let block = self.lines[self.pos..self.pos + n].join("\n");
-        self.pos += n;
-        Ok(block)
     }
 
     /// Consumes the next line, asserts its first token is `tag`, and
@@ -256,6 +235,28 @@ impl<'a> Cursor<'a> {
             return Err(self.err(format!("expected `end {ty}`")));
         }
         Ok(())
+    }
+
+    /// The lines not yet consumed: the room left for a list of one entry
+    /// per line.
+    pub fn lines_left(&self) -> usize {
+        self.lines.len() - self.pos
+    }
+
+    /// Parses a declared list length and bounds it by `room`, the entries
+    /// the document can still hold: [`Cursor::lines_left`] for a list of
+    /// one entry per line, the line's remaining tokens for an in-line
+    /// list. A corrupt count errors here instead of sizing an allocation.
+    ///
+    /// # Errors
+    ///
+    /// When the token is not a decimal or exceeds `room`.
+    pub fn count(&self, token: &str, what: &str, room: usize) -> Result<usize, CodecError> {
+        let n: usize = self.num(token, what)?;
+        if n > room {
+            return Err(self.err(format!("{what} {n} exceeds the {room} entries left")));
+        }
+        Ok(n)
     }
 
     /// Parses one decimal token.
@@ -481,7 +482,7 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<Spec, CodecError> {
     if count.len() != 1 {
         return Err(cur.err("malformed values line"));
     }
-    let count: usize = cur.num(count[0], "value count")?;
+    let count = cur.count(count[0], "value count", cur.lines_left())?;
     let mut values = Vec::with_capacity(count);
     for i in 0..count {
         let f = cur.tagged("v")?;
@@ -505,7 +506,7 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<Spec, CodecError> {
     if f.is_empty() {
         return Err(cur.err("malformed inputs line"));
     }
-    let n: usize = cur.num(f[0], "input count")?;
+    let n = cur.count(f[0], "input count", f.len() - 1)?;
     if f.len() != n + 1 {
         return Err(
             cur.err(format!("inputs line declares {n} entries but carries {}", f.len() - 1))
@@ -520,7 +521,7 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<Spec, CodecError> {
     if count.len() != 1 {
         return Err(cur.err("malformed ops line"));
     }
-    let count: usize = cur.num(count[0], "op count")?;
+    let count = cur.count(count[0], "op count", cur.lines_left())?;
     let mut ops = Vec::with_capacity(count);
     for i in 0..count {
         let f = cur.tagged("o")?;
@@ -555,7 +556,7 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<Spec, CodecError> {
                 None => return Err(cur.err(format!("bad origin token {tok:?}"))),
             },
         };
-        let n_operands: usize = cur.num(f[7], "operand count")?;
+        let n_operands = cur.count(f[7], "operand count", f.len() - 8)?;
         if f.len() != 8 + n_operands {
             return Err(cur.err(format!(
                 "op line declares {n_operands} operands but carries {}",
@@ -582,7 +583,7 @@ fn decode_spec(cur: &mut Cursor<'_>) -> Result<Spec, CodecError> {
     if count.len() != 1 {
         return Err(cur.err("malformed outputs line"));
     }
-    let count: usize = cur.num(count[0], "output count")?;
+    let count = cur.count(count[0], "output count", cur.lines_left())?;
     let mut outputs = Vec::with_capacity(count);
     for _ in 0..count {
         let f = cur.tagged("out")?;
@@ -832,6 +833,42 @@ mod tests {
         assert_ne!(broken, text, "fixture drift: expected `v 4 11 op 2` in the document");
         let err = Spec::from_canonical(&broken).unwrap_err();
         assert!(err.msg.contains("disagree"), "{err}");
+    }
+
+    /// `spec c { input a: u4; input k: u4; s: u4 = a + a; output s; }`,
+    /// canonical: its one unused input `k` is `v 1 4 in k`.
+    fn unused_input_document() -> String {
+        let text = Spec::parse("spec c { input a: u4; input k: u4; s: u4 = a + a; output s; }")
+            .unwrap()
+            .to_canonical();
+        assert!(text.contains("\nv 1 4 in k\n"), "fixture drift: {text}");
+        text
+    }
+
+    #[test]
+    fn declared_counts_are_bounded_by_the_document() {
+        let text = unused_input_document();
+        // Each count swapped for one the document cannot hold: an entry
+        // list's count (once `Vec::with_capacity` of it, which aborted the
+        // process), an in-line list's and an op line's operand count.
+        for (from, to) in [
+            ("\nvalues 3\n", "\nvalues 4294967295\n"),
+            ("\nops 1\n", "\nops 18446744073709551615\n"),
+            ("\noutputs 1\n", "\noutputs 4\n"),
+            ("\ninputs 2 0 1\n", "\ninputs 18446744073709551615 0 1\n"),
+            (" 2 v0 v0\n", " 18446744073709551615 v0 v0\n"),
+        ] {
+            assert!(text.contains(from), "fixture drift: no {from:?} in {text}");
+            let err = Spec::from_canonical(&text.replace(from, to)).unwrap_err();
+            assert!(err.msg.contains("exceeds"), "{to:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_width_input_is_rejected() {
+        let text = unused_input_document().replace("\nv 1 4 in k\n", "\nv 1 0 in k\n");
+        let err = Spec::from_canonical(&text).unwrap_err();
+        assert!(err.msg.contains("input `k` has zero width"), "{err}");
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub enum IrError {
     },
     /// An operation has a zero result width.
     ZeroWidth(OpId),
+    /// An input port has zero width.
+    ZeroWidthInput(String),
     /// Two ports share the same name.
     DuplicatePort(String),
     /// An output port references an unknown or invalid operand.
@@ -76,6 +78,7 @@ impl fmt::Display for IrError {
                 write!(f, "operation {op} has inconsistent widths: {reason}")
             }
             IrError::ZeroWidth(op) => write!(f, "operation {op} has zero result width"),
+            IrError::ZeroWidthInput(name) => write!(f, "input `{name}` has zero width"),
             IrError::DuplicatePort(name) => write!(f, "duplicate port name `{name}`"),
             IrError::BadOutput { port, reason } => {
                 write!(f, "output `{port}` is invalid: {reason}")

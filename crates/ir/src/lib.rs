@@ -65,6 +65,16 @@ pub mod prelude {
     pub use crate::types::{BitRange, OpId, Signedness, ValueId};
 }
 
+/// Upper bound on a value, type or literal width taken from outside input:
+/// DSL sources, canonical documents in study requests. Simulation,
+/// fragmentation and allocation all grow with width, and a single
+/// `u2000000000` declaration asks for gigabytes, while no design in the
+/// paper's range comes near a thousand bits, so a wider value is always a
+/// mistyped width or a hostile request. [`Spec::parse`] holds every value
+/// it builds to this bound, so a parsed spec always passes the engine's
+/// `Study::check`.
+pub const MAX_WIDTH: u32 = 1024;
+
 pub use bits::Bits;
 pub use canonical::CodecError;
 pub use error::{IrError, ParseError};

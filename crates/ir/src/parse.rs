@@ -47,7 +47,9 @@
 //! operand maximum). The statement's declared type fixes the width and
 //! signedness of the *root* operation; all operations created by a
 //! statement share the statement's signedness. A bare literal gets the
-//! minimal width holding it unless written in sized form.
+//! minimal width holding it unless written in sized form. No width —
+//! declared, literal, natural or shift amount — may exceed
+//! [`MAX_WIDTH`] (1,024 bits).
 
 use crate::bits::Bits;
 use crate::error::ParseError;
@@ -55,6 +57,7 @@ use crate::op::OpKind;
 use crate::operand::Operand;
 use crate::spec::{Spec, SpecBuilder};
 use crate::types::{BitRange, Signedness};
+use crate::MAX_WIDTH;
 use std::collections::BTreeMap;
 
 /// Parses the textual DSL into a validated [`Spec`].
@@ -155,8 +158,13 @@ fn lex(text: &str) -> Result<Vec<SpannedTok>, ParseError> {
                     bump(&mut i, &mut line, &mut col, ch);
                 }
                 let digits: String = digits.chars().filter(|&c| c != '_').collect();
-                let width = u32::try_from(n)
-                    .map_err(|_| ParseError::new(tline, tcol, "literal width too large"))?;
+                if n == 0 {
+                    return Err(ParseError::new(tline, tcol, "literal width must be positive"));
+                }
+                let width = u32::try_from(n).ok().filter(|&w| w <= MAX_WIDTH).ok_or_else(|| {
+                    let msg = format!("literal width {n} exceeds the maximum of {MAX_WIDTH}");
+                    ParseError::new(tline, tcol, msg)
+                })?;
                 let bits = match base {
                     'd' => {
                         let v: u64 = digits.parse().map_err(|_| {
@@ -411,6 +419,9 @@ impl Parser {
         if width == 0 {
             return Err(self.err("type width must be positive"));
         }
+        if width > MAX_WIDTH {
+            return Err(self.err(format!("type width {width} exceeds the maximum of {MAX_WIDTH}")));
+        }
         Ok((width, sign))
     }
 
@@ -469,16 +480,25 @@ impl Parser {
         let mut lhs = self.parse_addsub()?;
         loop {
             if self.eat_sym("<<") {
-                let k = self.expect_number()? as u32;
+                let k = self.shift_amount()?;
                 lhs = Expr::Unary(OpKind::Shl(k), Box::new(lhs));
             } else if self.eat_sym(">>") {
-                let k = self.expect_number()? as u32;
+                let k = self.shift_amount()?;
                 lhs = Expr::Unary(OpKind::Shr(k), Box::new(lhs));
             } else {
                 break;
             }
         }
         Ok(lhs)
+    }
+
+    /// A shift amount: at most [`MAX_WIDTH`], like every width.
+    fn shift_amount(&mut self) -> Result<u32, ParseError> {
+        let k = self.expect_number()?;
+        u32::try_from(k)
+            .ok()
+            .filter(|&k| k <= MAX_WIDTH)
+            .ok_or_else(|| self.err(format!("shift amount {k} exceeds the maximum of {MAX_WIDTH}")))
     }
 
     fn parse_addsub(&mut self) -> Result<Expr, ParseError> {
@@ -769,20 +789,25 @@ impl Lowerer {
         };
         let args: Vec<Operand> = lowered.into_iter().map(|(o, _)| o).collect();
         let widths: Vec<u32> = args.iter().map(|a| self.width_of(a)).collect();
-        let natural = natural_width(kind, &widths);
-        let width = force_width.unwrap_or(natural);
+        let width = force_width.unwrap_or_else(|| natural_width(kind, &widths));
+        if width > MAX_WIDTH {
+            let msg = format!("operation width {width} exceeds the maximum of {MAX_WIDTH}");
+            return Err(ParseError::new(0, 0, msg));
+        }
         let value =
             self.builder.op(kind, args, width, signedness, name).map_err(ParseError::from)?;
         Ok((value.into(), signedness))
     }
 }
 
-/// The natural result width of `kind` applied to operands of `widths`.
+/// The natural result width of `kind` applied to operands of `widths`,
+/// saturating so that an overlong result fails the [`MAX_WIDTH`] check.
 fn natural_width(kind: OpKind, widths: &[u32]) -> u32 {
     let max = widths.iter().copied().max().unwrap_or(1);
+    let sum = || widths.iter().fold(0u32, |sum, &w| sum.saturating_add(w));
     match kind {
         OpKind::Add | OpKind::Sub => max + 1,
-        OpKind::Mul => widths.iter().sum(),
+        OpKind::Mul => sum(),
         OpKind::Neg => max + 1,
         OpKind::Abs => max,
         OpKind::Lt
@@ -797,7 +822,7 @@ fn natural_width(kind: OpKind, widths: &[u32]) -> u32 {
         OpKind::Mux => widths[1..].iter().copied().max().unwrap_or(1),
         OpKind::Shl(k) => max + k,
         OpKind::Shr(_) => max,
-        OpKind::Concat => widths.iter().sum(),
+        OpKind::Concat => sum(),
     }
 }
 
@@ -816,6 +841,29 @@ mod tests {
             G: u16 = E + F;
             output G;
         }";
+
+    #[test]
+    fn widths_are_bounded_by_max_width() {
+        let parse = |body: &str| parse_spec(&format!("spec w {{ {body} }}"));
+        let rejects = |body: &str, why: &str| {
+            let err = parse(body).unwrap_err();
+            assert!(err.message.contains(why), "{body}: {err}");
+        };
+        assert!(parse("input a: u1024; s: i1024 = a + a; output s;").is_ok());
+        rejects("input a: u1025; output a;", "type width 1025 exceeds the maximum of 1024");
+        rejects("input a: u2000000000; output a;", "type width 2000000000 exceeds");
+        assert!(parse("input a: u8; s: u16 = a + 1024'd1; output s;").is_ok());
+        rejects("input a: u8; s: u16 = a + 1025'd1; output s;", "literal width 1025 exceeds");
+        rejects("input a: u8; s: u8 = a + 0'd5; output s;", "literal width must be positive");
+        // Interior nodes take their natural width, which is bounded too.
+        rejects(
+            "input a: u1024; input b: u1024; s: u1024 = a * b + a; output s;",
+            "operation width 2048 exceeds",
+        );
+        assert!(parse("input a: u8; s: u8 = (a << 1016) >> 1016; output s;").is_ok());
+        rejects("input a: u8; s: u8 = (a << 1017) >> 1017; output s;", "operation width 1025");
+        rejects("input a: u8; s: u8 = a << 4294967297; output s;", "shift amount 4294967297");
+    }
 
     #[test]
     fn parses_motivational_example() {

@@ -257,6 +257,9 @@ impl Spec {
         let mut seen = std::collections::BTreeSet::new();
         for &input in &self.inputs {
             let name = self.input_name(input).to_string();
+            if self.value(input).width() == 0 {
+                return Err(IrError::ZeroWidthInput(name));
+            }
             if !seen.insert(name.clone()) {
                 return Err(IrError::DuplicatePort(name));
             }

@@ -1,4 +1,4 @@
-//! Canonical codec for [`Schedule`] and [`Chaining`] — the sched-crate
+//! Canonical codec for [`Schedule`] — the sched-crate
 //! half of the workspace-wide artifact encoding rooted in
 //! [`bittrans_ir::canonical`]. Schema-tagged, line-oriented, and
 //! round-trip-exact: `from_canonical(to_canonical(x)) == x`.
@@ -13,12 +13,6 @@
 //! a <op-index> <cycle>        (strictly increasing op index)
 //! end schedule
 //! ```
-//!
-//! ```text
-//! bittrans-canonical chaining 1
-//! mode <disabled|component_sum|bit_level>
-//! end chaining
-//! ```
 
 use crate::conventional::Chaining;
 use crate::Schedule;
@@ -30,9 +24,6 @@ use std::fmt::Write as _;
 
 /// Schema version of the canonical [`Schedule`] encoding.
 pub const SCHEDULE_SCHEMA: u32 = 1;
-
-/// Schema version of the canonical [`Chaining`] encoding.
-pub const CHAINING_SCHEMA: u32 = 1;
 
 impl Schedule {
     /// Renders the canonical, re-parseable encoding of this schedule
@@ -77,7 +68,7 @@ impl Schedule {
         if f.len() != 1 {
             return Err(cur.err("malformed assignment line"));
         }
-        let count: usize = cur.num(f[0], "assignment count")?;
+        let count = cur.count(f[0], "assignment count", cur.lines_left())?;
         let mut assignment = BTreeMap::new();
         let mut previous: Option<u32> = None;
         for _ in 0..count {
@@ -110,44 +101,6 @@ impl Chaining {
             Chaining::ComponentSum => "component_sum",
             Chaining::BitLevel => "bit_level",
         }
-    }
-
-    /// Reverses [`Chaining::code`]; `None` for an unknown code.
-    pub fn from_code(code: &str) -> Option<Chaining> {
-        Some(match code {
-            "disabled" => Chaining::Disabled,
-            "component_sum" => Chaining::ComponentSum,
-            "bit_level" => Chaining::BitLevel,
-            _ => return None,
-        })
-    }
-
-    /// Renders the canonical encoding of this chaining mode (schema
-    /// [`CHAINING_SCHEMA`]).
-    pub fn to_canonical(self) -> String {
-        let mut out = String::new();
-        write_header(&mut out, "chaining", CHAINING_SCHEMA);
-        let _ = writeln!(out, "mode {}", self.code());
-        write_end(&mut out, "chaining");
-        out
-    }
-
-    /// Parses a [`Chaining::to_canonical`] document.
-    ///
-    /// # Errors
-    ///
-    /// A [`CodecError`] for syntax, schema, or unknown-mode problems.
-    pub fn from_canonical(text: &str) -> Result<Chaining, CodecError> {
-        let mut cur = Cursor::new(text);
-        cur.header("chaining", CHAINING_SCHEMA)?;
-        let f = cur.tagged("mode")?;
-        if f.len() != 1 {
-            return Err(cur.err("malformed mode line"));
-        }
-        let mode =
-            Chaining::from_code(f[0]).ok_or_else(|| cur.err(format!("unknown mode {:?}", f[0])))?;
-        cur.end("chaining")?;
-        Ok(mode)
     }
 }
 
@@ -201,15 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn chaining_codes_round_trip() {
-        for mode in [Chaining::Disabled, Chaining::ComponentSum, Chaining::BitLevel] {
-            assert_eq!(Chaining::from_code(mode.code()), Some(mode));
-            assert_eq!(Chaining::from_canonical(&mode.to_canonical()).unwrap(), mode);
-        }
-        assert_eq!(Chaining::from_code("turbo"), None);
-        assert!(Chaining::from_canonical(
-            "bittrans-canonical chaining 2\nmode disabled\nend chaining"
-        )
-        .is_err());
+    fn chaining_codes_are_stable() {
+        let codes =
+            [Chaining::Disabled, Chaining::ComponentSum, Chaining::BitLevel].map(Chaining::code);
+        assert_eq!(codes, ["disabled", "component_sum", "bit_level"]);
     }
 }

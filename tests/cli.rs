@@ -340,3 +340,30 @@ fn parse_errors_have_positions() {
     assert!(!ok);
     assert!(stderr.contains("parse error"), "{stderr}");
 }
+
+/// Widths come from outside input: a `u2000000000` declaration once asked
+/// for gigabytes and aborted `compare`. Up to `MAX_WIDTH` (1,024 bits)
+/// runs; one bit more is a parse error.
+#[test]
+fn compare_bounds_value_widths() {
+    let dir = std::env::temp_dir().join(format!("bittrans_cli_widths_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = |name: &str, width: u32| {
+        let path = dir.join(format!("{name}.spec"));
+        let body = format!("spec {name} {{ input a: u{width}; s: u{width} = a + a; output s; }}");
+        std::fs::write(&path, body).unwrap();
+        path
+    };
+    let (ok, stdout, stderr) =
+        run(&["compare", spec("w1024", 1024).to_str().unwrap(), "--latency", "3"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("cycle saved"), "{stdout}");
+    for (name, width) in [("w1025", 1025), ("huge", 2_000_000_000)] {
+        let (ok, _, stderr) =
+            run(&["compare", spec(name, width).to_str().unwrap(), "--latency", "3"]);
+        assert!(!ok, "{name} was accepted");
+        let why = format!("type width {width} exceeds the maximum of 1024");
+        assert!(stderr.contains(&why), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

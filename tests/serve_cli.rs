@@ -78,6 +78,20 @@ fn raw_protocol_rejections_leave_the_server_serving() {
     let mut stream = TcpStream::connect(&server.addr).expect("connect");
     stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Canonical sources go straight to the decoder: one whose value count
+    // once sized a 137 GB allocation, one with a zero-width input that
+    // once panicked extraction, and one too wide for any spec.
+    let canonical =
+        bittrans::ir::Spec::parse("spec c { input a: u4; input k: u4; s: u4 = a + a; output s; }")
+            .unwrap()
+            .to_canonical();
+    assert!(canonical.contains("\nvalues 3\nv 0 4 in a\nv 1 4 in k\n"), "drift: {canonical}");
+    let study = |source: &str| {
+        format!("{{\"sources\": [\"{}\"], \"latencies\": [3]}}", source.replace('\n', "\\n"))
+    };
+    let huge_count = study(&canonical.replace("\nvalues 3\n", "\nvalues 4294967295\n"));
+    let zero_width = study(&canonical.replace("\nv 1 4 in k\n", "\nv 1 0 in k\n"));
+    let too_wide = study(&canonical.replace("\nv 1 4 in k\n", "\nv 1 1025 in k\n"));
     for (request, expect) in [
         ("{ garbage", "\"ok\":false"),
         (
@@ -98,6 +112,18 @@ fn raw_protocol_rejections_leave_the_server_serving() {
             "latency 4097 exceeds the maximum of 4096",
         ),
         ("{\"sources\": [\"not a spec\"]}", "\"ok\":false"),
+        (&huge_count, "value count 4294967295 exceeds"),
+        (&zero_width, "input `k` has zero width"),
+        (&too_wide, "value width 1025 exceeds the maximum of 1024"),
+        (
+            "{\"sources\": [\"spec w { input a: u1025; output o = a; }\"]}",
+            "type width 1025 exceeds the maximum of 1024",
+        ),
+        (
+            "{\"sources\": [\"spec w { input a: u1024; s: u1024 = a + a; output s; }\"], \
+             \"latencies\": [3]}",
+            "\"ok\":true",
+        ),
     ] {
         stream.write_all(request.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
