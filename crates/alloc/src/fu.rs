@@ -3,7 +3,7 @@
 use bittrans_ir::prelude::*;
 use bittrans_rtl::{AdderArch, Component};
 use bittrans_sched::Schedule;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// The hardware class an operation executes on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -146,20 +146,16 @@ pub fn bind_fus(spec: &Spec, schedule: &Schedule) -> Vec<Fu> {
 }
 
 /// Infers the multiplexers in front of every functional-unit input port:
-/// one `n:1` mux per port with `n ≥ 2` distinct sources.
-pub fn port_muxes(spec: &Spec, fus: &[Fu], _arch: AdderArch) -> Vec<Component> {
+/// one `n:1` mux per port with `n ≥ 2` distinct sources. Ports do not
+/// depend on the adder architecture, so neither do their muxes.
+pub fn port_muxes(spec: &Spec, fus: &[Fu]) -> Vec<Component> {
     let mut out = Vec::new();
     for f in fus {
         // Ports 0 and 1 are addend ports at the unit width; port 2 (carry
         // in) is one bit.
         for port in 0..3 {
-            let mut sources: BTreeSet<String> = BTreeSet::new();
-            for &(op_id, _) in &f.bound {
-                let op = spec.op(op_id);
-                if let Some(operand) = op.operands().get(port) {
-                    sources.insert(operand.to_string());
-                }
-            }
+            let sources: HashSet<&Operand> =
+                f.bound.iter().filter_map(|&(op, _)| spec.op(op).operands().get(port)).collect();
             if sources.len() >= 2 {
                 let width = if port == 2 { 1 } else { f.width };
                 out.push(Component::Mux { inputs: sources.len() as u32, width });
@@ -251,7 +247,7 @@ mod tests {
         let sched = schedule_conventional(&spec, &ConventionalOptions::with_latency(3)).unwrap();
         let fus = bind_fus(&spec, &sched);
         assert_eq!(fus.len(), 1);
-        let muxes = port_muxes(&spec, &fus, AdderArch::RippleCarry);
+        let muxes = port_muxes(&spec, &fus);
         // port a: {a, x, y} → 3:1; port b: {b, c1, a} → 3:1.
         assert_eq!(muxes.len(), 2);
         for m in &muxes {

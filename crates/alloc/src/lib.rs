@@ -24,6 +24,10 @@
 //! I/O-port holding registers are excluded, as in the paper ("they
 //! coincide in both implementations").
 //!
+//! [`bind`] solves all four. None of them reads the adder architecture:
+//! only the FU area does, so [`Binding::price`] prices one binding for
+//! any number of architectures, and [`allocate`] is the two in a row.
+//!
 //! ```
 //! use bittrans_ir::prelude::*;
 //! use bittrans_sched::conventional::{schedule_conventional, ConventionalOptions};
@@ -59,6 +63,25 @@ use bittrans_sched::Schedule;
 pub struct AllocOptions {
     /// Adder micro-architecture for the functional units.
     pub adder_arch: AdderArch,
+}
+
+/// The adder-invariant half of allocation: everything [`bind`] decides
+/// from a spec and its schedule. Only the FU area reads the adder
+/// architecture, so one binding serves every [`Binding::price`].
+#[derive(Clone, Debug)]
+pub struct Binding {
+    /// Functional units with their bound operations.
+    pub fus: Vec<fu::Fu>,
+    /// Physical registers.
+    pub registers: Vec<regs::RegisterInstance>,
+    /// Multiplexers in front of FU ports and register inputs.
+    pub muxes: Vec<Component>,
+    /// Dedicated glue logic (inverters, partial-product muxes, …).
+    pub glue: Vec<Component>,
+    /// The FSM controller.
+    pub controller: Component,
+    /// Total stored bits (register bits before grouping overhead).
+    pub stored_bits: u32,
 }
 
 /// The allocated datapath with its priced components.
@@ -105,15 +128,23 @@ impl Datapath {
     }
 }
 
-/// Allocates and prices a datapath for `spec` under `schedule`.
+/// Allocates and prices a datapath for `spec` under `schedule`:
+/// [`bind`], then [`Binding::price`].
 ///
 /// Works for both conventional schedules of raw specifications and fragment
 /// schedules of fragmented specifications — the schedule's cycle assignment
 /// is all it needs.
 pub fn allocate(spec: &Spec, schedule: &Schedule, options: &AllocOptions) -> Datapath {
+    bind(spec, schedule).price(options.adder_arch)
+}
+
+/// Binds `spec` under `schedule` to units, registers, muxes, glue and a
+/// controller: every allocation decision, none of which reads the adder
+/// architecture.
+pub fn bind(spec: &Spec, schedule: &Schedule) -> Binding {
     let fus = fu::bind_fus(spec, schedule);
     let registers = regs::allocate_registers(spec, schedule);
-    let mut muxes = fu::port_muxes(spec, &fus, options.adder_arch);
+    let mut muxes = fu::port_muxes(spec, &fus);
     muxes.extend(regs::register_muxes(&registers));
     let glue = glue_units(spec, schedule);
 
@@ -126,28 +157,33 @@ pub fn allocate(spec: &Spec, schedule: &Schedule, options: &AllocOptions) -> Dat
         .sum();
     let signals = mux_sel_bits + registers.len() as u32;
     let controller = Component::Controller { states: schedule.latency, signals };
-
-    let fu_area: f64 = fus.iter().map(|f| f.component(options.adder_arch).area_gates()).sum();
-    let reg_area: f64 = registers.iter().map(|r| r.component().area_gates()).sum();
-    let mux_area: f64 = muxes.iter().map(Component::area_gates).sum();
-    let glue_area: f64 = glue.iter().map(Component::area_gates).sum();
     let stored_bits = registers.iter().map(|r| r.width).sum();
+    Binding { fus, registers, muxes, glue, controller, stored_bits }
+}
 
-    let area = AreaReport {
-        fu: fu_area,
-        registers: reg_area,
-        routing: mux_area + glue_area,
-        controller: controller.area_gates(),
-    };
-    Datapath {
-        fus,
-        registers,
-        muxes,
-        glue,
-        controller,
-        stored_bits,
-        adder_arch: options.adder_arch,
-        area,
+impl Binding {
+    /// Prices this binding with `adder_arch` adders, Table-I style.
+    pub fn price(&self, adder_arch: AdderArch) -> Datapath {
+        let fu_area: f64 = self.fus.iter().map(|f| f.component(adder_arch).area_gates()).sum();
+        let reg_area: f64 = self.registers.iter().map(|r| r.component().area_gates()).sum();
+        let mux_area: f64 = self.muxes.iter().map(Component::area_gates).sum();
+        let glue_area: f64 = self.glue.iter().map(Component::area_gates).sum();
+        let area = AreaReport {
+            fu: fu_area,
+            registers: reg_area,
+            routing: mux_area + glue_area,
+            controller: self.controller.area_gates(),
+        };
+        Datapath {
+            fus: self.fus.clone(),
+            registers: self.registers.clone(),
+            muxes: self.muxes.clone(),
+            glue: self.glue.clone(),
+            controller: self.controller,
+            stored_bits: self.stored_bits,
+            adder_arch,
+            area,
+        }
     }
 }
 
@@ -160,7 +196,7 @@ pub fn allocate(spec: &Spec, schedule: &Schedule, options: &AllocOptions) -> Dat
 /// in disjoint cycles, just like functional units are. Wiring kinds
 /// (concat, shifts by constants, slices) are free.
 fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component> {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
     let live = regs::live_bits(spec);
     struct Block {
         components: Vec<Component>,
@@ -187,24 +223,34 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
             block.cycles.insert(k);
         }
     }
-    // Greedy sharing: blocks with the same component signature share one
+    // Greedy sharing: blocks with the same component multiset share one
     // physical unit when their busy-cycle sets are disjoint.
     type GlueSlot = (BTreeSet<u32>, Vec<Component>);
-    let mut units: BTreeMap<String, Vec<GlueSlot>> = BTreeMap::new();
+    let mut units: HashMap<Vec<Component>, Vec<GlueSlot>> = HashMap::new();
     for block in blocks.into_values() {
         if block.components.is_empty() {
             continue;
         }
-        let mut sig_parts: Vec<String> = block.components.iter().map(|c| format!("{c}")).collect();
-        sig_parts.sort();
-        let sig = sig_parts.join("|");
-        let slots = units.entry(sig).or_default();
+        let mut multiset = block.components.clone();
+        multiset.sort_unstable();
+        let slots = units.entry(multiset).or_default();
         match slots.iter_mut().find(|(busy, _)| busy.is_disjoint(&block.cycles)) {
             Some((busy, _)) => busy.extend(&block.cycles),
             None => slots.push((block.cycles, block.components)),
         }
     }
-    units.into_values().flatten().flat_map(|(_, comps)| comps).collect()
+    // Units come out in the order of each group's signature text: its
+    // components' display forms, sorted and joined.
+    let mut signed: Vec<(String, Vec<GlueSlot>)> = units
+        .into_iter()
+        .map(|(multiset, slots)| {
+            let mut parts: Vec<String> = multiset.iter().map(|c| format!("{c}")).collect();
+            parts.sort();
+            (parts.join("|"), slots)
+        })
+        .collect();
+    signed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    signed.into_iter().flat_map(|(_, slots)| slots).flat_map(|(_, comps)| comps).collect()
 }
 
 /// Whether bit `i` of `operand`, unextended, carries live data (see
@@ -402,6 +448,22 @@ mod tests {
         assert!((netlist.area().total() - dp.area.total()).abs() < 1e-6);
         assert!(netlist.to_vhdl().contains("entity three_adds_datapath"));
         assert!(netlist.bill_of_materials().contains("fu_0"));
+    }
+
+    #[test]
+    fn one_binding_prices_every_adder_and_only_its_fu_area_moves() {
+        let spec = three_adds();
+        let sched = schedule_conventional(&spec, &ConventionalOptions::with_latency(3)).unwrap();
+        let binding = bind(&spec, &sched);
+        let rca = binding.price(AdderArch::RippleCarry);
+        for arch in [AdderArch::RippleCarry, AdderArch::CarryLookahead, AdderArch::CarrySelect] {
+            let priced = binding.price(arch);
+            let fresh = allocate(&spec, &sched, &AllocOptions { adder_arch: arch });
+            assert_eq!(format!("{priced:?}"), format!("{fresh:?}"), "{arch:?}");
+            let rest = |a: &AreaReport| [a.registers, a.routing, a.controller].map(f64::to_bits);
+            assert_eq!(rest(&priced.area), rest(&rca.area), "{arch:?}");
+            assert_eq!(priced.stored_bits, binding.stored_bits);
+        }
     }
 
     #[test]

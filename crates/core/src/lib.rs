@@ -45,7 +45,7 @@ pub mod canonical;
 pub mod report;
 pub mod stage;
 
-use bittrans_alloc::{allocate, AllocOptions};
+use bittrans_alloc::{allocate, bind, AllocOptions};
 use bittrans_frag::{fragment, FragError, FragmentOptions};
 use bittrans_ir::prelude::*;
 use bittrans_kernel::extract;
@@ -58,7 +58,7 @@ use bittrans_timing::{Delta, TimingModel};
 use serde::Serialize;
 use std::fmt;
 
-pub use bittrans_alloc::Datapath;
+pub use bittrans_alloc::{Binding, Datapath};
 pub use bittrans_frag::Fragmented;
 pub use bittrans_ir::canonical::CodecError;
 pub use bittrans_sched::conventional::Chaining;
@@ -425,6 +425,13 @@ pub fn stage_schedule_fragments(
 /// Infallible.
 pub fn stage_allocate(spec: &Spec, schedule: &Schedule, adder_arch: AdderArch) -> Datapath {
     stage::observe("allocate", || allocate(spec, schedule, &AllocOptions { adder_arch }))
+}
+
+/// Stage `bind`: the adder-invariant half of [`stage_allocate`]. Its
+/// [`Binding::price`] per adder architecture is the other half.
+/// Infallible.
+pub fn stage_bind(spec: &Spec, schedule: &Schedule) -> Binding {
+    stage::observe("bind", || bind(spec, schedule))
 }
 
 /// Stage `time`: derives the measured characteristics of one synthesised

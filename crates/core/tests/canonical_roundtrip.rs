@@ -9,9 +9,9 @@
 
 use bittrans_benchmarks::{random_spec, RandomSpecOptions};
 use bittrans_core::{
-    compare, stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
-    stage_schedule_fragments, stage_time, Chaining, CompareOptions, Comparison, Datapath,
-    Fragmented, Implementation, Schedule,
+    compare, stage_allocate, stage_bind, stage_extract, stage_fragment,
+    stage_schedule_conventional, stage_schedule_fragments, stage_time, Binding, Chaining,
+    CompareOptions, Comparison, Fragmented, Implementation, Schedule,
 };
 use bittrans_ir::Spec;
 use proptest::prelude::*;
@@ -50,16 +50,18 @@ proptest! {
             let sdec = Schedule::from_canonical(&stext).expect("canonical schedule parses");
             prop_assert_eq!(&sdec, &sched);
 
-            // Datapath: re-encode fixpoint, then the timing stage fed the
-            // decoded schedule+datapath must yield a byte-identical
-            // implementation to one fed the originals.
+            // Binding: re-encode fixpoint, then the timing stage fed the
+            // decoded schedule and the decoded binding, priced, must yield
+            // a byte-identical implementation to one fed a fresh
+            // allocation.
             let options = CompareOptions::default();
+            let btext = stage_bind(&spec, &sched).to_canonical();
+            let bdec = Binding::from_canonical(&btext).expect("canonical binding parses");
+            prop_assert_eq!(bdec.to_canonical(), btext);
             let dp = stage_allocate(&spec, &sched, options.adder_arch);
-            let dtext = dp.to_canonical();
-            let ddec = Datapath::from_canonical(&dtext).expect("canonical datapath parses");
-            prop_assert_eq!(ddec.to_canonical(), dtext);
             let fresh = stage_time("prop", &spec, &sched, &dp, &options.timing);
-            let reheated = stage_time("prop", &spec, &sdec, &ddec, &options.timing);
+            let priced = bdec.price(options.adder_arch);
+            let reheated = stage_time("prop", &spec, &sdec, &priced, &options.timing);
             prop_assert_eq!(reheated.to_canonical(), fresh.to_canonical());
 
             let itext = fresh.to_canonical();

@@ -645,7 +645,7 @@ mod tests {
             // The evicted job is a disk hit with a store, a miss without.
             let again = engine.run(vec![jobs[0].clone()]);
             assert_eq!((again.stats.cache_hits, again.stats.cache_misses), evicted);
-            assert_eq!(again.stats.stage_hits + again.stats.stage_misses, evicted.1 * 7);
+            assert_eq!(again.stats.stage_hits + again.stats.stage_misses, evicted.1 * 5);
             let got = again.cells[0].result.as_ref().as_ref().unwrap();
             assert_eq!(serde_json::to_string(got).unwrap(), expected);
         }

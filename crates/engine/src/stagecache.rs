@@ -12,35 +12,54 @@
 //! ```text
 //! stage        key material (joined with \x1f, then FNV-128 hashed)
 //! ─────        ──────────────────────────────────────────────────────
-//! extract      "extract", canonical spec text
-//! fragment     "fragment", canonical kernel text, λ
-//! verify       "verify", spec text, fragmented spec text, vectors
-//! sched_base   "sched_base", spec text, λ, chaining, balance
-//! sched_frag   "sched_frag", kernel text, λ, balance
-//! alloc_*      producing-schedule material + adder architecture
+//! extract      "extract", #spec
+//! fragment     "fragment", #kernel, λ
+//! verify       "verify", #spec, #fragmented spec, vectors
+//! sched_base   "sched_base", #spec, λ, chaining, balance
+//! sched_frag   "sched_frag", #kernel, λ, balance
 //! ```
 //!
-//! Timing is not a stage: `bittrans_core::stage_time` is arithmetic over
-//! the schedule and datapath the call has just resolved, cheaper to redo
-//! than to key, memoize and spill, so it runs inline on every call.
+//! Keys chain through 128-bit digests, never through artifact text:
+//!
+//! ```text
+//! digest            of the text                           computed
+//! ──────            ───────────                           ────────
+//! #spec             the spec's pretty-printed form        once per call
+//! #kernel           `extract`'s canonical body            once per artifact
+//! #fragmented spec  the spec document in `fragment`'s     once per artifact
+//!                   canonical body
+//! ```
+//!
+//! `StageCache::resolve` returns each artifact with its digest, computed
+//! once from the text the artifact was spilled as, charged as or loaded
+//! from, and kept in its memo slot, so no call renders or hashes a kernel
+//! or a fragmented spec again.
+//!
+//! Each flow stores one artifact, `sched_base` or `sched_frag`: its
+//! schedule together with that schedule's adder-invariant
+//! [`Binding`] (`bittrans_core::stage_bind`). Binding reads nothing the
+//! schedule's key does not pin already, so a stage of its own would only
+//! add a key, a memo entry and a file. Pricing the binding for the job's
+//! adder ([`Binding::price`]) and timing the result
+//! (`bittrans_core::stage_time`) are arithmetic, cheaper to redo than to
+//! key, memoize and spill, so both run inline on every call.
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
-//! "artifact" is the canonical spec text itself, computed once per
-//! `StageCache::compare_staged` call and embedded in every downstream
-//! key (it is not separately cached — producing the key would cost as
-//! much as producing the artifact).
+//! "artifact" is the spec's text itself, rendered and digested once per
+//! `StageCache::compare_staged` call (it is not separately cached —
+//! producing the key would cost as much as producing the artifact).
 //!
-//! Because keys chain through *artifact content* (the fragment key hashes
-//! the extracted kernel's text, not the original spec's), an edit that
+//! Because keys chain through *artifact content* (the fragment key holds
+//! the extracted kernel's digest, not the original spec's), an edit that
 //! does not change a stage's inputs does not invalidate anything
 //! downstream of it, and two different specs with the same kernel share
 //! every post-extraction stage. Concretely:
 //!
 //! * a latency sweep over one spec shares the latency-invariant prefix
 //!   (one `extract`) across all points;
-//! * an adder-architecture axis shares `extract`, `fragment`, `verify`
-//!   and both schedules, and recomputes only allocation; a timing-model
-//!   axis shares every stage;
+//! * an adder-architecture axis and a timing-model axis share every
+//!   stage: only the inline pricing and timing differ;
+//! * latencies that fragment to the same spec share one `verify`;
 //! * a spec edit recomputes only its downstream suffix.
 //!
 //! # Storage
@@ -92,8 +111,8 @@
 //! filesystem itself is the index (no manifest to rebuild, nothing listed
 //! at open); `cache prune` sweeps the directory oldest-first (every key
 //! resident in the memo is pinned). Legacy schema-1 verify tokens
-//! (`<key>.json`, from builds predating the codec) are simply ignored
-//! until pruned.
+//! (`<key>.json`, from builds predating the codec) and the files of
+//! retired kinds (`time_*`, `alloc_*`) are simply ignored until pruned.
 //!
 //! Every resolution emits one `stage` trace event whose `provenance`
 //! (`memory` / `disk` / `computed`) reconciles exactly with the
@@ -105,10 +124,11 @@ use crate::job::JobResult;
 use crate::key::JobKey;
 use crate::trace;
 use bittrans_core::{
-    stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
-    stage_schedule_fragments, stage_time, stage_verify, Chaining, CompareOptions, Comparison,
-    Datapath, Fragmented, PipelineError, Schedule,
+    stage_bind, stage_extract, stage_fragment, stage_schedule_conventional,
+    stage_schedule_fragments, stage_time, stage_verify, Binding, Chaining, CompareOptions,
+    Comparison, Fragmented, Implementation, PipelineError, Schedule,
 };
+use bittrans_ir::canonical::{write_end, write_header, Cursor};
 use bittrans_ir::Spec;
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -120,7 +140,7 @@ use std::time::SystemTime;
 /// Bound on the memo's charged bytes, finished jobs and stage artifacts
 /// alike: each resident value costs its canonical body length plus
 /// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid
-/// (875 artifacts, 3.34 MB of canonical text) without evicting. An
+/// (443 artifacts, 2.46 MB of canonical text) without evicting. An
 /// evicted entry falls back to the store when one is attached, and to
 /// recomputation otherwise.
 pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
@@ -188,19 +208,21 @@ impl StageStore {
     }
 
     /// Reads `key`'s file and decodes it as a `stage` artifact, returning
-    /// it with its body length (the memo's charge). A file that exists but
-    /// fails to decode — wrong schema (older *or* newer), an envelope
-    /// naming another stage, a corrupt body — is deleted so the
+    /// it with its body text (what the memo charges and digests). A file
+    /// that exists but fails to decode — wrong schema (older *or* newer),
+    /// an envelope naming another stage, a corrupt body — is deleted so the
     /// recompute's respill repairs it.
-    fn load<T: Artifact>(&self, key: JobKey, stage: &str) -> Option<(T, usize)> {
+    fn load<T: Artifact>(&self, key: JobKey, stage: &str) -> Option<(T, String)> {
         let path = self.path(key);
-        let text = std::fs::read_to_string(&path).ok()?;
+        let mut text = std::fs::read_to_string(&path).ok()?;
         let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
         let value = if envelope == Self::envelope(stage) { T::decode(body) } else { None };
-        if value.is_none() {
+        let Some(value) = value else {
             let _ = std::fs::remove_file(&path);
-        }
-        value.map(|value| (value, body.len()))
+            return None;
+        };
+        text.drain(..text.len() - body.len());
+        Some((value, text))
     }
 
     /// Best-effort spill: hidden temp file in the same directory, then
@@ -227,7 +249,7 @@ impl StageStore {
     /// Loads a finished job's comparison and its body length; `None` when
     /// absent or corrupt (a corrupt file is deleted).
     pub(crate) fn load_job(&self, key: JobKey) -> Option<(Comparison, usize)> {
-        self.load(key, JOB_STAGE)
+        self.load(key, JOB_STAGE).map(|(comparison, body)| (comparison, body.len()))
     }
 
     /// Every regular, non-hidden file of the store — `job` and stage
@@ -269,6 +291,12 @@ trait Artifact: Sized + Send + Sync + 'static {
     /// Decodes a file body; `None` marks the file corrupt (delete →
     /// recompute → respill).
     fn decode(body: &str) -> Option<Self>;
+    /// The digest downstream keys chain through, of canonical body `body`:
+    /// all of it, unless a downstream stage reads only part of the
+    /// artifact.
+    fn digest(body: &str) -> JobKey {
+        JobKey::of_bytes(body.as_bytes())
+    }
 }
 
 /// Each artifact type's `to_canonical` / `from_canonical` codec.
@@ -285,7 +313,22 @@ macro_rules! canonical_artifacts {
     )*};
 }
 
-canonical_artifacts!(Spec, Fragmented, Schedule, Datapath, Comparison);
+canonical_artifacts!(Spec, Comparison);
+
+/// `verify` reads only the fragmented spec, so a fragmentation's digest
+/// covers only the spec document embedded in its body: latencies that
+/// fragment to the same spec share one verification.
+impl Artifact for Fragmented {
+    fn encode(&self) -> String {
+        self.to_canonical()
+    }
+    fn decode(body: &str) -> Option<Self> {
+        Self::from_canonical(body).ok()
+    }
+    fn digest(body: &str) -> JobKey {
+        JobKey::of_bytes(Fragmented::spec_document(body).unwrap_or(body).as_bytes())
+    }
+}
 
 /// `verify`'s artifact is the fact that equivalence checking passed: an
 /// empty body.
@@ -298,8 +341,63 @@ impl Artifact for () {
     }
 }
 
-/// One memo slot. What lands in it is a stage's `Result<Arc<T>,
-/// PipelineError>` for its [`Artifact`] type `T`, a finished job's
+/// A flow's one stored artifact (`sched_base` / `sched_frag`): its
+/// schedule and that schedule's adder-invariant binding.
+struct Bound {
+    schedule: Schedule,
+    binding: Binding,
+}
+
+/// Schema version of the canonical [`Bound`] body.
+const BOUND_SCHEMA: u32 = 1;
+
+impl Bound {
+    /// `schedule` of `spec`, bound.
+    fn of(spec: &Spec, schedule: Schedule) -> Bound {
+        let binding = stage_bind(spec, &schedule);
+        Bound { schedule, binding }
+    }
+
+    /// The design point of `spec` under this schedule, priced with the
+    /// job's adder and timed with its timing model.
+    fn implementation(&self, name: &str, spec: &Spec, options: &CompareOptions) -> Implementation {
+        let datapath = self.binding.price(options.adder_arch);
+        stage_time(name, spec, &self.schedule, &datapath, &options.timing)
+    }
+}
+
+/// ```text
+/// bittrans-canonical bound 1
+/// <embedded canonical schedule document>
+/// <embedded canonical binding document>
+/// end bound
+/// ```
+impl Artifact for Bound {
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        write_header(&mut out, "bound", BOUND_SCHEMA);
+        out.push_str(&self.schedule.to_canonical());
+        out.push_str(&self.binding.to_canonical());
+        write_end(&mut out, "bound");
+        out
+    }
+    fn decode(body: &str) -> Option<Self> {
+        let mut cur = Cursor::new(body);
+        cur.header("bound", BOUND_SCHEMA).ok()?;
+        let schedule = Schedule::decode_embedded(&mut cur).ok()?;
+        let binding = Binding::decode_embedded(&mut cur).ok()?;
+        cur.end("bound").ok()?;
+        Some(Bound { schedule, binding })
+    }
+}
+
+/// A resolved stage: the artifact with the digest of the canonical text
+/// it was spilled as, charged as or loaded from ([`Artifact::digest`]),
+/// or the stage's error. This is what a stage's memo slot holds.
+type Resolved<T> = Result<(Arc<T>, JobKey), PipelineError>;
+
+/// One memo slot. What lands in it is a stage's [`Resolved<T>`] for its
+/// [`Artifact`] type `T`, a finished job's
 /// [`JobResult`], or [`Abandoned`] when a job's computation panicked.
 pub(crate) type Slot = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
@@ -507,8 +605,10 @@ impl StageCache {
     /// to the attached store (one encoding serves the spill and the
     /// memo's charge), then sets the slot and charges it.
     pub(crate) fn land(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>) {
-        let body =
-            result.as_ref().as_ref().map_or(0, |comparison| self.spill(key, JOB_STAGE, comparison));
+        let body = result
+            .as_ref()
+            .as_ref()
+            .map_or(0, |comparison| self.spill(key, JOB_STAGE, comparison).len());
         self.settle(key, slot, result, body);
     }
 
@@ -543,30 +643,36 @@ impl StageCache {
     /// the disk tier, or runs `compute` — exactly once per key, even under
     /// concurrency, because every caller funnels through the slot's
     /// `OnceLock` and an unset slot is never evicted. The caller that
-    /// fills the slot charges it.
+    /// fills the slot digests and charges it.
     fn resolve<T: Artifact>(
         &self,
         key: JobKey,
         stage: &'static str,
         tally: &StageTally,
         compute: impl FnOnce() -> Result<T, PipelineError>,
-    ) -> Result<Arc<T>, PipelineError> {
+    ) -> Resolved<T> {
         let slot = self.lock().slot(key);
         let mut provenance = "memory";
         let mut body = 0;
         let value = slot.get_or_init(|| {
             provenance = "computed";
             let result = match self.store.as_ref().and_then(|store| store.load(key, stage)) {
-                Some((artifact, bytes)) => {
-                    (provenance, body) = ("disk", bytes);
-                    Ok(artifact)
+                Some(loaded) => {
+                    provenance = "disk";
+                    Ok(loaded)
                 }
-                None => compute().inspect(|artifact| body = self.spill(key, stage, artifact)),
+                None => compute().map(|artifact| {
+                    let text = self.spill(key, stage, &artifact);
+                    (artifact, text)
+                }),
             };
-            Arc::new(result.map(Arc::new))
+            Arc::new(result.map(|(artifact, text)| {
+                body = text.len();
+                (Arc::new(artifact), T::digest(&text))
+            }))
         });
         let result = value
-            .downcast_ref::<Result<Arc<T>, PipelineError>>()
+            .downcast_ref::<Resolved<T>>()
             .cloned()
             .unwrap_or_else(|| unreachable!("stage key {key} holds another artifact type"));
         if provenance != "memory" {
@@ -584,16 +690,16 @@ impl StageCache {
     }
 
     /// Best-effort spill of a successful artifact, returning its canonical
-    /// body length — encoded once, for the memo's charge even without a
-    /// store. Errors are not spilled — they are cheap to reproduce and a
+    /// body — encoded once, for the memo's charge and digest even without
+    /// a store. Errors are not spilled — they are cheap to reproduce and a
     /// schema-visible failure marker would risk pinning a transient
     /// environment problem.
-    fn spill<T: Artifact>(&self, key: JobKey, stage: &str, artifact: &T) -> usize {
+    fn spill<T: Artifact>(&self, key: JobKey, stage: &str, artifact: &T) -> String {
         let body = artifact.encode();
         if let Some(store) = &self.store {
             store.spill(key, stage, &body);
         }
-        body.len()
+        body
     }
 
     /// Runs one comparison through the memoized stages. Composes the
@@ -609,68 +715,61 @@ impl StageCache {
         options: &CompareOptions,
         tally: &StageTally,
     ) -> Result<Comparison, PipelineError> {
-        // The parse/canonicalize "stage": one canonical rendering per
-        // call, embedded in every downstream key.
-        let spec_text = spec.to_string();
-        let balance = u8::from(options.balance);
-        let adder = options.adder_arch.code();
-        let chaining = Chaining::ComponentSum.code();
-        let lat = latency.to_string();
+        // The parse/canonicalize "stage": one rendering and one digest
+        // per call, chained into every key that reads the source spec.
+        let source = JobKey::of_bytes(spec.to_string().as_bytes());
+        let chaining = Chaining::ComponentSum;
 
-        // Baseline flow (conventional schedule of the original spec).
-        let base_sched = self.resolve(
-            stage_key(&["sched_base", &spec_text, &lat, chaining, &balance.to_string()]),
+        // Baseline flow: the conventional schedule of the original spec
+        // and its binding, priced and timed inline.
+        let (base, _) = self.resolve(
+            schedule_key("sched_base", source, latency, Some(chaining), options),
             "sched_base",
             tally,
-            || stage_schedule_conventional(spec, latency, Chaining::ComponentSum, options.balance),
+            || {
+                stage_schedule_conventional(spec, latency, chaining, options.balance)
+                    .map(|schedule| Bound::of(spec, schedule))
+            },
         )?;
-        let base_dp = self.resolve(
-            stage_key(&["alloc_base", &spec_text, &lat, chaining, &balance.to_string(), adder]),
-            "alloc_base",
-            tally,
-            || Ok(stage_allocate(spec, &base_sched, options.adder_arch)),
-        )?;
-        // Timing is arithmetic over the schedule and datapath just
-        // resolved: cheaper to redo than to key, memoize and spill.
-        let original = stage_time(spec.name(), spec, &base_sched, &base_dp, &options.timing);
+        let original = base.implementation(spec.name(), spec, options);
 
         // Optimized flow. `extract` is the latency-invariant prefix: one
         // per spec, shared by every point of a sweep. Everything after
-        // it keys on the *kernel's* content, so specs that extract to
-        // the same kernel share the whole suffix.
-        let kernel = self.resolve(stage_key(&["extract", &spec_text]), "extract", tally, || {
-            stage_extract(spec)
-        })?;
-        let kernel_text = kernel.to_string();
-        let fragmented =
-            self.resolve(stage_key(&["fragment", &kernel_text, &lat]), "fragment", tally, || {
-                stage_fragment(&kernel, latency)
+        // it keys on the *kernel's* digest, so specs that extract to the
+        // same kernel share the whole suffix.
+        let (kernel, kernel_digest) =
+            self.resolve(stage_key(&["extract", &source.to_string()]), "extract", tally, || {
+                stage_extract(spec)
             })?;
+        let (fragmented, fragmented_digest) = self.resolve(
+            stage_key(&["fragment", &kernel_digest.to_string(), &latency.to_string()]),
+            "fragment",
+            tally,
+            || stage_fragment(&kernel, latency),
+        )?;
         if options.verify_vectors > 0 {
-            // Keyed on the *fragmented* spec's content: two latencies
-            // that fragment identically share one verification.
-            let frag_text = fragmented.spec.to_string();
             self.resolve(
-                stage_key(&["verify", &spec_text, &frag_text, &options.verify_vectors.to_string()]),
+                stage_key(&[
+                    "verify",
+                    &source.to_string(),
+                    &fragmented_digest.to_string(),
+                    &options.verify_vectors.to_string(),
+                ]),
                 "verify",
                 tally,
                 || stage_verify(spec, &fragmented.spec, options.verify_vectors),
             )?;
         }
-        let frag_sched = self.resolve(
-            stage_key(&["sched_frag", &kernel_text, &lat, &balance.to_string()]),
+        let (bound, _) = self.resolve(
+            schedule_key("sched_frag", kernel_digest, latency, None, options),
             "sched_frag",
             tally,
-            || stage_schedule_fragments(&fragmented, options.balance),
+            || {
+                stage_schedule_fragments(&fragmented, options.balance)
+                    .map(|schedule| Bound::of(&fragmented.spec, schedule))
+            },
         )?;
-        let frag_dp = self.resolve(
-            stage_key(&["alloc_frag", &kernel_text, &lat, &balance.to_string(), adder]),
-            "alloc_frag",
-            tally,
-            || Ok(stage_allocate(&fragmented.spec, &frag_sched, options.adder_arch)),
-        )?;
-        let optimized =
-            stage_time(spec.name(), &fragmented.spec, &frag_sched, &frag_dp, &options.timing);
+        let optimized = bound.implementation(spec.name(), &fragmented.spec, options);
 
         Ok(Comparison { original, optimized })
     }
@@ -680,6 +779,25 @@ impl StageCache {
 /// separator [`crate::key`] uses, FNV-128 hashed.
 fn stage_key(parts: &[&str]) -> JobKey {
     JobKey::of_bytes(parts.join("\x1f").as_bytes())
+}
+
+/// The key of a flow's schedule artifact, `stage` (`sched_base` or
+/// `sched_frag`): the digest of the spec it schedules, λ, the baseline's
+/// chaining model and balance. The adder and the timing model are not in
+/// it: only the inline pricing and timing read them.
+fn schedule_key(
+    stage: &str,
+    source: JobKey,
+    latency: u32,
+    chaining: Option<Chaining>,
+    options: &CompareOptions,
+) -> JobKey {
+    let (source, latency) = (source.to_string(), latency.to_string());
+    let balance = u8::from(options.balance).to_string();
+    match chaining {
+        Some(chaining) => stage_key(&[stage, &source, &latency, chaining.code(), &balance]),
+        None => stage_key(&[stage, &source, &latency, &balance]),
+    }
 }
 
 #[cfg(test)]
@@ -743,19 +861,43 @@ mod tests {
         let tally = StageTally::default();
         let rca = CompareOptions::default();
         cache.compare_staged(&spec, 3, &rca, &tally).unwrap();
-        assert_eq!((tally.hits(), tally.misses()), (0, 7), "a cold point computes all 7 stages");
+        assert_eq!((tally.hits(), tally.misses()), (0, 5), "a cold point computes all 5 stages");
 
         for arch in [bittrans_rtl::AdderArch::CarryLookahead, bittrans_rtl::AdderArch::CarrySelect]
         {
             let options = CompareOptions { adder_arch: arch, ..CompareOptions::default() };
             let (h0, m0) = (tally.hits(), tally.misses());
-            cache.compare_staged(&spec, 3, &options, &tally).unwrap();
-            // Shared: extract, fragment, verify, and both schedules (the
-            // adder only enters at allocation). Recomputed: both alloc
-            // stages.
-            assert_eq!(tally.hits() - h0, 5, "{arch:?}: extract+fragment+verify+2×sched shared");
-            assert_eq!(tally.misses() - m0, 2, "{arch:?}: 2×alloc recomputed");
+            let staged = cache.compare_staged(&spec, 3, &options, &tally).unwrap();
+            // Shared: extract, fragment, verify and both bound schedules
+            // (the adder only enters at the inline pricing).
+            assert_eq!(tally.hits() - h0, 5, "{arch:?}: every stage shared");
+            assert_eq!(tally.misses() - m0, 0, "{arch:?}: nothing recomputed");
+            assert_eq!(
+                serde_json::to_string(&staged).unwrap(),
+                serde_json::to_string(&compare(&spec, 3, &options).unwrap()).unwrap(),
+                "{arch:?}"
+            );
         }
+    }
+
+    #[test]
+    fn latencies_that_fragment_alike_share_one_verify() {
+        let spec = three_adds();
+        let kernel = stage_extract(&spec).unwrap();
+        let (six, seven) =
+            (stage_fragment(&kernel, 6).unwrap(), stage_fragment(&kernel, 7).unwrap());
+        assert_eq!(six.spec, seven.spec, "λ = 6 and 7 fragment to one spec");
+        assert_ne!(six.to_canonical(), seven.to_canonical(), "but to different artifacts");
+
+        let cache = StageCache::default();
+        let tally = StageTally::default();
+        let options = CompareOptions::default();
+        cache.compare_staged(&spec, 6, &options, &tally).unwrap();
+        let (h0, m0) = (tally.hits(), tally.misses());
+        cache.compare_staged(&spec, 7, &options, &tally).unwrap();
+        // Shared: extract and verify. Computed: the fragmentation and
+        // both bound schedules of λ = 7.
+        assert_eq!((tally.hits() - h0, tally.misses() - m0), (2, 3));
     }
 
     #[test]
@@ -786,7 +928,7 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(files.len(), 7, "all seven stages spilled: {files:?}");
+        assert_eq!(files.len(), 5, "all five stages spilled: {files:?}");
         assert!(files.iter().all(|f| f.ends_with(".stage")), "{files:?}");
 
         // A fresh cache (fresh process) over the same directory loads
@@ -797,7 +939,7 @@ mod tests {
         let fresh_tally = StageTally::default();
         let second = fresh.compare_staged(&spec, 3, &options, &fresh_tally).unwrap();
         assert_eq!(fresh_tally.misses(), 0, "warm directory recomputes zero stages");
-        assert_eq!(fresh_tally.hits(), 7, "all seven stages served from disk");
+        assert_eq!(fresh_tally.hits(), 5, "all five stages served from disk");
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
@@ -818,7 +960,7 @@ mod tests {
         seed.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
         let paths: Vec<_> =
             std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap().map(|e| e.unwrap().path()).collect();
-        assert_eq!(paths.len(), 7);
+        assert_eq!(paths.len(), 5);
 
         // Each corruption is invalid for *every* stage: empty, future
         // schema, junk, and a truncated envelope.
@@ -877,7 +1019,7 @@ mod tests {
     }
 
     /// A cache dir holding one finished job (λ = 3 of [`three_adds`]) and
-    /// its seven stage files, plus the job's key.
+    /// its five stage files, plus the job's key.
     fn seeded_job_dir(tag: &str) -> (PathBuf, JobKey) {
         let dir = tempdir(tag);
         let job = crate::Job::with_options(
@@ -927,14 +1069,14 @@ mod tests {
     fn an_envelope_naming_another_stage_is_deleted_and_recomputed() {
         let (dir, key) = seeded_job_dir("job-wrong-stage");
         let store = StageStore::of(&dir);
-        // Swap envelopes: the job file claims to be an allocation and
-        // every stage file claims to be a job — each body otherwise intact.
+        // Swap envelopes: the job file claims to be a schedule and every
+        // stage file claims to be a job — each body otherwise intact.
         let job_file = store.path(key);
         for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
             let path = entry.unwrap().path();
             let text = std::fs::read_to_string(&path).unwrap();
             let (_, body) = text.split_once('\n').unwrap();
-            let stage = if path == job_file { "alloc_base" } else { "job" };
+            let stage = if path == job_file { "sched_base" } else { "job" };
             std::fs::write(&path, format!("bittrans-stage 2 {stage} ok\n{body}")).unwrap();
         }
         assert!(store.load_job(key).is_none(), "a mislabelled job is never served");
@@ -943,13 +1085,13 @@ mod tests {
         let stats = rerun(&dir);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.stage_hits, 0, "no mislabelled stage file may hit");
-        assert_eq!(stats.stage_misses, 7);
+        assert_eq!(stats.stage_misses, 5);
         assert!(store.load_job(key).is_some(), "the respill repaired the job file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn the_store_holds_seven_stage_kinds_and_leaves_old_time_files_to_prune() {
+    fn the_store_holds_five_stage_kinds_and_leaves_old_alloc_and_time_files_to_prune() {
         let (dir, key) = seeded_job_dir("store-layout");
         let store = StageStore::of(&dir);
         let kind = |path: &Path| {
@@ -958,36 +1100,92 @@ mod tests {
         };
         let mut kinds: Vec<String> = store.files().iter().map(|f| kind(&f.path)).collect();
         kinds.sort();
-        let expected = [
-            "alloc_base",
-            "alloc_frag",
-            "extract",
-            "fragment",
-            "job",
-            "sched_base",
-            "sched_frag",
-            "verify",
-        ];
+        let expected = ["extract", "fragment", "job", "sched_base", "sched_frag", "verify"];
         assert_eq!(kinds, expected, "a cold job writes one file per kind");
 
-        // A timing file an older build spilled: no run reads or deletes it.
+        // Files older builds spilled: a timing file and a per-adder
+        // datapath. No run reads or deletes them.
         let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
         let original = compare(&three_adds(), 3, &options).unwrap().original;
-        let planted = store.path(JobKey::of_bytes(b"time_base of an older build"));
-        let text = format!("bittrans-stage 2 time_base ok\n{}", original.to_canonical());
-        std::fs::write(&planted, &text).unwrap();
+        let planted = [
+            (
+                store.path(JobKey::of_bytes(b"time_base of an older build")),
+                format!("bittrans-stage 2 time_base ok\n{}", original.to_canonical()),
+            ),
+            (
+                store.path(JobKey::of_bytes(b"alloc_base of an older build")),
+                "bittrans-stage 2 alloc_base ok\nbittrans-canonical datapath 1\n\
+                 adder_arch rca\nstored_bits 0\n\
+                 area 4064400000000000 0000000000000000 0000000000000000 403e000000000000\n\
+                 controller ctrl:1:0\nfus 1\nfu adder 16 16 1 0:1 1 0\nregisters 0\n\
+                 muxes 0\nglue 0\nend datapath\n"
+                    .to_owned(),
+            ),
+        ];
+        for (path, text) in &planted {
+            std::fs::write(path, text).unwrap();
+        }
         std::fs::remove_file(store.path(key)).unwrap();
         let stats = rerun(&dir);
-        assert_eq!((stats.stage_hits, stats.stage_misses), (7, 0), "every stage from disk");
-        assert_eq!(std::fs::read_to_string(&planted).unwrap(), text, "the old file is untouched");
+        assert_eq!((stats.stage_hits, stats.stage_misses), (5, 0), "every stage from disk");
+        for (path, text) in &planted {
+            assert_eq!(&std::fs::read_to_string(path).unwrap(), text, "the old file is untouched");
+        }
 
-        // `cache prune` counts it like any other file, and removes it.
+        // `cache prune` counts them like any other file, and removes them.
         let engine = crate::Engine::default().with_cache_dir(&dir).unwrap();
         let report =
             engine.prune_cache(crate::PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
-        assert_eq!((report.scanned, report.removed, report.kept), (9, 9, 0));
-        assert!(!planted.exists());
+        assert_eq!((report.scanned, report.removed, report.kept), (8, 8, 0));
+        assert!(planted.iter().all(|(path, _)| !path.exists()));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_schedule_key_ignores_adder_and_timing_but_not_latency_balance_or_chaining() {
+        let source = JobKey::of_bytes(b"a spec's digest");
+        let options = CompareOptions::default();
+        let base = |latency, chaining, options: &CompareOptions| {
+            schedule_key("sched_base", source, latency, Some(chaining), options)
+        };
+        let key = base(3, Chaining::ComponentSum, &options);
+        let slow = bittrans_timing::TimingModel { delta_ns: 1.5, overhead_ns: 0.25 };
+        for other in [
+            CompareOptions { adder_arch: bittrans_rtl::AdderArch::CarryLookahead, ..options },
+            CompareOptions { adder_arch: bittrans_rtl::AdderArch::CarrySelect, ..options },
+            CompareOptions { timing: slow, ..options },
+            CompareOptions { verify_vectors: 7, ..options },
+        ] {
+            assert_eq!(base(3, Chaining::ComponentSum, &other), key, "{other:?}");
+        }
+        let unbalanced = CompareOptions { balance: false, ..options };
+        for changed in [
+            base(4, Chaining::ComponentSum, &options),
+            base(3, Chaining::BitLevel, &options),
+            base(3, Chaining::Disabled, &options),
+            base(3, Chaining::ComponentSum, &unbalanced),
+            schedule_key(
+                "sched_base",
+                JobKey::of_bytes(b"another"),
+                3,
+                Some(Chaining::ComponentSum),
+                &options,
+            ),
+        ] {
+            assert_ne!(changed, key);
+        }
+
+        // The fragment schedule has no chaining model; the rest holds.
+        let frag = |latency, options: &CompareOptions| {
+            schedule_key("sched_frag", source, latency, None, options)
+        };
+        let key = frag(3, &options);
+        let cla = CompareOptions { adder_arch: bittrans_rtl::AdderArch::CarryLookahead, ..options };
+        assert_eq!(frag(3, &cla), key);
+        assert_eq!(frag(3, &CompareOptions { timing: slow, ..options }), key);
+        assert_ne!(frag(4, &options), key);
+        assert_ne!(frag(3, &unbalanced), key);
+        assert_ne!(key, base(3, Chaining::ComponentSum, &options), "the flows never share a key");
     }
 
     #[test]
@@ -1126,14 +1324,9 @@ mod tests {
         let stages = &engine.shared.stages;
         // The gate: this test holds the job's first stage, `sched_base`,
         // mid-compute, so the job stays in flight until the gate opens.
-        let balance = u8::from(job.options.balance).to_string();
-        let first_stage = stage_key(&[
-            "sched_base",
-            &spec.to_string(),
-            "3",
-            Chaining::ComponentSum.code(),
-            &balance,
-        ]);
+        let source = JobKey::of_bytes(spec.to_string().as_bytes());
+        let first_stage =
+            schedule_key("sched_base", source, 3, Some(Chaining::ComponentSum), &job.options);
         let (open, gate) = std::sync::mpsc::channel::<()>();
         let gate = Mutex::new(gate);
         let entered = AtomicU64::new(0);
@@ -1155,6 +1348,7 @@ mod tests {
                         Chaining::ComponentSum,
                         job.options.balance,
                     )
+                    .map(|schedule| Bound::of(&spec, schedule))
                 })
             });
             while entered.load(Ordering::SeqCst) == 0 {

@@ -43,6 +43,7 @@ use crate::op::{OpKind, Operation};
 use crate::operand::Operand;
 use crate::spec::{OutputPort, Spec, Value, ValueDef};
 use crate::types::{BitRange, OpId, Signedness, ValueId};
+use crate::MAX_WIDTH;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -316,6 +317,11 @@ pub fn operand_from_token(token: &str) -> Result<Operand, String> {
         let v: u32 = v.and_then(|t| t.parse().ok()).ok_or_else(bad)?;
         let lo: u32 = lo.and_then(|t| t.parse().ok()).ok_or_else(bad)?;
         let w: u32 = w.and_then(|t| t.parse().ok()).ok_or_else(bad)?;
+        // No value is wider than `MAX_WIDTH`, so no slice ends past it; an
+        // end that overflows `u32` would wrap into range in validation.
+        if lo.checked_add(w).is_none_or(|end| end > MAX_WIDTH) {
+            return Err(format!("slice {token:?} ends past the maximum width of {MAX_WIDTH}"));
+        }
         return Ok(Operand::slice(ValueId::from_index(v as usize), BitRange::new(lo, w)));
     }
     if let Some(rest) = token.strip_prefix('v') {
@@ -767,6 +773,13 @@ mod tests {
         }
         assert!(operand_from_token("x9").is_err());
         assert!(operand_from_token("k3:01").is_err(), "width mismatch");
+        // A slice end past `MAX_WIDTH` is corrupt, even when `lo + width`
+        // overflows `u32` and would wrap to a small end.
+        assert!(operand_from_token("s0:1020:4").is_ok());
+        for token in ["s0:1020:5", "s0:4294967295:2", "s0:0:4294967295"] {
+            let err = operand_from_token(token).unwrap_err();
+            assert!(err.contains("ends past the maximum width of 1024"), "{token}: {err}");
+        }
     }
 
     #[test]

@@ -254,7 +254,9 @@ fn lex(text: &str) -> Result<Vec<SpannedTok>, ParseError> {
 #[derive(Debug, Clone)]
 enum Expr {
     Operand(Operand),
-    Ident(String, Option<BitRange>),
+    /// A name, optionally sliced `[hi:lo]` with the bounds as written:
+    /// lowering checks them against the named value's width.
+    Ident(String, Option<(u64, u64)>),
     Unary(OpKind, Box<Expr>),
     Binary(OpKind, Box<Expr>, Box<Expr>),
     Call(OpKind, Vec<Expr>),
@@ -572,15 +574,15 @@ impl Parser {
                 }
                 // Optional slice.
                 if self.eat_sym("[") {
-                    let hi = self.expect_number()? as u32;
+                    let hi = self.expect_number()?;
                     let range = if self.eat_sym(":") {
-                        let lo = self.expect_number()? as u32;
+                        let lo = self.expect_number()?;
                         if hi < lo {
                             return Err(self.err(format!("slice [{hi}:{lo}] has hi < lo")));
                         }
-                        BitRange::inclusive(hi, lo)
+                        (hi, lo)
                     } else {
-                        BitRange::new(hi, 1)
+                        (hi, hi)
                     };
                     self.expect_sym("]")?;
                     Ok(Expr::Ident(name, Some(range)))
@@ -739,21 +741,24 @@ impl Lowerer {
                     .get(name)
                     .cloned()
                     .ok_or_else(|| ParseError::new(0, 0, format!("unknown name `{name}`")))?;
-                match range {
+                match *range {
                     None => Ok((sym.operand, sym.signedness)),
-                    Some(r) => {
-                        if r.end() > self.width_of(&sym.operand) {
+                    Some((hi, lo)) => {
+                        let width = self.width_of(&sym.operand);
+                        // Compared as written: an index past `u32::MAX`
+                        // must not wrap into range.
+                        if hi >= u64::from(width) {
+                            let slice =
+                                if hi == lo { format!("[{hi}]") } else { format!("[{hi}:{lo}]") };
                             return Err(ParseError::new(
                                 0,
                                 0,
-                                format!(
-                                    "slice {r} of `{name}` exceeds its width {}",
-                                    self.width_of(&sym.operand)
-                                ),
+                                format!("slice {slice} of `{name}` exceeds its width {width}"),
                             ));
                         }
+                        let r = BitRange::inclusive(hi as u32, lo as u32);
                         // A slice re-interprets raw bits: unsigned.
-                        Ok((sym.operand.subrange(*r), Signedness::Unsigned))
+                        Ok((sym.operand.subrange(r), Signedness::Unsigned))
                     }
                 }
             }
@@ -1008,6 +1013,25 @@ mod tests {
     fn error_on_bad_slice() {
         let err = parse_spec("spec s { input a: u4; output o = a[9:0]; }").unwrap_err();
         assert!(err.to_string().contains("exceeds"));
+    }
+
+    #[test]
+    fn slice_indices_past_u32_are_rejected_not_wrapped() {
+        // 4294967296 = 2^32 once wrapped to bit 0, and 4294967295 wrapped
+        // its range end to 0: both read as in range.
+        for (slice, shown) in [
+            ("a[9]", "[9]"),
+            ("a[4294967295]", "[4294967295]"),
+            ("a[4294967296]", "[4294967296]"),
+            ("a[4294967296:0]", "[4294967296:0]"),
+            ("a[18446744073709551615]", "[18446744073709551615]"),
+        ] {
+            let err = parse_spec(&format!("spec s {{ input a: u8; o: u1 = {slice}; output o; }}"))
+                .unwrap_err();
+            let why = format!("slice {shown} of `a` exceeds its width 8");
+            assert!(err.to_string().contains(&why), "{slice}: {err}");
+        }
+        parse_spec("spec s { input a: u8; o: u2 = a[7:6]; output o; }").unwrap();
     }
 
     #[test]

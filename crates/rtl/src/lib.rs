@@ -42,7 +42,7 @@ use std::fmt;
 /// Adder micro-architecture, for the paper's closing remark that "big
 /// reductions … can also be achieved by using faster and more expensive
 /// adders".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum AdderArch {
     /// Ripple-carry: delay `w`δ, the cheapest (the paper's experiments).
     #[default]
@@ -111,7 +111,7 @@ impl fmt::Display for AdderArch {
 }
 
 /// Bitwise glue gate families, with per-bit gate-equivalent costs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GateKind {
     /// Inverter, 0.5 gates/bit.
     Not,
@@ -133,7 +133,7 @@ impl GateKind {
 }
 
 /// One datapath or controller component.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
     /// An adder functional unit.
     Adder {

@@ -53,43 +53,63 @@ impl Schedule {
     /// [`Schedule::new`]'s panic).
     pub fn from_canonical(text: &str) -> Result<Schedule, CodecError> {
         let mut cur = Cursor::new(text);
-        cur.header("schedule", SCHEDULE_SCHEMA)?;
-        let f = cur.tagged("latency")?;
-        if f.len() != 1 {
-            return Err(cur.err("malformed latency line"));
-        }
-        let latency: u32 = cur.num(f[0], "latency")?;
-        let f = cur.tagged("cycle")?;
-        if f.len() != 1 {
-            return Err(cur.err("malformed cycle line"));
-        }
-        let cycle: Delta = cur.num(f[0], "cycle length")?;
-        let f = cur.tagged("assignment")?;
-        if f.len() != 1 {
-            return Err(cur.err("malformed assignment line"));
-        }
-        let count = cur.count(f[0], "assignment count", cur.lines_left())?;
-        let mut assignment = BTreeMap::new();
-        let mut previous: Option<u32> = None;
-        for _ in 0..count {
-            let f = cur.tagged("a")?;
-            if f.len() != 2 {
-                return Err(cur.err("malformed assignment entry"));
-            }
-            let op: u32 = cur.num(f[0], "op index")?;
-            let k: u32 = cur.num(f[1], "assigned cycle")?;
-            if previous.is_some_and(|p| p >= op) {
-                return Err(cur.err(format!("assignment entries out of order at o{op}")));
-            }
-            previous = Some(op);
-            if !(1..=latency).contains(&k) {
-                return Err(cur.err(format!("o{op} assigned to cycle {k}, outside 1..={latency}")));
-            }
-            assignment.insert(OpId::from_index(op as usize), k);
-        }
+        let schedule = decode_schedule(&mut cur)?;
         cur.end("schedule")?;
-        Ok(Schedule::new(latency, cycle, assignment))
+        Ok(schedule)
     }
+
+    /// Decodes a schedule embedded inside another canonical document:
+    /// reads from `cur`'s current position through its `end schedule`
+    /// line.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Schedule::from_canonical`].
+    pub fn decode_embedded(cur: &mut Cursor<'_>) -> Result<Schedule, CodecError> {
+        let schedule = decode_schedule(cur)?;
+        cur.end_embedded("schedule")?;
+        Ok(schedule)
+    }
+}
+
+/// Decodes a schedule document from its header through its assignment
+/// list; the caller checks the `end schedule` trailer (final or embedded).
+fn decode_schedule(cur: &mut Cursor<'_>) -> Result<Schedule, CodecError> {
+    cur.header("schedule", SCHEDULE_SCHEMA)?;
+    let f = cur.tagged("latency")?;
+    if f.len() != 1 {
+        return Err(cur.err("malformed latency line"));
+    }
+    let latency: u32 = cur.num(f[0], "latency")?;
+    let f = cur.tagged("cycle")?;
+    if f.len() != 1 {
+        return Err(cur.err("malformed cycle line"));
+    }
+    let cycle: Delta = cur.num(f[0], "cycle length")?;
+    let f = cur.tagged("assignment")?;
+    if f.len() != 1 {
+        return Err(cur.err("malformed assignment line"));
+    }
+    let count = cur.count(f[0], "assignment count", cur.lines_left())?;
+    let mut assignment = BTreeMap::new();
+    let mut previous: Option<u32> = None;
+    for _ in 0..count {
+        let f = cur.tagged("a")?;
+        if f.len() != 2 {
+            return Err(cur.err("malformed assignment entry"));
+        }
+        let op: u32 = cur.num(f[0], "op index")?;
+        let k: u32 = cur.num(f[1], "assigned cycle")?;
+        if previous.is_some_and(|p| p >= op) {
+            return Err(cur.err(format!("assignment entries out of order at o{op}")));
+        }
+        previous = Some(op);
+        if !(1..=latency).contains(&k) {
+            return Err(cur.err(format!("o{op} assigned to cycle {k}, outside 1..={latency}")));
+        }
+        assignment.insert(OpId::from_index(op as usize), k);
+    }
+    Ok(Schedule::new(latency, cycle, assignment))
 }
 
 impl Chaining {

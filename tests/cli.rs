@@ -341,6 +341,24 @@ fn parse_errors_have_positions() {
     assert!(stderr.contains("parse error"), "{stderr}");
 }
 
+/// A slice index past `u32::MAX` once wrapped: `a[4294967296]` read bit 0
+/// and `check` reported a valid spec. It is rejected like `a[9]` on a `u8`.
+#[test]
+fn check_rejects_slice_indices_past_u32() {
+    let dir = std::env::temp_dir().join(format!("bittrans_cli_slices_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, index) in [("nine", "9"), ("wrapped", "4294967296")] {
+        let path = dir.join(format!("{name}.spec"));
+        let body = format!("spec sl {{ input a: u8; o: u1 = a[{index}]; output o; }}");
+        std::fs::write(&path, body).unwrap();
+        let (ok, stdout, stderr) = run(&["check", path.to_str().unwrap()]);
+        assert!(!ok, "{name} was accepted: {stdout}");
+        let why = format!("slice [{index}] of `a` exceeds its width 8");
+        assert!(stderr.contains(&why), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Widths come from outside input: a `u2000000000` declaration once asked
 /// for gigabytes and aborted `compare`. Up to `MAX_WIDTH` (1,024 bits)
 /// runs; one bit more is a parse error.

@@ -80,7 +80,8 @@ fn raw_protocol_rejections_leave_the_server_serving() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     // Canonical sources go straight to the decoder: one whose value count
     // once sized a 137 GB allocation, one with a zero-width input that
-    // once panicked extraction, and one too wide for any spec.
+    // once panicked extraction, one too wide for any spec, and one whose
+    // slice end once wrapped past `u32::MAX` into range.
     let canonical =
         bittrans::ir::Spec::parse("spec c { input a: u4; input k: u4; s: u4 = a + a; output s; }")
             .unwrap()
@@ -92,6 +93,8 @@ fn raw_protocol_rejections_leave_the_server_serving() {
     let huge_count = study(&canonical.replace("\nvalues 3\n", "\nvalues 4294967295\n"));
     let zero_width = study(&canonical.replace("\nv 1 4 in k\n", "\nv 1 0 in k\n"));
     let too_wide = study(&canonical.replace("\nv 1 4 in k\n", "\nv 1 1025 in k\n"));
+    assert!(canonical.contains(" v0 v0\n"), "drift: {canonical}");
+    let wrapped_slice = study(&canonical.replace(" v0 v0\n", " s0:4294967295:2 v0\n"));
     for (request, expect) in [
         ("{ garbage", "\"ok\":false"),
         (
@@ -115,6 +118,7 @@ fn raw_protocol_rejections_leave_the_server_serving() {
         (&huge_count, "value count 4294967295 exceeds"),
         (&zero_width, "input `k` has zero width"),
         (&too_wide, "value width 1025 exceeds the maximum of 1024"),
+        (&wrapped_slice, "ends past the maximum width of 1024"),
         (
             "{\"sources\": [\"spec w { input a: u1025; output o = a; }\"]}",
             "type width 1025 exceeds the maximum of 1024",
