@@ -14,9 +14,10 @@
 //! * **parallelism** — a [`Job`] is a `spec × latency × options` triple;
 //!   [`Engine::run`] fans a batch of jobs out across the engine's one
 //!   fair worker pool ([`sched`]) — the same pool and the same execution
-//!   routine the [`serve`] front end uses — and returns results in
-//!   submission order, so batch output is deterministic regardless of
-//!   worker count;
+//!   routine the [`serve`] front end uses — one pool task per group of
+//!   jobs that share their stages (the same spec, λ and verify vectors;
+//!   largest spec first), and returns results in submission order, so
+//!   batch output is deterministic regardless of worker count;
 //! * **content-addressed caching** — every job is keyed by a stable hash
 //!   of its canonicalized specification text, latency and options
 //!   ([`key`]); results live in one bounded in-memory memo ([`stagecache`])
@@ -132,7 +133,9 @@ impl Default for EngineOptions {
 /// The pool is a [`sched::Scheduler`] of [`Engine::worker_count`]
 /// threads, started on the first job that must compute, so an engine
 /// that only ever serves cache hits never spawns a thread. Concurrent
-/// callers share it fairly (one fairness unit per call) and, with caching
+/// callers share it fairly — one fairness unit per call, granted a pool
+/// task at a time, and a task is one stage-sharing group of the call's
+/// jobs, so a grant runs at most that group's member count of jobs — and, with caching
 /// on, share in-flight jobs: a job's memo slot is its in-flight
 /// registration, so a key another call is computing right now is joined,
 /// not recomputed, and counts as a hit.
@@ -160,18 +163,105 @@ struct Shared {
 
 impl Shared {
     /// Computes one comparison: through the memoized stage path
-    /// ([`stagecache::StageCache::compare_staged`]) when caching is
-    /// enabled — recording stage hits/misses into `tally` — or the
-    /// monolithic pipeline when it is not. Both paths compose the same
-    /// `bittrans-core` stage functions in the same order, so their
-    /// results are bit-identical.
-    fn compute(&self, job: &Job, tally: &StageTally) -> JobResult {
-        if self.options.cache {
-            self.stages.compare_staged(&job.spec, job.latency, &job.options, tally)
-        } else {
-            compare(&job.spec, job.latency, &job.options)
+    /// ([`stagecache::StageCache::compare_staged`]) when the job has a
+    /// `source` digest, i.e. caching is enabled — recording stage
+    /// hits/misses into `tally` — or the monolithic pipeline when it is
+    /// not. Both paths compose the same `bittrans-core` stage functions in
+    /// the same order, so their results are bit-identical.
+    fn compute(&self, job: &Job, source: Option<JobKey>, tally: &StageTally) -> JobResult {
+        match source {
+            Some(source) => {
+                self.stages.compare_staged(&job.spec, source, job.latency, &job.options, tally)
+            }
+            None => compare(&job.spec, job.latency, &job.options),
         }
     }
+
+    /// Runs one owned job of a group task in its own `exec.task` span: it
+    /// computes the job, emits its `computed` event and lands the result
+    /// (cached and spilled), or abandons the job's slot if it panics.
+    fn execute(&self, member: &Member, tally: &StageTally, task: &TaskContext) -> Outcome {
+        let Member { index, job, key, slot, source } = member;
+        let outcome = {
+            let _span = trace::span_under(task.parent, "exec.task", |a| {
+                a.num("slot", *index as u64).num("group", task.group as u64).num(
+                    "queue_ns",
+                    u64::try_from(task.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                );
+            });
+            catch_unwind(AssertUnwindSafe(|| {
+                let result = Arc::new(self.compute(job, *source, tally));
+                trace::event("job", |a| {
+                    a.str("key", &key.to_string())
+                        .str("provenance", "computed")
+                        .flag("ok", result.is_ok());
+                });
+                // Landing, on the worker as each job finishes, so callers
+                // waiting on the slot wake as early as possible.
+                if self.options.cache {
+                    self.stages.land(*key, slot, &result);
+                }
+                result
+            }))
+        };
+        if outcome.is_err() {
+            self.stages.abandon(*key, slot);
+        }
+        outcome
+    }
+}
+
+/// A job's result, or the payload of its panic.
+type Outcome = std::thread::Result<Arc<JobResult>>;
+
+/// One owned job of a pool task: its index among the call's jobs, the job,
+/// its key and memo slot, and its source digest when caching is on.
+struct Member {
+    index: usize,
+    job: Job,
+    key: JobKey,
+    slot: Slot,
+    source: Option<JobKey>,
+}
+
+/// What every `exec.task` span of one pool task records: the caller's
+/// span, when the call submitted, and the task's index.
+struct TaskContext {
+    parent: u64,
+    enqueued: Instant,
+    group: usize,
+}
+
+/// Splits a call's owned jobs into its pool tasks: one per stage-sharing
+/// group ([`stagecache::group_key`]), members in grid order, or one per
+/// job without caching, where nothing is shared. Groups come largest spec
+/// first (by op count; the sort is stable, so ties keep grid order), so
+/// the short groups are the last to start.
+fn stage_groups(
+    owned: Vec<(usize, Slot)>,
+    jobs: &[Job],
+    keys: &[JobKey],
+    cache: bool,
+) -> Vec<Vec<Member>> {
+    let mut groups: Vec<Vec<Member>> = Vec::new();
+    let mut group_of: HashMap<JobKey, usize> = HashMap::new();
+    for (index, slot) in owned {
+        let job = jobs[index].clone();
+        let source = cache.then(|| stagecache::source_digest(&job.spec));
+        let mut open = || {
+            groups.push(Vec::new());
+            groups.len() - 1
+        };
+        let at = match source {
+            Some(source) => *group_of
+                .entry(stagecache::group_key(source, job.latency, &job.options))
+                .or_insert_with(open),
+            None => open(),
+        };
+        groups[at].push(Member { index, job, key: keys[index], slot, source });
+    }
+    groups.sort_by_key(|members| std::cmp::Reverse(members[0].job.spec.ops().len()));
+    groups
 }
 
 impl Engine {
@@ -254,7 +344,8 @@ impl Engine {
 
     /// The pool's gauges (the `serve` front end's `{"stats": true}`
     /// payload); all zero but `workers` while the pool is not started.
-    pub(crate) fn sched_stats(&self) -> SchedStats {
+    /// A task is one stage-sharing group of a call's computed jobs.
+    pub fn sched_stats(&self) -> SchedStats {
         self.pool.get().map_or_else(
             || SchedStats { workers: self.worker_count(), ..SchedStats::default() },
             Scheduler::stats,
@@ -277,18 +368,28 @@ impl Engine {
     /// file decodes lands from the store (a `disk` hit); the rest are
     /// misses. A repeat of a key is a `memory` hit when its first
     /// occurrence landed and a `duplicate` otherwise. Each hit is one `job`
-    /// trace event whose provenance reconciles with the returned counters. The owned keys go
-    /// to the pool as one fairness unit before any callback runs, so
-    /// every owned slot is landed or abandoned whatever the callback does;
-    /// each runs in an `exec.task` span under the caller's span, emits a
-    /// `computed` event and lands its result (cached and spilled). A
-    /// joined slot is waited on from this thread once this call's own
-    /// tasks are done, so joining costs no pool task. Without caching
-    /// nothing is claimed: every distinct key is computed.
+    /// trace event whose provenance reconciles with the returned counters.
+    ///
+    /// The owned keys go to the pool as one fairness unit before any
+    /// callback runs, so every owned slot is landed or abandoned whatever
+    /// the callback does. They go as one pool task per stage-sharing group
+    /// ([`stagecache::group_key`]: the same spec, λ and verify vectors),
+    /// largest spec first, whose members run in turn on one worker: the
+    /// first resolves the group's `extract`, `fragment` and `verify`, the
+    /// rest hit them and only schedule, price and time, so no worker waits
+    /// on a slot its own grid holds. Without caching nothing is shared and
+    /// each job is its own task. Each job runs in an `exec.task` span under
+    /// the caller's span (its `group` attribute is the pool task's index),
+    /// emits a `computed` event, lands its result (cached and spilled) and
+    /// reports it as it finishes; a panic is caught per job, so the group's
+    /// other members still land. A joined slot is waited on from this
+    /// thread once this call's own tasks are done, so joining costs no pool
+    /// task. Without caching nothing is claimed: every distinct key is
+    /// computed.
     ///
     /// A cell is `from_cache` when its key was a hit or an earlier cell
     /// has the same key. The report's [`EngineStats`] count hits and
-    /// misses over `jobs`, `workers` clamped to the computed-job count,
+    /// misses over `jobs`, `workers` clamped to the pool tasks submitted,
     /// this call's stage tally, and `cache_entries` = the distinct keys
     /// resolved. With caching on, they are also added once to the
     /// engine's lifetime counters.
@@ -363,61 +464,44 @@ impl Engine {
             }
         }
         let misses = owned.len() as u64;
-        let workers = self.worker_count().min(owned.len().max(1));
+        let groups = stage_groups(owned, jobs, keys, shared.options.cache);
+        let workers = self.worker_count().min(groups.len().max(1));
         // This call's stage counters: stage work another call's task did
         // on our behalf lands in *its* tally, so each stage resolution is
         // tallied exactly once.
         let tally = Arc::new(StageTally::default());
 
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<Arc<JobResult>>)>();
-        if !owned.is_empty() {
-            let parent = trace::current_span_id();
-            let enqueued = Instant::now();
-            let tasks: Vec<sched::Task> = owned
+        let (tx, rx) = mpsc::channel::<(usize, Outcome)>();
+        if !groups.is_empty() {
+            let (parent, enqueued) = (trace::current_span_id(), Instant::now());
+            let tasks: Vec<sched::Task> = groups
                 .into_iter()
-                .map(|(index, slot)| {
-                    let (job, key) = (jobs[index].clone(), keys[index]);
+                .enumerate()
+                .map(|(group, members)| {
                     let shared = Arc::clone(shared);
                     let tally = Arc::clone(&tally);
                     let tx = tx.clone();
+                    let task = TaskContext { parent, enqueued, group };
                     Box::new(move || {
-                        let outcome = {
-                            let _span = trace::span_under(parent, "exec.task", |a| {
-                                a.num("slot", index as u64).num(
-                                    "queue_ns",
-                                    u64::try_from(enqueued.elapsed().as_nanos())
-                                        .unwrap_or(u64::MAX),
-                                );
-                            });
-                            catch_unwind(AssertUnwindSafe(|| {
-                                let result = Arc::new(shared.compute(&job, &tally));
-                                trace::event("job", |a| {
-                                    a.str("key", &key.to_string())
-                                        .str("provenance", "computed")
-                                        .flag("ok", result.is_ok());
-                                });
-                                // Landing, on the worker as each job
-                                // finishes, so callers waiting on the slot
-                                // wake as early as possible.
-                                if shared.options.cache {
-                                    shared.stages.land(key, &slot, &result);
-                                }
-                                result
-                            }))
+                        let mut panicked = false;
+                        let mut report = |index: usize, outcome: Outcome| {
+                            panicked |= outcome.is_err();
+                            let _ = tx.send((index, outcome));
                         };
-                        if outcome.is_err() {
-                            shared.stages.abandon(key, &slot);
+                        let (last, rest) = members.split_last().expect("groups are non-empty");
+                        for member in rest {
+                            report(member.index, shared.execute(member, &tally, &task));
                         }
-                        // Release the shared state before reporting, so a
-                        // caller that has collected every result holds
+                        let outcome = shared.execute(last, &tally, &task);
+                        // Release the shared state before the last report,
+                        // so a caller that has collected every result holds
                         // the engine alone again (`with_cache_dir`).
                         drop(shared);
-                        let panicked = outcome.is_err();
-                        let _ = tx.send((index, outcome));
+                        report(last.index, outcome);
                         if panicked {
                             // The payload went to the caller; unwind with a
-                            // stand-in so the pool still counts the panic,
-                            // without running the panic hook a second time.
+                            // stand-in so the pool counts the task's panic
+                            // once, without running the panic hook again.
                             resume_unwind(Box::new("job panicked; payload forwarded"));
                         }
                     }) as sched::Task
@@ -650,6 +734,70 @@ mod tests {
             assert_eq!(serde_json::to_string(got).unwrap(), expected);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cold_grid_submits_one_pool_task_per_stage_sharing_group() {
+        use bittrans_rtl::AdderArch;
+        let four_adds = Spec::parse(
+            "spec ex4 { input A: u12; input B: u12; input D: u12; input F: u12; input H: u12;
+              C: u12 = A + B; E: u12 = C + D; G: u12 = E + F; I: u12 = G + H; output I; }",
+        )
+        .unwrap();
+        let study = Study::over([three_adds(), four_adds])
+            .latencies([2, 3])
+            .adder_archs([
+                AdderArch::RippleCarry,
+                AdderArch::CarryLookahead,
+                AdderArch::CarrySelect,
+            ])
+            .balance_both();
+        let cells = |report: &StudyReport| serde_json::to_string(&report.cells).unwrap();
+
+        // Other tests of this binary may trace concurrently: count only the
+        // `exec.task` spans under this run's `engine.run` span.
+        trace::install_memory();
+        let root = trace::span("test.groups");
+        let root_id = root.id();
+        let engine = Engine::new(EngineOptions { workers: Some(2), cache: true });
+        let cold = study.run(&engine);
+        drop(root);
+        let lines: Vec<serde_json::Value> =
+            trace::drain().iter().map(|l| serde_json::from_str(l).unwrap()).collect();
+        trace::uninstall();
+        let num = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
+        let span = |v: &serde_json::Value, name: &str| {
+            v.get("kind").and_then(serde_json::Value::as_str) == Some("span")
+                && v.get("name").and_then(serde_json::Value::as_str) == Some(name)
+        };
+        let run_id = lines
+            .iter()
+            .find(|v| span(v, "engine.run") && num(v, "parent") == Some(root_id))
+            .and_then(|v| num(v, "id"))
+            .expect("this run's engine.run span");
+        let tasks: Vec<&serde_json::Value> = lines
+            .iter()
+            .filter(|v| span(v, "exec.task") && num(v, "parent") == Some(run_id))
+            .collect();
+        let groups: HashSet<u64> = tasks.iter().filter_map(|v| num(v, "group")).collect();
+
+        // 2 specs × 2 λ groups of 3 adders × 2 balance settings each.
+        assert_eq!(cold.cells.len(), 24);
+        assert_eq!(engine.sched_stats().dispatched_tasks, 4);
+        assert_eq!(cold.stats.workers, 2);
+        assert_eq!(tasks.len(), 24, "one exec.task span per computed job");
+        assert_eq!(groups, (0..4).collect(), "one group per (spec, λ)");
+        // Grouping moves no stage: each is still computed exactly once
+        // (per spec 1 extract; per (spec, λ) 1 fragment, 1 verify and a
+        // schedule per flow and balance setting).
+        assert_eq!(cold.stats.stage_misses, 26, "{:?}", cold.stats);
+
+        let serial = study.run(&Engine::new(EngineOptions { workers: Some(1), cache: true }));
+        assert_eq!(cells(&serial), cells(&cold));
+        assert_eq!(serial.stats.stage_misses, 26);
+        let uncached = Engine::new(EngineOptions { workers: Some(2), cache: false });
+        assert_eq!(cells(&study.run(&uncached)), cells(&cold));
+        assert_eq!(uncached.sched_stats().dispatched_tasks, 24, "no sharing, a task per job");
     }
 
     #[test]

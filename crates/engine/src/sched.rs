@@ -5,10 +5,13 @@
 //!
 //! Work is submitted as *requests* — one [`Scheduler::submit`] call,
 //! many boxed task closures; every engine call submits its uncached jobs
-//! as one — and interleaved **fairly**: workers take one task from the
-//! request at the head of the queue, then rotate that request to the
-//! back, so a 2-cell study admitted behind a 10,000-cell one waits for at
-//! most a handful of task grants, never for the whole grid. A pool of
+//! as one, a task per group of jobs that share their stages (the same
+//! spec, λ and verify vectors) — and interleaved **fairly**: workers take
+//! one task from the request at the head of the queue, then rotate that
+//! request to the back, so a 2-cell study admitted behind a 10,000-cell
+//! one waits for at most a handful of task grants, never for the whole
+//! grid. A grant runs one group, at most its member count of jobs (6 for
+//! a (spec, λ) coordinate of the paper grid: 3 adders × 2 balance settings). A pool of
 //! [`Scheduler::width`] threads serves every concurrent caller, so
 //! concurrent requests neither serialize nor oversubscribe the cores.
 //!

@@ -24,7 +24,7 @@
 //! ```text
 //! digest            of the text                           computed
 //! ──────            ───────────                           ────────
-//! #spec             the spec's pretty-printed form        once per call
+//! #spec             the spec's pretty-printed form        once per job
 //! #kernel           `extract`'s canonical body            once per artifact
 //! #fragmented spec  the spec document in `fragment`'s     once per artifact
 //!                   canonical body
@@ -46,8 +46,9 @@
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
 //! "artifact" is the spec's text itself, rendered and digested once per
-//! `StageCache::compare_staged` call (it is not separately cached —
-//! producing the key would cost as much as producing the artifact).
+//! computed job (`source_digest`, which the engine also groups jobs by —
+//! `group_key`) and not separately cached: producing the key would cost
+//! as much as producing the artifact.
 //!
 //! Because keys chain through *artifact content* (the fragment key holds
 //! the extracted kernel's digest, not the original spec's), an edit that
@@ -708,16 +709,17 @@ impl StageCache {
     /// fully first, then the optimized flow — so results (including
     /// which error surfaces when both flows would fail) are
     /// bit-identical to the uncached path.
+    ///
+    /// `source` is `spec`'s [`source_digest`], which the caller has
+    /// already taken to group the job ([`group_key`]).
     pub(crate) fn compare_staged(
         &self,
         spec: &Spec,
+        source: JobKey,
         latency: u32,
         options: &CompareOptions,
         tally: &StageTally,
     ) -> Result<Comparison, PipelineError> {
-        // The parse/canonicalize "stage": one rendering and one digest
-        // per call, chained into every key that reads the source spec.
-        let source = JobKey::of_bytes(spec.to_string().as_bytes());
         let chaining = Chaining::ComponentSum;
 
         // Baseline flow: the conventional schedule of the original spec
@@ -775,6 +777,26 @@ impl StageCache {
     }
 }
 
+/// `#spec` of the key tables above: the digest of a spec's
+/// pretty-printed form, chained into every key that reads the source
+/// spec. This is the parse/canonicalize "stage": one rendering and one
+/// digest per computed job.
+pub(crate) fn source_digest(spec: &Spec) -> JobKey {
+    JobKey::of_bytes(spec.to_string().as_bytes())
+}
+
+/// A job's stage-sharing group: the inputs of the stages every job of one
+/// (spec, λ) coordinate resolves alike — `extract` (#spec), `fragment`
+/// (its kernel and λ) and `verify` (#spec, the fragmentation and the
+/// vector count). The adder and balance do not enter it: they only reach
+/// the schedule keys and the inline pricing. The engine runs a group's
+/// jobs in turn on one worker, so the first resolves the shared stages
+/// and the rest hit them instead of waiting on another worker's slot.
+pub(crate) fn group_key(source: JobKey, latency: u32, options: &CompareOptions) -> JobKey {
+    let (source, latency) = (source.to_string(), latency.to_string());
+    stage_key(&["group", &source, &latency, &options.verify_vectors.to_string()])
+}
+
 /// A stage key: the stage-name-tagged parts joined with the same `\x1f`
 /// separator [`crate::key`] uses, FNV-128 hashed.
 fn stage_key(parts: &[&str]) -> JobKey {
@@ -805,6 +827,19 @@ mod tests {
     use super::*;
     use bittrans_core::compare;
 
+    impl StageCache {
+        /// [`StageCache::compare_staged`], taking the source digest here.
+        fn staged(
+            &self,
+            spec: &Spec,
+            latency: u32,
+            options: &CompareOptions,
+            tally: &StageTally,
+        ) -> Result<Comparison, PipelineError> {
+            self.compare_staged(spec, source_digest(spec), latency, options, tally)
+        }
+    }
+
     fn three_adds() -> Spec {
         Spec::parse(
             "spec ex { input A: u16; input B: u16; input D: u16; input F: u16;
@@ -820,7 +855,7 @@ mod tests {
         let cache = StageCache::default();
         let tally = StageTally::default();
         for latency in 2..=5 {
-            let staged = cache.compare_staged(&spec, latency, &options, &tally).unwrap();
+            let staged = cache.staged(&spec, latency, &options, &tally).unwrap();
             let mono = compare(&spec, latency, &options).unwrap();
             assert_eq!(
                 serde_json::to_string(&staged).unwrap(),
@@ -836,7 +871,7 @@ mod tests {
         let options = CompareOptions::default();
         let cache = StageCache::default();
         let tally = StageTally::default();
-        cache.compare_staged(&spec, 3, &options, &tally).unwrap();
+        cache.staged(&spec, 3, &options, &tally).unwrap();
         let cold_misses = tally.misses();
         assert_eq!(tally.hits(), 0, "cold point computes every stage");
 
@@ -844,12 +879,12 @@ mod tests {
         // computes its per-latency suffix.
         for latency in 4..=6 {
             let before = tally.hits();
-            cache.compare_staged(&spec, latency, &options, &tally).unwrap();
+            cache.staged(&spec, latency, &options, &tally).unwrap();
             assert!(tally.hits() > before, "λ={latency} must hit the extract stage");
         }
         // Re-running a point recomputes nothing at all.
         let misses_before = tally.misses();
-        cache.compare_staged(&spec, 3, &options, &tally).unwrap();
+        cache.staged(&spec, 3, &options, &tally).unwrap();
         assert_eq!(tally.misses(), misses_before, "warm point is all hits");
         assert!(tally.misses() >= cold_misses);
     }
@@ -860,14 +895,14 @@ mod tests {
         let cache = StageCache::default();
         let tally = StageTally::default();
         let rca = CompareOptions::default();
-        cache.compare_staged(&spec, 3, &rca, &tally).unwrap();
+        cache.staged(&spec, 3, &rca, &tally).unwrap();
         assert_eq!((tally.hits(), tally.misses()), (0, 5), "a cold point computes all 5 stages");
 
         for arch in [bittrans_rtl::AdderArch::CarryLookahead, bittrans_rtl::AdderArch::CarrySelect]
         {
             let options = CompareOptions { adder_arch: arch, ..CompareOptions::default() };
             let (h0, m0) = (tally.hits(), tally.misses());
-            let staged = cache.compare_staged(&spec, 3, &options, &tally).unwrap();
+            let staged = cache.staged(&spec, 3, &options, &tally).unwrap();
             // Shared: extract, fragment, verify and both bound schedules
             // (the adder only enters at the inline pricing).
             assert_eq!(tally.hits() - h0, 5, "{arch:?}: every stage shared");
@@ -892,9 +927,9 @@ mod tests {
         let cache = StageCache::default();
         let tally = StageTally::default();
         let options = CompareOptions::default();
-        cache.compare_staged(&spec, 6, &options, &tally).unwrap();
+        cache.staged(&spec, 6, &options, &tally).unwrap();
         let (h0, m0) = (tally.hits(), tally.misses());
-        cache.compare_staged(&spec, 7, &options, &tally).unwrap();
+        cache.staged(&spec, 7, &options, &tally).unwrap();
         // Shared: extract and verify. Computed: the fragmentation and
         // both bound schedules of λ = 7.
         assert_eq!((tally.hits() - h0, tally.misses() - m0), (2, 3));
@@ -906,9 +941,9 @@ mod tests {
         let options = CompareOptions::default();
         let cache = StageCache::default();
         let tally = StageTally::default();
-        let first = cache.compare_staged(&spec, 0, &options, &tally).unwrap_err();
+        let first = cache.staged(&spec, 0, &options, &tally).unwrap_err();
         let misses = tally.misses();
-        let second = cache.compare_staged(&spec, 0, &options, &tally).unwrap_err();
+        let second = cache.staged(&spec, 0, &options, &tally).unwrap_err();
         assert_eq!(tally.misses(), misses, "failed stage is served from cache");
         assert_eq!(first.to_string(), second.to_string());
         assert!(first.is_infeasible());
@@ -923,7 +958,7 @@ mod tests {
         let mut warm = StageCache::default();
         warm.attach_disk(&dir);
         let tally = StageTally::default();
-        let first = warm.compare_staged(&spec, 3, &options, &tally).unwrap();
+        let first = warm.staged(&spec, 3, &options, &tally).unwrap();
         let files: Vec<_> = std::fs::read_dir(dir.join(STAGE_SUBDIR))
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -937,7 +972,7 @@ mod tests {
         let mut fresh = StageCache::default();
         fresh.attach_disk(&dir);
         let fresh_tally = StageTally::default();
-        let second = fresh.compare_staged(&spec, 3, &options, &fresh_tally).unwrap();
+        let second = fresh.staged(&spec, 3, &options, &fresh_tally).unwrap();
         assert_eq!(fresh_tally.misses(), 0, "warm directory recomputes zero stages");
         assert_eq!(fresh_tally.hits(), 5, "all five stages served from disk");
         assert_eq!(
@@ -957,7 +992,7 @@ mod tests {
 
         let mut seed = StageCache::default();
         seed.attach_disk(&dir);
-        seed.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
+        seed.staged(&spec, 3, &options, &StageTally::default()).unwrap();
         let paths: Vec<_> =
             std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap().map(|e| e.unwrap().path()).collect();
         assert_eq!(paths.len(), 5);
@@ -973,7 +1008,7 @@ mod tests {
             let mut fresh = StageCache::default();
             fresh.attach_disk(&dir);
             let tally = StageTally::default();
-            fresh.compare_staged(&spec, 3, &options, &tally).unwrap();
+            fresh.staged(&spec, 3, &options, &tally).unwrap();
             assert_eq!(tally.hits(), 0, "corruption {corruption:?} must not hit");
             // The recompute respilled valid artifacts.
             for path in &paths {
@@ -995,7 +1030,7 @@ mod tests {
 
         let mut seed = StageCache::default();
         seed.attach_disk(&dir);
-        seed.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
+        seed.staged(&spec, 3, &options, &StageTally::default()).unwrap();
 
         // Keep each file's own (valid) envelope but garble the body.
         for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
@@ -1007,7 +1042,7 @@ mod tests {
         let mut fresh = StageCache::default();
         fresh.attach_disk(&dir);
         let tally = StageTally::default();
-        let result = fresh.compare_staged(&spec, 3, &options, &tally).unwrap();
+        let result = fresh.staged(&spec, 3, &options, &tally).unwrap();
         // The verify file's body should have been empty, so a garbled
         // body invalidates it too: everything recomputes.
         assert_eq!(tally.hits(), 0, "garbled bodies must not hit");
@@ -1241,7 +1276,7 @@ mod tests {
         cache.set_memo_capacity(budget);
         let tally = StageTally::default();
         for latency in [2, 3, 4, 5] {
-            let got = cache.compare_staged(&spec, latency, &options, &tally).unwrap();
+            let got = cache.staged(&spec, latency, &options, &tally).unwrap();
             assert!(cache.memo_bytes() <= budget, "{} > {budget} bytes", cache.memo_bytes());
             assert_eq!(serde_json::to_string(&got).unwrap(), expected(latency));
         }
@@ -1249,7 +1284,7 @@ mod tests {
         // Results stay byte-identical under eviction; the evicted prefix
         // simply recomputes.
         let misses = tally.misses();
-        let again = cache.compare_staged(&spec, 2, &options, &tally).unwrap();
+        let again = cache.staged(&spec, 2, &options, &tally).unwrap();
         assert!(tally.misses() > misses, "λ = 2 was evicted, so part of it recomputes");
         assert_eq!(serde_json::to_string(&again).unwrap(), expected(2));
 
@@ -1257,7 +1292,7 @@ mod tests {
         // still reaches its caller, and none is kept.
         let tiny = StageCache::default();
         tiny.set_memo_capacity(MEMO_ENTRY_OVERHEAD - 1);
-        let got = tiny.compare_staged(&spec, 3, &options, &StageTally::default()).unwrap();
+        let got = tiny.staged(&spec, 3, &options, &StageTally::default()).unwrap();
         assert_eq!(serde_json::to_string(&got).unwrap(), expected(3));
         assert!(tiny.resident_keys().is_empty());
         assert_eq!(tiny.memo_bytes(), 0);

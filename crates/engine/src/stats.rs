@@ -46,7 +46,9 @@ pub struct EngineStats {
     /// it is the job results resident in the memo now, which the memo's
     /// byte bound caps.
     pub cache_entries: usize,
-    /// Worker threads used.
+    /// Worker threads the batch could use: the pool's width clamped to
+    /// the pool tasks it submitted (one per stage-sharing group of its
+    /// computed jobs), at least 1. Report normalization blanks it.
     pub workers: usize,
     /// Wall-clock time of the batch (zero for lifetime snapshots).
     pub elapsed: Duration,

@@ -9,7 +9,7 @@
 //! becomes one line of JSON:
 //!
 //! ```json
-//! {"seq":12,"ts_ns":80211,"kind":"span","name":"exec.task","id":5,"parent":2,"dur_ns":73000,"slot":3,"queue_ns":1200}
+//! {"seq":12,"ts_ns":80211,"kind":"span","name":"exec.task","id":5,"parent":2,"dur_ns":73000,"slot":3,"group":1,"queue_ns":1200}
 //! {"seq":13,"ts_ns":81090,"kind":"event","name":"job","parent":2,"key":"8c…","provenance":"computed"}
 //! ```
 //!

@@ -4,6 +4,8 @@
 //! * a batch ([`Engine::run`]) re-raises the job's **original** panic
 //!   payload — the contract `fuzz`'s panic invariant reads — and the same
 //!   engine then answers the batch correctly;
+//! * a panic inside a stage-sharing group (one pool task) spares the
+//!   group's other members, and the pool counts the task's panic once;
 //! * on a [`Server`], the request computing the job and a concurrent
 //!   request subscribed to it both get a protocol error instead of
 //!   hanging, the pool counts the panic, and later studies are served
@@ -18,6 +20,7 @@ use bittrans_engine::{
     trace, Engine, EngineOptions, Job, ServeOptions, Server, Study, StudyReport,
 };
 use bittrans_ir::Spec;
+use bittrans_rtl::AdderArch;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,6 +95,45 @@ fn a_panicking_job_reraises_its_original_payload_and_the_engine_recovers() {
         // The batch's other jobs finished and were admitted before the
         // panic surfaced; only the panicked one recomputes.
         let again = engine.run(jobs.clone());
+        assert_eq!(render(&again), reference, "workers = {workers}");
+        assert_eq!(again.stats.cache_misses, 1, "workers = {workers}: {:?}", again.stats);
+        assert_eq!(again.stats.cache_hits, 2, "workers = {workers}: {:?}", again.stats);
+    }
+}
+
+#[test]
+fn a_panic_inside_a_group_spares_its_other_members_and_counts_one_task() {
+    let _serial = serial();
+    // One (spec, λ) coordinate: a single stage-sharing group, one pool task.
+    let study = Study::single(chain(11)).latencies([3]).adder_archs([
+        AdderArch::RippleCarry,
+        AdderArch::CarryLookahead,
+        AdderArch::CarrySelect,
+    ]);
+    let reference = render(&study.run(&engine(1, true)));
+
+    for workers in [1, 2] {
+        let engine = engine(workers, true);
+        panic_on_first_verify(|| {});
+        let caught = catch_unwind(AssertUnwindSafe(|| study.run(&engine)));
+        bittrans_core::stage::clear_observer();
+        let payload = caught.expect_err("the member's panic must reach the caller");
+        assert_eq!(payload_text(&*payload), BOOM, "workers = {workers}: not the original payload");
+        // The first member panicked in `verify`; the group task went on
+        // and landed the other two.
+        assert_eq!(engine.stats().cache_entries, 2, "workers = {workers}");
+
+        // The pool counted the group task's panic once (its gauges update
+        // just after the task hands its payloads over).
+        let started = Instant::now();
+        while engine.sched_stats().completed_tasks < 1 {
+            assert!(started.elapsed() < DEADLINE, "the group task never completed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let sched = engine.sched_stats();
+        assert_eq!((sched.dispatched_tasks, sched.panicked_tasks), (1, 1), "{sched:?}");
+
+        let again = study.run(&engine);
         assert_eq!(render(&again), reference, "workers = {workers}");
         assert_eq!(again.stats.cache_misses, 1, "workers = {workers}: {:?}", again.stats);
         assert_eq!(again.stats.cache_hits, 2, "workers = {workers}: {:?}", again.stats);
