@@ -17,10 +17,11 @@
 //! * **staged identity** — the staged pipeline
 //!   ([`EngineOptions`]` { cache: true }`) produces byte-identical cells
 //!   to the monolithic path (`cache: false`);
-//! * **shard identity** (with a [`Differential`] transport) — the
-//!   sharded/remote report is byte-identical, after
+//! * **shard identity** (with a [`Differential`]) — the report sharded
+//!   across a `serve` fleet is byte-identical, after
 //!   [`normalize_run_shape`], to the single-process run over the same
-//!   grid and starting cache state;
+//!   grid and starting cache state: the reference run starts from copies
+//!   of the case's job files already in the fleet's store;
 //! * **panic freedom** — a case that panics anywhere in the pipeline is
 //!   caught and reported as a violation instead of killing the run.
 //!
@@ -31,6 +32,7 @@
 
 use crate::report::{normalize_run_shape, StudyCell, StudyReport};
 use crate::shard::{self, ShardOptions, ShardedStudy, Transport};
+use crate::stagecache::StageStore;
 use crate::study::Study;
 use crate::trace;
 use crate::{Engine, EngineOptions};
@@ -157,17 +159,15 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// How to cross-check the shard path: the sharded run's store, shard
-/// count, and transport — a `serve` fleet started per case on this
-/// machine, or a running remote one.
+/// How to cross-check the shard path: the fleet's store, the shard
+/// count, and the running `serve` fleet.
 #[derive(Clone, Debug)]
 pub struct Differential {
-    /// The result store. A [`Transport::Local`] run uses a fresh
-    /// `case-<seed>` subdirectory per case, which its per-case `serve`
-    /// fleet is started over, so both sides start cold; a
-    /// [`Transport::Remote`] run uses this directory as-is because the
-    /// running serve fleet persists into its own configured store — point
-    /// it at the fleet's shared directory, fresh for the fuzzed seeds.
+    /// The fleet's shared result store, used as-is: the fleet persists
+    /// into it. Each case's single-process reference runs in a scratch
+    /// `ref-<seed>` subdirectory seeded with copies of the case's job
+    /// files already in the store, so a warm store compares like a cold
+    /// one.
     pub cache_dir: PathBuf,
     /// Shards to cut each case's job list into.
     pub shards: usize,
@@ -425,7 +425,9 @@ fn check_latency_monotonic(seed: u64, report: &StudyReport, out: &mut Vec<Violat
 
 /// Invariant (d): the staged pipeline's cells are byte-identical to the
 /// monolithic path's. Cells (not whole reports) because engine cache
-/// statistics legitimately differ when one side keeps no cache at all.
+/// statistics legitimately differ when one side keeps no cache at all —
+/// and so does `from_cache`, when a differential's reference starts from
+/// a warm fleet store.
 fn check_staged_identity(
     seed: u64,
     staged: &StudyReport,
@@ -435,7 +437,11 @@ fn check_staged_identity(
 ) {
     let monolithic = Engine::new(EngineOptions { workers, cache: false });
     let mono = study.run(&monolithic);
-    let a = serde_json::to_string(&staged.cells).expect("cells serialize");
+    let mut staged = staged.cells.clone();
+    for (cell, mono) in staged.iter_mut().zip(&mono.cells) {
+        cell.from_cache = mono.from_cache;
+    }
+    let a = serde_json::to_string(&staged).expect("cells serialize");
     let b = serde_json::to_string(&mono.cells).expect("cells serialize");
     if a != b {
         out.push(Violation {
@@ -446,8 +452,8 @@ fn check_staged_identity(
     }
 }
 
-/// Invariant (c): the sharded/remote report normalizes byte-identical to
-/// the single-process one.
+/// Invariant (c): the sharded report normalizes byte-identical to the
+/// single-process one.
 fn check_shard_identity(
     seed: u64,
     reference: &StudyReport,
@@ -455,12 +461,8 @@ fn check_shard_identity(
     diff: &Differential,
     out: &mut Vec<Violation>,
 ) {
-    let dir = match &diff.transport {
-        Transport::Local(_) => diff.cache_dir.join(format!("case-{seed}")),
-        Transport::Remote(_) => diff.cache_dir.clone(),
-    };
     let options = ShardOptions { shards: diff.shards, transport: diff.transport.clone() };
-    match shard::run_sharded(sharded, &dir, &options) {
+    match shard::run_sharded(sharded, &diff.cache_dir, &options) {
         Ok(run) => {
             let a = normalize_run_shape(&reference.to_json());
             let b = normalize_run_shape(&run.report.to_json());
@@ -480,9 +482,6 @@ fn check_shard_identity(
             invariant: Invariant::ShardIdentity,
             detail: format!("sharded run failed: {e}"),
         }),
-    }
-    if matches!(diff.transport, Transport::Local(_)) {
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -518,10 +517,13 @@ pub fn run_case(seed: u64, options: &FuzzOptions) -> CaseOutcome {
             let engine = Engine::new(EngineOptions { workers: options.workers, cache: true });
             match &options.differential {
                 // Mirror the sharded run's disk-backed starting state so
-                // the reports can be compared byte-for-byte: both sides
-                // cold.
+                // the reports can be compared byte-for-byte: the case's
+                // finished jobs already in the fleet's store.
                 Some(diff) => {
                     let dir = diff.cache_dir.join(format!("ref-{seed}"));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    StageStore::of(&diff.cache_dir)
+                        .copy_jobs(&study.grid().distinct_keys, &StageStore::of(&dir))?;
                     let engine = engine.with_cache_dir(&dir)?;
                     let report = study.run(&engine);
                     let _ = std::fs::remove_dir_all(&dir);

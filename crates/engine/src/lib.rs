@@ -36,12 +36,10 @@
 //!   .latencies(range).run(&engine)` read back through
 //!   [`StudyReport::sweep_points`];
 //! * **sharded multi-process execution** — [`shard::run_sharded`]
-//!   partitions a study's deduplicated job list by [`JobKey`] range across
-//!   `serve` endpoints that share one cache directory — a fleet started
-//!   on this machine for the run or a running remote one, a per-run
-//!   [`shard::Transport`] choice over one shard protocol — then merges
-//!   their statistics and reassembles the exact single-process
-//!   [`StudyReport`];
+//!   cuts a study's deduplicated job list between stage-sharing groups
+//!   across a fleet of running `serve` endpoints that share one cache
+//!   directory, then merges their statistics and reassembles the exact
+//!   single-process [`StudyReport`];
 //! * **a long-running service** — [`serve::Server`] answers
 //!   newline-delimited JSON study requests over TCP from one warm engine,
 //!   so many clients share a single in-memory memo (backed by the cache

@@ -23,13 +23,12 @@
 //!
 //! A study body carrying `shard_index`/`shard_count`
 //! ([`crate::shard::SHARD_COORD_FIELDS`]) is a **shard request**: the
-//! server executes only that range of the study's key-sorted distinct
-//! jobs ([`crate::shard::shard_slice`]) and answers
+//! server executes only that range of the study's distinct jobs in
+//! shard order ([`crate::shard::shard_slice`]) and answers
 //! `{"ok":true,"shard_index":…,"shard_count":…,"service":{…},"stats":{…}}`
 //! — the batch's [`EngineStats`](crate::EngineStats) instead of a
-//! report. Sharded runs dispatch every shard this way, to a remote fleet
-//! or to `serve` children started on the coordinator's machine
-//! ([`crate::shard::Transport`]). The results travel through the server's
+//! report. Sharded runs dispatch every shard this way, to a fleet of
+//! `serve` endpoints ([`crate::shard::Transport`]). The results travel through the server's
 //! `--cache-dir` (which must be the store the dispatching coordinator
 //! reads), so shard requests are rejected on a server started without
 //! one.

@@ -1,37 +1,32 @@
 //! Sharded multi-process execution: partition a [`Study`]'s deduplicated
-//! job list by [`JobKey`] range across `bittrans serve` endpoints that
+//! job list across a fleet of running `bittrans serve` endpoints that
 //! share one persistent cache directory, then reassemble the exact
 //! single-process [`StudyReport`].
 //!
-//! # One protocol, two ways to obtain endpoints
-//!
 //! Every shard travels as a **shard request** to a `serve` endpoint
-//! ([`crate::serve`]). A [`Transport`] only decides where the endpoints
-//! come from:
-//!
-//! * [`Transport::Remote`] names a fleet of running `bittrans serve`
-//!   processes, normally on other machines;
-//! * [`Transport::Local`] starts the fleet for one run: one
-//!   `serve --addr 127.0.0.1:0` child of the given binary per shard, over
-//!   the coordinator's store, shut down when the dispatch ends. A child
-//!   that fails to start is simply not part of the fleet.
-//!
-//! From there both run the same dispatch, retry, merge and gap-fill, so a
-//! grid runs identically on this machine or on a fleet.
+//! ([`crate::serve`]) named by the one [`Transport`],
+//! [`Transport::Remote`]. One process already runs a whole grid on one
+//! fair pool over every core, so sharding only pays across machines; to
+//! use several processes on one host, start several `serve` endpoints
+//! there and list them.
 //!
 //! # Protocol
 //!
 //! The coordinator ([`run_sharded`]):
 //!
-//! 1. expands the study grid, deduplicates it by key, **sorts the distinct
-//!    jobs by [`JobKey`]** and splits the sorted list into K contiguous
-//!    ranges ([`partition`] — total and disjoint by construction);
+//! 1. expands the study grid, deduplicates it by key and ranks the
+//!    distinct jobs in **shard order** — by source digest, stage-sharing
+//!    group and [`JobKey`] — then cuts the ranked list into K contiguous
+//!    ranges on group boundaries only (the [`partition`] arithmetic over
+//!    groups — total and disjoint by construction), so no two shards
+//!    resolve the same `fragment` or `verify`, and a spec's `extract` is
+//!    resolved only by the shards its groups span;
 //! 2. sends each shard as a shard request — the study body plus
 //!    `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
 //!    newline-delimited JSON protocol — to an endpoint assigned
 //!    round-robin ([`assign_round_robin`]), every read under a deadline
 //!    ([`crate::proto`]);
-//! 3. the endpoint re-derives the identical sorted job list, runs its
+//! 3. the endpoint re-derives the identical ranked job list, runs its
 //!    range ([`shard_slice`]) through its engine (so every success is
 //!    spilled into the shared directory), and answers with the batch's
 //!    [`EngineStats`]. A failed or unreachable endpoint's shard is retried
@@ -62,10 +57,9 @@
 use crate::key::JobKey;
 use crate::proto;
 use crate::report::StudyReport;
-use crate::serve;
-use crate::stagecache::StageStore;
+use crate::stagecache::{self, StageStore};
 use crate::stats::{EndpointStats, EngineStats};
-use crate::study::Study;
+use crate::study::{Grid, Study};
 use crate::trace;
 use crate::{Engine, Job};
 use bittrans_core::CompareOptions;
@@ -77,11 +71,9 @@ use serde::{Serialize, Serializer};
 use serde_json::Value;
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Why a sharded run (or a worker) could not start. Worker *crashes* are
@@ -207,51 +199,16 @@ impl ShardedStudy {
     /// [`ShardError::Invalid`] on a missing `sources` or an ill-typed
     /// field.
     pub fn from_value(value: &Value) -> Result<Self, ShardError> {
-        let sources = string_list(field(value, "sources")?, "sources")?;
-        let latencies = optional(value, "latencies")
-            .map(|v| {
-                v.as_array()
-                    .ok_or_else(|| invalid("`latencies` is not an array"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or_else(|| invalid("bad value in `latencies`"))
-                    })
-                    .collect::<Result<Vec<u32>, _>>()
-            })
-            .transpose()?
+        let sources =
+            list(field(value, "sources")?, "sources", |v| v.as_str().map(str::to_string))?;
+        let latencies = optional_list(value, "latencies", |v| u32::try_from(v.as_u64()?).ok())?
             .unwrap_or_else(|| vec![3]);
-        let adder_archs = optional(value, "adder_archs")
-            .map(|v| {
-                string_list(v, "adder_archs")?
-                    .iter()
-                    .map(|code| parse_adder_code(code))
-                    .collect::<Result<Vec<_>, _>>()
-            })
+        let adder_archs = optional_list(value, "adder_archs", |v| v.as_str().map(str::to_string))?
+            .map(|codes| codes.iter().map(|code| parse_adder_code(code)).collect())
             .transpose()?;
-        let balance = optional(value, "balance")
-            .map(|v| {
-                v.as_array()
-                    .ok_or_else(|| invalid("`balance` is not an array"))?
-                    .iter()
-                    .map(|b| b.as_bool().ok_or_else(|| invalid("bad value in `balance`")))
-                    .collect::<Result<Vec<bool>, _>>()
-            })
-            .transpose()?;
-        let verify_vectors = optional(value, "verify_vectors")
-            .map(|v| {
-                v.as_array()
-                    .ok_or_else(|| invalid("`verify_vectors` is not an array"))?
-                    .iter()
-                    .map(|n| {
-                        n.as_u64()
-                            .and_then(|n| usize::try_from(n).ok())
-                            .ok_or_else(|| invalid("bad value in `verify_vectors`"))
-                    })
-                    .collect::<Result<Vec<usize>, _>>()
-            })
-            .transpose()?;
+        let balance = optional_list(value, "balance", Value::as_bool)?;
+        let verify_vectors =
+            optional_list(value, "verify_vectors", |v| usize::try_from(v.as_u64()?).ok())?;
         let base = match optional(value, "base") {
             None => CompareOptions::default(),
             Some(base_value) => CompareOptions {
@@ -313,7 +270,7 @@ impl ShardedStudy {
 
 /// The two wire fields a **shard request** carries on top of the study
 /// body: a `serve` endpoint receiving them executes only that range of
-/// the study's key-sorted distinct jobs ([`shard_slice`]) and answers
+/// the study's distinct jobs in shard order ([`shard_slice`]) and answers
 /// with the batch's [`EngineStats`] instead of a report.
 pub const SHARD_COORD_FIELDS: [&str; 2] = ["shard_index", "shard_count"];
 
@@ -385,17 +342,13 @@ fn optional<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
     }
 }
 
-/// The `index`-th of `count` ranges of a study's key-sorted distinct job
-/// list — the slice a `serve` endpoint executes for a shard request.
-/// Every endpoint (and the coordinator) computes the same partition from
-/// the same pure inputs. An out-of-range `index` yields an empty slice;
-/// `count` of zero is treated as one.
-///
-/// The cut is the same integer arithmetic [`partition`] performs,
-/// computed directly for the one requested range: a `serve` endpoint
-/// feeds this function an untrusted `count`, so it must neither
-/// materialize `count` ranges nor overflow (`u128` headroom), however
-/// absurd the coordinates.
+/// The `index`-th of `count` shards of a study's distinct jobs in shard
+/// order ([`ShardOrder`]) — the slice a `serve` endpoint executes for a
+/// shard request. Every endpoint (and the coordinator) computes the same
+/// cut from the same pure inputs. A shard holds whole stage-sharing
+/// groups only, so a `count` above the group count leaves some shards
+/// empty. An out-of-range `index` yields an empty slice; `count` of zero
+/// is treated as one.
 ///
 /// # Panics
 ///
@@ -412,55 +365,97 @@ pub(crate) fn keyed_shard_slice(
     count: usize,
 ) -> (Vec<Job>, Vec<JobKey>) {
     let grid = study.grid();
-    // The canonical order every process derives before partitioning.
-    let mut sorted: Vec<(Job, JobKey)> =
-        grid.distinct.into_iter().zip(grid.distinct_keys).collect();
-    sorted.sort_unstable_by_key(|&(_, key)| key);
-    let (index, count, len) = (index as u128, count.max(1) as u128, sorted.len() as u128);
-    if index >= count {
-        return (Vec::new(), Vec::new());
-    }
-    let start = (index * len / count) as usize;
-    let end = ((index + 1) * len / count) as usize;
-    sorted.drain(start..end).unzip()
+    let order = ShardOrder::of(&grid);
+    let mut distinct: Vec<Option<Job>> = grid.distinct.into_iter().map(Some).collect();
+    order.ranked[order.range(index, count)]
+        .iter()
+        .map(|&at| (distinct[at].take().expect("ranked once"), grid.distinct_keys[at]))
+        .unzip()
 }
 
-fn string_list(value: &Value, key: &str) -> Result<Vec<String>, ShardError> {
+/// A grid's distinct jobs in the one order every process cuts shards
+/// from: by source digest, stage-sharing group
+/// ([`stagecache::group_key`]) and [`JobKey`]. A spec's groups sit side
+/// by side and each group is one contiguous run, so cutting only between
+/// groups keeps every job that shares a group's stages in one shard.
+struct ShardOrder {
+    /// Indices into the grid's distinct jobs, ranked.
+    ranked: Vec<usize>,
+    /// Where each group starts in `ranked`, then `ranked.len()`.
+    bounds: Vec<usize>,
+}
+
+impl ShardOrder {
+    fn of(grid: &Grid) -> ShardOrder {
+        let rank: Vec<(JobKey, JobKey, JobKey)> = grid
+            .distinct
+            .iter()
+            .zip(&grid.distinct_keys)
+            .map(|(job, &key)| {
+                let source = stagecache::source_digest(&job.spec);
+                (source, stagecache::group_key(source, job.latency, &job.options), key)
+            })
+            .collect();
+        let mut ranked: Vec<usize> = (0..rank.len()).collect();
+        ranked.sort_unstable_by_key(|&at| rank[at]);
+        let mut bounds: Vec<usize> = (0..ranked.len())
+            .filter(|&i| i == 0 || rank[ranked[i]].1 != rank[ranked[i - 1]].1)
+            .collect();
+        bounds.push(ranked.len());
+        ShardOrder { ranked, bounds }
+    }
+
+    /// The number of stage-sharing groups.
+    fn groups(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The `ranked` positions of shard `index` of `count`: the
+    /// [`partition`] cut over groups, computed directly for the one
+    /// requested shard. A `serve` endpoint feeds this an untrusted
+    /// `count`, so it must neither materialize `count` ranges nor
+    /// overflow (`u128` headroom), however absurd the coordinates.
+    fn range(&self, index: usize, count: usize) -> Range<usize> {
+        let (index, count) = (index as u128, count.max(1) as u128);
+        if index >= count {
+            return 0..0;
+        }
+        let groups = self.groups() as u128;
+        let cut = |shard: u128| self.bounds[(shard * groups / count) as usize];
+        cut(index)..cut(index + 1)
+    }
+}
+
+/// Reads array `value` (field `key`) element by element; `item` returns
+/// `None` for an ill-typed element.
+fn list<T>(
+    value: &Value,
+    key: &str,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, ShardError> {
     value
         .as_array()
         .ok_or_else(|| invalid(format!("`{key}` is not an array")))?
         .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| invalid(format!("`{key}` holds a non-string")))
-        })
+        .map(|v| item(v).ok_or_else(|| invalid(format!("bad value in `{key}`"))))
         .collect()
 }
 
-/// Where the `serve` endpoints of a sharded run come from: started on
-/// this machine for the run, or a running remote fleet. See the
-/// [module docs](self): both dispatch, merge and recover identically.
+/// [`list`] of the optional field `key`: `None` when absent or null.
+fn optional_list<T>(
+    value: &Value,
+    key: &str,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<Vec<T>>, ShardError> {
+    optional(value, key).map(|v| list(v, key, item)).transpose()
+}
+
+/// Where the shards of a sharded run go. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub enum Transport {
-    /// Start one `serve` child of the `bittrans` binary per shard on a
-    /// free loopback port, and shut the fleet down when the run ends.
-    Local(LocalTransport),
     /// Send each shard as a shard request to one of a fleet of running
     /// `bittrans serve` endpoints sharing the coordinator's store.
     Remote(RemoteTransport),
-}
-
-/// The local transport: a `serve` fleet started for one run.
-#[derive(Clone, Debug)]
-pub struct LocalTransport {
-    /// The binary to start as `serve --addr 127.0.0.1:0 --cache-dir
-    /// <store>`, once per shard — normally `std::env::current_exe()` of
-    /// the `bittrans` CLI.
-    pub worker_binary: PathBuf,
-    /// Worker threads per child, passed as `serve --jobs` (`None`: all
-    /// cores in every child).
-    pub threads_per_worker: Option<usize>,
 }
 
 /// The remote serve-fleet transport.
@@ -485,8 +480,8 @@ pub struct RemoteTransport {
 /// How to run a study across processes.
 #[derive(Clone, Debug)]
 pub struct ShardOptions {
-    /// Shards to cut the sorted job list into (clamped to the distinct
-    /// job count; at least one job per shard).
+    /// Shards to cut the ranked job list into (clamped to the number of
+    /// stage-sharing groups; at least one group per shard).
     pub shards: usize,
     /// Where the shards run.
     pub transport: Transport,
@@ -511,9 +506,9 @@ pub struct ShardRun {
     /// a shard no endpoint completed).
     pub shard_stats: Vec<Option<EngineStats>>,
     /// Who did the work: one entry per `host:port` endpoint that completed
-    /// at least one shard (for a local fleet, its `127.0.0.1:<port>`
-    /// children), plus a `coordinator` entry when gap-fill recomputation
-    /// ran — so the merged totals stay attributable per machine.
+    /// at least one shard, plus a `coordinator` entry when gap-fill
+    /// recomputation ran — so the merged totals stay attributable per
+    /// machine.
     pub endpoints: Vec<EndpointStats>,
     /// Shards no endpoint completed.
     pub failed: Vec<usize>,
@@ -548,13 +543,11 @@ pub fn run_sharded(
     let started = Instant::now();
     let study = sharded.study()?;
     let grid = study.grid();
-    let mut sorted_keys = grid.distinct_keys.clone();
-    sorted_keys.sort_unstable();
-    let shards =
-        if sorted_keys.is_empty() { 0 } else { options.shards.clamp(1, sorted_keys.len()) };
-    let ranges = partition(sorted_keys.len(), shards);
+    let order = ShardOrder::of(&grid);
+    let groups = order.groups();
+    let shards = if groups == 0 { 0 } else { options.shards.clamp(1, groups) };
     let _run = trace::span_attrs("shard.run", |a| {
-        a.num("shards", shards as u64).num("distinct", sorted_keys.len() as u64);
+        a.num("shards", shards as u64).num("distinct", grid.distinct.len() as u64);
     });
 
     std::fs::create_dir_all(cache_dir)?;
@@ -565,16 +558,13 @@ pub fn run_sharded(
     // from_cache flags) must not diverge from that. The load deletes such
     // a file, so its shard recomputes and respills it.
     let preloaded: HashSet<JobKey> =
-        sorted_keys.iter().copied().filter(|&key| store.load_job(key).is_some()).collect();
+        grid.distinct_keys.iter().copied().filter(|&key| store.load_job(key).is_some()).collect();
 
-    // Dispatch the shards to the transport's endpoints. A shard that
-    // cannot be dispatched at all is treated exactly like one that
-    // crashed: its range is detected as missing and recomputed below.
-    let dispatch = match &options.transport {
-        Transport::Local(local) => dispatch_local(sharded, shards, cache_dir, local),
-        Transport::Remote(remote) => dispatch_remote(sharded, shards, remote),
-    };
-    let Dispatch { shard_stats, mut endpoints, failed } = dispatch;
+    // Dispatch the shards to the fleet. A shard that cannot be dispatched
+    // at all is treated exactly like one that crashed: its range is
+    // detected as missing and recomputed below.
+    let Transport::Remote(remote) = &options.transport;
+    let Dispatch { shard_stats, mut endpoints, failed } = dispatch_remote(sharded, shards, remote);
 
     // One local batch over the grid assembles everything: keys in the
     // store load lazily as hits; gaps and infeasible coordinates (whose
@@ -589,7 +579,8 @@ pub fn run_sharded(
     // key's first cell can be a computed one.
     let failed_keys: HashSet<JobKey> = failed
         .iter()
-        .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
+        .flat_map(|&index| order.ranked[order.range(index, shards)].iter())
+        .map(|&at| grid.distinct_keys[at])
         .collect();
     let mut retried: Vec<JobKey> = report
         .cells
@@ -649,7 +640,7 @@ pub fn run_sharded(
     Ok(ShardRun { report, merged, shard_stats, endpoints, failed, retried })
 }
 
-/// What one transport dispatch produced, whoever ran it.
+/// What one dispatch produced.
 struct Dispatch {
     /// Per-shard statistics (`None` for a shard every attempt lost).
     shard_stats: Vec<Option<EngineStats>>,
@@ -659,208 +650,39 @@ struct Dispatch {
     failed: Vec<usize>,
 }
 
-impl Dispatch {
-    fn empty(shards: usize) -> Dispatch {
-        Dispatch { shard_stats: vec![None; shards], endpoints: Vec::new(), failed: Vec::new() }
-    }
-}
-
-/// How long one exchange with a local `serve` child may take. A crashed
-/// child closes its socket, so its failure shows as an immediate EOF,
-/// not as a wait: this deadline only bounds a child that hangs. A healthy
-/// child answers only once its whole shard has computed, which on a
-/// large grid takes far longer than [`proto::DEFAULT_TIMEOUT`], and
-/// abandoning it would just recompute the same range in the coordinator.
-const LOCAL_DEADLINE: Duration = Duration::from_secs(24 * 60 * 60);
-
-/// How long a local child may take to exit after acknowledging shutdown
-/// before it is killed. Every shard exchange has ended by then, so a
-/// healthy child exits within one idle poll.
-const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
-
-/// Local dispatch: start one `serve` child per shard on a free loopback
-/// port over the shared store, dispatch to that fleet exactly as to a
-/// remote one, then shut it down.
-fn dispatch_local(
-    sharded: &ShardedStudy,
-    shards: usize,
-    cache_dir: &Path,
-    transport: &LocalTransport,
-) -> Dispatch {
-    let fleet = LocalFleet::start(transport, cache_dir, shards);
-    let remote = RemoteTransport { endpoints: fleet.endpoints(), timeout: LOCAL_DEADLINE };
-    let dispatch = dispatch_remote(sharded, shards, &remote);
-    fleet.shutdown();
-    dispatch
-}
-
-/// The `serve` children of one local run, each with the address it
-/// announced (`None`: it exited or printed no banner). Dropping the
-/// fleet kills and reaps every child, so an early return or a panic
-/// never leaks a process.
-struct LocalFleet {
-    children: Vec<(Child, Option<String>)>,
-}
-
-impl LocalFleet {
-    /// Spawns `count` children, then reads each one's banner; spawning
-    /// them all first lets them start up concurrently.
-    fn start(transport: &LocalTransport, cache_dir: &Path, count: usize) -> LocalFleet {
-        let mut fleet = LocalFleet { children: Vec::with_capacity(count) };
-        for _ in 0..count {
-            let mut command = Command::new(&transport.worker_binary);
-            command
-                .args(["serve", "--addr", "127.0.0.1:0", "--cache-dir"])
-                .arg(cache_dir)
-                // Serve's per-request logs would flood the coordinator's
-                // stderr, and every failure already surfaces as the
-                // dispatcher's own diagnostic.
-                .stdin(Stdio::null())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                // K children rewriting the coordinator's trace file would
-                // leave whichever flushed last.
-                .env_remove("BITTRANS_TRACE");
-            if let Some(threads) = transport.threads_per_worker {
-                command.arg("--jobs").arg(threads.to_string());
-            }
-            match command.spawn() {
-                Ok(child) => fleet.children.push((child, None)),
-                Err(e) => trace::diag(&format!(
-                    "local shard fleet: starting {}: {e}",
-                    transport.worker_binary.display()
-                )),
-            }
-        }
-        for (child, endpoint) in &mut fleet.children {
-            *endpoint = child.stdout.take().and_then(|stdout| {
-                let mut line = String::new();
-                BufReader::new(stdout).read_line(&mut line).ok()?;
-                serve::parse_banner(&line).map(str::to_string)
-            });
-            if endpoint.is_none() {
-                trace::diag(&format!(
-                    "local shard fleet: serve child {} exited or printed no banner",
-                    child.id()
-                ));
-            }
-        }
-        fleet
-    }
-
-    /// The announced endpoints, in spawn order.
-    fn endpoints(&self) -> Vec<String> {
-        self.children.iter().filter_map(|(_, endpoint)| endpoint.clone()).collect()
-    }
-
-    /// Asks every announced child to shut down and gives them
-    /// [`SHUTDOWN_GRACE`] to exit; the drop then kills whatever is left
-    /// and reaps every child.
-    fn shutdown(mut self) {
-        for endpoint in self.endpoints() {
-            let _ = proto::LineClient::connect(&endpoint, SHUTDOWN_GRACE)
-                .and_then(|mut client| client.request("{\"shutdown\":true}"));
-        }
-        let deadline = Instant::now() + SHUTDOWN_GRACE;
-        for (child, _) in self.children.iter_mut().filter(|(_, endpoint)| endpoint.is_some()) {
-            while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-impl Drop for LocalFleet {
-    fn drop(&mut self) {
-        for (child, _) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Dispatch to a `serve` fleet, remote or started by [`dispatch_local`]:
-/// one thread per shard walks the endpoint ring from
-/// the shard's round-robin home, trying each endpoint at most once,
-/// until a shard request succeeds or the fleet is exhausted. Every
-/// failure is logged to stderr and absorbed — the coordinator's gap-fill
-/// is the backstop, so a dead fleet degrades to a single-process run
-/// instead of an error.
+/// Dispatch to a `serve` fleet: one thread per shard sends it
+/// ([`send_shard`]) until a shard request succeeds or the fleet is
+/// exhausted. Every failure is logged to stderr and absorbed — the
+/// coordinator's gap-fill is the backstop, so a dead fleet degrades to a
+/// single-process run instead of an error.
 fn dispatch_remote(sharded: &ShardedStudy, shards: usize, transport: &RemoteTransport) -> Dispatch {
-    if transport.endpoints.is_empty() {
-        let mut dispatch = Dispatch::empty(shards);
-        dispatch.failed = (0..shards).collect();
-        return dispatch;
-    }
-    let assignment = assign_round_robin(shards, transport.endpoints.len());
-    let study = Arc::new(sharded.clone());
-    let endpoints = Arc::new(transport.endpoints.clone());
-    let timeout = transport.timeout;
-    let handles: Vec<std::thread::JoinHandle<Option<(usize, EngineStats)>>> = assignment
-        .into_iter()
-        .enumerate()
-        .map(|(index, home)| {
-            let study = Arc::clone(&study);
-            let endpoints = Arc::clone(&endpoints);
-            std::thread::spawn(move || {
-                for attempt in 0..endpoints.len() {
-                    let which = (home + attempt) % endpoints.len();
-                    let endpoint = &endpoints[which];
-                    trace::event("shard.dispatch", |a| {
-                        a.num("shard", index as u64)
-                            .num("attempt", attempt as u64)
-                            .str("endpoint", endpoint);
-                    });
-                    match request_shard(endpoint, &study, index, shards, timeout) {
-                        Ok(stats) => {
-                            trace::event("shard.served", |a| {
-                                a.num("shard", index as u64)
-                                    .str("endpoint", endpoint)
-                                    .num("jobs", stats.jobs);
-                            });
-                            return Some((which, stats));
-                        }
-                        Err(why) => {
-                            let last = attempt + 1 == endpoints.len();
-                            trace::event(
-                                if last { "shard.fallback" } else { "shard.retry" },
-                                |a| {
-                                    a.num("shard", index as u64)
-                                        .str("endpoint", endpoint)
-                                        .str("error", &why);
-                                },
-                            );
-                            let next = if last {
-                                "; no endpoints left, the coordinator recomputes the range"
-                            } else {
-                                "; retrying on the next endpoint"
-                            };
-                            trace::diag(&format!(
-                                "shard {index}/{shards}: {endpoint}: {why}{next}"
-                            ));
-                        }
-                    }
-                }
-                None
+    let endpoints = &transport.endpoints;
+    let served: Vec<Option<(usize, EngineStats)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = assign_round_robin(shards, endpoints.len())
+            .into_iter()
+            .enumerate()
+            .map(|(index, home)| {
+                scope.spawn(move || send_shard(sharded, index, shards, home, transport))
             })
-        })
-        .collect();
+            .collect();
+        handles.into_iter().map(|handle| handle.join().ok().flatten()).collect()
+    });
 
-    let mut dispatch = Dispatch::empty(shards);
+    let mut dispatch =
+        Dispatch { shard_stats: vec![None; shards], endpoints: Vec::new(), failed: Vec::new() };
     let mut per_endpoint: Vec<(Vec<usize>, EngineStats)> =
-        vec![(Vec::new(), EngineStats::zero()); transport.endpoints.len()];
-    for (index, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(Some((which, stats))) => {
+        vec![(Vec::new(), EngineStats::zero()); endpoints.len()];
+    for (index, outcome) in served.into_iter().enumerate() {
+        match outcome {
+            Some((which, stats)) => {
                 per_endpoint[which].0.push(index);
                 per_endpoint[which].1.absorb(&stats);
                 dispatch.shard_stats[index] = Some(stats);
             }
-            _ => dispatch.failed.push(index),
+            None => dispatch.failed.push(index),
         }
     }
-    dispatch.endpoints = transport
-        .endpoints
+    dispatch.endpoints = endpoints
         .iter()
         .zip(per_endpoint)
         .filter(|(_, (served, _))| !served.is_empty())
@@ -871,6 +693,47 @@ fn dispatch_remote(sharded: &ShardedStudy, shards: usize, transport: &RemoteTran
         })
         .collect();
     dispatch
+}
+
+/// Sends shard `index` of `shards` around the endpoint ring from its
+/// round-robin `home`, trying each endpoint at most once, and returns
+/// the index of the endpoint that served it with the shard's statistics.
+fn send_shard(
+    sharded: &ShardedStudy,
+    index: usize,
+    shards: usize,
+    home: usize,
+    transport: &RemoteTransport,
+) -> Option<(usize, EngineStats)> {
+    let endpoints = &transport.endpoints;
+    for attempt in 0..endpoints.len() {
+        let which = (home + attempt) % endpoints.len();
+        let endpoint = &endpoints[which];
+        trace::event("shard.dispatch", |a| {
+            a.num("shard", index as u64).num("attempt", attempt as u64).str("endpoint", endpoint);
+        });
+        match request_shard(endpoint, sharded, index, shards, transport.timeout) {
+            Ok(stats) => {
+                trace::event("shard.served", |a| {
+                    a.num("shard", index as u64).str("endpoint", endpoint).num("jobs", stats.jobs);
+                });
+                return Some((which, stats));
+            }
+            Err(why) => {
+                let last = attempt + 1 == endpoints.len();
+                trace::event(if last { "shard.fallback" } else { "shard.retry" }, |a| {
+                    a.num("shard", index as u64).str("endpoint", endpoint).str("error", &why);
+                });
+                let next = if last {
+                    "; no endpoints left, the coordinator recomputes the range"
+                } else {
+                    "; retrying on the next endpoint"
+                };
+                trace::diag(&format!("shard {index}/{shards}: {endpoint}: {why}{next}"));
+            }
+        }
+    }
+    None
 }
 
 /// One remote dispatch attempt: send the shard as a serve request, read

@@ -253,6 +253,24 @@ impl StageStore {
         self.load(key, JOB_STAGE).map(|(comparison, body)| (comparison, body.len()))
     }
 
+    /// Copies the files of those `keys` this store holds into `into`,
+    /// unread: a key without a file is skipped, and a corrupt file stays
+    /// corrupt, so both stores start from the same state.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors other than a missing source file.
+    pub(crate) fn copy_jobs(&self, keys: &[JobKey], into: &StageStore) -> std::io::Result<()> {
+        std::fs::create_dir_all(&into.dir)?;
+        for &key in keys {
+            match std::fs::copy(self.path(key), into.path(key)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Every regular, non-hidden file of the store — `job` and stage
     /// artifacts and legacy `<key>.json` verify tokens alike, so stale
     /// generations age out instead of accreting — oldest first, with name
@@ -791,7 +809,8 @@ pub(crate) fn source_digest(spec: &Spec) -> JobKey {
 /// vector count). The adder and balance do not enter it: they only reach
 /// the schedule keys and the inline pricing. The engine runs a group's
 /// jobs in turn on one worker, so the first resolves the shared stages
-/// and the rest hit them instead of waiting on another worker's slot.
+/// and the rest hit them instead of waiting on another worker's slot; a
+/// sharded run keeps each group whole in one shard for the same reason.
 pub(crate) fn group_key(source: JobKey, latency: u32, options: &CompareOptions) -> JobKey {
     let (source, latency) = (source.to_string(), latency.to_string());
     stage_key(&["group", &source, &latency, &options.verify_vectors.to_string()])

@@ -147,9 +147,8 @@ impl fmt::Display for EngineStats {
 /// Attribution of one dispatch target's share of a multi-process run:
 /// which shards it served and the merged [`EngineStats`] of that work.
 /// A sharded run ([`crate::shard::run_sharded`]) reports one of these per
-/// endpoint that did work — the `serve` endpoints, remote or started
-/// locally for the run, and the `coordinator` itself when gap-fill
-/// recomputation ran — so the merged
+/// endpoint that did work — each `serve` endpoint of the fleet, and the
+/// `coordinator` itself when gap-fill recomputation ran — so the merged
 /// totals stay auditable: every job in the sum can be pointed at the
 /// machine that ran it.
 #[derive(Clone, Debug, Serialize)]

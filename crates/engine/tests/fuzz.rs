@@ -1,11 +1,16 @@
 //! Integration tests for `engine::fuzz`: the invariants hold over clean
 //! seeds, reports are deterministic, replay reproduces a case exactly,
-//! and the differential (sharded) path agrees with single-process.
+//! and the differential (sharded) path agrees with single-process over a
+//! healthy, a warm and a dead `serve` fleet.
+
+mod support;
 
 use bittrans_engine::fuzz::{self, Differential, FuzzOptions, Invariant, Shape};
 use bittrans_engine::report::normalize_run_shape;
-use bittrans_engine::shard::{LocalTransport, Transport};
-use std::path::PathBuf;
+use bittrans_engine::shard::{RemoteTransport, Transport};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+use support::{dead_endpoint, Fleet};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bittrans_fuzz_test_{}_{tag}", std::process::id()));
@@ -69,30 +74,68 @@ fn mul_prob_override_reaches_the_generator() {
     assert_eq!(report.total_violations(), 0, "{}", report.render_text());
 }
 
-/// The differential path with a worker binary that dies instantly: every
+/// `count` cases from `seed`, each cross-checked in `shards` shards
+/// against `endpoints` sharing the store `dir`.
+fn differential(dir: &Path, endpoints: Vec<String>, shards: usize, seed: u64) -> FuzzOptions {
+    FuzzOptions {
+        count: 4,
+        seed,
+        workers: Some(2),
+        differential: Some(Differential {
+            cache_dir: dir.to_path_buf(),
+            shards,
+            transport: Transport::Remote(RemoteTransport {
+                endpoints,
+                timeout: Duration::from_secs(30),
+            }),
+        }),
+        ..Default::default()
+    }
+}
+
+fn assert_clean_differential(report: &fuzz::FuzzReport) {
+    assert_eq!(report.total_violations(), 0, "{}", report.render_text());
+    assert!(report.checks.iter().any(|&(i, n)| i == Invariant::ShardIdentity && n == 4));
+}
+
+/// The differential path against a fleet where nothing listens: every
 /// shard fails, the coordinator recomputes in-process, and the report
 /// must still normalize byte-identical to single-process — the exact
 /// recovery contract `run_sharded` documents.
 #[test]
 fn differential_agrees_even_when_workers_die() {
     let dir = temp_dir("diff");
-    let options = FuzzOptions {
-        count: 4,
-        seed: 20,
-        workers: Some(2),
-        differential: Some(Differential {
-            cache_dir: dir.clone(),
-            shards: 2,
-            transport: Transport::Local(LocalTransport {
-                worker_binary: PathBuf::from("false"),
-                threads_per_worker: Some(1),
-            }),
-        }),
-        ..Default::default()
-    };
-    let report = fuzz::run(&options);
-    assert_eq!(report.total_violations(), 0, "{}", report.render_text());
-    assert!(report.checks.iter().any(|&(i, n)| i == Invariant::ShardIdentity && n == 4));
+    let options = differential(&dir, vec![dead_endpoint(), dead_endpoint()], 2, 20);
+    assert_clean_differential(&fuzz::run(&options));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The differential path against a healthy in-process fleet: the shards
+/// really run on the endpoints and land in their shared store.
+#[test]
+fn differential_agrees_with_a_healthy_fleet() {
+    let dir = temp_dir("healthy");
+    let fleet = Fleet::start(2, &dir, 1);
+    let options = differential(&dir, fleet.endpoints.clone(), 3, 24);
+    assert_clean_differential(&fuzz::run(&options));
+    let stats = fleet.shutdown();
+    assert!(stats.iter().all(|s| s.requests > 0), "every endpoint served shards");
+    assert_eq!(stats.iter().map(|s| s.errors).sum::<u64>(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: rerunning the same seeds against one fleet found its store
+/// warm with the cases' job files while the reference run started cold,
+/// and every case reported a false `shard_identity` violation. The
+/// reference now starts from copies of those job files.
+#[test]
+fn a_warm_fleet_store_reports_no_false_violations() {
+    let dir = temp_dir("warm_fleet");
+    let fleet = Fleet::start(2, &dir, 1);
+    let options = differential(&dir, fleet.endpoints.clone(), 2, 28);
+    assert_clean_differential(&fuzz::run(&options));
+    assert_clean_differential(&fuzz::run(&options));
+    fleet.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,8 +2,8 @@
 //! in-process `serve::Server` fleet on port-0 loopback listeners, driven
 //! through `shard::run_sharded` with a `Remote` transport.
 //!
-//! The headline property mirrors the local sharding suite's: the
-//! remote-sharded `StudyReport` must be **byte-identical** to a
+//! The headline property: the sharded `StudyReport` must be
+//! **byte-identical** to a
 //! single-process `Study::run` over the same grid and starting cache
 //! state — modulo the wall-clock `elapsed_ms` and the pool-shape
 //! `workers` count — and that identity must survive every injected
@@ -45,7 +45,8 @@ const TIMEOUT: Duration = Duration::from_secs(30);
 const STALL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The grid every scenario runs: 1 spec × 4 latencies × 2 adders = 8
-/// distinct jobs, verification off to keep each job cheap.
+/// distinct jobs in 4 stage-sharing groups (one per λ), verification off
+/// to keep each job cheap.
 fn study() -> ShardedStudy {
     ShardedStudy {
         sources: vec![SOURCE.to_string()],
@@ -91,7 +92,7 @@ proptest! {
     /// Round-robin endpoint assignment is total (every shard assigned
     /// exactly once) and balanced (endpoint loads differ by at most one)
     /// over random shard counts and endpoint-list sizes — mirroring the
-    /// `partition` totality/disjointness properties the local sharder is
+    /// `partition` totality/disjointness properties the shard cut is
     /// built on.
     #[test]
     fn prop_round_robin_is_total_and_balanced(shards in 0usize..600, endpoints in 1usize..40) {
@@ -113,18 +114,22 @@ fn shard_slice_survives_absurd_coordinates() {
     use bittrans_engine::shard::shard_slice;
     let parsed = study().study().unwrap();
     let distinct = parsed.distinct_jobs().len();
+    // 4 groups of 2 jobs: one group per λ, both adders in it.
+    let (groups, group_size) = (4, 2);
     // A hostile count must cost neither an allocation proportional to it
-    // nor an arithmetic overflow; each index holds at most one job (the
-    // same cut partition() would make) and index >= count is empty.
-    assert!(shard_slice(&parsed, 0, usize::MAX).len() <= 1);
-    assert!(shard_slice(&parsed, usize::MAX - 1, usize::MAX).len() <= 1);
+    // nor an arithmetic overflow; each index holds at most one group (the
+    // same cut partition() would make over groups) and index >= count is
+    // empty.
+    assert!(shard_slice(&parsed, 0, usize::MAX).len() <= group_size);
+    assert!(shard_slice(&parsed, usize::MAX - 1, usize::MAX).len() <= group_size);
     assert!(shard_slice(&parsed, usize::MAX, usize::MAX).is_empty(), "index >= count");
-    // The direct cut agrees with partition() wherever both are defined.
+    // The direct cut agrees with partition() over the groups wherever
+    // both are defined.
     for count in [1usize, 2, 3, 5, 16] {
         let total: usize = (0..count).map(|i| shard_slice(&parsed, i, count).len()).sum();
         assert_eq!(total, distinct, "count={count} must stay total");
-        for (index, range) in partition(distinct, count).into_iter().enumerate() {
-            assert_eq!(shard_slice(&parsed, index, count).len(), range.len());
+        for (index, range) in partition(groups, count).into_iter().enumerate() {
+            assert_eq!(shard_slice(&parsed, index, count).len(), range.len() * group_size);
         }
     }
 }
@@ -327,6 +332,63 @@ fn exhausted_fleet_over_a_partial_store_recomputes_exactly_the_gaps() {
     }
 }
 
+/// 2 specs × λ {3, 4} × 3 adders, verification on: 4 stage-sharing groups
+/// of 3 jobs, every cell feasible.
+fn two_spec_study() -> ShardedStudy {
+    ShardedStudy {
+        sources: vec![
+            SOURCE.to_string(),
+            "spec mac { input A: u8; input B: u8; input C: u16;
+              P: u16 = A * B; S: u16 = P + C; output S; }"
+                .to_string(),
+        ],
+        latencies: vec![3, 4],
+        adder_archs: Some(vec![
+            AdderArch::RippleCarry,
+            AdderArch::CarryLookahead,
+            AdderArch::CarrySelect,
+        ]),
+        balance: None,
+        verify_vectors: None,
+        base: CompareOptions { verify_vectors: 16, ..Default::default() },
+    }
+}
+
+/// Shards cut on group boundaries share no stage work: ranked by source
+/// digest first, 2 shards of this grid hold one spec each, so each
+/// shard's slice, run on an engine of its own, costs together exactly
+/// the stage misses of one cold single-process run — whatever order the
+/// endpoints would run in.
+#[test]
+fn shard_slices_share_no_stage_work() {
+    let parsed = two_spec_study().study().unwrap();
+    let cold = parsed.run(&Engine::default());
+    assert_eq!(cold.successes().count(), 12, "every cell feasible");
+    let misses: u64 = (0..2)
+        .map(|index| Engine::default().run(shard_slice(&parsed, index, 2)).stats.stage_misses)
+        .sum();
+    assert_eq!(misses, cold.stats.stage_misses);
+}
+
+/// The same over a two-endpoint fleet sharing one store: the endpoints'
+/// summed stage misses equal the single-process cold count.
+#[test]
+fn sharded_stage_work_equals_the_single_process_cold_count() {
+    let sharded = two_spec_study();
+    let cold = cold_reference(&sharded);
+    assert_eq!(cold.successes().count(), 12, "every cell feasible, so no gap-fill");
+
+    let dir = temp_dir("stage_work");
+    let fleet = Fleet::start(2, &dir, 1);
+    let run = run_sharded(&sharded, &dir, &remote(fleet.endpoints.clone(), 2, TIMEOUT)).unwrap();
+    fleet.shutdown();
+    assert!(run.failed.is_empty() && run.retried.is_empty());
+    assert_eq!(run.endpoints.len(), 2, "one shard per endpoint");
+    let misses: u64 = run.endpoints.iter().map(|endpoint| endpoint.stats.stage_misses).sum();
+    assert_eq!(misses, cold.stats.stage_misses);
+    assert_eq!(normalized(&run.report), normalized(&cold));
+}
+
 /// The latent-timeout regression (the `client` path once read responses
 /// with no deadline): a listener that accepts and never writes must cost
 /// the shared codec one bounded `TimedOut` error, not a hang.
@@ -422,17 +484,18 @@ fn shard_requests_validate_coords_and_need_a_store() {
     handle.join().unwrap();
 }
 
-/// A shard request runs exactly its slice of the key-sorted distinct job
-/// list, answers with the batch statistics, and spills the results into
-/// the shared store for the coordinator to read.
+/// A shard request runs exactly its slice of the ranked distinct job
+/// list — whole stage-sharing groups — answers with the batch
+/// statistics, and spills the results into the shared store for the
+/// coordinator to read.
 #[test]
 fn shard_request_runs_the_range_and_fills_the_store() {
     let sharded = study();
     let dir = temp_dir("range");
     let fleet = Fleet::start(1, &dir, 1);
     let distinct = distinct_jobs(&sharded);
-    let expected: Vec<usize> =
-        partition(distinct, 2).into_iter().map(|range| range.len()).collect();
+    // 4 groups of 2 jobs, 2 groups per shard.
+    let expected: Vec<usize> = partition(4, 2).into_iter().map(|range| range.len() * 2).collect();
 
     let mut client = proto::LineClient::connect(&fleet.endpoints[0], TIMEOUT).unwrap();
     for (index, &size) in expected.iter().enumerate() {

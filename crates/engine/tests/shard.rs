@@ -1,24 +1,29 @@
 //! The sharding protocol, tested hermetically (no real `bittrans` binary):
 //!
 //! * **partitioning is total and disjoint** — property tests over random
-//!   job lists and shard counts: every key lands in exactly one shard and
-//!   the union of the shards is the input;
+//!   job lists and shard counts: every key lands in exactly one shard,
+//!   the union of the shards is the input, and every stage-sharing group
+//!   lands whole in one shard;
 //! * **shard requests roundtrip** — a request serialized by the
 //!   coordinator re-derives the identical job slice on the serve side;
-//! * **the coordinator survives a local fleet that never starts** — with
-//!   a worker binary that exits nonzero (`false`) or exits zero without a
-//!   banner (`true`), over a cold, warm or corrupt store, the assembled
-//!   report is bit-identical to the single-process run.
+//! * **the coordinator survives a fleet that never answers** — with dead
+//!   loopback endpoints or none at all, over a cold, warm or corrupt
+//!   store, the assembled report is bit-identical to the single-process
+//!   run.
+
+mod support;
 
 use bittrans_core::CompareOptions;
 use bittrans_engine::shard::{
-    partition, run_sharded, shard_slice, LocalTransport, ShardOptions, ShardedStudy, Transport,
+    partition, run_sharded, shard_slice, RemoteTransport, ShardOptions, ShardedStudy, Transport,
 };
-use bittrans_engine::{Engine, EngineOptions, JobKey, StudyReport};
+use bittrans_engine::{Engine, EngineOptions, Job, JobKey, StudyReport};
 use bittrans_rtl::AdderArch;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
+use support::dead_endpoint;
 
 /// A tiny deterministic generator (xorshift64*) so perturbations are
 /// reproducible from the proptest-drawn seed alone.
@@ -163,6 +168,26 @@ proptest! {
         prop_assert_eq!(seen, all);
     }
 
+    /// Shards are cut between stage-sharing groups only — the jobs of one
+    /// (spec, λ, verify vectors) coordinate, which differ in adder and
+    /// balance alone — so every group lands whole in exactly one shard.
+    #[test]
+    fn prop_every_group_lands_in_exactly_one_shard(seed in 0u64..500, shards in 1usize..9) {
+        let study = random_study(seed).study().unwrap();
+        let group = |job: &Job| (job.spec.to_string(), job.latency, job.options.verify_vectors);
+        let mut home: HashMap<_, HashSet<usize>> = HashMap::new();
+        for index in 0..shards {
+            for job in shard_slice(&study, index, shards) {
+                home.entry(group(&job)).or_default().insert(index);
+            }
+        }
+        let groups: HashSet<_> = study.distinct_jobs().iter().map(group).collect();
+        prop_assert_eq!(home.len(), groups.len(), "every group is served");
+        for (group, shards_of) in &home {
+            prop_assert_eq!(shards_of.len(), 1, "group {:?} split over {:?}", group, shards_of);
+        }
+    }
+
     /// A shard request read back the way `serve` reads it — study body
     /// through `ShardedStudy::from_value`, coordinates off the object —
     /// re-derives the identical job slice.
@@ -188,24 +213,30 @@ fn reference_report(study: &ShardedStudy) -> StudyReport {
     study.study().unwrap().run(&Engine::default())
 }
 
-fn options(worker_binary: &str, shards: usize) -> ShardOptions {
+/// Shards sent to `endpoints` under a short deadline: dead loopback
+/// endpoints refuse at once, so the deadline is never reached.
+fn options(endpoints: Vec<String>, shards: usize) -> ShardOptions {
     ShardOptions {
         shards,
-        transport: Transport::Local(LocalTransport {
-            worker_binary: PathBuf::from(worker_binary),
-            threads_per_worker: Some(1),
+        transport: Transport::Remote(RemoteTransport {
+            endpoints,
+            timeout: Duration::from_secs(5),
         }),
     }
 }
 
+/// A fleet of `count` endpoints where nothing listens.
+fn dead_fleet(count: usize) -> Vec<String> {
+    (0..count).map(|_| dead_endpoint()).collect()
+}
+
 #[test]
-fn fleet_that_fails_to_start_is_recomputed_in_process() {
+fn dead_fleet_is_recomputed_in_process() {
     let study = random_study(42);
     let dir = temp_dir("all_dead");
-    // `false` exits 1 before printing a banner: the fleet has no
-    // endpoints, every shard fails, nothing reaches the store, and the
-    // coordinator must retry the full job list in-process.
-    let run = run_sharded(&study, &dir, &options("false", 3)).unwrap();
+    // Every endpoint refuses: every shard fails, nothing reaches the
+    // store, and the coordinator must retry the full job list in-process.
+    let run = run_sharded(&study, &dir, &options(dead_fleet(3), 3)).unwrap();
     let distinct = study.study().unwrap().distinct_jobs().len();
     assert_eq!(run.failed.len(), run.shard_stats.len());
     assert!(run.shard_stats.iter().all(Option::is_none));
@@ -220,14 +251,32 @@ fn fleet_that_fails_to_start_is_recomputed_in_process() {
 }
 
 #[test]
-fn fleet_that_exits_without_a_banner_is_recomputed_in_process() {
+fn empty_fleet_is_recomputed_in_process() {
     let study = random_study(43);
-    let dir = temp_dir("no_banner");
-    // `true` exits 0 without printing a banner: a clean exit is no more
-    // an endpoint than a crash, so every shard is recomputed.
-    let run = run_sharded(&study, &dir, &options("true", 2)).unwrap();
-    assert_eq!(run.failed, vec![0, 1]);
+    let dir = temp_dir("no_endpoints");
+    // No endpoint at all is no more a fleet than a dead one: every shard
+    // is recomputed.
+    let run = run_sharded(&study, &dir, &options(Vec::new(), 2)).unwrap();
+    assert!(!run.shard_stats.is_empty());
+    assert_eq!(run.failed, (0..run.shard_stats.len()).collect::<Vec<_>>());
     assert_eq!(run.retried.len(), study.study().unwrap().distinct_jobs().len());
+    assert_eq!(cells_json(&run.report), cells_json(&reference_report(&study)));
+}
+
+#[test]
+fn the_shard_count_is_clamped_to_the_groups() {
+    // 2 latencies × 2 adders × balance both over one spec: 2 groups of 4.
+    let study = ShardedStudy {
+        sources: vec![random_source(45)],
+        latencies: vec![3, 4],
+        adder_archs: Some(vec![AdderArch::RippleCarry, AdderArch::CarryLookahead]),
+        balance: Some(vec![true, false]),
+        ..random_study(45)
+    };
+    let dir = temp_dir("clamp");
+    let run = run_sharded(&study, &dir, &options(dead_fleet(1), 16)).unwrap();
+    assert_eq!(run.shard_stats.len(), 2, "one shard per group");
+    assert_eq!(run.failed, vec![0, 1]);
     assert_eq!(cells_json(&run.report), cells_json(&reference_report(&study)));
 }
 
@@ -238,10 +287,9 @@ fn workers_fill_the_store_and_the_coordinator_reassembles_it() {
     // Run every shard in-process first — the store ends up fully
     // populated, exactly as if a healthy fleet had run.
     fill_store(&study, 0..2, 2, &dir);
-    // The coordinator's fleet never starts (`true` prints no banner), but
-    // the store already holds every comparison: nothing is retried, and
-    // every cell reports from_cache.
-    let run = run_sharded(&study, &dir, &options("true", 2)).unwrap();
+    // The coordinator's fleet is dead, but the store already holds every
+    // comparison: nothing is retried, and every cell reports from_cache.
+    let run = run_sharded(&study, &dir, &options(dead_fleet(2), 2)).unwrap();
     assert!(run.retried.is_empty());
     assert!(run.report.cells.iter().all(|c| c.from_cache));
     assert_eq!(run.report.stats.cache_misses, run.report.stats.jobs - run.report.stats.cache_hits);
@@ -269,7 +317,7 @@ fn corrupt_preloaded_entry_does_not_break_bit_identity() {
     }
     // The sharded run must classify the corrupt key exactly like the
     // single-process run: a recomputed miss, not a from_cache hit.
-    let run = run_sharded(&study, &dir_a, &options("true", 2)).unwrap();
+    let run = run_sharded(&study, &dir_a, &options(dead_fleet(2), 2)).unwrap();
     let warm = Engine::default().with_cache_dir(&dir_b).unwrap();
     let reference = study.study().unwrap().run(&warm);
     assert_eq!(cells_json(&run.report), cells_json(&reference));

@@ -3,7 +3,10 @@
 //! plus fault endpoints that refuse, drop, garble, stall or lie — each a
 //! deterministic stand-in for one way a network dispatch dies. No sleeps
 //! anywhere: every scenario synchronizes on connection state (accept,
-//! EOF) or on the client's own bounded timeout.
+//! EOF) or on the client's own bounded timeout. Each test crate compiles
+//! its own view of this module and uses its own subset, hence the blanket
+//! allow.
+#![allow(dead_code)]
 
 use bittrans_engine::{ServeOptions, Server, ServiceStats};
 use std::io::{BufRead, BufReader, Read, Write};

@@ -5,7 +5,7 @@
 //! bittrans compare   <file.spec> --latency N
 //! bittrans explore   <dir-or-files...> --latency N|A..B [--adders rca,cla,csel]
 //!                    [--balance on|off|both] [--verify N] [--jobs K]
-//!                    [--shards K] [--workers host:port,...] [--timeout SECS]
+//!                    [--workers host:port,... [--shards K]] [--timeout SECS]
 //!                    [--cache-dir DIR] [--json]
 //! bittrans cache     prune --cache-dir DIR [--max-bytes N] [--max-age SECS] [--json]
 //! bittrans serve     --addr HOST:PORT [--cache-dir DIR] [--jobs K]
@@ -31,19 +31,18 @@
 //! persists results on disk, so a repeated invocation over the same inputs
 //! is served entirely from cache.
 //!
-//! `explore --shards K` runs the grid across K `bittrans serve` children
-//! of this binary, started on free loopback ports over the cache directory
-//! (an automatically cleaned temporary one when `--cache-dir` is not
-//! given) and shut down afterwards; the printed report is bit-identical to
-//! the single-process run, and `--jobs` then caps total threads across all
-//! children. `explore --workers host:port,host:port` dispatches the shards
-//! to running `bittrans serve` endpoints instead; both send the same shard
-//! requests (round-robin, retrying a failed endpoint's shard on the next
-//! one, recomputing in-process whatever the fleet never delivered).
-//! `--workers` requires `--cache-dir` — the store the whole fleet shares —
-//! composes with `--shards K` (default: one shard per endpoint), and
-//! bounds every exchange by `--timeout`. `cache prune` sweeps a cache
-//! directory down to a size/age budget, oldest files first.
+//! `explore --workers host:port,host:port` cuts the grid into shards and
+//! sends them to running `bittrans serve` endpoints (round-robin,
+//! retrying a failed endpoint's shard on the next one, recomputing
+//! in-process whatever the fleet never delivered); the printed report is
+//! bit-identical to the single-process run. `--workers` requires
+//! `--cache-dir` — the store the whole fleet shares — composes with
+//! `--shards K` (default: one shard per endpoint), and bounds every
+//! exchange by `--timeout`. `--shards` without `--workers` is an error:
+//! one process already runs the grid on every core, so to use several
+//! processes on one host, start several `bittrans serve --cache-dir DIR`
+//! endpoints there. `cache prune` sweeps a cache directory down to a
+//! size/age budget, oldest files first.
 //!
 //! Every subcommand can write a structured execution trace — one JSON
 //! line per span or event, see `bittrans_engine::trace` — to a file given
@@ -146,7 +145,7 @@ fn usage() -> String {
         "usage: bittrans <{}> \
          <file.spec|dir|-> ... [--latency N|A..B] [--jobs K] \
          [--adder rca|cla|csel] [--adders rca,cla,csel] [--balance on|off|both] \
-         [--verify N] [--shards K] [--workers host:port,...] [--timeout SECS] \
+         [--verify N] [--workers host:port,... [--shards K]] [--timeout SECS] \
          [--cache-dir DIR] [--max-bytes N] [--max-age SECS] \
          [--addr HOST:PORT] [--shutdown] [--stats] [--stream] [--trace-out FILE] \
          [--json] [--emit-vhdl DIR] [--netlist] \
@@ -403,8 +402,8 @@ fn finish_explore(report: &StudyReport, json: bool) -> Result<(), String> {
 
 fn run_explore(args: &Args, options: &CompareOptions) -> Result<(), String> {
     warn_timeout_without_workers(args);
-    if args.shards.is_some() || args.workers.is_some() {
-        return run_explore_sharded(args, options);
+    if let Some((shard_options, store)) = fleet_sharding(args, "explore")? {
+        return run_explore_sharded(args, options, &shard_options, &store);
     }
     let mut study = Study::over(read_specs(&args.files)?)
         .latencies(args.latencies.iter().copied())
@@ -442,97 +441,67 @@ fn sharded_study(args: &Args, options: &CompareOptions) -> Result<shard::Sharded
     })
 }
 
-/// `--timeout` bounds remote exchanges only: a local `serve` child runs
-/// until its shard finishes, so say so instead of dropping the flag.
+/// `--timeout` bounds exchanges with `serve` endpoints only, so say so
+/// instead of dropping the flag.
 fn warn_timeout_without_workers(args: &Args) {
     if args.timeout.is_some() && args.workers.is_none() {
         eprintln!(
-            "warning: --timeout has no effect without --workers; local shard workers \
-             run until their shard finishes"
+            "warning: --timeout has no effect without --workers; it bounds each \
+             exchange with a serve endpoint"
         );
     }
 }
 
-/// The result store of a sharded run: `--cache-dir`, or a temporary
-/// directory that is removed when this is dropped.
-struct ShardStore {
-    dir: PathBuf,
-    ephemeral: bool,
-}
-
-impl Drop for ShardStore {
-    fn drop(&mut self) {
-        if self.ephemeral {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
-/// The transport selection `explore` and `fuzz` share: `--workers` for a
-/// running `serve` fleet (which needs `--cache-dir`), or `--shards K` for
-/// a fleet of K children of this binary started for the run, with
-/// `--jobs` split across them. `None` when neither flag is given.
-fn shard_transport(
+/// The shard options `explore` and `fuzz` share, from `--workers` (a
+/// running `serve` fleet, which needs `--cache-dir`) and `--shards` (the
+/// cut, default one shard per endpoint), with that shared store. `None`
+/// when neither flag is given.
+fn fleet_sharding(
     args: &Args,
     command: &str,
-) -> Result<Option<(shard::Transport, usize, ShardStore)>, String> {
-    let (transport, shards) = match (&args.workers, args.shards) {
-        (Some(list), _) => {
-            // The coordinator reads results back from the store the fleet
-            // writes, so a shared --cache-dir is not optional — an
-            // ephemeral local one would silently degrade every run to
-            // in-process recomputation.
-            let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
-            if args.cache_dir.is_none() {
-                return Err(format!(
-                    "{command} --workers needs --cache-dir: the coordinator and the \
-                     serve fleet must share one result store"
-                ));
-            }
-            let shards = args.shards.unwrap_or(endpoints.len());
-            let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
-            (shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout }), shards)
-        }
-        (None, Some(shards)) => {
-            let worker_binary =
-                std::env::current_exe().map_err(|e| format!("resolving worker binary: {e}"))?;
-            let transport = shard::Transport::Local(shard::LocalTransport {
-                worker_binary,
-                // `--jobs` caps total threads across the run: split it
-                // over the workers, at least one thread each.
-                threads_per_worker: args.jobs.map(|jobs| (jobs / shards.max(1)).max(1)),
-            });
-            (transport, shards)
-        }
-        (None, None) => return Ok(None),
+) -> Result<Option<(shard::ShardOptions, PathBuf)>, String> {
+    let Some(list) = &args.workers else {
+        return match args.shards {
+            Some(_) => Err(format!(
+                "{command} --shards needs --workers: start `bittrans serve --cache-dir DIR` \
+                 endpoints (several on one host if you like) and pass them as \
+                 --workers host:port,..."
+            )),
+            None => Ok(None),
+        };
     };
-    let store = match &args.cache_dir {
-        Some(dir) => ShardStore { dir: PathBuf::from(dir), ephemeral: false },
-        None => ShardStore {
-            dir: std::env::temp_dir().join(format!("bittrans_{command}_{}", std::process::id())),
-            ephemeral: true,
-        },
+    let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
+    // The coordinator reads results back from the store the fleet writes,
+    // so a shared --cache-dir is not optional.
+    let Some(dir) = &args.cache_dir else {
+        return Err(format!(
+            "{command} --workers needs --cache-dir: the coordinator and the \
+             serve fleet must share one result store"
+        ));
     };
-    Ok(Some((transport, shards, store)))
+    let shards = args.shards.unwrap_or(endpoints.len());
+    let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
+    let transport = shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout });
+    Ok(Some((shard::ShardOptions { shards, transport }, PathBuf::from(dir))))
 }
 
-/// `explore --shards K` / `--workers`: the same grid, dispatched as shard
-/// requests to `serve` endpoints sharing one cache directory, reassembled
-/// into the identical report.
-fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), String> {
+/// `explore --workers`: the same grid, dispatched as shard requests to
+/// `serve` endpoints sharing one cache directory, reassembled into the
+/// identical report.
+fn run_explore_sharded(
+    args: &Args,
+    options: &CompareOptions,
+    shard_options: &shard::ShardOptions,
+    store: &Path,
+) -> Result<(), String> {
     let study = sharded_study(args, options)?;
-    let Some((transport, shards, store)) = shard_transport(args, "explore")? else {
-        unreachable!("explore shards only with --shards or --workers")
-    };
-    if args.workers.is_some() && args.jobs.is_some() {
+    if args.jobs.is_some() {
         eprintln!(
             "warning: --jobs has no effect with --workers; each endpoint's pool \
              width is set by its own `serve --jobs`"
         );
     }
-    let run = shard::run_sharded(&study, &store.dir, &shard::ShardOptions { shards, transport });
-    drop(store);
-    let run = run.map_err(|e| e.to_string())?;
+    let run = shard::run_sharded(&study, store, shard_options).map_err(|e| e.to_string())?;
     for (index, stats) in run.shard_stats.iter().enumerate() {
         match stats {
             Some(stats) => eprintln!("shard {index}/{}: {stats}", run.shard_stats.len()),
@@ -569,9 +538,9 @@ fn run_serve(args: &Args) -> Result<(), String> {
         max_inflight: serve::DEFAULT_MAX_INFLIGHT,
     };
     let server = serve::Server::bind(&options).map_err(|e| format!("serve {addr}: {e}"))?;
-    // Announce the resolved address (scripts and local shard runs bind
-    // port 0 and need the real port); flush because stdout is
-    // block-buffered under a pipe.
+    // Announce the resolved address (scripts and test fleets bind port 0
+    // and need the real port); flush because stdout is block-buffered
+    // under a pipe.
     println!("{}", serve::banner(server.local_addr()));
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let stats = server.run().map_err(|e| e.to_string())?;
@@ -693,21 +662,16 @@ fn run_client(args: &Args, options: &CompareOptions) -> Result<(), String> {
 
 /// `fuzz`: fleet-scale differential fuzzing — seeded random specs through
 /// the full study grid, cross-configuration invariants asserted per case,
-/// optionally cross-checked against the sharded/remote transport.
+/// optionally cross-checked against a `serve` fleet (`--workers`).
 fn run_fuzz(args: &Args) -> Result<(), String> {
     let count = args.count.unwrap_or(100);
     let seed = args.seed.unwrap_or(0);
     // The differential (sharded) cross-check engages exactly like
-    // explore's transport selection: --workers for a running serve fleet,
-    // --shards for one started locally per case.
+    // explore's sharding: --workers for a running serve fleet.
     warn_timeout_without_workers(args);
-    let (differential, _store) = match shard_transport(args, "fuzz")? {
-        Some((transport, shards, store)) => {
-            let cache_dir = store.dir.clone();
-            (Some(fuzz::Differential { cache_dir, shards, transport }), Some(store))
-        }
-        None => (None, None),
-    };
+    let differential = fleet_sharding(args, "fuzz")?.map(|(options, cache_dir)| {
+        fuzz::Differential { cache_dir, shards: options.shards, transport: options.transport }
+    });
     let options = fuzz::FuzzOptions {
         count,
         seed,

@@ -274,6 +274,22 @@ fn zero_jobs_and_zero_shards_are_rejected() {
     assert!(stderr.contains("--shards must be at least 1"), "{stderr}");
 }
 
+/// Shards only go to a running `serve` fleet: `--shards` without
+/// `--workers` is refused, and the message says how to start one.
+#[test]
+fn shards_without_workers_are_rejected() {
+    let spec = repo("specs/ewf_section.spec");
+    for args in [
+        vec!["explore", spec.to_str().unwrap(), "--latency", "3", "--shards", "2"],
+        vec!["fuzz", "--count", "1", "--shards", "2"],
+    ] {
+        let (ok, stdout, stderr) = run(&args);
+        assert!(!ok, "{} accepted --shards without --workers: {stdout}", args[0]);
+        assert!(stderr.contains("--shards needs --workers"), "{stderr}");
+        assert!(stderr.contains("bittrans serve --cache-dir DIR"), "{stderr}");
+    }
+}
+
 #[test]
 fn inverted_ranges_are_errors_not_empty_sweeps() {
     let spec = repo("specs/ewf_section.spec");

@@ -1,30 +1,12 @@
 //! Integration tests for `bittrans fuzz`: flag validation matches the
 //! existing degenerate-count guards, the `--json` document is
 //! byte-identical across processes once `report normalize` blanks the
-//! run-shape fields, and sharding the differential does not change it.
+//! run-shape fields, and sharding the differential across a `serve`
+//! fleet does not change it.
 
-use std::path::PathBuf;
-use std::process::Command;
+mod support;
 
-fn bin() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug|release/
-    p.push(format!("bittrans{}", std::env::consts::EXE_SUFFIX));
-    p
-}
-
-fn run(args: &[&str]) -> (bool, String, String) {
-    let out = Command::new(bin())
-        .args(args)
-        .output()
-        .expect("bittrans binary runs (build it with the test profile)");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
+use support::{run, ServerProc};
 
 /// Pipe a fuzz `--json` document through `bittrans report normalize` so
 /// the comparison exercises the same CLI surface a CI script would.
@@ -96,13 +78,39 @@ fn fuzz_json_is_deterministic_across_processes() {
 
 /// Splitting the differential across more shards must not
 /// change a single byte of the report: shard count is a deployment
-/// choice, not an input.
+/// choice, not an input. Each run gets a fresh two-endpoint fleet over a
+/// fresh store.
 #[test]
 fn fuzz_report_is_identical_across_shard_counts() {
-    let one = run(&["fuzz", "--count", "2", "--seed", "8", "--shards", "1", "--json"]);
-    assert!(one.0, "stderr: {}", one.2);
-    let four = run(&["fuzz", "--count", "2", "--seed", "8", "--shards", "4", "--json"]);
-    assert!(four.0, "stderr: {}", four.2);
-    assert!(one.1.contains("\"differential\": true"), "{}", one.1);
-    assert_eq!(normalized(&one.1, "shards_1"), normalized(&four.1, "shards_4"));
+    let fuzz_in_shards = |shards: &str| {
+        let store = std::env::temp_dir()
+            .join(format!("bittrans_fuzz_cli_{}_fleet_{shards}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store);
+        std::fs::create_dir_all(&store).unwrap();
+        let servers = [ServerProc::start(&store, 1), ServerProc::start(&store, 1)];
+        let workers = format!("{},{}", servers[0].addr, servers[1].addr);
+        let cache = store.to_string_lossy().into_owned();
+        let (ok, stdout, stderr) = run(&[
+            "fuzz",
+            "--count",
+            "2",
+            "--seed",
+            "8",
+            "--workers",
+            &workers,
+            "--shards",
+            shards,
+            "--cache-dir",
+            &cache,
+            "--json",
+        ]);
+        servers.into_iter().for_each(ServerProc::shutdown);
+        let _ = std::fs::remove_dir_all(&store);
+        assert!(ok, "stderr: {stderr}");
+        stdout
+    };
+    let one = fuzz_in_shards("1");
+    let four = fuzz_in_shards("4");
+    assert!(one.contains("\"differential\": true"), "{one}");
+    assert_eq!(normalized(&one, "shards_1"), normalized(&four, "shards_4"));
 }

@@ -1,21 +1,18 @@
-//! End-to-end tests of `explore --shards K` against the compiled binary,
-//! which starts a local fleet of `bittrans serve` children: the sharded
-//! run's `--json` output must be byte-identical to the single-process run
-//! on the same grid (modulo the run-shape fields, which differ even
-//! between two identical single-process runs), the merged `EngineStats`
-//! totals must account for every deduplicated job exactly once, and the
-//! children must leave the coordinator's trace file alone.
-//!
-//! The remote-transport half drives `explore --workers` against spawned
-//! `bittrans serve` processes: the same byte-identity contract over TCP,
-//! plus flag validation and the unreachable-fleet fallback. Failure paths
-//! of the one shard transport (dead, dropping, lying and stalled
-//! endpoints) are covered hermetically in the engine crate's
+//! End-to-end tests of `explore --workers A,B [--shards K]` against the
+//! compiled binary and spawned `bittrans serve` processes sharing one
+//! store: the sharded run's `--json` output must be byte-identical to the
+//! single-process run on the same grid (modulo the run-shape fields,
+//! which differ even between two identical single-process runs), the
+//! merged `EngineStats` totals must account for every deduplicated job
+//! exactly once, and the coordinator's trace must record the dispatch.
+//! Flag validation and the unreachable-fleet fallback are covered too;
+//! the failure paths of the shard transport (dead, dropping, lying and
+//! stalled endpoints) are covered hermetically in the engine crate's
 //! `remote_shard.rs` suite.
 
 mod support;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use support::{repo, run_env, ServerProc};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -60,7 +57,16 @@ fn grid_args<'a>(cache: &'a str, extra: &[&'a str]) -> Vec<String> {
     args
 }
 
-fn run_grid(cache: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> (String, String) {
+/// `count` `serve` processes over the store `cache` (created if absent),
+/// and their `--workers` list.
+fn fleet(cache: &Path, count: usize) -> (Vec<ServerProc>, String) {
+    std::fs::create_dir_all(cache).unwrap();
+    let fleet: Vec<ServerProc> = (0..count).map(|_| ServerProc::start(cache, 1)).collect();
+    let workers = fleet.iter().map(|server| server.addr.as_str()).collect::<Vec<_>>().join(",");
+    (fleet, workers)
+}
+
+fn run_grid(cache: &Path, extra: &[&str], env: &[(&str, &str)]) -> (String, String) {
     let cache = cache.to_string_lossy().into_owned();
     let args = grid_args(&cache, extra);
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
@@ -72,38 +78,40 @@ fn run_grid(cache: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> (S
 #[test]
 fn sharded_json_is_byte_identical_to_single_process() {
     let (dir_a, dir_b) = (temp_dir("diff_a"), temp_dir("diff_b"));
+    let (servers, workers) = fleet(&dir_b, 2);
     let (single, _) = run_grid(&dir_a, &[], &[]);
-    let (sharded, stderr) = run_grid(&dir_b, &["--shards", "4"], &[]);
+    let (sharded, stderr) = run_grid(&dir_b, &["--workers", &workers, "--shards", "4"], &[]);
 
     // Byte-identical modulo the run shape — including from_cache flags
-    // and per-cell comparisons. The stage counters are part of the run
-    // shape: four single-job shard batches share fewer stage prefixes
-    // than one 12-job pool, without changing a result byte.
+    // and per-cell comparisons.
     assert_eq!(strip_run_shape(&single), strip_run_shape(&sharded));
 
     // Merged totals: every deduplicated job exactly once.
     assert_eq!(stat(&sharded, "jobs"), 12);
     assert_eq!(stat(&sharded, "cache_hits") + stat(&sharded, "cache_misses"), 12);
     assert_eq!(stat(&sharded, "cache_misses"), stat(&single, "cache_misses"));
-    // All four shards reported in, each from a loopback serve child.
+    // All four shards reported in, two per loopback endpoint.
     for shard in 0..4 {
         assert!(stderr.contains(&format!("shard {shard}/4:")), "{stderr}");
     }
     assert!(stderr.contains("endpoint 127.0.0.1:"), "{stderr}");
     assert!(!stderr.contains("failed"), "{stderr}");
+    servers.into_iter().for_each(ServerProc::shutdown);
 }
 
 #[test]
 fn sharded_trace_holds_only_the_coordinator() {
     let dir = temp_dir("trace");
+    let (servers, workers) = fleet(&dir, 2);
     let trace_dir = temp_dir("trace_file");
     std::fs::create_dir_all(&trace_dir).unwrap();
     let trace = trace_dir.join("trace.jsonl");
     let trace_path = trace.to_string_lossy().into_owned();
-    run_grid(&dir, &["--shards", "2"], &[("BITTRANS_TRACE", &trace_path)]);
+    run_grid(&dir, &["--workers", &workers], &[("BITTRANS_TRACE", &trace_path)]);
+    servers.into_iter().for_each(ServerProc::shutdown);
 
-    // The serve children run with BITTRANS_TRACE removed: had they
-    // inherited it, the last process to flush would own the file.
+    // The coordinator's trace records the run and each served shard; the
+    // endpoints' own work stays in their processes.
     let text = std::fs::read_to_string(&trace).unwrap();
     let (mut runs, mut served) = (0, 0);
     for line in text.lines() {
@@ -124,12 +132,10 @@ fn timeout_without_workers_is_reported_not_dropped() {
     let spec = repo("specs/saturating_mac.spec");
     let spec = spec.to_str().unwrap();
     let warning = "--timeout has no effect without --workers";
-    let (ok, _, stderr) =
-        run_env(&["explore", spec, "--latency", "3", "--shards", "2", "--timeout", "5"], &[]);
+    let (ok, _, stderr) = run_env(&["explore", spec, "--latency", "3", "--timeout", "5"], &[]);
     assert!(ok, "{stderr}");
     assert!(stderr.contains(warning), "{stderr}");
-    let (ok, _, stderr) =
-        run_env(&["fuzz", "--count", "1", "--shards", "2", "--timeout", "5"], &[]);
+    let (ok, _, stderr) = run_env(&["fuzz", "--count", "1", "--timeout", "5"], &[]);
     assert!(ok, "{stderr}");
     assert!(stderr.contains(warning), "{stderr}");
 }
@@ -137,8 +143,10 @@ fn timeout_without_workers_is_reported_not_dropped() {
 #[test]
 fn sharded_rerun_is_served_from_the_shared_store() {
     let dir = temp_dir("warm");
-    run_grid(&dir, &["--shards", "3"], &[]);
-    let (warm, _) = run_grid(&dir, &["--shards", "3"], &[]);
+    let (servers, workers) = fleet(&dir, 3);
+    run_grid(&dir, &["--workers", &workers], &[]);
+    let (warm, _) = run_grid(&dir, &["--workers", &workers], &[]);
+    servers.into_iter().for_each(ServerProc::shutdown);
     assert_eq!(stat(&warm, "cache_hits"), 12, "{warm}");
     assert_eq!(stat(&warm, "cache_misses"), 0);
     assert!(warm.contains("\"hit_rate_pct\": 100.0"), "{warm}");
@@ -154,18 +162,34 @@ fn sharded_rerun_is_served_from_the_shared_store() {
 }
 
 #[test]
-fn single_shard_and_ephemeral_cache_dir_work() {
-    // --shards 1 still goes through a one-child serve fleet; without
-    // --cache-dir the coordinator shards into a temporary store and cleans
-    // it up.
+fn single_shard_on_one_endpoint_works() {
+    // One shard still goes through the fleet: a request to the one
+    // endpoint, its results read back from the shared store.
+    let dir = temp_dir("single");
+    let (servers, workers) = fleet(&dir, 1);
     let spec = repo("specs/saturating_mac.spec");
+    let cache = dir.to_string_lossy().into_owned();
     let (ok, stdout, stderr) = run_env(
-        &["explore", spec.to_str().unwrap(), "--latency", "3..4", "--shards", "1", "--json"],
+        &[
+            "explore",
+            spec.to_str().unwrap(),
+            "--latency",
+            "3..4",
+            "--workers",
+            &workers,
+            "--shards",
+            "1",
+            "--cache-dir",
+            &cache,
+            "--json",
+        ],
         &[],
     );
+    servers.into_iter().for_each(ServerProc::shutdown);
     assert!(ok, "stderr: {stderr}");
     assert_eq!(stat(&stdout, "jobs"), 2);
     assert!(stderr.contains("shard 0/1:"), "{stderr}");
+    assert!(stderr.contains(&format!("endpoint {workers}: 1 shard(s)")), "{stderr}");
 }
 
 #[test]
