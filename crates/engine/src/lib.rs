@@ -91,7 +91,7 @@ pub use job::{Job, JobResult};
 pub use key::JobKey;
 pub use persist::{PrunePolicy, PruneReport};
 pub use report::{StudyCell, StudyReport};
-pub use serve::{ServeOptions, Server, DEFAULT_MAX_INFLIGHT};
+pub use serve::{ServeOptions, Server};
 pub use stats::{EndpointStats, EngineStats, SchedStats, ServiceStats};
 pub use study::Study;
 
@@ -103,6 +103,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
+
+/// Upper bound on a worker count taken from outside input (`--jobs`).
+/// The engine's pool spawns one OS thread per worker, so a larger value
+/// is a mistyped flag, never a machine this runs on.
+pub const MAX_WORKERS: usize = 256;
 
 /// Configuration of an [`Engine`].
 #[derive(Clone, Copy, Debug)]

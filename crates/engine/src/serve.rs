@@ -64,40 +64,34 @@
 //!
 //! # Execution model
 //!
-//! Each study or shard request runs on a per-request runner thread that
-//! hands its grid to the shared [`Engine`] through the one routine that
-//! resolves and labels keyed cells for [`Engine::run`] and [`Study::run`]
-//! too (`Engine::run_grid`, without their `engine.run` batch span, so a
-//! request's `exec.task` spans sit directly under `serve.request`). A
-//! shard request takes its keys along with its slice of jobs, so no job
-//! is hashed twice. The engine
-//! owns one persistent worker pool — as wide as its worker count — fed
-//! by a fair per-request round-robin queue ([`crate::sched`]): every
-//! request's uncached jobs are one scheduling unit, and workers grant
-//! every active request one task per pass, so a 2-cell study admitted
-//! behind a 10,000-cell one finishes after a handful of grants instead of
-//! waiting for the whole backlog. Determinism survives the interleaving
-//! because reports assemble from keyed cells: each response is a function
-//! of the request and the cache state it observed, never of scheduling
-//! order.
+//! Each connection is served on its own handler thread, one request at a
+//! time: read a line, classify it, run it, write its frames and reply,
+//! then read the next line. A client that sends further requests before
+//! reading gets its replies in request order.
+//!
+//! A study or shard request resolves its grid on the shared [`Engine`]
+//! through the routine [`Engine::run`] and [`Study::run`] use too
+//! (`Engine::run_grid`, without their `engine.run` batch span, so a
+//! request's `exec.task` spans sit directly under `serve.request`); a
+//! shard request brings its keys along, so no job is hashed twice.
+//! Concurrency is between connections: all of them share the engine's
+//! one worker pool and its fair per-request round-robin queue
+//! ([`crate::sched`]). Every request's uncached jobs are one scheduling
+//! unit, and workers grant every active request one task per pass, so a
+//! 2-cell study admitted behind a 10,000-cell one finishes after a
+//! handful of grants. Reports assemble from keyed cells, so each response
+//! is a function of the request and the cache state it observed, never of
+//! scheduling order.
 //!
 //! Concurrent requests wanting the **same** job never compute it twice:
 //! the first request to claim the key in the engine's memo computes it,
 //! and later requests wait on that job's slot (counted as a cache hit —
-//! they do no pipeline work, exactly like a resident entry). A request
-//! streams the frames of the cells it joined after its own computed
-//! cells. A panicking job fails its request and every request waiting on
-//! it with `internal error: request execution panicked`; the pool and
-//! the service survive, and a later request recomputes the job.
-//!
-//! Connections are **pipelined**: a client may send further requests
-//! before reading responses, up to [`ServeOptions::max_inflight`]
-//! concurrently executing studies per connection (beyond that, requests
-//! are rejected with a protocol error, never stalled). Responses are
-//! written in completion order, so a pipelining client must correlate
-//! them itself (or use one connection per outstanding request); a client
-//! that awaits each response before the next request observes exactly
-//! the old strictly-ordered protocol.
+//! they do no pipeline work, exactly like a resident entry). The waiting
+//! is done by the connection's thread, so it costs no pool task. A
+//! request streams the frames of the cells it joined after its own
+//! computed cells. A panicking job fails its request and every request
+//! waiting on it with `internal error: request execution panicked`; the
+//! pool and the service survive, and a later request recomputes the job.
 //!
 //! Every accepted socket sets `TCP_NODELAY`, and every response line —
 //! frame, reply or rejection — goes out as one write, body and newline
@@ -130,8 +124,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default cap on one request line. A study body is source text plus axis
@@ -139,12 +133,6 @@ use std::time::{Duration, Instant};
 /// client, and reading it unbounded would let one connection exhaust the
 /// server's memory.
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 4 * 1024 * 1024;
-
-/// Default cap on concurrently executing studies per connection. One
-/// warm client legitimately pipelines a few requests; dozens in flight
-/// on a single connection is a runaway loop or abuse, and admitting them
-/// unbounded would let one socket monopolize the fair queue.
-pub const DEFAULT_MAX_INFLIGHT: usize = 8;
 
 /// Upper bound on a shard request's `shard_count`. Real fleets are a
 /// handful of machines; anything bigger is a typo or abuse, and a hard
@@ -188,9 +176,6 @@ pub struct ServeOptions {
     pub cache_dir: Option<PathBuf>,
     /// Reject request lines longer than this many bytes.
     pub max_request_bytes: usize,
-    /// Reject a connection's study/shard requests beyond this many
-    /// concurrently executing ones (a protocol error, never a stall).
-    pub max_inflight: usize,
 }
 
 impl Default for ServeOptions {
@@ -200,7 +185,6 @@ impl Default for ServeOptions {
             workers: None,
             cache_dir: None,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
         }
     }
 }
@@ -230,7 +214,6 @@ struct ServerState {
     class_stats: AtomicU64,
     started: Instant,
     max_request_bytes: usize,
-    max_inflight: usize,
     local_addr: SocketAddr,
 }
 
@@ -271,7 +254,6 @@ impl Server {
             class_stats: AtomicU64::new(0),
             started: Instant::now(),
             max_request_bytes: options.max_request_bytes,
-            max_inflight: options.max_inflight.max(1),
             local_addr,
         });
         Ok(Server { listener, state })
@@ -328,35 +310,26 @@ enum Classified {
     Error(String),
     /// Acknowledge, then stop the whole service.
     Shutdown,
-    /// Pure introspection: answer the lifetime counters inline.
+    /// Pure introspection: answer the lifetime counters.
     Stats,
     /// A validated study (`coords` set for a shard request), to execute
     /// on the engine's pool.
     Run { study: Study, coords: Option<(usize, usize)>, stream: bool },
 }
 
-/// Serves one connection: bounded line reads, one response per request,
-/// study/shard execution on per-request runner threads so requests from
-/// one connection pipeline (up to the in-flight cap). Returns — after
-/// joining the runners, so every admitted request is answered — on EOF,
-/// I/O trouble, oversized requests, or service shutdown.
+/// Serves one connection, one request at a time: read a line, classify
+/// it, run it, write its frames and reply, then read the next line, so a
+/// pipelining client gets its replies in request order. Returns on EOF,
+/// I/O trouble, an oversized request, or service shutdown.
 fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
     let peer = stream.peer_addr().map_or_else(|_| "?".to_string(), |a| a.to_string());
     // Idle reads wake periodically so shutdown can drain this thread, and
     // writes are bounded so a client that never reads its response cannot
-    // pin the handler (both options are socket-wide, shared by the clone).
+    // pin the handler.
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
-    // Studies this connection has admitted and not yet answered. The
-    // reader loop is the only incrementer, so load-then-add is race-free.
-    let inflight = Arc::new(AtomicUsize::new(0));
-    let mut runners: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let (line, read_ns) = match read_request_line(&mut reader, &state) {
             LineRead::Line { text, read_ns } => (text, read_ns),
@@ -370,7 +343,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                 trace::stderr_log("serve", "rejected", |a| {
                     a.str("peer", &peer).str("error", &message);
                 });
-                let _ = respond_error(&writer, &message, &mut 0);
+                let _ = respond_error(reader.get_mut(), &message, &mut 0);
                 // Drain the rest of the oversized line before closing:
                 // dropping the socket with unread input queued makes the
                 // close an RST, which can destroy the error reply in
@@ -382,40 +355,31 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
         if line.is_empty() {
             continue; // blank keep-alive line
         }
-        runners.retain(|h| !h.is_finished());
+        // The reader buffers input only; replies go straight to the socket.
+        let writer = reader.get_mut();
         // Every received request line gets a process-unique id; it ties
         // the structured log lines below to the request's trace span.
         let req = state.next_request.fetch_add(1, Ordering::SeqCst) + 1;
-        match classify_request(&line, &state) {
-            Classified::Error(message) => {
-                let sent = in_request_span(req, &peer, read_ns, |write_ns| {
-                    state.errors.fetch_add(1, Ordering::SeqCst);
-                    trace::stderr_log("serve", "rejected", |a| {
-                        a.num("req", req).str("peer", &peer).str("error", &message);
-                    });
-                    respond_error(&writer, &message, write_ns)
+        let sent = match classify_request(&line, &state) {
+            Classified::Error(message) => in_request_span(req, &peer, read_ns, |write_ns| {
+                state.errors.fetch_add(1, Ordering::SeqCst);
+                trace::stderr_log("serve", "rejected", |a| {
+                    a.num("req", req).str("peer", &peer).str("error", &message);
                 });
-                if sent.is_err() {
-                    break;
-                }
-            }
-            Classified::Stats => {
-                let sent = in_request_span(req, &peer, read_ns, |write_ns| {
-                    state.class_stats.fetch_add(1, Ordering::SeqCst);
-                    trace::stderr_log("serve", "stats", |a| {
-                        a.num("req", req).str("peer", &peer);
-                    });
-                    write_line(&writer, &stats_reply(&state), write_ns)
+                respond_error(writer, &message, write_ns)
+            }),
+            Classified::Stats => in_request_span(req, &peer, read_ns, |write_ns| {
+                state.class_stats.fetch_add(1, Ordering::SeqCst);
+                trace::stderr_log("serve", "stats", |a| {
+                    a.num("req", req).str("peer", &peer);
                 });
-                if sent.is_err() {
-                    break;
-                }
-            }
+                write_line(writer, &stats_reply(&state), write_ns)
+            }),
             Classified::Shutdown => {
                 trace::stderr_log("serve", "shutdown", |a| {
                     a.num("req", req).str("peer", &peer);
                 });
-                let _ = write_line(&writer, "{\"ok\":true,\"shutdown\":true}", &mut 0);
+                let _ = write_line(writer, "{\"ok\":true,\"shutdown\":true}", &mut 0);
                 state.shutdown.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the flag. A wildcard
                 // bind (0.0.0.0 / ::) is not connectable on every
@@ -432,60 +396,33 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                 break;
             }
             Classified::Run { study, coords, stream } => {
-                if inflight.load(Ordering::SeqCst) >= state.max_inflight {
-                    let message = format!(
-                        "too many in-flight studies on this connection (limit {}); \
-                         read a response before sending the next request",
-                        state.max_inflight
-                    );
-                    state.errors.fetch_add(1, Ordering::SeqCst);
-                    trace::stderr_log("serve", "rejected", |a| {
-                        a.num("req", req).str("peer", &peer).str("error", &message);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    in_request_span(req, &peer, read_ns, |write_ns| {
+                        *write_ns = match coords {
+                            Some((index, count)) => {
+                                run_shard_request(&state, &study, index, count, req, &peer, writer)
+                            }
+                            None => run_study_request(&state, &study, stream, req, &peer, writer),
+                        };
                     });
-                    if respond_error(&writer, &message, &mut 0).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                inflight.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(&state);
-                let writer = Arc::clone(&writer);
-                let inflight = Arc::clone(&inflight);
-                let peer = peer.clone();
-                runners.push(std::thread::spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        in_request_span(req, &peer, read_ns, |write_ns| {
-                            *write_ns = match coords {
-                                Some((index, count)) => run_shard_request(
-                                    &state, &study, index, count, req, &peer, &writer,
-                                ),
-                                None => {
-                                    run_study_request(&state, &study, stream, req, &peer, &writer)
-                                }
-                            };
-                        });
-                    }));
-                    if outcome.is_err() {
-                        // "Never happens" on validated studies, but a
-                        // service must outlive it: answer with an error
-                        // instead of silently dropping the request.
-                        state.errors.fetch_add(1, Ordering::SeqCst);
-                        trace::stderr_log("serve", "request_panicked", |a| {
-                            a.num("req", req).str("peer", &peer);
-                        });
-                        let _ = respond_error(
-                            &writer,
-                            "internal error: request execution panicked",
-                            &mut 0,
-                        );
-                    }
-                    inflight.fetch_sub(1, Ordering::SeqCst);
                 }));
+                if outcome.is_ok() {
+                    Ok(())
+                } else {
+                    // "Never happens" on validated studies, but a service
+                    // must outlive it: answer with an error instead of
+                    // silently dropping the request.
+                    state.errors.fetch_add(1, Ordering::SeqCst);
+                    trace::stderr_log("serve", "request_panicked", |a| {
+                        a.num("req", req).str("peer", &peer);
+                    });
+                    respond_error(writer, "internal error: request execution panicked", &mut 0)
+                }
             }
+        };
+        if sent.is_err() {
+            break;
         }
-    }
-    for runner in runners {
-        let _ = runner.join();
     }
 }
 
@@ -760,7 +697,7 @@ fn run_study_request(
     stream: bool,
     req: u64,
     peer: &str,
-    writer: &Mutex<TcpStream>,
+    writer: &mut TcpStream,
 ) -> u64 {
     let grid = study.grid();
     // Grid cells per key, in grid order: the streaming path fans each
@@ -839,7 +776,7 @@ fn run_shard_request(
     count: usize,
     req: u64,
     peer: &str,
-    writer: &Mutex<TcpStream>,
+    writer: &mut TcpStream,
 ) -> u64 {
     let (jobs, keys) = shard::keyed_shard_slice(study, index, count);
     let stats = state.engine.run_grid(&jobs, &keys, &jobs, &keys, |_, _, _| {}).stats;
@@ -870,18 +807,17 @@ fn run_shard_request(
 }
 
 /// Writes one response line, body and newline in one write, adding the
-/// time spent (lock wait included) to `write_ns`. The mutex makes
-/// concurrent runner and reader writes line-atomic — frames and
-/// responses interleave only at line boundaries.
-fn write_line(writer: &Mutex<TcpStream>, line: &str, write_ns: &mut u64) -> io::Result<()> {
+/// time spent to `write_ns`. Only the connection's own thread writes, so
+/// frames and replies never interleave.
+fn write_line(writer: &mut TcpStream, line: &str, write_ns: &mut u64) -> io::Result<()> {
     let framed = [line.as_bytes(), b"\n"].concat();
     let started = Instant::now();
-    let written = writer.lock().unwrap_or_else(PoisonError::into_inner).write_all(&framed);
+    let written = writer.write_all(&framed);
     *write_ns += elapsed_ns(started);
     written
 }
 
-fn respond_error(writer: &Mutex<TcpStream>, message: &str, write_ns: &mut u64) -> io::Result<()> {
+fn respond_error(writer: &mut TcpStream, message: &str, write_ns: &mut u64) -> io::Result<()> {
     let escaped = serde_json::to_string(message)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     write_line(writer, &format!("{{\"ok\":false,\"error\":{escaped}}}"), write_ns)

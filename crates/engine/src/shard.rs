@@ -343,7 +343,7 @@ fn optional<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
 }
 
 /// The `index`-th of `count` shards of a study's distinct jobs in shard
-/// order ([`ShardOrder`]) — the slice a `serve` endpoint executes for a
+/// order (`ShardOrder`) — the slice a `serve` endpoint executes for a
 /// shard request. Every endpoint (and the coordinator) computes the same
 /// cut from the same pure inputs. A shard holds whole stage-sharing
 /// groups only, so a `count` above the group count leaves some shards

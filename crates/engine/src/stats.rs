@@ -261,7 +261,8 @@ impl fmt::Display for SchedStats {
 /// questions with different counters.
 #[derive(Clone, Debug)]
 pub struct ServiceStats {
-    /// Study requests answered with a report.
+    /// Study and shard requests answered: with a report, or with a
+    /// shard range's batch statistics.
     pub requests: u64,
     /// Requests rejected at the protocol layer (malformed JSON, unknown
     /// fields, oversized bodies, unparseable or invalid studies) — these

@@ -505,6 +505,15 @@ fn shard_request_runs_the_range_and_fills_the_store() {
         let value = serde_json::from_str(&reply).unwrap();
         let stats = proto::stats_from_value(value.get("stats").unwrap()).unwrap();
         assert_eq!(stats.jobs as usize, size, "shard {index} ran exactly its range");
+        // A shard request counts as an answered request, of class `shard`.
+        let reply = client.request("{\"stats\": true}").unwrap();
+        let value: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        let count = |outer: &str, inner: &str| {
+            value.get(outer).and_then(|v| v.get(inner)).and_then(serde_json::Value::as_u64)
+        };
+        let answered = index as u64 + 1;
+        assert_eq!(count("service", "requests"), Some(answered), "{reply}");
+        assert_eq!(count("classes", "shard"), Some(answered), "{reply}");
     }
     drop(client);
     fleet.shutdown();

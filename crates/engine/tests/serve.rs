@@ -11,9 +11,7 @@
 //! protocol abuse and vanishing clients must each cost one response (or
 //! one connection), never the service.
 
-use bittrans_engine::{
-    proto, Engine, EngineOptions, ServeOptions, Server, ServiceStats, Study, DEFAULT_MAX_INFLIGHT,
-};
+use bittrans_engine::{proto, Engine, EngineOptions, ServeOptions, Server, ServiceStats, Study};
 use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
 use std::io::{BufRead, BufReader, Write};
@@ -33,23 +31,20 @@ const LATENCIES: [u32; 3] = [2, 3, 4];
 const WORKERS: usize = 2;
 
 fn start_server(max_request_bytes: usize) -> (SocketAddr, JoinHandle<ServiceStats>) {
-    start_server_with(max_request_bytes, WORKERS, DEFAULT_MAX_INFLIGHT)
+    start_server_with(max_request_bytes, WORKERS)
 }
 
 /// Fully parameterized variant for the scheduler tests: the pool width
-/// sets the scheduler's worker count, `max_inflight` the per-connection
-/// pipelining cap.
+/// sets the scheduler's worker count.
 fn start_server_with(
     max_request_bytes: usize,
     workers: usize,
-    max_inflight: usize,
 ) -> (SocketAddr, JoinHandle<ServiceStats>) {
     let server = Server::bind(&ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         workers: Some(workers),
         cache_dir: None,
         max_request_bytes,
-        max_inflight,
     })
     .expect("bind loopback");
     let addr = server.local_addr();
@@ -351,6 +346,25 @@ fn small_request() -> String {
     format!("{{\"sources\": [{source}], \"latencies\": [2, 3]}}")
 }
 
+/// The references for [`large_request`] and [`small_request`]: each
+/// tenant's grid on its own fresh width-1 engine.
+fn tenant_references() -> (String, String) {
+    let large = {
+        let engine = Engine::new(EngineOptions { workers: Some(1), cache: true });
+        Study::single(Spec::parse(SOURCE).unwrap())
+            .latencies(2..=26)
+            .adder_archs([AdderArch::RippleCarry, AdderArch::CarryLookahead])
+            .balance([true, false])
+            .run(&engine)
+            .to_json()
+    };
+    let small = {
+        let engine = Engine::new(EngineOptions { workers: Some(1), cache: true });
+        Study::single(Spec::parse(SMALL_SOURCE).unwrap()).latencies([2, 3]).run(&engine).to_json()
+    };
+    (large, small)
+}
+
 /// Sends `request` on its own connection and reports at which position
 /// (a shared arrival counter) its response line landed.
 fn timed_client(
@@ -373,22 +387,9 @@ fn a_small_tenant_overtakes_a_large_one_and_both_match_single_process_runs() {
     // server (the old per-request run lock) would hold the 2-cell tenant
     // until the whole 100-cell grid drained, so the ordering assertion
     // below fails without fair scheduling.
-    let (addr, handle) = start_server_with(1 << 20, 1, DEFAULT_MAX_INFLIGHT);
+    let (addr, handle) = start_server_with(1 << 20, 1);
 
-    // References: each tenant's grid on its own fresh width-1 engine.
-    let large_ref = {
-        let engine = Engine::new(EngineOptions { workers: Some(1), cache: true });
-        Study::single(Spec::parse(SOURCE).unwrap())
-            .latencies(2..=26)
-            .adder_archs([AdderArch::RippleCarry, AdderArch::CarryLookahead])
-            .balance([true, false])
-            .run(&engine)
-            .to_json()
-    };
-    let small_ref = {
-        let engine = Engine::new(EngineOptions { workers: Some(1), cache: true });
-        Study::single(Spec::parse(SMALL_SOURCE).unwrap()).latencies([2, 3]).run(&engine).to_json()
-    };
+    let (large_ref, small_ref) = tenant_references();
 
     let order = Arc::new(AtomicUsize::new(0));
     let large_client = timed_client(addr, large_request(), &order);
@@ -511,34 +512,36 @@ fn streaming_and_batch_reports_are_byte_identical() {
 }
 
 #[test]
-fn pipelining_past_the_inflight_cap_is_rejected_not_hung() {
-    let (addr, handle) = start_server_with(1 << 20, 1, 1);
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, handle) = start_server_with(1 << 20, 1);
+    let (large_ref, small_ref) = tenant_references();
 
-    // Two studies pipelined back to back on one connection without
-    // reading: the first (slow) one is admitted, the second trips the
-    // cap — immediately, as an error response, not a hang and not a
-    // dropped connection.
+    // Three requests written back to back on one connection before any
+    // reply is read. On a width-1 pool the small study would finish
+    // first; the replies still come back in request order, and every read
+    // has a deadline, so a lost reply fails the test instead of hanging
+    // it.
     let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     send_line(&mut stream, &large_request());
-    send_line(&mut stream, &study_request());
+    send_line(&mut stream, &small_request());
+    send_line(&mut stream, "{\"stats\": true}");
 
-    let first = read_response(&mut reader);
-    assert!(first.starts_with("{\"ok\":false,"), "{first}");
-    assert!(first.contains("too many in-flight studies"), "{first}");
-
-    // The admitted study still completes on the same connection...
-    let second = read_response(&mut reader);
-    assert!(second.starts_with("{\"ok\":true,"), "{second}");
-
-    // ...after which the connection is under the cap again.
-    send_line(&mut stream, &study_request());
-    let third = read_response(&mut reader);
-    assert!(third.starts_with("{\"ok\":true,"), "{third}");
+    let large = read_response(&mut reader);
+    assert!(large.starts_with("{\"ok\":true,"), "{large}");
+    assert_eq!(strip_elapsed(report_slice(&large)), strip_elapsed(&large_ref));
+    let small = read_response(&mut reader);
+    assert!(small.starts_with("{\"ok\":true,"), "{small}");
+    assert_eq!(strip_elapsed(report_slice(&small)), strip_elapsed(&small_ref));
+    let probe = read_response(&mut reader);
+    assert!(probe.starts_with("{\"ok\":true,\"stats\":true,"), "{probe}");
+    // Answered after both studies, so it counts them.
+    assert!(probe.contains("\"service\":{\"requests\":2,"), "{probe}");
 
     let stats = shutdown(addr, handle);
     assert_eq!(stats.requests, 2);
-    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.errors, 0);
 }
 
 #[test]

@@ -46,7 +46,6 @@
 
 pub mod bits;
 pub mod canonical;
-pub mod dot;
 pub mod error;
 pub mod op;
 pub mod operand;

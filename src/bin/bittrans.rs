@@ -69,7 +69,7 @@ use bittrans::core::MAX_LATENCY;
 use bittrans::engine::proto;
 use bittrans::engine::serve;
 use bittrans::engine::shard;
-use bittrans::engine::{fuzz, trace};
+use bittrans::engine::{fuzz, trace, MAX_WORKERS};
 use bittrans::prelude::*;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -231,6 +231,9 @@ fn parse_args() -> Result<Args, String> {
                 let k: usize = value("--jobs")?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
                 if k == 0 {
                     return Err("--jobs must be at least 1".into());
+                }
+                if k > MAX_WORKERS {
+                    return Err(format!("bad --jobs: {k} exceeds the maximum of {MAX_WORKERS}"));
                 }
                 args.jobs = Some(k);
             }
@@ -535,7 +538,6 @@ fn run_serve(args: &Args) -> Result<(), String> {
         workers: args.jobs,
         cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
         max_request_bytes: serve::DEFAULT_MAX_REQUEST_BYTES,
-        max_inflight: serve::DEFAULT_MAX_INFLIGHT,
     };
     let server = serve::Server::bind(&options).map_err(|e| format!("serve {addr}: {e}"))?;
     // Announce the resolved address (scripts and test fleets bind port 0

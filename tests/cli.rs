@@ -274,6 +274,28 @@ fn zero_jobs_and_zero_shards_are_rejected() {
     assert!(stderr.contains("--shards must be at least 1"), "{stderr}");
 }
 
+/// `--jobs` sets how many OS threads the engine's pool spawns, so it is
+/// bounded like every other outside input. Each command line ends in a
+/// second error (an inverted latency range), so even a binary without the
+/// bound exits before it starts a pool.
+#[test]
+fn jobs_beyond_the_bound_are_rejected() {
+    let spec = repo("specs/ewf_section.spec");
+    for jobs in ["257", "18446744073709551615"] {
+        for command in [
+            vec!["explore", spec.to_str().unwrap()],
+            vec!["serve", "--addr", "127.0.0.1:0"],
+            vec!["fuzz", "--count", "1"],
+        ] {
+            let args = [command.as_slice(), &["--jobs", jobs, "--latency", "9..3"]].concat();
+            let (ok, stdout, stderr) = run(&args);
+            assert!(!ok, "{} accepted --jobs {jobs}: {stdout}", args[0]);
+            assert!(stdout.is_empty(), "{} did work before rejecting: {stdout}", args[0]);
+            assert!(stderr.contains("exceeds the maximum of 256"), "{stderr}");
+        }
+    }
+}
+
 /// Shards only go to a running `serve` fleet: `--shards` without
 /// `--workers` is refused, and the message says how to start one.
 #[test]
