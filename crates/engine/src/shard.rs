@@ -19,8 +19,9 @@
 //!    group and [`JobKey`] — then cuts the ranked list into K contiguous
 //!    ranges on group boundaries only (the [`partition`] arithmetic over
 //!    groups — total and disjoint by construction), so no two shards
-//!    resolve the same `fragment` or `verify`, and a spec's `extract` is
-//!    resolved only by the shards its groups span;
+//!    resolve the same stage (only a grid over several verify vector
+//!    counts has groups that share one: the schedules of one spec and λ,
+//!    which do not read the count);
 //! 2. sends each shard as a shard request — the study body plus
 //!    `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
 //!    newline-delimited JSON protocol — to an endpoint assigned
@@ -375,9 +376,9 @@ pub(crate) fn keyed_shard_slice(
 
 /// A grid's distinct jobs in the one order every process cuts shards
 /// from: by source digest, stage-sharing group
-/// ([`stagecache::group_key`]) and [`JobKey`]. A spec's groups sit side
-/// by side and each group is one contiguous run, so cutting only between
-/// groups keeps every job that shares a group's stages in one shard.
+/// ([`stagecache::group_key`]) and [`JobKey`]. Each group is one
+/// contiguous run, so cutting only between groups keeps every job that
+/// shares a group's stages in one shard.
 struct ShardOrder {
     /// Indices into the grid's distinct jobs, ranked.
     ranked: Vec<usize>,

@@ -1,39 +1,34 @@
 //! The engine's one content-addressed memo: finished jobs and the
-//! pipeline stages they decompose into, each keyed by its exact inputs.
+//! pipeline stages they decompose into, each keyed by its job's inputs.
 //!
 //! A finished job (`spec × latency × options`, keyed by [`crate::key`])
-//! is the memo's `job` kind. Job granularity alone would make a latency
-//! sweep over one spec re-run kernel extraction at every point, and a
-//! one-operation spec edit a 100 % cold start, so this module also
-//! decomposes a cache-miss job into the stage functions `bittrans-core`
-//! exposes ([`bittrans_core::stage_extract`] and friends) and memoizes each
-//! stage under a content key derived from *that stage's inputs alone*:
+//! is the memo's `job` kind. Job granularity alone would make an adder
+//! walk over one (spec, λ) coordinate re-run the presynthesis
+//! transformation at every point, and a one-operation spec edit a 100 %
+//! cold start, so this module also decomposes a cache-miss job into the
+//! stage functions `bittrans-core` exposes ([`bittrans_core::stage_extract`]
+//! and friends) and memoizes three stages, each under a content key
+//! built from the job's inputs that stage reads:
 //!
 //! ```text
 //! stage        key material (joined with \x1f, then FNV-128 hashed)
 //! ─────        ──────────────────────────────────────────────────────
-//! extract      "extract", #spec
-//! fragment     "fragment", #kernel, λ
-//! verify       "verify", #spec, #fragmented spec, vectors
+//! fragment     "group", #spec, λ, vectors
 //! sched_base   "sched_base", #spec, λ, chaining, balance
-//! sched_frag   "sched_frag", #kernel, λ, balance
+//! sched_frag   "sched_frag", #spec, λ, balance
 //! ```
 //!
-//! Keys chain through 128-bit digests, never through artifact text:
+//! `#spec` is the digest of the spec's pretty-printed form
+//! ([`source_digest`]), taken once per computed job; no key is built from
+//! an artifact.
 //!
-//! ```text
-//! digest            of the text                           computed
-//! ──────            ───────────                           ────────
-//! #spec             the spec's pretty-printed form        once per job
-//! #kernel           `extract`'s canonical body            once per artifact
-//! #fragmented spec  the spec document in `fragment`'s     once per artifact
-//!                   canonical body
-//! ```
-//!
-//! `StageCache::resolve` returns each artifact with its digest, computed
-//! once from the text the artifact was spilled as, charged as or loaded
-//! from, and kept in its memo slot, so no call renders or hashes a kernel
-//! or a fragmented spec again.
+//! `fragment` is the paper's presynthesis transformation as one stage:
+//! kernel extraction, fragmentation and the equivalence check of the
+//! result against its source run together in its compute, in the order
+//! [`bittrans_core::optimize`] runs them, so the same error surfaces
+//! first, and only a verified [`Fragmented`] is stored. Its key is the
+//! job's stage-sharing group ([`group_key`]), so a group holds one stored
+//! transformation.
 //!
 //! Each flow stores one artifact, `sched_base` or `sched_frag`: its
 //! schedule together with that schedule's adder-invariant
@@ -46,34 +41,28 @@
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
 //! "artifact" is the spec's text itself, rendered and digested once per
-//! computed job (`source_digest`, which the engine also groups jobs by —
-//! `group_key`) and not separately cached: producing the key would cost
-//! as much as producing the artifact.
+//! computed job (`source_digest`, which the engine also groups jobs by)
+//! and not separately cached: producing the key would cost as much as
+//! producing the artifact.
 //!
-//! Because keys chain through *artifact content* (the fragment key holds
-//! the extracted kernel's digest, not the original spec's), an edit that
-//! does not change a stage's inputs does not invalidate anything
-//! downstream of it, and two different specs with the same kernel share
-//! every post-extraction stage. Concretely:
+//! Concretely:
 //!
-//! * a latency sweep over one spec shares the latency-invariant prefix
-//!   (one `extract`) across all points;
 //! * an adder-architecture axis and a timing-model axis share every
 //!   stage: only the inline pricing and timing differ;
-//! * latencies that fragment to the same spec share one `verify`;
-//! * a spec edit recomputes only its downstream suffix.
+//! * a balance axis shares the group's `fragment`;
+//! * a spec edit recomputes only the jobs of the edited spec.
 //!
 //! # Storage
 //!
-//! Every memo kind — the stage artifact types, `verify`'s `()` and a
-//! finished job's [`Comparison`], each an `Artifact` with its canonical
-//! codec — resolves through one slot lifecycle: claim the key's
-//! [`OnceLock`] slot, then load the value from the store or compute it,
-//! then land it (spilling a success) and charge it. Concurrent callers
-//! that need the same key wait on the one slot instead of computing it
-//! twice, so hit/miss counts are deterministic for a given job set.
-//! Errors are cached too — stages are pure functions of their keys, so a
-//! failure is as reproducible as a success.
+//! Every memo kind — the stage artifact types and a finished job's
+//! [`Comparison`], each an `Artifact` with its canonical codec — resolves
+//! through one slot lifecycle: claim the key's [`OnceLock`] slot, then
+//! load the value from the store or compute it, then land it (spilling a
+//! success) and charge it. Concurrent callers that need the same key wait
+//! on the one slot instead of computing it twice, so hit/miss counts are
+//! deterministic for a given job set. Errors are cached too — stages are
+//! pure functions of their keys, so a failure is as reproducible as a
+//! success.
 //!
 //! A stage is loaded or computed inside its slot's initializer. A job's
 //! slot is claimed unset, under the memo lock, by the engine call that
@@ -113,7 +102,8 @@
 //! at open); `cache prune` sweeps the directory oldest-first (every key
 //! resident in the memo is pinned). Legacy schema-1 verify tokens
 //! (`<key>.json`, from builds predating the codec) and the files of
-//! retired kinds (`time_*`, `alloc_*`) are simply ignored until pruned.
+//! retired kinds (`extract`, `verify`, `time_*`, `alloc_*`) are simply
+//! ignored until pruned: no key asks for them.
 //!
 //! Every resolution emits one `stage` trace event whose `provenance`
 //! (`memory` / `disk` / `computed`) reconciles exactly with the
@@ -141,14 +131,14 @@ use std::time::SystemTime;
 /// Bound on the memo's charged bytes, finished jobs and stage artifacts
 /// alike: each resident value costs its canonical body length plus
 /// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid
-/// (443 artifacts, 2.46 MB of canonical text) without evicting. An
+/// (396 artifacts, 2.13 MB of canonical text) without evicting. An
 /// evicted entry falls back to the store when one is attached, and to
 /// recomputation otherwise.
 pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
 
 /// The fixed charge of one resident entry on top of its canonical body:
 /// its map and order slots, the `OnceLock` and the `Arc` headers. It also
-/// gives the bodiless `verify` artifact and cached errors a nonzero cost.
+/// gives cached errors a nonzero cost.
 const MEMO_ENTRY_OVERHEAD: usize = 256;
 
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
@@ -209,21 +199,19 @@ impl StageStore {
     }
 
     /// Reads `key`'s file and decodes it as a `stage` artifact, returning
-    /// it with its body text (what the memo charges and digests). A file
-    /// that exists but fails to decode — wrong schema (older *or* newer),
-    /// an envelope naming another stage, a corrupt body — is deleted so the
+    /// it with its body length (what the memo charges). A file that exists
+    /// but fails to decode — wrong schema (older *or* newer), an envelope
+    /// naming another stage, a corrupt body — is deleted so the
     /// recompute's respill repairs it.
-    fn load<T: Artifact>(&self, key: JobKey, stage: &str) -> Option<(T, String)> {
+    fn load<T: Artifact>(&self, key: JobKey, stage: &str) -> Option<(T, usize)> {
         let path = self.path(key);
-        let mut text = std::fs::read_to_string(&path).ok()?;
+        let text = std::fs::read_to_string(&path).ok()?;
         let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
         let value = if envelope == Self::envelope(stage) { T::decode(body) } else { None };
-        let Some(value) = value else {
+        if value.is_none() {
             let _ = std::fs::remove_file(&path);
-            return None;
-        };
-        text.drain(..text.len() - body.len());
-        Some((value, text))
+        }
+        Some((value?, body.len()))
     }
 
     /// Best-effort spill: hidden temp file in the same directory, then
@@ -250,7 +238,7 @@ impl StageStore {
     /// Loads a finished job's comparison and its body length; `None` when
     /// absent or corrupt (a corrupt file is deleted).
     pub(crate) fn load_job(&self, key: JobKey) -> Option<(Comparison, usize)> {
-        self.load(key, JOB_STAGE).map(|(comparison, body)| (comparison, body.len()))
+        self.load(key, JOB_STAGE)
     }
 
     /// Copies the files of those `keys` this store holds into `into`,
@@ -310,12 +298,6 @@ trait Artifact: Sized + Send + Sync + 'static {
     /// Decodes a file body; `None` marks the file corrupt (delete →
     /// recompute → respill).
     fn decode(body: &str) -> Option<Self>;
-    /// The digest downstream keys chain through, of canonical body `body`:
-    /// all of it, unless a downstream stage reads only part of the
-    /// artifact.
-    fn digest(body: &str) -> JobKey {
-        JobKey::of_bytes(body.as_bytes())
-    }
 }
 
 /// Each artifact type's `to_canonical` / `from_canonical` codec.
@@ -332,33 +314,7 @@ macro_rules! canonical_artifacts {
     )*};
 }
 
-canonical_artifacts!(Spec, Comparison);
-
-/// `verify` reads only the fragmented spec, so a fragmentation's digest
-/// covers only the spec document embedded in its body: latencies that
-/// fragment to the same spec share one verification.
-impl Artifact for Fragmented {
-    fn encode(&self) -> String {
-        self.to_canonical()
-    }
-    fn decode(body: &str) -> Option<Self> {
-        Self::from_canonical(body).ok()
-    }
-    fn digest(body: &str) -> JobKey {
-        JobKey::of_bytes(Fragmented::spec_document(body).unwrap_or(body).as_bytes())
-    }
-}
-
-/// `verify`'s artifact is the fact that equivalence checking passed: an
-/// empty body.
-impl Artifact for () {
-    fn encode(&self) -> String {
-        String::new()
-    }
-    fn decode(body: &str) -> Option<Self> {
-        body.is_empty().then_some(())
-    }
-}
+canonical_artifacts!(Fragmented, Comparison);
 
 /// A flow's one stored artifact (`sched_base` / `sched_frag`): its
 /// schedule and that schedule's adder-invariant binding.
@@ -410,10 +366,9 @@ impl Artifact for Bound {
     }
 }
 
-/// A resolved stage: the artifact with the digest of the canonical text
-/// it was spilled as, charged as or loaded from ([`Artifact::digest`]),
-/// or the stage's error. This is what a stage's memo slot holds.
-type Resolved<T> = Result<(Arc<T>, JobKey), PipelineError>;
+/// A resolved stage: the artifact, or the stage's error. This is what a
+/// stage's memo slot holds.
+type Resolved<T> = Result<Arc<T>, PipelineError>;
 
 /// One memo slot. What lands in it is a stage's [`Resolved<T>`] for its
 /// [`Artifact`] type `T`, a finished job's
@@ -624,10 +579,8 @@ impl StageCache {
     /// to the attached store (one encoding serves the spill and the
     /// memo's charge), then sets the slot and charges it.
     pub(crate) fn land(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>) {
-        let body = result
-            .as_ref()
-            .as_ref()
-            .map_or(0, |comparison| self.spill(key, JOB_STAGE, comparison).len());
+        let body =
+            result.as_ref().as_ref().map_or(0, |comparison| self.spill(key, JOB_STAGE, comparison));
         self.settle(key, slot, result, body);
     }
 
@@ -662,7 +615,7 @@ impl StageCache {
     /// the disk tier, or runs `compute` — exactly once per key, even under
     /// concurrency, because every caller funnels through the slot's
     /// `OnceLock` and an unset slot is never evicted. The caller that
-    /// fills the slot digests and charges it.
+    /// fills the slot charges it.
     fn resolve<T: Artifact>(
         &self,
         key: JobKey,
@@ -676,19 +629,14 @@ impl StageCache {
         let value = slot.get_or_init(|| {
             provenance = "computed";
             let result = match self.store.as_ref().and_then(|store| store.load(key, stage)) {
-                Some(loaded) => {
+                Some((artifact, len)) => {
                     provenance = "disk";
-                    Ok(loaded)
+                    body = len;
+                    Ok(artifact)
                 }
-                None => compute().map(|artifact| {
-                    let text = self.spill(key, stage, &artifact);
-                    (artifact, text)
-                }),
+                None => compute().inspect(|artifact| body = self.spill(key, stage, artifact)),
             };
-            Arc::new(result.map(|(artifact, text)| {
-                body = text.len();
-                (Arc::new(artifact), T::digest(&text))
-            }))
+            Arc::new(result.map(Arc::new))
         });
         let result = value
             .downcast_ref::<Resolved<T>>()
@@ -709,16 +657,16 @@ impl StageCache {
     }
 
     /// Best-effort spill of a successful artifact, returning its canonical
-    /// body — encoded once, for the memo's charge and digest even without
-    /// a store. Errors are not spilled — they are cheap to reproduce and a
+    /// body's length — encoded once, for the memo's charge even without a
+    /// store. Errors are not spilled — they are cheap to reproduce and a
     /// schema-visible failure marker would risk pinning a transient
     /// environment problem.
-    fn spill<T: Artifact>(&self, key: JobKey, stage: &str, artifact: &T) -> String {
+    fn spill<T: Artifact>(&self, key: JobKey, stage: &str, artifact: &T) -> usize {
         let body = artifact.encode();
         if let Some(store) = &self.store {
             store.spill(key, stage, &body);
         }
-        body
+        body.len()
     }
 
     /// Runs one comparison through the memoized stages. Composes the
@@ -742,7 +690,7 @@ impl StageCache {
 
         // Baseline flow: the conventional schedule of the original spec
         // and its binding, priced and timed inline.
-        let (base, _) = self.resolve(
+        let base = self.resolve(
             schedule_key("sched_base", source, latency, Some(chaining), options),
             "sched_base",
             tally,
@@ -753,35 +701,18 @@ impl StageCache {
         )?;
         let original = base.implementation(spec.name(), spec, options);
 
-        // Optimized flow. `extract` is the latency-invariant prefix: one
-        // per spec, shared by every point of a sweep. Everything after
-        // it keys on the *kernel's* digest, so specs that extract to the
-        // same kernel share the whole suffix.
-        let (kernel, kernel_digest) =
-            self.resolve(stage_key(&["extract", &source.to_string()]), "extract", tally, || {
-                stage_extract(spec)
+        // Optimized flow: the group's one transformed spec, extracted,
+        // fragmented and checked against its source in `optimize`'s
+        // order, then its fragment schedule and binding.
+        let fragmented =
+            self.resolve(group_key(source, latency, options), "fragment", tally, || {
+                let kernel = stage_extract(spec)?;
+                let fragmented = stage_fragment(&kernel, latency)?;
+                stage_verify(spec, &fragmented.spec, options.verify_vectors)?;
+                Ok(fragmented)
             })?;
-        let (fragmented, fragmented_digest) = self.resolve(
-            stage_key(&["fragment", &kernel_digest.to_string(), &latency.to_string()]),
-            "fragment",
-            tally,
-            || stage_fragment(&kernel, latency),
-        )?;
-        if options.verify_vectors > 0 {
-            self.resolve(
-                stage_key(&[
-                    "verify",
-                    &source.to_string(),
-                    &fragmented_digest.to_string(),
-                    &options.verify_vectors.to_string(),
-                ]),
-                "verify",
-                tally,
-                || stage_verify(spec, &fragmented.spec, options.verify_vectors),
-            )?;
-        }
-        let (bound, _) = self.resolve(
-            schedule_key("sched_frag", kernel_digest, latency, None, options),
+        let bound = self.resolve(
+            schedule_key("sched_frag", source, latency, None, options),
             "sched_frag",
             tally,
             || {
@@ -795,22 +726,21 @@ impl StageCache {
     }
 }
 
-/// `#spec` of the key tables above: the digest of a spec's
-/// pretty-printed form, chained into every key that reads the source
-/// spec. This is the parse/canonicalize "stage": one rendering and one
-/// digest per computed job.
+/// `#spec` of the key table above: the digest of a spec's pretty-printed
+/// form, in every stage key. This is the parse/canonicalize "stage": one
+/// rendering and one digest per computed job.
 pub(crate) fn source_digest(spec: &Spec) -> JobKey {
     JobKey::of_bytes(spec.to_string().as_bytes())
 }
 
-/// A job's stage-sharing group: the inputs of the stages every job of one
-/// (spec, λ) coordinate resolves alike — `extract` (#spec), `fragment`
-/// (its kernel and λ) and `verify` (#spec, the fragmentation and the
-/// vector count). The adder and balance do not enter it: they only reach
-/// the schedule keys and the inline pricing. The engine runs a group's
-/// jobs in turn on one worker, so the first resolves the shared stages
-/// and the rest hit them instead of waiting on another worker's slot; a
-/// sharded run keeps each group whole in one shard for the same reason.
+/// A job's stage-sharing group, and the key of its `fragment` stage: the
+/// inputs of the transformation every job of one (spec, λ) coordinate
+/// resolves alike — #spec, λ and the verify vector count. The adder and
+/// balance do not enter it: they only reach the schedule keys and the
+/// inline pricing. The engine runs a group's jobs in turn on one worker,
+/// so the first resolves the group's stages and the rest hit them instead
+/// of waiting on another worker's slot; a sharded run keeps each group
+/// whole in one shard for the same reason.
 pub(crate) fn group_key(source: JobKey, latency: u32, options: &CompareOptions) -> JobKey {
     let (source, latency) = (source.to_string(), latency.to_string());
     stage_key(&["group", &source, &latency, &options.verify_vectors.to_string()])
@@ -885,46 +815,22 @@ mod tests {
     }
 
     #[test]
-    fn latency_sweep_shares_the_extract_prefix() {
-        let spec = three_adds();
-        let options = CompareOptions::default();
-        let cache = StageCache::default();
-        let tally = StageTally::default();
-        cache.staged(&spec, 3, &options, &tally).unwrap();
-        let cold_misses = tally.misses();
-        assert_eq!(tally.hits(), 0, "cold point computes every stage");
-
-        // Each further latency point reuses `extract` (λ-invariant) and
-        // computes its per-latency suffix.
-        for latency in 4..=6 {
-            let before = tally.hits();
-            cache.staged(&spec, latency, &options, &tally).unwrap();
-            assert!(tally.hits() > before, "λ={latency} must hit the extract stage");
-        }
-        // Re-running a point recomputes nothing at all.
-        let misses_before = tally.misses();
-        cache.staged(&spec, 3, &options, &tally).unwrap();
-        assert_eq!(tally.misses(), misses_before, "warm point is all hits");
-        assert!(tally.misses() >= cold_misses);
-    }
-
-    #[test]
     fn adder_axis_shares_extract_fragment_and_verify() {
         let spec = three_adds();
         let cache = StageCache::default();
         let tally = StageTally::default();
         let rca = CompareOptions::default();
         cache.staged(&spec, 3, &rca, &tally).unwrap();
-        assert_eq!((tally.hits(), tally.misses()), (0, 5), "a cold point computes all 5 stages");
+        assert_eq!((tally.hits(), tally.misses()), (0, 3), "a cold point computes all 3 stages");
 
         for arch in [bittrans_rtl::AdderArch::CarryLookahead, bittrans_rtl::AdderArch::CarrySelect]
         {
             let options = CompareOptions { adder_arch: arch, ..CompareOptions::default() };
             let (h0, m0) = (tally.hits(), tally.misses());
             let staged = cache.staged(&spec, 3, &options, &tally).unwrap();
-            // Shared: extract, fragment, verify and both bound schedules
+            // Shared: the verified fragmentation and both bound schedules
             // (the adder only enters at the inline pricing).
-            assert_eq!(tally.hits() - h0, 5, "{arch:?}: every stage shared");
+            assert_eq!(tally.hits() - h0, 3, "{arch:?}: every stage shared");
             assert_eq!(tally.misses() - m0, 0, "{arch:?}: nothing recomputed");
             assert_eq!(
                 serde_json::to_string(&staged).unwrap(),
@@ -932,26 +838,6 @@ mod tests {
                 "{arch:?}"
             );
         }
-    }
-
-    #[test]
-    fn latencies_that_fragment_alike_share_one_verify() {
-        let spec = three_adds();
-        let kernel = stage_extract(&spec).unwrap();
-        let (six, seven) =
-            (stage_fragment(&kernel, 6).unwrap(), stage_fragment(&kernel, 7).unwrap());
-        assert_eq!(six.spec, seven.spec, "λ = 6 and 7 fragment to one spec");
-        assert_ne!(six.to_canonical(), seven.to_canonical(), "but to different artifacts");
-
-        let cache = StageCache::default();
-        let tally = StageTally::default();
-        let options = CompareOptions::default();
-        cache.staged(&spec, 6, &options, &tally).unwrap();
-        let (h0, m0) = (tally.hits(), tally.misses());
-        cache.staged(&spec, 7, &options, &tally).unwrap();
-        // Shared: extract and verify. Computed: the fragmentation and
-        // both bound schedules of λ = 7.
-        assert_eq!((tally.hits() - h0, tally.misses() - m0), (2, 3));
     }
 
     #[test]
@@ -982,7 +868,7 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(files.len(), 5, "all five stages spilled: {files:?}");
+        assert_eq!(files.len(), 3, "all three stages spilled: {files:?}");
         assert!(files.iter().all(|f| f.ends_with(".stage")), "{files:?}");
 
         // A fresh cache (fresh process) over the same directory loads
@@ -993,7 +879,7 @@ mod tests {
         let fresh_tally = StageTally::default();
         let second = fresh.staged(&spec, 3, &options, &fresh_tally).unwrap();
         assert_eq!(fresh_tally.misses(), 0, "warm directory recomputes zero stages");
-        assert_eq!(fresh_tally.hits(), 5, "all five stages served from disk");
+        assert_eq!(fresh_tally.hits(), 3, "all three stages served from disk");
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
@@ -1014,12 +900,12 @@ mod tests {
         seed.staged(&spec, 3, &options, &StageTally::default()).unwrap();
         let paths: Vec<_> =
             std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap().map(|e| e.unwrap().path()).collect();
-        assert_eq!(paths.len(), 5);
+        assert_eq!(paths.len(), 3);
 
         // Each corruption is invalid for *every* stage: empty, future
         // schema, junk, and a truncated envelope.
         for corruption in
-            ["", "bittrans-stage 999 verify ok\n", "not a stage file", "bittrans-stage 2\n"]
+            ["", "bittrans-stage 999 fragment ok\n", "not a stage file", "bittrans-stage 2\n"]
         {
             for path in &paths {
                 std::fs::write(path, corruption).unwrap();
@@ -1062,8 +948,6 @@ mod tests {
         fresh.attach_disk(&dir);
         let tally = StageTally::default();
         let result = fresh.staged(&spec, 3, &options, &tally).unwrap();
-        // The verify file's body should have been empty, so a garbled
-        // body invalidates it too: everything recomputes.
         assert_eq!(tally.hits(), 0, "garbled bodies must not hit");
         assert_eq!(
             serde_json::to_string(&result).unwrap(),
@@ -1073,7 +957,7 @@ mod tests {
     }
 
     /// A cache dir holding one finished job (λ = 3 of [`three_adds`]) and
-    /// its five stage files, plus the job's key.
+    /// its three stage files, plus the job's key.
     fn seeded_job_dir(tag: &str) -> (PathBuf, JobKey) {
         let dir = tempdir(tag);
         let job = crate::Job::with_options(
@@ -1139,13 +1023,13 @@ mod tests {
         let stats = rerun(&dir);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.stage_hits, 0, "no mislabelled stage file may hit");
-        assert_eq!(stats.stage_misses, 5);
+        assert_eq!(stats.stage_misses, 3);
         assert!(store.load_job(key).is_some(), "the respill repaired the job file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn the_store_holds_five_stage_kinds_and_leaves_old_alloc_and_time_files_to_prune() {
+    fn the_store_holds_four_kinds_and_leaves_old_extract_verify_alloc_and_time_files_to_prune() {
         let (dir, key) = seeded_job_dir("store-layout");
         let store = StageStore::of(&dir);
         let kind = |path: &Path| {
@@ -1154,14 +1038,28 @@ mod tests {
         };
         let mut kinds: Vec<String> = store.files().iter().map(|f| kind(&f.path)).collect();
         kinds.sort();
-        let expected = ["extract", "fragment", "job", "sched_base", "sched_frag", "verify"];
+        let expected = ["fragment", "job", "sched_base", "sched_frag"];
         assert_eq!(kinds, expected, "a cold job writes one file per kind");
 
-        // Files older builds spilled: a timing file and a per-adder
-        // datapath. No run reads or deletes them.
+        // Files older builds spilled, under the keys they used: a kernel,
+        // a verify token, a timing file and a per-adder datapath. No run
+        // reads or deletes them.
+        let spec = three_adds();
         let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
-        let original = compare(&three_adds(), 3, &options).unwrap().original;
+        let source = source_digest(&spec).to_string();
+        let kernel = stage_extract(&spec).unwrap();
+        let fragmented = stage_fragment(&kernel, 3).unwrap();
+        let fragmented_spec = JobKey::of_bytes(fragmented.spec.to_canonical().as_bytes());
+        let original = compare(&spec, 3, &options).unwrap().original;
         let planted = [
+            (
+                store.path(stage_key(&["extract", &source])),
+                format!("bittrans-stage 2 extract ok\n{}", kernel.to_canonical()),
+            ),
+            (
+                store.path(stage_key(&["verify", &source, &fragmented_spec.to_string(), "64"])),
+                "bittrans-stage 2 verify ok\n".to_owned(),
+            ),
             (
                 store.path(JobKey::of_bytes(b"time_base of an older build")),
                 format!("bittrans-stage 2 time_base ok\n{}", original.to_canonical()),
@@ -1181,7 +1079,7 @@ mod tests {
         }
         std::fs::remove_file(store.path(key)).unwrap();
         let stats = rerun(&dir);
-        assert_eq!((stats.stage_hits, stats.stage_misses), (5, 0), "every stage from disk");
+        assert_eq!((stats.stage_hits, stats.stage_misses), (3, 0), "every stage from disk");
         for (path, text) in &planted {
             assert_eq!(&std::fs::read_to_string(path).unwrap(), text, "the old file is untouched");
         }
@@ -1319,19 +1217,21 @@ mod tests {
 
     #[test]
     fn eviction_never_drops_an_in_flight_slot() {
+        let fragmented = stage_fragment(&stage_extract(&three_adds()).unwrap(), 3).unwrap();
+        let budget = 4 * (fragmented.to_canonical().len() + MEMO_ENTRY_OVERHEAD);
         let cache = StageCache::default();
-        cache.set_memo_capacity(4 * MEMO_ENTRY_OVERHEAD);
+        cache.set_memo_capacity(budget);
         let tally = StageTally::default();
         let key = JobKey::of_bytes(b"in-flight");
         let computes = AtomicU64::new(0);
         let (release, gate) = std::sync::mpsc::channel::<()>();
         let resolve_key = |wait: Option<std::sync::mpsc::Receiver<()>>| {
-            cache.resolve::<()>(key, "verify", &tally, || {
+            cache.resolve(key, "fragment", &tally, || {
                 computes.fetch_add(1, Ordering::SeqCst);
                 if let Some(gate) = wait {
                     gate.recv().unwrap();
                 }
-                Ok(())
+                Ok(fragmented.clone())
             })
         };
         // The slot's holders: the memo itself plus every caller inside
@@ -1348,11 +1248,10 @@ mod tests {
             // Far more landed entries than the budget holds, while A's
             // slot is still unset.
             for i in 0u32..16 {
-                cache
-                    .resolve::<()>(JobKey::of_bytes(&i.to_le_bytes()), "verify", &tally, || Ok(()))
-                    .unwrap();
+                let key = JobKey::of_bytes(&i.to_le_bytes());
+                cache.resolve(key, "fragment", &tally, || Ok(fragmented.clone())).unwrap();
             }
-            assert!(cache.memo_bytes() <= 4 * MEMO_ENTRY_OVERHEAD);
+            assert!(cache.memo_bytes() <= budget);
             let b = scope.spawn(|| resolve_key(None));
             // B joins A's slot (a third holder) — or, had the slot been
             // evicted, computes on a fresh one.

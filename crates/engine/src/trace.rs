@@ -1,6 +1,6 @@
 //! Zero-dependency observability: monotonic spans and events over the
-//! whole engine, collected into a process-global, lock-striped buffer
-//! and sunk as JSONL.
+//! whole engine, collected into one process-global buffer and sunk as
+//! JSONL.
 //!
 //! The collector is off by default and costs one relaxed atomic load per
 //! call site when disabled — no allocation, no clock read, no lock. When
@@ -43,10 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Number of independently locked line buffers; threads are spread over
-/// them by thread-id hash so emission rarely contends.
-const STRIPES: usize = 8;
-
 /// The `provenance` values of a `job` event that count as cache hits:
 /// resident in memory, loaded from the store, an in-call duplicate, or a
 /// join of another call's in-flight computation. The only other value,
@@ -57,22 +53,26 @@ pub const HIT_PROVENANCES: [&str; 4] = ["memory", "disk", "duplicate", "in-fligh
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static STAMP: Mutex<Stamp> = Mutex::new(Stamp { seq: 0, last_ns: 0 });
+static COLLECTOR: Mutex<Collector> =
+    Mutex::new(Collector { seq: 0, last_ns: 0, lines: Vec::new() });
 static SINK: Mutex<Sink> = Mutex::new(Sink::Off);
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_STRIPE: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
-static BUFFERS: [Mutex<Vec<(u64, String)>>; STRIPES] = [EMPTY_STRIPE; STRIPES];
 
 thread_local! {
     /// Open span ids on this thread, innermost last.
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Sequence/timestamp allocator. One lock serializes stamping, which is
-/// what makes `ts_ns` monotone along `seq` by construction.
-struct Stamp {
+/// The emitted lines with their sequence/timestamp allocator. One lock
+/// serializes stamping and buffering, which is what makes `ts_ns`
+/// monotone along `seq`, and the buffer `seq`-ordered, by construction.
+struct Collector {
     seq: u64,
     last_ns: u64,
+    lines: Vec<String>,
+}
+
+fn collector() -> std::sync::MutexGuard<'static, Collector> {
+    COLLECTOR.lock().expect("trace collector lock")
 }
 
 /// Where flushed lines go.
@@ -140,19 +140,7 @@ pub fn uninstall() {
 }
 
 fn clear_buffers() {
-    for stripe in &BUFFERS {
-        stripe.lock().expect("trace stripe lock").clear();
-    }
-}
-
-/// All emitted lines in canonical (`seq`) order, without clearing.
-fn snapshot() -> Vec<(u64, String)> {
-    let mut lines: Vec<(u64, String)> = Vec::new();
-    for stripe in &BUFFERS {
-        lines.extend(stripe.lock().expect("trace stripe lock").iter().cloned());
-    }
-    lines.sort_unstable_by_key(|&(seq, _)| seq);
-    lines
+    collector().lines.clear();
 }
 
 /// Rewrites the file sink from the full buffer (temp file + atomic
@@ -168,8 +156,8 @@ pub fn flush() -> io::Result<Option<PathBuf>> {
     let sink = SINK.lock().expect("trace sink lock").clone();
     let Sink::File(path) = sink else { return Ok(None) };
     let mut text = String::new();
-    for (_, line) in snapshot() {
-        text.push_str(&line);
+    for line in &collector().lines {
+        text.push_str(line);
         text.push('\n');
     }
     // Temp name carries pid + serial so concurrent flushes (or two
@@ -190,35 +178,21 @@ pub fn flush() -> io::Result<Option<PathBuf>> {
 /// Takes every buffered line (canonical order) out of the collector.
 /// The usual read path for a memory sink.
 pub fn drain() -> Vec<String> {
-    let lines = snapshot().into_iter().map(|(_, line)| line).collect();
-    clear_buffers();
-    lines
+    std::mem::take(&mut collector().lines)
 }
 
-/// Allocates the next (seq, ts_ns) pair with the monotone clamp.
-fn stamp() -> (u64, u64) {
+/// Stamps and buffers one line: allocates the next (seq, ts_ns) pair with
+/// the monotone clamp, and `render` receives it and appends the full JSON
+/// object, all under the one lock.
+fn emit(render: impl FnOnce(u64, u64, &mut String)) {
     let now_ns =
         u64::try_from(EPOCH.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let mut stamp = STAMP.lock().expect("trace stamp lock");
-    stamp.seq += 1;
-    stamp.last_ns = stamp.last_ns.max(now_ns);
-    (stamp.seq, stamp.last_ns)
-}
-
-fn stripe_index() -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut hasher);
-    (hasher.finish() as usize) % STRIPES
-}
-
-/// Stamps and buffers one line; `render` receives `(seq, ts_ns)` and
-/// appends the full JSON object.
-fn emit(render: impl FnOnce(u64, u64, &mut String)) {
-    let (seq, ts_ns) = stamp();
+    let mut collector = collector();
+    collector.seq += 1;
+    collector.last_ns = collector.last_ns.max(now_ns);
     let mut line = String::with_capacity(96);
-    render(seq, ts_ns, &mut line);
-    BUFFERS[stripe_index()].lock().expect("trace stripe lock").push((seq, line));
+    render(collector.seq, collector.last_ns, &mut line);
+    collector.lines.push(line);
 }
 
 /// Appends `s` to `out` with JSON string escaping.

@@ -9,6 +9,7 @@
 use bittrans_core::CompareOptions;
 use bittrans_engine::{Engine, EngineOptions, EngineStats, Job, PrunePolicy, PruneReport, Study};
 use bittrans_ir::Spec;
+use bittrans_rtl::AdderArch;
 use std::path::{Path, PathBuf};
 
 fn three_adds() -> Spec {
@@ -306,7 +307,12 @@ fn lifetime_counters_are_the_sums_of_every_call() {
         // One key twice: a miss and a duplicate hit.
         engine.run(vec![populated_job(6), populated_job(6)]).stats,
         Study::single(three_adds()).latencies(3..=5).verify_vectors([0]).run(&engine).stats,
-        Study::single(three_adds()).latencies(7..=8).run(&engine).stats,
+        // An adder axis: each λ's second adder hits every stage.
+        Study::single(three_adds())
+            .latencies(7..=8)
+            .adder_archs([AdderArch::RippleCarry, AdderArch::CarryLookahead])
+            .run(&engine)
+            .stats,
     ];
     assert_eq!(calls[0].cache_hits, 2, "served from the store");
     assert_eq!(calls[2].cache_hits, 2, "served from the memo");
@@ -318,7 +324,7 @@ fn lifetime_counters_are_the_sums_of_every_call() {
         |s: &EngineStats| (s.jobs, s.cache_hits, s.cache_misses, s.stage_hits, s.stage_misses);
     assert_eq!(counters(&lifetime), counters(&total));
     // The snapshot's entries are the job results resident in the memo:
-    // λ = 2..=6 without verification, 7 and 8 with it.
-    assert_eq!(lifetime.cache_entries, 7);
+    // λ = 2..=6 without verification, 7 and 8 with it under two adders.
+    assert_eq!(lifetime.cache_entries, 9);
     std::fs::remove_dir_all(&dir).unwrap();
 }

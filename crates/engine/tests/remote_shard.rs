@@ -354,20 +354,25 @@ fn two_spec_study() -> ShardedStudy {
     }
 }
 
-/// Shards cut on group boundaries share no stage work: ranked by source
-/// digest first, 2 shards of this grid hold one spec each, so each
-/// shard's slice, run on an engine of its own, costs together exactly
-/// the stage misses of one cold single-process run — whatever order the
-/// endpoints would run in.
+/// Shards cut on group boundaries share no stage work: every stage key
+/// lies within one group, so at every shard count up to the grid's 4
+/// groups — 3 included, which splits one spec's groups — each shard's
+/// slice, run on an engine of its own, costs together exactly the stage
+/// misses of one cold single-process run, whatever order the endpoints
+/// would run in.
 #[test]
 fn shard_slices_share_no_stage_work() {
     let parsed = two_spec_study().study().unwrap();
     let cold = parsed.run(&Engine::default());
     assert_eq!(cold.successes().count(), 12, "every cell feasible");
-    let misses: u64 = (0..2)
-        .map(|index| Engine::default().run(shard_slice(&parsed, index, 2)).stats.stage_misses)
-        .sum();
-    assert_eq!(misses, cold.stats.stage_misses);
+    for count in 1..=4 {
+        let misses: u64 = (0..count)
+            .map(|index| {
+                Engine::default().run(shard_slice(&parsed, index, count)).stats.stage_misses
+            })
+            .sum();
+        assert_eq!(misses, cold.stats.stage_misses, "{count} shards");
+    }
 }
 
 /// The same over a two-endpoint fleet sharing one store: the endpoints'

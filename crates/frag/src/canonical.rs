@@ -67,17 +67,6 @@ impl Fragmented {
         out
     }
 
-    /// The transformed spec's own canonical document inside `text`, a
-    /// [`Fragmented::to_canonical`] document: the part a consumer of the
-    /// spec alone reads, verbatim. `None` when `text` holds no embedded
-    /// spec.
-    pub fn spec_document(text: &str) -> Option<&str> {
-        const TRAILER: &str = "\nend spec\n";
-        let start = text.find("\nbittrans-canonical spec ")? + 1;
-        let end = start + text[start..].find(TRAILER)? + TRAILER.len();
-        Some(&text[start..end])
-    }
-
     /// Parses a [`Fragmented::to_canonical`] document back into the
     /// identical artifact (the embedded spec is fully re-validated).
     ///
@@ -178,14 +167,6 @@ impl Fragmented {
 mod tests {
     use super::*;
     use crate::{fragment, FragmentOptions};
-
-    #[test]
-    fn the_spec_document_is_the_embedded_spec_verbatim() {
-        let fragmented = sample();
-        let text = fragmented.to_canonical();
-        assert_eq!(Fragmented::spec_document(&text), Some(fragmented.spec.to_canonical().as_str()));
-        assert_eq!(Fragmented::spec_document(&fragmented.spec.to_canonical()), None);
-    }
 
     fn sample() -> Fragmented {
         let spec = Spec::parse(
