@@ -1,9 +1,12 @@
 //! Regenerates every table and figure of the paper and writes both the
-//! rendered text (stdout) and machine-readable JSON under `results/`.
+//! rendered text (stdout, and `tables.txt`) and machine-readable JSON under
+//! `results/`.
 //!
 //! ```text
 //! cargo run --release -p bittrans-bench --bin gen_tables [results-dir]
 //! ```
+//!
+//! `crates/bench/expected/` holds the output directory of a known-good run.
 
 use bittrans_bench as harness;
 use std::path::PathBuf;
@@ -12,45 +15,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir =
         std::env::args().nth(1).map(PathBuf::from).unwrap_or_else(|| PathBuf::from("results"));
     std::fs::create_dir_all(&out_dir)?;
-
-    println!("=== Table I — motivational example ===");
-    let (text, cols) = harness::table1();
-    println!("{text}");
-    std::fs::write(out_dir.join("table1.json"), serde_json::to_string_pretty(&cols)?)?;
-
-    println!("=== Fig. 1 / Fig. 2 — schedules ===");
-    println!("{}", harness::fig1_fig2_schedules());
-
-    println!("=== Fig. 3 — fragmentation example ===");
-    println!("{}", harness::fig3());
-
-    println!("=== Table II — classical HLS benchmarks ===");
-    let (text, rows) = harness::table2();
-    println!("{text}");
-    std::fs::write(out_dir.join("table2.json"), serde_json::to_string_pretty(&rows)?)?;
-
-    println!("=== Table III — ADPCM G.721 modules ===");
-    let (text, rows) = harness::table3();
-    println!("{text}");
-    std::fs::write(out_dir.join("table3.json"), serde_json::to_string_pretty(&rows)?)?;
-
-    println!("=== Extended benchmarks (beyond the paper) ===");
-    let (text, rows) = harness::extended_table();
-    println!("{text}");
-    std::fs::write(out_dir.join("extended.json"), serde_json::to_string_pretty(&rows)?)?;
-
-    println!("=== Fig. 4 — cycle length vs latency ===");
-    let (text, points) = harness::fig4();
-    println!("{text}");
-    std::fs::write(out_dir.join("fig4.json"), serde_json::to_string_pretty(&points)?)?;
-
-    for (name, (text, rows)) in [
-        ("ablation_adders", harness::ablation_adders()),
-        ("ablation_balance", harness::ablation_balance()),
-        ("ablation_mul", harness::ablation_mul()),
-    ] {
-        println!("{text}");
-        std::fs::write(out_dir.join(format!("{name}.json")), serde_json::to_string_pretty(&rows)?)?;
+    let (text, files) = harness::paper_outputs()?;
+    print!("{text}");
+    std::fs::write(out_dir.join("tables.txt"), &text)?;
+    for (name, json) in files {
+        std::fs::write(out_dir.join(name), json)?;
     }
     println!("JSON written to {}", out_dir.display());
     Ok(())

@@ -16,6 +16,9 @@
 //! | Ablation A (adder architectures) | [`ablation_adders`] |
 //! | Ablation B (schedule balancing) | [`ablation_balance`] |
 //! | Ablation C (multiplier lowering strategy) | [`ablation_mul`] |
+//!
+//! [`paper_outputs`] assembles all of them as `gen_tables` publishes them;
+//! `expected/` holds a known-good copy that a test compares byte for byte.
 
 #![forbid(unsafe_code)]
 
@@ -280,9 +283,73 @@ pub fn extended_table() -> (String, Vec<BenchRow>) {
     (text, rows)
 }
 
+/// Every runner's output as `gen_tables` publishes it: the rendered text of
+/// all tables and figures (the binary's stdout, and `tables.txt`), then one
+/// `(file name, JSON)` per machine-readable data set.
+///
+/// # Errors
+///
+/// Returns the error of a data set that fails to serialize.
+pub fn paper_outputs() -> Result<(String, Vec<(String, String)>), serde_json::Error> {
+    use std::fmt::Write as _;
+    let mut text = String::new();
+    let mut files = Vec::new();
+
+    let (t, cols) = table1();
+    let _ = writeln!(text, "=== Table I — motivational example ===\n{t}");
+    files.push(("table1.json".to_string(), serde_json::to_string_pretty(&cols)?));
+
+    let _ = writeln!(text, "=== Fig. 1 / Fig. 2 — schedules ===\n{}", fig1_fig2_schedules());
+    let _ = writeln!(text, "=== Fig. 3 — fragmentation example ===\n{}", fig3());
+
+    for (file, title, (t, rows)) in [
+        ("table2.json", "Table II — classical HLS benchmarks", table2()),
+        ("table3.json", "Table III — ADPCM G.721 modules", table3()),
+        ("extended.json", "Extended benchmarks (beyond the paper)", extended_table()),
+    ] {
+        let _ = writeln!(text, "=== {title} ===\n{t}");
+        files.push((file.to_string(), serde_json::to_string_pretty(&rows)?));
+    }
+
+    let (t, points) = fig4();
+    let _ = writeln!(text, "=== Fig. 4 — cycle length vs latency ===\n{t}");
+    files.push(("fig4.json".to_string(), serde_json::to_string_pretty(&points)?));
+
+    for (name, (t, rows)) in [
+        ("ablation_adders", ablation_adders()),
+        ("ablation_balance", ablation_balance()),
+        ("ablation_mul", ablation_mul()),
+    ] {
+        let _ = writeln!(text, "{t}");
+        files.push((format!("{name}.json"), serde_json::to_string_pretty(&rows)?));
+    }
+    Ok((text, files))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn outputs_match_the_goldens() {
+        // `expected/` is the output directory of a known-good gen_tables run.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("expected");
+        let (text, files) = paper_outputs().expect("tables serialize");
+        let mut produced = vec![("tables.txt".to_string(), text)];
+        produced.extend(files);
+        let mut names: Vec<String> = produced.iter().map(|(name, _)| name.clone()).collect();
+        let mut golden: Vec<String> = std::fs::read_dir(&dir)
+            .expect("expected/ exists")
+            .map(|e| e.expect("readable entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        golden.sort();
+        assert_eq!(names, golden);
+        for (name, content) in produced {
+            let want = std::fs::read_to_string(dir.join(&name)).expect("readable golden");
+            assert_eq!(content, want, "{name} differs from expected/{name}");
+        }
+    }
 
     #[test]
     fn table1_runs() {

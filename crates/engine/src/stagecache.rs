@@ -19,7 +19,7 @@
 //! ```
 //!
 //! `#spec` is the digest of the spec's pretty-printed form
-//! ([`source_digest`]), taken once per computed job; no key is built from
+//! (`source_digest`), taken once per computed job; no key is built from
 //! an artifact.
 //!
 //! `fragment` is the paper's presynthesis transformation as one stage:
@@ -27,7 +27,7 @@
 //! result against its source run together in its compute, in the order
 //! [`bittrans_core::optimize`] runs them, so the same error surfaces
 //! first, and only a verified [`Fragmented`] is stored. Its key is the
-//! job's stage-sharing group ([`group_key`]), so a group holds one stored
+//! job's stage-sharing group (`group_key`), so a group holds one stored
 //! transformation.
 //!
 //! Each flow stores one artifact, `sched_base` or `sched_frag`: its

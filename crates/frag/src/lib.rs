@@ -50,7 +50,7 @@ pub mod render;
 pub mod rewrite;
 
 use bittrans_ir::prelude::*;
-use bittrans_timing::{arrival_times, critical_path, required_times, BitTimes, Delta};
+use bittrans_timing::{arrival_times, required_times, BitTimes, Delta};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -216,8 +216,17 @@ pub fn bit_cycles(spec: &Spec, cycle: Delta, latency: u32) -> Result<BitCycles, 
     if latency == 0 {
         return Err(FragError::ZeroLatency);
     }
+    bit_cycles_from(spec, arrival_times(spec), cycle, latency)
+}
+
+/// [`bit_cycles`] over arrival times the caller already has.
+fn bit_cycles_from(
+    spec: &Spec,
+    arrival: BitTimes,
+    cycle: Delta,
+    latency: u32,
+) -> Result<BitCycles, FragError> {
     let total = cycle * latency;
-    let arrival = arrival_times(spec);
     let required = required_times(spec, total);
     for value in spec.values() {
         for i in 0..value.width() {
@@ -281,9 +290,10 @@ pub fn fragment(spec: &Spec, options: &FragmentOptions) -> Result<Fragmented, Fr
             return Err(FragError::NotAdditive { op: op.id(), kind: op.kind().mnemonic() });
         }
     }
-    let cp = critical_path(spec);
+    let arrival = arrival_times(spec);
+    let cp = arrival.max();
     let cycle = options.cycle_override.unwrap_or_else(|| cp.div_ceil(options.latency).max(1));
-    let cycles = bit_cycles(spec, cycle, options.latency)?;
+    let cycles = bit_cycles_from(spec, arrival, cycle, options.latency)?;
     let mut plan: BTreeMap<OpId, Vec<FragmentInfo>> = BTreeMap::new();
     for op in spec.ops() {
         if op.kind() == OpKind::Add {

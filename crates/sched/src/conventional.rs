@@ -14,7 +14,7 @@
 use crate::engine::{ChainModel, Placer};
 use crate::{SchedError, Schedule};
 use bittrans_ir::prelude::*;
-use bittrans_timing::{critical_path, required_times, Delta};
+use bittrans_timing::{critical_path, is_zero_delay, required_times, Delta};
 
 /// How the baseline scheduler may combine operations within one cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -85,7 +85,7 @@ impl ConventionalOptions {
 pub fn standalone_delays(spec: &Spec) -> Vec<(OpId, Delta)> {
     spec.ops()
         .iter()
-        .filter(|op| !op.kind().is_glue() && !matches!(op.kind(), OpKind::Eq | OpKind::Ne))
+        .filter(|op| !is_zero_delay(op.kind()))
         .map(|op| (op.id(), bittrans_timing::op_delay_delta(spec, op)))
         .collect()
 }
@@ -103,7 +103,7 @@ pub fn cycles_needed(spec: &Spec, c: Delta, chaining: Chaining) -> Option<u32> {
     let mut p = Placer::with_chain(spec, c, cap, chaining.model());
     let mut needed = 1;
     for op in spec.ops() {
-        if op.kind().is_glue() || matches!(op.kind(), OpKind::Eq | OpKind::Ne) {
+        if is_zero_delay(op.kind()) {
             p.commit_glue(op);
             continue;
         }
@@ -223,7 +223,7 @@ fn run_pass(
     let req = required_times(spec, c * options.latency);
     let mut p = Placer::with_chain(spec, c, options.latency, options.chaining.model());
     for op in spec.ops() {
-        if op.kind().is_glue() || matches!(op.kind(), OpKind::Eq | OpKind::Ne) {
+        if is_zero_delay(op.kind()) {
             p.commit_glue(op);
             continue;
         }

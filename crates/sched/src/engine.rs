@@ -2,17 +2,18 @@
 //!
 //! Both schedulers place operations cycle by cycle while tracking, for
 //! every produced bit, *which cycle it is produced in and at what absolute
-//! δ time it settles*. Chaining is bit-level: a consumer in the same cycle
-//! sees the producer's real settle times (the ripple overlap of Fig. 1 e),
-//! while a consumer in a later cycle reads registered bits available at its
-//! cycle start. Glue is transparent wiring: committing a glue op records
-//! each output bit as the latest of the bits it reads
-//! ([`bittrans_timing::bitref::glue_sources`]).
+//! δ time it settles*. Under bit-level chaining the placer times an op with
+//! [`bittrans_timing::settle_times`], the same rule arrival times use: a
+//! consumer in the same cycle sees the producer's real settle times (the
+//! ripple overlap of Fig. 1 e), while a consumer in a later cycle reads
+//! registered bits available at its cycle start. Glue is transparent
+//! wiring: committing a glue op records each output bit as the latest of
+//! the bits it reads ([`bittrans_timing::bitref::glue_sources`]).
 
 use crate::SchedError;
 use bittrans_ir::prelude::*;
-use bittrans_timing::bitref::{add_profile, glue_sources, operand_bit, BitRef};
-use bittrans_timing::{op_delay_delta, Delta};
+use bittrans_timing::bitref::{glue_sources, operand_bit, BitRef};
+use bittrans_timing::{is_zero_delay, op_delay_delta, settle_times, Delta};
 use std::collections::BTreeMap;
 
 /// How operations chained within one cycle accumulate delay.
@@ -109,92 +110,26 @@ impl<'s> Placer<'s> {
             [i as usize]
     }
 
-    /// Effective time of bit `j` of `operand` inside cycle `k`; `None`
-    /// when the bit is produced in a later cycle.
-    fn operand_eff(&self, op: &Operation, operand: &Operand, j: u32, k: u32) -> Option<Delta> {
-        match operand_bit(self.spec, operand, j, op.signedness().is_signed()) {
-            BitRef::Const => Some(self.cycle_start(k)),
-            BitRef::Value { value, bit } => self.eff(self.prod_of(value, bit), k),
-        }
-    }
-
-    /// Attempts to compute the output settle times of a non-glue `op`
+    /// Attempts to compute the output settle times of an `op` that takes δ
     /// executed in cycle `k`. Returns `None` if an input bit is not yet
     /// available in `k` or an output bit would settle past the cycle end.
     pub fn try_place(&self, op: &Operation, k: u32) -> Option<Vec<Delta>> {
-        debug_assert!(!op.kind().is_glue());
-        let w = op.width();
-        let end = self.cycle_start(k) + self.cycle;
-        if self.chain == ChainModel::ComponentSum || op.kind() == OpKind::Mul {
-            // Conventional chaining, and a multiplier under either model:
-            // the whole component starts after its latest input bit and
-            // takes its full characterised delay.
-            let mut start = self.cycle_start(k);
-            for operand in op.operands() {
-                let ow = self.spec.operand_width(operand);
-                for j in 0..ow {
-                    start = start.max(self.operand_eff(op, operand, j, k)?);
-                }
+        debug_assert!(!is_zero_delay(op.kind()));
+        let start = self.cycle_start(k);
+        let out = match self.chain {
+            // Conventional chaining: the whole component starts after its
+            // latest input bit and takes its full characterised delay.
+            ChainModel::ComponentSum => {
+                let ready =
+                    self.input_prods(op).try_fold(start, |t, p| Some(t.max(self.eff(p, k)?)))?;
+                vec![ready + op_delay_delta(self.spec, op); op.width() as usize]
             }
-            let finish = start + op_delay_delta(self.spec, op);
-            if finish > end {
-                return None;
-            }
-            return Some(vec![finish; w as usize]);
-        }
-        let out = match op.kind() {
-            OpKind::Add => self.add_times(op, k)?,
-            OpKind::Sub | OpKind::Neg | OpKind::Abs => {
-                let mut prev = self.cycle_start(k);
-                let mut out = Vec::with_capacity(w as usize);
-                for i in 0..w {
-                    let mut t = prev;
-                    for operand in &op.operands()[..op.operands().len().min(2)] {
-                        t = t.max(self.operand_eff(op, operand, i, k)?);
-                    }
-                    prev = t + 1;
-                    out.push(prev);
-                }
-                out
-            }
-            OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Max | OpKind::Min => {
-                let w_in =
-                    op.operands().iter().map(|o| self.spec.operand_width(o)).max().unwrap_or(1);
-                let mut chain = self.cycle_start(k);
-                for i in 0..w_in {
-                    let mut t = chain;
-                    for operand in op.operands() {
-                        t = t.max(self.operand_eff(op, operand, i, k)?);
-                    }
-                    chain = t + 1;
-                }
-                vec![chain; w as usize]
-            }
-            other => unreachable!("{other} handled as glue"),
+            ChainModel::BitLevel => settle_times(self.spec, op, start, |value, bit| {
+                self.eff(self.prod_of(value, bit), k)
+            })?,
         };
-        if out.iter().any(|&t| t > end) {
+        if out.iter().any(|&t| t > start + self.cycle) {
             return None;
-        }
-        Some(out)
-    }
-
-    /// Refined ripple chain for `Add` (mirrors `bittrans-timing`).
-    fn add_times(&self, op: &Operation, k: u32) -> Option<Vec<Delta>> {
-        let w = op.width();
-        let profile = add_profile(self.spec, op);
-        let base = self.cycle_start(k);
-        let mut t_carry = if profile.carry_live[0] {
-            self.operand_eff(op, &op.operands()[2], 0, k)?
-        } else {
-            base
-        };
-        let mut out = Vec::with_capacity(w as usize);
-        for i in 0..w {
-            let ta = self.operand_eff(op, &op.operands()[0], i, k)?;
-            let tb = self.operand_eff(op, &op.operands()[1], i, k)?;
-            let t = profile.settle(i, ta, tb, t_carry, base);
-            out.push(t);
-            t_carry = if profile.carry_live[i as usize + 1] { t } else { base };
         }
         Some(out)
     }
@@ -208,9 +143,9 @@ impl<'s> Placer<'s> {
         *self.usage.entry(k).or_insert(0) += 1;
     }
 
-    /// Commits a glue (or `Eq`/`Ne`) operation: each output bit is the
-    /// (cycle, time)-latest of the bits it reads, and the op is assigned
-    /// (for bookkeeping) to the latest of those cycles, at least 1.
+    /// Commits an op that takes no δ ([`is_zero_delay`]): each output bit
+    /// is the (cycle, time)-latest of the bits it reads, and the op is
+    /// assigned (for bookkeeping) to the latest of those cycles, at least 1.
     pub fn commit_glue(&mut self, op: &Operation) {
         let row: Vec<BitProd> = (0..op.width())
             .map(|i| {
@@ -230,17 +165,19 @@ impl<'s> Placer<'s> {
     /// input is a port or constant) — the earliest cycle the op could
     /// possibly chain in is `max(this, 1)`.
     pub fn earliest_input_cycle(&self, op: &Operation) -> u32 {
-        let signed = op.signedness().is_signed();
-        let mut k = 0;
-        for operand in op.operands() {
-            let ow = self.spec.operand_width(operand);
-            for j in 0..ow {
-                if let BitRef::Value { value, bit } = operand_bit(self.spec, operand, j, signed) {
-                    k = k.max(self.prod_of(value, bit).cycle);
+        self.input_prods(op).map(|p| p.cycle).max().unwrap_or(0)
+    }
+
+    /// The production records of the value bits `op` reads.
+    fn input_prods<'a>(&'a self, op: &'a Operation) -> impl Iterator<Item = BitProd> + 'a {
+        op.operands().iter().flat_map(move |operand| {
+            (0..self.spec.operand_width(operand)).filter_map(move |j| {
+                match operand_bit(self.spec, operand, j, false) {
+                    BitRef::Value { value, bit } => Some(self.prod_of(value, bit)),
+                    BitRef::Const => None,
                 }
-            }
-        }
-        k
+            })
+        })
     }
 
     /// Places `op` at the first valid cycle in `lo..=hi`; with
@@ -292,19 +229,96 @@ mod tests {
         .unwrap()
     }
 
+    /// One op of every kind, unsigned then signed, each reading `s: u8`,
+    /// `x: u6`, `ci: u1`, a slice of `s` or a constant. With `chained`,
+    /// `s = a + b` settles at 1..8δ; without, `s` is an input.
+    fn kind_zoo(chained: bool) -> Spec {
+        let mut b = SpecBuilder::new("zoo");
+        let s = if chained {
+            let (a, bb) = (b.input("a", 8), b.input("b", 8));
+            b.add("s", a, bb, 8).unwrap()
+        } else {
+            b.input("s", 8)
+        };
+        let (x, ci) = (Operand::from(b.input("x", 6)), Operand::from(b.input("ci", 1)));
+        let (s_hi, s) = (Operand::slice(s, BitRange::new(3, 5)), Operand::from(s));
+        let pair = vec![s.clone(), x.clone()];
+        let mut shapes = vec![
+            (OpKind::Add, vec![s.clone(), x.clone(), ci.clone()], 9),
+            (OpKind::Add, vec![s_hi, Operand::const_u64(5, 3)], 8),
+            (OpKind::Neg, vec![x.clone()], 8),
+            (OpKind::Not, vec![x.clone()], 8),
+            (OpKind::Lt, pair.clone(), 8),
+            (OpKind::Mul, pair.clone(), 14),
+            (OpKind::Mux, vec![ci.clone(), s.clone(), x.clone()], 8),
+            (OpKind::Shl(2), vec![s.clone()], 10),
+            (OpKind::Shr(3), vec![s.clone()], 5),
+            (OpKind::Concat, vec![x, ci], 7),
+        ];
+        let wide = [OpKind::Sub, OpKind::Max, OpKind::Min, OpKind::And, OpKind::Or, OpKind::Xor];
+        shapes.extend(wide.map(|kind| (kind, pair.clone(), 8)));
+        let bit = [OpKind::Le, OpKind::Gt, OpKind::Ge, OpKind::Eq, OpKind::Ne];
+        shapes.extend(bit.map(|kind| (kind, pair.clone(), 1)));
+        shapes.extend([OpKind::RedOr, OpKind::RedAnd].map(|kind| (kind, vec![s.clone()], 1)));
+        shapes.push((OpKind::Abs, vec![s], 8));
+        for signedness in [Signedness::Unsigned, Signedness::Signed] {
+            for (kind, operands, width) in &shapes {
+                let v = b.op(*kind, operands.clone(), *width, signedness, None).unwrap();
+                let name = format!("o{}", b.op_count());
+                b.output(name, v);
+            }
+        }
+        b.finish().unwrap()
+    }
+
     #[test]
     fn single_cycle_matches_arrival_times() {
-        // Placing everything in cycle 1 of a wide cycle must reproduce the
+        // `c: u8 = a < b` is one 8-bit `Lt`: its bits above 0 are
+        // zero-extension constants, settled at the cycle start, not with
+        // the comparison chain.
+        let upper = Spec::parse(
+            "spec u { input a: u8; input b: u8; c: u8 = a < b; d: u8 = c + a; output d; }",
+        )
+        .unwrap();
+        // Placing every op in cycle 1 of a wide cycle must reproduce the
         // pure dataflow arrival times.
-        let spec = three_adds();
-        let arr = arrival_times(&spec);
-        let mut p = Placer::new(&spec, 100, 1);
-        for op in spec.ops() {
-            let t = p.try_place(op, 1).unwrap();
-            for (i, &ti) in t.iter().enumerate() {
-                assert_eq!(ti, arr.bit(op.result(), i as u32), "{} bit {i}", op.label());
+        for spec in [three_adds(), kind_zoo(true), upper.clone()] {
+            let arr = arrival_times(&spec);
+            let mut p = Placer::new(&spec, 100, 2);
+            for op in spec.ops() {
+                if is_zero_delay(op.kind()) {
+                    p.commit_glue(op);
+                } else {
+                    let t = p.try_place(op, 1).unwrap();
+                    p.commit(op, 1, t);
+                }
+                let placed: Vec<Delta> =
+                    (0..op.width()).map(|i| p.prod_of(op.result(), i).time).collect();
+                assert_eq!(placed, arr.of(op.result()), "{} in {}", op.label(), spec.name());
             }
-            p.commit(op, 1, t);
+        }
+        let arr = arrival_times(&upper);
+        assert_eq!(arr.of(upper.ops()[0].result()), [8, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(arr.of(upper.ops()[1].result()), [9, 10, 11, 12, 13, 14, 15, 16]);
+
+        // Reading only ports, an op's arrival times are its standalone
+        // times, and its standalone delay is the latest of them. In cycle 2,
+        // reading the registered sum, it settles at the cycle start plus
+        // those times.
+        let (chained, ports) = (kind_zoo(true), kind_zoo(false));
+        let standalone = arrival_times(&ports);
+        let mut p = Placer::new(&chained, 100, 2);
+        let (sum, rest) = chained.ops().split_first().unwrap();
+        let t = p.try_place(sum, 1).unwrap();
+        p.commit(sum, 1, t);
+        for (op, alone) in rest.iter().zip(ports.ops()) {
+            let times = standalone.of(alone.result());
+            let latest = times.iter().copied().max().unwrap();
+            assert_eq!(op_delay_delta(&ports, alone), latest, "{}", alone.label());
+            if !is_zero_delay(op.kind()) {
+                let want: Vec<Delta> = times.iter().map(|t| 100 + t).collect();
+                assert_eq!(p.try_place(op, 2).unwrap(), want, "{}", op.label());
+            }
         }
     }
 

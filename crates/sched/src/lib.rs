@@ -45,7 +45,7 @@ pub mod engine;
 pub mod fragment;
 
 use bittrans_ir::prelude::*;
-use bittrans_timing::Delta;
+use bittrans_timing::{is_zero_delay, Delta};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -178,11 +178,9 @@ impl std::error::Error for SchedError {}
 /// bookkeeping downstream.
 pub fn finalize_glue_cycles(spec: &Spec, assignment: &mut BTreeMap<OpId, u32>) {
     let users = spec.users();
-    let is_glue =
-        |op: &Operation| op.kind().is_glue() || matches!(op.kind(), OpKind::Eq | OpKind::Ne);
     // Backward: pull each glue op to its earliest consumer.
     for op in spec.ops().iter().rev() {
-        if !is_glue(op) {
+        if !is_zero_delay(op.kind()) {
             continue;
         }
         let earliest = users
@@ -197,7 +195,7 @@ pub fn finalize_glue_cycles(spec: &Spec, assignment: &mut BTreeMap<OpId, u32>) {
     }
     // Forward: a glue op cannot compute before its producers' cycles.
     for op in spec.ops() {
-        if !is_glue(op) {
+        if !is_zero_delay(op.kind()) {
             continue;
         }
         let lower = op

@@ -1,6 +1,6 @@
 //! Forward (ASAP) per-bit arrival times under the ripple model.
 
-use crate::bitref::{glue_sources, operand_bit, BitRef};
+use crate::bitref::{add_profile, glue_sources, operand_bit, BitRef};
 use crate::Delta;
 use bittrans_ir::prelude::*;
 
@@ -41,10 +41,6 @@ impl BitTimes {
         self.times.iter().flat_map(|v| v.iter().copied()).max().unwrap_or(0)
     }
 
-    pub(crate) fn set(&mut self, value: ValueId, i: u32, t: Delta) {
-        self.times[value.index()][i as usize] = t;
-    }
-
     pub(crate) fn tighten(&mut self, value: ValueId, i: u32, t: Delta) {
         let slot = &mut self.times[value.index()][i as usize];
         *slot = (*slot).min(t);
@@ -53,129 +49,107 @@ impl BitTimes {
 
 /// Computes the earliest availability of every bit of every value.
 ///
-/// Input-port and constant bits arrive at t = 0. `Add`-family operations
-/// ripple (`+1δ` per bit position, chained through operand arrival); glue
-/// contributes no delay, matching §3.2's "non-additive operations are not
-/// considered". `Mul` is handled conservatively (all bits at
-/// `max(inputs) + wa + wb`) — the optimisation pipeline always runs kernel
-/// extraction first, which lowers `Mul` to additions, so the conservative
-/// case only affects direct timing queries on raw specs.
+/// Input-port and constant bits arrive at t = 0, and every operation's
+/// result bits settle per [`settle_times`].
 pub fn arrival_times(spec: &Spec) -> BitTimes {
     let mut times = BitTimes::filled(spec, 0);
     for op in spec.ops() {
-        eval_op_arrival(spec, op, &mut times);
+        let row = settle_times(spec, op, 0, |value, bit| Some(times.bit(value, bit)))
+            .expect("every bit is available");
+        times.times[op.result().index()] = row;
     }
     times
 }
 
-fn in_time(spec: &Spec, times: &BitTimes, operand: &Operand, i: u32, signed: bool) -> Delta {
-    match operand_bit(spec, operand, i, signed) {
-        BitRef::Const => 0,
-        BitRef::Value { value, bit } => times.bit(value, bit),
-    }
-}
-
-fn max_input_time(spec: &Spec, times: &BitTimes, op: &Operation) -> Delta {
-    let mut t = 0;
-    for operand in op.operands() {
-        let w = spec.operand_width(operand);
-        for i in 0..w {
-            t = t.max(in_time(spec, times, operand, i, false));
-        }
-    }
-    t
-}
-
-fn eval_op_arrival(spec: &Spec, op: &Operation, times: &mut BitTimes) {
+/// When each result bit of `op` settles under the ripple model, LSB first:
+/// the crate's one forward timing rule. `bit_time(value, bit)` is when a bit
+/// `op` reads is available, `None` if not yet (then so is the result);
+/// constant bits are available at `zero`, and no result bit settles before.
+///
+/// * `Add` ripples through [`AddProfile::settle`](crate::bitref::AddProfile::settle):
+///   bit `i` settles at `max(t(z[i-1]), t(a[i]), t(b[i])) + 1`, and a
+///   position with known-zero addend bits is a wire.
+/// * `Sub`, `Neg` and `Abs` ripple +1δ per bit across their width.
+/// * Ordered comparisons run a subtract chain whose end is result bit 0;
+///   the bits above are zero-extension constants. `Max`/`Min` select with
+///   a 0δ mux, so every result bit settles with the chain.
+/// * `Mul` is atomic: every bit settles [`op_delay_delta`](crate::op_delay_delta)
+///   after its latest input bit (kernel extraction lowers it to additions).
+/// * Kinds that take no δ ([`is_zero_delay`](crate::is_zero_delay)) settle
+///   each bit with the latest bit it reads ([`glue_sources`]).
+pub fn settle_times(
+    spec: &Spec,
+    op: &Operation,
+    zero: Delta,
+    mut bit_time: impl FnMut(ValueId, u32) -> Option<Delta>,
+) -> Option<Vec<Delta>> {
     let w = op.width();
-    let z = op.result();
-    let signed = op.signedness().is_signed();
-    match op.kind() {
-        // Addition: refined ripple model. A position whose operand bits are
-        // both known-zero adds no gate delay — its sum bit *is* the carry,
-        // settling together with the previous position. This makes a
-        // fragment's carry-out bit available within the fragment's cycle,
-        // exactly as the paper's Fig. 2 assumes.
-        OpKind::Add => {
-            let profile = crate::bitref::add_profile(spec, op);
-            let mut t_carry = if profile.carry_live[0] {
-                in_time(spec, times, &op.operands()[2], 0, false)
-            } else {
-                0
-            };
-            for i in 0..w {
-                let ta = in_time(spec, times, &op.operands()[0], i, signed);
-                let tb = in_time(spec, times, &op.operands()[1], i, signed);
-                let t = profile.settle(i, ta, tb, t_carry, 0);
-                times.set(z, i, t);
-                t_carry = if profile.carry_live[i as usize + 1] { t } else { 0 };
-            }
-        }
-        // Other carry-chain operations: conservative ripple, +1δ per bit.
-        // (Kernel extraction lowers these to Add before the pipeline ever
-        // times them.)
-        OpKind::Sub | OpKind::Neg | OpKind::Abs => {
-            let mut prev = 0;
-            for i in 0..w {
-                let mut t = prev;
-                for operand in &op.operands()[..op.operands().len().min(2)] {
-                    t = t.max(in_time(spec, times, operand, i, signed));
-                }
-                prev = t + 1;
-                times.set(z, i, prev);
-            }
-        }
-        // Ordered comparisons: a full-width subtract chain, one-bit result.
-        // Max/Min: the same chain, then a 0δ mux gated by its result.
-        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Max | OpKind::Min => {
-            let w_in = op.operands().iter().map(|o| spec.operand_width(o)).max().unwrap_or(1);
-            let latest_in = |times: &BitTimes, chain: Delta, i: u32| {
-                op.operands().iter().fold(chain, |t, o| t.max(in_time(spec, times, o, i, signed)))
-            };
-            let chain = (0..w_in).fold(0, |chain, i| latest_in(times, chain, i) + 1);
-            let select = matches!(op.kind(), OpKind::Max | OpKind::Min);
-            for i in 0..w {
-                // Comparison bits above 0 are zero-extension constants.
-                let t = if select {
-                    latest_in(times, chain, i)
-                } else if i == 0 {
-                    chain
-                } else {
-                    0
-                };
-                times.set(z, i, t);
-            }
-        }
-        // Conservative multiplication: array-multiplier worst case
-        // (consistent with the shift-add decomposition's ripple path).
-        OpKind::Mul => {
-            let total = crate::op_delay_delta(spec, op);
-            let start = max_input_time(spec, times, op);
-            for i in 0..w {
-                times.set(z, i, start + total);
-            }
-        }
-        // Glue, equality and reductions: 0δ, each bit as late as the
-        // latest bit it reads.
-        OpKind::Eq
-        | OpKind::Ne
-        | OpKind::RedOr
-        | OpKind::RedAnd
-        | OpKind::Not
-        | OpKind::And
-        | OpKind::Or
-        | OpKind::Xor
-        | OpKind::Mux
-        | OpKind::Shl(_)
-        | OpKind::Shr(_)
-        | OpKind::Concat => {
-            for i in 0..w {
-                let mut t = 0;
-                glue_sources(spec, op, i, |value, bit| t = t.max(times.bit(value, bit)));
-                times.set(z, i, t);
-            }
-        }
+    if crate::is_zero_delay(op.kind()) {
+        return (0..w)
+            .map(|i| {
+                let mut t = Some(zero);
+                glue_sources(spec, op, i, |value, bit| {
+                    t = t.zip(bit_time(value, bit)).map(|(t, tb)| t.max(tb));
+                });
+                t
+            })
+            .collect();
     }
+    let signed = op.signedness().is_signed();
+    let mut in_time = |operand: &Operand, i: u32| match operand_bit(spec, operand, i, signed) {
+        BitRef::Const => Some(zero),
+        BitRef::Value { value, bit } => bit_time(value, bit),
+    };
+    let operands = op.operands();
+    let times = match op.kind() {
+        OpKind::Add => {
+            let profile = add_profile(spec, op);
+            let mut t_carry = if profile.carry_live[0] { in_time(&operands[2], 0)? } else { zero };
+            let mut out = Vec::with_capacity(w as usize);
+            for i in 0..w {
+                let (ta, tb) = (in_time(&operands[0], i)?, in_time(&operands[1], i)?);
+                let t = profile.settle(i, ta, tb, t_carry, zero);
+                out.push(t);
+                t_carry = if profile.carry_live[i as usize + 1] { t } else { zero };
+            }
+            out
+        }
+        OpKind::Sub | OpKind::Neg | OpKind::Abs => {
+            let mut prev = zero;
+            let mut out = Vec::with_capacity(w as usize);
+            for i in 0..w {
+                for operand in operands {
+                    prev = prev.max(in_time(operand, i)?);
+                }
+                prev += 1;
+                out.push(prev);
+            }
+            out
+        }
+        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Max | OpKind::Min => {
+            let w_in = operands.iter().map(|o| spec.operand_width(o)).max().unwrap_or(1);
+            let mut chain = zero;
+            for i in 0..w_in {
+                for operand in operands {
+                    chain = chain.max(in_time(operand, i)?);
+                }
+                chain += 1;
+            }
+            let select = matches!(op.kind(), OpKind::Max | OpKind::Min);
+            (0..w).map(|i| if select || i == 0 { chain } else { zero }).collect()
+        }
+        OpKind::Mul => {
+            let mut start = zero;
+            for operand in operands {
+                for j in 0..spec.operand_width(operand) {
+                    start = start.max(in_time(operand, j)?);
+                }
+            }
+            vec![start + crate::op_delay_delta(spec, op); w as usize]
+        }
+        other => unreachable!("{other} takes no δ"),
+    };
+    Some(times)
 }
 
 #[cfg(test)]

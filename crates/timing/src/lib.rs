@@ -17,6 +17,9 @@
 //!
 //! The crate offers:
 //!
+//! * [`arrival::settle_times`] — the one forward statement of that rule, for
+//!   every op kind; arrival times, the scheduler's bit-level placer and
+//!   standalone op delays all time operations through it;
 //! * [`arrival::arrival_times`] — forward per-bit ASAP arrival times;
 //! * [`required::required_times`] — backward per-bit ALAP required times;
 //! * [`path::path_walk_time`] — the paper's §3.2 linear path algorithm,
@@ -26,7 +29,8 @@
 //!   bits each output bit of a glue, `Eq`/`Ne` or reduction op reads
 //!   (every bit-level pass, here and downstream, reads it);
 //! * [`bitref::AddProfile::settle`] — the refined ripple rule of one sum
-//!   bit, shared by arrival times, the placer and standalone op delays;
+//!   bit, which [`arrival::settle_times`] applies to additions;
+//! * [`is_zero_delay`] — which operation kinds take no δ;
 //! * [`model`] — cycle estimation `⌈critical_path / λ⌉` and the calibrated
 //!   ns conversion used to report table values.
 //!
@@ -57,7 +61,9 @@ pub mod model;
 pub mod path;
 pub mod required;
 
-pub use arrival::{arrival_times, BitTimes};
+use bittrans_ir::OpKind;
+
+pub use arrival::{arrival_times, settle_times, BitTimes};
 pub use model::{estimate_cycle, estimate_cycle_from_path, TimingModel};
 pub use path::{critical_path, op_delay_delta, path_walk_time, PathStep};
 pub use required::required_times;
@@ -66,3 +72,9 @@ pub use required::required_times;
 ///
 /// A `Delta` of 18 means "the time 18 chained 1-bit additions take".
 pub type Delta = u32;
+
+/// `true` for the kinds that take no δ: glue and `Eq`/`Ne`, each of whose
+/// result bits settles with the latest bit it reads.
+pub fn is_zero_delay(kind: OpKind) -> bool {
+    kind.is_glue() || matches!(kind, OpKind::Eq | OpKind::Ne)
+}

@@ -66,40 +66,28 @@ pub fn critical_path(spec: &Spec) -> Delta {
 /// takes with all inputs available at t = 0 (used by the conventional,
 /// operation-atomic baseline scheduler).
 ///
-/// Additions follow the refined ripple profile (known-zero positions are
-/// wires, so e.g. a kernel comparison add of width `w+1` still takes only
-/// `w`δ); other additive operations ripple across their width; `Mul` is
-/// modelled as an array multiplier (`wa + wb`); glue is free.
+/// `Mul` is modelled as an array multiplier (the wider operand's width
+/// plus twice the narrower's); every other kind takes the latest of its
+/// [`settle_times`](crate::settle_times) with every input at 0, so e.g. a
+/// kernel comparison add of width `w+1` still takes only `w`δ and glue is
+/// free.
 pub fn op_delay_delta(spec: &Spec, op: &Operation) -> Delta {
-    match op.kind() {
-        OpKind::Add => {
-            let profile = crate::bitref::add_profile(spec, op);
-            let mut t_carry = 0;
-            let mut worst = 0;
-            for i in 0..op.width() {
-                let t = profile.settle(i, 0, 0, t_carry, 0);
-                worst = worst.max(t);
-                t_carry = if profile.carry_live[i as usize + 1] { t } else { 0 };
-            }
-            worst
-        }
-        OpKind::Sub | OpKind::Neg | OpKind::Abs => op.width(),
-        OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Max | OpKind::Min => {
-            op.operands().iter().map(|o| spec.operand_width(o)).max().unwrap_or(1)
-        }
-        OpKind::Mul => {
-            // Matches the bit-level path through the shift-add row
-            // decomposition the kernel extraction produces: the wider
-            // operand's ripple plus ~2δ per partial-product row.
-            let mut ws: Vec<Delta> = op.operands().iter().map(|o| spec.operand_width(o)).collect();
-            ws.sort_unstable();
-            match ws.as_slice() {
-                [a, b] => b + 2 * a,
-                _ => op.width(),
-            }
-        }
-        _ => 0,
+    if op.kind() == OpKind::Mul {
+        // Matches the bit-level path through the shift-add row
+        // decomposition the kernel extraction produces: the wider
+        // operand's ripple plus ~2δ per partial-product row.
+        let mut ws: Vec<Delta> = op.operands().iter().map(|o| spec.operand_width(o)).collect();
+        ws.sort_unstable();
+        return match ws.as_slice() {
+            [a, b] => b + 2 * a,
+            _ => op.width(),
+        };
     }
+    crate::settle_times(spec, op, 0, |_, _| Some(0))
+        .expect("every bit is available")
+        .into_iter()
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
