@@ -5,9 +5,9 @@
 
 use bittrans_core::stage_verify;
 use bittrans_ir::prelude::*;
-use bittrans_sim::equivalence::{check_equivalence, Inequivalence};
+use bittrans_sim::equivalence::{check_equivalence, check_equivalence_on, Inequivalence};
 use bittrans_sim::vectors::random_vectors;
-use bittrans_sim::InputVector;
+use bittrans_sim::{evaluate, InputVector};
 
 fn vector(bindings: &[(&str, u64, usize)]) -> InputVector {
     bindings.iter().map(|&(name, v, w)| (name.to_string(), Bits::from_u64(v, w))).collect()
@@ -66,6 +66,118 @@ fn the_checked_stream_is_the_random_vector_stream() {
         let mut flipped = lo.clone();
         flipped.set(0, !lo.get(0));
         assert_eq!(ro, flipped, "width {width}");
+    }
+}
+
+/// Vector `k` of the checked stream of `count` random vectors: all zeros,
+/// all ones, then `random_vectors`.
+fn stream_vector(left: &Spec, seed: u64, count: usize, k: usize) -> InputVector {
+    let mut extremes = [false, true].map(|ones| {
+        let mut iv = InputVector::new();
+        for &v in left.inputs() {
+            let w = left.value(v).width() as usize;
+            iv.set(left.input_name(v), if ones { Bits::ones(w) } else { Bits::zero(w) });
+        }
+        iv
+    });
+    match k {
+        0 | 1 => std::mem::take(&mut extremes[k]),
+        _ => random_vectors(left, seed, count).swap_remove(k - 2),
+    }
+}
+
+/// Traps vector `k` of a `count`-vector check and asserts it is the one
+/// reported, with the trapped output bits.
+fn assert_trapped_vector_is_reported(count: usize, k: usize) {
+    const WIDTH: u32 = 40;
+    let (left, _) = pass_through_and_trap(WIDTH, &vector(&[("a", 0, 1), ("b", 0, 3)]));
+    // Corner draws repeat, so take the first seed from 0x2005 whose vector
+    // `k` equals no earlier one: only vector `k` then trips the trap.
+    let (seed, trapped) = (0x2005..)
+        .map(|seed| (seed, stream_vector(&left, seed, count, k)))
+        .find(|(seed, trapped)| (0..k).all(|j| stream_vector(&left, *seed, count, j) != *trapped))
+        .unwrap();
+    let (left, right) = pass_through_and_trap(WIDTH, &trapped);
+    let err = check_equivalence(&left, &right, seed, count).unwrap_err();
+    let Inequivalence::Counterexample { inputs, output, left: lo, right: ro } = err else {
+        panic!("vector {k} of {}: expected a counterexample, got {err}", count + 2);
+    };
+    assert_eq!(inputs, trapped, "vector {k} of {}", count + 2);
+    assert_eq!(output, "o");
+    assert_eq!(&lo, trapped.get("a").unwrap());
+    let mut flipped = lo.clone();
+    flipped.set(0, !lo.get(0));
+    assert_eq!(ro, flipped, "vector {k} of {}", count + 2);
+}
+
+#[test]
+fn a_trap_on_either_side_of_a_batch_boundary_reports_that_vector() {
+    // 202 vectors: batches of 64 start at 0, 64, 128 and 192.
+    for k in [0, 1, 2, 63, 64, 65, 127, 128] {
+        assert_trapped_vector_is_reported(200, k);
+    }
+    // The last vector of a final batch one lane short of, or one past, a
+    // whole number of batches.
+    for total in [63, 65, 127, 129] {
+        assert_trapped_vector_is_reported(total - 2, total - 1);
+    }
+}
+
+/// The interpreter's verdict on `vectors`, written out: the first vector
+/// either side fails to simulate or the two disagree on.
+fn interpreted(left: &Spec, right: &Spec, vectors: &[InputVector]) -> Result<(), Inequivalence> {
+    for iv in vectors {
+        let le = evaluate(left, iv)?;
+        let re = evaluate(right, iv)?;
+        for (name, lbits) in le.outputs() {
+            let rbits = re.output(name).unwrap();
+            let w = lbits.width().max(rbits.width());
+            if lbits.zext(w) != rbits.zext(w) {
+                return Err(Inequivalence::Counterexample {
+                    inputs: iv.clone(),
+                    output: name.to_string(),
+                    left: lbits.clone(),
+                    right: rbits.clone(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn a_bad_vector_at_a_batch_boundary_is_the_interpreters_verdict() {
+    let (left, _) = pass_through_and_trap(16, &vector(&[("a", 0, 1), ("b", 0, 3)]));
+    let vectors = random_vectors(&left, 0x2005, 130);
+    let trap = vectors[40].clone();
+    let (left, right) = pass_through_and_trap(16, &trap);
+    let mut narrow = trap.clone();
+    narrow.set("a", Bits::zero(15));
+    for bad in [63, 64, 65] {
+        // Without the trap vector the list agrees up to the bad width: the
+        // interpreter reports it as a simulation failure.
+        let mut list: Vec<_> = vectors.iter().filter(|&iv| iv != &trap).cloned().collect();
+        list.insert(bad, narrow.clone());
+        let verdict = interpreted(&left, &right, &list);
+        assert!(matches!(verdict, Err(Inequivalence::SimFailed(_))), "bad vector at {bad}");
+        assert_eq!(check_equivalence_on(&left, &right, &list), verdict, "bad vector at {bad}");
+        // The trap just before it, in the same batch or the one before, is
+        // a counterexample; just after it, the bad width comes first.
+        for (at, counterexample) in [(bad, true), (bad + 2, false)] {
+            let mut list = list.clone();
+            list.insert(at, trap.clone());
+            let verdict = interpreted(&left, &right, &list);
+            assert_eq!(
+                matches!(verdict, Err(Inequivalence::Counterexample { .. })),
+                counterexample,
+                "bad vector at {bad}, trap at {at}"
+            );
+            assert_eq!(
+                check_equivalence_on(&left, &right, &list),
+                verdict,
+                "bad vector at {bad}, trap at {at}"
+            );
+        }
     }
 }
 

@@ -6,17 +6,20 @@
 //! the same role RTL-vs-behaviour simulation played for the paper's
 //! authors.
 //!
-//! Both sides are compiled once to `u64` tapes, and each vector runs on
-//! those: the ports are checked and the outputs paired before the first
+//! Both sides are compiled once to tapes that run 64 vectors side by
+//! side: the ports are checked and the outputs paired before the first
 //! vector. [`check_equivalence`] draws its vectors straight into the
-//! tapes' input slots, one at a time, so its memory does not grow with the
-//! vector count. A side with a value or constant wider than 64 bits has no
-//! tape, and then [`evaluate`] runs every vector. From the first vector
-//! the tapes disagree on, or cannot load, [`evaluate`] takes over, so an
+//! tapes' input lanes, a batch of up to 64 at a time, in the order
+//! of one vector after another, so the vector set is that of
+//! [`random_vectors`](crate::vectors::random_vectors). Its memory is the
+//! tapes' live slots, which does not grow with the vector count. A side
+//! with a value or constant wider than 64 bits has no tape, and then
+//! [`evaluate`] runs every vector. From the first vector the tapes
+//! disagree on, or cannot load, [`evaluate`] takes over, so an
 //! [`Inequivalence`] is always the interpreter's verdict: the same first
 //! failing vector, output, bits and text.
 
-use crate::tape::{mask, Src, Tape};
+use crate::tape::{mask, Src, Tape, LANES};
 use crate::vectors::{random_inputs, random_word};
 use crate::{evaluate, InputVector, SimError};
 use bittrans_ir::prelude::*;
@@ -87,9 +90,17 @@ pub fn check_equivalence_on(
 ) -> Result<(), Inequivalence> {
     check_ports(left, right)?;
     if let Some(mut tapes) = Cosim::compile(left, right) {
-        for (k, iv) in vectors.iter().enumerate() {
-            if !(tapes.left.load(iv) && tapes.right.load(iv) && tapes.agree()) {
-                return interpret(left, right, &vectors[k..]);
+        for (b, batch) in vectors.chunks(LANES).enumerate() {
+            let loaded = batch
+                .iter()
+                .enumerate()
+                .position(|(lane, iv)| !(tapes.left.load(lane, iv) && tapes.right.load(lane, iv)))
+                .unwrap_or(batch.len());
+            // The lanes before a vector that fails to load are checked
+            // first; the interpreter takes over from the first bad one.
+            let failing = tapes.first_disagreement(loaded).unwrap_or(loaded);
+            if failing < batch.len() {
+                return interpret(left, right, &vectors[b * LANES + failing..]);
             }
         }
         return Ok(());
@@ -101,8 +112,9 @@ pub fn check_equivalence_on(
 /// and all-ones vectors, always included).
 ///
 /// The vectors are those of [`random_vectors`](crate::vectors::random_vectors)
-/// for `left`, after the two extremes, drawn one at a time: memory stays
-/// proportional to the ports, not to `count`.
+/// for `left`, after the two extremes, drawn up to 64 at a time into
+/// the tapes' lanes: memory stays proportional to the live values, not to
+/// `count`.
 ///
 /// # Errors
 ///
@@ -121,12 +133,15 @@ pub fn check_equivalence(
     // is left to the interpreter, which reports it unbound.
     let streams = right.inputs().len() == left.inputs().len();
     if let Some(mut tapes) = Cosim::compile(left, right).filter(|_| streams) {
-        for k in 0..total {
-            tapes.draw(k, &mut rng);
-            if !tapes.agree() {
-                let failing = tapes.left.input_vector();
-                let rest = (k + 1..total).map(|k| vector(left, k, &mut rng));
-                return interpret(left, right, std::iter::once(failing).chain(rest));
+        for first in (0..total).step_by(LANES) {
+            let lanes = LANES.min(total - first);
+            for lane in 0..lanes {
+                tapes.draw(first + lane, lane, &mut rng);
+            }
+            if let Some(failing) = tapes.first_disagreement(lanes) {
+                let drawn = (failing..lanes).map(|l| tapes.left.input_vector(l));
+                let rest = (first + lanes..total).map(|k| vector(left, k, &mut rng));
+                return interpret(left, right, drawn.chain(rest));
             }
         }
         return Ok(());
@@ -198,31 +213,47 @@ impl Cosim {
         let inputs = l
             .inputs()
             .iter()
-            .map(|p| (p.slot, p.width, right.input_by_name(&p.name).expect(PORTS).index() as u32))
+            .map(|p| {
+                let theirs = r.inputs().iter().find(|q| q.name == p.name).expect(PORTS);
+                (p.slot, p.width, theirs.slot)
+            })
             .collect();
         Some(Cosim { left: l, right: r, outputs, inputs })
     }
 
-    /// Writes vector `k` of [`check_equivalence`]'s stream into both
-    /// sides' input slots.
-    fn draw(&mut self, k: usize, rng: &mut StdRng) {
+    /// Writes vector `k` of [`check_equivalence`]'s stream into lane
+    /// `lane` of both sides' input slots.
+    fn draw(&mut self, k: usize, lane: usize, rng: &mut StdRng) {
         for &(slot, width, right_slot) in &self.inputs {
             let word = match k {
                 0 => 0,
                 1 => mask(width),
                 _ => random_word(width, rng),
             };
-            self.left.set(slot, word);
-            self.right.set(right_slot, word);
+            self.left.set(slot, lane, word);
+            self.right.set(right_slot, lane, word);
         }
     }
 
-    /// Runs both sides on the loaded inputs; `true` if every paired output
-    /// agrees.
-    fn agree(&mut self) -> bool {
+    /// Runs both sides on the loaded inputs; the first of lanes
+    /// `0..lanes` where a paired output differs, if any.
+    fn first_disagreement(&mut self, lanes: usize) -> Option<usize> {
+        if lanes == 0 {
+            return None;
+        }
         self.left.run();
         self.right.run();
-        self.outputs.iter().all(|&(l, r)| self.left.read(l) == self.right.read(r))
+        let (mut l, mut r) = ([0; LANES], [0; LANES]);
+        let mut differ = 0u64;
+        for &(ls, rs) in &self.outputs {
+            self.left.read(ls, &mut l);
+            self.right.read(rs, &mut r);
+            for (lane, (x, y)) in l.iter().zip(&r).enumerate() {
+                differ |= u64::from(x != y) << lane;
+            }
+        }
+        let differ = differ & mask(lanes as u32);
+        (differ != 0).then(|| differ.trailing_zeros() as usize)
     }
 }
 

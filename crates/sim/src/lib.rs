@@ -12,12 +12,14 @@
 //!
 //! [`evaluate`] is the oracle: a direct interpreter over [`Bits`]. The
 //! equivalence checker does not call it per vector. It compiles each spec
-//! once to a private tape with one masked `u64` slot per value and runs
-//! both sides on that. A spec with a value or constant wider than 64 bits
-//! does not compile, and the checker interprets it instead. On a vector
-//! where the two tapes disagree, the interpreter re-runs that vector and
-//! everything after it, so every reported counterexample comes from
-//! [`evaluate`] itself.
+//! once to a private tape that runs every operation over 64 vectors side
+//! by side, one masked `u64` lane each, and runs both sides on that. The
+//! tape's slots are assigned by liveness, so its buffer holds the live
+//! values of 64 vectors, not every value. A spec with a value or constant
+//! wider than 64 bits does not compile, and the checker interprets it
+//! instead. From the first lane where the two tapes disagree, the
+//! interpreter re-runs that vector and everything after it, so every
+//! reported counterexample comes from [`evaluate`] itself.
 //!
 //! ```
 //! use bittrans_ir::prelude::*;

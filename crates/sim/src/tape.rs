@@ -1,27 +1,49 @@
-//! A specification compiled once to a flat tape over `u64` slots.
+//! A specification compiled once to a flat tape that runs 64 vectors at a
+//! time.
 //!
 //! [`evaluate`](crate::evaluate) interprets a spec through heap [`Bits`]
-//! and is the oracle. The equivalence checker runs millions of vectors
-//! through the same two specs, so it lowers each spec once: every value
-//! gets one masked `u64` slot, and every operation becomes a [`Step`]
-//! reading its operands from one shared [`Src`] list. A spec with any
-//! value or constant wider than 64 bits does not compile, and the checker
-//! keeps to the interpreter for it.
+//! and is the oracle. The equivalence checker runs thousands of vectors
+//! through the same two specs, so it lowers each spec once: every operation
+//! becomes a [`Step`] reading its operands from one shared [`Src`] list,
+//! and the step runs over [`LANES`] vectors side by side. Each operand is
+//! loaded into a lane buffer once per step — sliced, and sign-extended by
+//! shifting — so the per-lane work is one tight loop over the operation.
+//!
+//! Slots are laid out slot-major, [`LANES`] words each, and assigned by
+//! liveness: a value's slot is freed after its last reader and reused by a
+//! later destination. Input ports and every value an output reads keep
+//! their slots to the end, so the buffer grows with the live set, not with
+//! the value count. A spec with any value or constant wider than 64 bits
+//! does not compile, and the checker keeps to the interpreter for it.
 
 use crate::InputVector;
 use bittrans_ir::prelude::*;
-use std::cmp::Ordering;
+
+/// The vectors one run of a tape computes side by side.
+pub(crate) const LANES: usize = 64;
+
+/// One word per lane.
+pub(crate) type Lanes = [u64; LANES];
 
 /// Where a step or an output port reads its bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Src {
-    /// `width` bits of a value's slot, starting at bit `lo`.
+    /// `width` bits of a slot, starting at bit `lo`.
     Slot { slot: u32, lo: u32, width: u32 },
     /// A constant of `width` bits.
     Const { word: u64, width: u32 },
 }
 
-/// One operation: `slots[dest] = kind(srcs[args])`, masked to `width`.
+impl Src {
+    fn width(self) -> u32 {
+        match self {
+            Src::Slot { width, .. } | Src::Const { width, .. } => width,
+        }
+    }
+}
+
+/// One operation: `slots[dest] = kind(srcs[args])`, masked to `width`, in
+/// every lane.
 #[derive(Clone, Debug)]
 struct Step {
     kind: OpKind,
@@ -46,8 +68,12 @@ pub(crate) struct Tape {
     srcs: Vec<Src>,
     inputs: Vec<Port>,
     outputs: Vec<(String, Src)>,
+    /// Lane `l` of slot `s` is `slots[s * LANES + l]`.
     slots: Vec<u64>,
 }
+
+/// Never freed: the last reader of an input port or an output's value.
+const END: usize = usize::MAX;
 
 impl Tape {
     /// Lowers `spec` in one pass over its operations, or `None` if a value
@@ -56,47 +82,86 @@ impl Tape {
         if spec.values().iter().any(|v| v.width() > 64) {
             return None;
         }
-        let src = |operand: &Operand| match operand {
+        // The index of each value's last reader, or of its defining op if
+        // nothing reads it.
+        let mut last = vec![END; spec.values().len()];
+        for (i, op) in spec.ops().iter().enumerate() {
+            last[op.result().index()] = i;
+            for v in op.operands().iter().filter_map(Operand::value_id) {
+                last[v.index()] = i;
+            }
+        }
+        let pinned = spec.outputs().iter().filter_map(|port| port.operand().value_id());
+        for v in spec.inputs().iter().copied().chain(pinned) {
+            last[v.index()] = END;
+        }
+
+        let mut slot_of = vec![0; spec.values().len()];
+        let (mut free, mut count) = (Vec::new(), 0);
+        let mut take = |free: &mut Vec<u32>| {
+            free.pop().unwrap_or_else(|| {
+                count += 1;
+                count - 1
+            })
+        };
+        let src = |operand: &Operand, slot_of: &[u32]| match operand {
             Operand::Value { value, range } => {
                 let (lo, width) =
                     range.map_or((0, spec.value(*value).width()), |r| (r.lo(), r.width()));
-                Some(Src::Slot { slot: value.index() as u32, lo, width })
+                Some(Src::Slot { slot: slot_of[value.index()], lo, width })
             }
             Operand::Const(bits) if bits.width() <= 64 => {
                 Some(Src::Const { word: bits.to_u64(), width: bits.width() as u32 })
             }
             Operand::Const(_) => None,
         };
+        let inputs = spec
+            .inputs()
+            .iter()
+            .map(|&v| {
+                slot_of[v.index()] = take(&mut free);
+                Port {
+                    name: spec.input_name(v).to_string(),
+                    slot: slot_of[v.index()],
+                    width: spec.value(v).width(),
+                }
+            })
+            .collect();
         let mut srcs = Vec::new();
         let mut steps = Vec::with_capacity(spec.ops().len());
-        for op in spec.ops() {
+        for (i, op) in spec.ops().iter().enumerate() {
             let first = srcs.len() as u32;
             for operand in op.operands() {
-                srcs.push(src(operand)?);
+                srcs.push(src(operand, &slot_of)?);
+            }
+            // A step loads every operand before it writes, so its
+            // destination may take a slot its last read just freed.
+            for v in op.operands().iter().filter_map(Operand::value_id) {
+                if last[v.index()] == i {
+                    last[v.index()] = END;
+                    free.push(slot_of[v.index()]);
+                }
+            }
+            let dest = take(&mut free);
+            slot_of[op.result().index()] = dest;
+            if last[op.result().index()] == i {
+                free.push(dest);
             }
             steps.push(Step {
                 kind: op.kind(),
                 signed: op.signedness().is_signed(),
                 width: op.width(),
-                dest: op.result().index() as u32,
+                dest,
                 args: (first, srcs.len() as u32),
             });
         }
-        let inputs = spec
-            .inputs()
-            .iter()
-            .map(|&v| Port {
-                name: spec.input_name(v).to_string(),
-                slot: v.index() as u32,
-                width: spec.value(v).width(),
-            })
-            .collect();
         let outputs = spec
             .outputs()
             .iter()
-            .map(|port| Some((port.name().to_string(), src(port.operand())?)))
+            .map(|port| Some((port.name().to_string(), src(port.operand(), &slot_of)?)))
             .collect::<Option<_>>()?;
-        Some(Tape { steps, srcs, inputs, outputs, slots: vec![0; spec.values().len()] })
+        let slots = vec![0; count as usize * LANES];
+        Some(Tape { steps, srcs, inputs, outputs, slots })
     }
 
     /// The input ports, in spec order.
@@ -109,18 +174,19 @@ impl Tape {
         self.outputs.iter().find(|(n, _)| n == name).map(|&(_, src)| src)
     }
 
-    /// Stores `word` in `slot`; the caller masks it to the slot's width.
-    pub(crate) fn set(&mut self, slot: u32, word: u64) {
-        self.slots[slot as usize] = word;
+    /// Stores `word` in lane `lane` of `slot`; the caller masks it to the
+    /// slot's width.
+    pub(crate) fn set(&mut self, slot: u32, lane: usize, word: u64) {
+        self.slots[slot as usize * LANES + lane] = word;
     }
 
-    /// Loads every input port from `inputs`, or returns `false` if one is
-    /// unbound or bound at the wrong width.
-    pub(crate) fn load(&mut self, inputs: &InputVector) -> bool {
+    /// Loads every input port of lane `lane` from `inputs`, or returns
+    /// `false` if one is unbound or bound at the wrong width.
+    pub(crate) fn load(&mut self, lane: usize, inputs: &InputVector) -> bool {
         for port in &self.inputs {
             match inputs.get(&port.name) {
                 Some(bits) if bits.width() == port.width as usize => {
-                    self.slots[port.slot as usize] = bits.to_u64();
+                    self.slots[port.slot as usize * LANES + lane] = bits.to_u64();
                 }
                 _ => return false,
             }
@@ -128,92 +194,168 @@ impl Tape {
         true
     }
 
-    /// The loaded input ports as an [`InputVector`].
-    pub(crate) fn input_vector(&self) -> InputVector {
+    /// The input ports loaded in lane `lane`, as an [`InputVector`].
+    pub(crate) fn input_vector(&self, lane: usize) -> InputVector {
         self.inputs
             .iter()
             .map(|p| {
-                (p.name.clone(), Bits::from_u64(self.slots[p.slot as usize], p.width as usize))
+                let word = self.slots[p.slot as usize * LANES + lane];
+                (p.name.clone(), Bits::from_u64(word, p.width as usize))
             })
             .collect()
     }
 
-    /// Computes every value from the loaded inputs.
+    /// Computes every value from the loaded inputs, in every lane.
     pub(crate) fn run(&mut self) {
         let Tape { steps, srcs, slots, .. } = self;
+        let mut bufs = [[0; LANES]; 3];
         for step in steps.iter() {
-            let args = &srcs[step.args.0 as usize..step.args.1 as usize];
-            let word = exec(step, args, slots);
-            slots[step.dest as usize] = word & mask(step.width);
+            exec(step, &srcs[step.args.0 as usize..step.args.1 as usize], slots, &mut bufs);
         }
     }
 
-    /// The bits `src` reads, zero-extended.
-    pub(crate) fn read(&self, src: Src) -> u64 {
-        read(&self.slots, src).0
+    /// The bits `src` reads in every lane, zero-extended, into `out`.
+    pub(crate) fn read(&self, src: Src, out: &mut Lanes) {
+        load(&self.slots, src, false, out);
     }
 }
 
-fn exec(step: &Step, args: &[Src], slots: &[u64]) -> u64 {
-    let signed = step.signed;
-    let arg = |i: usize| read(slots, args[i]);
-    let ext = |i: usize| extend(arg(i), signed);
-    let order = || {
-        let (a, b) = (arg(0), arg(1));
-        if signed {
-            (extend(a, true) as i64).cmp(&(extend(b, true) as i64))
-        } else {
-            a.0.cmp(&b.0)
-        }
+/// Runs `step` over every lane: loads its operands into `bufs`, then
+/// writes `kind(bufs)`, masked to the step's width, to its destination.
+fn exec(step: &Step, args: &[Src], slots: &mut [u64], bufs: &mut [Lanes; 3]) {
+    let kind = step.kind;
+    // Abs reads its operand as signed whatever the op's signedness; the
+    // reductions and Concat read raw bits.
+    let sext = match kind {
+        OpKind::Abs => true,
+        OpKind::RedOr | OpKind::RedAnd | OpKind::Concat => false,
+        _ => step.signed,
     };
-    match step.kind {
-        OpKind::Add => {
-            let carry = if args.len() == 3 { arg(2).0 & 1 } else { 0 };
-            ext(0).wrapping_add(ext(1)).wrapping_add(carry)
-        }
-        OpKind::Sub => ext(0).wrapping_sub(ext(1)),
-        OpKind::Neg => ext(0).wrapping_neg(),
-        OpKind::Mul => ext(0).wrapping_mul(ext(1)),
-        OpKind::Abs => (extend(arg(0), true) as i64).unsigned_abs(),
-        OpKind::Lt => order().is_lt() as u64,
-        OpKind::Le => order().is_le() as u64,
-        OpKind::Gt => order().is_gt() as u64,
-        OpKind::Ge => order().is_ge() as u64,
-        OpKind::Eq => (ext(0) == ext(1)) as u64,
-        OpKind::Ne => (ext(0) != ext(1)) as u64,
-        OpKind::Max => ext(if order() != Ordering::Less { 0 } else { 1 }),
-        OpKind::Min => ext(if order() != Ordering::Greater { 0 } else { 1 }),
-        OpKind::Shl(k) => ext(0).checked_shl(k).unwrap_or(0),
-        OpKind::Shr(k) => {
-            let word = ext(0) & mask(step.width);
-            if signed {
-                (extend((word, step.width), true) as i64 >> k.min(63)) as u64
-            } else {
-                word.checked_shr(k).unwrap_or(0)
-            }
-        }
-        OpKind::Not => !ext(0),
-        OpKind::And => ext(0) & ext(1),
-        OpKind::Or => ext(0) | ext(1),
-        OpKind::Xor => ext(0) ^ ext(1),
-        OpKind::Mux => ext(if arg(0).0 & 1 == 1 { 1 } else { 2 }),
-        OpKind::RedOr => (arg(0).0 != 0) as u64,
-        OpKind::RedAnd => {
-            let (word, width) = arg(0);
-            (word == mask(width)) as u64
-        }
-        OpKind::Concat => {
-            let mut acc = 0;
-            let mut lo = 0;
-            for &src in args {
-                let (word, width) = read(slots, src);
-                if width > 0 {
-                    acc |= word << lo;
+    let [a, b, c] = bufs;
+    if kind == OpKind::Concat {
+        // Lowest operand first, accumulated in `c`.
+        c.fill(0);
+        let mut lo = 0;
+        for &src in args {
+            load(slots, src, false, a);
+            if src.width() > 0 {
+                for (acc, &x) in c.iter_mut().zip(a.iter()) {
+                    *acc |= x << lo;
                 }
-                lo += width;
             }
-            acc
+            lo += src.width();
         }
+    } else {
+        for (buf, &src) in [&mut *a, &mut *b, &mut *c].into_iter().zip(args) {
+            load(slots, src, sext, buf);
+        }
+    }
+    let (a, b, c) = (&*a, &*b, &*c);
+    let m = mask(step.width);
+    let d = row_mut(slots, step.dest);
+    // Signed order is unsigned order with the sign bit flipped.
+    let flip = if step.signed { 1 << 63 } else { 0 };
+    match kind {
+        OpKind::Add if args.len() == 3 => {
+            lanes3(d, a, b, c, m, |x, y, ci| x.wrapping_add(y).wrapping_add(ci & 1))
+        }
+        OpKind::Add => lanes2(d, a, b, m, u64::wrapping_add),
+        OpKind::Sub => lanes2(d, a, b, m, u64::wrapping_sub),
+        OpKind::Neg => lanes1(d, a, m, u64::wrapping_neg),
+        OpKind::Mul => lanes2(d, a, b, m, u64::wrapping_mul),
+        OpKind::Abs => lanes1(d, a, m, |x| (x as i64).unsigned_abs()),
+        OpKind::Lt => lanes2(d, a, b, m, |x, y| ((x ^ flip) < (y ^ flip)) as u64),
+        OpKind::Le => lanes2(d, a, b, m, |x, y| ((x ^ flip) <= (y ^ flip)) as u64),
+        OpKind::Gt => lanes2(d, a, b, m, |x, y| ((x ^ flip) > (y ^ flip)) as u64),
+        OpKind::Ge => lanes2(d, a, b, m, |x, y| ((x ^ flip) >= (y ^ flip)) as u64),
+        OpKind::Eq => lanes2(d, a, b, m, |x, y| (x == y) as u64),
+        OpKind::Ne => lanes2(d, a, b, m, |x, y| (x != y) as u64),
+        OpKind::Max => lanes2(d, a, b, m, |x, y| if x ^ flip >= y ^ flip { x } else { y }),
+        OpKind::Min => lanes2(d, a, b, m, |x, y| if x ^ flip <= y ^ flip { x } else { y }),
+        OpKind::Shl(k) if k >= 64 => d.fill(0),
+        OpKind::Shl(k) => lanes1(d, a, m, |x| x << k),
+        OpKind::Shr(k) if step.signed => {
+            // The operand at the op's width, sign-extended, then shifted.
+            let s = 64 - step.width.clamp(1, 64);
+            let k = k.min(63);
+            lanes1(d, a, m, |x| ((((x << s) as i64) >> s) >> k) as u64)
+        }
+        OpKind::Shr(k) if k >= 64 => d.fill(0),
+        OpKind::Shr(k) => lanes1(d, a, m, |x| (x & m) >> k),
+        OpKind::Not => lanes1(d, a, m, |x| !x),
+        OpKind::And => lanes2(d, a, b, m, |x, y| x & y),
+        OpKind::Or => lanes2(d, a, b, m, |x, y| x | y),
+        OpKind::Xor => lanes2(d, a, b, m, |x, y| x ^ y),
+        OpKind::Mux => lanes3(d, a, b, c, m, |sel, x, y| {
+            let pick = (sel & 1).wrapping_neg();
+            (x & pick) | (y & !pick)
+        }),
+        OpKind::RedOr => lanes1(d, a, m, |x| (x != 0) as u64),
+        OpKind::RedAnd => {
+            let all = mask(args[0].width());
+            lanes1(d, a, m, |x| (x == all) as u64)
+        }
+        OpKind::Concat => lanes1(d, c, m, |x| x),
+    }
+}
+
+/// Loads the bits `src` reads in every lane into `buf`: zero-extended, or
+/// sign-extended if `sext`.
+fn load(slots: &[u64], src: Src, sext: bool, buf: &mut Lanes) {
+    match src {
+        Src::Slot { width: 0, .. } => buf.fill(0),
+        Src::Slot { slot, lo, width } => {
+            // Shift the slice's top bit to bit 63, then back down to bit
+            // `width - 1`, arithmetically to sign-extend.
+            let (up, down) = (64 - lo - width, 64 - width);
+            let row = row(slots, slot);
+            if sext {
+                lanes1(buf, row, !0, |w| ((w << up) as i64 >> down) as u64);
+            } else {
+                lanes1(buf, row, !0, |w| (w << up) >> down);
+            }
+        }
+        Src::Const { word, width } if sext && (1..64).contains(&width) => {
+            let down = 64 - width;
+            buf.fill(((word << down) as i64 >> down) as u64);
+        }
+        Src::Const { word, .. } => buf.fill(word),
+    }
+}
+
+fn row(slots: &[u64], slot: u32) -> &Lanes {
+    slots[slot as usize * LANES..][..LANES].try_into().expect("a slot is LANES words")
+}
+
+fn row_mut(slots: &mut [u64], slot: u32) -> &mut Lanes {
+    (&mut slots[slot as usize * LANES..][..LANES]).try_into().expect("a slot is LANES words")
+}
+
+/// `d[l] = f(a[l]) & m` for every lane `l`.
+fn lanes1(d: &mut Lanes, a: &Lanes, m: u64, f: impl Fn(u64) -> u64) {
+    for (d, &x) in d.iter_mut().zip(a) {
+        *d = f(x) & m;
+    }
+}
+
+/// `d[l] = f(a[l], b[l]) & m` for every lane `l`.
+fn lanes2(d: &mut Lanes, a: &Lanes, b: &Lanes, m: u64, f: impl Fn(u64, u64) -> u64) {
+    for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {
+        *d = f(x, y) & m;
+    }
+}
+
+/// `d[l] = f(a[l], b[l], c[l]) & m` for every lane `l`.
+fn lanes3(
+    d: &mut Lanes,
+    a: &Lanes,
+    b: &Lanes,
+    c: &Lanes,
+    m: u64,
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
+    for (((d, &x), &y), &z) in d.iter_mut().zip(a).zip(b).zip(c) {
+        *d = f(x, y, z) & m;
     }
 }
 
@@ -223,23 +365,6 @@ pub(crate) fn mask(width: u32) -> u64 {
         !0
     } else {
         (1 << width) - 1
-    }
-}
-
-/// The bits `src` reads, with their width.
-fn read(slots: &[u64], src: Src) -> (u64, u32) {
-    match src {
-        Src::Slot { slot, lo, width } => ((slots[slot as usize] >> lo) & mask(width), width),
-        Src::Const { word, width } => (word, width),
-    }
-}
-
-/// A `width`-bit word extended to 64 bits: sign-extended if `signed`.
-fn extend((word, width): (u64, u32), signed: bool) -> u64 {
-    if signed && (1..64).contains(&width) && (word >> (width - 1)) & 1 == 1 {
-        word | !mask(width)
-    } else {
-        word
     }
 }
 
@@ -255,42 +380,95 @@ mod tests {
     };
     use bittrans_frag::{fragment, FragmentOptions};
 
-    /// Runs `spec` on the tape and through [`evaluate`] over the all-zeros,
-    /// all-ones and `count` random vectors, and compares every value and
-    /// every output.
+    /// `spec` rebuilt with every value also driven onto an output port of
+    /// its own, so that every value stays live to the end of the tape.
+    fn every_value_an_output(spec: &Spec) -> Spec {
+        let mut b = SpecBuilder::new(spec.name());
+        for value in spec.values() {
+            let id = match value.defining_op() {
+                None => b.input(spec.input_name(value.id()), value.width()),
+                Some(op) => {
+                    let op = spec.op(op);
+                    b.op_with_origin(
+                        op.kind(),
+                        op.operands().to_vec(),
+                        op.width(),
+                        op.signedness(),
+                        op.name(),
+                        op.origin(),
+                    )
+                    .unwrap()
+                }
+            };
+            assert_eq!(id, value.id());
+        }
+        for port in spec.outputs() {
+            b.output(port.name(), port.operand().clone());
+        }
+        for value in spec.values() {
+            b.output(format!("value#{}", value.id().index()), value.id());
+        }
+        b.finish().unwrap()
+    }
+
+    /// Runs `spec` on its tape and through [`evaluate`] over the all-zeros,
+    /// all-ones and `count` random vectors, [`LANES`] at a time, and
+    /// compares every output in every lane. A second tape of `spec` with
+    /// every value an output, so that no slot is reused, compares every
+    /// value too.
     fn assert_matches_interpreter(spec: &Spec, seed: u64, count: usize) {
-        let mut tape = Tape::compile(spec).unwrap_or_else(|| panic!("`{}` compiles", spec.name()));
+        let compile =
+            |s: &Spec| Tape::compile(s).unwrap_or_else(|| panic!("`{}` compiles", s.name()));
+        let (mut live, mut every) = (compile(spec), compile(&every_value_an_output(spec)));
         let extremes = [false, true].map(|ones| {
             let mut iv = InputVector::new();
-            for p in tape.inputs() {
+            for p in live.inputs() {
                 let w = p.width as usize;
                 iv.set(p.name.clone(), if ones { Bits::ones(w) } else { Bits::zero(w) });
             }
             iv
         });
-        for iv in extremes.into_iter().chain(random_vectors(spec, seed, count)) {
-            let eval = evaluate(spec, &iv).unwrap();
-            assert!(tape.load(&iv));
-            tape.run();
+        let vectors: Vec<_> =
+            extremes.into_iter().chain(random_vectors(spec, seed, count)).collect();
+        let mut lanes = [0; LANES];
+        for batch in vectors.chunks(LANES) {
+            for (lane, iv) in batch.iter().enumerate() {
+                assert!(live.load(lane, iv) && every.load(lane, iv));
+            }
+            live.run();
+            every.run();
+            let evals: Vec<_> = batch.iter().map(|iv| evaluate(spec, iv).unwrap()).collect();
+            for (lane, iv) in batch.iter().enumerate() {
+                assert_eq!(&live.input_vector(lane), iv);
+            }
             for value in spec.values() {
-                let got = Bits::from_u64(tape.slots[value.id().index()], value.width() as usize);
-                assert_eq!(
-                    &got,
-                    eval.value(value.id()),
-                    "`{}` {} on {iv:?}",
-                    spec.name(),
-                    value.id()
+                every.read(
+                    every.output(&format!("value#{}", value.id().index())).unwrap(),
+                    &mut lanes,
                 );
+                for ((iv, eval), &word) in batch.iter().zip(&evals).zip(&lanes) {
+                    assert_eq!(
+                        &Bits::from_u64(word, value.width() as usize),
+                        eval.value(value.id()),
+                        "`{}` {} on {iv:?}",
+                        spec.name(),
+                        value.id()
+                    );
+                }
             }
-            for (name, bits) in eval.outputs() {
-                assert_eq!(tape.read(tape.output(name).unwrap()), bits.to_u64(), "output `{name}`");
+            for port in spec.outputs() {
+                for tape in [&live, &every] {
+                    tape.read(tape.output(port.name()).unwrap(), &mut lanes);
+                    for ((iv, eval), &word) in batch.iter().zip(&evals).zip(&lanes) {
+                        let bits = eval.output(port.name()).unwrap();
+                        assert_eq!(word, bits.to_u64(), "output `{}` on {iv:?}", port.name());
+                    }
+                }
             }
-            assert_eq!(tape.input_vector(), iv);
         }
     }
 
-    #[test]
-    fn corpus_sources_kernels_and_fragments_match_the_interpreter() {
+    fn corpus() -> Vec<Spec> {
         let mut specs: Vec<Spec> = table2_benchmarks()
             .into_iter()
             .chain(table3_benchmarks())
@@ -298,8 +476,13 @@ mod tests {
             .map(|b| b.spec)
             .collect();
         specs.extend([three_adds(), fig3_dfg()]);
+        specs
+    }
+
+    #[test]
+    fn corpus_sources_kernels_and_fragments_match_the_interpreter() {
         let mut checked = 0;
-        for spec in specs {
+        for spec in corpus() {
             assert_matches_interpreter(&spec, 1, 40);
             let kernel = bittrans_kernel::extract(&spec).unwrap();
             assert_matches_interpreter(&kernel, 2, 40);
@@ -311,6 +494,30 @@ mod tests {
             }
         }
         assert!(checked >= 20, "only {checked} fragmented specs");
+    }
+
+    #[test]
+    fn fragmented_corpus_tapes_keep_to_the_live_set() {
+        let mut widest = 0;
+        for spec in corpus() {
+            let kernel = bittrans_kernel::extract(&spec).unwrap();
+            for latency in [3, 5] {
+                let Ok(f) = fragment(&kernel, &FragmentOptions::with_latency(latency)) else {
+                    continue;
+                };
+                let slots = Tape::compile(&f.spec).unwrap().slots.len() / LANES;
+                assert!(
+                    slots <= 64,
+                    "`{}` at λ {latency}: {slots} slots for {} values",
+                    spec.name(),
+                    f.spec.values().len()
+                );
+                widest = widest.max(f.spec.values().len());
+            }
+        }
+        // The bound is far below the value count, so it is liveness that
+        // keeps it.
+        assert!(widest > 500, "the largest fragmented spec has only {widest} values");
     }
 
     #[test]
@@ -371,6 +578,20 @@ mod tests {
         .unwrap();
         assert!(spec.values().iter().any(|v| v.width() == 64));
         assert_matches_interpreter(&spec, 64, 400);
+    }
+
+    #[test]
+    fn dying_operands_hand_their_slots_to_later_values() {
+        // `t` dies at `u`, and `u` at `v`: each destination may take the
+        // slot its operand just freed, which every lane must survive.
+        let spec = Spec::parse(
+            "spec chain { input a: i8; input b: i8;
+              t: i9 = a + b;  u: i9 = -t;  v: i10 = concat(u[4:0], u[8:4]);  w: i8 = v[9:2] ^ a;
+              output w; }",
+        )
+        .unwrap();
+        assert_eq!(Tape::compile(&spec).unwrap().slots.len(), 3 * LANES);
+        assert_matches_interpreter(&spec, 12, 100);
     }
 
     #[test]
