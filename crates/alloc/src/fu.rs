@@ -204,16 +204,8 @@ mod tests {
               output x; output y; }",
         )
         .unwrap();
-        let sched = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 1,
-                cycle_override: Some(8),
-                chaining: bittrans_sched::conventional::Chaining::BitLevel,
-                balance: false,
-            },
-        )
-        .unwrap();
+        let assignment = spec.ops().iter().map(|op| (op.id(), 1)).collect();
+        let sched = Schedule::new(1, 8, assignment);
         let fus = bind_fus(&spec, &sched);
         assert_eq!(fus.len(), 2);
     }

@@ -208,6 +208,12 @@ mod tests {
     use super::*;
     use bittrans_sched::conventional::{schedule_conventional, ConventionalOptions};
 
+    /// The schedule running `spec`'s ops, in order, in `cycles`.
+    fn schedule_at(spec: &Spec, latency: u32, cycle: u32, cycles: &[u32]) -> Schedule {
+        let assignment = spec.ops().iter().zip(cycles).map(|(op, &k)| (op.id(), k)).collect();
+        Schedule::new(latency, cycle, assignment)
+    }
+
     fn three_adds() -> Spec {
         Spec::parse(
             "spec ex { input A: u16; input B: u16; input D: u16; input F: u16;
@@ -260,16 +266,7 @@ mod tests {
               output y; }",
         )
         .unwrap();
-        let sched = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 2,
-                cycle_override: Some(9),
-                chaining: bittrans_sched::conventional::Chaining::Disabled,
-                balance: false,
-            },
-        )
-        .unwrap();
+        let sched = schedule_at(&spec, 2, 9, &[1, 2, 2]);
         let regs = allocate_registers(&spec, &sched);
         // Inverters are wiring-class glue: the stored value is x (the
         // adder result), traced through the inverter.
@@ -293,9 +290,7 @@ mod tests {
         )
         .unwrap();
         let ops = spec.ops();
-        let cycles = [1, 1, 1, 3];
-        let assignment = ops.iter().zip(cycles).map(|(op, k)| (op.id(), k)).collect();
-        let sched = Schedule::new(3, 16, assignment);
+        let sched = schedule_at(&spec, 3, 16, &[1, 1, 1, 3]);
         let regs = allocate_registers(&spec, &sched);
         let g = ops[1].result();
         assert_eq!(regs.len(), 1, "{regs:?}");
@@ -318,36 +313,23 @@ mod tests {
               output lo; output hi; }",
         )
         .unwrap();
-        let sched = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 2,
-                cycle_override: Some(10),
-                chaining: bittrans_sched::conventional::Chaining::BitLevel,
-                balance: false,
-            },
-        )
-        .unwrap();
-        // lo chains with x in cycle 1; hi must wait depending on placement.
+        // lo chains with x in cycle 1; hi reads x[7:4] in cycle 2.
+        let sched = schedule_at(&spec, 2, 10, &[1, 1, 2]);
         let regs = allocate_registers(&spec, &sched);
-        let stored: u32 = regs.iter().map(|r| r.width).sum();
-        assert!(stored <= 8, "at most x is stored, got {stored}");
+        let x = spec.ops()[0].result();
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(regs[0].width, 4);
+        assert_eq!(
+            regs[0].groups,
+            vec![BitGroup { value: x, range: BitRange::new(4, 4), def: 1, last_use: 2 }]
+        );
     }
 
     #[test]
     fn output_ports_are_not_stored() {
         let spec =
             Spec::parse("spec s { input a: u8; input b: u8; x: u8 = a + b; output x; }").unwrap();
-        let sched = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 3,
-                cycle_override: Some(8),
-                chaining: bittrans_sched::conventional::Chaining::BitLevel,
-                balance: false,
-            },
-        )
-        .unwrap();
+        let sched = schedule_at(&spec, 3, 8, &[1]);
         assert!(allocate_registers(&spec, &sched).is_empty());
     }
 }

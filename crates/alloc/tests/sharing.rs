@@ -6,8 +6,9 @@ use bittrans_alloc::{allocate, AllocOptions};
 use bittrans_frag::{fragment, FragmentOptions};
 use bittrans_ir::prelude::*;
 use bittrans_kernel::extract;
-use bittrans_sched::conventional::{schedule_conventional, Chaining, ConventionalOptions};
+use bittrans_sched::conventional::{schedule_conventional, ConventionalOptions};
 use bittrans_sched::fragment::{schedule_fragments, FragmentScheduleOptions};
+use bittrans_sched::Schedule;
 
 /// Two multiplications forced into different cycles share one carry-save
 /// array (the glue block of the second multiply reuses the first's).
@@ -94,6 +95,12 @@ fn fu_count_tracks_concurrency() {
     assert_eq!(dp.fus.len(), 4);
 }
 
+/// The schedule running `spec`'s ops, in order, in `cycles`.
+fn schedule_at(spec: &Spec, latency: u32, cycle: u32, cycles: &[u32]) -> Schedule {
+    let assignment = spec.ops().iter().zip(cycles).map(|(op, &k)| (op.id(), k)).collect();
+    Schedule::new(latency, cycle, assignment)
+}
+
 /// Register sharing (left-edge): values with disjoint lifetimes share a
 /// register; simultaneous live values do not.
 #[test]
@@ -108,16 +115,7 @@ fn register_left_edge_sharing() {
             output z; }",
     )
     .unwrap();
-    let s = schedule_conventional(
-        &spec,
-        &ConventionalOptions {
-            latency: 3,
-            cycle_override: Some(8),
-            chaining: Chaining::Disabled,
-            balance: false,
-        },
-    )
-    .unwrap();
+    let s = schedule_at(&spec, 3, 8, &[1, 2, 3]);
     let dp = allocate(&spec, &s, &AllocOptions::default());
     assert_eq!(dp.registers.len(), 1, "x and y share one register");
     assert_eq!(dp.registers[0].groups.len(), 2);
@@ -132,20 +130,11 @@ fn register_left_edge_sharing() {
             output z; }",
     )
     .unwrap();
-    let s2 = schedule_conventional(
-        &spec2,
-        &ConventionalOptions {
-            latency: 3,
-            cycle_override: Some(8),
-            chaining: Chaining::Disabled,
-            balance: false,
-        },
-    )
-    .unwrap();
+    let s2 = schedule_at(&spec2, 3, 8, &[1, 1, 2]);
     let dp2 = allocate(&spec2, &s2, &AllocOptions::default());
-    // x and y both produced before z's cycle: they overlap and need two
-    // registers (how long they overlap depends on the balanced placement).
-    assert!(dp2.registers.len() >= 2, "{:?}", dp2.registers);
+    // x and y are both produced in cycle 1 and read by z in cycle 2: they
+    // overlap and need two registers.
+    assert_eq!(dp2.registers.len(), 2, "{:?}", dp2.registers);
 }
 
 /// The dedicated-origin preference keeps fragments of one source addition

@@ -400,10 +400,7 @@ pub fn stage_schedule_conventional(
     balance: bool,
 ) -> Result<Schedule, PipelineError> {
     Ok(stage::observe("schedule", || {
-        schedule_conventional(
-            spec,
-            &ConventionalOptions { latency, cycle_override: None, chaining, balance },
-        )
+        schedule_conventional(spec, &ConventionalOptions { latency, chaining, balance })
     })?)
 }
 

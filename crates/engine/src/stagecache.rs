@@ -1114,7 +1114,6 @@ mod tests {
         for changed in [
             base(4, Chaining::ComponentSum, &options),
             base(3, Chaining::BitLevel, &options),
-            base(3, Chaining::Disabled, &options),
             base(3, Chaining::ComponentSum, &unbalanced),
             schedule_key(
                 "sched_base",

@@ -117,7 +117,6 @@ impl Chaining {
     /// and canonical documents.
     pub fn code(self) -> &'static str {
         match self {
-            Chaining::Disabled => "disabled",
             Chaining::ComponentSum => "component_sum",
             Chaining::BitLevel => "bit_level",
         }
@@ -175,8 +174,7 @@ mod tests {
 
     #[test]
     fn chaining_codes_are_stable() {
-        let codes =
-            [Chaining::Disabled, Chaining::ComponentSum, Chaining::BitLevel].map(Chaining::code);
-        assert_eq!(codes, ["disabled", "component_sum", "bit_level"]);
+        let codes = [Chaining::ComponentSum, Chaining::BitLevel].map(Chaining::code);
+        assert_eq!(codes, ["component_sum", "bit_level"]);
     }
 }

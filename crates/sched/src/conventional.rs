@@ -4,42 +4,35 @@
 //! This models what the paper's experiments run Synopsys Behavioral
 //! Compiler as: operations cannot be split across cycles (no
 //! fragmentation), but data-dependent operations may chain combinationally
-//! within one cycle — with *physical* chained delays (the ripple paths of
-//! Fig. 1 e), since that is what gate-level timing reports for chained
-//! adders. The minimal feasible cycle length for a given latency λ — found
-//! by [`minimal_cycle`] — is the "Original specification" cycle the tables
-//! report; at λ = 1 the same scheduler reproduces the chained BLC-style
-//! design of Fig. 1 d).
+//! within one cycle. [`Chaining`] is the one chaining rule: summed
+//! component delays (the tool's view), or *physical* chained delays (the
+//! ripple paths of Fig. 1 e). The minimal feasible cycle length for a given
+//! latency λ — found by [`minimal_cycle`] — is the "Original specification"
+//! cycle the tables report; at λ = 1 the bit-level rule reproduces the
+//! chained BLC-style design of Fig. 1 d).
+//!
+//! One ASAP pass puts each operation in the first cycle it fits. The
+//! search runs it at growing cycle lengths until it fits in λ cycles;
+//! [`schedule_conventional`] keeps the pass that fit, as the schedule when
+//! balancing is off and as the fallback when the balanced pass fails.
 
-use crate::engine::{ChainModel, Placer};
+use crate::engine::Placer;
 use crate::{SchedError, Schedule};
 use bittrans_ir::prelude::*;
 use bittrans_timing::{critical_path, is_zero_delay, required_times, Delta};
+use std::collections::BTreeMap;
 
 /// How the baseline scheduler may combine operations within one cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Chaining {
-    /// No chaining: every operation starts at a cycle boundary.
-    Disabled,
     /// Operator chaining with summed component delays — what a conventional
-    /// tool (the paper's Synopsys Behavioral Compiler baseline) does.
+    /// tool (the paper's Synopsys Behavioral Compiler baseline) does. Two
+    /// chained 16-bit adders cost 32δ.
     #[default]
     ComponentSum,
-    /// Bit-level chaining (the BLC prior art \[3\]; the paper's Fig. 1 d).
+    /// Bit-level chaining (the BLC prior art \[3\]; the paper's Fig. 1 d):
+    /// the ripple paths overlap, so two chained 16-bit adders cost 17δ.
     BitLevel,
-}
-
-impl Chaining {
-    fn model(self) -> ChainModel {
-        match self {
-            Chaining::BitLevel => ChainModel::BitLevel,
-            _ => ChainModel::ComponentSum,
-        }
-    }
-
-    fn enabled(self) -> bool {
-        self != Chaining::Disabled
-    }
 }
 
 /// Options for [`schedule_conventional`].
@@ -47,9 +40,6 @@ impl Chaining {
 pub struct ConventionalOptions {
     /// Target latency λ in cycles.
     pub latency: u32,
-    /// Cycle duration override in δ; `None` picks the minimum feasible via
-    /// [`minimal_cycle`].
-    pub cycle_override: Option<Delta>,
     /// In-cycle chaining rule.
     pub chaining: Chaining,
     /// Balance operation counts across cycles (distribution-graph style).
@@ -60,63 +50,26 @@ impl ConventionalOptions {
     /// The Behavioral-Compiler-like baseline for latency `λ`: component-sum
     /// chaining, balancing on, minimal feasible cycle.
     pub fn with_latency(latency: u32) -> Self {
-        ConventionalOptions {
-            latency,
-            cycle_override: None,
-            chaining: Chaining::ComponentSum,
-            balance: true,
-        }
+        ConventionalOptions { latency, chaining: Chaining::ComponentSum, balance: true }
     }
 
     /// The bit-level-chaining (BLC) design point for latency `λ`.
     pub fn blc(latency: u32) -> Self {
-        ConventionalOptions {
-            latency,
-            cycle_override: None,
-            chaining: Chaining::BitLevel,
-            balance: true,
-        }
+        ConventionalOptions { latency, chaining: Chaining::BitLevel, balance: true }
     }
 }
 
-/// The standalone delay of every non-glue operation: its settle time with
-/// all inputs registered (available at cycle start). The maximum is the
-/// smallest cycle any atomic schedule can use.
-pub fn standalone_delays(spec: &Spec) -> Vec<(OpId, Delta)> {
+/// The longest standalone operation delay — an op's settle time with all
+/// inputs registered — and so the lower bound on the cycle length of any
+/// atomic schedule.
+pub fn max_op_delay(spec: &Spec) -> Delta {
     spec.ops()
         .iter()
         .filter(|op| !is_zero_delay(op.kind()))
-        .map(|op| (op.id(), bittrans_timing::op_delay_delta(spec, op)))
-        .collect()
-}
-
-/// The longest standalone operation delay — the lower bound on the cycle
-/// length of any atomic schedule.
-pub fn max_op_delay(spec: &Spec) -> Delta {
-    standalone_delays(spec).into_iter().map(|(_, d)| d).max().unwrap_or(1).max(1)
-}
-
-/// Number of cycles a pure-ASAP chained schedule needs at cycle length `c`,
-/// or `None` when some operation cannot fit at all.
-pub fn cycles_needed(spec: &Spec, c: Delta, chaining: Chaining) -> Option<u32> {
-    let cap = spec.ops().len() as u32 + 2;
-    let mut p = Placer::with_chain(spec, c, cap, chaining.model());
-    let mut needed = 1;
-    for op in spec.ops() {
-        if is_zero_delay(op.kind()) {
-            p.commit_glue(op);
-            continue;
-        }
-        let raw = p.earliest_input_cycle(op);
-        let e0 = if chaining.enabled() { raw.max(1) } else { (raw + 1).max(1) };
-        // e0 may need chaining that doesn't fit; e0 + 1 has all inputs
-        // registered, so it works iff the op fits a cycle at all.
-        let k = [e0, e0 + 1].into_iter().find(|&k| p.try_place(op, k).is_some())?;
-        let times = p.try_place(op, k).expect("validated");
-        p.commit(op, k, times);
-        needed = needed.max(k);
-    }
-    Some(needed)
+        .map(|op| bittrans_timing::op_delay_delta(spec, op))
+        .max()
+        .unwrap_or(1)
+        .max(1)
 }
 
 /// The summed-delay length of the longest dependence path — the single
@@ -144,112 +97,97 @@ pub fn component_sum_length(spec: &Spec) -> Delta {
 ///
 /// # Errors
 ///
-/// Returns [`SchedError::ZeroLatency`] when `latency` is zero.
+/// * [`SchedError::ZeroLatency`] — zero latency;
+/// * [`SchedError::LatencyExceeded`] — no cycle length fits, which cannot
+///   happen: the search ends at a length that fits the spec in one cycle.
 pub fn minimal_cycle(spec: &Spec, latency: u32, chaining: Chaining) -> Result<Delta, SchedError> {
+    search(spec, latency, chaining).map(|(c, _)| c)
+}
+
+/// The first cycle length in `max_op_delay ..= top` whose ASAP pass fits
+/// in `latency` cycles, with that pass's assignment. `top` is the length
+/// that fits the whole spec in one cycle.
+fn search(
+    spec: &Spec,
+    latency: u32,
+    chaining: Chaining,
+) -> Result<(Delta, BTreeMap<OpId, u32>), SchedError> {
     if latency == 0 {
         return Err(SchedError::ZeroLatency);
     }
     let lo = max_op_delay(spec);
-    let hi = match chaining {
+    let top = match chaining {
         Chaining::BitLevel => critical_path(spec),
-        Chaining::ComponentSum | Chaining::Disabled => component_sum_length(spec),
+        Chaining::ComponentSum => component_sum_length(spec),
     }
     .max(lo);
-    for c in lo..=hi {
-        if let Some(needed) = cycles_needed(spec, c, chaining) {
-            if needed <= latency {
-                return Ok(c);
-            }
-        }
-    }
-    Ok(hi)
+    (lo..=top)
+        .find_map(|c| Some((c, run_pass(spec, c, latency, chaining, false)?)))
+        .ok_or(SchedError::LatencyExceeded { needed: latency + 1, latency })
 }
 
-/// Schedules `spec` with the conventional baseline.
+/// Schedules `spec` with the conventional baseline at its minimal cycle.
 ///
 /// Operations are placed in topological order. With `balance`, each
 /// operation may slide within its mobility window to the least-used cycle
 /// (a light-weight distribution-graph balance, reducing the number of
 /// concurrently needed functional units); every placement is verified
-/// bit-exactly against the cycle capacity. If the balanced pass fails, a
-/// pure-ASAP pass is retried before reporting failure.
+/// bit-exactly against the cycle capacity. Without `balance`, or when the
+/// balanced pass fails, the schedule is the ASAP pass that found the cycle.
 ///
 /// # Errors
 ///
 /// * [`SchedError::ZeroLatency`] — zero latency;
-/// * [`SchedError::CycleTooShort`] — an operation exceeds the cycle length;
-/// * [`SchedError::LatencyExceeded`] — the spec does not fit in λ cycles.
+/// * [`SchedError::LatencyExceeded`] — as for [`minimal_cycle`].
 pub fn schedule_conventional(
     spec: &Spec,
     options: &ConventionalOptions,
 ) -> Result<Schedule, SchedError> {
-    if options.latency == 0 {
-        return Err(SchedError::ZeroLatency);
-    }
-    let c = match options.cycle_override {
-        Some(c) => c,
-        None => minimal_cycle(spec, options.latency, options.chaining)?,
-    };
-    for (op, d) in standalone_delays(spec) {
-        if d > c {
-            return Err(SchedError::CycleTooShort { op, delay: d, cycle: c });
-        }
-    }
-    match cycles_needed(spec, c, options.chaining) {
-        Some(needed) if needed <= options.latency => {}
-        Some(needed) => {
-            return Err(SchedError::LatencyExceeded { needed, latency: options.latency })
-        }
-        None => {
-            // standalone check above should have caught this
-            return Err(SchedError::LatencyExceeded { needed: u32::MAX, latency: options.latency });
-        }
-    }
-    match run_pass(spec, c, options, options.balance) {
-        Ok(s) => Ok(s),
-        Err(_) if options.balance => run_pass(spec, c, options, false),
-        Err(e) => Err(e),
-    }
+    let (c, asap) = search(spec, options.latency, options.chaining)?;
+    let balanced =
+        options.balance.then(|| run_pass(spec, c, options.latency, options.chaining, true));
+    let mut assignment = balanced.flatten().unwrap_or(asap);
+    crate::finalize_glue_cycles(spec, &mut assignment);
+    Ok(Schedule::new(options.latency, c, assignment))
 }
 
+/// One placement pass at cycle length `c`, or `None` when some operation
+/// fits no cycle up to `latency`. Every operation may go in the first
+/// valid cycle from `e0`, its latest input's cycle; the balanced pass
+/// first tries the least-used cycle up to an advisory latest cycle.
 fn run_pass(
     spec: &Spec,
     c: Delta,
-    options: &ConventionalOptions,
+    latency: u32,
+    chaining: Chaining,
     balance: bool,
-) -> Result<Schedule, SchedError> {
+) -> Option<BTreeMap<OpId, u32>> {
     // Advisory latest cycles from the δ-exact required times: the tightest
-    // output bit of an op bounds how late it can run.
-    let req = required_times(spec, c * options.latency);
-    let mut p = Placer::with_chain(spec, c, options.latency, options.chaining.model());
+    // output bit of an op bounds how late it can run. They cannot change
+    // the first valid cycle, so the ASAP pass skips them.
+    let req = balance.then(|| required_times(spec, c * latency));
+    let mut p = Placer::new(spec, c, latency, chaining);
     for op in spec.ops() {
         if is_zero_delay(op.kind()) {
             p.commit_glue(op);
             continue;
         }
-        let raw = p.earliest_input_cycle(op);
-        let e0 = if options.chaining.enabled() { raw.max(1) } else { (raw + 1).max(1) };
-        let l_adv = (0..op.width())
-            .map(|i| req.bit(op.result(), i).div_ceil(c).max(1))
-            .min()
-            .unwrap_or(options.latency)
-            .max(e0);
-        match p.place_in_window(op, e0, l_adv, balance) {
-            Ok(_) => {}
-            Err(_) => {
-                // Advisory window failed; fall back to any cycle up to λ.
-                p.place_in_window(op, e0, options.latency, false).map_err(|_| {
-                    SchedError::LatencyExceeded {
-                        needed: options.latency + 1,
-                        latency: options.latency,
-                    }
-                })?;
+        let e0 = p.earliest_input_cycle(op).max(1);
+        if let Some(req) = &req {
+            let l_adv = (0..op.width())
+                .map(|i| req.bit(op.result(), i).div_ceil(c).max(1))
+                .min()
+                .unwrap_or(latency)
+                .max(e0);
+            if p.place_in_window(op, e0, l_adv, true).is_ok() {
+                continue;
             }
         }
+        // At e0 + 1 every input is registered, so no later cycle fits
+        // when that one does not.
+        p.place_in_window(op, e0, e0 + 1, false).ok()?;
     }
-    let mut assignment = p.assignment;
-    crate::finalize_glue_cycles(spec, &mut assignment);
-    Ok(Schedule::new(options.latency, c, assignment))
+    Some(p.assignment)
 }
 
 #[cfg(test)]
@@ -303,60 +241,46 @@ mod tests {
     }
 
     #[test]
-    fn without_chaining_cycle_count_is_depth() {
+    fn asap_pass_fits_bit_level_chains() {
         let spec = three_adds();
-        assert_eq!(cycles_needed(&spec, 16, Chaining::Disabled), Some(3));
-        assert_eq!(cycles_needed(&spec, 17, Chaining::BitLevel), Some(2));
-        assert_eq!(cycles_needed(&spec, 18, Chaining::BitLevel), Some(1));
+        let fits = |c, latency| run_pass(&spec, c, latency, Chaining::BitLevel, false).is_some();
+        assert!(fits(17, 2) && !fits(17, 1));
+        assert!(fits(18, 1));
         // Too short for a single 16-bit addition:
-        assert_eq!(cycles_needed(&spec, 10, Chaining::BitLevel), None);
+        assert!((1..=4).all(|latency| !fits(10, latency)));
     }
 
-    #[test]
-    fn minimal_cycle_lower_bound_is_max_op() {
-        let spec = Spec::parse(
-            "spec s { input a: u8; input b: u8; input k: u8;
+    /// An 8×8 multiply feeding an addition.
+    fn mul_then_add() -> Spec {
+        Spec::parse(
+            "spec mul_add { input a: u8; input b: u8; input k: u8;
               p: u16 = a * b;
               q: u16 = p + k;
               output q; }",
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// A chain of four 12-bit additions.
+    fn u12_chain() -> Spec {
+        Spec::parse(
+            "spec chain12 { input a: u12; input b: u12; input c1: u12; input d: u12;
+              x: u12 = a + b;
+              y: u12 = x + c1;
+              z: u12 = y + d;
+              w: u12 = z + a;
+              output w; }",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn minimal_cycle_lower_bound_is_max_op() {
+        let spec = mul_then_add();
         // The 8×8 array multiplier (8 + 2·8 = 24δ) dominates at large λ.
         let c = minimal_cycle(&spec, 8, Chaining::BitLevel).unwrap();
         assert_eq!(c, 24);
         assert_eq!(max_op_delay(&spec), 24);
-    }
-
-    #[test]
-    fn cycle_too_short_reported() {
-        let spec = three_adds();
-        let err = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 3,
-                cycle_override: Some(8),
-                chaining: Chaining::ComponentSum,
-                balance: false,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, SchedError::CycleTooShort { delay: 16, cycle: 8, .. }));
-    }
-
-    #[test]
-    fn latency_exceeded_reported() {
-        let spec = three_adds();
-        let err = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 2,
-                cycle_override: Some(16),
-                chaining: Chaining::Disabled,
-                balance: false,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, SchedError::LatencyExceeded { needed: 3, latency: 2 }));
     }
 
     #[test]
@@ -377,16 +301,8 @@ mod tests {
               output w; output x; output y; output z; }",
         )
         .unwrap();
-        let s = schedule_conventional(
-            &spec,
-            &ConventionalOptions {
-                latency: 2,
-                cycle_override: Some(8),
-                chaining: Chaining::ComponentSum,
-                balance: true,
-            },
-        )
-        .unwrap();
+        let s = schedule_conventional(&spec, &ConventionalOptions::with_latency(2)).unwrap();
+        assert_eq!(s.cycle, 8);
         let c1 = s.ops_in_cycle(1).count();
         let c2 = s.ops_in_cycle(2).count();
         assert_eq!((c1, c2), (2, 2), "{}", s.render(&spec));
@@ -424,20 +340,28 @@ mod tests {
 
     #[test]
     fn larger_latency_never_increases_cycle() {
-        let spec = Spec::parse(
-            "spec s { input a: u12; input b: u12; input c1: u12; input d: u12;
-              x: u12 = a + b;
-              y: u12 = x + c1;
-              z: u12 = y + d;
-              w: u12 = z + a;
-              output w; }",
-        )
-        .unwrap();
+        let spec = u12_chain();
         let mut prev = Delta::MAX;
         for latency in 1..=8 {
             let c = minimal_cycle(&spec, latency, Chaining::BitLevel).unwrap();
             assert!(c <= prev, "λ={latency}: {c} > {prev}");
             prev = c;
+        }
+    }
+
+    #[test]
+    fn search_stops_at_the_first_fitting_cycle() {
+        for spec in [three_adds(), u12_chain(), mul_then_add()] {
+            let lo = max_op_delay(&spec);
+            for chaining in [Chaining::ComponentSum, Chaining::BitLevel] {
+                for latency in 1..=8 {
+                    let c = minimal_cycle(&spec, latency, chaining).unwrap();
+                    let fits = |c| run_pass(&spec, c, latency, chaining, false).is_some();
+                    let case = format!("{} λ={latency} {chaining:?}", spec.name());
+                    assert!(fits(c), "{case}: ASAP pass misses {c}δ");
+                    assert!(c == lo || !fits(c - 1), "{case}: {}δ fits too", c - 1);
+                }
+            }
         }
     }
 }

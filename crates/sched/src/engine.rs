@@ -1,8 +1,12 @@
-//! Shared bit-exact placement engine.
+//! Shared bit-exact placement engine, private to this crate.
 //!
 //! Both schedulers place operations cycle by cycle while tracking, for
 //! every produced bit, *which cycle it is produced in and at what absolute
-//! δ time it settles*. Under bit-level chaining the placer times an op with
+//! δ time it settles*. A [`Chaining`] rule says how ops chain within a
+//! cycle. Under component-sum chaining an op starts after its latest input
+//! bit and takes its full characterised delay (two chained 16-bit adders
+//! cost 32δ). Under bit-level chaining, the fragment scheduler's and BLC's
+//! rule, the placer times an op with
 //! [`bittrans_timing::settle_times`], the same rule arrival times use: a
 //! consumer in the same cycle sees the producer's real settle times (the
 //! ripple overlap of Fig. 1 e), while a consumer in a later cycle reads
@@ -10,24 +14,12 @@
 //! wiring: committing a glue op records each output bit as the latest of
 //! the bits it reads ([`bittrans_timing::bitref::glue_sources`]).
 
+use crate::conventional::Chaining;
 use crate::SchedError;
 use bittrans_ir::prelude::*;
 use bittrans_timing::bitref::{glue_sources, operand_bit, BitRef};
 use bittrans_timing::{is_zero_delay, op_delay_delta, settle_times, Delta};
 use std::collections::BTreeMap;
-
-/// How operations chained within one cycle accumulate delay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ChainModel {
-    /// Chained operations add their full component delays — the way a
-    /// conventional tool (Synopsys BC with characterised component delays)
-    /// sees chaining. Two chained 16-bit adders cost 32δ.
-    #[default]
-    ComponentSum,
-    /// Bit-level chaining: the ripple paths overlap (the paper's Fig. 1 e
-    /// and the BLC prior art \[3\]). Two chained 16-bit adders cost 17δ.
-    BitLevel,
-}
 
 /// Production record of one bit: the cycle it is produced in (0 = constant
 /// or primary input, available always) and its absolute settle time.
@@ -50,7 +42,7 @@ pub struct Placer<'s> {
     /// Latency bound in cycles.
     pub latency: u32,
     /// Delay accumulation rule for in-cycle chaining.
-    pub chain: ChainModel,
+    pub chaining: Chaining,
     /// Bit production records of inputs and committed results, glue
     /// included; `None` until the value's op is committed. Users commit
     /// in topological order, so every bit an op reads already has a row.
@@ -62,14 +54,8 @@ pub struct Placer<'s> {
 }
 
 impl<'s> Placer<'s> {
-    /// Creates an empty placer with bit-level chaining: inputs are
-    /// available from cycle start.
-    pub fn new(spec: &'s Spec, cycle: Delta, latency: u32) -> Self {
-        Self::with_chain(spec, cycle, latency, ChainModel::BitLevel)
-    }
-
-    /// Creates an empty placer with an explicit chain model.
-    pub fn with_chain(spec: &'s Spec, cycle: Delta, latency: u32, chain: ChainModel) -> Self {
+    /// Creates an empty placer: inputs are available from cycle start.
+    pub fn new(spec: &'s Spec, cycle: Delta, latency: u32, chaining: Chaining) -> Self {
         let mut states: Vec<Option<Vec<BitProd>>> = vec![None; spec.values().len()];
         for &input in spec.inputs() {
             let w = spec.value(input).width() as usize;
@@ -79,7 +65,7 @@ impl<'s> Placer<'s> {
             spec,
             cycle,
             latency,
-            chain,
+            chaining,
             states,
             assignment: BTreeMap::new(),
             usage: BTreeMap::new(),
@@ -116,15 +102,15 @@ impl<'s> Placer<'s> {
     pub fn try_place(&self, op: &Operation, k: u32) -> Option<Vec<Delta>> {
         debug_assert!(!is_zero_delay(op.kind()));
         let start = self.cycle_start(k);
-        let out = match self.chain {
+        let out = match self.chaining {
             // Conventional chaining: the whole component starts after its
             // latest input bit and takes its full characterised delay.
-            ChainModel::ComponentSum => {
+            Chaining::ComponentSum => {
                 let ready =
                     self.input_prods(op).try_fold(start, |t, p| Some(t.max(self.eff(p, k)?)))?;
                 vec![ready + op_delay_delta(self.spec, op); op.width() as usize]
             }
-            ChainModel::BitLevel => settle_times(self.spec, op, start, |value, bit| {
+            Chaining::BitLevel => settle_times(self.spec, op, start, |value, bit| {
                 self.eff(self.prod_of(value, bit), k)
             })?,
         };
@@ -163,7 +149,8 @@ impl<'s> Placer<'s> {
 
     /// The latest producing cycle among `op`'s input bits (0 when every
     /// input is a port or constant) — the earliest cycle the op could
-    /// possibly chain in is `max(this, 1)`.
+    /// possibly chain in is `max(this, 1)`, and one cycle later every
+    /// input is registered.
     pub fn earliest_input_cycle(&self, op: &Operation) -> u32 {
         self.input_prods(op).map(|p| p.cycle).max().unwrap_or(0)
     }
@@ -284,7 +271,7 @@ mod tests {
         // pure dataflow arrival times.
         for spec in [three_adds(), kind_zoo(true), upper.clone()] {
             let arr = arrival_times(&spec);
-            let mut p = Placer::new(&spec, 100, 2);
+            let mut p = Placer::new(&spec, 100, 2, Chaining::BitLevel);
             for op in spec.ops() {
                 if is_zero_delay(op.kind()) {
                     p.commit_glue(op);
@@ -307,7 +294,7 @@ mod tests {
         // those times.
         let (chained, ports) = (kind_zoo(true), kind_zoo(false));
         let standalone = arrival_times(&ports);
-        let mut p = Placer::new(&chained, 100, 2);
+        let mut p = Placer::new(&chained, 100, 2, Chaining::BitLevel);
         let (sum, rest) = chained.ops().split_first().unwrap();
         let t = p.try_place(sum, 1).unwrap();
         p.commit(sum, 1, t);
@@ -325,7 +312,7 @@ mod tests {
     #[test]
     fn registered_inputs_restart_chain() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 16, 3);
+        let mut p = Placer::new(&spec, 16, 3, Chaining::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 1).unwrap();
         p.commit(&ops[0], 1, t);
@@ -338,7 +325,7 @@ mod tests {
     #[test]
     fn chaining_in_same_cycle_overlaps() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 18, 1);
+        let mut p = Placer::new(&spec, 18, 1, Chaining::BitLevel);
         let ops = spec.ops();
         for op in ops {
             let t = p.try_place(op, 1).unwrap();
@@ -352,14 +339,14 @@ mod tests {
     #[test]
     fn rejects_overflowing_cycle() {
         let spec = three_adds();
-        let p = Placer::new(&spec, 15, 1);
+        let p = Placer::new(&spec, 15, 1, Chaining::BitLevel);
         assert!(p.try_place(&spec.ops()[0], 1).is_none(), "16δ add in 15δ cycle");
     }
 
     #[test]
     fn rejects_future_inputs() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 16, 3);
+        let mut p = Placer::new(&spec, 16, 3, Chaining::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 2).unwrap();
         p.commit(&ops[0], 2, t);
@@ -377,7 +364,7 @@ mod tests {
               output y; }",
         )
         .unwrap();
-        let mut p = Placer::new(&spec, 9, 2);
+        let mut p = Placer::new(&spec, 9, 2, Chaining::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 1).unwrap();
         p.commit(&ops[0], 1, t);
@@ -396,7 +383,7 @@ mod tests {
               output w; output x; output y; output z; }",
         )
         .unwrap();
-        let mut p = Placer::new(&spec, 8, 2);
+        let mut p = Placer::new(&spec, 8, 2, Chaining::BitLevel);
         for op in spec.ops() {
             p.place_in_window(op, 1, 2, true).unwrap();
         }
@@ -407,7 +394,7 @@ mod tests {
     #[test]
     fn component_sum_accumulates_delays() {
         let spec = three_adds();
-        let mut p = Placer::with_chain(&spec, 48, 1, ChainModel::ComponentSum);
+        let mut p = Placer::new(&spec, 48, 1, Chaining::ComponentSum);
         let ops = spec.ops();
         // Chained in one cycle: finishes at 16, 32, 48 — summed delays.
         let t = p.try_place(&ops[0], 1).unwrap();
@@ -424,8 +411,8 @@ mod tests {
     fn component_sum_rejects_what_bitlevel_accepts() {
         let spec = three_adds();
         // 18δ is enough for the ripple overlap but not for summed delays.
-        let mut bit = Placer::with_chain(&spec, 18, 1, ChainModel::BitLevel);
-        let mut sum = Placer::with_chain(&spec, 18, 1, ChainModel::ComponentSum);
+        let mut bit = Placer::new(&spec, 18, 1, Chaining::BitLevel);
+        let mut sum = Placer::new(&spec, 18, 1, Chaining::ComponentSum);
         for op in spec.ops() {
             let t = bit.try_place(op, 1).expect("bit-level fits 18δ");
             bit.commit(op, 1, t);
@@ -441,7 +428,7 @@ mod tests {
     #[test]
     fn no_feasible_cycle_error() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 10, 2);
+        let mut p = Placer::new(&spec, 10, 2, Chaining::BitLevel);
         let err = p.place_in_window(&spec.ops()[0], 1, 2, false).unwrap_err();
         assert!(matches!(err, SchedError::NoFeasibleCycle { .. }));
     }

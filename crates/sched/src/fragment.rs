@@ -6,9 +6,10 @@
 //! balance the number of operations executed per cycle, operation A is
 //! calculated in cycles 1 and 3" — §3.3) while verifying, bit-exactly, that
 //! every placement fits its cycle: carry chains, operand slices produced in
-//! the same cycle, and registered values are all honoured by the shared
-//! [`Placer`] engine.
+//! the same cycle, and registered values are all honoured by the placer
+//! both schedulers share, under bit-level chaining.
 
+use crate::conventional::Chaining;
 use crate::engine::Placer;
 use crate::{SchedError, Schedule};
 use bittrans_frag::Fragmented;
@@ -52,7 +53,7 @@ pub fn schedule_fragments(
 
 fn run_pass(f: &Fragmented, balance: bool) -> Result<Schedule, SchedError> {
     let spec = &f.spec;
-    let mut p = Placer::new(spec, f.cycle, f.latency);
+    let mut p = Placer::new(spec, f.cycle, f.latency, Chaining::BitLevel);
     for op in spec.ops() {
         match f.fragments.get(&op.id()) {
             None => {
@@ -76,7 +77,7 @@ fn run_pass(f: &Fragmented, balance: bool) -> Result<Schedule, SchedError> {
 /// Returns the first offending op, or `None` when the schedule is valid.
 pub fn verify_schedule(f: &Fragmented, schedule: &Schedule) -> Option<OpId> {
     let spec = &f.spec;
-    let mut p = Placer::new(spec, schedule.cycle, schedule.latency);
+    let mut p = Placer::new(spec, schedule.cycle, schedule.latency, Chaining::BitLevel);
     for op in spec.ops() {
         if f.fragments.contains_key(&op.id()) {
             let k = schedule.cycle_of(op.id())?;

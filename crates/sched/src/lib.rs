@@ -9,7 +9,10 @@
 //!   within one clock cycle). This plays the role of Synopsys Behavioral
 //!   Compiler in the paper's experiments: it schedules the *original*
 //!   specification, and its minimal feasible cycle length is the
-//!   "Original" column of Tables II/III.
+//!   "Original" column of Tables II/III. One chaining rule,
+//!   [`conventional::Chaining`], picks summed component delays or
+//!   bit-level ripple overlap, and one ASAP pass both finds that cycle and
+//!   is the schedule's fallback.
 //! * [`fragment`] — the scheduler for **fragmented** specifications
 //!   (`bittrans-frag`): a list scheduler that places each fragment within
 //!   its `[ASAP, ALAP]` mobility window, balances the number of additions
@@ -17,8 +20,9 @@
 //!   dependencies, and verifies bit-exact cycle capacity under the ripple
 //!   model.
 //!
-//! Both produce a [`Schedule`]: an assignment of every operation to a
-//! 1-based cycle.
+//! Both place operations with one crate-private, bit-exact placer and
+//! produce a [`Schedule`]: an assignment of every operation to a 1-based
+//! cycle.
 //!
 //! ```
 //! use bittrans_ir::prelude::*;
@@ -41,7 +45,7 @@
 
 pub mod canonical;
 pub mod conventional;
-pub mod engine;
+mod engine;
 pub mod fragment;
 
 use bittrans_ir::prelude::*;
@@ -120,15 +124,6 @@ impl Schedule {
 /// Errors raised by the schedulers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedError {
-    /// An atomic operation is longer than the clock cycle.
-    CycleTooShort {
-        /// The operation.
-        op: OpId,
-        /// Its delay in δ.
-        delay: Delta,
-        /// The cycle duration in δ.
-        cycle: Delta,
-    },
     /// The schedule needs more cycles than the requested latency.
     LatencyExceeded {
         /// Cycles the schedule would need.
@@ -150,9 +145,6 @@ pub enum SchedError {
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedError::CycleTooShort { op, delay, cycle } => {
-                write!(f, "operation {op} takes {delay}δ, longer than the {cycle}δ cycle")
-            }
             SchedError::LatencyExceeded { needed, latency } => {
                 write!(f, "schedule needs {needed} cycles but latency is {latency}")
             }

@@ -92,15 +92,16 @@ proptest! {
         }
     }
 
-    /// The conventional baseline is feasible and its minimal cycle shrinks
-    /// (weakly) as latency grows.
+    /// The conventional baseline, component-sum or bit-level (BLC), is
+    /// feasible and its minimal cycle shrinks (weakly) as latency grows.
     #[test]
-    fn prop_baseline_monotone(seed in 0u64..200) {
+    fn prop_baseline_monotone(seed in 0u64..200, blc in any::<bool>()) {
         let spec = random_spec(seed, &RandomSpecOptions { ops: 8, ..Default::default() });
+        let options =
+            if blc { ConventionalOptions::blc } else { ConventionalOptions::with_latency };
         let mut prev = u32::MAX;
         for latency in 1..=6 {
-            let s = schedule_conventional(&spec, &ConventionalOptions::with_latency(latency))
-                .unwrap();
+            let s = schedule_conventional(&spec, &options(latency)).unwrap();
             prop_assert!(s.cycle <= prev);
             prev = s.cycle;
         }
