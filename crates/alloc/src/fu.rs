@@ -50,22 +50,6 @@ pub struct Fu {
 }
 
 impl Fu {
-    /// Source-op provenance set, exposed for the canonical codec.
-    pub(crate) fn origins(&self) -> &BTreeSet<OpId> {
-        &self.origins
-    }
-
-    /// Reassembles a unit from codec-decoded parts.
-    pub(crate) fn from_parts(
-        class: FuClass,
-        width: u32,
-        width_b: u32,
-        bound: Vec<(OpId, u32)>,
-        origins: BTreeSet<OpId>,
-    ) -> Fu {
-        Fu { class, width, width_b, bound, origins }
-    }
-
     /// The RTL component realising this unit.
     pub fn component(&self, arch: AdderArch) -> Component {
         match self.class {

@@ -1,8 +1,7 @@
 //! Canonical codecs for [`Implementation`] and [`Comparison`] — the
 //! core-crate part of the workspace-wide artifact encoding rooted in
-//! [`bittrans_ir::canonical`]. ([`Chaining`](crate::Chaining)'s codec
-//! lives with its definition in `bittrans-sched` and re-exports through
-//! this crate.)
+//! [`bittrans_ir::canonical`]. A finished job's `Comparison` is what the
+//! engine persists.
 //!
 //! # Implementation format (schema 1)
 //!

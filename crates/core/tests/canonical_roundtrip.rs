@@ -1,18 +1,12 @@
 //! Cross-crate property test of the canonical artifact codec: over
 //! randomly generated specifications, `from_canonical ∘ to_canonical`
-//! is the identity for every staged-pipeline artifact and for the
-//! finished comparison the engine persists per job, and a pipeline
-//! stage fed a *decoded* artifact produces byte-identical results to one
-//! fed the freshly computed original. That byte-identity is the
-//! invariant the engine's disk-backed stage cache rests on: a stage
-//! resumed from disk must be indistinguishable from one recomputed.
+//! is the identity for the spec (and the kernel extracted from it) — job
+//! keys and the shard wire read specs in this form — and for the finished
+//! comparison the engine persists per job, down to its two
+//! implementations' bit-exact floats.
 
 use bittrans_benchmarks::{random_spec, RandomSpecOptions};
-use bittrans_core::{
-    compare, stage_allocate, stage_bind, stage_extract, stage_fragment,
-    stage_schedule_conventional, stage_schedule_fragments, stage_time, Binding, Chaining,
-    CompareOptions, Comparison, Fragmented, Implementation, Schedule,
-};
+use bittrans_core::{compare, stage_extract, CompareOptions, Comparison, Implementation};
 use bittrans_ir::Spec;
 use proptest::prelude::*;
 
@@ -20,7 +14,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn staged_artifacts_round_trip(
+    fn specs_and_comparisons_round_trip(
         seed in 0u64..1_000_000,
         ops in 3usize..14,
         inputs in 2usize..6,
@@ -43,55 +37,6 @@ proptest! {
         let kdec = Spec::from_canonical(&ktext).expect("canonical kernel parses");
         prop_assert_eq!(&kdec, &kernel);
 
-        // Conventional-path artifacts, when λ is feasible.
-        let conventional = stage_schedule_conventional(&spec, latency, Chaining::ComponentSum, true);
-        if let Ok(sched) = conventional {
-            let stext = sched.to_canonical();
-            let sdec = Schedule::from_canonical(&stext).expect("canonical schedule parses");
-            prop_assert_eq!(&sdec, &sched);
-
-            // Binding: re-encode fixpoint, then the timing stage fed the
-            // decoded schedule and the decoded binding, priced, must yield
-            // a byte-identical implementation to one fed a fresh
-            // allocation.
-            let options = CompareOptions::default();
-            let btext = stage_bind(&spec, &sched).to_canonical();
-            let bdec = Binding::from_canonical(&btext).expect("canonical binding parses");
-            prop_assert_eq!(bdec.to_canonical(), btext);
-            let dp = stage_allocate(&spec, &sched, options.adder_arch);
-            let fresh = stage_time("prop", &spec, &sched, &dp, &options.timing);
-            let priced = bdec.price(options.adder_arch);
-            let reheated = stage_time("prop", &spec, &sdec, &priced, &options.timing);
-            prop_assert_eq!(reheated.to_canonical(), fresh.to_canonical());
-
-            let itext = fresh.to_canonical();
-            let idec =
-                Implementation::from_canonical(&itext).expect("canonical implementation parses");
-            prop_assert_eq!(idec.to_canonical(), itext);
-        }
-
-        // Fragment-path artifacts, when λ is feasible for the kernel.
-        if let Ok(frag) = stage_fragment(&kernel, latency) {
-            let ftext = frag.to_canonical();
-            let fdec = Fragmented::from_canonical(&ftext).expect("canonical fragmented parses");
-            prop_assert_eq!(fdec.to_canonical(), ftext.clone());
-            // The fragment scheduler fed the decoded artifact agrees with
-            // one fed the original, down to the encoded bytes.
-            match (stage_schedule_fragments(&frag, true), stage_schedule_fragments(&fdec, true)) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.to_canonical(), b.to_canonical());
-                    prop_assert_eq!(&a, &b);
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "feasibility disagrees between fresh and decoded: {:?} vs {:?}",
-                    a.is_ok(),
-                    b.is_ok()
-                ),
-            }
-        }
-
         // The finished comparison (the engine's `job` artifact): decoded
         // value equal field-for-field with bit-exact floats, encoded text
         // a fixpoint.
@@ -100,6 +45,10 @@ proptest! {
             let ctext = cmp.to_canonical();
             let cdec = Comparison::from_canonical(&ctext).expect("canonical comparison parses");
             prop_assert_eq!(cdec.to_canonical(), ctext);
+            let itext = cmp.original.to_canonical();
+            let idec =
+                Implementation::from_canonical(&itext).expect("canonical implementation parses");
+            prop_assert_eq!(idec.to_canonical(), itext);
             for (a, b) in [(&cdec.original, &cmp.original), (&cdec.optimized, &cmp.optimized)] {
                 prop_assert_eq!(&a.name, &b.name);
                 prop_assert_eq!((a.latency, a.cycle_delta), (b.latency, b.cycle_delta));

@@ -24,11 +24,11 @@
 //!   shared by all batches run on one engine, as the `job` kind beside the
 //!   pipeline-stage artifacts a cache miss decomposes into (one verified
 //!   transformation per stage-sharing group, one bound schedule per flow),
-//!   with hit/miss counters surfaced through [`EngineStats`]. Both kinds
-//!   optionally spill to a cache directory ([`Engine::with_cache_dir`]) — one
-//!   content-addressed store, where the filesystem is the index — that
-//!   later processes read per key and prune by size or age
-//!   ([`Engine::prune_cache`]);
+//!   with hit/miss counters surfaced through [`EngineStats`]. Finished
+//!   jobs optionally spill to a cache directory ([`Engine::with_cache_dir`])
+//!   — one content-addressed store, where the filesystem is the index —
+//!   that later processes read per key and prune by size or age
+//!   ([`Engine::prune_cache`]); stages are shared within a process only;
 //! * **design-space exploration** — a [`Study`] spans a typed axis grid
 //!   (specs × latencies × adder architectures × balancing × verification)
 //!   and returns a [`StudyReport`] of labelled cells, replacing every
@@ -127,8 +127,9 @@ impl Default for EngineOptions {
 
 /// The batch-optimization engine: one fair worker pool plus one
 /// content-addressed memo of job results and stage artifacts, shared by
-/// every batch and `serve` request run through it, optionally spilled to disk
-/// ([`Engine::with_cache_dir`]) so separate processes share it too.
+/// every batch and `serve` request run through it, whose finished jobs
+/// optionally spill to disk ([`Engine::with_cache_dir`]) so separate
+/// processes share them too.
 ///
 /// Every grid reaches the pipeline through one routine, `run_grid`, which
 /// resolves its distinct jobs and labels its cells: [`Engine::run`],
@@ -156,7 +157,8 @@ struct Shared {
     options: EngineOptions,
     /// The one memo: finished jobs and pipeline stages keyed by their
     /// inputs, shared by every batch and serve request, plus the cache
-    /// directory's on-disk store when one is attached ([`stagecache`]).
+    /// directory's on-disk store of finished jobs when one is attached
+    /// ([`stagecache`]).
     /// A job's slot, claimed unset, is also its in-flight registration:
     /// other calls wanting the key wait on it instead of recomputing.
     stages: StageCache,
@@ -275,17 +277,19 @@ impl Engine {
     }
 
     /// Attaches a persistent cache directory. Its one store, the
-    /// `stages/` subdirectory, holds one file per finished job (a `job`
-    /// stage) and one per pipeline-stage artifact, each written by any
-    /// earlier process through the canonical codec. Opening reads
-    /// nothing: a job's file is read on first lookup of its key, and every
-    /// comparison this engine computes from here on is spilled back with
-    /// an atomic rename. A repeated CLI or CI invocation over the same
-    /// inputs is therefore served entirely from disk and reports a 100 %
-    /// hit rate, without an upfront scan of the directory.
+    /// `stages/` subdirectory, holds one `job` file per finished job, each
+    /// written by any earlier process through the canonical
+    /// [`Comparison`](bittrans_core::Comparison) codec. Pipeline stages are
+    /// not stored: they are shared within this process only, so a job
+    /// without a file recomputes its stages. Opening reads nothing: a
+    /// job's file is read on first lookup of its key, and every comparison
+    /// this engine computes from here on is spilled back with an atomic
+    /// rename. A repeated CLI or CI invocation over the same inputs is
+    /// therefore served entirely from disk and reports a 100 % hit rate,
+    /// without an upfront scan of the directory.
     ///
-    /// A corrupt file is deleted on load: its job (or stage) recomputes,
-    /// a miss, and the respill repairs the file. A failed spill leaves
+    /// A corrupt file is deleted on load: its job recomputes, a miss, and
+    /// the respill repairs the file. A failed spill leaves
     /// the result in memory only — the cache is an optimization, never a
     /// correctness dependency. Only successful comparisons are persisted;
     /// pipeline errors are recomputed. Persistence is inert when
@@ -318,8 +322,8 @@ impl Engine {
     /// Runs one eviction sweep over the attached cache directory's store:
     /// files older than [`PrunePolicy::max_age`] go first, then
     /// oldest-first until the store fits in [`PrunePolicy::max_bytes`].
-    /// Files whose job or stage is resident in this engine's memo are
-    /// pinned — a live run never loses the files backing it.
+    /// Files whose job is resident in this engine's memo are pinned — a
+    /// live run never loses the files backing it.
     ///
     /// # Errors
     ///

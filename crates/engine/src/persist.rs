@@ -1,10 +1,12 @@
 //! Eviction for the cache directory's on-disk store.
 //!
-//! Finished jobs and stage artifacts share one store,
+//! Finished jobs live in one store,
 //! [`StageStore`](crate::stagecache::StageStore): `<key>.stage` files
 //! under `<cache-dir>/stages/`, where the filesystem is the index. A sweep
 //! is therefore one oldest-first walk over that directory's files, under
 //! one policy and one byte budget, skipping every file a live engine pins.
+//! Files no lookup reads — the stage files and verify tokens older builds
+//! wrote — are swept like any other.
 
 use crate::key::JobKey;
 use crate::stagecache::StoreFile;
@@ -25,8 +27,8 @@ pub struct PrunePolicy {
     pub max_age: Option<Duration>,
 }
 
-/// What an eviction sweep did, counted in store files (finished jobs and
-/// stage artifacts alike).
+/// What an eviction sweep did, counted in store files (`job` files and
+/// the files older builds left alike).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub struct PruneReport {
     /// Files in the store before the sweep.
@@ -40,7 +42,7 @@ pub struct PruneReport {
     /// Bytes the remaining files occupy.
     pub kept_bytes: u64,
     /// Files that were over budget but skipped because a live engine
-    /// holds their job result or stage artifact in memory.
+    /// holds their job result in memory.
     pub pinned: usize,
 }
 

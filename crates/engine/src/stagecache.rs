@@ -26,18 +26,18 @@
 //! kernel extraction, fragmentation and the equivalence check of the
 //! result against its source run together in its compute, in the order
 //! [`bittrans_core::optimize`] runs them, so the same error surfaces
-//! first, and only a verified [`Fragmented`] is stored. Its key is the
-//! job's stage-sharing group (`group_key`), so a group holds one stored
+//! first, and only a verified [`Fragmented`] is memoized. Its key is the
+//! job's stage-sharing group (`group_key`), so a group holds one
 //! transformation.
 //!
-//! Each flow stores one artifact, `sched_base` or `sched_frag`: its
+//! Each flow memoizes one artifact, `sched_base` or `sched_frag`: its
 //! schedule together with that schedule's adder-invariant
 //! [`Binding`] (`bittrans_core::stage_bind`). Binding reads nothing the
 //! schedule's key does not pin already, so a stage of its own would only
-//! add a key, a memo entry and a file. Pricing the binding for the job's
-//! adder ([`Binding::price`]) and timing the result
-//! (`bittrans_core::stage_time`) are arithmetic, cheaper to redo than to
-//! key, memoize and spill, so both run inline on every call.
+//! add a key and a memo entry. Pricing the binding for the job's adder
+//! ([`Binding::price`]) and timing the result (`bittrans_core::stage_time`)
+//! are arithmetic, cheaper to redo than to key and memoize, so both run
+//! inline on every call.
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
 //! "artifact" is the spec's text itself, rendered and digested once per
@@ -55,59 +55,58 @@
 //! # Storage
 //!
 //! Every memo kind — the stage artifact types and a finished job's
-//! [`Comparison`], each an `Artifact` with its canonical codec — resolves
-//! through one slot lifecycle: claim the key's [`OnceLock`] slot, then
-//! load the value from the store or compute it, then land it (spilling a
-//! success) and charge it. Concurrent callers that need the same key wait
-//! on the one slot instead of computing it twice, so hit/miss counts are
-//! deterministic for a given job set. Errors are cached too — stages are
-//! pure functions of their keys, so a failure is as reproducible as a
-//! success.
+//! [`JobResult`] — resolves through one slot lifecycle: claim the key's
+//! [`OnceLock`] slot, then compute the value (or, for a job, load it from
+//! the store), then land it and charge it. Concurrent callers that need
+//! the same key wait on the one slot instead of computing it twice, so
+//! hit/miss counts are deterministic for a given job set. Errors are
+//! cached too — stages are pure functions of their keys, so a failure is
+//! as reproducible as a success.
 //!
-//! A stage is loaded or computed inside its slot's initializer. A job's
-//! slot is claimed unset, under the memo lock, by the engine call that
-//! will compute it, so that slot is the job's in-flight registration:
-//! another call wanting the key joins by waiting on it. A job that
-//! panics drops its key and then lands an `Abandoned` marker, which wakes
-//! and fails its waiters; a later call recomputes it.
+//! A stage is computed inside its slot's initializer. A job's slot is
+//! claimed unset, under the memo lock, by the engine call that will
+//! compute it, so that slot is the job's in-flight registration: another
+//! call wanting the key joins by waiting on it. A job that panics drops
+//! its key and then lands an `Abandoned` marker, which wakes and fails its
+//! waiters; a later call recomputes it.
 //!
 //! The memo is bounded by estimated bytes, jobs and stages alike: when a
-//! value lands in its slot, the entry is charged its canonical body
-//! length plus a fixed per-entry overhead, and entries are evicted
-//! oldest-first while the charged total exceeds `STAGE_MEMO_BYTES`
-//! (4 MiB), so a long-lived serve process stops growing without limit.
-//! The length comes from the text the entry was spilled as or loaded
-//! from, so nothing is encoded twice; only a memo without a store encodes
-//! once, to size the entry. A slot whose value is still being computed is
-//! never evicted — that is what keeps every key computed exactly once. An
-//! entry larger than the whole budget still reaches its caller but is not
-//! kept. An evicted entry is reloaded from the store when one is attached,
-//! and recomputed otherwise.
+//! value lands in its slot, the entry is charged an estimate of its
+//! artifact's size plus a fixed per-entry overhead, and entries are
+//! evicted oldest-first while the charged total exceeds
+//! `STAGE_MEMO_BYTES` (4 MiB), so a long-lived serve process stops
+//! growing without limit. The estimate is computed from the artifact's own
+//! counts (values, operands and fragments of a transformed spec; schedule
+//! entries, units and register groups of a bound schedule; the names of a
+//! comparison), calibrated against the canonical text those artifacts
+//! encode to, so nothing is encoded to size an entry. A slot whose value
+//! is still being computed is never evicted — that is what keeps every key
+//! computed exactly once. An entry larger than the whole budget still
+//! reaches its caller but is not kept. An evicted job is reloaded from the
+//! store when one is attached, and recomputed otherwise; an evicted stage
+//! is recomputed.
 //!
-//! The disk tier (`StageStore`) under `<cache-dir>/stages/` is the
-//! cache directory's **only** on-disk store. It persists every stage, and
-//! every finished job as one more stage kind, `job`, as `<key>.stage`
-//! files: a one-line `bittrans-stage 2 <stage> ok` envelope followed by
-//! the artifact's canonical text (the `to_canonical` / `from_canonical`
-//! codec each artifact type carries in its home crate — `Display` remains
-//! the human-oriented, *non*-parseable dump; a `job` body is the
-//! canonical [`Comparison`]). A fresh process over a warm directory
-//! therefore answers an unchanged grid from `job` files, and with those
-//! deleted still recomputes zero stages. Files are written to a hidden
-//! temp file and atomically renamed into place; a file whose envelope or
-//! body fails to decode — including one written by a *newer* schema, or
-//! one whose envelope names another stage — is deleted and recomputed,
-//! never misparsed, and the recompute's respill repairs it. The
-//! filesystem itself is the index (no manifest to rebuild, nothing listed
-//! at open); `cache prune` sweeps the directory oldest-first (every key
-//! resident in the memo is pinned). Legacy schema-1 verify tokens
-//! (`<key>.json`, from builds predating the codec) and the files of
-//! retired kinds (`extract`, `verify`, `time_*`, `alloc_*`) are simply
-//! ignored until pruned: no key asks for them.
+//! The store (`StageStore`) under `<cache-dir>/stages/` is the cache
+//! directory's **only** on-disk store, and it holds finished jobs only, as
+//! `<key>.stage` files: a one-line `bittrans-stage 2 job ok` envelope
+//! followed by the canonical [`Comparison`]. Stages are shared within a
+//! process, never across processes: a fresh process over a warm directory
+//! answers an unchanged grid from `job` files, and recomputes the stages
+//! of any job whose file is missing. Files are written to a hidden temp
+//! file and atomically renamed into place; a file whose envelope or body
+//! fails to decode — including one written by a *newer* schema, or one
+//! whose envelope names another stage — is deleted and recomputed, never
+//! misparsed, and the recompute's respill repairs it. The filesystem
+//! itself is the index (no manifest to rebuild, nothing listed at open);
+//! `cache prune` sweeps the directory oldest-first (every key resident in
+//! the memo is pinned). Legacy schema-1 verify tokens (`<key>.json`, from
+//! builds predating the codec) and the stage files older builds wrote
+//! (`fragment`, `sched_base`, `sched_frag`, `extract`, `verify`, `time_*`,
+//! `alloc_*`) are simply ignored until pruned: no lookup reads them.
 //!
-//! Every resolution emits one `stage` trace event whose `provenance`
-//! (`memory` / `disk` / `computed`) reconciles exactly with the
-//! [`StageTally`] counters surfaced as `stage_hits` / `stage_misses` in
+//! Every stage resolution emits one `stage` trace event whose `provenance`
+//! (`memory` / `computed`) reconciles exactly with the [`StageTally`]
+//! counters surfaced as `stage_hits` / `stage_misses` in
 //! [`crate::EngineStats`]. Job claims emit no `stage` event and touch no
 //! tally: the engine reports them as `job` events.
 
@@ -119,8 +118,7 @@ use bittrans_core::{
     stage_schedule_fragments, stage_time, stage_verify, Binding, Chaining, CompareOptions,
     Comparison, Fragmented, Implementation, PipelineError, Schedule,
 };
-use bittrans_ir::canonical::{write_end, write_header, Cursor};
-use bittrans_ir::Spec;
+use bittrans_ir::{Operand, Spec};
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -129,16 +127,16 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::SystemTime;
 
 /// Bound on the memo's charged bytes, finished jobs and stage artifacts
-/// alike: each resident value costs its canonical body length plus
-/// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid
-/// (396 artifacts, 2.13 MB of canonical text) without evicting. An
-/// evicted entry falls back to the store when one is attached, and to
-/// recomputation otherwise.
+/// alike: each resident value costs its estimated size (see the module's
+/// Storage section) plus [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole
+/// paper-corpus grid (216 jobs and 180 stage artifacts, about 2.2 MB
+/// charged) without evicting. An evicted job falls back to the store when
+/// one is attached; anything else evicted is recomputed.
 pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
 
-/// The fixed charge of one resident entry on top of its canonical body:
-/// its map and order slots, the `OnceLock` and the `Arc` headers. It also
-/// gives cached errors a nonzero cost.
+/// The fixed charge of one resident entry on top of its artifact's
+/// estimated size: its map and order slots, the `OnceLock` and the `Arc`
+/// headers. It is also the whole charge of a cached error.
 const MEMO_ENTRY_OVERHEAD: usize = 256;
 
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
@@ -148,14 +146,15 @@ const STAGE_FILE_SCHEMA: u32 = 2;
 /// The store's subdirectory of a cache directory.
 const STAGE_SUBDIR: &str = "stages";
 
-/// The stage name of a finished job's file (body: canonical
-/// [`Comparison`]).
+/// The stage name in a finished job's envelope, the only kind the store
+/// holds (body: canonical [`Comparison`]).
 const JOB_STAGE: &str = "job";
 
-/// One cache directory's on-disk store: `<cache-dir>/stages/<key>.stage`
-/// files, each a `bittrans-stage 2 <stage> ok` envelope line plus the
-/// artifact's canonical text. Every layout decision — subdirectory, file
-/// and temp naming, envelope — lives here; callers deal in keys.
+/// One cache directory's on-disk store of finished jobs:
+/// `<cache-dir>/stages/<key>.stage` files, each a `bittrans-stage 2 job ok`
+/// envelope line plus the job's canonical [`Comparison`]. Every layout
+/// decision — subdirectory, file and temp naming, envelope — lives here;
+/// callers deal in keys.
 #[derive(Clone, Debug)]
 pub(crate) struct StageStore {
     dir: PathBuf,
@@ -193,32 +192,34 @@ impl StageStore {
         self.dir.join(format!("{key}.stage"))
     }
 
-    /// The first line of every file holding a `stage` artifact.
-    fn envelope(stage: &str) -> String {
-        format!("bittrans-stage {STAGE_FILE_SCHEMA} {stage} ok")
+    /// The first line of every job file.
+    fn envelope() -> String {
+        format!("bittrans-stage {STAGE_FILE_SCHEMA} {JOB_STAGE} ok")
     }
 
-    /// Reads `key`'s file and decodes it as a `stage` artifact, returning
-    /// it with its body length (what the memo charges). A file that exists
-    /// but fails to decode — wrong schema (older *or* newer), an envelope
-    /// naming another stage, a corrupt body — is deleted so the
-    /// recompute's respill repairs it.
-    fn load<T: Artifact>(&self, key: JobKey, stage: &str) -> Option<(T, usize)> {
+    /// Reads `key`'s file and decodes it as a finished job's comparison;
+    /// `None` when absent or corrupt. A file that exists but fails to
+    /// decode — wrong schema (older *or* newer), an envelope naming
+    /// another stage, a corrupt body — is deleted so the recompute's
+    /// respill repairs it.
+    pub(crate) fn load_job(&self, key: JobKey) -> Option<Comparison> {
         let path = self.path(key);
         let text = std::fs::read_to_string(&path).ok()?;
         let (envelope, body) = text.split_once('\n').unwrap_or((text.as_str(), ""));
-        let value = if envelope == Self::envelope(stage) { T::decode(body) } else { None };
-        if value.is_none() {
+        let comparison =
+            if envelope == Self::envelope() { Comparison::from_canonical(body).ok() } else { None };
+        if comparison.is_none() {
             let _ = std::fs::remove_file(&path);
         }
-        Some((value?, body.len()))
+        comparison
     }
 
-    /// Best-effort spill: hidden temp file in the same directory, then
-    /// atomic rename, so a reader never sees a torn file. A failed write
-    /// costs a recompute in some later process, never the caller's
-    /// result, and leaves no temp file behind.
-    fn spill(&self, key: JobKey, stage: &str, body: &str) {
+    /// Best-effort spill of a job's canonical comparison `body`: hidden
+    /// temp file in the same directory, then atomic rename, so a reader
+    /// never sees a torn file. A failed write costs a recompute in some
+    /// later process, never the caller's result, and leaves no temp file
+    /// behind.
+    fn spill(&self, key: JobKey, body: &str) {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
         }
@@ -228,17 +229,11 @@ impl StageStore {
         static SPILL: AtomicU64 = AtomicU64::new(0);
         let serial = SPILL.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(".{key}.{}-{serial}.tmp", std::process::id()));
-        let text = format!("{}\n{body}", Self::envelope(stage));
+        let text = format!("{}\n{body}", Self::envelope());
         if std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, self.path(key))).is_err()
         {
             let _ = std::fs::remove_file(&tmp);
         }
-    }
-
-    /// Loads a finished job's comparison and its body length; `None` when
-    /// absent or corrupt (a corrupt file is deleted).
-    pub(crate) fn load_job(&self, key: JobKey) -> Option<(Comparison, usize)> {
-        self.load(key, JOB_STAGE)
     }
 
     /// Copies the files of those `keys` this store holds into `into`,
@@ -259,10 +254,10 @@ impl StageStore {
         Ok(())
     }
 
-    /// Every regular, non-hidden file of the store — `job` and stage
-    /// artifacts and legacy `<key>.json` verify tokens alike, so stale
-    /// generations age out instead of accreting — oldest first, with name
-    /// order breaking mtime ties so sweeps are deterministic. Hidden
+    /// Every regular, non-hidden file of the store — `job` files, stage
+    /// files of older builds and legacy `<key>.json` verify tokens alike,
+    /// so stale generations age out instead of accreting — oldest first,
+    /// with name order breaking mtime ties so sweeps are deterministic. Hidden
     /// (dot-prefixed) names are in-flight spill temp files and are left
     /// out. A store never spilled to lists empty.
     pub(crate) fn files(&self) -> Vec<StoreFile> {
@@ -290,41 +285,12 @@ impl StageStore {
     }
 }
 
-/// A memo artifact: a stage's output type, or a finished job's
-/// [`Comparison`], with the canonical codec of its `<key>.stage` body.
-trait Artifact: Sized + Send + Sync + 'static {
-    /// The canonical text spilled as the file body.
-    fn encode(&self) -> String;
-    /// Decodes a file body; `None` marks the file corrupt (delete →
-    /// recompute → respill).
-    fn decode(body: &str) -> Option<Self>;
-}
-
-/// Each artifact type's `to_canonical` / `from_canonical` codec.
-macro_rules! canonical_artifacts {
-    ($($artifact:ty),*) => {$(
-        impl Artifact for $artifact {
-            fn encode(&self) -> String {
-                self.to_canonical()
-            }
-            fn decode(body: &str) -> Option<Self> {
-                Self::from_canonical(body).ok()
-            }
-        }
-    )*};
-}
-
-canonical_artifacts!(Fragmented, Comparison);
-
-/// A flow's one stored artifact (`sched_base` / `sched_frag`): its
+/// A flow's one memoized artifact (`sched_base` / `sched_frag`): its
 /// schedule and that schedule's adder-invariant binding.
 struct Bound {
     schedule: Schedule,
     binding: Binding,
 }
-
-/// Schema version of the canonical [`Bound`] body.
-const BOUND_SCHEMA: u32 = 1;
 
 impl Bound {
     /// `schedule` of `spec`, bound.
@@ -339,40 +305,45 @@ impl Bound {
         let datapath = self.binding.price(options.adder_arch);
         stage_time(name, spec, &self.schedule, &datapath, &options.timing)
     }
+
+    /// The memo's size estimate: a fixed part, then per schedule entry,
+    /// per unit (functional unit, register, mux or glue) and per register
+    /// group.
+    fn bytes(&self) -> usize {
+        let binding = &self.binding;
+        let units =
+            binding.fus.len() + binding.registers.len() + binding.muxes.len() + binding.glue.len();
+        let groups: usize = binding.registers.iter().map(|r| r.groups.len()).sum();
+        256 + 8 * self.schedule.len() + 16 * units + 8 * groups
+    }
 }
 
-/// ```text
-/// bittrans-canonical bound 1
-/// <embedded canonical schedule document>
-/// <embedded canonical binding document>
-/// end bound
-/// ```
-impl Artifact for Bound {
-    fn encode(&self) -> String {
-        let mut out = String::new();
-        write_header(&mut out, "bound", BOUND_SCHEMA);
-        out.push_str(&self.schedule.to_canonical());
-        out.push_str(&self.binding.to_canonical());
-        write_end(&mut out, "bound");
-        out
-    }
-    fn decode(body: &str) -> Option<Self> {
-        let mut cur = Cursor::new(body);
-        cur.header("bound", BOUND_SCHEMA).ok()?;
-        let schedule = Schedule::decode_embedded(&mut cur).ok()?;
-        let binding = Binding::decode_embedded(&mut cur).ok()?;
-        cur.end("bound").ok()?;
-        Some(Bound { schedule, binding })
-    }
+/// The memo's size estimate of a transformed spec: per value, per operand
+/// and per constant bit of its spec, and per fragment.
+fn fragmented_bytes(fragmented: &Fragmented) -> usize {
+    let spec = &fragmented.spec;
+    let operands = spec.ops().iter().flat_map(|op| op.operands());
+    let (count, constant_bits) = operands.fold((0, 0), |(count, bits), operand| match operand {
+        Operand::Const(value) => (count + 1, bits + value.width()),
+        Operand::Value { .. } => (count + 1, bits),
+    });
+    13 * spec.values().len() + 20 * count + 2 * constant_bits + 20 * fragmented.fragments.len()
+}
+
+/// The memo's size estimate of a finished job: a fixed part for its two
+/// implementations' figures, plus their names. A cached error is charged
+/// nothing beyond the entry overhead.
+fn job_bytes(result: &JobResult) -> usize {
+    result.as_ref().map_or(0, |c| 530 + c.original.name.len() + c.optimized.name.len())
 }
 
 /// A resolved stage: the artifact, or the stage's error. This is what a
 /// stage's memo slot holds.
 type Resolved<T> = Result<Arc<T>, PipelineError>;
 
-/// One memo slot. What lands in it is a stage's [`Resolved<T>`] for its
-/// [`Artifact`] type `T`, a finished job's
-/// [`JobResult`], or [`Abandoned`] when a job's computation panicked.
+/// One memo slot. What lands in it is a stage's [`Resolved<T>`], a
+/// finished job's [`JobResult`], or [`Abandoned`] when a job's
+/// computation panicked.
 pub(crate) type Slot = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
 /// What the slot of a panicked job lands, waking the callers waiting on
@@ -412,7 +383,7 @@ struct Resident {
 /// still being computed — is never evicted, so every resolver of its key
 /// joins the one computation. Eviction only drops the memo's reference:
 /// callers holding the slot's `Arc` keep their value, and a later request
-/// for an evicted key re-resolves through disk or compute.
+/// for an evicted key re-resolves through the store (a job) or compute.
 #[derive(Debug)]
 struct Memo {
     map: HashMap<JobKey, Resident>,
@@ -439,15 +410,15 @@ impl Memo {
         slot
     }
 
-    /// Charges `key`'s entry for the value that just landed in `slot` (a
-    /// canonical body of `body` bytes), then evicts down to the budget.
+    /// Charges `key`'s entry for the value that just landed in `slot` (an
+    /// artifact estimated at `bytes`), then evicts down to the budget.
     /// A no-op when the entry was evicted or replaced meanwhile.
-    fn charge(&mut self, key: JobKey, slot: &Slot, body: usize) {
+    fn charge(&mut self, key: JobKey, slot: &Slot, bytes: usize) {
         let Some(resident) = self.map.get_mut(&key) else { return };
         if !Arc::ptr_eq(&resident.slot, slot) {
             return;
         }
-        resident.bytes = body + MEMO_ENTRY_OVERHEAD;
+        resident.bytes = bytes + MEMO_ENTRY_OVERHEAD;
         self.charged += resident.bytes;
         let mut in_flight = Vec::new();
         while self.charged > self.budget {
@@ -518,9 +489,9 @@ pub(crate) fn wait_job(slot: &Slot) -> Option<Arc<JobResult>> {
 }
 
 /// The engine's one memo: byte-bounded in-memory `OnceLock` slots for
-/// finished jobs and stage artifacts, plus an optional disk tier
-/// persisting both through the canonical codec. One per [`crate::Engine`], shared by
-/// every batch and serve request run through it.
+/// finished jobs and stage artifacts, plus an optional store persisting
+/// finished jobs. One per [`crate::Engine`], shared by every batch and
+/// serve request run through it.
 #[derive(Debug, Default)]
 pub struct StageCache {
     memo: Mutex<Memo>,
@@ -576,12 +547,12 @@ impl StageCache {
     }
 
     /// Lands a computed job in the slot its caller owns: spills a success
-    /// to the attached store (one encoding serves the spill and the
-    /// memo's charge), then sets the slot and charges it.
+    /// to the attached store, then sets the slot and charges it.
     pub(crate) fn land(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>) {
-        let body =
-            result.as_ref().as_ref().map_or(0, |comparison| self.spill(key, JOB_STAGE, comparison));
-        self.settle(key, slot, result, body);
+        if let (Some(store), Ok(comparison)) = (&self.store, result.as_ref()) {
+            store.spill(key, &comparison.to_canonical());
+        }
+        self.settle(key, slot, result);
     }
 
     /// Lands an owned job slot from the job's file in the attached store,
@@ -589,17 +560,16 @@ impl StageCache {
     /// computed. Runs outside the memo lock, which file reads would hold
     /// up.
     pub(crate) fn land_from_store(&self, key: JobKey, slot: &Slot) -> Option<Arc<JobResult>> {
-        let (comparison, body) = self.store.as_ref()?.load_job(key)?;
-        let result = Arc::new(Ok(comparison));
-        self.settle(key, slot, &result, body);
+        let result = Arc::new(Ok(self.store.as_ref()?.load_job(key)?));
+        self.settle(key, slot, &result);
         Some(result)
     }
 
     /// Sets a job slot — waking every caller waiting on it — and charges
-    /// it a canonical body of `body` bytes.
-    fn settle(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>, body: usize) {
+    /// it.
+    fn settle(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>) {
         if slot.set(Arc::clone(result) as Arc<dyn Any + Send + Sync>).is_ok() {
-            self.lock().charge(key, slot, body);
+            self.lock().charge(key, slot, job_bytes(result));
         }
     }
 
@@ -611,62 +581,41 @@ impl StageCache {
         let _ = slot.set(Arc::new(Abandoned));
     }
 
-    /// Resolves one stage: serves the memoized artifact, or loads it from
-    /// the disk tier, or runs `compute` — exactly once per key, even under
-    /// concurrency, because every caller funnels through the slot's
-    /// `OnceLock` and an unset slot is never evicted. The caller that
-    /// fills the slot charges it.
-    fn resolve<T: Artifact>(
+    /// Resolves one stage: serves the memoized artifact, or runs `compute`
+    /// — exactly once per key, even under concurrency, because every
+    /// caller funnels through the slot's `OnceLock` and an unset slot is
+    /// never evicted. The caller that fills the slot charges it `bytes` of
+    /// a computed artifact.
+    fn resolve<T: Send + Sync + 'static>(
         &self,
         key: JobKey,
         stage: &'static str,
         tally: &StageTally,
+        bytes: fn(&T) -> usize,
         compute: impl FnOnce() -> Result<T, PipelineError>,
     ) -> Resolved<T> {
         let slot = self.lock().slot(key);
-        let mut provenance = "memory";
-        let mut body = 0;
+        let mut computed = false;
         let value = slot.get_or_init(|| {
-            provenance = "computed";
-            let result = match self.store.as_ref().and_then(|store| store.load(key, stage)) {
-                Some((artifact, len)) => {
-                    provenance = "disk";
-                    body = len;
-                    Ok(artifact)
-                }
-                None => compute().inspect(|artifact| body = self.spill(key, stage, artifact)),
-            };
-            Arc::new(result.map(Arc::new))
+            computed = true;
+            Arc::new(compute().map(Arc::new))
         });
         let result = value
             .downcast_ref::<Resolved<T>>()
             .cloned()
             .unwrap_or_else(|| unreachable!("stage key {key} holds another artifact type"));
-        if provenance != "memory" {
-            self.lock().charge(key, &slot, body);
+        if computed {
+            self.lock().charge(key, &slot, result.as_deref().map_or(0, bytes));
         }
-        let counter = if provenance == "computed" { &tally.misses } else { &tally.hits };
+        let counter = if computed { &tally.misses } else { &tally.hits };
         counter.fetch_add(1, Ordering::Relaxed);
         trace::event("stage", |a| {
             a.str("stage", stage)
                 .str("key", &key.to_string())
-                .str("provenance", provenance)
+                .str("provenance", if computed { "computed" } else { "memory" })
                 .flag("ok", result.is_ok());
         });
         result
-    }
-
-    /// Best-effort spill of a successful artifact, returning its canonical
-    /// body's length — encoded once, for the memo's charge even without a
-    /// store. Errors are not spilled — they are cheap to reproduce and a
-    /// schema-visible failure marker would risk pinning a transient
-    /// environment problem.
-    fn spill<T: Artifact>(&self, key: JobKey, stage: &str, artifact: &T) -> usize {
-        let body = artifact.encode();
-        if let Some(store) = &self.store {
-            store.spill(key, stage, &body);
-        }
-        body.len()
     }
 
     /// Runs one comparison through the memoized stages. Composes the
@@ -694,6 +643,7 @@ impl StageCache {
             schedule_key("sched_base", source, latency, Some(chaining), options),
             "sched_base",
             tally,
+            Bound::bytes,
             || {
                 stage_schedule_conventional(spec, latency, chaining, options.balance)
                     .map(|schedule| Bound::of(spec, schedule))
@@ -704,17 +654,23 @@ impl StageCache {
         // Optimized flow: the group's one transformed spec, extracted,
         // fragmented and checked against its source in `optimize`'s
         // order, then its fragment schedule and binding.
-        let fragmented =
-            self.resolve(group_key(source, latency, options), "fragment", tally, || {
+        let fragmented = self.resolve(
+            group_key(source, latency, options),
+            "fragment",
+            tally,
+            fragmented_bytes,
+            || {
                 let kernel = stage_extract(spec)?;
                 let fragmented = stage_fragment(&kernel, latency)?;
                 stage_verify(spec, &fragmented.spec, options.verify_vectors)?;
                 Ok(fragmented)
-            })?;
+            },
+        )?;
         let bound = self.resolve(
             schedule_key("sched_frag", source, latency, None, options),
             "sched_frag",
             tally,
+            Bound::bytes,
             || {
                 stage_schedule_fragments(&fragmented, options.balance)
                     .map(|schedule| Bound::of(&fragmented.spec, schedule))
@@ -854,110 +810,8 @@ mod tests {
         assert!(first.is_infeasible());
     }
 
-    #[test]
-    fn all_stage_artifacts_round_trip_through_the_disk_tier() {
-        let dir = tempdir("stage-artifacts");
-        let spec = three_adds();
-        let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
-
-        let mut warm = StageCache::default();
-        warm.attach_disk(&dir);
-        let tally = StageTally::default();
-        let first = warm.staged(&spec, 3, &options, &tally).unwrap();
-        let files: Vec<_> = std::fs::read_dir(dir.join(STAGE_SUBDIR))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        assert_eq!(files.len(), 3, "all three stages spilled: {files:?}");
-        assert!(files.iter().all(|f| f.ends_with(".stage")), "{files:?}");
-
-        // A fresh cache (fresh process) over the same directory loads
-        // every artifact instead of recomputing: zero misses, and the
-        // assembled comparison is byte-identical.
-        let mut fresh = StageCache::default();
-        fresh.attach_disk(&dir);
-        let fresh_tally = StageTally::default();
-        let second = fresh.staged(&spec, 3, &options, &fresh_tally).unwrap();
-        assert_eq!(fresh_tally.misses(), 0, "warm directory recomputes zero stages");
-        assert_eq!(fresh_tally.hits(), 3, "all three stages served from disk");
-        assert_eq!(
-            serde_json::to_string(&first).unwrap(),
-            serde_json::to_string(&second).unwrap(),
-            "disk round trip preserves the result byte-for-byte"
-        );
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_stage_files_are_deleted_and_recomputed() {
-        let dir = tempdir("stage-corrupt");
-        let spec = three_adds();
-        let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
-
-        let mut seed = StageCache::default();
-        seed.attach_disk(&dir);
-        seed.staged(&spec, 3, &options, &StageTally::default()).unwrap();
-        let paths: Vec<_> =
-            std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap().map(|e| e.unwrap().path()).collect();
-        assert_eq!(paths.len(), 3);
-
-        // Each corruption is invalid for *every* stage: empty, future
-        // schema, junk, and a truncated envelope.
-        for corruption in
-            ["", "bittrans-stage 999 fragment ok\n", "not a stage file", "bittrans-stage 2\n"]
-        {
-            for path in &paths {
-                std::fs::write(path, corruption).unwrap();
-            }
-            let mut fresh = StageCache::default();
-            fresh.attach_disk(&dir);
-            let tally = StageTally::default();
-            fresh.staged(&spec, 3, &options, &tally).unwrap();
-            assert_eq!(tally.hits(), 0, "corruption {corruption:?} must not hit");
-            // The recompute respilled valid artifacts.
-            for path in &paths {
-                let body = std::fs::read_to_string(path).unwrap();
-                assert!(
-                    body.starts_with("bittrans-stage 2 "),
-                    "respill repaired {path:?}: {body:.40}"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_body_under_valid_envelope_is_recomputed() {
-        let dir = tempdir("stage-corrupt-body");
-        let spec = three_adds();
-        let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
-
-        let mut seed = StageCache::default();
-        seed.attach_disk(&dir);
-        seed.staged(&spec, 3, &options, &StageTally::default()).unwrap();
-
-        // Keep each file's own (valid) envelope but garble the body.
-        for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
-            let path = entry.unwrap().path();
-            let text = std::fs::read_to_string(&path).unwrap();
-            let envelope = text.lines().next().unwrap().to_string();
-            std::fs::write(&path, format!("{envelope}\ngarbage body\n")).unwrap();
-        }
-        let mut fresh = StageCache::default();
-        fresh.attach_disk(&dir);
-        let tally = StageTally::default();
-        let result = fresh.staged(&spec, 3, &options, &tally).unwrap();
-        assert_eq!(tally.hits(), 0, "garbled bodies must not hit");
-        assert_eq!(
-            serde_json::to_string(&result).unwrap(),
-            serde_json::to_string(&compare(&spec, 3, &options).unwrap()).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A cache dir holding one finished job (λ = 3 of [`three_adds`]) and
-    /// its three stage files, plus the job's key.
+    /// A cache dir holding one finished job (λ = 3 of [`three_adds`]), its
+    /// only file, plus the job's key.
     fn seeded_job_dir(tag: &str) -> (PathBuf, JobKey) {
         let dir = tempdir(tag);
         let job = crate::Job::with_options(
@@ -988,18 +842,31 @@ mod tests {
     }
 
     #[test]
-    fn garbled_job_body_under_a_valid_envelope_is_deleted_and_recomputed() {
-        let (dir, key) = seeded_job_dir("job-garbled");
-        let job_file = StageStore::of(&dir).path(key);
-        std::fs::write(&job_file, "bittrans-stage 2 job ok\ngarbage body\n").unwrap();
-        assert!(StageStore::of(&dir).load_job(key).is_none(), "a garbled job is never served");
-        assert!(!job_file.exists(), "the garbled file is deleted on load");
+    fn corrupt_job_files_are_deleted_and_recomputed() {
+        let (dir, key) = seeded_job_dir("job-corrupt");
+        let store = StageStore::of(&dir);
+        let job_file = store.path(key);
+        // Empty, a future schema, junk, a truncated envelope, and a garbled
+        // body under a valid envelope.
+        for corruption in [
+            "",
+            "bittrans-stage 999 job ok\n",
+            "not a stage file",
+            "bittrans-stage 2\n",
+            "bittrans-stage 2 job ok\ngarbage body\n",
+        ] {
+            std::fs::write(&job_file, corruption).unwrap();
+            assert!(store.load_job(key).is_none(), "{corruption:?} is never served");
+            assert!(!job_file.exists(), "{corruption:?} is deleted on load");
 
-        std::fs::write(&job_file, "bittrans-stage 2 job ok\ngarbage body\n").unwrap();
-        let stats = rerun(&dir);
-        assert_eq!(stats.cache_misses, 1, "the garbled job recomputes");
-        assert_eq!(stats.stage_misses, 0, "its stages are still on disk");
-        assert!(StageStore::of(&dir).load_job(key).is_some(), "the respill repaired it");
+            std::fs::write(&job_file, corruption).unwrap();
+            let stats = rerun(&dir);
+            assert_eq!(stats.cache_misses, 1, "{corruption:?}: the job recomputes");
+            assert_eq!(stats.stage_misses, 3, "{corruption:?}: and so do its stages");
+            let text = std::fs::read_to_string(&job_file).unwrap();
+            assert!(text.starts_with("bittrans-stage 2 job ok\n"), "respill repaired {text:.40}");
+            assert!(store.load_job(key).is_some(), "{corruption:?}: the respill decodes");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1007,81 +874,77 @@ mod tests {
     fn an_envelope_naming_another_stage_is_deleted_and_recomputed() {
         let (dir, key) = seeded_job_dir("job-wrong-stage");
         let store = StageStore::of(&dir);
-        // Swap envelopes: the job file claims to be a schedule and every
-        // stage file claims to be a job — each body otherwise intact.
+        // The job file claims to be a schedule, its body otherwise intact.
         let job_file = store.path(key);
-        for entry in std::fs::read_dir(dir.join(STAGE_SUBDIR)).unwrap() {
-            let path = entry.unwrap().path();
-            let text = std::fs::read_to_string(&path).unwrap();
-            let (_, body) = text.split_once('\n').unwrap();
-            let stage = if path == job_file { "sched_base" } else { "job" };
-            std::fs::write(&path, format!("bittrans-stage 2 {stage} ok\n{body}")).unwrap();
-        }
+        let text = std::fs::read_to_string(&job_file).unwrap();
+        let (_, body) = text.split_once('\n').unwrap();
+        std::fs::write(&job_file, format!("bittrans-stage 2 sched_base ok\n{body}")).unwrap();
         assert!(store.load_job(key).is_none(), "a mislabelled job is never served");
         assert!(!job_file.exists());
 
+        std::fs::write(&job_file, format!("bittrans-stage 2 sched_base ok\n{body}")).unwrap();
         let stats = rerun(&dir);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.stage_hits, 0, "no mislabelled stage file may hit");
-        assert_eq!(stats.stage_misses, 3);
+        assert_eq!((stats.cache_misses, stats.stage_misses), (1, 3));
         assert!(store.load_job(key).is_some(), "the respill repaired the job file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn the_store_holds_four_kinds_and_leaves_old_extract_verify_alloc_and_time_files_to_prune() {
+    fn a_cold_job_writes_one_job_file_and_leaves_stage_files_of_older_builds_to_prune() {
         let (dir, key) = seeded_job_dir("store-layout");
         let store = StageStore::of(&dir);
-        let kind = |path: &Path| {
-            let text = std::fs::read_to_string(path).unwrap();
-            text.lines().next().unwrap().split(' ').nth(2).unwrap().to_string()
-        };
-        let mut kinds: Vec<String> = store.files().iter().map(|f| kind(&f.path)).collect();
-        kinds.sort();
-        let expected = ["fragment", "job", "sched_base", "sched_frag"];
-        assert_eq!(kinds, expected, "a cold job writes one file per kind");
+        let files = store.files();
+        assert_eq!(files.len(), 1, "a cold job writes one file: {files:?}");
+        assert_eq!(files[0].key, Some(key));
+        let text = std::fs::read_to_string(&files[0].path).unwrap();
+        assert!(text.starts_with("bittrans-stage 2 job ok\n"), "{text:.40}");
 
-        // Files older builds spilled, under the keys they used: a kernel,
-        // a verify token, a timing file and a per-adder datapath. No run
-        // reads or deletes them.
+        // Files older builds spilled: this build's three stage kinds under
+        // the very keys this job resolves, then a kernel, a verify token,
+        // a timing file and a per-adder datapath under the keys those
+        // builds used. No run reads, repairs or deletes any of them.
         let spec = three_adds();
         let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
-        let source = source_digest(&spec).to_string();
-        let kernel = stage_extract(&spec).unwrap();
-        let fragmented = stage_fragment(&kernel, 3).unwrap();
-        let fragmented_spec = JobKey::of_bytes(fragmented.spec.to_canonical().as_bytes());
+        let source = source_digest(&spec);
+        let hex = source.to_string();
         let original = compare(&spec, 3, &options).unwrap().original;
+        let chaining = Some(Chaining::ComponentSum);
         let planted = [
             (
-                store.path(stage_key(&["extract", &source])),
-                format!("bittrans-stage 2 extract ok\n{}", kernel.to_canonical()),
+                group_key(source, 3, &options),
+                "bittrans-stage 2 fragment ok\nbittrans-canonical fragmented 1\n".to_owned(),
             ),
             (
-                store.path(stage_key(&["verify", &source, &fragmented_spec.to_string(), "64"])),
-                "bittrans-stage 2 verify ok\n".to_owned(),
+                schedule_key("sched_base", source, 3, chaining, &options),
+                "bittrans-stage 2 sched_base ok\nbittrans-canonical bound 1\n".to_owned(),
             ),
             (
-                store.path(JobKey::of_bytes(b"time_base of an older build")),
+                schedule_key("sched_frag", source, 3, None, &options),
+                "bittrans-stage 2 sched_frag ok\nbittrans-canonical bound 1\n".to_owned(),
+            ),
+            (
+                stage_key(&["extract", &hex]),
+                format!("bittrans-stage 2 extract ok\n{}", spec.to_canonical()),
+            ),
+            (stage_key(&["verify", &hex, "64"]), "bittrans-stage 2 verify ok\n".to_owned()),
+            (
+                JobKey::of_bytes(b"time_base of an older build"),
                 format!("bittrans-stage 2 time_base ok\n{}", original.to_canonical()),
             ),
             (
-                store.path(JobKey::of_bytes(b"alloc_base of an older build")),
-                "bittrans-stage 2 alloc_base ok\nbittrans-canonical datapath 1\n\
-                 adder_arch rca\nstored_bits 0\n\
-                 area 4064400000000000 0000000000000000 0000000000000000 403e000000000000\n\
-                 controller ctrl:1:0\nfus 1\nfu adder 16 16 1 0:1 1 0\nregisters 0\n\
-                 muxes 0\nglue 0\nend datapath\n"
+                JobKey::of_bytes(b"alloc_base of an older build"),
+                "bittrans-stage 2 alloc_base ok\nbittrans-canonical datapath 1\nend datapath\n"
                     .to_owned(),
             ),
         ];
-        for (path, text) in &planted {
-            std::fs::write(path, text).unwrap();
+        for (key, text) in &planted {
+            std::fs::write(store.path(*key), text).unwrap();
         }
         std::fs::remove_file(store.path(key)).unwrap();
         let stats = rerun(&dir);
-        assert_eq!((stats.stage_hits, stats.stage_misses), (3, 0), "every stage from disk");
-        for (path, text) in &planted {
-            assert_eq!(&std::fs::read_to_string(path).unwrap(), text, "the old file is untouched");
+        assert_eq!((stats.stage_hits, stats.stage_misses), (0, 3), "no stage read from disk");
+        for (key, text) in &planted {
+            assert_eq!(&std::fs::read_to_string(store.path(*key)).unwrap(), text, "untouched");
         }
 
         // `cache prune` counts them like any other file, and removes them.
@@ -1089,7 +952,7 @@ mod tests {
         let report =
             engine.prune_cache(crate::PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
         assert_eq!((report.scanned, report.removed, report.kept), (8, 8, 0));
-        assert!(planted.iter().all(|(path, _)| !path.exists()));
+        assert!(planted.iter().all(|(key, _)| !store.path(*key).exists()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1147,7 +1010,7 @@ mod tests {
                 .unwrap();
         let key = JobKey::of_bytes(b"shared");
         let body = comparison.to_canonical();
-        StageStore::of(&dir).spill(key, JOB_STAGE, &body);
+        StageStore::of(&dir).spill(key, &body);
         let writers_done = AtomicU64::new(0);
         let start = std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
@@ -1158,7 +1021,7 @@ mod tests {
                     cache.attach_disk(&dir);
                     start.wait();
                     for _ in 0..400 {
-                        cache.store().unwrap().spill(key, JOB_STAGE, &body);
+                        cache.store().unwrap().spill(key, &body);
                     }
                     writers_done.fetch_add(1, Ordering::Relaxed);
                 });
@@ -1167,8 +1030,8 @@ mod tests {
                 let store = StageStore::of(&dir);
                 start.wait();
                 while writers_done.load(Ordering::Relaxed) < 2 {
-                    let (loaded, len) = store.load_job(key).expect("every load decodes");
-                    assert_eq!((loaded.to_canonical(), len), (body.clone(), body.len()));
+                    let loaded = store.load_job(key).expect("every load decodes");
+                    assert_eq!(loaded.to_canonical(), body);
                 }
             });
         });
@@ -1214,10 +1077,52 @@ mod tests {
         assert_eq!(tiny.memo_bytes(), 0);
     }
 
+    /// [`STAGE_MEMO_BYTES`] holds the whole paper-corpus grid: its 216
+    /// jobs and 180 stage artifacts all stay resident. The estimates stay
+    /// calibrated: their total is within a quarter of the 2,220,200 bytes
+    /// this grid was charged when every entry cost its canonical text's
+    /// length.
+    #[test]
+    fn the_paper_corpus_grid_stays_resident_under_the_default_bound() {
+        use bittrans_benchmarks::{
+            extended_benchmarks, fig3_dfg, table2_benchmarks, table3_benchmarks,
+        };
+        use bittrans_rtl::AdderArch;
+        let mut specs: Vec<Spec> = table2_benchmarks()
+            .into_iter()
+            .chain(table3_benchmarks())
+            .chain(extended_benchmarks())
+            .map(|b| b.spec)
+            .collect();
+        specs.extend([bittrans_benchmarks::three_adds(), fig3_dfg()]);
+        let engine = crate::Engine::default();
+        let report = crate::Study::over(specs)
+            .latencies([3, 5, 6])
+            .adder_archs([
+                AdderArch::RippleCarry,
+                AdderArch::CarryLookahead,
+                AdderArch::CarrySelect,
+            ])
+            .balance_both()
+            .verify_vectors([8])
+            .run(&engine);
+        assert_eq!((report.cells.len(), report.stats.cache_misses), (216, 216));
+        assert_eq!(report.stats.stage_misses, 180);
+
+        let stages = &engine.shared.stages;
+        assert_eq!(stages.job_entries(), 216, "every job stays resident");
+        let memo = stages.lock();
+        assert_eq!(memo.budget, STAGE_MEMO_BYTES);
+        assert_eq!(memo.map.len(), 216 + 180, "nothing was evicted");
+        let parent = 2_220_200.0;
+        let ratio = memo.charged as f64 / parent;
+        assert!((0.75..=1.25).contains(&ratio), "{} bytes charged: {ratio:.3}×", memo.charged);
+    }
+
     #[test]
     fn eviction_never_drops_an_in_flight_slot() {
         let fragmented = stage_fragment(&stage_extract(&three_adds()).unwrap(), 3).unwrap();
-        let budget = 4 * (fragmented.to_canonical().len() + MEMO_ENTRY_OVERHEAD);
+        let budget = 4 * (fragmented_bytes(&fragmented) + MEMO_ENTRY_OVERHEAD);
         let cache = StageCache::default();
         cache.set_memo_capacity(budget);
         let tally = StageTally::default();
@@ -1225,7 +1130,7 @@ mod tests {
         let computes = AtomicU64::new(0);
         let (release, gate) = std::sync::mpsc::channel::<()>();
         let resolve_key = |wait: Option<std::sync::mpsc::Receiver<()>>| {
-            cache.resolve(key, "fragment", &tally, || {
+            cache.resolve(key, "fragment", &tally, fragmented_bytes, || {
                 computes.fetch_add(1, Ordering::SeqCst);
                 if let Some(gate) = wait {
                     gate.recv().unwrap();
@@ -1248,7 +1153,9 @@ mod tests {
             // slot is still unset.
             for i in 0u32..16 {
                 let key = JobKey::of_bytes(&i.to_le_bytes());
-                cache.resolve(key, "fragment", &tally, || Ok(fragmented.clone())).unwrap();
+                cache
+                    .resolve(key, "fragment", &tally, fragmented_bytes, || Ok(fragmented.clone()))
+                    .unwrap();
             }
             assert!(cache.memo_bytes() <= budget);
             let b = scope.spawn(|| resolve_key(None));
@@ -1291,17 +1198,23 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let (first, second, joined) = std::thread::scope(|scope| {
             let held = scope.spawn(|| {
-                stages.resolve(first_stage, "sched_base", &StageTally::default(), || {
-                    entered.fetch_add(1, Ordering::SeqCst);
-                    gate.lock().unwrap().recv().unwrap();
-                    stage_schedule_conventional(
-                        &spec,
-                        3,
-                        Chaining::ComponentSum,
-                        job.options.balance,
-                    )
-                    .map(|schedule| Bound::of(&spec, schedule))
-                })
+                stages.resolve(
+                    first_stage,
+                    "sched_base",
+                    &StageTally::default(),
+                    Bound::bytes,
+                    || {
+                        entered.fetch_add(1, Ordering::SeqCst);
+                        gate.lock().unwrap().recv().unwrap();
+                        stage_schedule_conventional(
+                            &spec,
+                            3,
+                            Chaining::ComponentSum,
+                            job.options.balance,
+                        )
+                        .map(|schedule| Bound::of(&spec, schedule))
+                    },
+                )
             });
             while entered.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();

@@ -52,8 +52,8 @@ pub struct EngineStats {
     pub workers: usize,
     /// Wall-clock time of the batch (zero for lifetime snapshots).
     pub elapsed: Duration,
-    /// Pipeline stages served from the stage cache (memory or disk)
-    /// instead of being recomputed. Only cache-miss jobs run stages at
+    /// Pipeline stages served from the in-memory stage memo instead of
+    /// being recomputed. Only cache-miss jobs run stages at
     /// all, so these counters describe sharing *within* the misses; like
     /// `workers` and `elapsed` they depend on the run shape (a sharded
     /// run shares fewer stages per process than a single-process run) and

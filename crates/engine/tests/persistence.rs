@@ -2,9 +2,9 @@
 //! model two CLI/CI invocations — the second must be served from disk with
 //! bit-identical results, and duplicate/infeasible jobs must keep their
 //! accounting semantics along the way. The directory's one store is
-//! `stages/`: finished jobs are `job` stage files next to the pipeline
-//! stages, opening reads nothing, and `Engine::prune_cache` sweeps the
-//! store by size/age without touching what a live run pins.
+//! `stages/`: it holds one `job` file per finished job and nothing else,
+//! opening reads nothing, and `Engine::prune_cache` sweeps the store by
+//! size/age without touching what a live run pins.
 
 use bittrans_core::CompareOptions;
 use bittrans_engine::{Engine, EngineOptions, EngineStats, Job, PrunePolicy, PruneReport, Study};
@@ -79,6 +79,7 @@ fn warm_cache_dir_serves_a_fresh_engine_entirely_from_disk() {
     let first = study.run(&cold);
     assert_eq!(first.stats.cache_misses, 4);
     assert_eq!(job_files(&dir).len(), 4);
+    assert_eq!(store_files(&dir), job_files(&dir), "the store holds job files only");
     // The store is the directory's only content: no manifest, no
     // top-level entry files.
     let top: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
@@ -101,14 +102,18 @@ fn warm_cache_dir_serves_a_fresh_engine_entirely_from_disk() {
         assert_eq!(ca.original.op_count, cb.original.op_count);
     }
 
-    // Third "process" with the job files deleted: every stage is still
-    // on disk, so the jobs recompute without running a single stage.
+    // Third "process" with the job files deleted: stages are not stored,
+    // so every job recomputes all three of its stages, to the same cells.
     for file in job_files(&dir) {
         std::fs::remove_file(file).unwrap();
     }
     let resumed = study.run(&Engine::default().with_cache_dir(&dir).unwrap());
     assert_eq!(resumed.stats.cache_misses, 4);
-    assert_eq!(resumed.stats.stage_misses, 0, "{:?}", resumed.stats);
+    assert_eq!(resumed.stats.stage_misses, 12, "{:?}", resumed.stats);
+    let cells = |report: &bittrans_engine::StudyReport| {
+        report.cells.iter().map(|c| c.comparison().unwrap().to_canonical()).collect::<Vec<_>>()
+    };
+    assert_eq!(cells(&resumed), cells(&first));
     assert_eq!(job_files(&dir).len(), 4, "the recompute respilled the job files");
 }
 
@@ -187,7 +192,7 @@ fn prune_never_touches_files_pinned_by_a_live_run() {
     populate(&dir, 2..=5);
 
     // A live engine that computed everything it wrote pins all of it:
-    // its jobs and its stages are resident in its memo.
+    // its jobs are resident in its memo.
     let cold_dir = temp_dir("pinned_cold");
     let cold = Engine::default().with_cache_dir(&cold_dir).unwrap();
     Study::single(three_adds()).latencies(2..=5).verify_vectors([0]).run(&cold);

@@ -9,11 +9,11 @@
 //! encoding for which `from_canonical(to_canonical(s)) == s` holds for
 //! *every* valid spec, not just DSL-expressible ones.
 //!
-//! The sibling crates implement the same pair for their pipeline
-//! artifacts (`Fragmented`, `Schedule`, `Datapath`, `Implementation`) on
-//! top of the shared plumbing exported here: [`CodecError`], the
-//! [`Cursor`] line reader, token escaping ([`escape`]/[`unescape`]) and
-//! bit-exact `f64` encoding ([`f64_to_hex`]/[`f64_from_hex`]). Every
+//! `bittrans-core` implements the same pair for the engine's finished
+//! jobs (`Implementation` and `Comparison`) on top of the shared plumbing
+//! exported here: [`CodecError`], the [`Cursor`] line reader, token
+//! escaping ([`escape`]/[`unescape`]) and bit-exact `f64` encoding
+//! ([`f64_to_hex`]/[`f64_from_hex`]). Every
 //! artifact document opens with `bittrans-canonical <type> <schema>` and
 //! closes with `end <type>`; a schema bump invalidates old documents at
 //! the header check — decoders reject, never misparse.
@@ -460,18 +460,6 @@ impl Spec {
         let mut cur = Cursor::new(text);
         let spec = decode_spec(&mut cur)?;
         cur.end("spec")?;
-        Ok(spec)
-    }
-
-    /// Decodes a spec embedded inside another canonical document: reads
-    /// from `cur`'s current position through the spec's `end spec` line.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Spec::from_canonical`].
-    pub fn decode_embedded(cur: &mut Cursor<'_>) -> Result<Spec, CodecError> {
-        let spec = decode_spec(cur)?;
-        cur.end_embedded("spec")?;
         Ok(spec)
     }
 }

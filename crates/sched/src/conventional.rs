@@ -35,6 +35,16 @@ pub enum Chaining {
     BitLevel,
 }
 
+impl Chaining {
+    /// Stable short code for this chaining mode, suitable for cache keys.
+    pub fn code(self) -> &'static str {
+        match self {
+            Chaining::ComponentSum => "component_sum",
+            Chaining::BitLevel => "bit_level",
+        }
+    }
+}
+
 /// Options for [`schedule_conventional`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConventionalOptions {
@@ -115,15 +125,20 @@ fn search(
     if latency == 0 {
         return Err(SchedError::ZeroLatency);
     }
+    cycle_range(spec, chaining)
+        .find_map(|c| Some((c, run_pass(spec, c, latency, chaining, false)?)))
+        .ok_or(SchedError::LatencyExceeded { needed: latency + 1, latency })
+}
+
+/// The cycle lengths [`search`] tries: `max_op_delay ..= top`, where `top`
+/// fits the whole spec in one cycle under `chaining`.
+fn cycle_range(spec: &Spec, chaining: Chaining) -> std::ops::RangeInclusive<Delta> {
     let lo = max_op_delay(spec);
     let top = match chaining {
         Chaining::BitLevel => critical_path(spec),
         Chaining::ComponentSum => component_sum_length(spec),
-    }
-    .max(lo);
-    (lo..=top)
-        .find_map(|c| Some((c, run_pass(spec, c, latency, chaining, false)?)))
-        .ok_or(SchedError::LatencyExceeded { needed: latency + 1, latency })
+    };
+    lo..=top.max(lo)
 }
 
 /// Schedules `spec` with the conventional baseline at its minimal cycle.
@@ -363,5 +378,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The linear search's first fitting length is the only boundary
+    /// between lengths that do not fit and lengths that do: over random
+    /// specs, a fit of the ASAP pass at `c` implies a fit at `c + 1`
+    /// across the whole searched range.
+    #[test]
+    fn the_asap_pass_fit_is_monotone_in_the_cycle_length() {
+        use bittrans_benchmarks::{random_spec, RandomSpecOptions};
+        for seed in 0..16 {
+            let spec = random_spec(seed, &RandomSpecOptions::default());
+            for chaining in [Chaining::ComponentSum, Chaining::BitLevel] {
+                for latency in 1..=8 {
+                    let fits: Vec<bool> = cycle_range(&spec, chaining)
+                        .map(|c| run_pass(&spec, c, latency, chaining, false).is_some())
+                        .collect();
+                    let case = format!("seed {seed} λ={latency} {chaining:?}");
+                    assert!(fits.windows(2).all(|w| !w[0] || w[1]), "{case}: fit then no fit");
+                    assert_eq!(fits.last(), Some(&true), "{case}: the top length fits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chaining_codes_are_stable() {
+        let codes = [Chaining::ComponentSum, Chaining::BitLevel].map(Chaining::code);
+        assert_eq!(codes, ["component_sum", "bit_level"]);
     }
 }

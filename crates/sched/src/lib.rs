@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod canonical;
 pub mod conventional;
 mod engine;
 pub mod fragment;

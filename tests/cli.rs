@@ -164,14 +164,14 @@ fn cache_prune_sweeps_a_directory_and_reports_what_it_kept() {
         dir.to_str().unwrap(),
     ]);
     assert!(ok, "stderr: {stderr}");
-    // One store: two job files plus their stage artifacts, nothing else.
+    // One store holding the two job files, nothing else.
     let names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     assert_eq!(names, vec!["stages"]);
     let files = store_file_count(&dir);
-    assert!(files > 2, "{files} store files");
+    assert_eq!(files, 2, "{files} store files");
 
     // A generous age bound removes nothing.
     let (ok, stdout, _) =
