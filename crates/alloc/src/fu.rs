@@ -1,9 +1,10 @@
 //! Functional-unit allocation, binding, and port-mux inference.
 
+use crate::CycleSet;
 use bittrans_ir::prelude::*;
 use bittrans_rtl::{AdderArch, Component};
 use bittrans_sched::Schedule;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// The hardware class an operation executes on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -44,9 +45,11 @@ pub struct Fu {
     pub width_b: u32,
     /// Bound operations with their cycles.
     pub bound: Vec<(OpId, u32)>,
+    /// The cycles bound operations run in.
+    busy: CycleSet,
     /// Source (origin) operations represented here, for the dedicated-adder
-    /// preference.
-    origins: BTreeSet<OpId>,
+    /// preference; at most one per bound operation.
+    origins: Vec<OpId>,
 }
 
 impl Fu {
@@ -61,7 +64,15 @@ impl Fu {
     }
 
     fn busy_in(&self, cycle: u32) -> bool {
-        self.bound.iter().any(|&(_, k)| k == cycle)
+        self.busy.contains(cycle)
+    }
+
+    fn bind(&mut self, op: OpId, cycle: u32, origin: OpId) {
+        self.bound.push((op, cycle));
+        self.busy.insert(cycle);
+        if !self.origins.contains(&origin) {
+            self.origins.push(origin);
+        }
     }
 }
 
@@ -110,21 +121,20 @@ pub fn bind_fus(spec: &Spec, schedule: &Schedule) -> Vec<Fu> {
                 let dedicated = !f.origins.contains(&origin);
                 (growth, dedicated, f.width, *i)
             });
-        match candidate {
+        let f = match candidate {
             Some((_, f)) => {
                 f.width = f.width.max(w);
                 f.width_b = f.width_b.max(wb);
-                f.bound.push((op.id(), cycle));
-                f.origins.insert(origin);
+                f
             }
-            None => fus.push(Fu {
-                class,
-                width: w,
-                width_b: wb,
-                bound: vec![(op.id(), cycle)],
-                origins: BTreeSet::from([origin]),
-            }),
-        }
+            None => {
+                let busy = CycleSet::new(schedule);
+                let (bound, origins) = (Vec::new(), Vec::new());
+                fus.push(Fu { class, width: w, width_b: wb, bound, busy, origins });
+                fus.last_mut().expect("just pushed")
+            }
+        };
+        f.bind(op.id(), cycle, origin);
     }
     fus
 }
@@ -188,7 +198,7 @@ mod tests {
               output x; output y; }",
         )
         .unwrap();
-        let assignment = spec.ops().iter().map(|op| (op.id(), 1)).collect();
+        let assignment = spec.ops().iter().map(|op| (op.id(), 1));
         let sched = Schedule::new(1, 8, assignment);
         let fus = bind_fus(&spec, &sched);
         assert_eq!(fus.len(), 2);

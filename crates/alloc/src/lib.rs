@@ -57,6 +57,7 @@ pub mod regs;
 use bittrans_ir::prelude::*;
 use bittrans_rtl::{AdderArch, AreaReport, Component, GateKind};
 use bittrans_sched::Schedule;
+use bittrans_timing::BitTable;
 
 /// Options for [`allocate`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -196,13 +197,15 @@ impl Binding {
 /// in disjoint cycles, just like functional units are. Wiring kinds
 /// (concat, shifts by constants, slices) are free.
 fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component> {
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::collections::HashMap;
     let live = regs::live_bits(spec);
     struct Block {
         components: Vec<Component>,
-        cycles: BTreeSet<u32>,
+        cycles: CycleSet,
     }
-    let mut blocks: BTreeMap<OpId, Block> = BTreeMap::new();
+    // Per origin op index; an origin names an op of the source spec, so
+    // the table grows to the largest one seen.
+    let mut blocks: Vec<Option<Block>> = Vec::new();
     for op in spec.ops() {
         if !op.kind().is_glue() && !matches!(op.kind(), OpKind::Eq | OpKind::Ne) {
             continue;
@@ -212,9 +215,13 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
         if comps.is_empty() {
             continue;
         }
-        let block = blocks
-            .entry(origin)
-            .or_insert_with(|| Block { components: Vec::new(), cycles: BTreeSet::new() });
+        if blocks.len() <= origin.index() {
+            blocks.resize_with(origin.index() + 1, || None);
+        }
+        let block = blocks[origin.index()].get_or_insert_with(|| Block {
+            components: Vec::new(),
+            cycles: CycleSet::new(schedule),
+        });
         block.components.extend(comps);
         // The block is busy in the cycles its glue actually computes —
         // results crossing a cycle boundary are registered (see `regs`),
@@ -225,12 +232,9 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
     }
     // Greedy sharing: blocks with the same component multiset share one
     // physical unit when their busy-cycle sets are disjoint.
-    type GlueSlot = (BTreeSet<u32>, Vec<Component>);
+    type GlueSlot = (CycleSet, Vec<Component>);
     let mut units: HashMap<Vec<Component>, Vec<GlueSlot>> = HashMap::new();
-    for block in blocks.into_values() {
-        if block.components.is_empty() {
-            continue;
-        }
+    for block in blocks.into_iter().flatten() {
         let mut multiset = block.components.clone();
         multiset.sort_unstable();
         let slots = units.entry(multiset).or_default();
@@ -253,9 +257,38 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
     signed.into_iter().flat_map(|(_, slots)| slots).flat_map(|(_, comps)| comps).collect()
 }
 
+/// A set of a schedule's cycles as a bitset: bit `k` of the words is
+/// cycle `k`, with one word per 64 cycles of the latency.
+#[derive(Clone, Debug)]
+pub(crate) struct CycleSet(Vec<u64>);
+
+impl CycleSet {
+    /// The empty set over the cycles of `schedule`.
+    pub(crate) fn new(schedule: &Schedule) -> Self {
+        CycleSet(vec![0; schedule.latency as usize / 64 + 1])
+    }
+
+    pub(crate) fn insert(&mut self, k: u32) {
+        self.0[k as usize / 64] |= 1 << (k % 64);
+    }
+
+    pub(crate) fn contains(&self, k: u32) -> bool {
+        self.0[k as usize / 64] & 1 << (k % 64) != 0
+    }
+
+    /// Whether no cycle is in both sets: a word-wise AND.
+    fn is_disjoint(&self, other: &CycleSet) -> bool {
+        self.0.iter().zip(&other.0).all(|(a, b)| a & b == 0)
+    }
+
+    fn extend(&mut self, other: &CycleSet) {
+        self.0.iter_mut().zip(&other.0).for_each(|(a, b)| *a |= b);
+    }
+}
+
 /// Whether bit `i` of `operand`, unextended, carries live data (see
 /// [`regs::live_bits`]).
-fn live_at(spec: &Spec, live: &[Vec<bool>], operand: &Operand, i: u32) -> bool {
+fn live_at(spec: &Spec, live: &BitTable<bool>, operand: &Operand, i: u32) -> bool {
     match operand {
         Operand::Const(_) => false,
         Operand::Value { value, range } => {
@@ -263,27 +296,27 @@ fn live_at(spec: &Spec, live: &[Vec<bool>], operand: &Operand, i: u32) -> bool {
                 Some(r) => (r.lo(), r.width()),
                 None => (0, spec.value(*value).width()),
             };
-            i < w && live[value.index()][(lo + i) as usize]
+            i < w && live.cell(*value, lo + i)
         }
     }
 }
 
 /// The number of output bits of a glue op that actually depend on live
 /// data (everything else is structural zero padding and costs no gates).
-fn live_width(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
+fn live_width(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
     let result = Operand::value(op.result());
     (0..op.width()).filter(|&i| live_at(spec, live, &result, i)).count() as u32
 }
 
 /// Positions where *both* operands of a two-input gate carry live data.
-fn live_pair_width(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
+fn live_pair_width(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
     let [a, b] = [&op.operands()[0], &op.operands()[1]];
     (0..op.width()).filter(|&i| live_at(spec, live, a, i) && live_at(spec, live, b, i)).count()
         as u32
 }
 
 /// Live input bits of an operation (for reduction-style glue).
-fn live_input_bits(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
+fn live_input_bits(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
     op.operands()
         .iter()
         .map(|o| (0..spec.operand_width(o)).filter(|&j| live_at(spec, live, o, j)).count() as u32)
@@ -292,7 +325,7 @@ fn live_input_bits(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> u32 {
 
 /// The priced glue components one operation contributes: none for wiring,
 /// and none of zero width (no live bits).
-fn glue_components_of(spec: &Spec, op: &Operation, live: &[Vec<bool>]) -> Vec<Component> {
+fn glue_components_of(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> Vec<Component> {
     let gate = |kind, width| Component::Gate { kind, width };
     let components = match op.kind() {
         OpKind::Not => vec![gate(GateKind::Not, live_width(spec, op, live))],
@@ -464,6 +497,21 @@ mod tests {
             assert_eq!(rest(&priced.area), rest(&rca.area), "{arch:?}");
             assert_eq!(priced.stored_bits, binding.stored_bits);
         }
+    }
+
+    #[test]
+    fn cycle_sets_span_several_words() {
+        let schedule = Schedule::new(130, 1, []);
+        let (mut a, mut b) = (CycleSet::new(&schedule), CycleSet::new(&schedule));
+        a.insert(63);
+        a.insert(130);
+        b.insert(64);
+        assert!(a.contains(63) && a.contains(130) && !a.contains(64) && !a.contains(2));
+        assert!(a.is_disjoint(&b));
+        b.insert(130);
+        assert!(!a.is_disjoint(&b));
+        a.extend(&b);
+        assert!(a.contains(64));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use bittrans_ir::prelude::*;
 use bittrans_rtl::Component;
 use bittrans_sched::Schedule;
 use bittrans_timing::bitref::glue_sources;
+use bittrans_timing::BitTable;
 
 /// A contiguous run of stored bits of one value sharing a lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,18 +65,20 @@ pub(crate) fn is_wiring(kind: OpKind) -> bool {
 /// Per value, per bit: whether the bit carries live data. Input-port and
 /// base-producer bits are live; a glue bit is live when a bit it reads is
 /// (constants and zero padding are not). One forward pass over the ops.
-pub(crate) fn live_bits(spec: &Spec) -> Vec<Vec<bool>> {
-    let mut live: Vec<Vec<bool>> =
-        spec.values().iter().map(|v| vec![v.is_input(); v.width() as usize]).collect();
+pub(crate) fn live_bits(spec: &Spec) -> BitTable<bool> {
+    let mut live = BitTable::filled(spec, false);
+    for value in spec.values().iter().filter(|v| v.is_input()) {
+        live[value.id()].fill(true);
+    }
     for op in spec.ops() {
-        let z = op.result().index();
+        let z = op.result();
         if is_base_producer(op.kind()) {
             live[z].fill(true);
             continue;
         }
         for i in 0..op.width() {
             let mut any = false;
-            glue_sources(spec, op, i, |value, bit| any |= live[value.index()][bit as usize]);
+            glue_sources(spec, op, i, |value, bit| any |= live.cell(value, bit));
             live[z][i as usize] = any;
         }
     }
@@ -90,8 +93,8 @@ pub(crate) fn live_bits(spec: &Spec) -> Vec<Vec<bool>> {
 /// vectors are stored rather than recomputed, which frees the array for
 /// other operations — the storage-vs-recompute choice real datapaths make).
 ///
-/// One backward sweep over the ops keeps `need`, the last cycle each bit
-/// is read in. Only that maximum matters: a base-producer bit is stored
+/// One backward sweep over the ops keeps `need`, a per-bit table of the
+/// last cycle each bit is read in. Only that maximum matters: a base-producer bit is stored
 /// until its last read, and a gate-glue bit computed in cycle `gk` is
 /// stored exactly when its last read is after `gk`. A gate-glue bit read
 /// in cycles `k` needs its own sources at `min(k, gk)` (in its own cycle
@@ -102,8 +105,7 @@ pub(crate) fn live_bits(spec: &Spec) -> Vec<Vec<bool>> {
 /// registers). Bit groups with disjoint lifetimes share registers
 /// (left-edge).
 pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInstance> {
-    let mut need: Vec<Vec<u32>> =
-        spec.values().iter().map(|v| vec![0; v.width() as usize]).collect();
+    let mut need = BitTable::filled(spec, 0u32);
     for op in spec.ops().iter().rev() {
         let k = schedule.cycle_of(op.id()).unwrap_or(1);
         if is_base_producer(op.kind()) {
@@ -113,7 +115,7 @@ pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInsta
                         Some(r) => (r.lo(), r.width()),
                         None => (0, spec.value(*value).width()),
                     };
-                    for slot in &mut need[value.index()][lo as usize..(lo + w) as usize] {
+                    for slot in &mut need[*value][lo as usize..(lo + w) as usize] {
                         *slot = (*slot).max(k);
                     }
                 }
@@ -123,13 +125,13 @@ pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInsta
         // Transparent glue: every consumer comes later, so `need` of its
         // result is final here.
         for i in 0..op.width() {
-            let last = need[op.result().index()][i as usize];
+            let last = need[op.result()][i as usize];
             if last == 0 {
                 continue; // never read
             }
             let n = if is_wiring(op.kind()) { last } else { last.min(k) };
             glue_sources(spec, op, i, |value, bit| {
-                let slot = &mut need[value.index()][bit as usize];
+                let slot = &mut need[value][bit as usize];
                 *slot = (*slot).max(n);
             });
         }
@@ -147,7 +149,7 @@ pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInsta
         let def = schedule.cycle_of(def_op).unwrap_or(1);
         let mut current: Option<BitGroup> = None;
         for i in 0..value.width() {
-            let lu = need[value.id().index()][i as usize];
+            let lu = need[value.id()][i as usize];
             if lu > def {
                 match &mut current {
                     Some(g) if g.last_use == lu && g.range.end() == i => {
@@ -210,7 +212,7 @@ mod tests {
 
     /// The schedule running `spec`'s ops, in order, in `cycles`.
     fn schedule_at(spec: &Spec, latency: u32, cycle: u32, cycles: &[u32]) -> Schedule {
-        let assignment = spec.ops().iter().zip(cycles).map(|(op, &k)| (op.id(), k)).collect();
+        let assignment = spec.ops().iter().zip(cycles).map(|(op, &k)| (op.id(), k));
         Schedule::new(latency, cycle, assignment)
     }
 

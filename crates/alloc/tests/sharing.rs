@@ -97,7 +97,7 @@ fn fu_count_tracks_concurrency() {
 
 /// The schedule running `spec`'s ops, in order, in `cycles`.
 fn schedule_at(spec: &Spec, latency: u32, cycle: u32, cycles: &[u32]) -> Schedule {
-    let assignment = spec.ops().iter().zip(cycles).map(|(op, &k)| (op.id(), k)).collect();
+    let assignment = spec.ops().iter().zip(cycles).map(|(op, &k)| (op.id(), k));
     Schedule::new(latency, cycle, assignment)
 }
 

@@ -218,11 +218,10 @@ impl StageStore {
     /// temp file in the same directory, then atomic rename, so a reader
     /// never sees a torn file. A failed write costs a recompute in some
     /// later process, never the caller's result, and leaves no temp file
-    /// behind.
+    /// behind. The directory is made only when the temp file's write finds
+    /// it missing (the first spill, or after it was removed), and that
+    /// write is then retried once.
     fn spill(&self, key: JobKey, body: &str) {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
         // The temp name carries pid + a process-wide counter: two threads
         // (or two engines sharing one store in one process) spilling the
         // same key must never interleave writes into one temp file.
@@ -230,8 +229,13 @@ impl StageStore {
         let serial = SPILL.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(".{key}.{}-{serial}.tmp", std::process::id()));
         let text = format!("{}\n{body}", Self::envelope());
-        if std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, self.path(key))).is_err()
-        {
+        let written = match std::fs::write(&tmp, &text) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(&self.dir).and_then(|()| std::fs::write(&tmp, &text))
+            }
+            written => written,
+        };
+        if written.and_then(|()| std::fs::rename(&tmp, self.path(key))).is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
     }
@@ -953,6 +957,29 @@ mod tests {
             engine.prune_cache(crate::PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
         assert_eq!((report.scanned, report.removed, report.kept), (8, 8, 0));
         assert!(planted.iter().all(|(key, _)| !store.path(*key).exists()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_spill_remakes_a_removed_store_directory() {
+        let dir = tempdir("store-removed");
+        let engine = crate::Engine::default().with_cache_dir(&dir).unwrap();
+        let job = |latency| {
+            let options = CompareOptions { verify_vectors: 64, ..CompareOptions::default() };
+            crate::Job::with_options(three_adds(), latency, options)
+        };
+        let store = StageStore::of(&dir);
+        assert_eq!(engine.run(vec![job(3)]).stats.cache_misses, 1);
+        assert!(store.load_job(job(3).key()).is_some());
+
+        std::fs::remove_dir_all(dir.join(STAGE_SUBDIR)).unwrap();
+        assert_eq!(engine.run(vec![job(4)]).stats.cache_misses, 1);
+        assert!(store.load_job(job(4).key()).is_some(), "the cold job's file decodes");
+        let names: Vec<_> = std::fs::read_dir(dir.join(STAGE_SUBDIR))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "one job file and no temp file left: {names:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

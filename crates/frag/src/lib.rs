@@ -228,8 +228,8 @@ fn bit_cycles_from(
     let total = cycle * latency;
     let required = required_times(spec, total);
     for value in spec.values() {
-        for i in 0..value.width() {
-            let (a, r) = (arrival.bit(value.id(), i), required.bit(value.id(), i));
+        let rows = arrival.of(value.id()).iter().zip(required.of(value.id()));
+        for (i, (&a, &r)) in (0..).zip(rows) {
             if a > r {
                 return Err(FragError::Infeasible {
                     value: value.id(),

@@ -20,7 +20,6 @@ use crate::engine::Placer;
 use crate::{SchedError, Schedule};
 use bittrans_ir::prelude::*;
 use bittrans_timing::{critical_path, is_zero_delay, required_times, Delta};
-use std::collections::BTreeMap;
 
 /// How the baseline scheduler may combine operations within one cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -73,13 +72,18 @@ impl ConventionalOptions {
 /// inputs registered — and so the lower bound on the cycle length of any
 /// atomic schedule.
 pub fn max_op_delay(spec: &Spec) -> Delta {
-    spec.ops()
-        .iter()
-        .filter(|op| !is_zero_delay(op.kind()))
-        .map(|op| bittrans_timing::op_delay_delta(spec, op))
-        .max()
-        .unwrap_or(1)
-        .max(1)
+    op_delays(spec).into_iter().max().unwrap_or(1).max(1)
+}
+
+/// The standalone delay of every op by op index, 0 for the ops that take
+/// no δ: what component-sum chaining charges an op. One search computes it
+/// once for all its passes.
+pub(crate) fn op_delays(spec: &Spec) -> Vec<Delta> {
+    let delay = |op: &Operation| match is_zero_delay(op.kind()) {
+        true => 0,
+        false => bittrans_timing::op_delay_delta(spec, op),
+    };
+    spec.ops().iter().map(delay).collect()
 }
 
 /// The summed-delay length of the longest dependence path — the single
@@ -111,29 +115,35 @@ pub fn component_sum_length(spec: &Spec) -> Delta {
 /// * [`SchedError::LatencyExceeded`] — no cycle length fits, which cannot
 ///   happen: the search ends at a length that fits the spec in one cycle.
 pub fn minimal_cycle(spec: &Spec, latency: u32, chaining: Chaining) -> Result<Delta, SchedError> {
-    search(spec, latency, chaining).map(|(c, _)| c)
+    search(spec, &op_delays(spec), latency, chaining).map(|(c, _)| c)
 }
 
 /// The first cycle length in `max_op_delay ..= top` whose ASAP pass fits
-/// in `latency` cycles, with that pass's assignment. `top` is the length
-/// that fits the whole spec in one cycle.
-fn search(
+/// in `latency` cycles, with that pass's assignment (see [`run_pass`]).
+/// `top` is the length that fits the whole spec in one cycle, and `delays`
+/// are [`op_delays`].
+pub(crate) fn search(
     spec: &Spec,
+    delays: &[Delta],
     latency: u32,
     chaining: Chaining,
-) -> Result<(Delta, BTreeMap<OpId, u32>), SchedError> {
+) -> Result<(Delta, Vec<u32>), SchedError> {
     if latency == 0 {
         return Err(SchedError::ZeroLatency);
     }
-    cycle_range(spec, chaining)
-        .find_map(|c| Some((c, run_pass(spec, c, latency, chaining, false)?)))
+    cycle_range(spec, delays, chaining)
+        .find_map(|c| Some((c, run_pass(spec, delays, c, latency, chaining, false)?)))
         .ok_or(SchedError::LatencyExceeded { needed: latency + 1, latency })
 }
 
 /// The cycle lengths [`search`] tries: `max_op_delay ..= top`, where `top`
 /// fits the whole spec in one cycle under `chaining`.
-fn cycle_range(spec: &Spec, chaining: Chaining) -> std::ops::RangeInclusive<Delta> {
-    let lo = max_op_delay(spec);
+fn cycle_range(
+    spec: &Spec,
+    delays: &[Delta],
+    chaining: Chaining,
+) -> std::ops::RangeInclusive<Delta> {
+    let lo = delays.iter().copied().max().unwrap_or(1).max(1);
     let top = match chaining {
         Chaining::BitLevel => critical_path(spec),
         Chaining::ComponentSum => component_sum_length(spec),
@@ -158,30 +168,33 @@ pub fn schedule_conventional(
     spec: &Spec,
     options: &ConventionalOptions,
 ) -> Result<Schedule, SchedError> {
-    let (c, asap) = search(spec, options.latency, options.chaining)?;
-    let balanced =
-        options.balance.then(|| run_pass(spec, c, options.latency, options.chaining, true));
+    let (latency, chaining) = (options.latency, options.chaining);
+    let delays = op_delays(spec);
+    let (c, asap) = search(spec, &delays, latency, chaining)?;
+    let balanced = options.balance.then(|| run_pass(spec, &delays, c, latency, chaining, true));
     let mut assignment = balanced.flatten().unwrap_or(asap);
     crate::finalize_glue_cycles(spec, &mut assignment);
-    Ok(Schedule::new(options.latency, c, assignment))
+    Ok(Schedule::new(latency, c, spec.ops().iter().map(|op| op.id()).zip(assignment)))
 }
 
-/// One placement pass at cycle length `c`, or `None` when some operation
-/// fits no cycle up to `latency`. Every operation may go in the first
-/// valid cycle from `e0`, its latest input's cycle; the balanced pass
-/// first tries the least-used cycle up to an advisory latest cycle.
-fn run_pass(
+/// One placement pass at cycle length `c`: the cycle of every op by op
+/// index, or `None` when some operation fits no cycle up to `latency`.
+/// Every operation may go in the first valid cycle from `e0`, its latest
+/// input's cycle; the balanced pass first tries the least-used cycle up to
+/// an advisory latest cycle. `delays` are [`op_delays`].
+pub(crate) fn run_pass(
     spec: &Spec,
+    delays: &[Delta],
     c: Delta,
     latency: u32,
     chaining: Chaining,
     balance: bool,
-) -> Option<BTreeMap<OpId, u32>> {
+) -> Option<Vec<u32>> {
     // Advisory latest cycles from the δ-exact required times: the tightest
     // output bit of an op bounds how late it can run. They cannot change
     // the first valid cycle, so the ASAP pass skips them.
     let req = balance.then(|| required_times(spec, c * latency));
-    let mut p = Placer::new(spec, c, latency, chaining);
+    let mut p = Placer::new(spec, delays, c, latency, chaining);
     for op in spec.ops() {
         if is_zero_delay(op.kind()) {
             p.commit_glue(op);
@@ -258,7 +271,9 @@ mod tests {
     #[test]
     fn asap_pass_fits_bit_level_chains() {
         let spec = three_adds();
-        let fits = |c, latency| run_pass(&spec, c, latency, Chaining::BitLevel, false).is_some();
+        let delays = op_delays(&spec);
+        let fits =
+            |c, latency| run_pass(&spec, &delays, c, latency, Chaining::BitLevel, false).is_some();
         assert!(fits(17, 2) && !fits(17, 1));
         assert!(fits(18, 1));
         // Too short for a single 16-bit addition:
@@ -367,11 +382,11 @@ mod tests {
     #[test]
     fn search_stops_at_the_first_fitting_cycle() {
         for spec in [three_adds(), u12_chain(), mul_then_add()] {
-            let lo = max_op_delay(&spec);
+            let (lo, delays) = (max_op_delay(&spec), op_delays(&spec));
             for chaining in [Chaining::ComponentSum, Chaining::BitLevel] {
                 for latency in 1..=8 {
                     let c = minimal_cycle(&spec, latency, chaining).unwrap();
-                    let fits = |c| run_pass(&spec, c, latency, chaining, false).is_some();
+                    let fits = |c| run_pass(&spec, &delays, c, latency, chaining, false).is_some();
                     let case = format!("{} λ={latency} {chaining:?}", spec.name());
                     assert!(fits(c), "{case}: ASAP pass misses {c}δ");
                     assert!(c == lo || !fits(c - 1), "{case}: {}δ fits too", c - 1);
@@ -389,10 +404,11 @@ mod tests {
         use bittrans_benchmarks::{random_spec, RandomSpecOptions};
         for seed in 0..16 {
             let spec = random_spec(seed, &RandomSpecOptions::default());
+            let delays = op_delays(&spec);
             for chaining in [Chaining::ComponentSum, Chaining::BitLevel] {
                 for latency in 1..=8 {
-                    let fits: Vec<bool> = cycle_range(&spec, chaining)
-                        .map(|c| run_pass(&spec, c, latency, chaining, false).is_some())
+                    let fits: Vec<bool> = cycle_range(&spec, &delays, chaining)
+                        .map(|c| run_pass(&spec, &delays, c, latency, chaining, false).is_some())
                         .collect();
                     let case = format!("seed {seed} λ={latency} {chaining:?}");
                     assert!(fits.windows(2).all(|w| !w[0] || w[1]), "{case}: fit then no fit");

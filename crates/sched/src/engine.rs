@@ -13,13 +13,16 @@
 //! registered bits available at its cycle start. Glue is transparent
 //! wiring: committing a glue op records each output bit as the latest of
 //! the bits it reads ([`bittrans_timing::bitref::glue_sources`]).
+//!
+//! The placer's state is dense: bit production records in one flat
+//! [`BitTable`] with a readable width per value, and the cycle assignment
+//! and per-cycle usage as `Vec`s indexed by op and by cycle.
 
 use crate::conventional::Chaining;
 use crate::SchedError;
 use bittrans_ir::prelude::*;
 use bittrans_timing::bitref::{glue_sources, operand_bit, BitRef};
-use bittrans_timing::{is_zero_delay, op_delay_delta, settle_times, Delta};
-use std::collections::BTreeMap;
+use bittrans_timing::{is_zero_delay, settle_times, BitTable, Delta};
 
 /// Production record of one bit: the cycle it is produced in (0 = constant
 /// or primary input, available always) and its absolute settle time.
@@ -43,32 +46,47 @@ pub struct Placer<'s> {
     pub latency: u32,
     /// Delay accumulation rule for in-cycle chaining.
     pub chaining: Chaining,
+    /// Every op's standalone delay by op index, which component-sum
+    /// chaining charges; bit-level callers pass `&[]`.
+    delays: &'s [Delta],
     /// Bit production records of inputs and committed results, glue
-    /// included; `None` until the value's op is committed. Users commit
-    /// in topological order, so every bit an op reads already has a row.
-    states: Vec<Option<Vec<BitProd>>>,
-    /// Cycle assignment of placed operations.
-    pub assignment: BTreeMap<OpId, u32>,
-    /// Number of non-glue operations placed per cycle (for balancing).
-    pub usage: BTreeMap<u32, u32>,
+    /// included. A row is meaningful once `readable` says so; users commit
+    /// in topological order, so every bit an op reads already has its
+    /// record.
+    states: BitTable<BitProd>,
+    /// Per value, how many of its bits may be read: its width once its op
+    /// is committed (an input's from the start), 0 before.
+    readable: Vec<u32>,
+    /// Cycle of every operation by op index; 0 until placed.
+    pub assignment: Vec<u32>,
+    /// Number of non-glue operations placed per cycle, by cycle (for
+    /// balancing; index 0 is unused).
+    pub usage: Vec<u32>,
 }
 
 impl<'s> Placer<'s> {
     /// Creates an empty placer: inputs are available from cycle start.
-    pub fn new(spec: &'s Spec, cycle: Delta, latency: u32, chaining: Chaining) -> Self {
-        let mut states: Vec<Option<Vec<BitProd>>> = vec![None; spec.values().len()];
+    pub fn new(
+        spec: &'s Spec,
+        delays: &'s [Delta],
+        cycle: Delta,
+        latency: u32,
+        chaining: Chaining,
+    ) -> Self {
+        let mut readable = vec![0; spec.values().len()];
         for &input in spec.inputs() {
-            let w = spec.value(input).width() as usize;
-            states[input.index()] = Some(vec![CONST_BIT; w]);
+            readable[input.index()] = spec.value(input).width();
         }
         Placer {
             spec,
             cycle,
             latency,
             chaining,
-            states,
-            assignment: BTreeMap::new(),
-            usage: BTreeMap::new(),
+            delays,
+            states: BitTable::filled(spec, CONST_BIT),
+            readable,
+            assignment: vec![0; spec.ops().len()],
+            usage: vec![0; latency as usize + 1],
         }
     }
 
@@ -92,8 +110,8 @@ impl<'s> Placer<'s> {
 
     /// The production record of bit `i` of a committed `value`.
     fn prod_of(&self, value: ValueId, i: u32) -> BitProd {
-        self.states[value.index()].as_ref().expect("value read before its op was committed")
-            [i as usize]
+        assert!(i < self.readable[value.index()], "value read before its op was committed");
+        self.states.cell(value, i)
     }
 
     /// Attempts to compute the output settle times of an `op` that takes δ
@@ -108,7 +126,7 @@ impl<'s> Placer<'s> {
             Chaining::ComponentSum => {
                 let ready =
                     self.input_prods(op).try_fold(start, |t, p| Some(t.max(self.eff(p, k)?)))?;
-                vec![ready + op_delay_delta(self.spec, op); op.width() as usize]
+                vec![ready + self.delays[op.id().index()]; op.width() as usize]
             }
             Chaining::BitLevel => settle_times(self.spec, op, start, |value, bit| {
                 self.eff(self.prod_of(value, bit), k)
@@ -123,28 +141,30 @@ impl<'s> Placer<'s> {
     /// Commits `op` to cycle `k` with the settle times returned by
     /// [`Self::try_place`].
     pub fn commit(&mut self, op: &Operation, k: u32, times: Vec<Delta>) {
-        let row: Vec<BitProd> = times.into_iter().map(|t| BitProd { cycle: k, time: t }).collect();
-        self.states[op.result().index()] = Some(row);
-        self.assignment.insert(op.id(), k);
-        *self.usage.entry(k).or_insert(0) += 1;
+        debug_assert_eq!(times.len(), op.width() as usize);
+        for (p, time) in self.states[op.result()].iter_mut().zip(times) {
+            *p = BitProd { cycle: k, time };
+        }
+        self.readable[op.result().index()] = op.width();
+        self.assignment[op.id().index()] = k;
+        self.usage[k as usize] += 1;
     }
 
     /// Commits an op that takes no δ ([`is_zero_delay`]): each output bit
     /// is the (cycle, time)-latest of the bits it reads, and the op is
     /// assigned (for bookkeeping) to the latest of those cycles, at least 1.
     pub fn commit_glue(&mut self, op: &Operation) {
-        let row: Vec<BitProd> = (0..op.width())
-            .map(|i| {
-                let mut latest = CONST_BIT;
-                glue_sources(self.spec, op, i, |value, bit| {
-                    latest = latest.max(self.prod_of(value, bit));
-                });
-                latest
-            })
-            .collect();
-        let k = row.iter().map(|p| p.cycle).max().unwrap_or(0).max(1);
-        self.states[op.result().index()] = Some(row);
-        self.assignment.insert(op.id(), k.min(self.latency.max(1)));
+        let mut k = 1;
+        for i in 0..op.width() {
+            let mut latest = CONST_BIT;
+            glue_sources(self.spec, op, i, |value, bit| {
+                latest = latest.max(self.prod_of(value, bit));
+            });
+            self.states[op.result()][i as usize] = latest;
+            k = k.max(latest.cycle);
+        }
+        self.readable[op.result().index()] = op.width();
+        self.assignment[op.id().index()] = k.min(self.latency.max(1));
     }
 
     /// The latest producing cycle among `op`'s input bits (0 when every
@@ -167,9 +187,9 @@ impl<'s> Placer<'s> {
         })
     }
 
-    /// Places `op` at the first valid cycle in `lo..=hi`; with
-    /// `preferred`, tries the balance-chosen cycles first (falling back to
-    /// the earliest valid).
+    /// Places `op` at the first valid cycle in `lo..=hi`; with `balance`,
+    /// at the valid cycle with the least usage (ties to the earliest). The
+    /// settle times that validated the chosen cycle are the ones committed.
     ///
     /// # Errors
     ///
@@ -181,23 +201,22 @@ impl<'s> Placer<'s> {
         hi: u32,
         balance: bool,
     ) -> Result<u32, SchedError> {
-        let mut valid: Vec<u32> = Vec::new();
+        let mut best: Option<(u32, Vec<Delta>)> = None;
         for k in lo..=hi.min(self.latency) {
-            if self.try_place(op, k).is_some() {
-                valid.push(k);
-                if !balance {
-                    break;
-                }
+            let Some(times) = self.try_place(op, k) else {
+                continue;
+            };
+            match &best {
+                Some((b, _)) if self.usage[k as usize] >= self.usage[*b as usize] => {}
+                _ => best = Some((k, times)),
+            }
+            if !balance {
+                break;
             }
         }
-        let Some(&chosen) = (if balance {
-            valid.iter().min_by_key(|&&k| (self.usage.get(&k).copied().unwrap_or(0), k))
-        } else {
-            valid.first()
-        }) else {
+        let Some((chosen, times)) = best else {
             return Err(SchedError::NoFeasibleCycle { op: op.id(), window: (lo, hi) });
         };
-        let times = self.try_place(op, chosen).expect("cycle was validated above");
         self.commit(op, chosen, times);
         Ok(chosen)
     }
@@ -206,7 +225,8 @@ impl<'s> Placer<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bittrans_timing::arrival_times;
+    use crate::conventional::op_delays;
+    use bittrans_timing::{arrival_times, op_delay_delta};
 
     fn three_adds() -> Spec {
         Spec::parse(
@@ -271,7 +291,7 @@ mod tests {
         // pure dataflow arrival times.
         for spec in [three_adds(), kind_zoo(true), upper.clone()] {
             let arr = arrival_times(&spec);
-            let mut p = Placer::new(&spec, 100, 2, Chaining::BitLevel);
+            let mut p = Placer::new(&spec, &[], 100, 2, Chaining::BitLevel);
             for op in spec.ops() {
                 if is_zero_delay(op.kind()) {
                     p.commit_glue(op);
@@ -294,7 +314,7 @@ mod tests {
         // those times.
         let (chained, ports) = (kind_zoo(true), kind_zoo(false));
         let standalone = arrival_times(&ports);
-        let mut p = Placer::new(&chained, 100, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&chained, &[], 100, 2, Chaining::BitLevel);
         let (sum, rest) = chained.ops().split_first().unwrap();
         let t = p.try_place(sum, 1).unwrap();
         p.commit(sum, 1, t);
@@ -312,7 +332,7 @@ mod tests {
     #[test]
     fn registered_inputs_restart_chain() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 16, 3, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, &[], 16, 3, Chaining::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 1).unwrap();
         p.commit(&ops[0], 1, t);
@@ -325,7 +345,7 @@ mod tests {
     #[test]
     fn chaining_in_same_cycle_overlaps() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 18, 1, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, &[], 18, 1, Chaining::BitLevel);
         let ops = spec.ops();
         for op in ops {
             let t = p.try_place(op, 1).unwrap();
@@ -339,14 +359,14 @@ mod tests {
     #[test]
     fn rejects_overflowing_cycle() {
         let spec = three_adds();
-        let p = Placer::new(&spec, 15, 1, Chaining::BitLevel);
+        let p = Placer::new(&spec, &[], 15, 1, Chaining::BitLevel);
         assert!(p.try_place(&spec.ops()[0], 1).is_none(), "16δ add in 15δ cycle");
     }
 
     #[test]
     fn rejects_future_inputs() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 16, 3, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, &[], 16, 3, Chaining::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 2).unwrap();
         p.commit(&ops[0], 2, t);
@@ -364,7 +384,7 @@ mod tests {
               output y; }",
         )
         .unwrap();
-        let mut p = Placer::new(&spec, 9, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, &[], 9, 2, Chaining::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 1).unwrap();
         p.commit(&ops[0], 1, t);
@@ -372,7 +392,7 @@ mod tests {
         // y in cycle 2 sees ~x as registered data at cycle start (9δ).
         let t = p.try_place(&ops[2], 2).unwrap();
         assert_eq!(t[0], 10);
-        assert_eq!(p.assignment[&ops[1].id()], 1);
+        assert_eq!(p.assignment[ops[1].id().index()], 1);
     }
 
     #[test]
@@ -383,18 +403,23 @@ mod tests {
               output w; output x; output y; output z; }",
         )
         .unwrap();
-        let mut p = Placer::new(&spec, 8, 2, Chaining::BitLevel);
-        for op in spec.ops() {
-            p.place_in_window(op, 1, 2, true).unwrap();
+        let mut p = Placer::new(&spec, &[], 8, 2, Chaining::BitLevel);
+        let chosen: Vec<u32> =
+            spec.ops().iter().map(|op| p.place_in_window(op, 1, 2, true).unwrap()).collect();
+        // The least-used cycle, ties to the earliest.
+        assert_eq!(chosen, [1, 2, 1, 2]);
+        assert_eq!(p.usage, [0, 2, 2]);
+        // Each op committed the settle times of the cycle it was placed in.
+        for (op, k) in spec.ops().iter().zip(chosen) {
+            assert_eq!(p.prod_of(op.result(), 7), BitProd { cycle: k, time: 8 * k });
         }
-        assert_eq!(p.usage[&1], 2);
-        assert_eq!(p.usage[&2], 2);
     }
 
     #[test]
     fn component_sum_accumulates_delays() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 48, 1, Chaining::ComponentSum);
+        let delays = op_delays(&spec);
+        let mut p = Placer::new(&spec, &delays, 48, 1, Chaining::ComponentSum);
         let ops = spec.ops();
         // Chained in one cycle: finishes at 16, 32, 48 — summed delays.
         let t = p.try_place(&ops[0], 1).unwrap();
@@ -411,8 +436,9 @@ mod tests {
     fn component_sum_rejects_what_bitlevel_accepts() {
         let spec = three_adds();
         // 18δ is enough for the ripple overlap but not for summed delays.
-        let mut bit = Placer::new(&spec, 18, 1, Chaining::BitLevel);
-        let mut sum = Placer::new(&spec, 18, 1, Chaining::ComponentSum);
+        let mut bit = Placer::new(&spec, &[], 18, 1, Chaining::BitLevel);
+        let delays = op_delays(&spec);
+        let mut sum = Placer::new(&spec, &delays, 18, 1, Chaining::ComponentSum);
         for op in spec.ops() {
             let t = bit.try_place(op, 1).expect("bit-level fits 18δ");
             bit.commit(op, 1, t);
@@ -426,9 +452,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "value read before its op was committed")]
+    fn reading_an_uncommitted_value_panics() {
+        let spec = three_adds();
+        let p = Placer::new(&spec, &[], 16, 3, Chaining::BitLevel);
+        // E reads C, whose op was never committed.
+        p.try_place(&spec.ops()[1], 1);
+    }
+
+    #[test]
     fn no_feasible_cycle_error() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, 10, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, &[], 10, 2, Chaining::BitLevel);
         let err = p.place_in_window(&spec.ops()[0], 1, 2, false).unwrap_err();
         assert!(matches!(err, SchedError::NoFeasibleCycle { .. }));
     }

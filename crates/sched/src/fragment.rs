@@ -44,16 +44,19 @@ pub fn schedule_fragments(
     f: &Fragmented,
     options: &FragmentScheduleOptions,
 ) -> Result<Schedule, SchedError> {
-    match run_pass(f, options.balance) {
-        Ok(s) => Ok(s),
+    let mut assignment = match run_pass(f, options.balance) {
         Err(_) if options.balance => run_pass(f, false),
-        Err(e) => Err(e),
-    }
+        result => result,
+    }?;
+    crate::finalize_glue_cycles(&f.spec, &mut assignment);
+    let ops = f.spec.ops().iter().map(|op| op.id());
+    Ok(Schedule::new(f.latency, f.cycle, ops.zip(assignment)))
 }
 
-fn run_pass(f: &Fragmented, balance: bool) -> Result<Schedule, SchedError> {
+/// One placement pass: the cycle of every op by op index.
+pub(crate) fn run_pass(f: &Fragmented, balance: bool) -> Result<Vec<u32>, SchedError> {
     let spec = &f.spec;
-    let mut p = Placer::new(spec, f.cycle, f.latency, Chaining::BitLevel);
+    let mut p = Placer::new(spec, &[], f.cycle, f.latency, Chaining::BitLevel);
     for op in spec.ops() {
         match f.fragments.get(&op.id()) {
             None => {
@@ -66,9 +69,7 @@ fn run_pass(f: &Fragmented, balance: bool) -> Result<Schedule, SchedError> {
             }
         }
     }
-    let mut assignment = p.assignment;
-    crate::finalize_glue_cycles(spec, &mut assignment);
-    Ok(Schedule::new(f.latency, f.cycle, assignment))
+    Ok(p.assignment)
 }
 
 /// Checks a fragment schedule bit-exactly: replays the placement and
@@ -77,7 +78,7 @@ fn run_pass(f: &Fragmented, balance: bool) -> Result<Schedule, SchedError> {
 /// Returns the first offending op, or `None` when the schedule is valid.
 pub fn verify_schedule(f: &Fragmented, schedule: &Schedule) -> Option<OpId> {
     let spec = &f.spec;
-    let mut p = Placer::new(spec, schedule.cycle, schedule.latency, Chaining::BitLevel);
+    let mut p = Placer::new(spec, &[], schedule.cycle, schedule.latency, Chaining::BitLevel);
     for op in spec.ops() {
         if f.fragments.contains_key(&op.id()) {
             let k = schedule.cycle_of(op.id())?;

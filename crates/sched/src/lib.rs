@@ -22,7 +22,10 @@
 //!
 //! Both place operations with one crate-private, bit-exact placer and
 //! produce a [`Schedule`]: an assignment of every operation to a 1-based
-//! cycle.
+//! cycle. Placement state is held in dense tables: per op by
+//! [`OpId::index`], per cycle, and per bit in one flat
+//! [`BitTable`](bittrans_timing::BitTable). [`Schedule::new`] is the one
+//! constructor, from any `(op, cycle)` pairs.
 //!
 //! ```
 //! use bittrans_ir::prelude::*;
@@ -49,58 +52,79 @@ pub mod fragment;
 
 use bittrans_ir::prelude::*;
 use bittrans_timing::{is_zero_delay, Delta};
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// An assignment of operations to clock cycles.
+/// An assignment of operations to clock cycles, held densely: the cycle
+/// of every operation by [`OpId::index`], 0 for an operation that is not
+/// scheduled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schedule {
     /// Number of cycles (λ).
     pub latency: u32,
     /// Cycle duration in δ.
     pub cycle: Delta,
-    assignment: BTreeMap<OpId, u32>,
+    /// Cycle per op index; ends at the last scheduled op, so equal
+    /// assignments have equal tables.
+    cycles: Vec<u32>,
+    /// Number of scheduled operations.
+    len: usize,
 }
 
 impl Schedule {
-    /// Creates a schedule from an explicit assignment.
+    /// Creates a schedule from an explicit assignment of operations to
+    /// cycles (any order; a repeated op keeps its last cycle).
     ///
     /// # Panics
     ///
     /// Panics if any assigned cycle is outside `1..=latency`.
-    pub fn new(latency: u32, cycle: Delta, assignment: BTreeMap<OpId, u32>) -> Self {
-        for (&op, &k) in &assignment {
+    pub fn new(
+        latency: u32,
+        cycle: Delta,
+        assignment: impl IntoIterator<Item = (OpId, u32)>,
+    ) -> Self {
+        let mut cycles = Vec::new();
+        for (op, k) in assignment {
             assert!(
                 (1..=latency).contains(&k),
                 "{op} scheduled in cycle {k}, outside 1..={latency}"
             );
+            let i = op.index();
+            if cycles.len() <= i {
+                cycles.resize(i + 1, 0);
+            }
+            cycles[i] = k;
         }
-        Schedule { latency, cycle, assignment }
+        let len = cycles.iter().filter(|&&k| k != 0).count();
+        Schedule { latency, cycle, cycles, len }
     }
 
     /// The cycle an operation executes in (1-based).
     pub fn cycle_of(&self, op: OpId) -> Option<u32> {
-        self.assignment.get(&op).copied()
+        self.cycles.get(op.index()).copied().filter(|&k| k != 0)
     }
 
-    /// All operations assigned to cycle `k`.
+    /// All operations assigned to cycle `k`, in op order.
     pub fn ops_in_cycle(&self, k: u32) -> impl Iterator<Item = OpId> + '_ {
-        self.assignment.iter().filter(move |&(_, &c)| c == k).map(|(&op, _)| op)
+        self.iter().filter(move |&(_, c)| c == k).map(|(op, _)| op)
     }
 
     /// Iterates over `(op, cycle)` pairs in op order.
     pub fn iter(&self) -> impl Iterator<Item = (OpId, u32)> + '_ {
-        self.assignment.iter().map(|(&op, &c)| (op, c))
+        self.cycles
+            .iter()
+            .enumerate()
+            .filter(|&(_, &k)| k != 0)
+            .map(|(i, &k)| (OpId::from_index(i), k))
     }
 
     /// Number of scheduled operations.
     pub fn len(&self) -> usize {
-        self.assignment.len()
+        self.len
     }
 
     /// `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
+        self.len == 0
     }
 
     /// Renders a compact per-cycle listing (for examples and debugging).
@@ -164,47 +188,52 @@ impl std::error::Error for SchedError {}
 /// results crossing later cycle boundaries get registered by allocation).
 /// Glue feeding only output ports keeps its producer-derived cycle.
 ///
+/// `assignment` is the placer's table: the cycle of every op by index, 0
+/// for an op not placed. One reverse pass visits each op after all its
+/// consumers, so its cycle is final when visited: a glue op takes the
+/// pending minimum of its consumers' cycles, and every op then lowers the
+/// pending minimum of the ops defining its operands. A forward pass lifts
+/// each glue op to its producers' latest cycle.
+///
 /// Both schedulers run this after placement; it does not affect timing —
 /// the placers treat glue as transparent wiring — only the allocation
 /// bookkeeping downstream.
-pub fn finalize_glue_cycles(spec: &Spec, assignment: &mut BTreeMap<OpId, u32>) {
-    let users = spec.users();
+pub(crate) fn finalize_glue_cycles(spec: &Spec, assignment: &mut [u32]) {
+    fn defining_ops<'a>(spec: &'a Spec, op: &'a Operation) -> impl Iterator<Item = usize> + 'a {
+        op.operands()
+            .iter()
+            .filter_map(|o| o.value_id())
+            .filter_map(|v| spec.value(v).defining_op())
+            .map(OpId::index)
+    }
     // Backward: pull each glue op to its earliest consumer.
+    let mut earliest = vec![u32::MAX; assignment.len()];
     for op in spec.ops().iter().rev() {
-        if !is_zero_delay(op.kind()) {
-            continue;
+        let i = op.id().index();
+        if is_zero_delay(op.kind()) && earliest[i] != u32::MAX {
+            assignment[i] = earliest[i];
         }
-        let earliest = users
-            .get(&op.result())
-            .into_iter()
-            .flatten()
-            .filter_map(|&(u, _)| assignment.get(&u).copied())
-            .min();
-        if let Some(k) = earliest {
-            assignment.insert(op.id(), k);
+        let k = assignment[i];
+        if k != 0 {
+            for d in defining_ops(spec, op) {
+                earliest[d] = earliest[d].min(k);
+            }
         }
     }
     // Forward: a glue op cannot compute before its producers' cycles.
     for op in spec.ops() {
-        if !is_zero_delay(op.kind()) {
-            continue;
+        if is_zero_delay(op.kind()) {
+            let lower = defining_ops(spec, op).map(|d| assignment[d]).max().unwrap_or(0).max(1);
+            let k = &mut assignment[op.id().index()];
+            *k = (*k).max(lower);
         }
-        let lower = op
-            .operands()
-            .iter()
-            .filter_map(|o| o.value_id())
-            .filter_map(|v| spec.value(v).defining_op())
-            .filter_map(|d| assignment.get(&d).copied())
-            .max()
-            .unwrap_or(1);
-        let k = assignment.get(&op.id()).copied().unwrap_or(lower);
-        assignment.insert(op.id(), k.max(lower));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn schedule_accessors() {
@@ -218,6 +247,19 @@ mod tests {
         assert_eq!(s.ops_in_cycle(2).count(), 2);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn sparse_assignments_in_any_order_iterate_in_op_order() {
+        let op = OpId::from_index;
+        let s = Schedule::new(3, 6, [(op(5), 3), (op(1), 2), (op(3), 2)]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [(op(1), 2), (op(3), 2), (op(5), 3)]);
+        assert_eq!(s.ops_in_cycle(2).collect::<Vec<_>>(), [op(1), op(3)]);
+        assert_eq!((s.cycle_of(op(0)), s.cycle_of(op(4)), s.cycle_of(op(6))), (None, None, None));
+        assert_eq!(s.len(), 3);
+        let from_map = Schedule::new(3, 6, BTreeMap::from([(op(1), 2), (op(3), 2), (op(5), 3)]));
+        assert_eq!(s, from_map);
+        assert!(Schedule::new(3, 6, []).is_empty());
     }
 
     #[test]
@@ -238,5 +280,116 @@ mod tests {
         let text = s.render(&spec);
         assert!(text.contains("cycle 1: X"));
         assert!(text.contains("cycle 2: "));
+    }
+
+    /// The map-based glue finalization the dense pass replaced: it builds
+    /// [`Spec::users`] and pulls each glue op to its earliest consumer,
+    /// then lifts it to its producers' latest cycle.
+    fn finalize_with_users_map(spec: &Spec, assignment: &mut BTreeMap<OpId, u32>) {
+        let users = spec.users();
+        for op in spec.ops().iter().rev() {
+            if !is_zero_delay(op.kind()) {
+                continue;
+            }
+            let earliest = users
+                .get(&op.result())
+                .into_iter()
+                .flatten()
+                .filter_map(|&(u, _)| assignment.get(&u).copied())
+                .min();
+            if let Some(k) = earliest {
+                assignment.insert(op.id(), k);
+            }
+        }
+        for op in spec.ops() {
+            if !is_zero_delay(op.kind()) {
+                continue;
+            }
+            let lower = op
+                .operands()
+                .iter()
+                .filter_map(|o| o.value_id())
+                .filter_map(|v| spec.value(v).defining_op())
+                .filter_map(|d| assignment.get(&d).copied())
+                .max()
+                .unwrap_or(1);
+            let k = assignment.get(&op.id()).copied().unwrap_or(lower);
+            assignment.insert(op.id(), k.max(lower));
+        }
+    }
+
+    #[test]
+    fn glue_moves_to_its_earliest_consumer_and_not_before_its_producers() {
+        let spec = Spec::parse(
+            "spec glue { input a: u8; input b: u8;
+              x: u8 = a + b;
+              y: u8 = a + b;
+              n: u8 = ~x;
+              m: u8 = ~n;
+              p: u8 = m + b;
+              q: u8 = m + a;
+              o: u8 = ~y;
+              j: u16 = concat(x, y);
+              r: u8 = j[7:0] + a;
+              output p; output q; output o; output r; }",
+        )
+        .unwrap();
+        let names: Vec<String> = spec.ops().iter().map(Operation::label).collect();
+        assert_eq!(names, ["x", "y", "n", "m", "p", "q", "o", "j", "r"]);
+        // The placer's table: glue at its producers' latest cycle; `r`
+        // reads only `x`'s half of `j`, so it may run in cycle 1.
+        let mut assignment = vec![1, 2, 1, 1, 3, 2, 2, 2, 1];
+        finalize_glue_cycles(&spec, &mut assignment);
+        // `m` (glue read by adds in cycles 3 and 2) and `n` (glue read by
+        // `m`) move to cycle 2; `o`, read only by an output port, keeps
+        // its cycle; `j` is pulled back to `r`'s cycle 1 and clamped
+        // forward to `y`'s cycle 2.
+        assert_eq!(assignment, [1, 2, 2, 2, 3, 2, 2, 2, 1]);
+    }
+
+    #[test]
+    fn dense_glue_finalization_agrees_with_the_users_map() {
+        use crate::conventional::{self, Chaining};
+        use bittrans_benchmarks::{random_spec, RandomSpecOptions};
+        use bittrans_frag::{fragment, FragmentOptions};
+        let check = |spec: &Spec, raw: Vec<u32>, case: &str| {
+            let mut oracle: BTreeMap<OpId, u32> =
+                spec.ops().iter().map(|op| op.id()).zip(raw.clone()).collect();
+            finalize_with_users_map(spec, &mut oracle);
+            let mut dense = raw;
+            finalize_glue_cycles(spec, &mut dense);
+            let dense: BTreeMap<OpId, u32> =
+                spec.ops().iter().map(|op| op.id()).zip(dense).collect();
+            assert_eq!(dense, oracle, "{case}");
+        };
+        let mut cases = 0;
+        let chaining = Chaining::ComponentSum;
+        for seed in 0..64 {
+            let spec = random_spec(seed, &RandomSpecOptions::default());
+            let kernel = bittrans_kernel::extract(&spec).unwrap();
+            let delays = conventional::op_delays(&spec);
+            for latency in 1..=6 {
+                let (c, asap) = conventional::search(&spec, &delays, latency, chaining).unwrap();
+                let f = fragment(&kernel, &FragmentOptions::with_latency(latency));
+                for balance in [false, true] {
+                    let case = format!("seed {seed} λ={latency} balance {balance}");
+                    let raw = match balance {
+                        true => conventional::run_pass(&spec, &delays, c, latency, chaining, true),
+                        false => Some(asap.clone()),
+                    };
+                    if let Some(raw) = raw {
+                        check(&spec, raw, &format!("conventional {case}"));
+                        cases += 1;
+                    }
+                    if let Ok(f) = &f {
+                        if let Ok(raw) = fragment::run_pass(f, balance) {
+                            check(&f.spec, raw, &format!("fragments {case}"));
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 1000, "only {cases} assignments compared");
     }
 }

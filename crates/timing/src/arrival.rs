@@ -1,21 +1,23 @@
 //! Forward (ASAP) per-bit arrival times under the ripple model.
 
 use crate::bitref::{add_profile, glue_sources, operand_bit, BitRef};
+use crate::table::BitTable;
 use crate::Delta;
 use bittrans_ir::prelude::*;
 
-/// Per-bit times for every value of a spec, in δ units.
+/// Per-bit times for every value of a spec, in δ units: one flat
+/// [`BitTable`] with a start offset per value.
 ///
 /// Produced by [`arrival_times`] (earliest availability)
 /// and [`required_times`](crate::required_times) (latest allowed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitTimes {
-    times: Vec<Vec<Delta>>,
+    times: BitTable<Delta>,
 }
 
 impl BitTimes {
     pub(crate) fn filled(spec: &Spec, fill: Delta) -> Self {
-        BitTimes { times: spec.values().iter().map(|v| vec![fill; v.width() as usize]).collect() }
+        BitTimes { times: BitTable::filled(spec, fill) }
     }
 
     /// The time of bit `i` of `value`.
@@ -24,7 +26,7 @@ impl BitTimes {
     ///
     /// Panics if the value or bit index is out of range.
     pub fn bit(&self, value: ValueId, i: u32) -> Delta {
-        self.times[value.index()][i as usize]
+        self.times[value][i as usize]
     }
 
     /// All bit times of `value`, LSB first.
@@ -33,16 +35,16 @@ impl BitTimes {
     ///
     /// Panics if `value` is out of range.
     pub fn of(&self, value: ValueId) -> &[Delta] {
-        &self.times[value.index()]
+        &self.times[value]
     }
 
     /// The largest time anywhere (for arrival times: the critical path).
     pub fn max(&self) -> Delta {
-        self.times.iter().flat_map(|v| v.iter().copied()).max().unwrap_or(0)
+        self.times.cells().iter().copied().max().unwrap_or(0)
     }
 
     pub(crate) fn tighten(&mut self, value: ValueId, i: u32, t: Delta) {
-        let slot = &mut self.times[value.index()][i as usize];
+        let slot = &mut self.times[value][i as usize];
         *slot = (*slot).min(t);
     }
 }
@@ -54,9 +56,10 @@ impl BitTimes {
 pub fn arrival_times(spec: &Spec) -> BitTimes {
     let mut times = BitTimes::filled(spec, 0);
     for op in spec.ops() {
-        let row = settle_times(spec, op, 0, |value, bit| Some(times.bit(value, bit)))
+        // Operand bits of a valid spec lie inside their values' rows.
+        let row = settle_times(spec, op, 0, |value, bit| Some(times.times.cell(value, bit)))
             .expect("every bit is available");
-        times.times[op.result().index()] = row;
+        times.times[op.result()].copy_from_slice(&row);
     }
     times
 }

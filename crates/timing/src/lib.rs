@@ -30,6 +30,8 @@
 //!   (every bit-level pass, here and downstream, reads it);
 //! * [`bitref::AddProfile::settle`] — the refined ripple rule of one sum
 //!   bit, which [`arrival::settle_times`] applies to additions;
+//! * [`table::BitTable`] — the dense per-bit table (one flat `Vec`, a
+//!   start offset per value) every bit-level pass keeps its state in;
 //! * [`is_zero_delay`] — which operation kinds take no δ;
 //! * [`model`] — cycle estimation `⌈critical_path / λ⌉` and the calibrated
 //!   ns conversion used to report table values.
@@ -60,6 +62,7 @@ pub mod bitref;
 pub mod model;
 pub mod path;
 pub mod required;
+pub mod table;
 
 use bittrans_ir::OpKind;
 
@@ -67,6 +70,7 @@ pub use arrival::{arrival_times, settle_times, BitTimes};
 pub use model::{estimate_cycle, estimate_cycle_from_path, TimingModel};
 pub use path::{critical_path, op_delay_delta, path_walk_time, PathStep};
 pub use required::required_times;
+pub use table::BitTable;
 
 /// Delay of one chained 1-bit addition, the paper's unit of time.
 ///
