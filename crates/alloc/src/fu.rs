@@ -1,6 +1,5 @@
 //! Functional-unit allocation, binding, and port-mux inference.
 
-use crate::CycleSet;
 use bittrans_ir::prelude::*;
 use bittrans_rtl::{AdderArch, Component};
 use bittrans_sched::Schedule;
@@ -45,8 +44,6 @@ pub struct Fu {
     pub width_b: u32,
     /// Bound operations with their cycles.
     pub bound: Vec<(OpId, u32)>,
-    /// The cycles bound operations run in.
-    busy: CycleSet,
     /// Source (origin) operations represented here, for the dedicated-adder
     /// preference; at most one per bound operation.
     origins: Vec<OpId>,
@@ -64,12 +61,11 @@ impl Fu {
     }
 
     fn busy_in(&self, cycle: u32) -> bool {
-        self.busy.contains(cycle)
+        self.bound.iter().any(|&(_, k)| k == cycle)
     }
 
     fn bind(&mut self, op: OpId, cycle: u32, origin: OpId) {
         self.bound.push((op, cycle));
-        self.busy.insert(cycle);
         if !self.origins.contains(&origin) {
             self.origins.push(origin);
         }
@@ -128,9 +124,8 @@ pub fn bind_fus(spec: &Spec, schedule: &Schedule) -> Vec<Fu> {
                 f
             }
             None => {
-                let busy = CycleSet::new(schedule);
                 let (bound, origins) = (Vec::new(), Vec::new());
-                fus.push(Fu { class, width: w, width_b: wb, bound, busy, origins });
+                fus.push(Fu { class, width: w, width_b: wb, bound, origins });
                 fus.last_mut().expect("just pushed")
             }
         };

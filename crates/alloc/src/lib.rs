@@ -197,15 +197,15 @@ impl Binding {
 /// in disjoint cycles, just like functional units are. Wiring kinds
 /// (concat, shifts by constants, slices) are free.
 fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component> {
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
     let live = regs::live_bits(spec);
     struct Block {
         components: Vec<Component>,
         cycles: CycleSet,
     }
-    // Per origin op index; an origin names an op of the source spec, so
-    // the table grows to the largest one seen.
-    let mut blocks: Vec<Option<Block>> = Vec::new();
+    // Keyed by origin, which names an op of the source spec rather than
+    // of `spec`, so it cannot index a table sized by `spec`.
+    let mut blocks: BTreeMap<OpId, Block> = BTreeMap::new();
     for op in spec.ops() {
         if !op.kind().is_glue() && !matches!(op.kind(), OpKind::Eq | OpKind::Ne) {
             continue;
@@ -215,13 +215,9 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
         if comps.is_empty() {
             continue;
         }
-        if blocks.len() <= origin.index() {
-            blocks.resize_with(origin.index() + 1, || None);
-        }
-        let block = blocks[origin.index()].get_or_insert_with(|| Block {
-            components: Vec::new(),
-            cycles: CycleSet::new(schedule),
-        });
+        let block = blocks
+            .entry(origin)
+            .or_insert_with(|| Block { components: Vec::new(), cycles: CycleSet::new(schedule) });
         block.components.extend(comps);
         // The block is busy in the cycles its glue actually computes —
         // results crossing a cycle boundary are registered (see `regs`),
@@ -234,7 +230,7 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
     // physical unit when their busy-cycle sets are disjoint.
     type GlueSlot = (CycleSet, Vec<Component>);
     let mut units: HashMap<Vec<Component>, Vec<GlueSlot>> = HashMap::new();
-    for block in blocks.into_iter().flatten() {
+    for block in blocks.into_values() {
         let mut multiset = block.components.clone();
         multiset.sort_unstable();
         let slots = units.entry(multiset).or_default();
@@ -260,20 +256,16 @@ fn glue_units(spec: &Spec, schedule: &bittrans_sched::Schedule) -> Vec<Component
 /// A set of a schedule's cycles as a bitset: bit `k` of the words is
 /// cycle `k`, with one word per 64 cycles of the latency.
 #[derive(Clone, Debug)]
-pub(crate) struct CycleSet(Vec<u64>);
+struct CycleSet(Vec<u64>);
 
 impl CycleSet {
     /// The empty set over the cycles of `schedule`.
-    pub(crate) fn new(schedule: &Schedule) -> Self {
+    fn new(schedule: &Schedule) -> Self {
         CycleSet(vec![0; schedule.latency as usize / 64 + 1])
     }
 
-    pub(crate) fn insert(&mut self, k: u32) {
+    fn insert(&mut self, k: u32) {
         self.0[k as usize / 64] |= 1 << (k % 64);
-    }
-
-    pub(crate) fn contains(&self, k: u32) -> bool {
-        self.0[k as usize / 64] & 1 << (k % 64) != 0
     }
 
     /// Whether no cycle is in both sets: a word-wise AND.
@@ -296,7 +288,7 @@ fn live_at(spec: &Spec, live: &BitTable<bool>, operand: &Operand, i: u32) -> boo
                 Some(r) => (r.lo(), r.width()),
                 None => (0, spec.value(*value).width()),
             };
-            i < w && live.cell(*value, lo + i)
+            i < w && live[*value][(lo + i) as usize]
         }
     }
 }
@@ -506,12 +498,28 @@ mod tests {
         a.insert(63);
         a.insert(130);
         b.insert(64);
-        assert!(a.contains(63) && a.contains(130) && !a.contains(64) && !a.contains(2));
         assert!(a.is_disjoint(&b));
         b.insert(130);
         assert!(!a.is_disjoint(&b));
+        let mut c = CycleSet::new(&schedule);
+        c.insert(64);
+        assert!(a.is_disjoint(&c));
         a.extend(&b);
-        assert!(a.contains(64));
+        assert!(!a.is_disjoint(&c));
+    }
+
+    #[test]
+    fn glue_of_any_origin_binds() {
+        // An origin names an op of the source spec, and a decoded spec may
+        // carry any origin id; binding must not size anything by it.
+        let spec = Spec::parse("spec s { input a: u8; x: u8 = ~a; output x; }").unwrap();
+        let text = spec.to_canonical().replace(" nx - 1 v0", " nx o4294967295 1 v0");
+        let decoded = Spec::from_canonical(&text).unwrap();
+        assert_eq!(decoded.ops()[0].origin(), Some(OpId::from_index(u32::MAX as usize)));
+        let sched = Schedule::new(1, 1, decoded.ops().iter().map(|op| (op.id(), 1)));
+        let binding = bind(&decoded, &sched);
+        assert_eq!(binding.glue.len(), 1);
+        assert_eq!(format!("{binding:?}"), format!("{:?}", bind(&spec, &sched)));
     }
 
     #[test]

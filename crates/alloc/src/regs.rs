@@ -78,7 +78,7 @@ pub(crate) fn live_bits(spec: &Spec) -> BitTable<bool> {
         }
         for i in 0..op.width() {
             let mut any = false;
-            glue_sources(spec, op, i, |value, bit| any |= live.cell(value, bit));
+            glue_sources(spec, op, i, |value, bit| any |= live[value][bit as usize]);
             live[z][i as usize] = any;
         }
     }

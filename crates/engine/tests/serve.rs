@@ -328,6 +328,12 @@ fn stats_introspection_answers_without_disturbing_counters() {
 const SMALL_SOURCE: &str = "spec tiny { input a: u8; input b: u8; input c: u8;
   s: u8 = a + b; t: u8 = s + c; output t; }";
 
+/// Verify vectors per cell of [`large_request`]. Scheduling and binding
+/// alone drain its grid in a few milliseconds, which a small tenant's
+/// connection can take too; verifying this many vectors keeps the grid
+/// running well past that.
+const LARGE_VECTORS: usize = 4000;
+
 /// A 100-cell grid (25 latencies x 2 adders x 2 balance settings): big
 /// enough that a width-1 server is visibly busy while a small tenant
 /// arrives.
@@ -336,7 +342,8 @@ fn large_request() -> String {
     let latencies: Vec<String> = (2u32..=26).map(|l| l.to_string()).collect();
     format!(
         "{{\"sources\": [{source}], \"latencies\": [{}], \
-         \"adder_archs\": [\"rca\", \"cla\"], \"balance\": [true, false]}}",
+         \"adder_archs\": [\"rca\", \"cla\"], \"balance\": [true, false], \
+         \"verify_vectors\": [{LARGE_VECTORS}]}}",
         latencies.join(", ")
     )
 }
@@ -355,6 +362,7 @@ fn tenant_references() -> (String, String) {
             .latencies(2..=26)
             .adder_archs([AdderArch::RippleCarry, AdderArch::CarryLookahead])
             .balance([true, false])
+            .verify_vectors([LARGE_VECTORS])
             .run(&engine)
             .to_json()
     };

@@ -16,7 +16,7 @@
 //! [`schedule_conventional`] keeps the pass that fit, as the schedule when
 //! balancing is off and as the fallback when the balanced pass fails.
 
-use crate::engine::Placer;
+use crate::engine::{Chain, Placer};
 use crate::{SchedError, Schedule};
 use bittrans_ir::prelude::*;
 use bittrans_timing::{critical_path, is_zero_delay, required_times, Delta};
@@ -194,7 +194,7 @@ pub(crate) fn run_pass(
     // output bit of an op bounds how late it can run. They cannot change
     // the first valid cycle, so the ASAP pass skips them.
     let req = balance.then(|| required_times(spec, c * latency));
-    let mut p = Placer::new(spec, delays, c, latency, chaining);
+    let mut p = Placer::new(spec, c, latency, Chain::new(chaining, delays));
     for op in spec.ops() {
         if is_zero_delay(op.kind()) {
             p.commit_glue(op);

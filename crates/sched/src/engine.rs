@@ -37,6 +37,26 @@ pub struct BitProd {
 
 const CONST_BIT: BitProd = BitProd { cycle: 0, time: 0 };
 
+/// A [`Chaining`] rule with what the placer reads to apply it.
+#[derive(Clone, Copy, Debug)]
+pub enum Chain<'s> {
+    /// [`Chaining::ComponentSum`], charging every op's standalone delay,
+    /// by op index ([`op_delays`](crate::conventional::op_delays)).
+    ComponentSum(&'s [Delta]),
+    /// [`Chaining::BitLevel`].
+    BitLevel,
+}
+
+impl<'s> Chain<'s> {
+    /// `chaining`, reading `delays` when it charges component delays.
+    pub fn new(chaining: Chaining, delays: &'s [Delta]) -> Self {
+        match chaining {
+            Chaining::ComponentSum => Chain::ComponentSum(delays),
+            Chaining::BitLevel => Chain::BitLevel,
+        }
+    }
+}
+
 /// Bit-exact incremental placer.
 pub struct Placer<'s> {
     spec: &'s Spec,
@@ -45,17 +65,15 @@ pub struct Placer<'s> {
     /// Latency bound in cycles.
     pub latency: u32,
     /// Delay accumulation rule for in-cycle chaining.
-    pub chaining: Chaining,
-    /// Every op's standalone delay by op index, which component-sum
-    /// chaining charges; bit-level callers pass `&[]`.
-    delays: &'s [Delta],
+    pub chain: Chain<'s>,
     /// Bit production records of inputs and committed results, glue
     /// included. A row is meaningful once `readable` says so; users commit
     /// in topological order, so every bit an op reads already has its
     /// record.
     states: BitTable<BitProd>,
-    /// Per value, how many of its bits may be read: its width once its op
-    /// is committed (an input's from the start), 0 before.
+    /// Per value, how many of its bits may be read: the length of its
+    /// `states` row once its op is committed (an input's from the start),
+    /// 0 before.
     readable: Vec<u32>,
     /// Cycle of every operation by op index; 0 until placed.
     pub assignment: Vec<u32>,
@@ -66,28 +84,26 @@ pub struct Placer<'s> {
 
 impl<'s> Placer<'s> {
     /// Creates an empty placer: inputs are available from cycle start.
-    pub fn new(
-        spec: &'s Spec,
-        delays: &'s [Delta],
-        cycle: Delta,
-        latency: u32,
-        chaining: Chaining,
-    ) -> Self {
-        let mut readable = vec![0; spec.values().len()];
-        for &input in spec.inputs() {
-            readable[input.index()] = spec.value(input).width();
-        }
-        Placer {
+    pub fn new(spec: &'s Spec, cycle: Delta, latency: u32, chain: Chain<'s>) -> Self {
+        let mut p = Placer {
             spec,
             cycle,
             latency,
-            chaining,
-            delays,
+            chain,
             states: BitTable::filled(spec, CONST_BIT),
-            readable,
+            readable: vec![0; spec.values().len()],
             assignment: vec![0; spec.ops().len()],
             usage: vec![0; latency as usize + 1],
+        };
+        for &input in spec.inputs() {
+            p.mark_readable(input);
         }
+        p
+    }
+
+    /// Lets every bit of `value`'s row be read.
+    fn mark_readable(&mut self, value: ValueId) {
+        self.readable[value.index()] = self.states[value].len() as u32;
     }
 
     /// Start time (absolute δ) of cycle `k` (1-based).
@@ -111,6 +127,7 @@ impl<'s> Placer<'s> {
     /// The production record of bit `i` of a committed `value`.
     fn prod_of(&self, value: ValueId, i: u32) -> BitProd {
         assert!(i < self.readable[value.index()], "value read before its op was committed");
+        // The assert bounds `i` by the value's row.
         self.states.cell(value, i)
     }
 
@@ -120,15 +137,15 @@ impl<'s> Placer<'s> {
     pub fn try_place(&self, op: &Operation, k: u32) -> Option<Vec<Delta>> {
         debug_assert!(!is_zero_delay(op.kind()));
         let start = self.cycle_start(k);
-        let out = match self.chaining {
+        let out = match self.chain {
             // Conventional chaining: the whole component starts after its
             // latest input bit and takes its full characterised delay.
-            Chaining::ComponentSum => {
+            Chain::ComponentSum(delays) => {
                 let ready =
                     self.input_prods(op).try_fold(start, |t, p| Some(t.max(self.eff(p, k)?)))?;
-                vec![ready + self.delays[op.id().index()]; op.width() as usize]
+                vec![ready + delays[op.id().index()]; op.width() as usize]
             }
-            Chaining::BitLevel => settle_times(self.spec, op, start, |value, bit| {
+            Chain::BitLevel => settle_times(self.spec, op, start, |value, bit| {
                 self.eff(self.prod_of(value, bit), k)
             })?,
         };
@@ -145,7 +162,7 @@ impl<'s> Placer<'s> {
         for (p, time) in self.states[op.result()].iter_mut().zip(times) {
             *p = BitProd { cycle: k, time };
         }
-        self.readable[op.result().index()] = op.width();
+        self.mark_readable(op.result());
         self.assignment[op.id().index()] = k;
         self.usage[k as usize] += 1;
     }
@@ -163,7 +180,7 @@ impl<'s> Placer<'s> {
             self.states[op.result()][i as usize] = latest;
             k = k.max(latest.cycle);
         }
-        self.readable[op.result().index()] = op.width();
+        self.mark_readable(op.result());
         self.assignment[op.id().index()] = k.min(self.latency.max(1));
     }
 
@@ -291,7 +308,7 @@ mod tests {
         // pure dataflow arrival times.
         for spec in [three_adds(), kind_zoo(true), upper.clone()] {
             let arr = arrival_times(&spec);
-            let mut p = Placer::new(&spec, &[], 100, 2, Chaining::BitLevel);
+            let mut p = Placer::new(&spec, 100, 2, Chain::BitLevel);
             for op in spec.ops() {
                 if is_zero_delay(op.kind()) {
                     p.commit_glue(op);
@@ -314,7 +331,7 @@ mod tests {
         // those times.
         let (chained, ports) = (kind_zoo(true), kind_zoo(false));
         let standalone = arrival_times(&ports);
-        let mut p = Placer::new(&chained, &[], 100, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&chained, 100, 2, Chain::BitLevel);
         let (sum, rest) = chained.ops().split_first().unwrap();
         let t = p.try_place(sum, 1).unwrap();
         p.commit(sum, 1, t);
@@ -332,7 +349,7 @@ mod tests {
     #[test]
     fn registered_inputs_restart_chain() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, &[], 16, 3, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, 16, 3, Chain::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 1).unwrap();
         p.commit(&ops[0], 1, t);
@@ -345,7 +362,7 @@ mod tests {
     #[test]
     fn chaining_in_same_cycle_overlaps() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, &[], 18, 1, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, 18, 1, Chain::BitLevel);
         let ops = spec.ops();
         for op in ops {
             let t = p.try_place(op, 1).unwrap();
@@ -359,14 +376,14 @@ mod tests {
     #[test]
     fn rejects_overflowing_cycle() {
         let spec = three_adds();
-        let p = Placer::new(&spec, &[], 15, 1, Chaining::BitLevel);
+        let p = Placer::new(&spec, 15, 1, Chain::BitLevel);
         assert!(p.try_place(&spec.ops()[0], 1).is_none(), "16δ add in 15δ cycle");
     }
 
     #[test]
     fn rejects_future_inputs() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, &[], 16, 3, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, 16, 3, Chain::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 2).unwrap();
         p.commit(&ops[0], 2, t);
@@ -384,7 +401,7 @@ mod tests {
               output y; }",
         )
         .unwrap();
-        let mut p = Placer::new(&spec, &[], 9, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, 9, 2, Chain::BitLevel);
         let ops = spec.ops();
         let t = p.try_place(&ops[0], 1).unwrap();
         p.commit(&ops[0], 1, t);
@@ -403,7 +420,7 @@ mod tests {
               output w; output x; output y; output z; }",
         )
         .unwrap();
-        let mut p = Placer::new(&spec, &[], 8, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, 8, 2, Chain::BitLevel);
         let chosen: Vec<u32> =
             spec.ops().iter().map(|op| p.place_in_window(op, 1, 2, true).unwrap()).collect();
         // The least-used cycle, ties to the earliest.
@@ -419,7 +436,7 @@ mod tests {
     fn component_sum_accumulates_delays() {
         let spec = three_adds();
         let delays = op_delays(&spec);
-        let mut p = Placer::new(&spec, &delays, 48, 1, Chaining::ComponentSum);
+        let mut p = Placer::new(&spec, 48, 1, Chain::ComponentSum(&delays));
         let ops = spec.ops();
         // Chained in one cycle: finishes at 16, 32, 48 — summed delays.
         let t = p.try_place(&ops[0], 1).unwrap();
@@ -436,9 +453,9 @@ mod tests {
     fn component_sum_rejects_what_bitlevel_accepts() {
         let spec = three_adds();
         // 18δ is enough for the ripple overlap but not for summed delays.
-        let mut bit = Placer::new(&spec, &[], 18, 1, Chaining::BitLevel);
+        let mut bit = Placer::new(&spec, 18, 1, Chain::BitLevel);
         let delays = op_delays(&spec);
-        let mut sum = Placer::new(&spec, &delays, 18, 1, Chaining::ComponentSum);
+        let mut sum = Placer::new(&spec, 18, 1, Chain::ComponentSum(&delays));
         for op in spec.ops() {
             let t = bit.try_place(op, 1).expect("bit-level fits 18δ");
             bit.commit(op, 1, t);
@@ -455,7 +472,7 @@ mod tests {
     #[should_panic(expected = "value read before its op was committed")]
     fn reading_an_uncommitted_value_panics() {
         let spec = three_adds();
-        let p = Placer::new(&spec, &[], 16, 3, Chaining::BitLevel);
+        let p = Placer::new(&spec, 16, 3, Chain::BitLevel);
         // E reads C, whose op was never committed.
         p.try_place(&spec.ops()[1], 1);
     }
@@ -463,7 +480,7 @@ mod tests {
     #[test]
     fn no_feasible_cycle_error() {
         let spec = three_adds();
-        let mut p = Placer::new(&spec, &[], 10, 2, Chaining::BitLevel);
+        let mut p = Placer::new(&spec, 10, 2, Chain::BitLevel);
         let err = p.place_in_window(&spec.ops()[0], 1, 2, false).unwrap_err();
         assert!(matches!(err, SchedError::NoFeasibleCycle { .. }));
     }

@@ -9,8 +9,7 @@
 //! the same cycle, and registered values are all honoured by the placer
 //! both schedulers share, under bit-level chaining.
 
-use crate::conventional::Chaining;
-use crate::engine::Placer;
+use crate::engine::{Chain, Placer};
 use crate::{SchedError, Schedule};
 use bittrans_frag::Fragmented;
 use bittrans_ir::prelude::*;
@@ -56,7 +55,7 @@ pub fn schedule_fragments(
 /// One placement pass: the cycle of every op by op index.
 pub(crate) fn run_pass(f: &Fragmented, balance: bool) -> Result<Vec<u32>, SchedError> {
     let spec = &f.spec;
-    let mut p = Placer::new(spec, &[], f.cycle, f.latency, Chaining::BitLevel);
+    let mut p = Placer::new(spec, f.cycle, f.latency, Chain::BitLevel);
     for op in spec.ops() {
         match f.fragments.get(&op.id()) {
             None => {
@@ -78,7 +77,7 @@ pub(crate) fn run_pass(f: &Fragmented, balance: bool) -> Result<Vec<u32>, SchedE
 /// Returns the first offending op, or `None` when the schedule is valid.
 pub fn verify_schedule(f: &Fragmented, schedule: &Schedule) -> Option<OpId> {
     let spec = &f.spec;
-    let mut p = Placer::new(spec, &[], schedule.cycle, schedule.latency, Chaining::BitLevel);
+    let mut p = Placer::new(spec, schedule.cycle, schedule.latency, Chain::BitLevel);
     for op in spec.ops() {
         if f.fragments.contains_key(&op.id()) {
             let k = schedule.cycle_of(op.id())?;

@@ -66,8 +66,6 @@ pub struct Schedule {
     /// Cycle per op index; ends at the last scheduled op, so equal
     /// assignments have equal tables.
     cycles: Vec<u32>,
-    /// Number of scheduled operations.
-    len: usize,
 }
 
 impl Schedule {
@@ -94,8 +92,7 @@ impl Schedule {
             }
             cycles[i] = k;
         }
-        let len = cycles.iter().filter(|&&k| k != 0).count();
-        Schedule { latency, cycle, cycles, len }
+        Schedule { latency, cycle, cycles }
     }
 
     /// The cycle an operation executes in (1-based).
@@ -119,12 +116,12 @@ impl Schedule {
 
     /// Number of scheduled operations.
     pub fn len(&self) -> usize {
-        self.len
+        self.iter().count()
     }
 
     /// `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cycles.is_empty()
     }
 
     /// Renders a compact per-cycle listing (for examples and debugging).

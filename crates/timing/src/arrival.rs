@@ -56,8 +56,7 @@ impl BitTimes {
 pub fn arrival_times(spec: &Spec) -> BitTimes {
     let mut times = BitTimes::filled(spec, 0);
     for op in spec.ops() {
-        // Operand bits of a valid spec lie inside their values' rows.
-        let row = settle_times(spec, op, 0, |value, bit| Some(times.times.cell(value, bit)))
+        let row = settle_times(spec, op, 0, |value, bit| Some(times.bit(value, bit)))
             .expect("every bit is available");
         times.times[op.result()].copy_from_slice(&row);
     }

@@ -33,9 +33,11 @@ impl<T: Clone> BitTable<T> {
 }
 
 impl<T: Copy> BitTable<T> {
-    /// Bit `i` of `value`, read from the flat table directly: only the
-    /// table's end is checked, so a caller that cannot rule out `i` past
-    /// the value's width checks it first (`table[value][i]` checks both).
+    /// Bit `i` of `value`, read from the flat table directly. Only the
+    /// table's end is checked, so this is for a caller that has bounded
+    /// `i` by the value's row itself (the scheduler's placer asserts it
+    /// against the committed row length on every read); `table[value][i]`
+    /// checks both, which costs the placer a fifth of a baseline schedule.
     pub fn cell(&self, value: ValueId, i: u32) -> T {
         self.cells[self.start[value.index()] + i as usize]
     }
@@ -77,6 +79,7 @@ mod tests {
         assert_eq!(widths, [3, 5, 6]);
         let x = spec.ops()[0].result();
         table[x][5] = 7;
+        assert_eq!(table[x][5], 7);
         assert_eq!(table.cell(x, 5), 7);
         assert_eq!(table.cells().len(), 14);
         assert_eq!(table.cells()[13], 7);
