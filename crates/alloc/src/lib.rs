@@ -278,41 +278,42 @@ impl CycleSet {
     }
 }
 
-/// Whether bit `i` of `operand`, unextended, carries live data (see
-/// [`regs::live_bits`]).
-fn live_at(spec: &Spec, live: &BitTable<bool>, operand: &Operand, i: u32) -> bool {
+/// Which bits of `operand`, unextended, carry live data (see
+/// [`regs::live_bits`]): its slice of its value's row, empty for a
+/// constant.
+fn live_row<'a>(spec: &Spec, live: &'a BitTable<bool>, operand: &Operand) -> &'a [bool] {
     match operand {
-        Operand::Const(_) => false,
+        Operand::Const(_) => &[],
         Operand::Value { value, range } => {
             let (lo, w) = match range {
                 Some(r) => (r.lo(), r.width()),
                 None => (0, spec.value(*value).width()),
             };
-            i < w && live[*value][(lo + i) as usize]
+            &live[*value][lo as usize..][..w as usize]
         }
     }
 }
 
+/// Counts the live bits in `row`.
+fn count_live(row: &[bool]) -> u32 {
+    row.iter().filter(|&&b| b).count() as u32
+}
+
 /// The number of output bits of a glue op that actually depend on live
 /// data (everything else is structural zero padding and costs no gates).
-fn live_width(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
-    let result = Operand::value(op.result());
-    (0..op.width()).filter(|&i| live_at(spec, live, &result, i)).count() as u32
+fn live_width(op: &Operation, live: &BitTable<bool>) -> u32 {
+    count_live(&live[op.result()])
 }
 
 /// Positions where *both* operands of a two-input gate carry live data.
 fn live_pair_width(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
-    let [a, b] = [&op.operands()[0], &op.operands()[1]];
-    (0..op.width()).filter(|&i| live_at(spec, live, a, i) && live_at(spec, live, b, i)).count()
-        as u32
+    let [a, b] = [&op.operands()[0], &op.operands()[1]].map(|o| live_row(spec, live, o));
+    a.iter().zip(b).take(op.width() as usize).filter(|&(&x, &y)| x && y).count() as u32
 }
 
 /// Live input bits of an operation (for reduction-style glue).
 fn live_input_bits(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
-    op.operands()
-        .iter()
-        .map(|o| (0..spec.operand_width(o)).filter(|&j| live_at(spec, live, o, j)).count() as u32)
-        .sum()
+    op.operands().iter().map(|o| count_live(live_row(spec, live, o))).sum()
 }
 
 /// The priced glue components one operation contributes: none for wiring,
@@ -320,8 +321,8 @@ fn live_input_bits(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> u32 {
 fn glue_components_of(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> Vec<Component> {
     let gate = |kind, width| Component::Gate { kind, width };
     let components = match op.kind() {
-        OpKind::Not => vec![gate(GateKind::Not, live_width(spec, op, live))],
-        OpKind::Mux => vec![Component::Mux { inputs: 2, width: live_width(spec, op, live) }],
+        OpKind::Not => vec![gate(GateKind::Not, live_width(op, live))],
+        OpKind::Mux => vec![Component::Mux { inputs: 2, width: live_width(op, live) }],
         // A two-input gate position only costs gates when *both* inputs
         // carry live data; with one constant input it folds to a wire or
         // inverter-level cost we ignore.
@@ -348,6 +349,41 @@ fn glue_components_of(spec: &Spec, op: &Operation, live: &BitTable<bool>) -> Vec
 mod tests {
     use super::*;
     use bittrans_frag::{fragment, FragmentOptions};
+
+    /// Whether bit `i` of `operand`, unextended, carries live data: the
+    /// per-bit statement of [`live_row`].
+    fn live_at(spec: &Spec, live: &BitTable<bool>, operand: &Operand, i: u32) -> bool {
+        match operand {
+            Operand::Const(_) => false,
+            Operand::Value { value, range } => {
+                let r = range.unwrap_or(BitRange::new(0, spec.value(*value).width()));
+                i < r.width() && live[*value][(r.lo() + i) as usize]
+            }
+        }
+    }
+
+    #[test]
+    fn glue_widths_count_the_live_bits_one_by_one() {
+        for (spec, _) in regs::scheduled_glue_corpus() {
+            let live = regs::live_bits(&spec);
+            let at = |o: &Operand, i| live_at(&spec, &live, o, i);
+            for op in spec.ops().iter().filter(|op| bittrans_timing::is_zero_delay(op.kind())) {
+                let result = Operand::value(op.result());
+                let width = (0..op.width()).filter(|&i| at(&result, i)).count() as u32;
+                assert_eq!(live_width(op, &live), width, "{}", op.label());
+                if let [a, b, ..] = op.operands() {
+                    let pairs = (0..op.width()).filter(|&i| at(a, i) && at(b, i)).count() as u32;
+                    assert_eq!(live_pair_width(&spec, op, &live), pairs, "{}", op.label());
+                }
+                let inputs: u32 = op
+                    .operands()
+                    .iter()
+                    .map(|o| (0..spec.operand_width(o)).filter(|&j| at(o, j)).count() as u32)
+                    .sum();
+                assert_eq!(live_input_bits(&spec, op, &live), inputs, "{}", op.label());
+            }
+        }
+    }
     use bittrans_sched::conventional::{schedule_conventional, ConventionalOptions};
     use bittrans_sched::fragment::{schedule_fragments, FragmentScheduleOptions};
 

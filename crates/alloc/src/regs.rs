@@ -11,12 +11,19 @@
 //! happens at the *producing* additive operation, not at the wires. Gate
 //! glue read in a later cycle than it computes is the one exception: it is
 //! registered itself (see [`allocate_registers`]).
+//!
+//! Both passes over glue work a row at a time on the op's wiring spans
+//! ([`bittrans_timing::bitref::glue_wires`]): liveness gathers each glue
+//! row forward with [`gather_max`] over `bool` (the max is an or), and the
+//! need pass scatters each glue row of last-read cycles backward with
+//! [`scatter`] (max), after applying the wiring / `min(k)` rule to that
+//! row.
 
 use crate::fu::class_of;
 use bittrans_ir::prelude::*;
 use bittrans_rtl::Component;
 use bittrans_sched::Schedule;
-use bittrans_timing::bitref::glue_sources;
+use bittrans_timing::bitref::{gather_max, scatter};
 use bittrans_timing::BitTable;
 
 /// A contiguous run of stored bits of one value sharing a lifetime.
@@ -70,42 +77,32 @@ pub(crate) fn live_bits(spec: &Spec) -> BitTable<bool> {
     for value in spec.values().iter().filter(|v| v.is_input()) {
         live[value.id()].fill(true);
     }
+    let mut glue = Vec::new();
     for op in spec.ops() {
         let z = op.result();
         if is_base_producer(op.kind()) {
             live[z].fill(true);
             continue;
         }
-        for i in 0..op.width() {
-            let mut any = false;
-            glue_sources(spec, op, i, |value, bit| any |= live[value][bit as usize]);
-            live[z][i as usize] = any;
-        }
+        glue.clear();
+        glue.resize(op.width() as usize, false);
+        gather_max(spec, op, &mut glue, |value, _| &live[value]);
+        live[z].copy_from_slice(&glue);
     }
     live
 }
 
-/// Computes the physical registers for `spec` under `schedule`.
-///
-/// Uses are traced through glue *within a cycle*; a glue result consumed in
-/// a **later** cycle than the one it is computed in gets registered at the
-/// boundary (register-after-the-array: a carry-save tree's sum/carry
-/// vectors are stored rather than recomputed, which frees the array for
-/// other operations — the storage-vs-recompute choice real datapaths make).
-///
-/// One backward sweep over the ops keeps `need`, a per-bit table of the
-/// last cycle each bit is read in. Only that maximum matters: a base-producer bit is stored
-/// until its last read, and a gate-glue bit computed in cycle `gk` is
-/// stored exactly when its last read is after `gk`. A gate-glue bit read
-/// in cycles `k` needs its own sources at `min(k, gk)` (in its own cycle
-/// when it is registered, at the read otherwise), and the latest of those
-/// is `min(max k, gk)`. Wiring passes `max k` through unchanged.
-///
-/// I/O-port bits are excluded (the paper does not count port-holding
-/// registers). Bit groups with disjoint lifetimes share registers
-/// (left-edge).
-pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInstance> {
+/// The need pass: per value, per bit, the last cycle the bit is read in
+/// (0 if never). One backward sweep over the ops. A base producer reads
+/// its operands' bits in its own cycle `k`. A gate-glue bit read in cycles
+/// `k'` needs its own sources at `min(k', gk)`, where `gk` is its own cycle
+/// (in its own cycle when it is registered, at the read otherwise), and
+/// the latest of those is `min(max k', gk)`; wiring passes `max k'`
+/// through unchanged. Each glue op applies that rule to its result row and
+/// scatters the row onto the bits it reads with `max`.
+pub(crate) fn last_reads(spec: &Spec, schedule: &Schedule) -> BitTable<u32> {
     let mut need = BitTable::filled(spec, 0u32);
+    let mut glue = Vec::new();
     for op in spec.ops().iter().rev() {
         let k = schedule.cycle_of(op.id()).unwrap_or(1);
         if is_base_producer(op.kind()) {
@@ -123,19 +120,34 @@ pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInsta
             continue;
         }
         // Transparent glue: every consumer comes later, so `need` of its
-        // result is final here.
-        for i in 0..op.width() {
-            let last = need[op.result()][i as usize];
-            if last == 0 {
-                continue; // never read
-            }
-            let n = if is_wiring(op.kind()) { last } else { last.min(k) };
-            glue_sources(spec, op, i, |value, bit| {
-                let slot = &mut need[value][bit as usize];
-                *slot = (*slot).max(n);
-            });
-        }
+        // result is final here. A bit never read stays 0, which `max`
+        // ignores.
+        let wiring = is_wiring(op.kind());
+        glue.clear();
+        glue.extend(need[op.result()].iter().map(|&last| if wiring { last } else { last.min(k) }));
+        scatter(spec, op, &glue, &mut need, u32::max);
     }
+    need
+}
+
+/// Computes the physical registers for `spec` under `schedule`.
+///
+/// Uses are traced through glue *within a cycle*; a glue result consumed in
+/// a **later** cycle than the one it is computed in gets registered at the
+/// boundary (register-after-the-array: a carry-save tree's sum/carry
+/// vectors are stored rather than recomputed, which frees the array for
+/// other operations — the storage-vs-recompute choice real datapaths make).
+///
+/// The need pass (`last_reads`) says when each bit is last read. Only
+/// that maximum matters: a base-producer bit is stored until its last
+/// read, and a gate-glue bit computed in cycle `gk` is stored exactly when
+/// its last read is after `gk`.
+///
+/// I/O-port bits are excluded (the paper does not count port-holding
+/// registers). Bit groups with disjoint lifetimes share registers
+/// (left-edge).
+pub fn allocate_registers(spec: &Spec, schedule: &Schedule) -> Vec<RegisterInstance> {
+    let need = last_reads(spec, schedule);
     // Build per-value stored-bit groups (base producers and
     // boundary-crossing glue alike).
     let mut groups: Vec<BitGroup> = Vec::new();
@@ -205,10 +217,101 @@ pub fn register_muxes(registers: &[RegisterInstance]) -> Vec<Component> {
         .collect()
 }
 
+/// Specs with glue and a schedule of each: the kind zoo, and random specs
+/// across the fuzz shapes, raw and as kernels at λ 3 under the baseline
+/// scheduler, and fragmented at λ 2, 3, 4 and 6 under the fragment
+/// scheduler.
+#[cfg(test)]
+pub(crate) fn scheduled_glue_corpus() -> Vec<(Spec, Schedule)> {
+    use bittrans_benchmarks::{kind_zoo, random_spec, FUZZ_SHAPES};
+    use bittrans_frag::{fragment, FragmentOptions};
+    use bittrans_sched::conventional::{schedule_conventional, ConventionalOptions};
+    use bittrans_sched::fragment::{schedule_fragments, FragmentScheduleOptions};
+    let baseline = |spec: Spec| {
+        let schedule = schedule_conventional(&spec, &ConventionalOptions::with_latency(3)).unwrap();
+        (spec, schedule)
+    };
+    let mut out = vec![baseline(kind_zoo(true)), baseline(kind_zoo(false))];
+    for seed in 0..64 {
+        let spec = random_spec(seed, &FUZZ_SHAPES[seed as usize % 4]);
+        let kernel = bittrans_kernel::extract(&spec).unwrap();
+        for latency in [2, 3, 4, 6] {
+            if let Ok(f) = fragment(&kernel, &FragmentOptions::with_latency(latency)) {
+                let schedule = schedule_fragments(&f, &FragmentScheduleOptions::default()).unwrap();
+                out.push((f.spec, schedule));
+            }
+        }
+        out.extend([baseline(spec), baseline(kernel)]);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bittrans_sched::conventional::{schedule_conventional, ConventionalOptions};
+    use bittrans_timing::bitref::glue_wires;
+
+    /// [`live_bits`] with each glue bit or-ed from its sources one by one.
+    fn per_bit_live(spec: &Spec) -> BitTable<bool> {
+        let mut live = BitTable::filled(spec, false);
+        for value in spec.values().iter().filter(|v| v.is_input()) {
+            live[value.id()].fill(true);
+        }
+        for op in spec.ops() {
+            if is_base_producer(op.kind()) {
+                live[op.result()].fill(true);
+                continue;
+            }
+            let mut row = vec![false; op.width() as usize];
+            glue_wires(spec, op, |wire| {
+                wire.for_each_bit(|i, bit| row[i as usize] |= live[wire.value()][bit as usize]);
+            });
+            live[op.result()].copy_from_slice(&row);
+        }
+        live
+    }
+
+    /// [`last_reads`] with each glue bit's last read pushed to its sources
+    /// one by one.
+    fn per_bit_last_reads(spec: &Spec, schedule: &Schedule) -> BitTable<u32> {
+        let mut need = BitTable::filled(spec, 0u32);
+        for op in spec.ops().iter().rev() {
+            let k = schedule.cycle_of(op.id()).unwrap_or(1);
+            if is_base_producer(op.kind()) {
+                for operand in op.operands() {
+                    if let Operand::Value { value, range } = operand {
+                        let r = range.unwrap_or(BitRange::new(0, spec.value(*value).width()));
+                        for slot in &mut need[*value][r.lo() as usize..r.end() as usize] {
+                            *slot = (*slot).max(k);
+                        }
+                    }
+                }
+                continue;
+            }
+            let z = op.result();
+            glue_wires(spec, op, |wire| {
+                wire.for_each_bit(|i, bit| {
+                    let last = need[z][i as usize];
+                    let n = if is_wiring(op.kind()) { last } else { last.min(k) };
+                    let slot = &mut need[wire.value()][bit as usize];
+                    *slot = (*slot).max(n);
+                });
+            });
+        }
+        need
+    }
+
+    #[test]
+    fn live_and_need_rows_equal_the_per_bit_passes() {
+        let corpus = scheduled_glue_corpus();
+        assert!(corpus.len() > 300, "{} specs", corpus.len());
+        for (spec, schedule) in &corpus {
+            assert_eq!(live_bits(spec), per_bit_live(spec), "`{}`", spec.name());
+            let need = last_reads(spec, schedule);
+            assert_eq!(need, per_bit_last_reads(spec, schedule), "`{}`", spec.name());
+        }
+    }
 
     /// The schedule running `spec`'s ops, in order, in `cycles`.
     fn schedule_at(spec: &Spec, latency: u32, cycle: u32, cycles: &[u32]) -> Schedule {

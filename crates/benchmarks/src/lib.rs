@@ -10,7 +10,9 @@
 //! * the **ADPCM G.721 decoder modules** of Table III — inverse adaptive
 //!   quantizer (`iaq`), tone & transition detector (`ttd`), output PCM
 //!   format conversion + synchronous coding adjustment (`opfc_sca`);
-//! * a seeded **random DFG generator** for property tests and sweeps.
+//! * a seeded **random DFG generator** for property tests and sweeps, with
+//!   the fuzzer's generator shapes, and a **kind zoo** with one op of
+//!   every kind.
 //!
 //! ## Substitution note
 //!
@@ -31,11 +33,13 @@ pub mod adpcm;
 pub mod classic;
 pub mod extended;
 pub mod random;
+pub mod zoo;
 
 pub use adpcm::{iaq, opfc_sca, ttd};
 pub use classic::{diffeq, elliptic, fig3_dfg, fir2, iir4, three_adds};
 pub use extended::{ar_lattice, cordic3, dct4, extended_benchmarks};
 pub use random::{random_spec, RandomSpecOptions};
+pub use zoo::{kind_zoo, FUZZ_SHAPES};
 
 use bittrans_ir::Spec;
 

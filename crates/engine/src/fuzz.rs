@@ -36,7 +36,7 @@ use crate::stagecache::StageStore;
 use crate::study::Study;
 use crate::trace;
 use crate::{Engine, EngineOptions};
-use bittrans_benchmarks::{random_spec, RandomSpecOptions};
+use bittrans_benchmarks::{random_spec, RandomSpecOptions, FUZZ_SHAPES};
 use bittrans_core::CompareOptions;
 use bittrans_rtl::AdderArch;
 use std::collections::BTreeMap;
@@ -92,27 +92,11 @@ impl Shape {
         }
     }
 
-    /// The generator options of this shape; `mul_prob` (when given)
-    /// overrides the shape's multiplication probability.
+    /// The generator options of this shape (its entry of [`FUZZ_SHAPES`]);
+    /// `mul_prob` (when given) overrides the shape's multiplication
+    /// probability.
     pub fn options(self, mul_prob: Option<f64>) -> RandomSpecOptions {
-        let mut o = match self {
-            Shape::Wide => {
-                RandomSpecOptions { ops: 10, inputs: 8, min_width: 4, max_width: 20, mul_prob: 0.1 }
-            }
-            Shape::Deep => RandomSpecOptions {
-                ops: 14,
-                inputs: 2,
-                min_width: 4,
-                max_width: 10,
-                mul_prob: 0.05,
-            },
-            Shape::MulHeavy => {
-                RandomSpecOptions { ops: 8, inputs: 4, min_width: 3, max_width: 10, mul_prob: 0.6 }
-            }
-            Shape::Degenerate => {
-                RandomSpecOptions { ops: 1, inputs: 1, min_width: 7, max_width: 7, mul_prob: 0.5 }
-            }
-        };
+        let mut o = FUZZ_SHAPES[self as usize];
         if let Some(p) = mul_prob {
             o.mul_prob = p;
         }

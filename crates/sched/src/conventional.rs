@@ -11,8 +11,9 @@
 //! cycle the tables report; at λ = 1 the bit-level rule reproduces the
 //! chained BLC-style design of Fig. 1 d).
 //!
-//! One ASAP pass puts each operation in the first cycle it fits. The
-//! search runs it at growing cycle lengths until it fits in λ cycles;
+//! One ASAP pass puts each operation in the first cycle it fits. Whether
+//! it fits in λ cycles is monotone in the cycle length, so the search
+//! bisects the lengths for the first that fits;
 //! [`schedule_conventional`] keeps the pass that fit, as the schedule when
 //! balancing is off and as the fallback when the balanced pass fails.
 
@@ -121,7 +122,11 @@ pub fn minimal_cycle(spec: &Spec, latency: u32, chaining: Chaining) -> Result<De
 /// The first cycle length in `max_op_delay ..= top` whose ASAP pass fits
 /// in `latency` cycles, with that pass's assignment (see [`run_pass`]).
 /// `top` is the length that fits the whole spec in one cycle, and `delays`
-/// are [`op_delays`].
+/// are [`op_delays`]. The fit is monotone in the length (a pass that fits
+/// at `c` fits at `c + 1`), so a bisection finds the first fitting length
+/// in `log2` of the range's size passes. Its first probe is
+/// `max_op_delay` itself, where most searches end (when λ leaves every
+/// op a cycle of its own).
 pub(crate) fn search(
     spec: &Spec,
     delays: &[Delta],
@@ -131,9 +136,17 @@ pub(crate) fn search(
     if latency == 0 {
         return Err(SchedError::ZeroLatency);
     }
-    cycle_range(spec, delays, chaining)
-        .find_map(|c| Some((c, run_pass(spec, delays, c, latency, chaining, false)?)))
-        .ok_or(SchedError::LatencyExceeded { needed: latency + 1, latency })
+    // No length below `lo` fits, and `hi` fits (`top + 1` stands for none).
+    let (mut lo, top) = cycle_range(spec, delays, chaining).into_inner();
+    let (mut hi, mut found, mut mid) = (top + 1, None, lo);
+    while lo < hi {
+        match run_pass(spec, delays, mid, latency, chaining, false) {
+            Some(pass) => (hi, found) = (mid, Some((mid, pass))),
+            None => lo = mid + 1,
+        }
+        mid = lo + (hi - lo) / 2;
+    }
+    found.ok_or(SchedError::LatencyExceeded { needed: latency + 1, latency })
 }
 
 /// The cycle lengths [`search`] tries: `max_op_delay ..= top`, where `top`
@@ -395,10 +408,10 @@ mod tests {
         }
     }
 
-    /// The linear search's first fitting length is the only boundary
-    /// between lengths that do not fit and lengths that do: over random
-    /// specs, a fit of the ASAP pass at `c` implies a fit at `c + 1`
-    /// across the whole searched range.
+    /// The search's bisection rests on this: over random specs, a fit of
+    /// the ASAP pass at `c` implies a fit at `c + 1` across the whole
+    /// searched range, so the first fitting length is the only boundary
+    /// between lengths that do not fit and lengths that do.
     #[test]
     fn the_asap_pass_fit_is_monotone_in_the_cycle_length() {
         use bittrans_benchmarks::{random_spec, RandomSpecOptions};

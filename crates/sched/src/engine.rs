@@ -12,7 +12,8 @@
 //! ripple overlap of Fig. 1 e), while a consumer in a later cycle reads
 //! registered bits available at its cycle start. Glue is transparent
 //! wiring: committing a glue op records each output bit as the latest of
-//! the bits it reads ([`bittrans_timing::bitref::glue_sources`]).
+//! the bits it reads, a row at a time
+//! ([`bittrans_timing::bitref::gather_max`] over the op's wiring spans).
 //!
 //! The placer's state is dense: bit production records in one flat
 //! [`BitTable`] with a readable width per value, and the cycle assignment
@@ -21,7 +22,7 @@
 use crate::conventional::Chaining;
 use crate::SchedError;
 use bittrans_ir::prelude::*;
-use bittrans_timing::bitref::{glue_sources, operand_bit, BitRef};
+use bittrans_timing::bitref::{gather_max, operand_bit, BitRef};
 use bittrans_timing::{is_zero_delay, settle_times, BitTable, Delta};
 
 /// Production record of one bit: the cycle it is produced in (0 = constant
@@ -80,6 +81,8 @@ pub struct Placer<'s> {
     /// Number of non-glue operations placed per cycle, by cycle (for
     /// balancing; index 0 is unused).
     pub usage: Vec<u32>,
+    /// Scratch row a glue op's records are gathered in before commit.
+    glue: Vec<BitProd>,
 }
 
 impl<'s> Placer<'s> {
@@ -94,6 +97,7 @@ impl<'s> Placer<'s> {
             readable: vec![0; spec.values().len()],
             assignment: vec![0; spec.ops().len()],
             usage: vec![0; latency as usize + 1],
+            glue: Vec::new(),
         };
         for &input in spec.inputs() {
             p.mark_readable(input);
@@ -170,16 +174,19 @@ impl<'s> Placer<'s> {
     /// Commits an op that takes no δ ([`is_zero_delay`]): each output bit
     /// is the (cycle, time)-latest of the bits it reads, and the op is
     /// assigned (for bookkeeping) to the latest of those cycles, at least 1.
+    /// Every wiring span is checked readable up to its top bit.
     pub fn commit_glue(&mut self, op: &Operation) {
-        let mut k = 1;
-        for i in 0..op.width() {
-            let mut latest = CONST_BIT;
-            glue_sources(self.spec, op, i, |value, bit| {
-                latest = latest.max(self.prod_of(value, bit));
-            });
-            self.states[op.result()][i as usize] = latest;
-            k = k.max(latest.cycle);
-        }
+        let mut row = std::mem::take(&mut self.glue);
+        row.clear();
+        row.resize(op.width() as usize, CONST_BIT);
+        let (states, readable) = (&self.states, &self.readable);
+        gather_max(self.spec, op, &mut row, |value, top| {
+            assert!(top < readable[value.index()], "value read before its op was committed");
+            &states[value]
+        });
+        let k = row.iter().map(|p| p.cycle).fold(1, u32::max);
+        self.states[op.result()].copy_from_slice(&row);
+        self.glue = row;
         self.mark_readable(op.result());
         self.assignment[op.id().index()] = k.min(self.latency.max(1));
     }
@@ -243,6 +250,7 @@ impl<'s> Placer<'s> {
 mod tests {
     use super::*;
     use crate::conventional::op_delays;
+    use bittrans_benchmarks::kind_zoo;
     use bittrans_timing::{arrival_times, op_delay_delta};
 
     fn three_adds() -> Spec {
@@ -251,48 +259,6 @@ mod tests {
               C: u16 = A + B; E: u16 = C + D; G: u16 = E + F; output G; }",
         )
         .unwrap()
-    }
-
-    /// One op of every kind, unsigned then signed, each reading `s: u8`,
-    /// `x: u6`, `ci: u1`, a slice of `s` or a constant. With `chained`,
-    /// `s = a + b` settles at 1..8δ; without, `s` is an input.
-    fn kind_zoo(chained: bool) -> Spec {
-        let mut b = SpecBuilder::new("zoo");
-        let s = if chained {
-            let (a, bb) = (b.input("a", 8), b.input("b", 8));
-            b.add("s", a, bb, 8).unwrap()
-        } else {
-            b.input("s", 8)
-        };
-        let (x, ci) = (Operand::from(b.input("x", 6)), Operand::from(b.input("ci", 1)));
-        let (s_hi, s) = (Operand::slice(s, BitRange::new(3, 5)), Operand::from(s));
-        let pair = vec![s.clone(), x.clone()];
-        let mut shapes = vec![
-            (OpKind::Add, vec![s.clone(), x.clone(), ci.clone()], 9),
-            (OpKind::Add, vec![s_hi, Operand::const_u64(5, 3)], 8),
-            (OpKind::Neg, vec![x.clone()], 8),
-            (OpKind::Not, vec![x.clone()], 8),
-            (OpKind::Lt, pair.clone(), 8),
-            (OpKind::Mul, pair.clone(), 14),
-            (OpKind::Mux, vec![ci.clone(), s.clone(), x.clone()], 8),
-            (OpKind::Shl(2), vec![s.clone()], 10),
-            (OpKind::Shr(3), vec![s.clone()], 5),
-            (OpKind::Concat, vec![x, ci], 7),
-        ];
-        let wide = [OpKind::Sub, OpKind::Max, OpKind::Min, OpKind::And, OpKind::Or, OpKind::Xor];
-        shapes.extend(wide.map(|kind| (kind, pair.clone(), 8)));
-        let bit = [OpKind::Le, OpKind::Gt, OpKind::Ge, OpKind::Eq, OpKind::Ne];
-        shapes.extend(bit.map(|kind| (kind, pair.clone(), 1)));
-        shapes.extend([OpKind::RedOr, OpKind::RedAnd].map(|kind| (kind, vec![s.clone()], 1)));
-        shapes.push((OpKind::Abs, vec![s], 8));
-        for signedness in [Signedness::Unsigned, Signedness::Signed] {
-            for (kind, operands, width) in &shapes {
-                let v = b.op(*kind, operands.clone(), *width, signedness, None).unwrap();
-                let name = format!("o{}", b.op_count());
-                b.output(name, v);
-            }
-        }
-        b.finish().unwrap()
     }
 
     #[test]
@@ -344,6 +310,66 @@ mod tests {
                 assert_eq!(p.try_place(op, 2).unwrap(), want, "{}", op.label());
             }
         }
+    }
+
+    /// Glue rows committed a row at a time equal the latest record of each
+    /// bit's sources read one by one, over the kind zoo and random specs
+    /// across the fuzz shapes, with their kernels and fragmentations; the
+    /// ops that take δ spread over three cycles.
+    #[test]
+    fn glue_rows_equal_the_per_bit_placer() {
+        use bittrans_benchmarks::{random_spec, FUZZ_SHAPES};
+        use bittrans_frag::{fragment, FragmentOptions};
+        use bittrans_timing::bitref::glue_wires;
+        let mut specs = vec![kind_zoo(true), kind_zoo(false)];
+        for seed in 0..64 {
+            let spec = random_spec(seed, &FUZZ_SHAPES[seed as usize % 4]);
+            let kernel = bittrans_kernel::extract(&spec).unwrap();
+            for latency in [2, 3, 4, 6] {
+                specs.extend(
+                    fragment(&kernel, &FragmentOptions::with_latency(latency)).map(|f| f.spec),
+                );
+            }
+            specs.extend([spec, kernel]);
+        }
+        let mut committed = 0;
+        for spec in &specs {
+            let cycle = bittrans_timing::critical_path(spec).max(1);
+            let mut p = Placer::new(spec, cycle, 3, Chain::BitLevel);
+            for op in spec.ops() {
+                if !is_zero_delay(op.kind()) {
+                    let e0 = p.earliest_input_cycle(op).max(1);
+                    p.place_in_window(op, e0, 3, true).unwrap();
+                    continue;
+                }
+                let mut want = vec![CONST_BIT; op.width() as usize];
+                glue_wires(spec, op, |wire| {
+                    wire.for_each_bit(|i, bit| {
+                        let slot = &mut want[i as usize];
+                        *slot = (*slot).max(p.prod_of(wire.value(), bit));
+                    });
+                });
+                p.commit_glue(op);
+                let got: Vec<BitProd> =
+                    (0..op.width()).map(|i| p.prod_of(op.result(), i)).collect();
+                assert_eq!(got, want, "{} in `{}`", op.label(), spec.name());
+                let k = want.iter().map(|b| b.cycle).max().unwrap_or(0).clamp(1, 3);
+                assert_eq!(p.assignment[op.id().index()], k, "{}", op.label());
+                committed += 1;
+            }
+        }
+        assert!(committed > 5_000, "only {committed} glue ops");
+    }
+
+    #[test]
+    #[should_panic(expected = "value read before its op was committed")]
+    fn glue_reading_an_uncommitted_value_panics() {
+        let spec = Spec::parse(
+            "spec s { input a: u8; input b: u8; x: u8 = a + b; n: u8 = ~x; output n; }",
+        )
+        .unwrap();
+        let mut p = Placer::new(&spec, 16, 2, Chain::BitLevel);
+        p.commit_glue(&spec.ops()[1]);
     }
 
     #[test]

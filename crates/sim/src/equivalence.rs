@@ -241,18 +241,18 @@ impl Cosim {
         if lanes == 0 {
             return None;
         }
-        self.left.run();
-        self.right.run();
+        self.left.run(lanes);
+        self.right.run(lanes);
         let (mut l, mut r) = ([0; LANES], [0; LANES]);
+        let (l, r) = (&mut l[..lanes], &mut r[..lanes]);
         let mut differ = 0u64;
         for &(ls, rs) in &self.outputs {
-            self.left.read(ls, &mut l);
-            self.right.read(rs, &mut r);
-            for (lane, (x, y)) in l.iter().zip(&r).enumerate() {
+            self.left.read(ls, l);
+            self.right.read(rs, r);
+            for (lane, (x, y)) in l.iter().zip(&*r).enumerate() {
                 differ |= u64::from(x != y) << lane;
             }
         }
-        let differ = differ & mask(lanes as u32);
         (differ != 0).then(|| differ.trailing_zeros() as usize)
     }
 }
@@ -413,6 +413,49 @@ mod tests {
         );
         let err = check_equivalence_on(&good, &bad, &[InputVector::new()]).unwrap_err();
         assert_eq!(err, Inequivalence::SimFailed(SimError::MissingInput { name: "x".into() }));
+    }
+
+    /// A 10-vector check runs 10 lanes and a 65-vector one a full batch
+    /// and then one lane: each verdict is the interpreter's over the same
+    /// vectors, whether the sides agree, differ somewhere in the stream or
+    /// differ only on the last vector.
+    #[test]
+    fn short_batches_give_the_interpreters_verdict() {
+        let good = Spec::parse("spec a { input x: u8; input y: u4; output o = x + y; }").unwrap();
+        let bad = Spec::parse(
+            "spec b { input x: u8; input y: u4; o: u9 = x + y + (x[7] & x[6] & y[3]); output o; }",
+        )
+        .unwrap();
+        let mut verdicts = [0; 2];
+        for seed in 0..40 {
+            for count in [8, 63] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let stream: Vec<_> = (0..count + 2).map(|k| vector(&good, k, &mut rng)).collect();
+                for right in [&good, &bad] {
+                    let want = interpret(&good, right, &stream);
+                    assert_eq!(check_equivalence(&good, right, seed, count), want, "seed {seed}");
+                    assert_eq!(check_equivalence_on(&good, right, &stream), want, "seed {seed}");
+                    verdicts[usize::from(want.is_err())] += 1;
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 20), "verdicts (ok, err): {verdicts:?}");
+        // The sides differ only on the last of 10 or of 65 vectors.
+        let at = |x: u64, y: u64| {
+            let mut iv = InputVector::new();
+            iv.set("x", Bits::from_u64(x, 8));
+            iv.set("y", Bits::from_u64(y, 4));
+            iv
+        };
+        for n in [10, 65] {
+            let mut vectors: Vec<_> = (0..n).map(|k| at(k % 64, k % 16)).collect();
+            vectors[n as usize - 1] = at(0xc0, 8);
+            let want = interpret(&good, &bad, &vectors);
+            assert!(
+                matches!(&want, Err(Inequivalence::Counterexample { inputs, .. }) if *inputs == at(0xc0, 8))
+            );
+            assert_eq!(check_equivalence_on(&good, &bad, &vectors), want);
+        }
     }
 
     #[test]

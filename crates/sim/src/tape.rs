@@ -5,9 +5,10 @@
 //! and is the oracle. The equivalence checker runs thousands of vectors
 //! through the same two specs, so it lowers each spec once: every operation
 //! becomes a [`Step`] reading its operands from one shared [`Src`] list,
-//! and the step runs over [`LANES`] vectors side by side. Each operand is
-//! loaded into a lane buffer once per step — sliced, and sign-extended by
-//! shifting — so the per-lane work is one tight loop over the operation.
+//! and the step runs over up to [`LANES`] vectors side by side: a run does
+//! the lanes its batch loaded and no more. Each operand is loaded into a
+//! lane buffer once per step — sliced, and sign-extended by shifting — so
+//! the per-lane work is one tight loop over the operation.
 //!
 //! Slots are laid out slot-major, [`LANES`] words each, and assigned by
 //! liveness: a value's slot is freed after its last reader and reused by a
@@ -205,24 +206,32 @@ impl Tape {
             .collect()
     }
 
-    /// Computes every value from the loaded inputs, in every lane.
-    pub(crate) fn run(&mut self) {
+    /// Computes every value from the loaded inputs in lanes `0..lanes`;
+    /// the other lanes keep what they held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds [`LANES`].
+    pub(crate) fn run(&mut self, lanes: usize) {
         let Tape { steps, srcs, slots, .. } = self;
         let mut bufs = [[0; LANES]; 3];
+        let mut bufs = bufs.each_mut().map(|buf| &mut buf[..lanes]);
         for step in steps.iter() {
             exec(step, &srcs[step.args.0 as usize..step.args.1 as usize], slots, &mut bufs);
         }
     }
 
-    /// The bits `src` reads in every lane, zero-extended, into `out`.
-    pub(crate) fn read(&self, src: Src, out: &mut Lanes) {
+    /// The bits `src` reads in the first `out.len()` lanes, zero-extended,
+    /// into `out`.
+    pub(crate) fn read(&self, src: Src, out: &mut [u64]) {
         load(&self.slots, src, false, out);
     }
 }
 
-/// Runs `step` over every lane: loads its operands into `bufs`, then
-/// writes `kind(bufs)`, masked to the step's width, to its destination.
-fn exec(step: &Step, args: &[Src], slots: &mut [u64], bufs: &mut [Lanes; 3]) {
+/// Runs `step` over the lanes of `bufs`: loads its operands into `bufs`,
+/// then writes `kind(bufs)`, masked to the step's width, to its
+/// destination.
+fn exec(step: &Step, args: &[Src], slots: &mut [u64], bufs: &mut [&mut [u64]; 3]) {
     let kind = step.kind;
     // Abs reads its operand as signed whatever the op's signedness; the
     // reductions and Concat read raw bits.
@@ -250,9 +259,9 @@ fn exec(step: &Step, args: &[Src], slots: &mut [u64], bufs: &mut [Lanes; 3]) {
             load(slots, src, sext, buf);
         }
     }
-    let (a, b, c) = (&*a, &*b, &*c);
+    let (a, b, c) = (&**a, &**b, &**c);
     let m = mask(step.width);
-    let d = row_mut(slots, step.dest);
+    let d = &mut row_mut(slots, step.dest)[..a.len()];
     // Signed order is unsigned order with the sign bit flipped.
     let flip = if step.signed { 1 << 63 } else { 0 };
     match kind {
@@ -299,16 +308,16 @@ fn exec(step: &Step, args: &[Src], slots: &mut [u64], bufs: &mut [Lanes; 3]) {
     }
 }
 
-/// Loads the bits `src` reads in every lane into `buf`: zero-extended, or
-/// sign-extended if `sext`.
-fn load(slots: &[u64], src: Src, sext: bool, buf: &mut Lanes) {
+/// Loads the bits `src` reads in the first `buf.len()` lanes into `buf`:
+/// zero-extended, or sign-extended if `sext`.
+fn load(slots: &[u64], src: Src, sext: bool, buf: &mut [u64]) {
     match src {
         Src::Slot { width: 0, .. } => buf.fill(0),
         Src::Slot { slot, lo, width } => {
             // Shift the slice's top bit to bit 63, then back down to bit
             // `width - 1`, arithmetically to sign-extend.
             let (up, down) = (64 - lo - width, 64 - width);
-            let row = row(slots, slot);
+            let row = &row(slots, slot)[..buf.len()];
             if sext {
                 lanes1(buf, row, !0, |w| ((w << up) as i64 >> down) as u64);
             } else {
@@ -332,14 +341,14 @@ fn row_mut(slots: &mut [u64], slot: u32) -> &mut Lanes {
 }
 
 /// `d[l] = f(a[l]) & m` for every lane `l`.
-fn lanes1(d: &mut Lanes, a: &Lanes, m: u64, f: impl Fn(u64) -> u64) {
+fn lanes1(d: &mut [u64], a: &[u64], m: u64, f: impl Fn(u64) -> u64) {
     for (d, &x) in d.iter_mut().zip(a) {
         *d = f(x) & m;
     }
 }
 
 /// `d[l] = f(a[l], b[l]) & m` for every lane `l`.
-fn lanes2(d: &mut Lanes, a: &Lanes, b: &Lanes, m: u64, f: impl Fn(u64, u64) -> u64) {
+fn lanes2(d: &mut [u64], a: &[u64], b: &[u64], m: u64, f: impl Fn(u64, u64) -> u64) {
     for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {
         *d = f(x, y) & m;
     }
@@ -347,10 +356,10 @@ fn lanes2(d: &mut Lanes, a: &Lanes, b: &Lanes, m: u64, f: impl Fn(u64, u64) -> u
 
 /// `d[l] = f(a[l], b[l], c[l]) & m` for every lane `l`.
 fn lanes3(
-    d: &mut Lanes,
-    a: &Lanes,
-    b: &Lanes,
-    c: &Lanes,
+    d: &mut [u64],
+    a: &[u64],
+    b: &[u64],
+    c: &[u64],
     m: u64,
     f: impl Fn(u64, u64, u64) -> u64,
 ) {
@@ -435,8 +444,8 @@ mod tests {
             for (lane, iv) in batch.iter().enumerate() {
                 assert!(live.load(lane, iv) && every.load(lane, iv));
             }
-            live.run();
-            every.run();
+            live.run(batch.len());
+            every.run(batch.len());
             let evals: Vec<_> = batch.iter().map(|iv| evaluate(spec, iv).unwrap()).collect();
             for (lane, iv) in batch.iter().enumerate() {
                 assert_eq!(&live.input_vector(lane), iv);
@@ -518,6 +527,22 @@ mod tests {
         // The bound is far below the value count, so it is liveness that
         // keeps it.
         assert!(widest > 500, "the largest fragmented spec has only {widest} values");
+    }
+
+    /// A check of 10 vectors runs 10 lanes, and one of 65 runs a full
+    /// batch, then a single lane over the first batch's leftovers: every
+    /// lane that runs matches the interpreter.
+    #[test]
+    fn batches_of_10_and_65_vectors_match_the_interpreter_on_every_lane() {
+        for spec in corpus().into_iter().take(4) {
+            let kernel = bittrans_kernel::extract(&spec).unwrap();
+            let fragmented = fragment(&kernel, &FragmentOptions::with_latency(3)).unwrap().spec;
+            for (seed, spec) in [spec, kernel, fragmented].iter().enumerate() {
+                for count in [8, 63] {
+                    assert_matches_interpreter(spec, seed as u64, count);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Forward (ASAP) per-bit arrival times under the ripple model.
 
-use crate::bitref::{add_profile, glue_sources, operand_bit, BitRef};
+use crate::bitref::{add_profile, gather_max, glue_wires, operand_bit, BitRef};
 use crate::table::BitTable;
 use crate::Delta;
 use bittrans_ir::prelude::*;
@@ -12,7 +12,7 @@ use bittrans_ir::prelude::*;
 /// and [`required_times`](crate::required_times) (latest allowed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitTimes {
-    times: BitTable<Delta>,
+    pub(crate) times: BitTable<Delta>,
 }
 
 impl BitTimes {
@@ -52,10 +52,19 @@ impl BitTimes {
 /// Computes the earliest availability of every bit of every value.
 ///
 /// Input-port and constant bits arrive at t = 0, and every operation's
-/// result bits settle per [`settle_times`].
+/// result bits settle per [`settle_times`]; an op that takes no δ settles
+/// its row through [`gather_max`], one slice loop per wiring span.
 pub fn arrival_times(spec: &Spec) -> BitTimes {
     let mut times = BitTimes::filled(spec, 0);
+    let mut glue = Vec::new();
     for op in spec.ops() {
+        if crate::is_zero_delay(op.kind()) {
+            glue.clear();
+            glue.resize(op.width() as usize, 0);
+            gather_max(spec, op, &mut glue, |value, _| &times.times[value]);
+            times.times[op.result()].copy_from_slice(&glue);
+            continue;
+        }
         let row = settle_times(spec, op, 0, |value, bit| Some(times.bit(value, bit)))
             .expect("every bit is available");
         times.times[op.result()].copy_from_slice(&row);
@@ -78,7 +87,7 @@ pub fn arrival_times(spec: &Spec) -> BitTimes {
 /// * `Mul` is atomic: every bit settles [`op_delay_delta`](crate::op_delay_delta)
 ///   after its latest input bit (kernel extraction lowers it to additions).
 /// * Kinds that take no δ ([`is_zero_delay`](crate::is_zero_delay)) settle
-///   each bit with the latest bit it reads ([`glue_sources`]).
+///   each bit with the latest bit it reads ([`glue_wires`]).
 pub fn settle_times(
     spec: &Spec,
     op: &Operation,
@@ -87,15 +96,14 @@ pub fn settle_times(
 ) -> Option<Vec<Delta>> {
     let w = op.width();
     if crate::is_zero_delay(op.kind()) {
-        return (0..w)
-            .map(|i| {
-                let mut t = Some(zero);
-                glue_sources(spec, op, i, |value, bit| {
-                    t = t.zip(bit_time(value, bit)).map(|(t, tb)| t.max(tb));
-                });
-                t
-            })
-            .collect();
+        let mut row = vec![Some(zero); w as usize];
+        glue_wires(spec, op, |wire| {
+            wire.for_each_bit(|i, bit| {
+                let t = &mut row[i as usize];
+                *t = t.zip(bit_time(wire.value(), bit)).map(|(t, tb)| t.max(tb));
+            });
+        });
+        return row.into_iter().collect();
     }
     let signed = op.signedness().is_signed();
     let mut in_time = |operand: &Operand, i: u32| match operand_bit(spec, operand, i, signed) {
@@ -157,6 +165,45 @@ pub fn settle_times(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitref::{glue_sources, oracle_corpus};
+
+    /// [`arrival_times`] with each glue bit settled on its own through the
+    /// per-bit oracle.
+    fn per_bit_arrival(spec: &Spec) -> BitTimes {
+        let mut times = BitTimes::filled(spec, 0);
+        for op in spec.ops() {
+            let row: Vec<Delta> = if crate::is_zero_delay(op.kind()) {
+                let latest = |i| {
+                    let mut t = 0;
+                    glue_sources(spec, op, i, |value, bit| t = t.max(times.bit(value, bit)));
+                    t
+                };
+                (0..op.width()).map(latest).collect()
+            } else {
+                settle_times(spec, op, 0, |value, bit| Some(times.bit(value, bit))).unwrap()
+            };
+            times.times[op.result()].copy_from_slice(&row);
+        }
+        times
+    }
+
+    #[test]
+    fn glue_rows_equal_the_per_bit_oracle() {
+        for spec in oracle_corpus() {
+            let arr = arrival_times(&spec);
+            assert_eq!(arr, per_bit_arrival(&spec), "`{}`", spec.name());
+            // `settle_times` times glue bit by bit the same way, and a bit
+            // not yet available leaves the result unavailable.
+            for op in spec.ops().iter().filter(|op| crate::is_zero_delay(op.kind())) {
+                let settled = settle_times(&spec, op, 0, |value, bit| Some(arr.bit(value, bit)));
+                assert_eq!(settled.as_deref(), Some(arr.of(op.result())), "{}", op.label());
+                let mut reads = false;
+                crate::bitref::glue_wires(&spec, op, |_| reads = true);
+                let none = settle_times(&spec, op, 0, |_, _| None);
+                assert_eq!(none.is_none(), reads, "{}", op.label());
+            }
+        }
+    }
 
     fn parse(src: &str) -> Spec {
         Spec::parse(src).unwrap()

@@ -5,10 +5,16 @@
 //! referenced value, a replicated sign bit (signed extension), or a
 //! constant. Timing passes need this mapping in both directions.
 //!
-//! [`glue_sources`] is the one wiring table of glue: the value bits each
-//! output bit of a glue, `Eq`/`Ne` or reduction op reads. Arrival and
-//! required times, the placer and register allocation all read it.
+//! [`glue_wires`] is the one wiring table of glue: the value bits each
+//! output bit of a glue, `Eq`/`Ne` or reduction op reads, as a few spans
+//! per op. A [`Wire::Aligned`] span routes a run of source bits one to one,
+//! a [`Wire::Broadcast`] feeds one source bit (a sign extension, a mux
+//! select) to a run of output bits, and a [`Wire::Reduce`] feeds a run of
+//! source bits to output bit 0. Arrival and required times, the placer and
+//! register allocation read it through two slice kernels over
+//! [`BitTable`] rows: [`gather_max`] forward and [`scatter`] backward.
 
+use crate::table::BitTable;
 use crate::Delta;
 use bittrans_ir::prelude::*;
 
@@ -50,19 +56,299 @@ pub fn operand_bit(spec: &Spec, operand: &Operand, i: u32, signed: bool) -> BitR
     }
 }
 
-/// Visits the value bits that output bit `i` of a glue, `Eq`/`Ne` or
-/// reduction `op` reads, as `(value, bit)`.
+/// One span of the wiring of a glue, `Eq`/`Ne` or reduction op: a run of
+/// output bits and the bits of one value they read ([`glue_wires`]).
+/// Every span covers at least one bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wire {
+    /// Output bit `dst_lo + j` reads bit `src_lo + j` of `value`, for each
+    /// `j < len`.
+    Aligned {
+        /// The first output bit.
+        dst_lo: u32,
+        /// The number of bits.
+        len: u32,
+        /// The value read.
+        value: ValueId,
+        /// The bit of `value` output bit `dst_lo` reads.
+        src_lo: u32,
+    },
+    /// Every output bit in `dst_lo..dst_lo + len` reads bit `bit` of
+    /// `value`: a signed operand's extension, or a mux select.
+    Broadcast {
+        /// The first output bit.
+        dst_lo: u32,
+        /// The number of bits.
+        len: u32,
+        /// The value read.
+        value: ValueId,
+        /// The one bit of `value` they all read.
+        bit: u32,
+    },
+    /// Output bit 0 reads bits `src_lo..src_lo + len` of `value`.
+    Reduce {
+        /// The number of bits read.
+        len: u32,
+        /// The value read.
+        value: ValueId,
+        /// The lowest bit read.
+        src_lo: u32,
+    },
+}
+
+impl Wire {
+    /// The value the span reads.
+    pub fn value(self) -> ValueId {
+        match self {
+            Wire::Aligned { value, .. }
+            | Wire::Broadcast { value, .. }
+            | Wire::Reduce { value, .. } => value,
+        }
+    }
+
+    /// The highest bit of [`Self::value`] the span reads.
+    pub fn top(self) -> u32 {
+        match self {
+            Wire::Aligned { len, src_lo, .. } | Wire::Reduce { len, src_lo, .. } => {
+                src_lo + len - 1
+            }
+            Wire::Broadcast { bit, .. } => bit,
+        }
+    }
+
+    /// Visits every `(output bit, value bit)` pair of the span, output
+    /// bits in ascending order.
+    pub fn for_each_bit(self, mut visit: impl FnMut(u32, u32)) {
+        match self {
+            Wire::Aligned { dst_lo, len, src_lo, .. } => {
+                (0..len).for_each(|j| visit(dst_lo + j, src_lo + j));
+            }
+            Wire::Broadcast { dst_lo, len, bit, .. } => {
+                (dst_lo..dst_lo + len).for_each(|i| visit(i, bit));
+            }
+            Wire::Reduce { len, src_lo, .. } => (src_lo..src_lo + len).for_each(|b| visit(0, b)),
+        }
+    }
+}
+
+/// Visits the spans ([`Wire`]) that say which value bits each output bit
+/// of a glue, `Eq`/`Ne` or reduction `op` reads: the one wiring table of
+/// glue, a few spans per op.
 ///
-/// Constant bits are skipped, and operands are extended through
-/// [`operand_bit`] with the op's signedness. A mux bit reads select bit 0
-/// and both data bits; a shift or concatenation bit reads the one bit it
-/// routes. Bit 0 of an `Eq`/`Ne` or reduction reads every operand bit, and
-/// its higher (zero-extension) bits read nothing.
+/// Constant bits are skipped, and operands are extended as
+/// [`operand_bit`] does with the op's signedness: past an operand's width
+/// a signed operand is a [`Wire::Broadcast`] of its most-significant bit
+/// and an unsigned one reads nothing. A mux bit reads select bit 0 and
+/// both data bits; a shift or concatenation bit reads the one bit it
+/// routes, and a left shift's low bits read nothing. Bit 0 of an `Eq`/`Ne`
+/// or reduction reads every operand bit ([`Wire::Reduce`]), and its higher
+/// (zero-extension) bits read nothing.
 ///
 /// # Panics
 ///
 /// Panics if `op` is an additive or multiplicative operation.
-pub fn glue_sources(spec: &Spec, op: &Operation, i: u32, mut visit: impl FnMut(ValueId, u32)) {
+pub fn glue_wires(spec: &Spec, op: &Operation, mut visit: impl FnMut(Wire)) {
+    let w = op.width();
+    let signed = op.signedness().is_signed();
+    let operands = op.operands();
+    let visit = &mut visit;
+    match op.kind() {
+        OpKind::Not => extended(spec, &operands[0], signed, 0, 0, w, visit),
+        OpKind::And | OpKind::Or | OpKind::Xor => {
+            extended(spec, &operands[0], signed, 0, 0, w, visit);
+            extended(spec, &operands[1], signed, 0, 0, w, visit);
+        }
+        OpKind::Mux => {
+            if let BitRef::Value { value, bit } = operand_bit(spec, &operands[0], 0, signed) {
+                visit(Wire::Broadcast { dst_lo: 0, len: w, value, bit });
+            }
+            extended(spec, &operands[1], signed, 0, 0, w, visit);
+            extended(spec, &operands[2], signed, 0, 0, w, visit);
+        }
+        OpKind::Shl(k) => {
+            if k < w {
+                extended(spec, &operands[0], signed, k, 0, w - k, visit);
+            }
+        }
+        OpKind::Shr(k) => extended(spec, &operands[0], signed, 0, k, w, visit),
+        OpKind::Concat => {
+            let mut base = 0;
+            for operand in operands {
+                let ow = spec.operand_width(operand);
+                match operand {
+                    Operand::Value { value, .. } if base < w => {
+                        let (len, src_lo) = (ow.min(w - base), value_lo(operand));
+                        visit(Wire::Aligned { dst_lo: base, len, value: *value, src_lo });
+                    }
+                    _ => {}
+                }
+                base += ow;
+            }
+        }
+        OpKind::Eq | OpKind::Ne | OpKind::RedOr | OpKind::RedAnd => {
+            for operand in operands {
+                if let Operand::Value { value, .. } = operand {
+                    let (len, src_lo) = (spec.operand_width(operand), value_lo(operand));
+                    visit(Wire::Reduce { len, value: *value, src_lo });
+                }
+            }
+        }
+        other => panic!("{other} is not glue"),
+    }
+}
+
+/// The lowest bit of its value a value operand reads.
+fn value_lo(operand: &Operand) -> u32 {
+    match operand {
+        Operand::Value { range: Some(r), .. } => r.lo(),
+        _ => 0,
+    }
+}
+
+/// Visits the spans of `n` output bits from `dst_lo` that read `operand`,
+/// extended with `signed`, from its bit `from` on.
+fn extended(
+    spec: &Spec,
+    operand: &Operand,
+    signed: bool,
+    dst_lo: u32,
+    from: u32,
+    n: u32,
+    visit: &mut impl FnMut(Wire),
+) {
+    let Operand::Value { value, .. } = operand else {
+        return;
+    };
+    let (lo, ow) = (value_lo(operand), spec.operand_width(operand));
+    let real = ow.saturating_sub(from).min(n);
+    if real > 0 {
+        visit(Wire::Aligned { dst_lo, len: real, value: *value, src_lo: lo + from });
+    }
+    if signed && real < n {
+        let (dst_lo, len) = (dst_lo + real, n - real);
+        visit(Wire::Broadcast { dst_lo, len, value: *value, bit: lo + ow - 1 });
+    }
+}
+
+/// Raises each entry of `row`, the result row of a glue, `Eq`/`Ne` or
+/// reduction `op`, to the latest of the bits it reads ([`glue_wires`]):
+/// the forward kernel of every bit-level pass, one slice loop per span.
+/// For `bool` the latest is the logical or.
+///
+/// `read(value, top)` is the row of `value`; `top` is the highest bit the
+/// span reads, for a caller that checks the row is readable that far.
+///
+/// # Panics
+///
+/// Panics if `op` is not glue, `Eq`/`Ne` or a reduction, or if `row` or a
+/// row `read` returns is shorter than a span.
+pub fn gather_max<'t, T: Ord + Copy + 't>(
+    spec: &Spec,
+    op: &Operation,
+    row: &mut [T],
+    mut read: impl FnMut(ValueId, u32) -> &'t [T],
+) {
+    glue_wires(spec, op, |wire| {
+        let src = read(wire.value(), wire.top());
+        match wire {
+            Wire::Aligned { dst_lo, len, src_lo, .. } => {
+                let out = &mut row[dst_lo as usize..][..len as usize];
+                for (o, &s) in out.iter_mut().zip(&src[src_lo as usize..][..len as usize]) {
+                    *o = (*o).max(s);
+                }
+            }
+            Wire::Broadcast { dst_lo, len, bit, .. } => {
+                let s = src[bit as usize];
+                for o in &mut row[dst_lo as usize..][..len as usize] {
+                    *o = (*o).max(s);
+                }
+            }
+            Wire::Reduce { len, src_lo, .. } => {
+                if let Some(&s) = src[src_lo as usize..][..len as usize].iter().max() {
+                    row[0] = row[0].max(s);
+                }
+            }
+        }
+    });
+}
+
+/// Combines each entry of `row`, one per result bit of a glue, `Eq`/`Ne`
+/// or reduction `op`, into every bit of `table` that result bit reads
+/// ([`glue_wires`]): the backward kernel, one slice loop per span.
+/// `combine` must be commutative and associative (`min` for deadlines,
+/// `max` for last reads), so the order spans arrive in does not matter.
+///
+/// # Panics
+///
+/// Panics if `op` is not glue, `Eq`/`Ne` or a reduction, or if `row` is
+/// shorter than a span.
+pub fn scatter<T: Copy>(
+    spec: &Spec,
+    op: &Operation,
+    row: &[T],
+    table: &mut BitTable<T>,
+    combine: impl Fn(T, T) -> T,
+) {
+    glue_wires(spec, op, |wire| {
+        let src = &mut table[wire.value()];
+        match wire {
+            Wire::Aligned { dst_lo, len, src_lo, .. } => {
+                let out = &row[dst_lo as usize..][..len as usize];
+                for (s, &o) in src[src_lo as usize..][..len as usize].iter_mut().zip(out) {
+                    *s = combine(*s, o);
+                }
+            }
+            Wire::Broadcast { dst_lo, len, bit, .. } => {
+                let s = &mut src[bit as usize];
+                *s = row[dst_lo as usize..][..len as usize].iter().fold(*s, |s, &o| combine(s, o));
+            }
+            Wire::Reduce { len, src_lo, .. } => {
+                for s in &mut src[src_lo as usize..][..len as usize] {
+                    *s = combine(*s, row[0]);
+                }
+            }
+        }
+    });
+}
+
+/// Specs whose glue covers the wiring cases: the kind zoo, wide
+/// reductions feeding adders (so their bit 0 is due before bit 1), and
+/// `random_spec` seeds 0..64 across the fuzz shapes with their kernels
+/// and their fragmentations at λ 2, 3, 4 and 6.
+#[cfg(test)]
+pub(crate) fn oracle_corpus() -> Vec<Spec> {
+    use bittrans_benchmarks::{kind_zoo, random_spec, FUZZ_SHAPES};
+    use bittrans_frag::{fragment, FragmentOptions};
+    let reductions = Spec::parse(
+        "spec reductions { input a: u8; input c: u3; input d: u4;
+          s: u8 = a + d; r: u3 = redor(s[6:2]); e: u4 = s == c;
+          y: u3 = r + c; z: u4 = e + d; output y; output z; }",
+    )
+    .expect("valid reductions spec");
+    let mut specs = vec![kind_zoo(true), kind_zoo(false), reductions];
+    for seed in 0..64 {
+        let spec = random_spec(seed, &FUZZ_SHAPES[seed as usize % 4]);
+        let kernel = bittrans_kernel::extract(&spec).expect("random specs extract");
+        for latency in [2, 3, 4, 6] {
+            if let Ok(f) = fragment(&kernel, &FragmentOptions::with_latency(latency)) {
+                specs.push(f.spec);
+            }
+        }
+        specs.extend([spec, kernel]);
+    }
+    specs
+}
+
+/// The per-bit statement of [`glue_wires`], kept as its test oracle:
+/// visits the value bits that output bit `i` of a glue, `Eq`/`Ne` or
+/// reduction `op` reads, as `(value, bit)`.
+#[cfg(test)]
+pub(crate) fn glue_sources(
+    spec: &Spec,
+    op: &Operation,
+    i: u32,
+    mut visit: impl FnMut(ValueId, u32),
+) {
     let signed = op.signedness().is_signed();
     let mut read = |operand: &Operand, j: u32| {
         if let BitRef::Value { value, bit } = operand_bit(spec, operand, j, signed) {
@@ -272,11 +558,74 @@ mod tests {
         (b.finish().unwrap(), [a, c, s])
     }
 
-    /// The `(value, bit)` pairs bit `i` of op `n` reads, in visit order.
+    /// The `(value, bit)` pairs bit `i` of op `n` reads, in span order.
     fn sources(spec: &Spec, n: usize, i: u32) -> Vec<(ValueId, u32)> {
         let mut out = Vec::new();
-        glue_sources(spec, &spec.ops()[n], i, |value, bit| out.push((value, bit)));
+        glue_wires(spec, &spec.ops()[n], |wire| {
+            wire.for_each_bit(|dst, bit| {
+                if dst == i {
+                    out.push((wire.value(), bit));
+                }
+            });
+        });
         out
+    }
+
+    #[test]
+    fn glue_wires_expand_to_the_per_bit_oracle() {
+        let mut checked = 0;
+        for spec in oracle_corpus() {
+            for op in spec.ops().iter().filter(|op| crate::is_zero_delay(op.kind())) {
+                let mut wired = vec![Vec::new(); op.width() as usize];
+                glue_wires(&spec, op, |wire| {
+                    let mut bits = 0;
+                    wire.for_each_bit(|i, bit| {
+                        bits += 1;
+                        wired[i as usize].push((wire.value(), bit));
+                    });
+                    assert!(bits > 0, "an empty span: {wire:?}");
+                });
+                for (i, got) in (0..).zip(&mut wired) {
+                    let mut want = Vec::new();
+                    glue_sources(&spec, op, i, |value, bit| want.push((value, bit)));
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(*got, want, "bit {i} of {} in `{}`", op.label(), spec.name());
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 5_000, "only {checked} glue ops");
+    }
+
+    #[test]
+    fn spans_cover_signed_extension_shifts_and_reductions() {
+        // Op `i` of the zoo is unsigned, op `n + i` the same op signed.
+        let spec = bittrans_benchmarks::kind_zoo(false);
+        let n = spec.ops().len() / 2;
+        let wires = |i: usize| {
+            let mut out = Vec::new();
+            glue_wires(&spec, &spec.ops()[i], |wire| out.push(wire));
+            out
+        };
+        let [s, x] = [0, 1].map(|i| spec.inputs()[i]);
+        // `~x` at 8 bits: six routed bits, then the sign bit twice.
+        assert_eq!(
+            wires(n + 3),
+            [
+                Wire::Aligned { dst_lo: 0, len: 6, value: x, src_lo: 0 },
+                Wire::Broadcast { dst_lo: 6, len: 2, value: x, bit: 5 },
+            ]
+        );
+        assert_eq!(wires(3), [Wire::Aligned { dst_lo: 0, len: 6, value: x, src_lo: 0 }]);
+        // `s << 2` at 10 bits routes `s` to bits 2..10; `s << 12` reads nothing.
+        assert_eq!(wires(7), [Wire::Aligned { dst_lo: 2, len: 8, value: s, src_lo: 0 }]);
+        assert!(wires(n + 10).is_empty());
+        // Signed `s[7:3] >> 7` at 9 bits: past the slice, so every bit is its msb.
+        assert_eq!(wires(n + 11), [Wire::Broadcast { dst_lo: 0, len: 9, value: s, bit: 7 }]);
+        assert!(wires(11).is_empty());
+        // `redor(s[7:3])` at 3 bits: bit 0 reads the slice.
+        assert_eq!(wires(15), [Wire::Reduce { len: 5, value: s, src_lo: 3 }]);
     }
 
     #[test]

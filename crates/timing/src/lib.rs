@@ -25,9 +25,13 @@
 //! * [`path::path_walk_time`] — the paper's §3.2 linear path algorithm,
 //!   implemented verbatim;
 //! * [`path::critical_path`] — DFG-wide critical path in δ;
-//! * [`bitref::glue_sources`] — the one wiring table of glue: which value
-//!   bits each output bit of a glue, `Eq`/`Ne` or reduction op reads
-//!   (every bit-level pass, here and downstream, reads it);
+//! * [`bitref::glue_wires`] — the one wiring table of glue: which value
+//!   bits each output bit of a glue, `Eq`/`Ne` or reduction op reads, as
+//!   spans of three kinds: `Aligned` (a run of output bits reads a run of
+//!   source bits), `Broadcast` (a run reads one source bit: sign extension,
+//!   a mux select) and `Reduce` (output bit 0 reads a run). Every bit-level
+//!   pass, here and downstream, reads it through the row kernels
+//!   [`bitref::gather_max`] (forward) and [`bitref::scatter`] (backward);
 //! * [`bitref::AddProfile::settle`] — the refined ripple rule of one sum
 //!   bit, which [`arrival::settle_times`] applies to additions;
 //! * [`table::BitTable`] — the dense per-bit table (one flat `Vec`, a

@@ -1,7 +1,7 @@
 //! Backward (ALAP) per-bit required times under the ripple model.
 
 use crate::arrival::BitTimes;
-use crate::bitref::{glue_sources, operand_bit, BitRef};
+use crate::bitref::{operand_bit, scatter, BitRef};
 use crate::Delta;
 use bittrans_ir::prelude::*;
 
@@ -18,8 +18,9 @@ use bittrans_ir::prelude::*;
 /// requested latency is infeasible at the chosen cycle length.
 pub fn required_times(spec: &Spec, total: Delta) -> BitTimes {
     let mut req = BitTimes::filled(spec, total);
+    let mut glue = Vec::new();
     for op in spec.ops().iter().rev() {
-        eval_op_required(spec, op, &mut req);
+        eval_op_required(spec, op, &mut req, &mut glue);
     }
     req
 }
@@ -35,7 +36,9 @@ fn min_out(req: &BitTimes, op: &Operation) -> Delta {
     (0..op.width()).map(|i| req.bit(op.result(), i)).min().unwrap_or(0)
 }
 
-fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes) {
+/// Tightens the required times of the bits `op` reads from those of its
+/// result. `glue` is a scratch row for ops that take no δ.
+fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes, glue: &mut Vec<Delta>) {
     let w = op.width();
     let z = op.result();
     let signed = op.signedness().is_signed();
@@ -134,7 +137,7 @@ fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes) {
         }
         // Glue, equality and reductions: 0δ, so every bit a result bit
         // reads is due when that bit is (a mux select by its earliest
-        // result bit).
+        // result bit): the result row scattered with `min`.
         OpKind::Eq
         | OpKind::Ne
         | OpKind::RedOr
@@ -147,10 +150,9 @@ fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes) {
         | OpKind::Shl(_)
         | OpKind::Shr(_)
         | OpKind::Concat => {
-            for i in 0..w {
-                let deadline = req.bit(z, i);
-                glue_sources(spec, op, i, |value, bit| req.tighten(value, bit, deadline));
-            }
+            glue.clear();
+            glue.extend_from_slice(req.of(z));
+            scatter(spec, op, glue, &mut req.times, Delta::min);
         }
     }
 }
@@ -159,6 +161,36 @@ fn eval_op_required(spec: &Spec, op: &Operation, req: &mut BitTimes) {
 mod tests {
     use super::*;
     use crate::arrival::arrival_times;
+    use crate::bitref::{glue_sources, oracle_corpus};
+
+    /// [`required_times`] with each glue bit's deadline pushed on its own
+    /// through the per-bit oracle.
+    fn per_bit_required(spec: &Spec, total: Delta) -> BitTimes {
+        let mut req = BitTimes::filled(spec, total);
+        let mut glue = Vec::new();
+        for op in spec.ops().iter().rev() {
+            if !crate::is_zero_delay(op.kind()) {
+                eval_op_required(spec, op, &mut req, &mut glue);
+                continue;
+            }
+            for i in 0..op.width() {
+                let deadline = req.bit(op.result(), i);
+                glue_sources(spec, op, i, |value, bit| req.tighten(value, bit, deadline));
+            }
+        }
+        req
+    }
+
+    #[test]
+    fn glue_rows_equal_the_per_bit_oracle() {
+        for spec in oracle_corpus() {
+            let path = arrival_times(&spec).max();
+            for total in [path.saturating_sub(2), path, path + 3] {
+                let (rows, bits) = (required_times(&spec, total), per_bit_required(&spec, total));
+                assert_eq!(rows, bits, "`{}` at {total}δ", spec.name());
+            }
+        }
+    }
 
     fn parse(src: &str) -> Spec {
         Spec::parse(src).unwrap()
