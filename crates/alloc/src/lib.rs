@@ -41,7 +41,7 @@
 //! let sched = schedule_conventional(&spec, &ConventionalOptions::with_latency(3))?;
 //! let dp = allocate(&spec, &sched, &AllocOptions::default());
 //! // Paper Table I, first column: one shared 16-bit adder (162 gates).
-//! assert_eq!(dp.fus.len(), 1);
+//! assert_eq!(dp.binding.fus.len(), 1);
 //! assert_eq!(dp.area.fu.round(), 162.0);
 //! # Ok(())
 //! # }
@@ -85,21 +85,13 @@ pub struct Binding {
     pub stored_bits: u32,
 }
 
-/// The allocated datapath with its priced components.
+/// The allocated datapath: a [`Binding`] priced with one adder
+/// architecture.
 #[derive(Clone, Debug)]
 pub struct Datapath {
-    /// Functional units with their bound operations.
-    pub fus: Vec<fu::Fu>,
-    /// Physical registers.
-    pub registers: Vec<regs::RegisterInstance>,
-    /// Multiplexers in front of FU ports and register inputs.
-    pub muxes: Vec<Component>,
-    /// Dedicated glue logic (inverters, partial-product muxes, …).
-    pub glue: Vec<Component>,
-    /// The FSM controller.
-    pub controller: Component,
-    /// Total stored bits (register bits before grouping overhead).
-    pub stored_bits: u32,
+    /// Units, registers, muxes, glue and controller as [`bind`] decided
+    /// them.
+    pub binding: Binding,
     /// Adder micro-architecture the units were priced with.
     pub adder_arch: AdderArch,
     /// Priced area, Table-I style.
@@ -111,20 +103,21 @@ impl Datapath {
     /// instances per cost category, bill of materials, VHDL skeleton).
     pub fn netlist(&self, name: &str) -> bittrans_rtl::Netlist {
         use bittrans_rtl::Category;
+        let binding = &self.binding;
         let mut n = bittrans_rtl::Netlist::new(name);
-        for f in &self.fus {
+        for f in &binding.fus {
             n.push(Category::Fu, f.component(self.adder_arch));
         }
-        for r in &self.registers {
+        for r in &binding.registers {
             n.push(Category::Register, r.component());
         }
-        for &m in &self.muxes {
+        for &m in &binding.muxes {
             n.push(Category::Routing, m);
         }
-        for &g in &self.glue {
+        for &g in &binding.glue {
             n.push(Category::Routing, g);
         }
-        n.push(Category::Controller, self.controller);
+        n.push(Category::Controller, binding.controller);
         n
     }
 }
@@ -175,16 +168,7 @@ impl Binding {
             routing: mux_area + glue_area,
             controller: self.controller.area_gates(),
         };
-        Datapath {
-            fus: self.fus.clone(),
-            registers: self.registers.clone(),
-            muxes: self.muxes.clone(),
-            glue: self.glue.clone(),
-            controller: self.controller,
-            stored_bits: self.stored_bits,
-            adder_arch,
-            area,
-        }
+        Datapath { binding: self.clone(), adder_arch, area }
     }
 }
 
@@ -403,12 +387,12 @@ mod tests {
         let spec = three_adds();
         let sched = schedule_conventional(&spec, &ConventionalOptions::with_latency(3)).unwrap();
         let dp = allocate(&spec, &sched, &AllocOptions::default());
-        assert_eq!(dp.fus.len(), 1, "one shared adder");
+        assert_eq!(dp.binding.fus.len(), 1, "one shared adder");
         assert_eq!(dp.area.fu.round(), 162.0);
-        assert_eq!(dp.registers.len(), 1, "C and E share one register");
-        assert_eq!(dp.registers[0].width, 16);
+        assert_eq!(dp.binding.registers.len(), 1, "C and E share one register");
+        assert_eq!(dp.binding.registers[0].width, 16);
         assert!((dp.area.registers - 81.0).abs() < 1.0);
-        assert_eq!(dp.area.routing.round(), 176.0, "muxes: {:?}", dp.muxes);
+        assert_eq!(dp.area.routing.round(), 176.0, "muxes: {:?}", dp.binding.muxes);
         assert!((dp.area.controller - 60.0).abs() < 3.0);
         let total = dp.area.total();
         assert!((total - 479.0).abs() / 479.0 < 0.02, "total {total} vs paper 479");
@@ -421,10 +405,10 @@ mod tests {
         let spec = three_adds();
         let sched = schedule_conventional(&spec, &ConventionalOptions::blc(1)).unwrap();
         let dp = allocate(&spec, &sched, &AllocOptions::default());
-        assert_eq!(dp.fus.len(), 3);
+        assert_eq!(dp.binding.fus.len(), 3);
         assert_eq!(dp.area.fu.round(), 486.0);
-        assert!(dp.registers.is_empty(), "everything chains in one cycle");
-        assert!(dp.muxes.is_empty(), "single source per port");
+        assert!(dp.binding.registers.is_empty(), "everything chains in one cycle");
+        assert!(dp.binding.muxes.is_empty(), "single source per port");
         let total = dp.area.total();
         assert!((total - 518.0).abs() / 518.0 < 0.02, "total {total} vs paper 518");
     }
@@ -438,12 +422,16 @@ mod tests {
         let f = fragment(&spec, &FragmentOptions::with_latency(3)).unwrap();
         let sched = schedule_fragments(&f, &FragmentScheduleOptions::default()).unwrap();
         let dp = allocate(&f.spec, &sched, &AllocOptions::default());
-        assert_eq!(dp.fus.len(), 3, "one dedicated adder per source addition");
-        for fu_ in &dp.fus {
+        assert_eq!(dp.binding.fus.len(), 3, "one dedicated adder per source addition");
+        for fu_ in &dp.binding.fus {
             assert!(fu_.width <= 6, "fragment adders are 6-bit: {}", fu_.width);
         }
         assert!((dp.area.fu - 176.0).abs() / 176.0 < 0.05, "FU area {} vs paper 176", dp.area.fu);
-        assert!(dp.stored_bits <= 8, "only boundary bits are stored, got {}", dp.stored_bits);
+        assert!(
+            dp.binding.stored_bits <= 8,
+            "only boundary bits are stored, got {}",
+            dp.binding.stored_bits
+        );
         assert!(
             (dp.area.registers - 55.0).abs() / 55.0 < 0.35,
             "register area {} vs paper 55",
@@ -495,7 +483,7 @@ mod tests {
         .unwrap();
         let sched = schedule_conventional(&spec, &ConventionalOptions::with_latency(1)).unwrap();
         let dp = allocate(&spec, &sched, &AllocOptions::default());
-        assert!(dp.glue.len() >= 5, "{:?}", dp.glue);
+        assert!(dp.binding.glue.len() >= 5, "{:?}", dp.binding.glue);
         assert!(dp.area.routing > 0.0);
     }
 
@@ -505,7 +493,7 @@ mod tests {
         let sched = schedule_conventional(&spec, &ConventionalOptions::with_latency(3)).unwrap();
         let dp = allocate(&spec, &sched, &AllocOptions::default());
         let netlist = dp.netlist("three_adds");
-        assert_eq!(netlist.count(bittrans_rtl::Category::Fu), dp.fus.len());
+        assert_eq!(netlist.count(bittrans_rtl::Category::Fu), dp.binding.fus.len());
         assert!((netlist.area().total() - dp.area.total()).abs() < 1e-6);
         assert!(netlist.to_vhdl().contains("entity three_adds_datapath"));
         assert!(netlist.bill_of_materials().contains("fu_0"));
@@ -523,7 +511,7 @@ mod tests {
             assert_eq!(format!("{priced:?}"), format!("{fresh:?}"), "{arch:?}");
             let rest = |a: &AreaReport| [a.registers, a.routing, a.controller].map(f64::to_bits);
             assert_eq!(rest(&priced.area), rest(&rca.area), "{arch:?}");
-            assert_eq!(priced.stored_bits, binding.stored_bits);
+            assert_eq!(format!("{:?}", priced.binding), format!("{binding:?}"));
         }
     }
 

@@ -40,8 +40,9 @@ fn serialised_multiplications_share_glue() {
     let s1 = schedule_fragments(&f1, &FragmentScheduleOptions::default()).unwrap();
     let dp1 = allocate(&f1.spec, &s1, &AllocOptions::default());
 
-    let glue =
-        |d: &bittrans_alloc::Datapath| -> f64 { d.glue.iter().map(|c| c.area_gates()).sum() };
+    let glue = |d: &bittrans_alloc::Datapath| -> f64 {
+        d.binding.glue.iter().map(|c| c.area_gates()).sum()
+    };
     assert!(
         glue(&dp) < 1.6 * glue(&dp1),
         "two serialised muls should nearly share one array: {} vs {}",
@@ -67,7 +68,7 @@ fn parallel_multiplications_do_not_share_glue() {
     let s = schedule_fragments(&f, &FragmentScheduleOptions::default()).unwrap();
     let dp = allocate(&f.spec, &s, &AllocOptions::default());
     let mux2_16ish =
-        dp.glue.iter().filter(|c| matches!(c, bittrans_rtl::Component::Mux { .. })).count();
+        dp.binding.glue.iter().filter(|c| matches!(c, bittrans_rtl::Component::Mux { .. })).count();
     assert!(
         mux2_16ish >= 16,
         "two parallel arrays keep both partial-product mux banks: {mux2_16ish}"
@@ -88,11 +89,11 @@ fn fu_count_tracks_concurrency() {
     .unwrap();
     let serial = schedule_conventional(&spec, &ConventionalOptions::with_latency(4)).unwrap();
     let dp = allocate(&spec, &serial, &AllocOptions::default());
-    assert_eq!(dp.fus.len(), 1, "{:?}", dp.fus);
+    assert_eq!(dp.binding.fus.len(), 1, "{:?}", dp.binding.fus);
 
     let chained = schedule_conventional(&spec, &ConventionalOptions::blc(1)).unwrap();
     let dp = allocate(&spec, &chained, &AllocOptions::default());
-    assert_eq!(dp.fus.len(), 4);
+    assert_eq!(dp.binding.fus.len(), 4);
 }
 
 /// The schedule running `spec`'s ops, in order, in `cycles`.
@@ -117,8 +118,8 @@ fn register_left_edge_sharing() {
     .unwrap();
     let s = schedule_at(&spec, 3, 8, &[1, 2, 3]);
     let dp = allocate(&spec, &s, &AllocOptions::default());
-    assert_eq!(dp.registers.len(), 1, "x and y share one register");
-    assert_eq!(dp.registers[0].groups.len(), 2);
+    assert_eq!(dp.binding.registers.len(), 1, "x and y share one register");
+    assert_eq!(dp.binding.registers[0].groups.len(), 2);
 
     // Now make both x and y live across the same boundary: two registers.
     let spec2 = Spec::parse(
@@ -134,7 +135,7 @@ fn register_left_edge_sharing() {
     let dp2 = allocate(&spec2, &s2, &AllocOptions::default());
     // x and y are both produced in cycle 1 and read by z in cycle 2: they
     // overlap and need two registers.
-    assert_eq!(dp2.registers.len(), 2, "{:?}", dp2.registers);
+    assert_eq!(dp2.binding.registers.len(), 2, "{:?}", dp2.binding.registers);
 }
 
 /// The dedicated-origin preference keeps fragments of one source addition
@@ -149,8 +150,8 @@ fn dedicated_adders_for_the_motivational_example() {
     let f = fragment(&spec, &FragmentOptions::with_latency(3)).unwrap();
     let s = schedule_fragments(&f, &FragmentScheduleOptions::default()).unwrap();
     let dp = allocate(&f.spec, &s, &AllocOptions::default());
-    assert_eq!(dp.fus.len(), 3);
-    for fu in &dp.fus {
+    assert_eq!(dp.binding.fus.len(), 3);
+    for fu in &dp.binding.fus {
         // Each unit executes one fragment per cycle for one source op.
         assert_eq!(fu.bound.len(), 3, "{:?}", fu.bound);
     }

@@ -330,7 +330,7 @@ fn implementation(
         execution_ns: timing.execution_ns(schedule.cycle, schedule.latency),
         area: datapath.area,
         op_count: spec.stats().non_glue(),
-        stored_bits: datapath.stored_bits,
+        stored_bits: datapath.binding.stored_bits,
     }
 }
 

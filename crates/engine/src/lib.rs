@@ -20,15 +20,16 @@
 //!   batch output is deterministic regardless of worker count;
 //! * **content-addressed caching** — every job is keyed by a stable hash
 //!   of its canonicalized specification text, latency and options
-//!   ([`key`]); results live in one bounded in-memory memo ([`stagecache`])
-//!   shared by all batches run on one engine, as the `job` kind beside the
-//!   pipeline-stage artifacts a cache miss decomposes into (one verified
-//!   transformation per stage-sharing group, one bound schedule per flow),
-//!   with hit/miss counters surfaced through [`EngineStats`]. Finished
-//!   jobs optionally spill to a cache directory ([`Engine::with_cache_dir`])
-//!   — one content-addressed store, where the filesystem is the index —
-//!   that later processes read per key and prune by size or age
-//!   ([`Engine::prune_cache`]); stages are shared within a process only;
+//!   ([`key`]); finished jobs live in one bounded in-memory memo
+//!   ([`stagecache`]) shared by all batches run on one engine, with
+//!   hit/miss counters surfaced through [`EngineStats`]. A cache miss
+//!   decomposes into pipeline stages (one verified transformation per
+//!   stage-sharing group, one bound schedule per flow and balance
+//!   setting), which the group's members share through a table their pool
+//!   task owns and drops when it ends. Finished jobs optionally spill to a
+//!   cache directory ([`Engine::with_cache_dir`]) — one content-addressed
+//!   store, where the filesystem is the index — that later processes read
+//!   per key and prune by size or age ([`Engine::prune_cache`]);
 //! * **design-space exploration** — a [`Study`] spans a typed axis grid
 //!   (specs × latencies × adder architectures × balancing × verification)
 //!   and returns a [`StudyReport`] of labelled cells, replacing every
@@ -98,7 +99,7 @@ pub use study::Study;
 
 use bittrans_core::compare;
 use sched::Scheduler;
-use stagecache::{Claim, Slot, StageCache, StageTally};
+use stagecache::{Claim, GroupStages, Slot, StageCache, StageTally};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -126,10 +127,10 @@ impl Default for EngineOptions {
 }
 
 /// The batch-optimization engine: one fair worker pool plus one
-/// content-addressed memo of job results and stage artifacts, shared by
-/// every batch and `serve` request run through it, whose finished jobs
-/// optionally spill to disk ([`Engine::with_cache_dir`]) so separate
-/// processes share them too.
+/// content-addressed memo of job results, shared by every batch and
+/// `serve` request run through it, whose finished jobs optionally spill
+/// to disk ([`Engine::with_cache_dir`]) so separate processes share them
+/// too.
 ///
 /// Every grid reaches the pipeline through one routine, `run_grid`, which
 /// resolves its distinct jobs and labels its cells: [`Engine::run`],
@@ -155,10 +156,9 @@ pub struct Engine {
 #[derive(Debug, Default)]
 struct Shared {
     options: EngineOptions,
-    /// The one memo: finished jobs and pipeline stages keyed by their
-    /// inputs, shared by every batch and serve request, plus the cache
-    /// directory's on-disk store of finished jobs when one is attached
-    /// ([`stagecache`]).
+    /// The one memo: finished jobs keyed by their inputs, shared by every
+    /// batch and serve request, plus the cache directory's on-disk store
+    /// of them when one is attached ([`stagecache`]).
     /// A job's slot, claimed unset, is also its in-flight registration:
     /// other calls wanting the key wait on it instead of recomputing.
     stages: StageCache,
@@ -168,26 +168,23 @@ struct Shared {
 }
 
 impl Shared {
-    /// Computes one comparison: through the memoized stage path
-    /// ([`stagecache::StageCache::compare_staged`]) when the job has a
-    /// `source` digest, i.e. caching is enabled — recording stage
-    /// hits/misses into `tally` — or the monolithic pipeline when it is
-    /// not. Both paths compose the same `bittrans-core` stage functions in
-    /// the same order, so their results are bit-identical.
-    fn compute(&self, job: &Job, source: Option<JobKey>, tally: &StageTally) -> JobResult {
-        match source {
-            Some(source) => {
-                self.stages.compare_staged(&job.spec, source, job.latency, &job.options, tally)
-            }
-            None => compare(&job.spec, job.latency, &job.options),
-        }
-    }
-
     /// Runs one owned job of a group task in its own `exec.task` span: it
     /// computes the job, emits its `computed` event and lands the result
     /// (cached and spilled), or abandons the job's slot if it panics.
-    fn execute(&self, member: &Member, tally: &StageTally, task: &TaskContext) -> Outcome {
-        let Member { index, job, key, slot, source } = member;
+    ///
+    /// With caching on, the job runs through its group's stage table
+    /// ([`GroupStages::compare_staged`]), recording stage hits and misses
+    /// into `tally`; without, through the monolithic pipeline. Both paths
+    /// compose the same `bittrans-core` stage functions in the same order,
+    /// so their results are bit-identical.
+    fn execute(
+        &self,
+        member: &Member,
+        stages: &mut Option<GroupStages>,
+        tally: &StageTally,
+        task: &TaskContext,
+    ) -> Outcome {
+        let Member { index, job, key, slot } = member;
         let outcome = {
             let _span = trace::span_under(task.parent, "exec.task", |a| {
                 a.num("slot", *index as u64).num("group", task.group as u64).num(
@@ -196,7 +193,12 @@ impl Shared {
                 );
             });
             catch_unwind(AssertUnwindSafe(|| {
-                let result = Arc::new(self.compute(job, *source, tally));
+                let result = Arc::new(match stages {
+                    Some(stages) => {
+                        stages.compare_staged(&job.spec, job.latency, &job.options, tally)
+                    }
+                    None => compare(&job.spec, job.latency, &job.options),
+                });
                 trace::event("job", |a| {
                     a.str("key", &key.to_string())
                         .str("provenance", "computed")
@@ -221,13 +223,20 @@ impl Shared {
 type Outcome = std::thread::Result<Arc<JobResult>>;
 
 /// One owned job of a pool task: its index among the call's jobs, the job,
-/// its key and memo slot, and its source digest when caching is on.
+/// its key and memo slot.
 struct Member {
     index: usize,
     job: Job,
     key: JobKey,
     slot: Slot,
-    source: Option<JobKey>,
+}
+
+/// One pool task's jobs — a stage-sharing group, or one job without
+/// caching — and, with caching on, the group's stage table, which the
+/// task owns and drops when it ends.
+struct Group {
+    members: Vec<Member>,
+    stages: Option<GroupStages>,
 }
 
 /// What every `exec.task` span of one pool task records: the caller's
@@ -239,34 +248,35 @@ struct TaskContext {
 }
 
 /// Splits a call's owned jobs into its pool tasks: one per stage-sharing
-/// group ([`stagecache::group_key`]), members in grid order, or one per
-/// job without caching, where nothing is shared. Groups come largest spec
-/// first (by op count; the sort is stable, so ties keep grid order), so
-/// the short groups are the last to start.
+/// group ([`stagecache::group_key`]) with an empty stage table, members in
+/// grid order, or one per job without caching, where nothing is shared.
+/// Groups come largest spec first (by op count; the sort is stable, so
+/// ties keep grid order), so the short groups are the last to start.
 fn stage_groups(
     owned: Vec<(usize, Slot)>,
     jobs: &[Job],
     keys: &[JobKey],
     cache: bool,
-) -> Vec<Vec<Member>> {
-    let mut groups: Vec<Vec<Member>> = Vec::new();
+) -> Vec<Group> {
+    let mut groups: Vec<Group> = Vec::new();
     let mut group_of: HashMap<JobKey, usize> = HashMap::new();
     for (index, slot) in owned {
         let job = jobs[index].clone();
-        let source = cache.then(|| stagecache::source_digest(&job.spec));
+        let group = cache.then(|| {
+            let source = stagecache::source_digest(&job.spec);
+            stagecache::group_key(source, job.latency, &job.options)
+        });
         let mut open = || {
-            groups.push(Vec::new());
+            groups.push(Group { members: Vec::new(), stages: group.map(GroupStages::new) });
             groups.len() - 1
         };
-        let at = match source {
-            Some(source) => *group_of
-                .entry(stagecache::group_key(source, job.latency, &job.options))
-                .or_insert_with(open),
+        let at = match group {
+            Some(key) => *group_of.entry(key).or_insert_with(open),
             None => open(),
         };
-        groups[at].push(Member { index, job, key: keys[index], slot, source });
+        groups[at].members.push(Member { index, job, key: keys[index], slot });
     }
-    groups.sort_by_key(|members| std::cmp::Reverse(members[0].job.spec.ops().len()));
+    groups.sort_by_key(|group| std::cmp::Reverse(group.members[0].job.spec.ops().len()));
     groups
 }
 
@@ -382,19 +392,20 @@ impl Engine {
     /// callback runs, so every owned slot is landed or abandoned whatever
     /// the callback does. They go as one pool task per stage-sharing group
     /// ([`stagecache::group_key`]: the same spec, λ and verify vectors),
-    /// largest spec first, whose members run in turn on one worker: the
-    /// first resolves the group's `fragment` stage (extraction,
-    /// fragmentation and verification), the rest hit it and only
-    /// schedule, price and time, so no worker waits on a slot its own grid
-    /// holds. Without caching nothing is shared and each job is its own
-    /// task. Each job runs in an `exec.task` span under
-    /// the caller's span (its `group` attribute is the pool task's index),
-    /// emits a `computed` event, lands its result (cached and spilled) and
-    /// reports it as it finishes; a panic is caught per job, so the group's
-    /// other members still land. A joined slot is waited on from this
-    /// thread once this call's own tasks are done, so joining costs no pool
-    /// task. Without caching nothing is claimed: every distinct key is
-    /// computed.
+    /// largest spec first, whose members run in turn on one worker against
+    /// the task's own stage table ([`GroupStages`]): the first computes the
+    /// group's `fragment` stage (extraction, fragmentation and
+    /// verification), the rest hit it and schedule once per balance
+    /// setting, then price and time. The table is dropped with the task, so
+    /// no stage is shared between groups or calls. Without caching nothing
+    /// is shared and each job is its own task. Each job runs in an
+    /// `exec.task` span under the caller's span (its `group` attribute is
+    /// the pool task's index), emits a `computed` event, lands its result
+    /// (cached and spilled) and reports it as it finishes; a panic is
+    /// caught per job, so the group's other members still land. A joined
+    /// slot is waited on from this thread once this call's own tasks are
+    /// done, so joining costs no pool task. Without caching nothing is
+    /// claimed: every distinct key is computed.
     ///
     /// A cell is `from_cache` when its key was a hit or an earlier cell
     /// has the same key. The report's [`EngineStats`] count hits and
@@ -486,7 +497,7 @@ impl Engine {
             let tasks: Vec<sched::Task> = groups
                 .into_iter()
                 .enumerate()
-                .map(|(group, members)| {
+                .map(|(group, Group { members, mut stages })| {
                     let shared = Arc::clone(shared);
                     let tally = Arc::clone(&tally);
                     let tx = tx.clone();
@@ -499,9 +510,12 @@ impl Engine {
                         };
                         let (last, rest) = members.split_last().expect("groups are non-empty");
                         for member in rest {
-                            report(member.index, shared.execute(member, &tally, &task));
+                            report(
+                                member.index,
+                                shared.execute(member, &mut stages, &tally, &task),
+                            );
                         }
-                        let outcome = shared.execute(last, &tally, &task);
+                        let outcome = shared.execute(last, &mut stages, &tally, &task);
                         // Release the shared state before the last report,
                         // so a caller that has collected every result holds
                         // the engine alone again (`with_cache_dir`).
@@ -710,7 +724,7 @@ mod tests {
         engine.run(jobs.clone());
         let second = engine.run(jobs);
         assert_eq!(second.stats.cache_hits, 0);
-        // A disabled cache bypasses the stage memo entirely (monolithic
+        // A disabled cache bypasses the stage tables entirely (monolithic
         // pipeline) and never accrues lifetime counters either.
         assert_eq!(second.stats.stage_hits + second.stats.stage_misses, 0);
         assert_eq!(engine.stats().jobs, 0);
@@ -726,7 +740,8 @@ mod tests {
         // One worker, so λ = 2 is admitted first and evicted first.
         let options = EngineOptions { workers: Some(1), cache: true };
         let stored = Engine::new(options).with_cache_dir(&dir).unwrap();
-        let budget = 8 << 10;
+        // Room for two of the six jobs (~0.8 KB charged each).
+        let budget = 2 << 10;
         for (engine, evicted) in [(stored, (1, 0)), (Engine::new(options), (0, 1))] {
             engine.shared.stages.set_memo_capacity(budget);
             for job in &jobs {
@@ -734,7 +749,7 @@ mod tests {
                 let charged = engine.shared.stages.memo_bytes();
                 assert!(charged <= budget, "{charged} > {budget} bytes");
             }
-            assert!(engine.stats().cache_entries > 0, "recent jobs stay resident");
+            assert_eq!(engine.stats().cache_entries, 2, "the two newest jobs stay resident");
             // The evicted job is a disk hit with a store, a miss without.
             let again = engine.run(vec![jobs[0].clone()]);
             assert_eq!((again.stats.cache_hits, again.stats.cache_misses), evicted);

@@ -190,8 +190,8 @@ impl StudyReport {
     /// stage counters zeroed, everything else untouched. Two runs of the
     /// same grid over the same cache state — single-process vs. sharded,
     /// direct vs. served — legitimately differ only in wall clock, pool
-    /// width and stage sharing (a sharded run shares fewer stages per
-    /// process, a warm run runs no stages at all), so serializing
+    /// width and stage counts (a warm run runs no stages at all), so
+    /// serializing
     /// `normalized()` reports is the byte-identity comparison the
     /// shard/serve suites make. For already-serialized text use
     /// [`normalize_run_shape`].

@@ -1,8 +1,7 @@
 //! A long-running [`Study`] service over one warm [`Engine`]: newline-
 //! delimited JSON over TCP, so many clients share the engine's one
-//! in-memory memo of job results and stage artifacts (bounded, with its
-//! finished jobs backed by the cache directory's store) instead of each
-//! paying a cold start.
+//! in-memory memo of job results (bounded, and backed by the cache
+//! directory's store) instead of each paying a cold start.
 //!
 //! # Protocol
 //!

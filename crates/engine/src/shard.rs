@@ -18,10 +18,8 @@
 //!    distinct jobs in **shard order** — by source digest, stage-sharing
 //!    group and [`JobKey`] — then cuts the ranked list into K contiguous
 //!    ranges on group boundaries only (the [`partition`] arithmetic over
-//!    groups — total and disjoint by construction), so no two shards
-//!    resolve the same stage (only a grid over several verify vector
-//!    counts has groups that share one: the schedules of one spec and λ,
-//!    which do not read the count);
+//!    groups — total and disjoint by construction), so each group's jobs
+//!    share its stages in one shard, as they do in a single process;
 //! 2. sends each shard as a shard request — the study body plus
 //!    `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
 //!    newline-delimited JSON protocol — to an endpoint assigned

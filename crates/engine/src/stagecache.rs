@@ -1,114 +1,99 @@
-//! The engine's one content-addressed memo: finished jobs and the
-//! pipeline stages they decompose into, each keyed by its job's inputs.
+//! The engine's content-addressed memo of finished jobs, the cache
+//! directory's store behind it, and the stage table a stage-sharing
+//! group's cache-miss jobs are computed through.
+//!
+//! # Finished jobs
 //!
 //! A finished job (`spec × latency × options`, keyed by [`crate::key`])
-//! is the memo's `job` kind. Job granularity alone would make an adder
-//! walk over one (spec, λ) coordinate re-run the presynthesis
-//! transformation at every point, and a one-operation spec edit a 100 %
-//! cold start, so this module also decomposes a cache-miss job into the
-//! stage functions `bittrans-core` exposes ([`bittrans_core::stage_extract`]
-//! and friends) and memoizes three stages, each under a content key
-//! built from the job's inputs that stage reads:
+//! resolves through one slot lifecycle: claim the key's [`OnceLock`] slot
+//! under the memo lock, then load the job from the store or compute it,
+//! then land it and charge it. The slot is claimed unset by the engine
+//! call that will compute it, so it is the job's in-flight registration:
+//! another call wanting the key joins by waiting on it instead of
+//! computing it twice, so hit/miss counts are deterministic for a given
+//! job set. Errors are cached too: a job is a pure function of its key,
+//! so a failure is as reproducible as a success. A job that panics drops
+//! its key and then lands `None`, which wakes and fails its waiters; a
+//! later call recomputes it.
+//!
+//! The memo is bounded by estimated bytes: when a job lands, its entry is
+//! charged an estimate of its result's size (a fixed part for the two
+//! implementations' figures, plus their names) and a fixed per-entry
+//! overhead, and entries are evicted oldest-first while the charged total
+//! exceeds `STAGE_MEMO_BYTES` (4 MiB), so a long-lived serve process stops
+//! growing without limit. A slot whose job is still being computed is
+//! never evicted — that is what keeps every key computed exactly once. An
+//! entry larger than the whole budget still reaches its caller but is not
+//! kept. An evicted job is reloaded from the store when one is attached,
+//! and recomputed otherwise.
+//!
+//! # Stages
+//!
+//! Job granularity alone would make an adder walk over one (spec, λ)
+//! coordinate re-run the presynthesis transformation at every point, so a
+//! cache-miss job is decomposed into the stage functions `bittrans-core`
+//! exposes ([`bittrans_core::stage_extract`] and friends). The jobs of one
+//! stage-sharing group (`group_key`: #spec, λ and the verify vector count)
+//! resolve their stages against one `GroupStages` table, owned by the
+//! pool task that runs the group and dropped when that task ends. No stage
+//! outlives its task, so none is shared between groups or engine calls.
+//! The table holds:
 //!
 //! ```text
-//! stage        key material (joined with \x1f, then FNV-128 hashed)
-//! ─────        ──────────────────────────────────────────────────────
-//! fragment     "group", #spec, λ, vectors
-//! sched_base   "sched_base", #spec, λ, chaining, balance
-//! sched_frag   "sched_frag", #spec, λ, balance
+//! stage        one per              runs
+//! ─────        ───────              ────
+//! fragment     group                extract, fragment, verify
+//! sched_base   balance setting      conventional schedule, bind
+//! sched_frag   balance setting      fragment schedule, bind
 //! ```
 //!
 //! `#spec` is the digest of the spec's pretty-printed form
-//! (`source_digest`), taken once per computed job; no key is built from
-//! an artifact.
+//! (`source_digest`), taken once per computed job to group it.
 //!
 //! `fragment` is the paper's presynthesis transformation as one stage:
 //! kernel extraction, fragmentation and the equivalence check of the
-//! result against its source run together in its compute, in the order
-//! [`bittrans_core::optimize`] runs them, so the same error surfaces
-//! first, and only a verified [`Fragmented`] is memoized. Its key is the
-//! job's stage-sharing group (`group_key`), so a group holds one
-//! transformation.
+//! result against its source run together, in the order
+//! [`bittrans_core::optimize`] runs them, so the same error surfaces first.
 //!
-//! Each flow memoizes one artifact, `sched_base` or `sched_frag`: its
-//! schedule together with that schedule's adder-invariant
-//! [`Binding`] (`bittrans_core::stage_bind`). Binding reads nothing the
-//! schedule's key does not pin already, so a stage of its own would only
-//! add a key and a memo entry. Pricing the binding for the job's adder
+//! Each flow's entry is its schedule together with that schedule's
+//! adder-invariant [`Binding`] (`bittrans_core::stage_bind`). A group's
+//! members differ only in adder, timing model and balance, and only
+//! balance reaches a schedule. Pricing the binding for the job's adder
 //! ([`Binding::price`]) and timing the result (`bittrans_core::stage_time`)
-//! are arithmetic, cheaper to redo than to key and memoize, so both run
-//! inline on every call.
+//! are arithmetic, cheaper to redo than to keep, so both run inline on
+//! every call. Errors are kept like artifacts: a stage is a pure function
+//! of its group and balance setting.
 //!
-//! Parsing/canonicalization is the degenerate zeroth stage: its
-//! "artifact" is the spec's text itself, rendered and digested once per
-//! computed job (`source_digest`, which the engine also groups jobs by)
-//! and not separately cached: producing the key would cost as much as
-//! producing the artifact.
+//! Concretely, an adder-architecture axis and a timing-model axis share
+//! every stage of their group, and a balance axis shares the group's
+//! `fragment`. A later call that adds adders to a grid recomputes its
+//! groups' stages.
 //!
-//! Concretely:
+//! Every stage resolution emits one `stage` trace event, keyed by its
+//! group, whose `provenance` (`memory` / `computed`) reconciles exactly
+//! with the [`StageTally`] counters surfaced as `stage_hits` /
+//! `stage_misses` in [`crate::EngineStats`]. Job claims emit no `stage`
+//! event and touch no tally: the engine reports them as `job` events.
 //!
-//! * an adder-architecture axis and a timing-model axis share every
-//!   stage: only the inline pricing and timing differ;
-//! * a balance axis shares the group's `fragment`;
-//! * a spec edit recomputes only the jobs of the edited spec.
-//!
-//! # Storage
-//!
-//! Every memo kind — the stage artifact types and a finished job's
-//! [`JobResult`] — resolves through one slot lifecycle: claim the key's
-//! [`OnceLock`] slot, then compute the value (or, for a job, load it from
-//! the store), then land it and charge it. Concurrent callers that need
-//! the same key wait on the one slot instead of computing it twice, so
-//! hit/miss counts are deterministic for a given job set. Errors are
-//! cached too — stages are pure functions of their keys, so a failure is
-//! as reproducible as a success.
-//!
-//! A stage is computed inside its slot's initializer. A job's slot is
-//! claimed unset, under the memo lock, by the engine call that will
-//! compute it, so that slot is the job's in-flight registration: another
-//! call wanting the key joins by waiting on it. A job that panics drops
-//! its key and then lands an `Abandoned` marker, which wakes and fails its
-//! waiters; a later call recomputes it.
-//!
-//! The memo is bounded by estimated bytes, jobs and stages alike: when a
-//! value lands in its slot, the entry is charged an estimate of its
-//! artifact's size plus a fixed per-entry overhead, and entries are
-//! evicted oldest-first while the charged total exceeds
-//! `STAGE_MEMO_BYTES` (4 MiB), so a long-lived serve process stops
-//! growing without limit. The estimate is computed from the artifact's own
-//! counts (values, operands and fragments of a transformed spec; schedule
-//! entries, units and register groups of a bound schedule; the names of a
-//! comparison), calibrated against the canonical text those artifacts
-//! encode to, so nothing is encoded to size an entry. A slot whose value
-//! is still being computed is never evicted — that is what keeps every key
-//! computed exactly once. An entry larger than the whole budget still
-//! reaches its caller but is not kept. An evicted job is reloaded from the
-//! store when one is attached, and recomputed otherwise; an evicted stage
-//! is recomputed.
+//! # Store
 //!
 //! The store (`StageStore`) under `<cache-dir>/stages/` is the cache
 //! directory's **only** on-disk store, and it holds finished jobs only, as
 //! `<key>.stage` files: a one-line `bittrans-stage 2 job ok` envelope
-//! followed by the canonical [`Comparison`]. Stages are shared within a
-//! process, never across processes: a fresh process over a warm directory
-//! answers an unchanged grid from `job` files, and recomputes the stages
-//! of any job whose file is missing. Files are written to a hidden temp
-//! file and atomically renamed into place; a file whose envelope or body
-//! fails to decode — including one written by a *newer* schema, or one
-//! whose envelope names another stage — is deleted and recomputed, never
-//! misparsed, and the recompute's respill repairs it. The filesystem
-//! itself is the index (no manifest to rebuild, nothing listed at open);
-//! `cache prune` sweeps the directory oldest-first (every key resident in
-//! the memo is pinned). Legacy schema-1 verify tokens (`<key>.json`, from
-//! builds predating the codec) and the stage files older builds wrote
-//! (`fragment`, `sched_base`, `sched_frag`, `extract`, `verify`, `time_*`,
-//! `alloc_*`) are simply ignored until pruned: no lookup reads them.
-//!
-//! Every stage resolution emits one `stage` trace event whose `provenance`
-//! (`memory` / `computed`) reconciles exactly with the [`StageTally`]
-//! counters surfaced as `stage_hits` / `stage_misses` in
-//! [`crate::EngineStats`]. Job claims emit no `stage` event and touch no
-//! tally: the engine reports them as `job` events.
+//! followed by the canonical [`Comparison`]. A fresh process over a warm
+//! directory answers an unchanged grid from `job` files, and recomputes
+//! the stages of any job whose file is missing. Files are written to a
+//! hidden temp file and atomically renamed into place; a file whose
+//! envelope or body fails to decode — including one written by a *newer*
+//! schema, or one whose envelope names another stage — is deleted and
+//! recomputed, never misparsed, and the recompute's respill repairs it.
+//! The filesystem itself is the index (no manifest to rebuild, nothing
+//! listed at open); `cache prune` sweeps the directory oldest-first (every
+//! key resident in the memo is pinned). Legacy schema-1 verify tokens
+//! (`<key>.json`, from builds predating the codec) and the stage files
+//! older builds wrote (`fragment`, `sched_base`, `sched_frag`, `extract`,
+//! `verify`, `time_*`, `alloc_*`) are simply ignored until pruned: no
+//! lookup reads them.
 
 use crate::job::JobResult;
 use crate::key::JobKey;
@@ -118,25 +103,23 @@ use bittrans_core::{
     stage_schedule_fragments, stage_time, stage_verify, Binding, Chaining, CompareOptions,
     Comparison, Fragmented, Implementation, PipelineError, Schedule,
 };
-use bittrans_ir::{Operand, Spec};
-use std::any::Any;
+use bittrans_ir::Spec;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::SystemTime;
 
-/// Bound on the memo's charged bytes, finished jobs and stage artifacts
-/// alike: each resident value costs its estimated size (see the module's
-/// Storage section) plus [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole
-/// paper-corpus grid (216 jobs and 180 stage artifacts, about 2.2 MB
-/// charged) without evicting. An evicted job falls back to the store when
-/// one is attached; anything else evicted is recomputed.
+/// Bound on the memo's charged bytes: each resident job costs its
+/// estimated size (see the module's Finished jobs section) plus
+/// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid (216
+/// jobs, about 0.17 MB charged) many times over. An evicted job falls back
+/// to the store when one is attached, and is recomputed otherwise.
 pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
 
-/// The fixed charge of one resident entry on top of its artifact's
-/// estimated size: its map and order slots, the `OnceLock` and the `Arc`
-/// headers. It is also the whole charge of a cached error.
+/// The fixed charge of one resident entry on top of its job's estimated
+/// size: its map and order slots, the `OnceLock` and the `Arc` headers. It
+/// is also the whole charge of a cached error.
 const MEMO_ENTRY_OVERHEAD: usize = 256;
 
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
@@ -289,8 +272,8 @@ impl StageStore {
     }
 }
 
-/// A flow's one memoized artifact (`sched_base` / `sched_frag`): its
-/// schedule and that schedule's adder-invariant binding.
+/// A flow's stage (`sched_base` / `sched_frag`): its schedule and that
+/// schedule's adder-invariant binding.
 struct Bound {
     schedule: Schedule,
     binding: Binding,
@@ -309,29 +292,6 @@ impl Bound {
         let datapath = self.binding.price(options.adder_arch);
         stage_time(name, spec, &self.schedule, &datapath, &options.timing)
     }
-
-    /// The memo's size estimate: a fixed part, then per schedule entry,
-    /// per unit (functional unit, register, mux or glue) and per register
-    /// group.
-    fn bytes(&self) -> usize {
-        let binding = &self.binding;
-        let units =
-            binding.fus.len() + binding.registers.len() + binding.muxes.len() + binding.glue.len();
-        let groups: usize = binding.registers.iter().map(|r| r.groups.len()).sum();
-        256 + 8 * self.schedule.len() + 16 * units + 8 * groups
-    }
-}
-
-/// The memo's size estimate of a transformed spec: per value, per operand
-/// and per constant bit of its spec, and per fragment.
-fn fragmented_bytes(fragmented: &Fragmented) -> usize {
-    let spec = &fragmented.spec;
-    let operands = spec.ops().iter().flat_map(|op| op.operands());
-    let (count, constant_bits) = operands.fold((0, 0), |(count, bits), operand| match operand {
-        Operand::Const(value) => (count + 1, bits + value.width()),
-        Operand::Value { .. } => (count + 1, bits),
-    });
-    13 * spec.values().len() + 20 * count + 2 * constant_bits + 20 * fragmented.fragments.len()
 }
 
 /// The memo's size estimate of a finished job: a fixed part for its two
@@ -341,18 +301,9 @@ fn job_bytes(result: &JobResult) -> usize {
     result.as_ref().map_or(0, |c| 530 + c.original.name.len() + c.optimized.name.len())
 }
 
-/// A resolved stage: the artifact, or the stage's error. This is what a
-/// stage's memo slot holds.
-type Resolved<T> = Result<Arc<T>, PipelineError>;
-
-/// One memo slot. What lands in it is a stage's [`Resolved<T>`], a
-/// finished job's [`JobResult`], or [`Abandoned`] when a job's
-/// computation panicked.
-pub(crate) type Slot = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
-
-/// What the slot of a panicked job lands, waking the callers waiting on
-/// it. Its key is dropped first, so a later call recomputes the job.
-struct Abandoned;
+/// One job's memo slot: unset while the job is in flight, then its result,
+/// or `None` when its computation panicked.
+pub(crate) type Slot = Arc<OnceLock<Option<Arc<JobResult>>>>;
 
 /// Per-batch (or per-request) stage hit/miss counters, `Arc`-shared into
 /// worker closures and folded into that batch's [`crate::EngineStats`].
@@ -375,19 +326,19 @@ impl StageTally {
 }
 
 /// One memo entry: its slot and what it is charged against the budget
-/// (0 until its value lands).
+/// (0 until its job lands).
 #[derive(Debug)]
 struct Resident {
     slot: Slot,
     bytes: usize,
 }
 
-/// The byte-bounded slot memo: insertion-ordered, evicted oldest-first
-/// while the charged total exceeds `budget`. An unset slot — a value
-/// still being computed — is never evicted, so every resolver of its key
+/// The byte-bounded job memo: insertion-ordered, evicted oldest-first
+/// while the charged total exceeds `budget`. An unset slot — a job still
+/// being computed — is never evicted, so every caller wanting its key
 /// joins the one computation. Eviction only drops the memo's reference:
-/// callers holding the slot's `Arc` keep their value, and a later request
-/// for an evicted key re-resolves through the store (a job) or compute.
+/// callers holding the slot's `Arc` keep their result, and a later request
+/// for an evicted key goes to the store or recomputes.
 #[derive(Debug)]
 struct Memo {
     map: HashMap<JobKey, Resident>,
@@ -403,20 +354,9 @@ impl Default for Memo {
 }
 
 impl Memo {
-    /// `key`'s slot, inserted empty (and uncharged) if absent.
-    fn slot(&mut self, key: JobKey) -> Slot {
-        if let Some(resident) = self.map.get(&key) {
-            return Arc::clone(&resident.slot);
-        }
-        let slot = Slot::default();
-        self.map.insert(key, Resident { slot: Arc::clone(&slot), bytes: 0 });
-        self.order.push_back(key);
-        slot
-    }
-
-    /// Charges `key`'s entry for the value that just landed in `slot` (an
-    /// artifact estimated at `bytes`), then evicts down to the budget.
-    /// A no-op when the entry was evicted or replaced meanwhile.
+    /// Charges `key`'s entry for the job that just landed in `slot`
+    /// (estimated at `bytes`), then evicts down to the budget. A no-op
+    /// when the entry was evicted or replaced meanwhile.
     fn charge(&mut self, key: JobKey, slot: &Slot, bytes: usize) {
         let Some(resident) = self.map.get_mut(&key) else { return };
         if !Arc::ptr_eq(&resident.slot, slot) {
@@ -470,32 +410,32 @@ impl JobClaims<'_> {
     /// caller's to land, and an absent key gets an unset slot this caller
     /// owns.
     pub(crate) fn claim(&mut self, key: JobKey) -> Claim {
-        match self.0.map.get(&key) {
-            // An abandoned key leaves the memo before its marker lands,
-            // and keys are tagged by kind, so a landed job slot holds a
-            // job result (anything else is a 128-bit hash collision).
-            Some(resident) => match resident.slot.get() {
-                Some(value) => Claim::Landed(
-                    Arc::clone(value).downcast().unwrap_or_else(|_| unreachable!("{key}: no job")),
-                    "memory",
-                ),
-                None => Claim::Join(Arc::clone(&resident.slot)),
-            },
-            None => Claim::Own(self.0.slot(key)),
+        let memo = &mut self.0;
+        if let Some(resident) = memo.map.get(&key) {
+            return match resident.slot.get() {
+                Some(Some(result)) => Claim::Landed(Arc::clone(result), "memory"),
+                // Unset. (An abandoned key leaves the memo before its
+                // `None` lands, so a resident slot never holds one.)
+                _ => Claim::Join(Arc::clone(&resident.slot)),
+            };
         }
+        let slot = Slot::default();
+        memo.map.insert(key, Resident { slot: Arc::clone(&slot), bytes: 0 });
+        memo.order.push_back(key);
+        Claim::Own(slot)
     }
 }
 
 /// Blocks until a claimed job's slot lands: its result, or `None` when
 /// the job panicked.
 pub(crate) fn wait_job(slot: &Slot) -> Option<Arc<JobResult>> {
-    Arc::clone(slot.wait()).downcast().ok()
+    slot.wait().clone()
 }
 
 /// The engine's one memo: byte-bounded in-memory `OnceLock` slots for
-/// finished jobs and stage artifacts, plus an optional store persisting
-/// finished jobs. One per [`crate::Engine`], shared by every batch and
-/// serve request run through it.
+/// finished jobs, plus an optional store persisting them. One per
+/// [`crate::Engine`], shared by every batch and serve request run through
+/// it.
 #[derive(Debug, Default)]
 pub struct StageCache {
     memo: Mutex<Memo>,
@@ -533,16 +473,15 @@ impl StageCache {
     }
 
     /// Keys currently resident in the memo — `cache prune` pins these so
-    /// an artifact the process is actively sharing is never evicted from
-    /// disk out from under a concurrent reader's repair path.
+    /// a job the process is actively sharing is never evicted from disk
+    /// out from under a concurrent reader's repair path.
     pub(crate) fn resident_keys(&self) -> HashSet<JobKey> {
         self.lock().map.keys().copied().collect()
     }
 
     /// Finished jobs resident in the memo.
     pub(crate) fn job_entries(&self) -> usize {
-        let memo = self.lock();
-        memo.map.values().filter(|r| r.slot.get().is_some_and(|v| v.is::<JobResult>())).count()
+        self.lock().map.values().filter(|r| r.slot.get().is_some()).count()
     }
 
     /// Claims job keys under one hold of the memo lock ([`JobClaims`]).
@@ -572,182 +511,134 @@ impl StageCache {
     /// Sets a job slot — waking every caller waiting on it — and charges
     /// it.
     fn settle(&self, key: JobKey, slot: &Slot, result: &Arc<JobResult>) {
-        if slot.set(Arc::clone(result) as Arc<dyn Any + Send + Sync>).is_ok() {
+        if slot.set(Some(Arc::clone(result))).is_ok() {
             self.lock().charge(key, slot, job_bytes(result));
         }
     }
 
     /// Gives up the slot of a job whose computation panicked: drops its
-    /// key, so a later call recomputes the job, then lands [`Abandoned`],
-    /// so every caller waiting on it wakes and fails.
+    /// key, so a later call recomputes the job, then lands `None`, so
+    /// every caller waiting on it wakes and fails.
     pub(crate) fn abandon(&self, key: JobKey, slot: &Slot) {
         self.lock().forget(key, slot);
-        let _ = slot.set(Arc::new(Abandoned));
+        let _ = slot.set(None);
+    }
+}
+
+/// A stage's entry in a [`GroupStages`] table: unset until a member
+/// resolves it, then its artifact or its error.
+type Entry<T> = Option<Result<T, PipelineError>>;
+
+/// The stages of one stage-sharing group ([`group_key`]), owned by the
+/// pool task that runs the group and dropped with it: the group's
+/// `fragment`, and per balance setting each flow's bound schedule. Each
+/// entry is computed by the first member that resolves it.
+pub(crate) struct GroupStages {
+    /// The group's key, every `stage` event's `key`.
+    key: JobKey,
+    fragment: Entry<Fragmented>,
+    /// `sched_base`, indexed by balance setting.
+    base: [Entry<Bound>; 2],
+    /// `sched_frag`, indexed by balance setting.
+    frag: [Entry<Bound>; 2],
+}
+
+impl GroupStages {
+    /// The empty table of the group keyed `key`.
+    pub(crate) fn new(key: JobKey) -> GroupStages {
+        GroupStages { key, fragment: None, base: [None, None], frag: [None, None] }
     }
 
-    /// Resolves one stage: serves the memoized artifact, or runs `compute`
-    /// — exactly once per key, even under concurrency, because every
-    /// caller funnels through the slot's `OnceLock` and an unset slot is
-    /// never evicted. The caller that fills the slot charges it `bytes` of
-    /// a computed artifact.
-    fn resolve<T: Send + Sync + 'static>(
-        &self,
-        key: JobKey,
-        stage: &'static str,
-        tally: &StageTally,
-        bytes: fn(&T) -> usize,
-        compute: impl FnOnce() -> Result<T, PipelineError>,
-    ) -> Resolved<T> {
-        let slot = self.lock().slot(key);
-        let mut computed = false;
-        let value = slot.get_or_init(|| {
-            computed = true;
-            Arc::new(compute().map(Arc::new))
-        });
-        let result = value
-            .downcast_ref::<Resolved<T>>()
-            .cloned()
-            .unwrap_or_else(|| unreachable!("stage key {key} holds another artifact type"));
-        if computed {
-            self.lock().charge(key, &slot, result.as_deref().map_or(0, bytes));
-        }
-        let counter = if computed { &tally.misses } else { &tally.hits };
-        counter.fetch_add(1, Ordering::Relaxed);
-        trace::event("stage", |a| {
-            a.str("stage", stage)
-                .str("key", &key.to_string())
-                .str("provenance", if computed { "computed" } else { "memory" })
-                .flag("ok", result.is_ok());
-        });
-        result
-    }
-
-    /// Runs one comparison through the memoized stages. Composes the
-    /// very same `bittrans-core` stage functions in the very same order
-    /// as the monolithic [`bittrans_core::compare`] — baseline flow
-    /// fully first, then the optimized flow — so results (including
-    /// which error surfaces when both flows would fail) are
-    /// bit-identical to the uncached path.
-    ///
-    /// `source` is `spec`'s [`source_digest`], which the caller has
-    /// already taken to group the job ([`group_key`]).
+    /// Runs one comparison of a group member through the table. Composes
+    /// the very same `bittrans-core` stage functions in the very same
+    /// order as the monolithic [`bittrans_core::compare`] — baseline flow
+    /// fully first, then the optimized flow — so results (including which
+    /// error surfaces when both flows would fail) are bit-identical to the
+    /// uncached path.
     pub(crate) fn compare_staged(
-        &self,
+        &mut self,
         spec: &Spec,
-        source: JobKey,
         latency: u32,
         options: &CompareOptions,
         tally: &StageTally,
     ) -> Result<Comparison, PipelineError> {
-        let chaining = Chaining::ComponentSum;
+        let (key, balance) = (self.key, usize::from(options.balance));
 
         // Baseline flow: the conventional schedule of the original spec
         // and its binding, priced and timed inline.
-        let base = self.resolve(
-            schedule_key("sched_base", source, latency, Some(chaining), options),
-            "sched_base",
-            tally,
-            Bound::bytes,
-            || {
-                stage_schedule_conventional(spec, latency, chaining, options.balance)
-                    .map(|schedule| Bound::of(spec, schedule))
-            },
-        )?;
+        let base = stage(&mut self.base[balance], key, "sched_base", tally, || {
+            stage_schedule_conventional(spec, latency, Chaining::ComponentSum, options.balance)
+                .map(|schedule| Bound::of(spec, schedule))
+        })?;
         let original = base.implementation(spec.name(), spec, options);
 
         // Optimized flow: the group's one transformed spec, extracted,
         // fragmented and checked against its source in `optimize`'s
         // order, then its fragment schedule and binding.
-        let fragmented = self.resolve(
-            group_key(source, latency, options),
-            "fragment",
-            tally,
-            fragmented_bytes,
-            || {
-                let kernel = stage_extract(spec)?;
-                let fragmented = stage_fragment(&kernel, latency)?;
-                stage_verify(spec, &fragmented.spec, options.verify_vectors)?;
-                Ok(fragmented)
-            },
-        )?;
-        let bound = self.resolve(
-            schedule_key("sched_frag", source, latency, None, options),
-            "sched_frag",
-            tally,
-            Bound::bytes,
-            || {
-                stage_schedule_fragments(&fragmented, options.balance)
-                    .map(|schedule| Bound::of(&fragmented.spec, schedule))
-            },
-        )?;
+        let fragmented = stage(&mut self.fragment, key, "fragment", tally, || {
+            let kernel = stage_extract(spec)?;
+            let fragmented = stage_fragment(&kernel, latency)?;
+            stage_verify(spec, &fragmented.spec, options.verify_vectors)?;
+            Ok(fragmented)
+        })?;
+        let bound = stage(&mut self.frag[balance], key, "sched_frag", tally, || {
+            stage_schedule_fragments(fragmented, options.balance)
+                .map(|schedule| Bound::of(&fragmented.spec, schedule))
+        })?;
         let optimized = bound.implementation(spec.name(), &fragmented.spec, options);
 
         Ok(Comparison { original, optimized })
     }
 }
 
-/// `#spec` of the key table above: the digest of a spec's pretty-printed
-/// form, in every stage key. This is the parse/canonicalize "stage": one
+/// Serves `entry`, computing it first when unset, and records the
+/// resolution: one tally count and one `stage` event, `computed` or
+/// `memory`.
+fn stage<'a, T>(
+    entry: &'a mut Entry<T>,
+    key: JobKey,
+    name: &'static str,
+    tally: &StageTally,
+    compute: impl FnOnce() -> Result<T, PipelineError>,
+) -> Result<&'a T, PipelineError> {
+    let computed = entry.is_none();
+    let result = entry.get_or_insert_with(compute);
+    let counter = if computed { &tally.misses } else { &tally.hits };
+    counter.fetch_add(1, Ordering::Relaxed);
+    trace::event("stage", |a| {
+        a.str("stage", name)
+            .str("key", &key.to_string())
+            .str("provenance", if computed { "computed" } else { "memory" })
+            .flag("ok", result.is_ok());
+    });
+    result.as_ref().map_err(Clone::clone)
+}
+
+/// `#spec` of the module's stage table: the digest of a spec's
+/// pretty-printed form. This is the parse/canonicalize "stage": one
 /// rendering and one digest per computed job.
 pub(crate) fn source_digest(spec: &Spec) -> JobKey {
     JobKey::of_bytes(spec.to_string().as_bytes())
 }
 
-/// A job's stage-sharing group, and the key of its `fragment` stage: the
-/// inputs of the transformation every job of one (spec, λ) coordinate
-/// resolves alike — #spec, λ and the verify vector count. The adder and
-/// balance do not enter it: they only reach the schedule keys and the
-/// inline pricing. The engine runs a group's jobs in turn on one worker,
-/// so the first resolves the group's stages and the rest hit them instead
-/// of waiting on another worker's slot; a sharded run keeps each group
-/// whole in one shard for the same reason.
+/// A job's stage-sharing group: the inputs of the transformation every
+/// job of one (spec, λ) coordinate resolves alike — #spec, λ and the
+/// verify vector count, joined with the same `\x1f` separator
+/// [`crate::key`] uses and FNV-128 hashed. The adder, timing model and
+/// balance do not enter it. The engine runs a group's jobs in turn as one
+/// pool task that owns the group's [`GroupStages`], so the first resolves
+/// the group's stages and the rest hit them; a sharded run keeps each
+/// group whole in one shard for the same reason.
 pub(crate) fn group_key(source: JobKey, latency: u32, options: &CompareOptions) -> JobKey {
-    let (source, latency) = (source.to_string(), latency.to_string());
-    stage_key(&["group", &source, &latency, &options.verify_vectors.to_string()])
-}
-
-/// A stage key: the stage-name-tagged parts joined with the same `\x1f`
-/// separator [`crate::key`] uses, FNV-128 hashed.
-fn stage_key(parts: &[&str]) -> JobKey {
+    let parts =
+        ["group", &source.to_string(), &latency.to_string(), &options.verify_vectors.to_string()];
     JobKey::of_bytes(parts.join("\x1f").as_bytes())
-}
-
-/// The key of a flow's schedule artifact, `stage` (`sched_base` or
-/// `sched_frag`): the digest of the spec it schedules, λ, the baseline's
-/// chaining model and balance. The adder and the timing model are not in
-/// it: only the inline pricing and timing read them.
-fn schedule_key(
-    stage: &str,
-    source: JobKey,
-    latency: u32,
-    chaining: Option<Chaining>,
-    options: &CompareOptions,
-) -> JobKey {
-    let (source, latency) = (source.to_string(), latency.to_string());
-    let balance = u8::from(options.balance).to_string();
-    match chaining {
-        Some(chaining) => stage_key(&[stage, &source, &latency, chaining.code(), &balance]),
-        None => stage_key(&[stage, &source, &latency, &balance]),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bittrans_core::compare;
-
-    impl StageCache {
-        /// [`StageCache::compare_staged`], taking the source digest here.
-        fn staged(
-            &self,
-            spec: &Spec,
-            latency: u32,
-            options: &CompareOptions,
-            tally: &StageTally,
-        ) -> Result<Comparison, PipelineError> {
-            self.compare_staged(spec, source_digest(spec), latency, options, tally)
-        }
-    }
 
     fn three_adds() -> Spec {
         Spec::parse(
@@ -761,10 +652,10 @@ mod tests {
     fn staged_result_is_bit_identical_to_monolithic() {
         let spec = three_adds();
         let options = CompareOptions::default();
-        let cache = StageCache::default();
         let tally = StageTally::default();
         for latency in 2..=5 {
-            let staged = cache.staged(&spec, latency, &options, &tally).unwrap();
+            let mut table = GroupStages::new(group_key(source_digest(&spec), latency, &options));
+            let staged = table.compare_staged(&spec, latency, &options, &tally).unwrap();
             let mono = compare(&spec, latency, &options).unwrap();
             assert_eq!(
                 serde_json::to_string(&staged).unwrap(),
@@ -776,42 +667,49 @@ mod tests {
 
     #[test]
     fn adder_axis_shares_extract_fragment_and_verify() {
+        use bittrans_rtl::AdderArch;
         let spec = three_adds();
-        let cache = StageCache::default();
-        let tally = StageTally::default();
-        let rca = CompareOptions::default();
-        cache.staged(&spec, 3, &rca, &tally).unwrap();
-        assert_eq!((tally.hits(), tally.misses()), (0, 3), "a cold point computes all 3 stages");
+        let study = |adders: &[AdderArch]| {
+            crate::Study::single(spec.clone()).latencies([3]).adder_archs(adders.to_vec())
+        };
+        let adders = [AdderArch::RippleCarry, AdderArch::CarryLookahead, AdderArch::CarrySelect];
+        let engine = crate::Engine::default();
+        let report = study(&adders).balance_both().run(&engine);
+        assert_eq!(report.stats.cache_misses, 6, "one group of 3 adders × 2 balance settings");
+        // Computed: the group's verified fragmentation, and both bound
+        // schedules per balance setting. The adder only enters at the
+        // inline pricing, so the other 6 × 3 − 5 resolutions hit.
+        assert_eq!((report.stats.stage_misses, report.stats.stage_hits), (5, 13));
+        let uncached =
+            crate::Engine::new(crate::EngineOptions { cache: false, ..Default::default() });
+        let cells = |report: &crate::StudyReport| serde_json::to_string(&report.cells).unwrap();
+        assert_eq!(cells(&report), cells(&study(&adders).balance_both().run(&uncached)));
 
-        for arch in [bittrans_rtl::AdderArch::CarryLookahead, bittrans_rtl::AdderArch::CarrySelect]
-        {
-            let options = CompareOptions { adder_arch: arch, ..CompareOptions::default() };
-            let (h0, m0) = (tally.hits(), tally.misses());
-            let staged = cache.staged(&spec, 3, &options, &tally).unwrap();
-            // Shared: the verified fragmentation and both bound schedules
-            // (the adder only enters at the inline pricing).
-            assert_eq!(tally.hits() - h0, 3, "{arch:?}: every stage shared");
-            assert_eq!(tally.misses() - m0, 0, "{arch:?}: nothing recomputed");
-            assert_eq!(
-                serde_json::to_string(&staged).unwrap(),
-                serde_json::to_string(&compare(&spec, 3, &options).unwrap()).unwrap(),
-                "{arch:?}"
-            );
-        }
+        // The table lives as long as the group's task: a later call that
+        // adds an adder recomputes the group's stages.
+        let more = study(&[AdderArch::RippleCarry, AdderArch::CarryLookahead]).latencies([4]);
+        let first = more.run(&engine);
+        let later = study(&adders).latencies([4]).run(&engine);
+        assert_eq!((first.stats.stage_misses, first.stats.stage_hits), (3, 3));
+        assert_eq!((later.stats.cache_hits, later.stats.cache_misses), (2, 1));
+        assert_eq!((later.stats.stage_misses, later.stats.stage_hits), (3, 0));
     }
 
     #[test]
     fn stage_errors_are_cached_and_stable() {
-        let spec = three_adds();
-        let options = CompareOptions::default();
-        let cache = StageCache::default();
-        let tally = StageTally::default();
-        let first = cache.staged(&spec, 0, &options, &tally).unwrap_err();
-        let misses = tally.misses();
-        let second = cache.staged(&spec, 0, &options, &tally).unwrap_err();
-        assert_eq!(tally.misses(), misses, "failed stage is served from cache");
-        assert_eq!(first.to_string(), second.to_string());
-        assert!(first.is_infeasible());
+        use bittrans_rtl::AdderArch;
+        let adders = [AdderArch::RippleCarry, AdderArch::CarryLookahead, AdderArch::CarrySelect];
+        let report = crate::Study::single(three_adds())
+            .latencies([0])
+            .adder_archs(adders)
+            .run(&crate::Engine::default());
+        // λ 0 fails the group's first stage, the baseline schedule: the
+        // first member computes the error and the other two hit it.
+        assert_eq!((report.stats.stage_misses, report.stats.stage_hits), (1, 2));
+        let errors: Vec<_> =
+            report.cells.iter().map(|c| c.result.as_ref().clone().unwrap_err()).collect();
+        assert!(errors[0].is_infeasible(), "{}", errors[0]);
+        assert!(errors.iter().all(|e| e.to_string() == errors[0].to_string()), "{errors:?}");
     }
 
     /// A cache dir holding one finished job (λ = 3 of [`three_adds`]), its
@@ -912,25 +810,27 @@ mod tests {
         let source = source_digest(&spec);
         let hex = source.to_string();
         let original = compare(&spec, 3, &options).unwrap().original;
-        let chaining = Some(Chaining::ComponentSum);
+        let old_key = |parts: &[&str]| JobKey::of_bytes(parts.join("\x1f").as_bytes());
+        let (chaining, balance) = (Chaining::ComponentSum.code(), u8::from(options.balance));
+        let balance = balance.to_string();
         let planted = [
             (
                 group_key(source, 3, &options),
                 "bittrans-stage 2 fragment ok\nbittrans-canonical fragmented 1\n".to_owned(),
             ),
             (
-                schedule_key("sched_base", source, 3, chaining, &options),
+                old_key(&["sched_base", &hex, "3", chaining, &balance]),
                 "bittrans-stage 2 sched_base ok\nbittrans-canonical bound 1\n".to_owned(),
             ),
             (
-                schedule_key("sched_frag", source, 3, None, &options),
+                old_key(&["sched_frag", &hex, "3", &balance]),
                 "bittrans-stage 2 sched_frag ok\nbittrans-canonical bound 1\n".to_owned(),
             ),
             (
-                stage_key(&["extract", &hex]),
+                old_key(&["extract", &hex]),
                 format!("bittrans-stage 2 extract ok\n{}", spec.to_canonical()),
             ),
-            (stage_key(&["verify", &hex, "64"]), "bittrans-stage 2 verify ok\n".to_owned()),
+            (old_key(&["verify", &hex, "64"]), "bittrans-stage 2 verify ok\n".to_owned()),
             (
                 JobKey::of_bytes(b"time_base of an older build"),
                 format!("bittrans-stage 2 time_base ok\n{}", original.to_canonical()),
@@ -984,52 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn the_schedule_key_ignores_adder_and_timing_but_not_latency_balance_or_chaining() {
-        let source = JobKey::of_bytes(b"a spec's digest");
-        let options = CompareOptions::default();
-        let base = |latency, chaining, options: &CompareOptions| {
-            schedule_key("sched_base", source, latency, Some(chaining), options)
-        };
-        let key = base(3, Chaining::ComponentSum, &options);
-        let slow = bittrans_timing::TimingModel { delta_ns: 1.5, overhead_ns: 0.25 };
-        for other in [
-            CompareOptions { adder_arch: bittrans_rtl::AdderArch::CarryLookahead, ..options },
-            CompareOptions { adder_arch: bittrans_rtl::AdderArch::CarrySelect, ..options },
-            CompareOptions { timing: slow, ..options },
-            CompareOptions { verify_vectors: 7, ..options },
-        ] {
-            assert_eq!(base(3, Chaining::ComponentSum, &other), key, "{other:?}");
-        }
-        let unbalanced = CompareOptions { balance: false, ..options };
-        for changed in [
-            base(4, Chaining::ComponentSum, &options),
-            base(3, Chaining::BitLevel, &options),
-            base(3, Chaining::ComponentSum, &unbalanced),
-            schedule_key(
-                "sched_base",
-                JobKey::of_bytes(b"another"),
-                3,
-                Some(Chaining::ComponentSum),
-                &options,
-            ),
-        ] {
-            assert_ne!(changed, key);
-        }
-
-        // The fragment schedule has no chaining model; the rest holds.
-        let frag = |latency, options: &CompareOptions| {
-            schedule_key("sched_frag", source, latency, None, options)
-        };
-        let key = frag(3, &options);
-        let cla = CompareOptions { adder_arch: bittrans_rtl::AdderArch::CarryLookahead, ..options };
-        assert_eq!(frag(3, &cla), key);
-        assert_eq!(frag(3, &CompareOptions { timing: slow, ..options }), key);
-        assert_ne!(frag(4, &options), key);
-        assert_ne!(frag(3, &unbalanced), key);
-        assert_ne!(key, base(3, Chaining::ComponentSum, &options), "the flows never share a key");
-    }
-
-    #[test]
     fn concurrent_spills_of_one_key_never_tear_a_read() {
         let dir = tempdir("spill-race");
         let comparison =
@@ -1071,44 +925,24 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_bounded_by_the_eviction_policy() {
+    fn a_job_larger_than_the_budget_reaches_its_caller_but_is_not_kept() {
         let spec = three_adds();
-        let options = CompareOptions::default();
-        let expected =
-            |latency| serde_json::to_string(&compare(&spec, latency, &options).unwrap()).unwrap();
-        // Room for a few artifacts: one latency point already overflows it.
-        let budget = 8 * MEMO_ENTRY_OVERHEAD;
-        let cache = StageCache::default();
-        cache.set_memo_capacity(budget);
-        let tally = StageTally::default();
-        for latency in [2, 3, 4, 5] {
-            let got = cache.staged(&spec, latency, &options, &tally).unwrap();
-            assert!(cache.memo_bytes() <= budget, "{} > {budget} bytes", cache.memo_bytes());
-            assert_eq!(serde_json::to_string(&got).unwrap(), expected(latency));
-        }
-        assert!(!cache.resident_keys().is_empty(), "entries under the budget stay resident");
-        // Results stay byte-identical under eviction; the evicted prefix
-        // simply recomputes.
-        let misses = tally.misses();
-        let again = cache.staged(&spec, 2, &options, &tally).unwrap();
-        assert!(tally.misses() > misses, "λ = 2 was evicted, so part of it recomputes");
-        assert_eq!(serde_json::to_string(&again).unwrap(), expected(2));
-
-        // Every entry outgrows a budget below the per-entry overhead: each
-        // still reaches its caller, and none is kept.
-        let tiny = StageCache::default();
-        tiny.set_memo_capacity(MEMO_ENTRY_OVERHEAD - 1);
-        let got = tiny.staged(&spec, 3, &options, &StageTally::default()).unwrap();
-        assert_eq!(serde_json::to_string(&got).unwrap(), expected(3));
-        assert!(tiny.resident_keys().is_empty());
-        assert_eq!(tiny.memo_bytes(), 0);
+        let expected = compare(&spec, 3, &CompareOptions::default()).unwrap();
+        // Every entry outgrows a budget below the per-entry overhead.
+        let engine = crate::Engine::default();
+        let cache = &engine.shared.stages;
+        cache.set_memo_capacity(MEMO_ENTRY_OVERHEAD - 1);
+        let report = engine.run(vec![crate::Job::new(spec, 3)]);
+        let got = report.cells[0].result.as_ref().as_ref().unwrap();
+        assert_eq!(serde_json::to_string(got).unwrap(), serde_json::to_string(&expected).unwrap());
+        assert!(cache.resident_keys().is_empty());
+        assert_eq!(cache.memo_bytes(), 0);
     }
 
     /// [`STAGE_MEMO_BYTES`] holds the whole paper-corpus grid: its 216
-    /// jobs and 180 stage artifacts all stay resident. The estimates stay
-    /// calibrated: their total is within a quarter of the 2,220,200 bytes
-    /// this grid was charged when every entry cost its canonical text's
-    /// length.
+    /// jobs all stay resident. The estimates stay calibrated: their total
+    /// is within a quarter of the 172,224 bytes these 216 jobs were charged
+    /// when the memo also held the grid's 180 stages.
     #[test]
     fn the_paper_corpus_grid_stays_resident_under_the_default_bound() {
         use bittrans_benchmarks::{
@@ -1140,132 +974,85 @@ mod tests {
         assert_eq!(stages.job_entries(), 216, "every job stays resident");
         let memo = stages.lock();
         assert_eq!(memo.budget, STAGE_MEMO_BYTES);
-        assert_eq!(memo.map.len(), 216 + 180, "nothing was evicted");
-        let parent = 2_220_200.0;
+        assert_eq!(memo.map.len(), 216, "nothing was evicted, and nothing else is held");
+        let parent = 172_224.0;
         let ratio = memo.charged as f64 / parent;
         assert!((0.75..=1.25).contains(&ratio), "{} bytes charged: {ratio:.3}×", memo.charged);
     }
 
     #[test]
     fn eviction_never_drops_an_in_flight_slot() {
-        let fragmented = stage_fragment(&stage_extract(&three_adds()).unwrap(), 3).unwrap();
-        let budget = 4 * (fragmented_bytes(&fragmented) + MEMO_ENTRY_OVERHEAD);
+        let result = Arc::new(compare(&three_adds(), 3, &CompareOptions::default()));
+        let budget = 4 * (job_bytes(&result) + MEMO_ENTRY_OVERHEAD);
         let cache = StageCache::default();
         cache.set_memo_capacity(budget);
-        let tally = StageTally::default();
+        let claim = |key| cache.claim_jobs().claim(key);
         let key = JobKey::of_bytes(b"in-flight");
-        let computes = AtomicU64::new(0);
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        let resolve_key = |wait: Option<std::sync::mpsc::Receiver<()>>| {
-            cache.resolve(key, "fragment", &tally, fragmented_bytes, || {
-                computes.fetch_add(1, Ordering::SeqCst);
-                if let Some(gate) = wait {
-                    gate.recv().unwrap();
-                }
-                Ok(fragmented.clone())
-            })
-        };
-        // The slot's holders: the memo itself plus every caller inside
-        // `resolve` for it.
-        let holders = || {
-            let memo = cache.memo.lock().unwrap();
-            memo.map.get(&key).map_or(0, |r| Arc::strong_count(&r.slot))
-        };
-        std::thread::scope(|scope| {
-            let a = scope.spawn(|| resolve_key(Some(gate)));
-            while computes.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
-            // Far more landed entries than the budget holds, while A's
-            // slot is still unset.
-            for i in 0u32..16 {
-                let key = JobKey::of_bytes(&i.to_le_bytes());
-                cache
-                    .resolve(key, "fragment", &tally, fragmented_bytes, || Ok(fragmented.clone()))
-                    .unwrap();
-            }
+        let Claim::Own(slot) = claim(key) else { panic!("a new key is owned") };
+        // Far more landed jobs than the budget holds, while the claimed
+        // slot is still unset.
+        for i in 0u32..16 {
+            let other = JobKey::of_bytes(&i.to_le_bytes());
+            let Claim::Own(landing) = claim(other) else { panic!("{other} is new") };
+            cache.land(other, &landing, &result);
             assert!(cache.memo_bytes() <= budget);
-            let b = scope.spawn(|| resolve_key(None));
-            // B joins A's slot (a third holder) — or, had the slot been
-            // evicted, computes on a fresh one.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while holders() < 3
-                && computes.load(Ordering::SeqCst) < 2
-                && std::time::Instant::now() < deadline
-            {
-                std::thread::yield_now();
-            }
-            release.send(()).unwrap();
-            a.join().unwrap().unwrap();
-            b.join().unwrap().unwrap();
+        }
+        assert!(cache.job_entries() < 16, "landed jobs were evicted");
+        // A second caller joins the claimed slot instead of owning a new
+        // one, and wakes when the owner lands it.
+        let Claim::Join(joined) = claim(key) else { panic!("the in-flight slot was evicted") };
+        assert!(Arc::ptr_eq(&joined, &slot));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| wait_job(&joined));
+            cache.land(key, &slot, &result);
+            let landed = waiter.join().unwrap().expect("landed, not abandoned");
+            assert!(Arc::ptr_eq(&landed, &result));
         });
-        assert_eq!(computes.load(Ordering::SeqCst), 1, "the in-flight stage computed twice");
+        assert!(cache.memo_bytes() <= budget);
     }
 
     #[test]
     fn a_joined_job_costs_no_pool_task() {
-        let spec = three_adds();
-        let job = crate::Job::new(spec.clone(), 3);
+        let job = crate::Job::new(three_adds(), 3);
         let engine = crate::Engine::new(crate::EngineOptions { workers: Some(1), cache: true });
         let stages = &engine.shared.stages;
-        // The gate: this test holds the job's first stage, `sched_base`,
-        // mid-compute, so the job stays in flight until the gate opens.
-        let source = JobKey::of_bytes(spec.to_string().as_bytes());
-        let first_stage =
-            schedule_key("sched_base", source, 3, Some(Chaining::ComponentSum), &job.options);
+        // The gate: a task of this test's own holds the pool's one worker,
+        // so the first call's task queues behind it and its job stays in
+        // flight until the gate opens.
         let (open, gate) = std::sync::mpsc::channel::<()>();
-        let gate = Mutex::new(gate);
-        let entered = AtomicU64::new(0);
-        // The job slot's holders: the memo, the first call's task, and
-        // the second call once it has joined.
+        let pool = engine.pool.get_or_init(|| crate::sched::Scheduler::new(1));
+        pool.submit(vec![Box::new(move || gate.recv().unwrap())]);
+        while engine.sched_stats().dispatched_tasks == 0 {
+            std::thread::yield_now();
+        }
+        // The job slot's holders: the memo, the first call, and the second
+        // call once it has joined.
         let holders = || {
             let memo = stages.memo.lock().unwrap();
             memo.map.get(&job.key()).map_or(0, |r| Arc::strong_count(&r.slot))
         };
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let wait_for = |count| {
+            while holders() < count && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            holders() >= count
+        };
         let (first, second, joined) = std::thread::scope(|scope| {
-            let held = scope.spawn(|| {
-                stages.resolve(
-                    first_stage,
-                    "sched_base",
-                    &StageTally::default(),
-                    Bound::bytes,
-                    || {
-                        entered.fetch_add(1, Ordering::SeqCst);
-                        gate.lock().unwrap().recv().unwrap();
-                        stage_schedule_conventional(
-                            &spec,
-                            3,
-                            Chaining::ComponentSum,
-                            job.options.balance,
-                        )
-                        .map(|schedule| Bound::of(&spec, schedule))
-                    },
-                )
-            });
-            while entered.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
             let first = scope.spawn(|| engine.run(vec![job.clone()]));
-            // The one worker takes the first call's task, which then
-            // waits on the gate.
-            while engine.sched_stats().dispatched_tasks == 0 {
-                std::thread::yield_now();
-            }
+            wait_for(2);
             let second = scope.spawn(|| engine.run(vec![job.clone()]));
-            while holders() < 3 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            let joined = holders() >= 3;
+            let joined = wait_for(3);
             open.send(()).unwrap();
-            held.join().unwrap().unwrap();
             (first.join().unwrap(), second.join().unwrap(), joined)
         });
         assert!(joined, "the second call never joined the in-flight job");
-        assert_eq!(engine.sched_stats().dispatched_tasks, 1, "the join cost a pool task");
+        let dispatched = engine.sched_stats().dispatched_tasks;
+        assert_eq!(dispatched, 2, "the gate and the first call's task: the join cost none");
         assert_eq!((second.stats.cache_hits, second.stats.cache_misses), (1, 0));
+        assert_eq!((second.stats.stage_hits, second.stats.stage_misses), (0, 0));
         assert_eq!(first.stats.cache_misses, 1);
-        assert_eq!(first.stats.stage_hits, 1, "the first stage was the gated one");
+        assert_eq!((first.stats.stage_hits, first.stats.stage_misses), (0, 3));
         let shared = Arc::ptr_eq(&first.cells[0].result, &second.cells[0].result);
         assert!(shared, "the join hands out the computed result");
     }

@@ -52,14 +52,14 @@ pub struct EngineStats {
     pub workers: usize,
     /// Wall-clock time of the batch (zero for lifetime snapshots).
     pub elapsed: Duration,
-    /// Pipeline stages served from the in-memory stage memo instead of
-    /// being recomputed. Only cache-miss jobs run stages at
-    /// all, so these counters describe sharing *within* the misses; like
-    /// `workers` and `elapsed` they depend on the run shape (a sharded
-    /// run shares fewer stages per process than a single-process run) and
-    /// are blanked by report normalization.
+    /// Pipeline stages a job read from its stage-sharing group's table
+    /// instead of computing them. Only cache-miss jobs run stages at all,
+    /// so these counters describe sharing *within* each group of the
+    /// misses; like `workers` and `elapsed` they depend on the run shape
+    /// (a warm run runs no stages) and are blanked by report
+    /// normalization.
     pub stage_hits: u64,
-    /// Pipeline stages computed (stage-cache misses).
+    /// Pipeline stages computed (stage-table misses).
     pub stage_misses: u64,
 }
 

@@ -152,7 +152,7 @@ fn every_job_runs_exactly_once_in_submission_order_at_any_worker_count() {
             }
         });
     }
-    // Without a cache the pipeline is monolithic — no stage memo shares
+    // Without a cache the pipeline is monolithic — no stage table shares
     // work between jobs — so one job is a fixed number of verifies.
     let probe = engine(1, false).run(vec![Job::new(chain(9), 3)]);
     assert!(probe.cells[0].result.is_ok());

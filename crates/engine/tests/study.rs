@@ -196,7 +196,7 @@ fn staged_grid_report_matches_monolithic_byte_for_byte() {
     let staged = study.run(&Engine::default());
     let monolithic = study.run(&Engine::new(EngineOptions { cache: false, ..Default::default() }));
 
-    // The staged run actually exercised the stage memo; the monolithic
+    // The staged run actually exercised the stage tables; the monolithic
     // run never touched it.
     assert!(staged.stats.stage_misses > 0);
     assert!(staged.stats.stage_hits > 0, "grid axes must share stage prefixes");

@@ -325,7 +325,7 @@ fn stage_counts(lines: &[String]) -> HashMap<String, u64> {
     counts
 }
 
-/// Acceptance for the stage memo: per-stage provenance events reconcile
+/// Acceptance for the stage tables: per-stage provenance events reconcile
 /// *exactly* with the batch's `stage_hits` / `stage_misses` counters —
 /// every memory resolution is one hit event, every computed resolution
 /// one miss event — and a warm batch, served at job granularity, emits no

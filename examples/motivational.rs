@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "stored bits in the optimized datapath: {} (the paper: \"just C5 \
          and E4 plus the 3 carry outs\")",
-        opt.datapath.stored_bits
+        opt.datapath.binding.stored_bits
     );
     Ok(())
 }
