@@ -506,8 +506,8 @@ pub fn run_case(seed: u64, options: &FuzzOptions) -> CaseOutcome {
                 Some(diff) => {
                     let dir = diff.cache_dir.join(format!("ref-{seed}"));
                     let _ = std::fs::remove_dir_all(&dir);
-                    StageStore::of(&diff.cache_dir)
-                        .copy_jobs(&study.grid().distinct_keys, &StageStore::of(&dir))?;
+                    let keys: Vec<_> = study.grid().distinct_keys().collect();
+                    StageStore::of(&diff.cache_dir).copy_jobs(&keys, &StageStore::of(&dir))?;
                     let engine = engine.with_cache_dir(&dir)?;
                     let report = study.run(&engine);
                     let _ = std::fs::remove_dir_all(&dir);

@@ -79,9 +79,14 @@ impl JobKey {
     pub fn of_bytes(bytes: &[u8]) -> Self {
         // Two independent FNV-1a lanes (different offset bases) give a
         // 128-bit key; collisions are out of reach for cache-sized sets.
-        let lo = fnv1a(bytes, FNV_OFFSET);
-        let hi = fnv1a(bytes, FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15);
-        JobKey([lo, hi])
+        JobKey([FNV_OFFSET, FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15]).extended(bytes)
+    }
+
+    /// Continues both lanes over `bytes`: FNV-1a is sequential, so the key
+    /// of a string's prefix extended by the rest is the key of the whole
+    /// string. A grid hashes each spec's text once and extends it per cell.
+    pub(crate) fn extended(self, bytes: &[u8]) -> Self {
+        JobKey([fnv1a(bytes, self.0[0]), fnv1a(bytes, self.0[1])])
     }
 
     /// Parses the 32-hex-digit form produced by [`JobKey`]'s `Display`

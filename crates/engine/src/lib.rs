@@ -38,10 +38,10 @@
 //!   .latencies(range).run(&engine)` read back through
 //!   [`StudyReport::sweep_points`];
 //! * **sharded multi-process execution** — [`shard::run_sharded`]
-//!   cuts a study's deduplicated job list between stage-sharing groups
-//!   across a fleet of running `serve` endpoints that share one cache
-//!   directory, then merges their statistics and reassembles the exact
-//!   single-process [`StudyReport`];
+//!   cuts a study's stage-sharing groups, in grid order, across a fleet
+//!   of running `serve` endpoints that share one cache directory, then
+//!   merges their statistics and reassembles the exact single-process
+//!   [`StudyReport`];
 //! * **a long-running service** — [`serve::Server`] answers
 //!   newline-delimited JSON study requests over TCP from one warm engine,
 //!   so many clients share a single in-memory memo (backed by the cache
@@ -99,12 +99,13 @@ pub use study::Study;
 
 use bittrans_core::compare;
 use sched::Scheduler;
-use stagecache::{Claim, GroupStages, Slot, StageCache, StageTally};
+use stagecache::{Claim, GroupStages, JobMemo, Slot, StageTally};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
+use study::Grid;
 
 /// Upper bound on a worker count taken from outside input (`--jobs`).
 /// The engine's pool spawns one OS thread per worker, so a larger value
@@ -135,7 +136,8 @@ impl Default for EngineOptions {
 /// Every grid reaches the pipeline through one routine, `run_grid`, which
 /// resolves its distinct jobs and labels its cells: [`Engine::run`],
 /// [`Study::run`], the `serve` front end and a sharded run's coordinator
-/// all call it.
+/// all call it, with a grid keyed and grouped once by the study module
+/// (`study::Grid`).
 /// The pool is a [`sched::Scheduler`] of [`Engine::worker_count`]
 /// threads, started on the first job that must compute, so an engine
 /// that only ever serves cache hits never spawns a thread. Concurrent
@@ -161,7 +163,7 @@ struct Shared {
     /// of them when one is attached ([`stagecache`]).
     /// A job's slot, claimed unset, is also its in-flight registration:
     /// other calls wanting the key wait on it instead of recomputing.
-    stages: StageCache,
+    memo: JobMemo,
     /// Lifetime counters: every `run_grid` call with caching on adds its
     /// stats once, at its end ([`Engine::stats`]).
     lifetime: Mutex<EngineStats>,
@@ -207,13 +209,13 @@ impl Shared {
                 // Landing, on the worker as each job finishes, so callers
                 // waiting on the slot wake as early as possible.
                 if self.options.cache {
-                    self.stages.land(*key, slot, &result);
+                    self.memo.land(*key, slot, &result);
                 }
                 result
             }))
         };
         if outcome.is_err() {
-            self.stages.abandon(*key, slot);
+            self.memo.abandon(*key, slot);
         }
         outcome
     }
@@ -247,34 +249,26 @@ struct TaskContext {
     group: usize,
 }
 
-/// Splits a call's owned jobs into its pool tasks: one per stage-sharing
-/// group ([`stagecache::group_key`]) with an empty stage table, members in
-/// grid order, or one per job without caching, where nothing is shared.
-/// Groups come largest spec first (by op count; the sort is stable, so
-/// ties keep grid order), so the short groups are the last to start.
-fn stage_groups(
-    owned: Vec<(usize, Slot)>,
-    jobs: &[Job],
-    keys: &[JobKey],
-    cache: bool,
-) -> Vec<Group> {
+/// Splits a call's owned jobs — `(index into grid.distinct, slot)` — into
+/// its pool tasks: one per stage-sharing group of the grid with an empty
+/// stage table, members in grid order, or one per job without caching,
+/// where nothing is shared. Groups come largest spec first (by op count;
+/// the sort is stable, so ties keep the order of their first owned job),
+/// so the short groups are the last to start.
+fn pool_tasks(owned: Vec<(usize, Slot)>, grid: &Grid, cache: bool) -> Vec<Group> {
     let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: HashMap<JobKey, usize> = HashMap::new();
+    let mut task_of: Vec<Option<usize>> = vec![None; grid.group_count()];
     for (index, slot) in owned {
-        let job = jobs[index].clone();
-        let group = cache.then(|| {
-            let source = stagecache::source_digest(&job.spec);
-            stagecache::group_key(source, job.latency, &job.options)
-        });
+        let group = grid.groups[index];
         let mut open = || {
-            groups.push(Group { members: Vec::new(), stages: group.map(GroupStages::new) });
+            let stages = cache.then(|| GroupStages::new(grid.group_keys[group]));
+            groups.push(Group { members: Vec::new(), stages });
             groups.len() - 1
         };
-        let at = match group {
-            Some(key) => *group_of.entry(key).or_insert_with(open),
-            None => open(),
-        };
-        groups[at].members.push(Member { index, job, key: keys[index], slot });
+        let task = if cache { *task_of[group].get_or_insert_with(open) } else { open() };
+        let at = grid.distinct[index];
+        let member = Member { index, job: grid.cells[at].clone(), key: grid.keys[at], slot };
+        groups[task].members.push(member);
     }
     groups.sort_by_key(|group| std::cmp::Reverse(group.members[0].job.spec.ops().len()));
     groups
@@ -315,7 +309,7 @@ impl Engine {
         // back, so between calls the engine owns it alone.
         let shared = Arc::get_mut(&mut self.shared).expect("no task outlives its run");
         if shared.options.cache {
-            shared.stages.attach_disk(&dir);
+            shared.memo.attach_disk(&dir);
         }
         Ok(self)
     }
@@ -326,7 +320,7 @@ impl Engine {
     /// reject shard requests on a store-less server, whose work could
     /// never reach the dispatching coordinator.
     pub fn has_cache_dir(&self) -> bool {
-        self.shared.stages.store().is_some()
+        self.shared.memo.store().is_some()
     }
 
     /// Runs one eviction sweep over the attached cache directory's store:
@@ -340,11 +334,11 @@ impl Engine {
     /// If no cache directory is attached ([`Engine::with_cache_dir`]), or
     /// deleting a file fails.
     pub fn prune_cache(&self, policy: PrunePolicy) -> std::io::Result<PruneReport> {
-        let stages = &self.shared.stages;
-        let store = stages.store().ok_or_else(|| {
+        let memo = &self.shared.memo;
+        let store = memo.store().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no cache directory attached")
         })?;
-        let pinned = stages.resident_keys();
+        let pinned = memo.resident_keys();
         let now = std::time::SystemTime::now()
             .duration_since(std::time::SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
@@ -371,13 +365,14 @@ impl Engine {
     }
 
     /// Resolves a grid through the one execution path every front end
-    /// shares, and labels every one of `cells` (with their precomputed
-    /// `cell_keys`), in order. `jobs` (with their `keys`) is what runs: the
-    /// grid's distinct jobs, or — for [`Engine::run`] — the cells
-    /// themselves, repeats included. `on_resolved` is called once per
-    /// distinct key with its result and whether it was a hit — landed hits
-    /// first, in slot order, then this call's computed keys as they
-    /// finish, then the keys it joined.
+    /// shares, and labels every one of its cells, in order. The grid is
+    /// keyed and grouped already ([`Study::grid`], [`Grid::of_jobs`],
+    /// [`Grid::shard`]); what runs are its `distinct` jobs: a study's
+    /// distinct keys, or — for [`Engine::run`] — every job, repeats
+    /// included. `on_resolved` is called once per distinct key with its
+    /// result and whether it was a hit — landed hits first, in slot order,
+    /// then this call's computed keys as they finish, then the keys it
+    /// joined.
     ///
     /// One hold of the memo lock claims every distinct key
     /// ([`stagecache::Claim`]): a landed slot is a `memory` hit, another
@@ -390,9 +385,9 @@ impl Engine {
     ///
     /// The owned keys go to the pool as one fairness unit before any
     /// callback runs, so every owned slot is landed or abandoned whatever
-    /// the callback does. They go as one pool task per stage-sharing group
-    /// ([`stagecache::group_key`]: the same spec, λ and verify vectors),
-    /// largest spec first, whose members run in turn on one worker against
+    /// the callback does. They go as one pool task per group of the grid
+    /// (`study::group_key`: the same spec, λ and verify vectors) that owns
+    /// at least one of them, largest spec first, whose members run in turn on one worker against
     /// the task's own stage table ([`GroupStages`]): the first computes the
     /// group's `fragment` stage (extraction, fragmentation and
     /// verification), the rest hit it and schedule once per balance
@@ -409,7 +404,7 @@ impl Engine {
     ///
     /// A cell is `from_cache` when its key was a hit or an earlier cell
     /// has the same key. The report's [`EngineStats`] count hits and
-    /// misses over `jobs`, `workers` clamped to the pool tasks submitted,
+    /// misses over the distinct jobs, `workers` clamped to the pool tasks submitted,
     /// this call's stage tally, and `cache_entries` = the distinct keys
     /// resolved. With caching on, they are also added once to the
     /// engine's lifetime counters.
@@ -426,21 +421,17 @@ impl Engine {
     /// it; the pool survives and the engine stays usable.
     pub(crate) fn run_grid(
         &self,
-        cells: &[Job],
-        cell_keys: &[JobKey],
-        jobs: &[Job],
-        keys: &[JobKey],
+        grid: &Grid,
         mut on_resolved: impl FnMut(&JobKey, &Arc<JobResult>, bool),
     ) -> StudyReport {
-        debug_assert_eq!(cells.len(), cell_keys.len());
-        debug_assert_eq!(jobs.len(), keys.len());
         let started = Instant::now();
         let shared = &self.shared;
+        let keys: Vec<JobKey> = grid.distinct_keys().collect();
         // One hold of the memo lock claims each distinct key; `claims`
         // keeps each claim with the index of the key's first job.
-        let mut claim_of: HashMap<JobKey, usize> = HashMap::with_capacity(jobs.len());
+        let mut claim_of: HashMap<JobKey, usize> = HashMap::with_capacity(keys.len());
         let mut claims: Vec<(usize, Claim)> = Vec::new();
-        let mut memo = shared.options.cache.then(|| shared.stages.claim_jobs());
+        let mut memo = shared.options.cache.then(|| shared.memo.claim_jobs());
         for (index, key) in keys.iter().enumerate() {
             claim_of.entry(*key).or_insert_with(|| {
                 let claim =
@@ -456,7 +447,7 @@ impl Engine {
             let repeat = *first != index;
             // Outside the memo lock, which file reads would hold up.
             let loaded = match claim {
-                Claim::Own(slot) if !repeat => shared.stages.land_from_store(*key, slot),
+                Claim::Own(slot) if !repeat => shared.memo.land_from_store(*key, slot),
                 _ => None,
             };
             if let Some(result) = loaded {
@@ -484,7 +475,7 @@ impl Engine {
             }
         }
         let misses = owned.len() as u64;
-        let groups = stage_groups(owned, jobs, keys, shared.options.cache);
+        let groups = pool_tasks(owned, grid, shared.options.cache);
         let workers = self.worker_count().min(groups.len().max(1));
         // This call's stage counters: stage work another call's task did
         // on our behalf lands in *its* tally, so each stage resolution is
@@ -568,7 +559,7 @@ impl Engine {
         }
 
         let stats = EngineStats {
-            jobs: jobs.len() as u64,
+            jobs: keys.len() as u64,
             cache_hits: hits,
             cache_misses: misses,
             cache_entries: claim_of.len(),
@@ -580,10 +571,11 @@ impl Engine {
         if shared.options.cache {
             shared.lifetime.lock().unwrap_or_else(PoisonError::into_inner).absorb(&stats);
         }
-        let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(cells.len());
-        let cells = cells
+        let mut first_seen: HashSet<JobKey> = HashSet::with_capacity(grid.cells.len());
+        let cells = grid
+            .cells
             .iter()
-            .zip(cell_keys)
+            .zip(&grid.keys)
             .map(|(job, &key)| {
                 let (result, hit) = &resolved[&key];
                 StudyCell::of(job, key, Arc::clone(result), *hit || !first_seen.insert(key))
@@ -595,17 +587,11 @@ impl Engine {
     /// [`Engine::run_grid`] inside an `engine.run` span, closed by an
     /// `engine.batch` event carrying the batch's counters: the batch front
     /// ends ([`Engine::run`], [`Study::run`] and a sharded run's gap-fill).
-    pub(crate) fn run_batch(
-        &self,
-        cells: &[Job],
-        cell_keys: &[JobKey],
-        jobs: &[Job],
-        keys: &[JobKey],
-    ) -> StudyReport {
+    pub(crate) fn run_batch(&self, grid: &Grid) -> StudyReport {
         let _batch = trace::span_attrs("engine.run", |a| {
-            a.num("jobs", jobs.len() as u64);
+            a.num("jobs", grid.distinct.len() as u64);
         });
-        let report = self.run_grid(cells, cell_keys, jobs, keys, |_, _, _| {});
+        let report = self.run_grid(grid, |_, _, _| {});
         let stats = &report.stats;
         trace::event("engine.batch", |a| {
             a.num("jobs", stats.jobs)
@@ -634,8 +620,7 @@ impl Engine {
     /// If a job panics: with its original payload, after the batch's
     /// other jobs have finished.
     pub fn run(&self, jobs: Vec<Job>) -> StudyReport {
-        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
-        self.run_batch(&jobs, &keys, &jobs, &keys)
+        self.run_batch(&Grid::of_jobs(jobs))
     }
 
     /// Cumulative statistics across every batch run on this engine:
@@ -644,7 +629,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let lifetime = self.shared.lifetime.lock().unwrap_or_else(PoisonError::into_inner);
         EngineStats {
-            cache_entries: self.shared.stages.job_entries(),
+            cache_entries: self.shared.memo.job_entries(),
             workers: self.worker_count(),
             elapsed: std::time::Duration::ZERO,
             ..lifetime.clone()
@@ -743,10 +728,10 @@ mod tests {
         // Room for two of the six jobs (~0.8 KB charged each).
         let budget = 2 << 10;
         for (engine, evicted) in [(stored, (1, 0)), (Engine::new(options), (0, 1))] {
-            engine.shared.stages.set_memo_capacity(budget);
+            engine.shared.memo.set_memo_capacity(budget);
             for job in &jobs {
                 engine.run(vec![job.clone()]);
-                let charged = engine.shared.stages.memo_bytes();
+                let charged = engine.shared.memo.memo_bytes();
                 assert!(charged <= budget, "{charged} > {budget} bytes");
             }
             assert_eq!(engine.stats().cache_entries, 2, "the two newest jobs stay resident");

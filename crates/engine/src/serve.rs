@@ -23,8 +23,8 @@
 //!
 //! A study body carrying `shard_index`/`shard_count`
 //! ([`crate::shard::SHARD_COORD_FIELDS`]) is a **shard request**: the
-//! server executes only that range of the study's distinct jobs in
-//! shard order ([`crate::shard::shard_slice`]) and answers
+//! server executes only the jobs of that range of the study's
+//! stage-sharing groups ([`crate::shard::shard_slice`]) and answers
 //! `{"ok":true,"shard_index":…,"shard_count":…,"service":{…},"stats":{…}}`
 //! — the batch's [`EngineStats`](crate::EngineStats) instead of a
 //! report. Sharded runs dispatch every shard this way, to a fleet of
@@ -72,8 +72,9 @@
 //! A study or shard request resolves its grid on the shared [`Engine`]
 //! through the routine [`Engine::run`] and [`Study::run`] use too
 //! (`Engine::run_grid`, without their `engine.run` batch span, so a
-//! request's `exec.task` spans sit directly under `serve.request`); a
-//! shard request brings its keys along, so no job is hashed twice.
+//! request's `exec.task` spans sit directly under `serve.request`). Both
+//! request kinds key and group their grid once (`Study::grid`); a shard
+//! request runs its cut of that grid, so no job is hashed twice.
 //! Concurrency is between connections: all of them share the engine's
 //! one worker pool and its fair per-request round-robin queue
 //! ([`crate::sched`]). Every request's uncached jobs are one scheduling
@@ -712,34 +713,23 @@ fn run_study_request(
     }
     let mut frames_ok = true;
     let mut write_ns = 0;
-    let report = state.engine.run_grid(
-        &grid.cells,
-        &grid.keys,
-        &grid.distinct,
-        &grid.distinct_keys,
-        |key, result, hit| {
-            if !stream || !frames_ok {
-                return;
+    let report = state.engine.run_grid(&grid, |key, result, hit| {
+        if !stream || !frames_ok {
+            return;
+        }
+        for (occurrence, &index) in cells_of_key.get(key).into_iter().flatten().enumerate() {
+            let cell =
+                StudyCell::of(&grid.cells[index], *key, Arc::clone(result), hit || occurrence > 0);
+            let cell = serde_json::to_string(&cell).expect("study cell serializes");
+            let frame = format!("{{\"cell\":{cell},\"index\":{index}}}");
+            if write_line(writer, &frame, &mut write_ns).is_err() {
+                // The client stopped reading; stop framing but finish the
+                // computation — it warms the cache for everyone else.
+                frames_ok = false;
+                break;
             }
-            for (occurrence, &index) in cells_of_key.get(key).into_iter().flatten().enumerate() {
-                let cell = StudyCell::of(
-                    &grid.cells[index],
-                    *key,
-                    Arc::clone(result),
-                    hit || occurrence > 0,
-                );
-                let cell = serde_json::to_string(&cell).expect("study cell serializes");
-                let frame = format!("{{\"cell\":{cell},\"index\":{index}}}");
-                if write_line(writer, &frame, &mut write_ns).is_err() {
-                    // The client stopped reading; stop framing but finish
-                    // the computation — it warms the cache for everyone
-                    // else.
-                    frames_ok = false;
-                    break;
-                }
-            }
-        },
-    );
+        }
+    });
     state.requests.fetch_add(1, Ordering::SeqCst);
     state.class_study.fetch_add(1, Ordering::SeqCst);
     trace::stderr_log("serve", "report", |a| {
@@ -778,8 +768,8 @@ fn run_shard_request(
     peer: &str,
     writer: &mut TcpStream,
 ) -> u64 {
-    let (jobs, keys) = shard::keyed_shard_slice(study, index, count);
-    let stats = state.engine.run_grid(&jobs, &keys, &jobs, &keys, |_, _, _| {}).stats;
+    let grid = study.grid().shard(index, count);
+    let stats = state.engine.run_grid(&grid, |_, _, _| {}).stats;
     state.requests.fetch_add(1, Ordering::SeqCst);
     state.class_shard.fetch_add(1, Ordering::SeqCst);
     trace::stderr_log("serve", "shard", |a| {

@@ -14,19 +14,19 @@
 //!
 //! The coordinator ([`run_sharded`]):
 //!
-//! 1. expands the study grid, deduplicates it by key and ranks the
-//!    distinct jobs in **shard order** — by source digest, stage-sharing
-//!    group and [`JobKey`] — then cuts the ranked list into K contiguous
-//!    ranges on group boundaries only (the [`partition`] arithmetic over
-//!    groups — total and disjoint by construction), so each group's jobs
-//!    share its stages in one shard, as they do in a single process;
+//! 1. expands, keys and groups the study grid once (`Study::grid`: each
+//!    distinct job with its stage-sharing group, groups numbered in grid
+//!    order), then cuts the groups into K contiguous ranges (the
+//!    [`partition`] arithmetic over groups — total and disjoint by
+//!    construction), so each group's jobs share its stages in one shard,
+//!    as they do in a single process;
 //! 2. sends each shard as a shard request — the study body plus
 //!    `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
 //!    newline-delimited JSON protocol — to an endpoint assigned
 //!    round-robin ([`assign_round_robin`]), every read under a deadline
 //!    ([`crate::proto`]);
-//! 3. the endpoint re-derives the identical ranked job list, runs its
-//!    range ([`shard_slice`]) through its engine (so every success is
+//! 3. the endpoint re-derives the identical grid, runs its range of
+//!    groups ([`shard_slice`]) through its engine (so every success is
 //!    spilled into the shared directory), and answers with the batch's
 //!    [`EngineStats`]. A failed or unreachable endpoint's shard is retried
 //!    on the next endpoint, each endpoint at most once per shard; a shard
@@ -46,6 +46,10 @@
 //! key, and an endpoint dying mid-shard costs only the recomputation of
 //! its unfinished range. A reply is trusted for its statistics only, so
 //! an endpoint that answers without computing cannot change the report.
+//! The cut is a function of the build as well as of the study: a fleet
+//! that mixes builds which cut differently may compute some groups twice
+//! and skip others, and the coordinator's gap-fill still makes the report
+//! identical.
 //!
 //! Because a study's `Spec` values cannot be re-serialized into parseable
 //! DSL (the IR's `Display` is a dump format), a sharded study starts from
@@ -56,9 +60,9 @@
 use crate::key::JobKey;
 use crate::proto;
 use crate::report::StudyReport;
-use crate::stagecache::{self, StageStore};
+use crate::stagecache::StageStore;
 use crate::stats::{EndpointStats, EngineStats};
-use crate::study::{Grid, Study};
+use crate::study::Study;
 use crate::trace;
 use crate::{Engine, Job};
 use bittrans_core::CompareOptions;
@@ -269,7 +273,7 @@ impl ShardedStudy {
 
 /// The two wire fields a **shard request** carries on top of the study
 /// body: a `serve` endpoint receiving them executes only that range of
-/// the study's distinct jobs in shard order ([`shard_slice`]) and answers
+/// the study's groups ([`shard_slice`]) and answers
 /// with the batch's [`EngineStats`] instead of a report.
 pub const SHARD_COORD_FIELDS: [&str; 2] = ["shard_index", "shard_count"];
 
@@ -341,88 +345,20 @@ fn optional<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
     }
 }
 
-/// The `index`-th of `count` shards of a study's distinct jobs in shard
-/// order (`ShardOrder`) — the slice a `serve` endpoint executes for a
-/// shard request. Every endpoint (and the coordinator) computes the same
-/// cut from the same pure inputs. A shard holds whole stage-sharing
-/// groups only, so a `count` above the group count leaves some shards
-/// empty. An out-of-range `index` yields an empty slice; `count` of zero
-/// is treated as one.
+/// The `index`-th of `count` shards of a study's distinct jobs: the jobs
+/// of a contiguous range of its stage-sharing groups, in grid order
+/// (`Grid::shard`) — the slice a `serve` endpoint executes for a shard
+/// request. Every endpoint (and the coordinator) computes the same cut
+/// from the same pure inputs. A shard holds whole groups only, so a
+/// `count` above the group count leaves some shards empty. An
+/// out-of-range `index` yields an empty slice; `count` of zero is treated
+/// as one.
 ///
 /// # Panics
 ///
 /// On axis values the options builder rejects; see [`Study::jobs`].
 pub fn shard_slice(study: &Study, index: usize, count: usize) -> Vec<Job> {
-    keyed_shard_slice(study, index, count).0
-}
-
-/// [`shard_slice`] with each job's content key, from the one keying pass
-/// over the study grid — the keys the serving engine then runs under.
-pub(crate) fn keyed_shard_slice(
-    study: &Study,
-    index: usize,
-    count: usize,
-) -> (Vec<Job>, Vec<JobKey>) {
-    let grid = study.grid();
-    let order = ShardOrder::of(&grid);
-    let mut distinct: Vec<Option<Job>> = grid.distinct.into_iter().map(Some).collect();
-    order.ranked[order.range(index, count)]
-        .iter()
-        .map(|&at| (distinct[at].take().expect("ranked once"), grid.distinct_keys[at]))
-        .unzip()
-}
-
-/// A grid's distinct jobs in the one order every process cuts shards
-/// from: by source digest, stage-sharing group
-/// ([`stagecache::group_key`]) and [`JobKey`]. Each group is one
-/// contiguous run, so cutting only between groups keeps every job that
-/// shares a group's stages in one shard.
-struct ShardOrder {
-    /// Indices into the grid's distinct jobs, ranked.
-    ranked: Vec<usize>,
-    /// Where each group starts in `ranked`, then `ranked.len()`.
-    bounds: Vec<usize>,
-}
-
-impl ShardOrder {
-    fn of(grid: &Grid) -> ShardOrder {
-        let rank: Vec<(JobKey, JobKey, JobKey)> = grid
-            .distinct
-            .iter()
-            .zip(&grid.distinct_keys)
-            .map(|(job, &key)| {
-                let source = stagecache::source_digest(&job.spec);
-                (source, stagecache::group_key(source, job.latency, &job.options), key)
-            })
-            .collect();
-        let mut ranked: Vec<usize> = (0..rank.len()).collect();
-        ranked.sort_unstable_by_key(|&at| rank[at]);
-        let mut bounds: Vec<usize> = (0..ranked.len())
-            .filter(|&i| i == 0 || rank[ranked[i]].1 != rank[ranked[i - 1]].1)
-            .collect();
-        bounds.push(ranked.len());
-        ShardOrder { ranked, bounds }
-    }
-
-    /// The number of stage-sharing groups.
-    fn groups(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// The `ranked` positions of shard `index` of `count`: the
-    /// [`partition`] cut over groups, computed directly for the one
-    /// requested shard. A `serve` endpoint feeds this an untrusted
-    /// `count`, so it must neither materialize `count` ranges nor
-    /// overflow (`u128` headroom), however absurd the coordinates.
-    fn range(&self, index: usize, count: usize) -> Range<usize> {
-        let (index, count) = (index as u128, count.max(1) as u128);
-        if index >= count {
-            return 0..0;
-        }
-        let groups = self.groups() as u128;
-        let cut = |shard: u128| self.bounds[(shard * groups / count) as usize];
-        cut(index)..cut(index + 1)
-    }
+    study.grid().shard(index, count).cells
 }
 
 /// Reads array `value` (field `key`) element by element; `item` returns
@@ -479,7 +415,7 @@ pub struct RemoteTransport {
 /// How to run a study across processes.
 #[derive(Clone, Debug)]
 pub struct ShardOptions {
-    /// Shards to cut the ranked job list into (clamped to the number of
+    /// Shards to cut the grid's groups into (clamped to the number of
     /// stage-sharing groups; at least one group per shard).
     pub shards: usize,
     /// Where the shards run.
@@ -542,8 +478,7 @@ pub fn run_sharded(
     let started = Instant::now();
     let study = sharded.study()?;
     let grid = study.grid();
-    let order = ShardOrder::of(&grid);
-    let groups = order.groups();
+    let groups = grid.group_count();
     let shards = if groups == 0 { 0 } else { options.shards.clamp(1, groups) };
     let _run = trace::span_attrs("shard.run", |a| {
         a.num("shards", shards as u64).num("distinct", grid.distinct.len() as u64);
@@ -557,7 +492,7 @@ pub fn run_sharded(
     // from_cache flags) must not diverge from that. The load deletes such
     // a file, so its shard recomputes and respills it.
     let preloaded: HashSet<JobKey> =
-        grid.distinct_keys.iter().copied().filter(|&key| store.load_job(key).is_some()).collect();
+        grid.distinct_keys().filter(|&key| store.load_job(key).is_some()).collect();
 
     // Dispatch the shards to the fleet. A shard that cannot be dispatched
     // at all is treated exactly like one that crashed: its range is
@@ -570,17 +505,14 @@ pub fn run_sharded(
     // errors are never persisted) compute here, exactly as a single-process
     // run would have computed them.
     let engine = Engine::default().with_cache_dir(cache_dir)?;
-    let mut report = engine.run_batch(&grid.cells, &grid.keys, &grid.distinct, &grid.distinct_keys);
+    let mut report = engine.run_batch(&grid);
     let batch = report.stats.clone();
 
     // The gaps: keys from a failed shard's range that the batch had to
     // compute — work no endpoint finished — in sorted-key order. Only a
     // key's first cell can be a computed one.
-    let failed_keys: HashSet<JobKey> = failed
-        .iter()
-        .flat_map(|&index| order.ranked[order.range(index, shards)].iter())
-        .map(|&at| grid.distinct_keys[at])
-        .collect();
+    let failed_keys: HashSet<JobKey> =
+        failed.iter().flat_map(|&index| grid.shard(index, shards).keys).collect();
     let mut retried: Vec<JobKey> = report
         .cells
         .iter()

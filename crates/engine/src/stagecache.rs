@@ -20,7 +20,7 @@
 //! charged an estimate of its result's size (a fixed part for the two
 //! implementations' figures, plus their names) and a fixed per-entry
 //! overhead, and entries are evicted oldest-first while the charged total
-//! exceeds `STAGE_MEMO_BYTES` (4 MiB), so a long-lived serve process stops
+//! exceeds `MEMO_BYTES` (4 MiB), so a long-lived serve process stops
 //! growing without limit. A slot whose job is still being computed is
 //! never evicted — that is what keeps every key computed exactly once. An
 //! entry larger than the whole budget still reaches its caller but is not
@@ -33,9 +33,9 @@
 //! coordinate re-run the presynthesis transformation at every point, so a
 //! cache-miss job is decomposed into the stage functions `bittrans-core`
 //! exposes ([`bittrans_core::stage_extract`] and friends). The jobs of one
-//! stage-sharing group (`group_key`: #spec, λ and the verify vector count)
-//! resolve their stages against one `GroupStages` table, owned by the
-//! pool task that runs the group and dropped when that task ends. No stage
+//! stage-sharing group (`study::group_key`: #spec, λ and the verify vector
+//! count) resolve their stages against one `GroupStages` table, owned by
+//! the pool task that runs the group and dropped when that task ends. No stage
 //! outlives its task, so none is shared between groups or engine calls.
 //! The table holds:
 //!
@@ -48,7 +48,9 @@
 //! ```
 //!
 //! `#spec` is the digest of the spec's pretty-printed form
-//! (`source_digest`), taken once per computed job to group it.
+//! (`study::source_digest`). A grid takes it once per spec and numbers its
+//! groups as it keys its cells (`study::Grid`); the engine only reads
+//! those groups.
 //!
 //! `fragment` is the paper's presynthesis transformation as one stage:
 //! kernel extraction, fragmentation and the equivalence check of the
@@ -115,7 +117,7 @@ use std::time::SystemTime;
 /// [`MEMO_ENTRY_OVERHEAD`]. 4 MiB holds the whole paper-corpus grid (216
 /// jobs, about 0.17 MB charged) many times over. An evicted job falls back
 /// to the store when one is attached, and is recomputed otherwise.
-pub(crate) const STAGE_MEMO_BYTES: usize = 4 << 20;
+pub(crate) const MEMO_BYTES: usize = 4 << 20;
 
 /// The fixed charge of one resident entry on top of its job's estimated
 /// size: its map and order slots, the `OnceLock` and the `Arc` headers. It
@@ -349,7 +351,7 @@ struct Memo {
 
 impl Default for Memo {
     fn default() -> Self {
-        Memo { map: HashMap::new(), order: VecDeque::new(), charged: 0, budget: STAGE_MEMO_BYTES }
+        Memo { map: HashMap::new(), order: VecDeque::new(), charged: 0, budget: MEMO_BYTES }
     }
 }
 
@@ -392,13 +394,13 @@ impl Memo {
 /// How [`JobClaims::claim`] found a job key.
 pub(crate) enum Claim {
     /// Landed: resident in the memo (`"memory"`), or loaded from the
-    /// store into an owned slot ([`StageCache::land_from_store`],
+    /// store into an owned slot ([`JobMemo::land_from_store`],
     /// `"disk"`).
     Landed(Arc<JobResult>, &'static str),
     /// Another call's unset slot: [`wait_job`] on it.
     Join(Slot),
     /// Inserted by this claim: load or compute the job, then land it —
-    /// or [`StageCache::abandon`] it if the computation panics.
+    /// or [`JobMemo::abandon`] it if the computation panics.
     Own(Slot),
 }
 
@@ -437,13 +439,13 @@ pub(crate) fn wait_job(slot: &Slot) -> Option<Arc<JobResult>> {
 /// [`crate::Engine`], shared by every batch and serve request run through
 /// it.
 #[derive(Debug, Default)]
-pub struct StageCache {
+pub struct JobMemo {
     memo: Mutex<Memo>,
     /// The cache directory's store, when one is attached.
     store: Option<StageStore>,
 }
 
-impl StageCache {
+impl JobMemo {
     /// Attaches the store of cache directory `cache_dir`. Its
     /// subdirectory is created lazily, on first spill.
     pub(crate) fn attach_disk(&mut self, cache_dir: &Path) {
@@ -456,11 +458,11 @@ impl StageCache {
     }
 
     fn lock(&self) -> MutexGuard<'_, Memo> {
-        self.memo.lock().expect("stage cache lock")
+        self.memo.lock().expect("job memo lock")
     }
 
     /// Caps the memo's charged bytes (tests exercise small bounds; the
-    /// default is [`STAGE_MEMO_BYTES`]).
+    /// default is [`MEMO_BYTES`]).
     #[cfg(test)]
     pub(crate) fn set_memo_capacity(&self, bytes: usize) {
         self.lock().budget = bytes;
@@ -529,7 +531,7 @@ impl StageCache {
 /// resolves it, then its artifact or its error.
 type Entry<T> = Option<Result<T, PipelineError>>;
 
-/// The stages of one stage-sharing group ([`group_key`]), owned by the
+/// The stages of one stage-sharing group (`study::group_key`), owned by the
 /// pool task that runs the group and dropped with it: the group's
 /// `fragment`, and per balance setting each flow's bound schedule. Each
 /// entry is computed by the first member that resolves it.
@@ -614,30 +616,10 @@ fn stage<'a, T>(
     result.as_ref().map_err(Clone::clone)
 }
 
-/// `#spec` of the module's stage table: the digest of a spec's
-/// pretty-printed form. This is the parse/canonicalize "stage": one
-/// rendering and one digest per computed job.
-pub(crate) fn source_digest(spec: &Spec) -> JobKey {
-    JobKey::of_bytes(spec.to_string().as_bytes())
-}
-
-/// A job's stage-sharing group: the inputs of the transformation every
-/// job of one (spec, λ) coordinate resolves alike — #spec, λ and the
-/// verify vector count, joined with the same `\x1f` separator
-/// [`crate::key`] uses and FNV-128 hashed. The adder, timing model and
-/// balance do not enter it. The engine runs a group's jobs in turn as one
-/// pool task that owns the group's [`GroupStages`], so the first resolves
-/// the group's stages and the rest hit them; a sharded run keeps each
-/// group whole in one shard for the same reason.
-pub(crate) fn group_key(source: JobKey, latency: u32, options: &CompareOptions) -> JobKey {
-    let parts =
-        ["group", &source.to_string(), &latency.to_string(), &options.verify_vectors.to_string()];
-    JobKey::of_bytes(parts.join("\x1f").as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::{group_key, source_digest};
     use bittrans_core::compare;
 
     fn three_adds() -> Spec {
@@ -897,8 +879,8 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
-                    // Each writer is its own engine's stage cache.
-                    let mut cache = StageCache::default();
+                    // Each writer is its own engine's job memo.
+                    let mut cache = JobMemo::default();
                     cache.attach_disk(&dir);
                     start.wait();
                     for _ in 0..400 {
@@ -930,7 +912,7 @@ mod tests {
         let expected = compare(&spec, 3, &CompareOptions::default()).unwrap();
         // Every entry outgrows a budget below the per-entry overhead.
         let engine = crate::Engine::default();
-        let cache = &engine.shared.stages;
+        let cache = &engine.shared.memo;
         cache.set_memo_capacity(MEMO_ENTRY_OVERHEAD - 1);
         let report = engine.run(vec![crate::Job::new(spec, 3)]);
         let got = report.cells[0].result.as_ref().as_ref().unwrap();
@@ -939,7 +921,7 @@ mod tests {
         assert_eq!(cache.memo_bytes(), 0);
     }
 
-    /// [`STAGE_MEMO_BYTES`] holds the whole paper-corpus grid: its 216
+    /// [`MEMO_BYTES`] holds the whole paper-corpus grid: its 216
     /// jobs all stay resident. The estimates stay calibrated: their total
     /// is within a quarter of the 172,224 bytes these 216 jobs were charged
     /// when the memo also held the grid's 180 stages.
@@ -970,10 +952,10 @@ mod tests {
         assert_eq!((report.cells.len(), report.stats.cache_misses), (216, 216));
         assert_eq!(report.stats.stage_misses, 180);
 
-        let stages = &engine.shared.stages;
-        assert_eq!(stages.job_entries(), 216, "every job stays resident");
-        let memo = stages.lock();
-        assert_eq!(memo.budget, STAGE_MEMO_BYTES);
+        let jobs = &engine.shared.memo;
+        assert_eq!(jobs.job_entries(), 216, "every job stays resident");
+        let memo = jobs.lock();
+        assert_eq!(memo.budget, MEMO_BYTES);
         assert_eq!(memo.map.len(), 216, "nothing was evicted, and nothing else is held");
         let parent = 172_224.0;
         let ratio = memo.charged as f64 / parent;
@@ -984,7 +966,7 @@ mod tests {
     fn eviction_never_drops_an_in_flight_slot() {
         let result = Arc::new(compare(&three_adds(), 3, &CompareOptions::default()));
         let budget = 4 * (job_bytes(&result) + MEMO_ENTRY_OVERHEAD);
-        let cache = StageCache::default();
+        let cache = JobMemo::default();
         cache.set_memo_capacity(budget);
         let claim = |key| cache.claim_jobs().claim(key);
         let key = JobKey::of_bytes(b"in-flight");
@@ -1015,7 +997,7 @@ mod tests {
     fn a_joined_job_costs_no_pool_task() {
         let job = crate::Job::new(three_adds(), 3);
         let engine = crate::Engine::new(crate::EngineOptions { workers: Some(1), cache: true });
-        let stages = &engine.shared.stages;
+        let jobs = &engine.shared.memo;
         // The gate: a task of this test's own holds the pool's one worker,
         // so the first call's task queues behind it and its job stays in
         // flight until the gate opens.
@@ -1028,7 +1010,7 @@ mod tests {
         // The job slot's holders: the memo, the first call, and the second
         // call once it has joined.
         let holders = || {
-            let memo = stages.memo.lock().unwrap();
+            let memo = jobs.memo.lock().unwrap();
             memo.map.get(&job.key()).map_or(0, |r| Arc::strong_count(&r.slot))
         };
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);

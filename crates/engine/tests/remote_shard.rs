@@ -489,8 +489,8 @@ fn shard_requests_validate_coords_and_need_a_store() {
     handle.join().unwrap();
 }
 
-/// A shard request runs exactly its slice of the ranked distinct job
-/// list — whole stage-sharing groups — answers with the batch
+/// A shard request runs exactly its slice of the grid's distinct jobs
+/// — whole stage-sharing groups — answers with the batch
 /// statistics, and spills the results into the shared store for the
 /// coordinator to read.
 #[test]

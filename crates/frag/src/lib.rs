@@ -56,17 +56,15 @@ use std::fmt;
 /// Options for [`fragment`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FragmentOptions {
-    /// Target latency λ in cycles.
-    pub latency: u32,
-    /// Cycle duration override in δ; `None` uses `⌈critical_path / λ⌉`
+    /// Target latency λ in cycles; the cycle is `⌈critical_path / λ⌉`
     /// (§3.2).
-    pub cycle_override: Option<Delta>,
+    pub latency: u32,
 }
 
 impl FragmentOptions {
     /// Options for latency `λ` with the paper's cycle estimation.
     pub fn with_latency(latency: u32) -> Self {
-        FragmentOptions { latency, cycle_override: None }
+        FragmentOptions { latency }
     }
 }
 
@@ -291,7 +289,7 @@ pub fn fragment(spec: &Spec, options: &FragmentOptions) -> Result<Fragmented, Fr
     }
     let arrival = arrival_times(spec);
     let cp = arrival.max();
-    let cycle = options.cycle_override.unwrap_or_else(|| cp.div_ceil(options.latency).max(1));
+    let cycle = cp.div_ceil(options.latency).max(1);
     let cycles = bit_cycles_from(spec, arrival, cycle, options.latency)?;
     let mut plan: BTreeMap<OpId, Vec<FragmentInfo>> = BTreeMap::new();
     for op in spec.ops() {
@@ -449,30 +447,17 @@ mod tests {
     fn rejects_zero_latency() {
         let spec = three_adds();
         assert_eq!(
-            fragment(&spec, &FragmentOptions { latency: 0, cycle_override: None }).unwrap_err(),
+            fragment(&spec, &FragmentOptions { latency: 0 }).unwrap_err(),
             FragError::ZeroLatency
         );
     }
 
     #[test]
-    fn rejects_infeasible_cycle_override() {
+    fn bit_cycles_rejects_an_infeasible_cycle() {
         let spec = three_adds();
-        let err = fragment(
-            &spec,
-            &FragmentOptions { latency: 3, cycle_override: Some(5) }, // 15δ < 18δ
-        )
-        .unwrap_err();
+        // 3 cycles of 5δ = 15δ < the 18δ critical path.
+        let err = bit_cycles(&spec, 5, 3).unwrap_err();
         assert!(matches!(err, FragError::Infeasible { .. }));
-    }
-
-    #[test]
-    fn wide_cycle_override_reduces_fragmentation() {
-        let spec = three_adds();
-        let f = fragment(&spec, &FragmentOptions { latency: 3, cycle_override: Some(18) }).unwrap();
-        // With an 18δ cycle everything fits in cycle 1..3 with mobility,
-        // and far fewer fragments are needed than at 6δ.
-        assert!(f.spec.stats().adds <= 9);
-        check_equivalence(&spec, &f.spec, 11, 100).unwrap();
     }
 
     #[test]

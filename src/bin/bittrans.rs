@@ -382,11 +382,6 @@ fn collect_spec_paths(operands: &[String]) -> Result<Vec<String>, String> {
     Ok(paths)
 }
 
-/// Reads every operand into a spec list (deduplicated directory scan).
-fn read_specs(operands: &[String]) -> Result<Vec<Spec>, String> {
-    collect_spec_paths(operands)?.iter().map(|path| read_spec(path)).collect()
-}
-
 /// Prints a study report (text table or `--json`) and applies explore's
 /// exit rule: a partly infeasible grid is normal output, a grid with no
 /// feasible cell at all fails the invocation.
@@ -408,15 +403,12 @@ fn run_explore(args: &Args, options: &CompareOptions) -> Result<(), String> {
     if let Some((shard_options, store)) = fleet_sharding(args, "explore")? {
         return run_explore_sharded(args, options, &shard_options, &store);
     }
-    let mut study = Study::over(read_specs(&args.files)?)
-        .latencies(args.latencies.iter().copied())
-        .base_options(*options);
-    if let Some(adders) = &args.adders {
-        study = study.adder_archs(adders.iter().copied());
-    }
-    if let Some(balance) = &args.balance {
-        study = study.balance(balance.iter().copied());
-    }
+    // A spec that does not parse reports the parser's own message, as
+    // every other command does.
+    let study = sharded_study(args, options)?.study().map_err(|e| match e {
+        shard::ShardError::Invalid(why) => why,
+        e => e.to_string(),
+    })?;
     let engine = Engine::new(EngineOptions { workers: args.jobs, ..Default::default() });
     let engine = match &args.cache_dir {
         Some(dir) => engine.with_cache_dir(dir).map_err(|e| format!("cache dir {dir}: {e}"))?,

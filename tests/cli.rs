@@ -379,6 +379,29 @@ fn parse_errors_have_positions() {
     assert!(stderr.contains("parse error"), "{stderr}");
 }
 
+/// `explore` builds its grid from source text, as `client` and `--workers`
+/// do, and still reports an unreadable or unparseable spec file the way
+/// every other command does.
+#[test]
+fn explore_reports_bad_spec_files_like_check() {
+    let dir = std::env::temp_dir().join(format!("bittrans_cli_explore_bad_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.spec");
+    std::fs::write(&bad, "spec x { input a: u8; output o = a ?? a; }").unwrap();
+    let missing = dir.join("missing.spec");
+    for path in [&bad, &missing] {
+        let (_, _, check) = run(&["check", path.to_str().unwrap()]);
+        let (ok, _, explore) = run(&["explore", path.to_str().unwrap(), "--latency", "3"]);
+        assert!(!ok, "explore accepted {}", path.display());
+        assert_eq!(explore, check, "{}", path.display());
+    }
+    let (_, _, stderr) = run(&["explore", bad.to_str().unwrap()]);
+    assert!(stderr.contains("parse error"), "{stderr}");
+    let (_, _, stderr) = run(&["explore", missing.to_str().unwrap()]);
+    assert!(stderr.contains("reading "), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A slice index past `u32::MAX` once wrapped: `a[4294967296]` read bit 0
 /// and `check` reported a valid spec. It is rejected like `a[9]` on a `u8`.
 #[test]
